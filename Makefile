@@ -249,5 +249,7 @@ crash-smoke:
 # kills, cancels, and torn segment tails, each followed by a restart
 # that must satisfy the recovery invariants (no double retirement, no
 # lost jobs on an intact journal, retry budgets respected, clean fold).
+# Three passes: the failures this suite exists for are races, and a race
+# reintroduced must not get through on one lucky schedule.
 chaos:
-	go test -race -run 'TestChaosRecoveryInvariants' -count=1 ./internal/service/
+	go test -race -run 'TestChaosRecoveryInvariants' -count=3 ./internal/service/

@@ -217,7 +217,7 @@ func TestCSRMatchesReference(t *testing.T) {
 
 			// TPI mutates connectivity (mux/FF insertion on ranked nets):
 			// the cached CSR must be invalidated and rebuilt consistently.
-			if _, err := tpi.Insert(n, tpi.Options{Count: 3, Reanalyze: 2}); err != nil {
+			if _, err := tpi.Insert(n, tpi.Options{Count: 3}); err != nil {
 				t.Fatalf("tpi.Insert: %v", err)
 			}
 			checkAdjacency(t, n, "post-TPI")

@@ -51,8 +51,8 @@ type recAccepted struct {
 	// retired under the absorbing run's id instead; replay reuses the
 	// journaled id so a resumed run keeps its pre-crash identity.
 	// Empty in journals written before run ids existed (JSON-additive).
-	RunID  string `json:"run_id,omitempty"`
-	Tenant string `json:"tenant"`
+	RunID    string     `json:"run_id,omitempty"`
+	Tenant   string     `json:"tenant"`
 	Name     string     `json:"name"`
 	Bench    string     `json:"bench"`
 	TPLevels []float64  `json:"tp_levels"`
@@ -96,7 +96,7 @@ type recCanceled struct {
 // retiredJob is a terminal job inside a snapshot: the queryable state
 // a restarted daemon serves for already-finished work.
 type retiredJob struct {
-	JobID  string `json:"job_id"`
+	JobID string `json:"job_id"`
 	// RunID is the job's admission-time run identity, preserved so a
 	// restarted daemon answers status queries with the same run_id the
 	// pre-crash daemon minted.
@@ -283,7 +283,9 @@ func (s *Server) appendRecord(t journal.Type, v any) {
 // compaction threshold. One compaction at a time; concurrent retiring
 // runs skip rather than queue.
 func (s *Server) maybeCompact() {
-	if s.jrnl == nil || s.dead.Load() || s.jrnl.Size() < s.opt.JournalCompactBytes {
+	// Not before replay is done: until then the pending jobs of the
+	// journal are not all back in s.jobs, and a snapshot would drop them.
+	if s.jrnl == nil || s.dead.Load() || !s.ready.Load() || s.jrnl.Size() < s.opt.JournalCompactBytes {
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -293,14 +295,21 @@ func (s *Server) maybeCompact() {
 	s.compactJournal()
 }
 
-// compactJournal writes the current fold of the journal as a snapshot.
+// compactJournal writes the current fold of the journal as a snapshot,
+// holding jgate so that no journaled transition falls between the state
+// capture and the segment cut.
 func (s *Server) compactJournal() {
 	if s.jrnl == nil || s.dead.Load() {
 		return
 	}
+	s.jgate.Lock()
+	defer s.jgate.Unlock()
 	state, err := json.Marshal(s.snapshotState())
 	if err != nil {
 		return
+	}
+	if s.opt.compactHook != nil {
+		s.opt.compactHook()
 	}
 	if err := s.jrnl.Compact(state); err != nil {
 		s.journalErrors.Add(1)
@@ -401,6 +410,9 @@ func (s *Server) readmit(rec *recAccepted) bool {
 	}
 	comp, err := compileRequest(req)
 	now := time.Now()
+	// Every way out of here changes a job's state and may journal it.
+	s.jgate.RLock()
+	defer s.jgate.RUnlock()
 	if err != nil {
 		// The record no longer compiles (journal from a newer build?):
 		// retire it as failed so it stops replaying forever.

@@ -357,6 +357,78 @@ func TestCancelAbortsBackoff(t *testing.T) {
 // TestReadyzGatesReplay: while the journal replays, /healthz is 200
 // (liveness), /readyz is 503, and submissions bounce with 503; all flip
 // once replay completes.
+// TestCompactionExcludesRetirement parks a retirement between a
+// compaction's state capture and its segment cut — the window in which a
+// retired record used to be deleted while the snapshot still listed the
+// job pending, so a restart ran it again (and, the other way round, a
+// job the snapshot already held retired got a second terminal record).
+// The run is released from inside the compaction and given every chance
+// to retire before the cut; whichever side of the compaction its record
+// lands on, the journal must fold to exactly one retirement.
+func TestCompactionExcludesRetirement(t *testing.T) {
+	dir := t.TempDir()
+	var s *Server
+	var jobID string
+	var armed bool
+	release := make(chan struct{})
+	rec := &levelRecorder{}
+	terminal := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.jobs[jobID].state.terminal()
+	}
+	opt := Options{Workers: 1}
+	opt.compactHook = func() {
+		if !armed { // the startup compaction at the end of replay
+			return
+		}
+		close(release)
+		// The retirement must not get through while the compaction is
+		// between capture and cut; that it does not can only be seen by
+		// waiting for it in vain.
+		for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); {
+			if terminal() {
+				// It did: let its record reach the journal too, so the
+				// cut below really deletes it.
+				before := s.jrnl.Appends()
+				for i := 0; i < 100 && s.jrnl.Appends() == before; i++ {
+					time.Sleep(time.Millisecond)
+				}
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s = openDurable(t, dir, opt, func(s *Server) {
+		s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
+			<-release
+			return rec.hook(rn, base, cfg, pct)
+		}
+	})
+	code, st := postJob(t, s, jobBody(t, "acme", 0))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	jobID = st.ID
+	waitFor(t, func() bool { return getStatus(t, s, jobID).State == StateRunning })
+
+	armed = true
+	s.compactJournal()
+	waitState(t, s, jobID, StateDone)
+	shutdown(t, s)
+	checkJournalInvariants(t, dir, 0, false)
+
+	// A restart must find the job done and owe it no run.
+	s2 := openDurable(t, dir, Options{Workers: 1}, func(s *Server) { s.runLevel = rec.hook })
+	if got := getStatus(t, s2, jobID); got.State != StateDone {
+		t.Errorf("after restart job is %s, want done", got.State)
+	}
+	if ran := rec.executed(); len(ran) != 1 {
+		t.Errorf("levels executed across both lives = %v, want the one run", ran)
+	}
+	shutdown(t, s2)
+}
+
 func TestReadyzGatesReplay(t *testing.T) {
 	gate := make(chan struct{})
 	s, err := Open(Options{Workers: 1, DataDir: t.TempDir(), journalNoSync: true, replayGate: gate})

@@ -288,6 +288,7 @@ type Options struct {
 	journalHook   func(journal.Op) error // fault injection into the journal
 	stageHook     func(string, float64)  // fault injection into flow stages
 	replayGate    chan struct{}          // replay blocks until closed (readyz tests)
+	compactHook   func()                 // runs between a compaction's state capture and its segment cut
 }
 
 func (o *Options) withDefaults() Options {
@@ -370,7 +371,16 @@ type Server struct {
 	// Durability state. jrnl is nil for in-memory servers; dead makes
 	// every journal write a no-op (Kill — crash simulation); ready gates
 	// submissions and /readyz until journal replay finishes.
-	jrnl          *journal.Journal
+	jrnl *journal.Journal
+	// jgate makes a compaction's snapshot agree with the segments it
+	// deletes. A journaled state transition — the in-memory change plus
+	// the append that records it — runs under jgate.RLock; compaction
+	// captures the state and cuts the segments under jgate.Lock. A
+	// snapshot therefore holds a transition exactly when its record lies
+	// in a deleted segment: no record is dropped while the snapshot still
+	// predates it, none survives beside a snapshot that already has it.
+	// Acquired before mu, never while holding it.
+	jgate         sync.RWMutex
 	checkpoints   *checkpointStore // guarded by mu
 	dead          atomic.Bool
 	ready         atomic.Bool
@@ -641,7 +651,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Journal acceptance BEFORE the job becomes reachable: an accepted
 	// record always precedes any terminal record for the same job, so
-	// replay can never see a retirement of an unknown job.
+	// replay can never see a retirement of an unknown job. The gate is
+	// held until the job is reachable (or its record compensated), or a
+	// compaction in between would drop the record of a job its snapshot
+	// does not know yet.
+	s.jgate.RLock()
 	if s.jrnl != nil {
 		rec := &recAccepted{
 			JobID:    job.ID,
@@ -675,6 +689,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			live.jobs = append(live.jobs, job)
 			s.rememberJobLocked(job)
 			s.mu.Unlock()
+			s.jgate.RUnlock()
 			s.emitMetric(map[string]int64{"service.coalesced_jobs": 1}, nil, nil)
 			s.opt.Log.Info("job coalesced onto in-flight run",
 				"job_id", job.ID, "run_id", job.runID, "tenant", job.Tenant, "circuit", job.Circuit)
@@ -704,6 +719,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 					Cacheable: true, Result: res, Finished: time.Now(),
 				})
 			}
+			s.jgate.RUnlock()
 			s.emitMetric(map[string]int64{"service.jobs_done": 1, "service.cache_hit_jobs": 1}, nil, nil)
 			s.emitTenantMetric(job.Tenant,
 				map[string]int64{"service.tenant_jobs_done": 1},
@@ -724,6 +740,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Compensate the accepted record: this job never ran.
 			s.appendRecord(journal.TypeCanceled, &recCanceled{JobID: job.ID, Finished: time.Now()})
 		}
+		s.jgate.RUnlock()
 		if errors.Is(err, ErrQueueFull) {
 			s.reject429(w)
 		} else {
@@ -738,6 +755,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.rememberJobLocked(job)
 	depth := s.queue.Len()
 	s.mu.Unlock()
+	s.jgate.RUnlock()
 
 	s.emitMetric(map[string]int64{"service.jobs_submitted": 1},
 		map[string]float64{"service.queue_depth": float64(depth)}, nil)
@@ -1066,10 +1084,12 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 						Key: levelKey(rn.baseKey, cfg.SweepMode, pct), TPPercent: pct, Metrics: lr.Metrics,
 						RunID: rn.id, JobID: rn.primary,
 					}
+					s.jgate.RLock()
 					s.mu.Lock()
 					s.checkpoints.put(rec)
 					s.mu.Unlock()
 					s.appendRecord(journal.TypeLevelDone, &rec)
+					s.jgate.RUnlock()
 				}
 				return
 			}
@@ -1174,6 +1194,7 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 	}
 
 	now := time.Now()
+	s.jgate.RLock() // held from the terminal-state flip to its journal record
 	s.mu.Lock()
 	rn.done = true
 	delete(s.inflight, rn.key)
@@ -1241,6 +1262,9 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 			rr.Result = res
 		}
 		s.appendRecord(journal.TypeRetired, rr)
+	}
+	s.jgate.RUnlock()
+	if len(journaledIDs) > 0 {
 		s.maybeCompact()
 	}
 
@@ -1341,9 +1365,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if job == nil {
 		return
 	}
+	s.jgate.RLock() // held from the terminal-state flip to its journal record
 	s.mu.Lock()
 	if job.state.terminal() {
 		s.mu.Unlock()
+		s.jgate.RUnlock()
 		s.writeStatus(w, http.StatusOK, job) // idempotent
 		return
 	}
@@ -1368,6 +1394,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
+	if journaled {
+		s.appendRecord(journal.TypeCanceled, &recCanceled{JobID: job.ID, RunID: job.runID, Finished: time.Now()})
+	}
+	s.jgate.RUnlock()
 
 	s.jobsCanceled.Add(1)
 	s.emitMetric(map[string]int64{"service.jobs_canceled": 1}, nil, nil)
@@ -1376,9 +1406,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		map[string]telemetry.HistData{"service.tenant_e2e_ns": telemetry.Observation(int64(job.finished.Sub(job.created)))})
 	s.opt.Log.Info("job canceled by client", "job_id", job.ID, "run_id", job.runID,
 		"tenant", job.Tenant, "last_waiter", lastWaiter)
-	if journaled {
-		s.appendRecord(journal.TypeCanceled, &recCanceled{JobID: job.ID, RunID: job.runID, Finished: time.Now()})
-	}
 	if lastWaiter {
 		// Nobody else wants this run: take it off the queue if still
 		// there, abort the flow if running (including a retry backoff

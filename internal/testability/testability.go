@@ -1,8 +1,8 @@
 // Package testability computes the testability measures that drive test
 // point selection, exactly the toolbox the paper's TPI method draws on:
 // SCOAP controllability/observability, COP signal and detection
-// probabilities, per-net testability cost (TC), and fanout-free-region
-// sizes.
+// probabilities, per-net testability cost (TC), and fanout-free fan-in
+// cone sizes.
 //
 // All measures are computed on the full-scan capture-mode view of the
 // circuit: primary inputs and flip-flop outputs are fully controllable
@@ -30,15 +30,6 @@ type Analysis struct {
 	// COP probabilities under uniformly random source values.
 	P1  []float64 // probability the net is 1
 	Obs []float64 // probability a value change on the net reaches a sink
-
-	// Det0/Det1 are COP detection probabilities of stuck-at-0/1 on the
-	// net: Det0 = P1·Obs (fault visible when the good value is 1), etc.
-	Det0, Det1 []float64
-
-	// FFRHead maps every net to the head (stem) net of its fanout-free
-	// region; FFRSize is the number of cells per head.
-	FFRHead []netlist.NetID
-	FFRSize map[netlist.NetID]int
 
 	// FFICone[n] is the size of the fanout-free fan-in cone of net n: the
 	// number of gates whose only path to an observation point runs
@@ -70,8 +61,6 @@ func Analyze(n *netlist.Netlist, opt Options) (*Analysis, error) {
 	}
 	a.controllability(n, lv, opt)
 	a.observability(n, lv, opt)
-	a.detection(n)
-	a.regions(n)
 	a.fanoutFreeCones(n, lv)
 	return a, nil
 }
@@ -80,17 +69,23 @@ func Analyze(n *netlist.Netlist, opt Options) (*Analysis, error) {
 // itself plus the cones of its single-fanout inputs.
 func (a *Analysis) fanoutFreeCones(n *netlist.Netlist, lv *netlist.Levels) {
 	a.FFICone = make([]int32, len(n.Nets))
-	csr := n.CSR()
+	fanoutLen := n.CSR().FanoutLen
 	for _, ci := range lv.Order {
 		c := &n.Cells[ci]
-		size := int32(1)
-		for _, in := range c.Ins {
-			if in != netlist.NoNet && csr.FanoutLen(in) == 1 {
-				size += a.FFICone[in]
-			}
-		}
-		a.FFICone[c.Out] = size
+		a.FFICone[c.Out] = coneSize(c, a, fanoutLen)
 	}
+}
+
+// coneSize is the fanout-free fan-in cone of gate c's output: the gate
+// plus the cones of its single-fanout inputs.
+func coneSize(c *netlist.Instance, a *Analysis, fanoutLen func(netlist.NetID) int) int32 {
+	size := int32(1)
+	for _, in := range c.Ins {
+		if in != netlist.NoNet && fanoutLen(in) == 1 {
+			size += a.FFICone[in]
+		}
+	}
+	return size
 }
 
 // sourceKind classifies a net's source for the capture-mode view.
@@ -111,18 +106,23 @@ func sourceKind(n *netlist.Netlist, id netlist.NetID, opt Options) (isSource boo
 	return false, 0
 }
 
+// sourceControllability is the controllability of a source net: a constant
+// (cv 0 or 1) or a scan-controllable source (cv -1).
+func sourceControllability(cv int8) (cc0, cc1 int32, p1 float64) {
+	switch cv {
+	case 0:
+		return 0, Inf, 0
+	case 1:
+		return Inf, 0, 1
+	}
+	return 1, 1, 0.5
+}
+
 func (a *Analysis) controllability(n *netlist.Netlist, lv *netlist.Levels, opt Options) {
 	for id := range n.Nets {
 		nid := netlist.NetID(id)
 		if src, cv := sourceKind(n, nid, opt); src {
-			switch cv {
-			case 0:
-				a.CC0[id], a.CC1[id], a.P1[id] = 0, Inf, 0
-			case 1:
-				a.CC0[id], a.CC1[id], a.P1[id] = Inf, 0, 1
-			default:
-				a.CC0[id], a.CC1[id], a.P1[id] = 1, 1, 0.5
-			}
+			a.CC0[id], a.CC1[id], a.P1[id] = sourceControllability(cv)
 		}
 	}
 	for _, ci := range lv.Order {
@@ -254,85 +254,92 @@ func (a *Analysis) observability(n *netlist.Netlist, lv *netlist.Levels, opt Opt
 // c, then merges into the input nets (stem CO = min over branches; stem
 // Obs = max over branches).
 func gateObservability(c *netlist.Instance, a *Analysis, opt Options) {
-	in := c.Ins
 	co := a.CO[c.Out]
 	obs := a.Obs[c.Out]
-	update := func(i int, cost int32, prob float64) {
-		net := in[i]
+	for i, net := range c.Ins {
 		if _, constrained := opt.Constraints[net]; constrained {
-			return // constants cannot be observed through
+			continue // constants cannot be observed through
 		}
-		v := addSat(addSat(co, cost), 1)
-		if v < a.CO[net] {
+		cost, prob := sensitisation(c, a, i)
+		if v := addSat(addSat(co, cost), 1); v < a.CO[net] {
 			a.CO[net] = v
 		}
-		p := obs * prob
-		if p > a.Obs[net] {
+		if p := obs * prob; p > a.Obs[net] {
 			a.Obs[net] = p
 		}
 	}
-	g0 := func(i int) int32 { return a.CC0[in[i]] }
-	g1 := func(i int) int32 { return a.CC1[in[i]] }
-	p := func(i int) float64 { return a.P1[in[i]] }
+}
+
+// sensitisation returns what it takes for a change on input pin i of gate
+// c to reach the gate's output: the SCOAP cost of setting the other
+// inputs to their non-masking values and the COP probability that random
+// values do so. It is the one place these per-pin expressions live: the
+// full pass pushes them from each gate and the incremental session pulls
+// them per load, and both must round identically.
+func sensitisation(c *netlist.Instance, a *Analysis, i int) (cost int32, prob float64) {
+	in := c.Ins
+	g0 := func(j int) int32 { return a.CC0[in[j]] }
+	g1 := func(j int) int32 { return a.CC1[in[j]] }
+	p := func(j int) float64 { return a.P1[in[j]] }
 
 	switch c.Cell.Kind {
 	case stdcell.KindInv, stdcell.KindBuf:
-		update(0, 0, 1)
+		return 0, 1
 	case stdcell.KindAnd, stdcell.KindNand:
-		for i := range in {
-			cost, prob := int32(0), 1.0
-			for j := range in {
-				if j != i {
-					cost = addSat(cost, g1(j))
-					prob *= p(j)
-				}
+		cost, prob = 0, 1.0
+		for j := range in {
+			if j != i {
+				cost = addSat(cost, g1(j))
+				prob *= p(j)
 			}
-			update(i, cost, prob)
 		}
+		return cost, prob
 	case stdcell.KindOr, stdcell.KindNor:
-		for i := range in {
-			cost, prob := int32(0), 1.0
-			for j := range in {
-				if j != i {
-					cost = addSat(cost, g0(j))
-					prob *= 1 - p(j)
-				}
+		cost, prob = 0, 1.0
+		for j := range in {
+			if j != i {
+				cost = addSat(cost, g0(j))
+				prob *= 1 - p(j)
 			}
-			update(i, cost, prob)
 		}
+		return cost, prob
 	case stdcell.KindXor, stdcell.KindXnor:
-		update(0, min32(g0(1), g1(1)), 1)
-		update(1, min32(g0(0), g1(0)), 1)
+		return min32(g0(1-i), g1(1-i)), 1
 	case stdcell.KindAoi21: // y = !(a·b + c)
-		update(0, addSat(g1(1), g0(2)), p(1)*(1-p(2)))
-		update(1, addSat(g1(0), g0(2)), p(0)*(1-p(2)))
-		update(2, min32(g0(0), g0(1)), 1-p(0)*p(1))
+		switch i {
+		case 0:
+			return addSat(g1(1), g0(2)), p(1) * (1 - p(2))
+		case 1:
+			return addSat(g1(0), g0(2)), p(0) * (1 - p(2))
+		}
+		return min32(g0(0), g0(1)), 1 - p(0)*p(1)
 	case stdcell.KindOai21: // y = !((a+b)·c)
-		update(0, addSat(g0(1), g1(2)), (1-p(1))*p(2))
-		update(1, addSat(g0(0), g1(2)), (1-p(0))*p(2))
-		update(2, min32(g1(0), g1(1)), 1-(1-p(0))*(1-p(1)))
+		switch i {
+		case 0:
+			return addSat(g0(1), g1(2)), (1 - p(1)) * p(2)
+		case 1:
+			return addSat(g0(0), g1(2)), (1 - p(0)) * p(2)
+		}
+		return min32(g1(0), g1(1)), 1 - (1-p(0))*(1-p(1))
 	case stdcell.KindMux2: // y = s ? b : a
-		update(0, g0(2), 1-p(2))
-		update(1, g1(2), p(2))
-		diff := p(0)*(1-p(1)) + (1-p(0))*p(1)
-		update(2, min32(addSat(g1(0), g0(1)), addSat(g0(0), g1(1))), diff)
+		switch i {
+		case 0:
+			return g0(2), 1 - p(2)
+		case 1:
+			return g1(2), p(2)
+		}
+		return min32(addSat(g1(0), g0(1)), addSat(g0(0), g1(1))), p(0)*(1-p(1)) + (1-p(0))*p(1)
 	}
-}
-
-func (a *Analysis) detection(n *netlist.Netlist) {
-	a.Det0 = make([]float64, len(n.Nets))
-	a.Det1 = make([]float64, len(n.Nets))
-	for id := range n.Nets {
-		a.Det0[id] = a.P1[id] * a.Obs[id]
-		a.Det1[id] = (1 - a.P1[id]) * a.Obs[id]
-	}
+	return Inf, 0 // unknown kind: nothing propagates
 }
 
 // TC returns the testability cost of a net: the number of random patterns
-// (log2) expected to detect its hardest stuck-at fault. Large TC = hard
-// net; Inf-like values are capped at 64.
+// (log2) expected to detect its hardest stuck-at fault, from the COP
+// detection probabilities P1·Obs (stuck-at-0, visible when the good value
+// is 1) and (1−P1)·Obs (stuck-at-1). Large TC = hard net; Inf-like values
+// are capped at 64.
 func (a *Analysis) TC(id netlist.NetID) float64 {
-	d := math.Min(a.Det0[id], a.Det1[id])
+	d := math.Min(a.P1[id]*a.Obs[id], (1-a.P1[id])*a.Obs[id])
 	if d <= 0 {
 		return 64
 	}
@@ -341,57 +348,4 @@ func (a *Analysis) TC(id netlist.NetID) float64 {
 		return 64
 	}
 	return tc
-}
-
-// regions assigns each net to its fanout-free-region head: the first net
-// at or below it (towards the sinks) with fanout > 1 or feeding a sink.
-func (a *Analysis) regions(n *netlist.Netlist) {
-	a.FFRHead = make([]netlist.NetID, len(n.Nets))
-	a.FFRSize = make(map[netlist.NetID]int)
-	csr := n.CSR()
-	for id := range n.Nets {
-		a.FFRHead[id] = netlist.NoNet
-	}
-	// A net is a stem (its own head) when it has ≠1 loads or its single
-	// load is a sink (PO or sequential input).
-	isStem := func(id netlist.NetID) bool {
-		loads := csr.Fanout(id)
-		if len(loads) != 1 {
-			return true
-		}
-		ld := loads[0]
-		if ld.Cell == netlist.NoCell {
-			return true
-		}
-		return n.Cells[ld.Cell].Cell.Kind.IsSequential()
-	}
-	var headOf func(id netlist.NetID) netlist.NetID
-	headOf = func(id netlist.NetID) netlist.NetID {
-		if a.FFRHead[id] != netlist.NoNet {
-			return a.FFRHead[id]
-		}
-		if isStem(id) {
-			a.FFRHead[id] = id
-			return id
-		}
-		// Single combinational load: same region as its output.
-		ld := csr.Fanout(id)[0]
-		out := n.Cells[ld.Cell].Out
-		h := headOf(out)
-		a.FFRHead[id] = h
-		return h
-	}
-	for id := range n.Nets {
-		if n.Nets[id].Dead {
-			continue
-		}
-		headOf(netlist.NetID(id))
-	}
-	for ci := range n.Cells {
-		c := &n.Cells[ci]
-		if c.Dead || c.Out == netlist.NoNet || c.Cell.Kind.IsSequential() || c.Cell.Kind.IsPhysicalOnly() {
-			continue
-		}
-		a.FFRSize[a.FFRHead[c.Out]]++
-	}
 }

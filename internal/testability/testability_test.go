@@ -57,10 +57,7 @@ func TestSCOAPAndChain(t *testing.T) {
 	if math.Abs(a.Obs[pis[0]]-1.0/8) > 1e-12 {
 		t.Errorf("Obs(a) = %g, want 1/8", a.Obs[pis[0]])
 	}
-	// Detection of y stuck-at-0 requires y=1: probability 1/16.
-	if math.Abs(a.Det0[y]-1.0/16) > 1e-12 {
-		t.Errorf("Det0(y) = %g, want 1/16", a.Det0[y])
-	}
+	// Detection of y stuck-at-0 requires y=1: probability 1/16, 4 bits.
 	if tc := a.TC(y); math.Abs(tc-4) > 1e-9 {
 		t.Errorf("TC(y) = %g, want 4", tc)
 	}
@@ -176,9 +173,9 @@ func TestCOPMatchesExhaustiveSimulation(t *testing.T) {
 	}
 }
 
-func TestFanoutFreeRegions(t *testing.T) {
-	// a -> inv -> w -> {and g2, or g3}: w is a stem. g2's output chain
-	// through one more inverter is one region.
+func TestFanoutFreeCones(t *testing.T) {
+	// a -> inv -> w -> {and g2, or g3}: w is a stem, so the cones of x and
+	// y stop at it. g2 and the inverter after it are one cone.
 	lib := stdcell.Default()
 	n := netlist.New("ffr", lib)
 	a := n.AddPI("a")
@@ -197,17 +194,13 @@ func TestFanoutFreeRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an.FFRHead[w] != w {
-		t.Errorf("w should head its own region (fanout 2)")
-	}
-	if an.FFRHead[x] != z {
-		t.Errorf("FFRHead(x) = %d, want z (%d)", an.FFRHead[x], z)
-	}
-	if an.FFRSize[z] != 2 {
-		t.Errorf("region z size = %d, want 2 (g2, g4)", an.FFRSize[z])
-	}
-	if an.FFRSize[w] != 1 {
-		t.Errorf("region w size = %d, want 1 (g1)", an.FFRSize[w])
+	for _, tc := range []struct {
+		net  netlist.NetID
+		want int32
+	}{{w, 1}, {x, 1}, {y, 1}, {z, 2}, {a, 0}} {
+		if got := an.FFICone[tc.net]; got != tc.want {
+			t.Errorf("FFICone(%s) = %d, want %d", n.Nets[tc.net].Name, got, tc.want)
+		}
 	}
 }
 

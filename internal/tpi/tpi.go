@@ -56,10 +56,6 @@ type Options struct {
 	// Constraints are extra capture-mode constants for the analysis
 	// (e.g. an existing scan-enable net).
 	Constraints map[netlist.NetID]int8
-	// Reanalyze controls how often testability is recomputed: every
-	// Reanalyze insertions (default 1 = the fully iterative process of
-	// the paper's method; larger values batch for speed).
-	Reanalyze int
 }
 
 // Result describes the inserted test points and their control nets.
@@ -98,7 +94,7 @@ func Insert(n *netlist.Netlist, opt Options) (*Result, error) {
 	}
 	res.TE = n.AddPI("tp_te")
 	res.TR = n.AddPI("tp_tr")
-	err := insertLoop(n, opt, res, make(map[netlist.NetID]bool))
+	err := insertLoop(n, opt, res)
 	return res, err
 }
 
@@ -108,8 +104,8 @@ func Insert(n *netlist.Netlist, opt Options) (*Result, error) {
 // inserts only the opt.Count − len(prev.Points) missing TSFFs, naming and
 // numbering them as a from-scratch Insert(opt.Count) would.
 //
-// Because Insert's selection loop re-analyzes testability on the current
-// netlist state each batch, the state after k insertions fully determines
+// Because Insert's selection loop ranks every point on the testability of
+// the netlist as edited so far, the state after k insertions fully determines
 // insertion k+1 — so Resume's continuation is byte-identical to the tail
 // of a from-scratch run, and the resulting netlist mutations match
 // exactly. prev is not mutated; the returned Result owns its own Points
@@ -126,57 +122,104 @@ func Resume(n *netlist.Netlist, prev *Result, opt Options) (*Result, error) {
 	if opt.Count <= len(res.Points) {
 		return res, nil
 	}
-	taken := make(map[netlist.NetID]bool, len(res.Points))
-	for _, p := range res.Points {
-		taken[p.Target] = true
-	}
-	err := insertLoop(n, opt, res, taken)
+	err := insertLoop(n, opt, res)
 	return res, err
 }
 
 // insertLoop is the shared selection/insertion engine behind Insert and
-// Resume: analyze, pick a batch, splice TSFFs, repeat until res holds
-// opt.Count points. taken must hold the targets of every point already in
-// res (a previously targeted net keeps a live fanout — the in-mux pin —
-// so without the guard it could be picked twice).
-func insertLoop(n *netlist.Netlist, opt Options, res *Result, taken map[netlist.NetID]bool) error {
-	if opt.Reanalyze <= 0 {
-		opt.Reanalyze = 1
+// Resume: pick the best net, splice a TSFF, repeat until res holds
+// opt.Count points.
+func insertLoop(n *netlist.Netlist, opt Options, res *Result) error {
+	in, err := newInserter(n, opt, res)
+	if err != nil {
+		return err
 	}
+	for len(res.Points) < opt.Count {
+		net := in.best()
+		if net == netlist.NoNet {
+			return fmt.Errorf("tpi: no insertable net left after %d test points", len(res.Points))
+		}
+		if err := in.insertAt(net); err != nil {
+			return err
+		}
+	}
+	// Hand the netlist on with its levelization current. The stages that
+	// follow re-levelize incrementally over their own edits, on a work
+	// budget that TPI's edit log (19 entries per point) would otherwise
+	// use up, sending them to a full rebuild.
+	_, err = n.Levelize()
+	return err
+}
+
+// inserter is the state of one Insert/Resume call. It runs the paper's
+// fully iterative process — every point is chosen on the testability of
+// the netlist as edited so far — with the analysis kept current by one
+// testability.Session instead of being redone per point, and with the
+// rank of every net cached so that choosing a point is a compare-only
+// scan: only nets the session reports as moved are re-ranked.
+type inserter struct {
+	n     *netlist.Netlist
+	sess  *testability.Session
+	res   *Result
+	minTC float64
+	// blocked holds opt.Exclude and the targets already taken (a
+	// targeted net keeps a live fanout — the in-mux pin — so without the
+	// guard it could be picked twice).
+	blocked []bool
+	rank    []rank
+}
+
+// rank is what selection orders a candidate net by: the gain score
+// (stored in TestPoint.ScoreTC), then SCOAP CC0+CC1 as a tie-break toward
+// the hardest-to-control net. A negative score marks a net that cannot
+// take a test point.
+type rank struct {
+	score float64
+	cc    int32
+}
+
+func newInserter(n *netlist.Netlist, opt Options, res *Result) (*inserter, error) {
 	constraints := map[netlist.NetID]int8{res.TE: 0, res.TR: 1}
 	for k, v := range opt.Constraints {
 		constraints[k] = v
 	}
-	for len(res.Points) < opt.Count {
-		an, err := testability.Analyze(n, testability.Options{Constraints: constraints})
-		if err != nil {
-			return err
-		}
-		batch := opt.Reanalyze
-		if rem := opt.Count - len(res.Points); batch > rem {
-			batch = rem
-		}
-		targets := selectTargets(n, an, opt, taken, batch)
-		if len(targets) == 0 {
-			return fmt.Errorf("tpi: no insertable net left after %d test points", len(res.Points))
-		}
-		for _, tgt := range targets {
-			tp, err := insertTSFF(n, tgt.net, res.TE, res.TR, len(res.Points))
-			if err != nil {
-				return err
-			}
-			tp.ScoreTC = tgt.tc
-			res.Points = append(res.Points, tp)
-			taken[tgt.net] = true
+	sess, err := testability.NewSession(n, testability.Options{Constraints: constraints})
+	if err != nil {
+		return nil, err
+	}
+	in := &inserter{
+		n: n, sess: sess, res: res, minTC: opt.MinTC,
+		blocked: make([]bool, len(n.Nets)),
+		rank:    make([]rank, len(n.Nets)),
+	}
+	for net, excluded := range opt.Exclude {
+		if excluded && int(net) < len(in.blocked) {
+			in.blocked[net] = true
 		}
 	}
-	return nil
+	for _, tp := range res.Points {
+		in.blocked[tp.Target] = true
+	}
+	for id := range n.Nets {
+		in.refresh(netlist.NetID(id))
+	}
+	return in, nil
 }
 
-type target struct {
-	net netlist.NetID
-	tc  float64 // gain score (stored in TestPoint.ScoreTC)
-	cc  int32   // SCOAP CC0+CC1 tie-break: prefer the hardest-to-control net
+// insertAt splices the next test point in at net and re-ranks what the
+// splice moved.
+func (in *inserter) insertAt(net netlist.NetID) error {
+	tp, moved, err := insertTSFF(in.n, in.sess, net, in.res.TE, in.res.TR, len(in.res.Points))
+	if err != nil {
+		return err
+	}
+	tp.ScoreTC = in.rank[net].score
+	in.res.Points = append(in.res.Points, tp)
+	in.blocked[net] = true
+	for _, m := range moved {
+		in.refresh(m)
+	}
+	return nil
 }
 
 // deficitBits converts a probability into "bits of deficit": 0 for
@@ -195,51 +238,41 @@ func deficitBits(p float64) float64 {
 	return b
 }
 
-// selectTargets ranks candidate nets by estimated test-point gain, the
-// COP-style cost function of the paper's method: an observation point at
-// net n fixes the observability deficit of every gate whose only
-// observation path runs through n (the fanout-free fan-in cone), and the
-// control half of the TSFF fixes the net's controllability deficit, so
+// refresh re-ranks one net by estimated test-point gain, the COP-style
+// cost function of the paper's method: an observation point at net n
+// fixes the observability deficit of every gate whose only observation
+// path runs through n (the fanout-free fan-in cone), and the control half
+// of the TSFF fixes the net's controllability deficit, so
 //
 //	score(n) = obsDeficitBits(n) · (1 + |FFICone(n)|) + ctrlDeficitBits(n)
 //
-// with SCOAP controllability as a tie-break toward the hardest net.
-func selectTargets(n *netlist.Netlist, an *testability.Analysis, opt Options, taken map[netlist.NetID]bool, k int) []target {
-	var best []target
-	worse := func(a, b target) bool {
-		if a.tc != b.tc {
-			return a.tc < b.tc
-		}
-		return a.cc < b.cc
+// Nets created since the inserter was built (TSFF internals) extend the
+// cache.
+func (in *inserter) refresh(net netlist.NetID) {
+	for int(net) >= len(in.rank) {
+		in.rank = append(in.rank, rank{score: -1})
+		in.blocked = append(in.blocked, false)
 	}
-	for id := range n.Nets {
-		net := netlist.NetID(id)
-		if !insertable(n, net) || taken[net] || opt.Exclude[net] {
-			continue
-		}
-		if an.TC(net) < opt.MinTC {
-			continue
-		}
-		score := deficitBits(an.Obs[net])*(1+float64(an.FFICone[net])) +
+	an := in.sess.Analysis()
+	r := rank{score: -1}
+	if !in.blocked[net] && insertable(in.n, in.sess, net) && an.TC(net) >= in.minTC {
+		r.score = deficitBits(an.Obs[net])*(1+float64(an.FFICone[net])) +
 			deficitBits(math.Min(an.P1[net], 1-an.P1[net]))
-		cc := an.CC0[net] + an.CC1[net]
-		if cc > testability.Inf {
-			cc = testability.Inf
+		r.cc = an.CC0[net] + an.CC1[net]
+		if r.cc > testability.Inf {
+			r.cc = testability.Inf
 		}
-		t := target{net: net, tc: score, cc: cc}
-		if len(best) < k {
-			best = append(best, t)
-			continue
-		}
-		// Replace the weakest of the current best.
-		wi := 0
-		for i := 1; i < len(best); i++ {
-			if worse(best[i], best[wi]) {
-				wi = i
-			}
-		}
-		if worse(best[wi], t) {
-			best[wi] = t
+	}
+	in.rank[net] = r
+}
+
+// best returns the first net of the highest rank, NoNet when no net can
+// take a test point.
+func (in *inserter) best() netlist.NetID {
+	best, top := netlist.NoNet, rank{score: -1}
+	for id, r := range in.rank {
+		if r.score > top.score || (r.score == top.score && r.cc > top.cc) {
+			best, top = netlist.NetID(id), r
 		}
 	}
 	return best
@@ -249,7 +282,7 @@ func selectTargets(n *netlist.Netlist, an *testability.Analysis, opt Options, ta
 // driven by a functional combinational cell. Flip-flop outputs and primary
 // inputs are already fully controllable/observable in full scan; nets
 // created by DfT insertion are off limits.
-func insertable(n *netlist.Netlist, net netlist.NetID) bool {
+func insertable(n *netlist.Netlist, sess *testability.Session, net netlist.NetID) bool {
 	nn := &n.Nets[net]
 	if nn.Dead || nn.Const >= 0 || nn.PI >= 0 {
 		return false
@@ -265,20 +298,22 @@ func insertable(n *netlist.Netlist, net netlist.NetID) bool {
 	if k.IsSequential() || k.IsPhysicalOnly() {
 		return false
 	}
-	return len(n.Fanouts()[net]) > 0
+	return sess.FanoutLen(net) > 0
 }
 
 // insertTSFF performs steps 2 and 3 for one test point: picks the clock
-// domain and splices the three TSFF cells into the netlist.
-func insertTSFF(n *netlist.Netlist, tnet netlist.NetID, te, tr netlist.NetID, idx int) (TestPoint, error) {
-	dom := clockDomainFor(n, tnet)
+// domain, splices the three TSFF cells into the netlist, and brings the
+// session up to date with the splice. It returns the nets the session
+// reports as moved (valid until the session's next update).
+func insertTSFF(n *netlist.Netlist, sess *testability.Session, tnet netlist.NetID, te, tr netlist.NetID, idx int) (TestPoint, []netlist.NetID, error) {
+	dom := clockDomainFor(n, sess, tnet)
 	if dom < 0 {
-		return TestPoint{}, fmt.Errorf("tpi: no clock domain reachable from net %s", n.Nets[tnet].Name)
+		return TestPoint{}, nil, fmt.Errorf("tpi: no clock domain reachable from net %s", n.Nets[tnet].Name)
 	}
 	clk := n.PIs[n.Domains[dom].ClockPI].Net
 	lib := n.Lib
 
-	loads := append([]netlist.Load(nil), n.Fanouts()[tnet]...)
+	loads := sess.Fanout(tnet)
 	base := fmt.Sprintf("tp%d", idx)
 	wIn := n.AddNet(base + "_win")
 	wQ := n.AddNet(base + "_wq")
@@ -297,6 +332,7 @@ func insertTSFF(n *netlist.Netlist, tnet netlist.NetID, te, tr netlist.NetID, id
 	n.Cells[outMux].Tag = netlist.TagTestMux
 
 	n.MoveLoads(tnet, wOut, loads)
+	moved := sess.Update([]netlist.CellID{inMux, ff, outMux}, tnet, wOut)
 	return TestPoint{
 		Target: tnet,
 		Out:    wOut,
@@ -304,13 +340,13 @@ func insertTSFF(n *netlist.Netlist, tnet netlist.NetID, te, tr netlist.NetID, id
 		FF:     ff,
 		OutMux: outMux,
 		Domain: dom,
-	}, nil
+	}, moved, nil
 }
 
 // clockDomainFor finds the clock domain of the sequential cells nearest to
 // net: backwards through the fanin cone first, then forwards, defaulting
 // to domain 0.
-func clockDomainFor(n *netlist.Netlist, net netlist.NetID) int {
+func clockDomainFor(n *netlist.Netlist, sess *testability.Session, net netlist.NetID) int {
 	if len(n.Domains) == 0 {
 		return -1
 	}
@@ -337,7 +373,6 @@ func clockDomainFor(n *netlist.Netlist, net netlist.NetID) int {
 		queue = append(queue, c.Ins...)
 	}
 	// Forward search through the fanout cone.
-	fan := n.Fanouts()
 	seen = make(map[netlist.NetID]bool)
 	queue = []netlist.NetID{net}
 	for steps := 0; len(queue) > 0 && steps < 4096; steps++ {
@@ -347,7 +382,7 @@ func clockDomainFor(n *netlist.Netlist, net netlist.NetID) int {
 			continue
 		}
 		seen[id] = true
-		for _, ld := range fan[id] {
+		for _, ld := range sess.Fanout(id) {
 			if ld.Cell == netlist.NoCell {
 				continue
 			}
