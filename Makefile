@@ -1,8 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-BENCH_PATTERN ?= BenchmarkTable1_|BenchmarkTable2_S38417|BenchmarkTable3_S38417|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkSweepIncremental_
-BENCH_SECTION ?= current
-BENCH_OUT     ?= BENCH_PR8.json
+BENCH_PATTERN ?= BenchmarkTable1_|BenchmarkTable2_S38417|BenchmarkTable3_S38417|BenchmarkSweepSerial|BenchmarkSweepParallel
 
 TRACE_OUT ?= trace.ndjson
 TRACE_BASELINE ?= trace_baseline.ndjson
@@ -10,7 +8,7 @@ TRACE_INCR_OUT ?= trace_incr.ndjson
 TRACE_INCR_BASELINE ?= trace_incr_baseline.ndjson
 MAX_REGRESS ?= 25
 
-.PHONY: test race bench bench-json bench-smoke trace-smoke trace-diff trace-incr-smoke trace-incr-diff metrics-smoke service-smoke flight-smoke history-smoke crash-smoke chaos
+.PHONY: test race bench bench-smoke trace-smoke trace-diff trace-incr-smoke trace-incr-diff metrics-smoke service-smoke flight-smoke history-smoke crash-smoke chaos
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -20,15 +18,6 @@ race:
 
 bench:
 	go test -run xxx -bench '$(BENCH_PATTERN)' -benchtime=3x -benchmem .
-
-# bench-json records the tracked benchmarks (Tables 1-3 + the sweep,
-# ns/op and allocs/op) into the $(BENCH_OUT) ledger under
-# $(BENCH_SECTION). Record a pre-change "baseline" section first, then a
-# "current" section after, and diff with `go run ./cmd/benchjson -list`.
-bench-json:
-	go test -run xxx -bench '$(BENCH_PATTERN)' -benchtime=3x -benchmem . \
-		| tee /dev/stderr \
-		| go run ./cmd/benchjson -out $(BENCH_OUT) -section $(BENCH_SECTION)
 
 # bench-smoke is the CI gate: one iteration of the Table 1 benchmark,
 # race detector off, failing on any panic. -short keeps it under the CI
@@ -53,14 +42,12 @@ trace-diff:
 	go run ./cmd/tracediff -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_BASELINE) $(TRACE_OUT)
 
 # trace-incr-smoke traces the incremental sweep engine: a serialized
-# three-level chain (-sweep-mode incremental, with the opt-in cross-level
-# PODEM memo so atpg.patterns_reused shows up in the spans), then
-# tracestat over the trace. This is the path the artifact chain, the
-# incremental re-levelizer (flow.sta_incremental_ns), and the memo replay
-# all exercise together.
+# three-level chain (-sweep-mode incremental), then tracestat over the
+# trace. This is the path the artifact chain and the incremental
+# re-levelizer (flow.sta_incremental_ns) exercise together.
 trace-incr-smoke:
 	go run ./cmd/tpitables -circuits s38417c -scale 0.1 -levels 0,2,5 -workers 1 \
-		-sweep-mode incremental -memo -table 1 -trace $(TRACE_INCR_OUT)
+		-sweep-mode incremental -table 1 -trace $(TRACE_INCR_OUT)
 	go run ./cmd/tracestat $(TRACE_INCR_OUT)
 
 # trace-incr-diff gates the incremental path the same way trace-diff

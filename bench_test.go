@@ -302,34 +302,6 @@ func benchSweepWorkers(b *testing.B, workers int) {
 func BenchmarkSweepSerial(b *testing.B)   { benchSweepWorkers(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweepWorkers(b, 0) }
 
-// benchSweepMode runs the full Table-1 sweep (ATPG included) in the
-// given sweep mode at a fixed worker count, so the Full/Chained pair
-// below isolates the incremental cross-level engine (TPI resume,
-// incremental relevel) against the full-rerun oracle on identical
-// inputs, and the Memo variant adds cross-level PODEM replay on top.
-// All three produce bit-identical tables — the trio measures wall clock
-// only. Memo is the documented net-negative at this sweep's 0/1/3/5
-// spacing (TSFF retrofits invalidate nearly every recorded search); it
-// is kept in the ledger so the regression direction stays visible.
-func benchSweepMode(b *testing.B, mode SweepMode, memo bool) {
-	design, cfg := benchDesign(b, "s38417c")
-	b.ReportAllocs()
-	cfg.Workers = 1
-	cfg.SweepMode = mode
-	cfg.ATPGMemo = memo
-	for i := 0; i < b.N; i++ {
-		rows, err := Sweep(design, cfg, benchLevels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[len(rows)-1].Patterns), "patterns_tp5")
-	}
-}
-
-func BenchmarkSweepIncremental_Full(b *testing.B)    { benchSweepMode(b, SweepFull, false) }
-func BenchmarkSweepIncremental_Chained(b *testing.B) { benchSweepMode(b, SweepIncremental, false) }
-func BenchmarkSweepIncremental_Memo(b *testing.B)    { benchSweepMode(b, SweepIncremental, true) }
-
 // benchFaultSimWorkers isolates the fault-simulation sharding: a single
 // layout (no sweep-level fan-out) with the ATPG fault list split across
 // the given number of FaultSim shards.

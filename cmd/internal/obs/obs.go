@@ -30,7 +30,7 @@ func Register() *Flags {
 	f := &Flags{}
 	flag.StringVar(&f.Trace, "trace", "", "write an NDJSON span trace to this file (read it back with tracestat)")
 	flag.BoolVar(&f.Progress, "progress", false, "print live per-stage progress lines to stderr")
-	flag.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof plus live expvar counters on this address (e.g. localhost:6060)")
+	flag.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&f.Metrics, "metrics", "", "serve a Prometheus /metrics exposition on this address (shares the -pprof listener when the addresses match)")
 	return f
 }
@@ -59,8 +59,7 @@ func (f *LogFlags) Logger(w io.Writer, sinks ...tpilayout.TraceSink) (*tpilayout
 
 // The process-wide /metrics surface. One PromSink serves every Tracer
 // built in this process (repeated Tracer calls, flag re-parsing in
-// tests), because http.Handle — like expvar — panics on duplicate
-// registration.
+// tests), because http.Handle panics on duplicate registration.
 var (
 	promOnce sync.Once
 	promSink *tpilayout.PromSink
@@ -135,8 +134,7 @@ func (f *Flags) Tracer() (tr *tpilayout.Tracer, flush func() error, err error) {
 		sinks = append(sinks, tpilayout.NewProgressSink(os.Stderr))
 	}
 	if f.Pprof != "" {
-		sinks = append(sinks, tpilayout.NewExpvarSink("tpilayout"))
-		fmt.Fprintf(os.Stderr, "pprof+expvar on http://%s/debug/pprof and /debug/vars\n", f.Pprof)
+		fmt.Fprintf(os.Stderr, "pprof on http://%s/debug/pprof\n", f.Pprof)
 	}
 	if f.Metrics != "" {
 		sinks = append(sinks, metricsSink())

@@ -18,8 +18,8 @@
 //
 // The run is observable: -trace writes an NDJSON span trace (one timed
 // span per flow stage — feed it to tracestat), -progress prints live
-// stage lines to stderr, and -pprof serves net/http/pprof plus live
-// expvar stage counters. All three are off by default and cost nothing
+// stage lines to stderr, and -pprof serves net/http/pprof (live stage
+// counters are on -metrics). All are off by default and cost nothing
 // when off.
 package main
 
@@ -43,7 +43,6 @@ func main() {
 	workers := flag.Int("workers", 0, "fault-simulation shard count (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0 = no limit)")
 	atpgBudget := flag.Duration("atpg-budget", 0, "ATPG effort budget; expiry truncates the run instead of failing it (0 = no limit)")
-	sweepMode := flag.String("sweep-mode", "full", "level scheduling, accepted for flag parity with tpitables/tpid: full or incremental; a single-level run is identical either way")
 	obsFlags := obs.Register()
 	logFlags := obs.RegisterLog()
 	flag.Parse()
@@ -82,10 +81,6 @@ func main() {
 	cfg.TPPercent = *tp
 	cfg.SkipATPG = *skipATPG
 	cfg.Workers = *workers
-	cfg.SweepMode, err = tpilayout.ParseSweepMode(*sweepMode)
-	if err != nil {
-		fatal("parsing -sweep-mode", err)
-	}
 	if *atpgBudget > 0 {
 		cfg.Deadline = time.Now().Add(*atpgBudget)
 	}

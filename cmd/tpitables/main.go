@@ -23,7 +23,7 @@
 // every level of every circuit (one sweep → run → stage tree per
 // circuit — feed it to tracestat), -progress prints live per-stage,
 // per-level lines to stderr as the parallel sweep advances, and -pprof
-// serves net/http/pprof plus live expvar stage counters.
+// serves net/http/pprof (live stage counters are on -metrics).
 package main
 
 import (
@@ -47,7 +47,6 @@ func main() {
 	levels := flag.String("levels", "0,1,2,3,4,5", "test-point percentages to sweep")
 	workers := flag.Int("workers", 0, "sweep concurrency (0 = GOMAXPROCS, 1 = serial)")
 	sweepMode := flag.String("sweep-mode", "full", "level scheduling: full (levels fan out across workers) or incremental (levels serialize, each reusing the previous level's artifacts); tables are bit-identical either way")
-	memo := flag.Bool("memo", false, "with -sweep-mode incremental, also replay memoized PODEM searches across levels (exact, but measured net-negative on sparse sweeps; see flow.Config.ATPGMemo)")
 	timeout := flag.Duration("timeout", 0, "cancel the remaining sweep after this long (0 = no limit); completed levels still print")
 	obsFlags := obs.Register()
 	logFlags := obs.RegisterLog()
@@ -109,7 +108,6 @@ func main() {
 		cfg.SkipATPG = *table == "2" || *table == "3"
 		cfg.Workers = *workers
 		cfg.SweepMode = mode
-		cfg.ATPGMemo = *memo
 		cfg.Telemetry = tracer
 		start := time.Now()
 		results, err := tpilayout.SweepPartial(ctx, design, cfg, pcts)

@@ -1,9 +1,9 @@
 // Command tracediff compares two flow recordings — NDJSON span traces
-// (tpiflow -trace ..., plain or gzipped) or benchjson ledgers (*.json)
-// — and prints a Table-2-style per-stage delta report: baseline vs
-// current duration per stage × TP level, the signed percentage change,
-// and any counter drift (patterns, cuts, overflows — deterministic, so
-// any drift is a real behavioral change).
+// (tpiflow -trace ..., plain or gzipped) — and prints a Table-2-style
+// per-stage delta report: baseline vs current duration per stage × TP
+// level, the signed percentage change, and any counter drift (patterns,
+// cuts, overflows — deterministic, so any drift is a real behavioral
+// change).
 //
 // It is the repo's cross-run regression sentinel: the exit status is 1
 // when any stage regressed beyond -max-regress percent, so CI can diff
@@ -18,7 +18,6 @@
 //
 //	tpiflow -circuit s38417c -trace new.ndjson
 //	tracediff -max-regress 25 -min-dur 100ms trace_baseline.ndjson new.ndjson
-//	tracediff -base-section baseline BENCH_BASELINE.json BENCH_PR5.json
 //	curl -s tpid:8080/v1/runs/r42/trace | tracediff trace_baseline.ndjson -
 //
 // Wall-clock comparisons across machines are noisy; -normalize compares
@@ -27,10 +26,9 @@
 // sub-threshold stages entirely. A stage that dominates its run is
 // share-invariant (slowing it slows the run too), so -normalize keeps
 // an absolute backstop: -hard-regress gates any stage whose wall time
-// grew beyond that percentage regardless of share. Inputs ending in
-// .json are read as benchjson ledgers (pick the section with -section);
-// everything else — including "-" for stdin — is parsed as an NDJSON
-// trace, gunzipped transparently when it starts with the gzip magic.
+// grew beyond that percentage regardless of share. Each input —
+// including "-" for stdin — is parsed as an NDJSON trace, gunzipped
+// transparently when it starts with the gzip magic.
 //
 // Exit status: 0 clean, 1 regression beyond threshold, 2 usage or
 // parse failure.
@@ -41,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"tpilayout/internal/tracecmp"
 )
@@ -51,8 +48,6 @@ func main() {
 	minDur := flag.Duration("min-dur", 0, "noise floor: stages whose baseline duration is below this never gate (e.g. 100ms)")
 	normalize := flag.Bool("normalize", false, "compare each stage's share of run total instead of absolute durations (machine-speed invariant)")
 	hardRegress := flag.Float64("hard-regress", 150, "with -normalize: absolute-time backstop — a stage whose wall time grew beyond this percentage gates even if its share of the run barely moved (dominant stages are share-invariant); 0 disables")
-	section := flag.String("section", "current", "ledger section to read when an input is a benchjson *.json file")
-	baseSection := flag.String("base-section", "", "ledger section for the baseline file (default: same as -section)")
 	flag.Parse()
 
 	if flag.NArg() != 2 {
@@ -60,15 +55,12 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if *baseSection == "" {
-		*baseSection = *section
-	}
-	base, err := load(flag.Arg(0), *baseSection)
+	base, err := load(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracediff: %s: %v\n", flag.Arg(0), err)
 		os.Exit(2)
 	}
-	cur, err := load(flag.Arg(1), *section)
+	cur, err := load(flag.Arg(1))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracediff: %s: %v\n", flag.Arg(1), err)
 		os.Exit(2)
@@ -88,10 +80,8 @@ func main() {
 	}
 }
 
-// load reads one input, dispatching on the suffix: *.json is a
-// benchjson ledger, anything else — including "-" for stdin — an
-// NDJSON trace (plain or gzipped).
-func load(path, section string) (*tracecmp.Side, error) {
+// load reads one NDJSON trace (plain or gzipped); "-" is stdin.
+func load(path string) (*tracecmp.Side, error) {
 	var r io.Reader
 	if path == "-" {
 		r = os.Stdin
@@ -102,9 +92,6 @@ func load(path, section string) (*tracecmp.Side, error) {
 		}
 		defer f.Close()
 		r = f
-	}
-	if strings.HasSuffix(path, ".json") {
-		return tracecmp.LoadLedger(r, section)
 	}
 	return tracecmp.LoadTrace(r)
 }

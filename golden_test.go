@@ -27,10 +27,10 @@ var goldenLevels = []float64{0, 2, 5}
 
 // goldenSweep renders all three tables of a reduced-scale s38417c sweep.
 func goldenSweep(t *testing.T, workers int) string {
-	return goldenSweepMode(t, workers, SweepFull, false)
+	return goldenSweepMode(t, workers, SweepFull)
 }
 
-func goldenSweepMode(t *testing.T, workers int, mode SweepMode, memo bool) string {
+func goldenSweepMode(t *testing.T, workers int, mode SweepMode) string {
 	t.Helper()
 	design, err := Generate(S38417Class().Scale(0.05), DefaultLibrary())
 	if err != nil {
@@ -39,7 +39,6 @@ func goldenSweepMode(t *testing.T, workers int, mode SweepMode, memo bool) strin
 	cfg := ExperimentConfig("s38417c")
 	cfg.Workers = workers
 	cfg.SweepMode = mode
-	cfg.ATPGMemo = memo
 	rows, err := Sweep(design, cfg, goldenLevels)
 	if err != nil {
 		t.Fatal(err)
@@ -74,11 +73,10 @@ func TestSweepGolden(t *testing.T) {
 
 // TestSweepIncrementalGolden locks the incremental engine against the
 // same committed golden tables as full mode: the cross-level artifact
-// chain (TPI resume, incremental relevel, ATPG memo replay — the memo is
-// deliberately enabled here, its hardest exactness check) must not move
-// a single output byte.
+// chain (TPI resume, incremental relevel) must not move a single output
+// byte.
 func TestSweepIncrementalGolden(t *testing.T) {
-	incr := goldenSweepMode(t, 1, SweepIncremental, true)
+	incr := goldenSweepMode(t, 1, SweepIncremental)
 	path := filepath.Join(goldenDir, "sweep_s38417c.golden")
 	want, err := os.ReadFile(path)
 	if err != nil {

@@ -61,17 +61,6 @@ type Options struct {
 	// cancellation, which aborts the run with an error.
 	Deadline time.Time
 
-	// Memo, when non-nil, memoizes PODEM searches across consecutive runs
-	// over incrementally-edited netlists (the incremental sweep threads
-	// one Memo through every level). Entries are validated against the
-	// current netlist per lookup, successful replays are verified by
-	// fault simulation, and everything else (statuses, compaction, random
-	// fill) runs live — so a memoized run is bit-identical to an
-	// unmemoized one, only faster. The Memo is consulted exclusively from
-	// the serial generation loop; it must not be shared by concurrent
-	// runs.
-	Memo *Memo
-
 	// Telemetry, when non-nil, receives the run's ATPG counters on the
 	// ATPG stage's span: pattern provenance (atpg.patterns,
 	// atpg.random_patterns, atpg.random_kept, atpg.det_kept), class
@@ -172,11 +161,6 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		return ta.TC(set.Faults[reps[i]].Net) > ta.TC(set.Faults[reps[j]].Net)
 	})
 
-	memo := opt.Memo
-	if memo != nil {
-		memo.BeginLevel(v, ta)
-	}
-
 	gen := newPodem(v, ta, opt.BacktrackLimit)
 	pool := newSimPool(ctx, v, opt.Workers)
 	pool.noDom = opt.noDomShortcut
@@ -186,68 +170,12 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// generation loop is single-goroutine, so both record into local
 	// shards (plain ints) and merge once at flush; with telemetry off the
 	// nil locals also skip the time.Now pair per target.
-	var lPodemNS, lPodemBT, lReplayNS *telemetry.LocalHist
+	var lPodemNS, lPodemBT *telemetry.LocalHist
 	if opt.Telemetry != nil {
 		lPodemNS = opt.Telemetry.Histogram("atpg.podem_ns").Local()
 		lPodemBT = opt.Telemetry.Histogram("atpg.podem_bt_depth").Local()
-		if memo != nil {
-			lReplayNS = opt.Telemetry.Histogram("atpg.memo_replay_ns").Local()
-		}
 	}
 
-	// generateCached is the memo-aware front of gen.generate: replay a
-	// valid entry (free for aborted/untestable, one verified forward
-	// simulation for successes), record and store on a miss. With no memo
-	// it is gen.generate. A non-nil snap resumes the retry of an aborted
-	// first-pass search from its abort point instead of re-deriving the
-	// prefix; the memo record is then seeded with the first-pass entry's
-	// footprint so the stored retry entry covers the full trajectory.
-	generateCached := func(f fault.Fault, snap *abortSnap) ([]int8, genResult) {
-		runSearch := func() ([]int8, genResult) {
-			if snap != nil {
-				return gen.resume(f, snap)
-			}
-			return gen.generate(f)
-		}
-		if memo == nil {
-			return runSearch()
-		}
-		if e, ok := memo.lookup(v, f, gen.btLimit); ok {
-			if e.res != genSuccess {
-				// The recorded search deterministically dead-ends again;
-				// no simulation state is needed afterwards (the next
-				// target's setFault fully resets the planes).
-				memo.Stats.HitsFree++
-				return nil, e.res
-			}
-			var t0 time.Time
-			if lReplayNS != nil {
-				t0 = time.Now()
-			}
-			cube := gen.replay(f, e.trail)
-			if lReplayNS != nil {
-				lReplayNS.Observe(int64(time.Since(t0)))
-			}
-			if gen.s.detected() {
-				memo.Stats.HitsReplay++
-				return cube, genSuccess
-			}
-			// Replay verification failed — an invalidation the signatures
-			// missed. Drop the entry and search from scratch; setFault
-			// resets the simulator, so the fallback is bit-identical to
-			// an uncached search.
-			memo.drop(v, f, gen.btLimit)
-			memo.Stats.VerifyFailures++
-		}
-		memo.Stats.Misses++
-		memo.beginRecord(gen.s)
-		if snap != nil {
-			memo.seedFrom(v, f, opt.BacktrackLimit)
-		}
-		cube, g := runSearch()
-		memo.endRecord(v, gen.s, f, gen.btLimit, g, gen.decisions)
-		return cube, g
-	}
 	rng := rand.New(rand.NewSource(opt.FillSeed))
 	res = &Result{
 		View:             v,
@@ -327,10 +255,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// abortSnaps holds the abort-point snapshot of each first-pass search
 	// that exhausted its backtrack budget, keyed by fault-class rep; the
 	// retry pass resumes those searches from where they stopped instead of
-	// re-deriving the first BacktrackLimit backtracks. Snapshots are taken
-	// only for searches that actually ran — a memoized free-hit abort
-	// leaves no simulator state to freeze, and its retry searches from
-	// scratch as before.
+	// re-deriving the first BacktrackLimit backtracks.
 	var abortSnaps map[int32]*abortSnap
 	const (
 		snapNone    = iota // pass unrelated to the abort/retry pair (top-up)
@@ -360,16 +285,15 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 				if lPodemNS != nil {
 					t0 = time.Now()
 				}
-				var snap *abortSnap
-				if snapPhase == snapConsume {
-					if sn, ok := abortSnaps[r]; ok {
-						snap = sn
-						delete(abortSnaps, r)
-					}
+				var cube []int8
+				var g genResult
+				if snap, ok := abortSnaps[r]; ok && snapPhase == snapConsume {
+					delete(abortSnaps, r)
+					cube, g = gen.resume(set.Faults[r], snap)
+				} else {
+					cube, g = gen.generate(set.Faults[r])
 				}
-				targetsBefore := gen.nTargets
-				cube, g := generateCached(set.Faults[r], snap)
-				if snapPhase == snapRecord && g == genAborted && gen.nTargets != targetsBefore {
+				if snapPhase == snapRecord && g == genAborted {
 					if abortSnaps == nil {
 						abortSnaps = make(map[int32]*abortSnap)
 					}
@@ -500,17 +424,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	lPodemNS.Flush()
 	lPodemBT.Flush()
-	lReplayNS.Flush()
 	flushTelemetry(opt.Telemetry, res, gen, pool, randomGenerated)
-	if memo != nil && opt.Telemetry != nil {
-		sp := opt.Telemetry
-		sp.Counter("atpg.patterns_reused").Add(memo.Stats.HitsReplay)
-		sp.Counter("atpg.memo_free_skips").Add(memo.Stats.HitsFree)
-		sp.Counter("atpg.memo_misses").Add(memo.Stats.Misses)
-		sp.Counter("atpg.memo_invalidated").Add(memo.Stats.Invalidated)
-		sp.Counter("atpg.memo_verify_failures").Add(memo.Stats.VerifyFailures)
-		sp.Counter("atpg.memo_dirty_nets").Add(int64(memo.Stats.DirtyNets))
-	}
 	return res, nil
 }
 

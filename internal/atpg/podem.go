@@ -68,7 +68,7 @@ type abortSnap struct {
 }
 
 // snapshot captures the current abort state; call only immediately after
-// generate returned genAborted from a real search.
+// generate returned genAborted.
 func (p *podem) snapshot() *abortSnap {
 	return &abortSnap{
 		planes:     append([]uint8(nil), p.s.P...),
@@ -135,24 +135,6 @@ func (p *podem) search(f fault.Fault, backtracks int) ([]int8, genResult) {
 			p.decisions = p.decisions[:len(p.decisions)-1]
 		}
 	}
-}
-
-// replay re-executes a memoized successful search: the surviving decision
-// values are re-assigned in order on a freshly set-up fault. The
-// event-driven simulation settles to a fixpoint determined by the current
-// source assignments alone, so replaying just the final decisions — no
-// objectives, no backtracking — reproduces the full search's end state
-// exactly: same planes, same decision stack for the dynamic-compaction
-// extends that follow, same cube. The caller verifies detected() before
-// trusting the result.
-func (p *podem) replay(f fault.Fault, trail []assignStep) []int8 {
-	p.s.setFault(f)
-	p.decisions = p.decisions[:0]
-	for _, st := range trail {
-		p.decisions = append(p.decisions, decision{src: st.src, val: st.val})
-		p.s.assign(st.src, st.val)
-	}
-	return p.cube()
 }
 
 // extend attempts dynamic compaction: with the current assignments (from
@@ -253,9 +235,6 @@ func (p *podem) objective(f fault.Fault) (netlist.NetID, uint8, objState) {
 		out := p.v.CellOut[ci]
 		if !p.s.xpathFrom(out) {
 			continue
-		}
-		if p.s.rec != nil {
-			p.s.rec.touchTA(out)
 		}
 		if co := p.ta.CO[out]; co < bestCO {
 			bestCO = co
@@ -376,10 +355,6 @@ func (p *podem) propObjective(ci netlist.CellID) (netlist.NetID, uint8, objState
 // input when all inputs must be set, the easiest when any one suffices.
 func (p *podem) backtrace(net netlist.NetID, val uint8) (netlist.NetID, uint8, bool) {
 	for steps := 0; steps < len(p.v.N.Nets)+8; steps++ {
-		if p.s.rec != nil {
-			p.s.rec.touch(net)
-			p.s.rec.touchDrive(net)
-		}
 		if p.v.SourceOf[net] >= 0 {
 			if p.s.g(net) != lX {
 				return 0, 0, false // objective reaches an already-assigned source
@@ -401,22 +376,6 @@ func (p *podem) backtrace(net netlist.NetID, val uint8) (netlist.NetID, uint8, b
 
 // chooseInput picks the next (net, value) one gate back from an objective.
 func (p *podem) chooseInput(ci netlist.CellID, v uint8) (netlist.NetID, uint8, bool) {
-	if p.s.rec != nil {
-		// Inverters, buffers, and XOR gates choose by structure and values
-		// alone; every other kind compares SCOAP costs of its fanins.
-		costly := true
-		switch p.v.CellKind[ci] {
-		case stdcell.KindInv, stdcell.KindBuf, stdcell.KindXor, stdcell.KindXnor:
-			costly = false
-		}
-		for _, n := range p.v.fanin(ci) {
-			if costly {
-				p.s.rec.touchTA(n)
-			} else {
-				p.s.rec.touch(n)
-			}
-		}
-	}
 	cc := func(net netlist.NetID, bit uint8) int32 {
 		if bit == l0 {
 			return p.ta.CC0[net]

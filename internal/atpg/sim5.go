@@ -49,12 +49,6 @@ type sim5 struct {
 	// Incremental count of sinks currently carrying a fault effect.
 	sinkD   int
 	dAtSink []bool
-
-	// rec, when non-nil, collects the footprint of the current PODEM
-	// search for the cross-level memo: every net whose value or structure
-	// the simulation reads. Nil outside memo recording (one predictable
-	// branch per event).
-	rec *touchRec
 }
 
 // Composite five-valued views of a net.
@@ -87,8 +81,7 @@ func (s *sim5) f(net netlist.NetID) uint8 { return s.P[net] >> 4 }
 
 // computeBaseline returns the settled all-X packed planes of a view:
 // everything X except frozen nets, then one topological sweep so
-// constant-driven logic settles. Shared by the simulator and the
-// cross-level memo's per-net signatures.
+// constant-driven logic settles.
 func computeBaseline(v *View) []uint8 {
 	b := make([]uint8, len(v.N.Nets))
 	for i := range b {
@@ -116,9 +109,6 @@ func computeBaseline(v *View) []uint8 {
 
 // setFault installs fault f and resets both planes to the baseline.
 func (s *sim5) setFault(f fault.Fault) {
-	if s.rec != nil {
-		s.rec.touch(f.Net)
-	}
 	s.installFault(f)
 	copy(s.P, s.baseline)
 	s.resetFrontier()
@@ -133,9 +123,6 @@ func (s *sim5) setFault(f fault.Fault) {
 // snapshot point (each mutation drains it before control returns), so no
 // queue state is carried.
 func (s *sim5) restore(f fault.Fault, planes []uint8, cand []netlist.CellID) {
-	if s.rec != nil {
-		s.rec.touch(f.Net)
-	}
 	s.installFault(f)
 	copy(s.P, planes)
 	s.cand = append(s.cand[:0], cand...)
@@ -229,9 +216,6 @@ func (s *sim5) enqueue(ci netlist.CellID) {
 }
 
 func (s *sim5) enqueueLoads(net netlist.NetID) {
-	if s.rec != nil {
-		s.rec.touchLoads(net)
-	}
 	// CombLoadCells is pre-filtered to live combinational cells, with the
 	// cell level carried alongside, so the Comb check and the Level lookup
 	// in enqueue are already paid for the whole net.
@@ -251,9 +235,6 @@ func (s *sim5) enqueueLoads(net netlist.NetID) {
 
 // assign sets a source (or unassigns it with lX) and repropagates.
 func (s *sim5) assign(net netlist.NetID, val uint8) {
-	if s.rec != nil {
-		s.rec.touch(net)
-	}
 	fv := val
 	if s.fCell == netlist.NoCell && net == s.fNet {
 		fv = s.fSA
@@ -307,16 +288,6 @@ func (s *sim5) run() {
 			s.queued[ci] = false
 			s.nq--
 			out := s.v.CellOut[ci]
-			if s.rec != nil {
-				s.rec.touch(out)
-				s.rec.touchEvt(out)
-				if s.v.ConstVal[out] < 0 {
-					s.rec.touchDrive(out)
-					for _, net := range s.v.fanin(ci) {
-						s.rec.touch(net)
-					}
-				}
-			}
 			var np uint8
 			hasD := false
 			isConst := false
@@ -478,9 +449,6 @@ func (s *sim5) xpathFrom(net netlist.NetID) bool {
 }
 
 func (s *sim5) xpath(net netlist.NetID) bool {
-	if s.rec != nil {
-		s.rec.touch(net)
-	}
 	if s.v.IsSink[net] {
 		return true
 	}
@@ -488,16 +456,10 @@ func (s *sim5) xpath(net netlist.NetID) bool {
 		return false
 	}
 	s.xpVisit[net] = s.xpEpoch
-	if s.rec != nil {
-		s.rec.touchLoads(net)
-	}
 	// Only combinational loads can extend the path: a flip-flop d pin is
 	// itself a sink net, handled by IsSink above.
 	for _, ci := range s.v.combLoads(net) {
 		out := s.v.CellOut[ci]
-		if s.rec != nil {
-			s.rec.touch(out)
-		}
 		if compT[s.P[out]] == cX && s.xpath(out) {
 			return true
 		}

@@ -3,7 +3,6 @@ package flow
 import (
 	"fmt"
 
-	"tpilayout/internal/atpg"
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/tpi"
 )
@@ -12,14 +11,13 @@ import (
 //
 // Both modes produce bit-identical Tables 1–3 for every level: the
 // incremental engine reuses only exactness-preserving artifacts (the TPI
-// prefix via tpi.Resume, the prewarmed derived caches via the incremental
-// re-levelizer, and — opt-in via Config.ATPGMemo — the cross-level ATPG
-// search memo), and deliberately
-// re-runs the physical stages (placement, CTS, routing, extraction, STA)
-// in full per level — reusing a prior level's placement through ECO
-// legalization would produce valid but non-identical layouts, and this
-// repo prefers exact over a documented tolerance. What changes between
-// the modes is scheduling and wall-clock time only.
+// prefix via tpi.Resume and the prewarmed derived caches via the
+// incremental re-levelizer), and deliberately re-runs the physical
+// stages (placement, CTS, routing, extraction, STA) in full per level —
+// reusing a prior level's placement through ECO legalization would
+// produce valid but non-identical layouts, and this repo prefers exact
+// over a documented tolerance. What changes between the modes is
+// scheduling and wall-clock time only.
 type SweepMode int
 
 const (
@@ -29,9 +27,8 @@ const (
 	SweepFull SweepMode = iota
 	// SweepIncremental serializes the levels in ascending test-point
 	// order and threads each level's artifacts into the next: level N+1
-	// resumes TPI from level N's inserted points, re-levelizes only the
-	// edited fanout cones, and (with Config.ATPGMemo) replays level N's
-	// memoized PODEM searches. The worker pool applies inside each level
+	// resumes TPI from level N's inserted points and re-levelizes only
+	// the edited fanout cones. The worker pool applies inside each level
 	// (fault-simulation shards), not across levels.
 	SweepIncremental
 )
@@ -61,17 +58,15 @@ func (m SweepMode) String() string {
 // LevelArtifacts is the opaque handle threading one sweep level's
 // reusable state into the next: the post-TPI netlist snapshot (taken
 // before scan insertion, prewarmed so the next level's clone shares its
-// derived caches), the inserted test points for tpi.Resume, the base
-// flip-flop count the TP budget is computed from, and (when
-// Config.ATPGMemo is set) the cross-level ATPG memo. Handles are
+// derived caches), the inserted test points for tpi.Resume, and the
+// base flip-flop count the TP budget is computed from. Handles are
 // produced and consumed by RunLevelChained; they are immutable once
-// returned (the memo excepted, which the next chained level extends).
+// returned.
 type LevelArtifacts struct {
 	netlist *netlist.Netlist
 	tps     *tpi.Result
 	baseFF  int
 	tpCount int
-	memo    *atpg.Memo
 }
 
 // TPCount reports how many test points the artifact's netlist already
@@ -84,13 +79,9 @@ func (a *LevelArtifacts) TPCount() int {
 }
 
 // chainState carries the incremental-sweep plumbing through one
-// runInPlace call: the inbound artifacts (nil for a cold start), the
-// memo, and the outbound artifacts captured right after the TPI stage.
+// runInPlace call: the inbound artifacts (nil for a cold start) and the
+// outbound artifacts captured right after the TPI stage.
 type chainState struct {
 	in  *LevelArtifacts
 	out *LevelArtifacts
-	// memo is the cross-level ATPG memo to extend; nil means start a
-	// fresh one. It is carried here (not only inside in) so the memo
-	// survives a cold-start link in the chain.
-	memo *atpg.Memo
 }

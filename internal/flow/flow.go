@@ -98,20 +98,6 @@ type Config struct {
 	// SweepMode's doc for the exactness contract.
 	SweepMode SweepMode
 
-	// ATPGMemo threads the cross-level PODEM memo through an incremental
-	// sweep: each level replays the previous levels' still-valid searches
-	// and records its own for the next. The memo is exact (results stay
-	// bit-identical; see atpg.Memo), but measured net-negative on the
-	// paper's sweeps — each level's TSFF retrofits land in nearly every
-	// search's evaluated-driver footprint, so almost all entries
-	// invalidate (replay rate ≈ 0 on s38417c) and the footprint
-	// recording the misses pay costs ~23% sweep time and 3× allocations
-	// for nothing. Off by default for that reason; the switch exists
-	// because denser TP spacing shrinks the per-link edit and tilts the
-	// balance. Ignored outside SweepIncremental; DESIGN.md §14 has the
-	// ablation numbers.
-	ATPGMemo bool
-
 	// SkipATPG runs only the physical side (steps 2–6); Table 2/3
 	// sweeps do not need patterns.
 	SkipATPG bool
@@ -329,13 +315,9 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config, chain 
 		// rides the incremental re-levelizer over the TPI edit log).
 		snap := n.Clone()
 		snap.Prewarm()
-		memo := chain.memo
-		if memo == nil && cfg.ATPGMemo {
-			memo = atpg.NewMemo()
-		}
 		chain.out = &LevelArtifacts{
 			netlist: snap, tps: tps, baseFF: ffBefore,
-			tpCount: len(tps.Points), memo: memo,
+			tpCount: len(tps.Points),
 		}
 	}
 	if err := enter(StageScan); err != nil {
@@ -371,12 +353,6 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config, chain 
 		set := fault.NewUniverse(n)
 		aopt := cfg.ATPG
 		aopt.Telemetry = stageSpan
-		if chain != nil && chain.out != nil && chain.out.memo != nil && aopt.Memo == nil {
-			// Replay the previous levels' PODEM searches (Config.ATPGMemo);
-			// the memo's per-entry validation keeps the result bit-identical
-			// to an unmemoized run.
-			aopt.Memo = chain.out.memo
-		}
 		if aopt.Workers == 0 {
 			aopt.Workers = cfg.Workers
 		}

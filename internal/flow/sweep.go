@@ -142,14 +142,12 @@ func RunLevel(ctx context.Context, base *netlist.Netlist, cfg Config, pct float6
 // RunLevelChained is RunLevel with the incremental cross-level engine:
 // when prev (the previous level's artifacts) is non-nil and its test-point
 // prefix fits under this level's budget, the level runs on a clone of the
-// previous level's post-TPI snapshot — resuming TPI, releveling only the
-// edited cones, and (with cfg.ATPGMemo) replaying memoized PODEM searches
-// — instead of the pristine base. It returns this level's artifacts for
-// the next link of the chain (nil only when the TPI stage itself did not
-// complete); the ATPG memo threads through even across a cold-start link.
-// Both paths produce bit-identical LevelResults, and a failed level leaves
-// the chain intact because the caller keeps the last good artifacts. Like
-// RunLevel it never panics.
+// previous level's post-TPI snapshot — resuming TPI and releveling only
+// the edited cones — instead of the pristine base. It returns this level's
+// artifacts for the next link of the chain (nil only when the TPI stage
+// itself did not complete). Both paths produce bit-identical
+// LevelResults, and a failed level leaves the chain intact because the
+// caller keeps the last good artifacts. Like RunLevel it never panics.
 func RunLevelChained(ctx context.Context, base *netlist.Netlist, cfg Config, pct float64, prev *LevelArtifacts) (out LevelResult, arts *LevelArtifacts) {
 	out.TPPercent = pct
 	defer func() {
@@ -162,11 +160,10 @@ func RunLevelChained(ctx context.Context, base *netlist.Netlist, cfg Config, pct
 	c.TPPercent = pct
 	// The resume prefix must fit under this level's budget: a level with
 	// fewer points than the artifact snapshot already contains falls back
-	// to the pristine base (the memo still carries over).
+	// to the pristine base.
 	chain := &chainState{}
 	src := base
 	if prev != nil {
-		chain.memo = prev.memo
 		budget := int(math.Round(pct / 100 * float64(prev.baseFF)))
 		if prev.tpCount <= budget {
 			chain.in = prev
@@ -219,10 +216,10 @@ func SweepPartial(ctx context.Context, design *netlist.Netlist, cfg Config, tpPe
 
 	if cfg.SweepMode == SweepIncremental {
 		// Serialized level chain in ascending TP order: each level's
-		// artifacts (TPI prefix, prewarmed snapshot, ATPG memo) feed the
-		// next, and results land back in input order. The worker pool
-		// applies inside each level's fault-simulation shards instead of
-		// across levels; results stay bit-identical to full mode.
+		// artifacts (TPI prefix, prewarmed snapshot) feed the next, and
+		// results land back in input order. The worker pool applies
+		// inside each level's fault-simulation shards instead of across
+		// levels; results stay bit-identical to full mode.
 		order := make([]int, len(tpPercents))
 		for i := range order {
 			order[i] = i

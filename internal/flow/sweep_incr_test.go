@@ -81,30 +81,23 @@ func TestSweepIncrementalMatchesFull(t *testing.T) {
 				t.Fatalf("full sweep completed %d/%d levels: %s",
 					len(refRows), len(levels), FormatSweepFailures(ref))
 			}
-			// Workers 1/2/8 and both memo settings: the opt-in ATPG memo is
-			// the riskiest exactness surface, so it gets the serial and the
-			// widest-pool runs.
-			for _, tc := range []struct {
-				workers int
-				memo    bool
-			}{{1, false}, {1, true}, {2, false}, {8, true}} {
+			for _, workers := range []int{1, 2, 8} {
 				icfg := cfg
 				icfg.SweepMode = SweepIncremental
-				icfg.Workers = tc.workers
-				icfg.ATPGMemo = tc.memo
+				icfg.Workers = workers
 				got, err := SweepPartial(context.Background(), n, icfg, levels)
 				if err != nil {
-					t.Fatalf("incremental sweep (workers=%d memo=%v): %v", tc.workers, tc.memo, err)
+					t.Fatalf("incremental sweep (workers=%d): %v", workers, err)
 				}
 				gotRows := CompletedMetrics(got)
 				if !reflect.DeepEqual(refRows, gotRows) {
-					t.Fatalf("workers=%d memo=%v: incremental metrics differ from full\nfull:\n%s\nincremental:\n%s",
-						tc.workers, tc.memo, FormatTable1(refRows), FormatTable1(gotRows))
+					t.Fatalf("workers=%d: incremental metrics differ from full\nfull:\n%s\nincremental:\n%s",
+						workers, FormatTable1(refRows), FormatTable1(gotRows))
 				}
 				for i, format := range []func([]Metrics) string{FormatTable1, FormatTable2, FormatTable3} {
 					if f, g := format(refRows), format(gotRows); f != g {
-						t.Fatalf("workers=%d memo=%v: Table %d not byte-identical\nfull:\n%s\nincremental:\n%s",
-							tc.workers, tc.memo, i+1, f, g)
+						t.Fatalf("workers=%d: Table %d not byte-identical\nfull:\n%s\nincremental:\n%s",
+							workers, i+1, f, g)
 					}
 				}
 			}
@@ -155,7 +148,6 @@ func TestRunLevelChainedArtifacts(t *testing.T) {
 	}
 	cfg := ExperimentConfig("s38417c")
 	cfg.Workers = 1
-	cfg.ATPGMemo = true // the memo must thread through cold-start links too
 	base := PrewarmBase(n)
 
 	var arts *LevelArtifacts

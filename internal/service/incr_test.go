@@ -10,9 +10,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tpilayout/internal/flow"
+	"tpilayout/internal/journal"
 	"tpilayout/internal/netlist"
 )
 
@@ -166,5 +168,63 @@ func TestKillResumesIncrementalSweep(t *testing.T) {
 	}
 	if got3.ResumedLevels != 0 {
 		t.Fatalf("full-mode sweep resumed_levels = %d, want 0", got3.ResumedLevels)
+	}
+}
+
+// TestReplayToleratesRemovedFlowFields: admission rejects a flow field
+// this build does not know, replay must not. A data dir whose pending
+// job was accepted while flow.atpg_memo still existed re-queues that job
+// (in the sweep mode it was admitted in) and finishes it with the tables
+// a fresh submission gets, instead of retiring it failed-on-replay.
+func TestReplayToleratesRemovedFlowFields(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(map[string]any{
+		"job_id": "old-1", "tenant": "acme", "name": "tiny", "bench": testBench,
+		"tp_levels": []float64{0, 2}, "created": "2026-08-08T13:07:25Z",
+		"flow": map[string]any{"skip_atpg": true, "sweep_mode": "incremental", "atpg_memo": true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(journal.TypeAccepted, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var chained atomic.Int32
+	s := openDurable(t, dir, Options{Workers: 1}, func(s *Server) {
+		inner := s.runLevelChained
+		s.runLevelChained = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64, prev *flow.LevelArtifacts) (flow.LevelResult, *flow.LevelArtifacts) {
+			chained.Add(1)
+			return inner(rn, base, cfg, pct, prev)
+		}
+	})
+	defer shutdown(t, s)
+	waitState(t, s, "old-1", StateDone)
+	if n := s.Stats().ReplayedJobs; n != 1 {
+		t.Fatalf("replayed_jobs = %d, want 1", n)
+	}
+	if n := chained.Load(); n != 2 {
+		t.Fatalf("replayed job ran %d chained levels, want 2 (admitted as incremental)", n)
+	}
+	_, got := getResult(t, s, "old-1")
+
+	fresh := New(Options{Workers: 1})
+	defer shutdown(t, fresh)
+	_, st := postJob(t, fresh, jobBodyMode(t, "acme", "incremental", 0, 2))
+	waitState(t, fresh, st.ID, StateDone)
+	_, want := getResult(t, fresh, st.ID)
+	if got == nil || want == nil || !got.Complete || !want.Complete {
+		t.Fatalf("results incomplete: replayed %+v, fresh %+v", got, want)
+	}
+	if got.Table1 != want.Table1 || got.Table2 != want.Table2 || got.Table3 != want.Table3 {
+		t.Fatalf("replayed tables differ from a fresh submission:\n%s%s%s\nvs\n%s%s%s",
+			got.Table1, got.Table2, got.Table3, want.Table1, want.Table2, want.Table3)
 	}
 }

@@ -74,10 +74,6 @@ type FlowConfig struct {
 	// either way, so the mode is excluded from the result-cache key;
 	// level checkpoints, however, are mode-discriminated (see levelKey).
 	SweepMode string `json:"sweep_mode,omitempty"`
-	// ATPGMemo opts an incremental job into cross-level PODEM replay
-	// (flow.Config.ATPGMemo). Exact, hence also excluded from the
-	// result-cache key; ignored for full-mode jobs.
-	ATPGMemo bool `json:"atpg_memo,omitempty"`
 	// ATPGBudgetMS bounds the ATPG effort per level; an expiring budget
 	// truncates the run instead of failing it. Budgeted results depend on
 	// wall-clock speed, so a job with a budget is never cached and never
@@ -176,7 +172,6 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 		return nil, badRequest("flow.sweep_mode: %v", err)
 	}
 	cfg.SweepMode = mode
-	cfg.ATPGMemo = fc.ATPGMemo
 	if fc.Workers < 0 || fc.Workers > maxFlowWorker {
 		return nil, badRequest("flow.workers %d outside [0,%d]", fc.Workers, maxFlowWorker)
 	}

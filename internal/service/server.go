@@ -1127,7 +1127,7 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 		// Serialized artifact chain over the missing levels in ascending
 		// TP order; results still land in input order. Only the Metrics
 		// are checkpointed — checkpoint-per-level-only is deliberate:
-		// artifacts (post-TPI snapshot, ATPG memo) are in-memory handles,
+		// artifacts (the post-TPI snapshot) are in-memory handles,
 		// so a crash-restarted sweep skips its checkpointed levels and
 		// cold-starts the chain at the first missing one, which is still
 		// exact because a cold link runs from the pristine base. A retry

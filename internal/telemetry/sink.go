@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"strconv"
@@ -85,56 +84,6 @@ func (s *NDJSONSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-// ExpvarSink publishes telemetry to an expvar.Map, so a -pprof HTTP
-// listener exposes live flow statistics on /debug/vars next to the
-// profiler. Per span_end it accumulates every counter under its own
-// name, sets gauges last-value-wins, and maintains
-// "stage.<name>.ns" / "stage.<name>.count" duration rollups.
-type ExpvarSink struct {
-	m *expvar.Map
-}
-
-// expvarMu serializes registration: expvar.Get-then-NewMap is a
-// check-then-act race, and expvar itself panics on a duplicate Publish.
-var expvarMu sync.Mutex
-
-// NewExpvarSink publishes (or reuses) the named expvar map. The
-// constructor is idempotent and safe to call concurrently: a second
-// sink for the same name shares the already-published map, and a name
-// already taken by a non-map expvar (which expvar.NewMap would panic
-// on) degrades to a private unpublished map instead of crashing the
-// process.
-func NewExpvarSink(name string) *ExpvarSink {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if m, ok := v.(*expvar.Map); ok {
-			return &ExpvarSink{m: m}
-		}
-		// Name collision with a foreign expvar type: the sink still works,
-		// it just isn't visible on /debug/vars.
-		return &ExpvarSink{m: new(expvar.Map).Init()}
-	}
-	return &ExpvarSink{m: expvar.NewMap(name)}
-}
-
-// Emit folds a span_end event into the map.
-func (s *ExpvarSink) Emit(e Event) {
-	if e.Type != EventSpanEnd {
-		return
-	}
-	s.m.Add("stage."+e.Stage+".ns", e.DurNS)
-	s.m.Add("stage."+e.Stage+".count", 1)
-	for k, v := range e.Counters {
-		s.m.Add(k, v)
-	}
-	for k, v := range e.Gauges {
-		f := new(expvar.Float)
-		f.Set(v)
-		s.m.Set(k, f)
-	}
 }
 
 // ProgressSink prints one human-readable line per span start and end —

@@ -3,8 +3,8 @@
 // counters and gauges recorded at the hot sites of ATPG, placement,
 // routing, clock-tree synthesis and STA, and pluggable sinks — an
 // in-memory snapshot tree, an NDJSON event stream (one JSON object per
-// line, jq/flamegraph-friendly), an expvar publisher, and live progress
-// lines.
+// line, jq/flamegraph-friendly), a Prometheus exposition, and live
+// progress lines.
 //
 // The layer is built to disappear: every method is safe on a nil
 // *Tracer / *Span / *Counter / *Gauge receiver and returns immediately,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"strings"
 	"sync"
@@ -184,32 +183,6 @@ func TestConcurrentChildren(t *testing.T) {
 	}
 	if got := trace.Levels(); len(got) != 8 {
 		t.Fatalf("levels = %v", got)
-	}
-}
-
-func TestExpvarSink(t *testing.T) {
-	sink := NewExpvarSink("telemetry_test")
-	if again := NewExpvarSink("telemetry_test"); again.m != sink.m {
-		t.Fatal("second NewExpvarSink did not reuse the published map")
-	}
-	tr := New(sink)
-	sp := tr.StartSpan("atpg", 1)
-	sp.Counter("atpg.patterns").Add(10)
-	sp.Gauge("atpg.util").Set(0.5)
-	sp.End()
-	sp2 := tr.StartSpan("atpg", 2)
-	sp2.Counter("atpg.patterns").Add(5)
-	sp2.End()
-
-	m := expvar.Get("telemetry_test").(*expvar.Map)
-	if got := m.Get("atpg.patterns").String(); got != "15" {
-		t.Errorf("atpg.patterns = %s, want 15", got)
-	}
-	if got := m.Get("stage.atpg.count").String(); got != "2" {
-		t.Errorf("stage.atpg.count = %s, want 2", got)
-	}
-	if got := m.Get("atpg.util").String(); got != "0.5" {
-		t.Errorf("atpg.util = %s, want 0.5", got)
 	}
 }
 

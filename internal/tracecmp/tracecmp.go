@@ -1,8 +1,8 @@
-// Package tracecmp aligns and compares two flow recordings — NDJSON
-// span traces or benchjson ledgers — into a Table-2-style per-stage
-// delta report. It is the shared core of the tracediff CLI and tpid's
-// in-service regression sentinel: both build a Side per recording and
-// Diff them under the same -normalize / -max-regress semantics.
+// Package tracecmp aligns and compares two flow recordings (NDJSON
+// span traces) into a Table-2-style per-stage delta report. It is the
+// shared core of the tracediff CLI and tpid's in-service regression
+// sentinel: both build a Side per recording and Diff them under the same
+// -normalize / -max-regress semantics.
 package tracecmp
 
 import (
@@ -17,25 +17,21 @@ import (
 	"tpilayout/internal/telemetry"
 )
 
-// Key identifies one comparable cell: a flow stage at one TP level for
-// traces, a benchmark name (TP = -1) for ledgers.
+// Key identifies one comparable cell: a flow stage at one TP level.
 type Key struct {
 	Stage string  `json:"stage"`
 	TP    float64 `json:"tp"`
 }
 
 func (k Key) String() string {
-	if k.TP < 0 {
-		return k.Stage
-	}
 	return fmt.Sprintf("%s @ tp %.1f%%", k.Stage, k.TP)
 }
 
 // Cell is one side's aggregate for a key.
 type Cell struct {
-	DurNS    float64          // summed span durations (or ns/op for ledgers)
+	DurNS    float64          // summed span durations
 	CPUNS    float64          // summed process-CPU attribution, when the trace carries it
-	N        int64            // spans (or benchmark iterations)
+	N        int64            // spans
 	Counters map[string]int64 // summed span counters
 }
 
@@ -162,41 +158,6 @@ func FromSpans(spans []telemetry.SpanRecord) (*Side, error) {
 		for name, v := range sp.Counters {
 			c.Counters[name] += v
 		}
-	}
-	return s, nil
-}
-
-// LoadLedger reads one section of a benchjson ledger: each benchmark
-// becomes a tp = -1 cell with ns/op as its duration and the metrics map
-// as its counters (rounded — benchjson stores means).
-func LoadLedger(r io.Reader, section string) (*Side, error) {
-	type entry struct {
-		Iterations int64              `json:"iterations"`
-		NsPerOp    float64            `json:"ns_per_op"`
-		Metrics    map[string]float64 `json:"metrics"`
-	}
-	var ledger map[string]map[string]entry
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ledger); err != nil {
-		return nil, fmt.Errorf("not a benchjson ledger: %w", err)
-	}
-	sec, ok := ledger[section]
-	if !ok {
-		var have []string
-		for name := range ledger {
-			have = append(have, name)
-		}
-		sort.Strings(have)
-		return nil, fmt.Errorf("no section %q (have %s)", section, strings.Join(have, ", "))
-	}
-	s := &Side{Cells: map[Key]*Cell{}, RunTotal: map[float64]float64{}}
-	for name, e := range sec {
-		c := &Cell{DurNS: e.NsPerOp, N: e.Iterations, Counters: map[string]int64{}}
-		for m, v := range e.Metrics {
-			c.Counters[m] = int64(math.Round(v))
-		}
-		s.Cells[Key{name, -1}] = c
-		s.RunTotal[-1] += e.NsPerOp
 	}
 	return s, nil
 }

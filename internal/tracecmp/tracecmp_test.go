@@ -203,27 +203,3 @@ func TestDiffCounterDrift(t *testing.T) {
 		t.Fatal("counter drift must not gate on its own")
 	}
 }
-
-func TestLoadLedger(t *testing.T) {
-	ledger := `{
-	  "table1": {
-	    "BenchmarkTable1_S38417": {"iterations": 5, "ns_per_op": 2e9, "metrics": {"patterns": 412}},
-	    "Stage/atpg": {"iterations": 6, "ns_per_op": 9e8}
-	  }
-	}`
-	s, err := LoadLedger(strings.NewReader(ledger), "table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.Cells[Key{"BenchmarkTable1_S38417", -1}]
-	if c == nil || c.DurNS != 2e9 || c.Counters["patterns"] != 412 {
-		t.Fatalf("ledger cell = %+v", c)
-	}
-	if _, err := LoadLedger(strings.NewReader(ledger), "missing"); err == nil ||
-		!strings.Contains(err.Error(), "table1") {
-		t.Fatalf("missing-section error should list sections, got %v", err)
-	}
-	if _, err := LoadLedger(strings.NewReader("not json"), "x"); err == nil {
-		t.Fatal("garbage ledger accepted")
-	}
-}

@@ -67,7 +67,7 @@ type (
 	// counted into the attached sinks. A nil Tracer is free.
 	Tracer = telemetry.Tracer
 	// TraceSink consumes telemetry events (NDJSON writer, progress
-	// printer, expvar publisher, or any custom implementation).
+	// printer, Prometheus exposition, or any custom implementation).
 	TraceSink = telemetry.Sink
 	// TraceEvent is one span_start/span_end record — also the NDJSON
 	// wire format, one JSON object per line.
@@ -109,9 +109,6 @@ func NewNDJSONSink(w io.Writer) *telemetry.NDJSONSink { return telemetry.NewNDJS
 
 // NewProgressSink prints a human-readable line per stage start/end.
 func NewProgressSink(w io.Writer) *telemetry.ProgressSink { return telemetry.NewProgressSink(w) }
-
-// NewExpvarSink publishes live counters under the named expvar map.
-func NewExpvarSink(name string) *telemetry.ExpvarSink { return telemetry.NewExpvarSink(name) }
 
 // NewPromSink builds a Prometheus /metrics exposition surface (text
 // format 0.0.4) with every family namespaced under prefix.
@@ -183,8 +180,8 @@ const (
 	// across Config.Workers.
 	SweepFull = flow.SweepFull
 	// SweepIncremental serializes levels in ascending TP order and
-	// threads each level's artifacts (TPI prefix, prewarmed caches, ATPG
-	// memo) into the next.
+	// threads each level's artifacts (TPI prefix, prewarmed caches) into
+	// the next.
 	SweepIncremental = flow.SweepIncremental
 )
 
