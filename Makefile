@@ -8,7 +8,7 @@ TRACE_INCR_OUT ?= trace_incr.ndjson
 TRACE_INCR_BASELINE ?= trace_incr_baseline.ndjson
 MAX_REGRESS ?= 25
 
-.PHONY: test race bench bench-smoke trace-smoke trace-diff trace-incr-smoke trace-incr-diff metrics-smoke service-smoke flight-smoke history-smoke crash-smoke chaos
+.PHONY: test race bench bench-smoke trace-smoke trace-diff trace-incr-smoke trace-incr-diff metrics-smoke daemon-smoke crash-smoke chaos
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -80,147 +80,119 @@ metrics-smoke:
 	done; \
 	echo "metrics-smoke: live scrape OK, all families present"
 
-# service-smoke is the daemon CI gate: tpid is started for real, a
-# reduced-scale s38417c sweep is submitted over HTTP with curl, the
-# result endpoint must come back 200 with complete tables, an identical
-# resubmission must be answered as a cache hit without a second flow,
-# and /metrics must expose the service-level families next to the flow
-# ones. SIGTERM then drains the daemon and it must exit cleanly.
-service-smoke:
+# daemon-smoke is the daemon CI gate: one real tpid — durable, JSON logs,
+# per-run profiling — walked through four phases over curl. Every failure
+# message names its phase.
+#   submit:    a reduced-scale s38417c sweep is submitted under a client
+#              X-Request-ID; the result must come back 200 with complete
+#              tables, an identical resubmission must be a cache hit, and
+#              /metrics must expose the service-level families next to
+#              the flow ones.
+#   correlate: the X-Request-ID was honoured, and the job's one run_id is
+#              visible in the status API, the JSON log, the /debug/flight
+#              dump (which tracestat -flight must parse, with service and
+#              log sections) and the per-tenant SLO families; SIGQUIT
+#              dumps the flight recorder (into the data dir, as a durable
+#              daemon does) WITHOUT killing the daemon.
+#   history:   the same budgeted job (atpg_budget_ms makes it
+#              non-cacheable, so the repeat executes a real flow) runs
+#              twice; both runs must be archived, the archived trace must
+#              gunzip and pass tracestat via stdin, the first run has no
+#              baseline and the second diffs no-regression against it,
+#              tpid_service_regression_total scrapes as zero, and the
+#              captured CPU profile carries run_id/stage pprof labels.
+#              -max-regress 75 keeps shared-CI timing jitter out of the gate.
+#   drain:     SIGTERM drains the daemon and it exits 0.
+daemon-smoke:
 	go build -o tpid-smoke ./cmd/tpid
+	go build -o tracestat-smoke ./cmd/tracestat
 	@set -e; \
-	./tpid-smoke -addr localhost:9352 -workers 2 -flow-workers 2 & pid=$$!; \
+	url=http://localhost:9352; phase=boot; \
+	fail() { echo "daemon-smoke[$$phase]: $$1"; shift; "$$@" || true; exit 1; }; \
+	field() { sed -n "s/.*\"$$1\": \"\([^\"]*\)\".*/\1/p"; }; \
+	await_result() { \
+		for i in $$(seq 1 600); do \
+			curl -sf $$url/v1/jobs/$$1/result -o $$2 2>/dev/null && return 0; sleep 0.5; \
+		done; return 1; \
+	}; \
+	rm -rf daemon-smoke-data; \
+	./tpid-smoke -addr localhost:9352 -workers 2 -flow-workers 2 -data-dir daemon-smoke-data \
+		-log-format json -profile-runs -max-regress 75 >daemon-smoke.log 2>&1 & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	up=0; for i in $$(seq 1 100); do \
-		curl -sf http://localhost:9352/healthz >/dev/null 2>&1 && { up=1; break; }; sleep 0.1; \
+		curl -sf $$url/healthz >/dev/null 2>&1 && { up=1; break; }; sleep 0.1; \
 	done; \
-	test $$up = 1 || { echo "service-smoke: tpid never came up"; exit 1; }; \
+	test $$up = 1 || fail "tpid never came up" cat daemon-smoke.log; \
+	\
+	phase=submit; \
 	body='{"tenant":"smoke","circuit":{"spec":"s38417c","scale":0.05},"tp_levels":[0,2],"flow":{"experiment":"s38417c"}}'; \
-	id=$$(curl -sf -X POST -d "$$body" http://localhost:9352/v1/jobs | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
-	test -n "$$id" || { echo "service-smoke: submission rejected"; exit 1; }; \
-	echo "service-smoke: job $$id submitted"; \
-	ok=0; for i in $$(seq 1 600); do \
-		if curl -sf http://localhost:9352/v1/jobs/$$id/result -o service-smoke.json 2>/dev/null; then ok=1; break; fi; \
-		sleep 0.5; \
-	done; \
-	test $$ok = 1 || { echo "service-smoke: result never became ready"; exit 1; }; \
-	grep -q '"complete": true' service-smoke.json || { echo "service-smoke: sweep incomplete"; cat service-smoke.json; exit 1; }; \
-	grep -q 'Table 1: Impact of TPI' service-smoke.json || { echo "service-smoke: result carries no Table 1"; exit 1; }; \
-	curl -sf -X POST -d "$$body" http://localhost:9352/v1/jobs | grep -q '"cache_hit": true' \
-		|| { echo "service-smoke: identical resubmission was not a cache hit"; exit 1; }; \
-	curl -sf http://localhost:9352/metrics -o service-smoke-metrics.txt; \
+	id=$$(curl -sf -X POST -H 'X-Request-ID: daemon-smoke-001' -d "$$body" $$url/v1/jobs | field id); \
+	test -n "$$id" || fail "submission rejected"; \
+	echo "daemon-smoke[$$phase]: job $$id submitted"; \
+	await_result $$id daemon-smoke-result.json || fail "result never became ready"; \
+	grep -q '"complete": true' daemon-smoke-result.json || fail "sweep incomplete" cat daemon-smoke-result.json; \
+	grep -q 'Table 1: Impact of TPI' daemon-smoke-result.json || fail "result carries no Table 1"; \
+	curl -sf -X POST -d "$$body" $$url/v1/jobs | grep -q '"cache_hit": true' \
+		|| fail "identical resubmission was not a cache hit"; \
+	curl -sf $$url/metrics -o daemon-smoke-metrics.txt; \
 	for fam in tpid_service_jobs_submitted_total tpid_service_flow_runs_total tpid_service_jobs_done_total \
 		tpid_service_cache_hit_jobs_total tpid_service_queue_wait_ns tpid_spans_total; do \
-		grep -q "$$fam" service-smoke-metrics.txt || { echo "service-smoke: /metrics missing $$fam"; cat service-smoke-metrics.txt; exit 1; }; \
+		grep -q "$$fam" daemon-smoke-metrics.txt || fail "/metrics missing $$fam" cat daemon-smoke-metrics.txt; \
 	done; \
-	kill -TERM $$pid; wait $$pid || { echo "service-smoke: drain exited non-zero"; exit 1; }; \
-	trap - EXIT; \
-	echo "service-smoke: submit, result, cache hit, metrics, drain all OK"
-
-# flight-smoke is the correlated-observability CI gate: tpid runs with
-# JSON logs, a job is submitted under a client X-Request-ID, and one
-# run_id must then be visible in the status API, the JSON log, the
-# /debug/flight dump (which tracestat -flight must parse, with service
-# and log sections), and the per-tenant SLO families on /metrics.
-# SIGQUIT must dump the flight recorder WITHOUT killing the daemon;
-# SIGTERM must still drain cleanly afterwards.
-flight-smoke:
-	go build -o tpid-smoke ./cmd/tpid
-	go build -o tracestat-smoke ./cmd/tracestat
-	@set -e; \
-	./tpid-smoke -addr localhost:9353 -workers 2 -flow-workers 2 -log-format json >flight-smoke.log 2>&1 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	up=0; for i in $$(seq 1 100); do \
-		curl -sf http://localhost:9353/healthz >/dev/null 2>&1 && { up=1; break; }; sleep 0.1; \
-	done; \
-	test $$up = 1 || { echo "flight-smoke: tpid never came up"; cat flight-smoke.log; exit 1; }; \
-	body='{"tenant":"smoke","circuit":{"spec":"s38417c","scale":0.05},"tp_levels":[0,2],"flow":{"experiment":"s38417c"}}'; \
-	id=$$(curl -sf -X POST -H 'X-Request-ID: flight-smoke-001' -d "$$body" http://localhost:9353/v1/jobs \
-		| sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
-	test "$$id" = flight-smoke-001 || { echo "flight-smoke: X-Request-ID not honored (got '$$id')"; exit 1; }; \
-	ok=0; for i in $$(seq 1 600); do \
-		curl -sf http://localhost:9353/v1/jobs/$$id/result -o /dev/null 2>/dev/null && { ok=1; break; }; sleep 0.5; \
-	done; \
-	test $$ok = 1 || { echo "flight-smoke: result never became ready"; exit 1; }; \
-	run=$$(curl -sf http://localhost:9353/v1/jobs/$$id | sed -n 's/.*"run_id": "\([^"]*\)".*/\1/p'); \
-	test -n "$$run" || { echo "flight-smoke: status carries no run_id"; exit 1; }; \
-	echo "flight-smoke: job $$id ran as $$run"; \
-	grep -q "\"run_id\":\"$$run\"" flight-smoke.log || { echo "flight-smoke: JSON log not correlated with $$run"; tail -5 flight-smoke.log; exit 1; }; \
-	curl -sf http://localhost:9353/debug/flight -o flight-smoke.ndjson; \
-	grep -q "$$run" flight-smoke.ndjson || { echo "flight-smoke: flight dump not correlated with $$run"; exit 1; }; \
-	./tracestat-smoke -flight flight-smoke.ndjson >flight-smoke-stat.txt \
-		|| { echo "flight-smoke: tracestat rejected the dump"; cat flight-smoke-stat.txt; exit 1; }; \
-	grep -q 'service: .* observation' flight-smoke-stat.txt || { echo "flight-smoke: no service section"; cat flight-smoke-stat.txt; exit 1; }; \
-	grep -q 'logs: .* record' flight-smoke-stat.txt || { echo "flight-smoke: no log section"; cat flight-smoke-stat.txt; exit 1; }; \
-	curl -sf http://localhost:9353/metrics | grep -q 'tpid_service_tenant_jobs_done_total{stage="service",tenant="smoke"}' \
-		|| { echo "flight-smoke: tenant SLO family missing from /metrics"; exit 1; }; \
+	\
+	phase=correlate; \
+	test "$$id" = daemon-smoke-001 || fail "X-Request-ID not honored (got '$$id')"; \
+	run=$$(curl -sf $$url/v1/jobs/$$id | field run_id); \
+	test -n "$$run" || fail "status carries no run_id"; \
+	echo "daemon-smoke[$$phase]: job $$id ran as $$run"; \
+	grep -q "\"run_id\":\"$$run\"" daemon-smoke.log || fail "JSON log not correlated with $$run" tail -5 daemon-smoke.log; \
+	curl -sf $$url/debug/flight -o daemon-smoke-flight.ndjson; \
+	grep -q "$$run" daemon-smoke-flight.ndjson || fail "flight dump not correlated with $$run"; \
+	./tracestat-smoke -flight daemon-smoke-flight.ndjson >daemon-smoke-flight-stat.txt \
+		|| fail "tracestat rejected the flight dump" cat daemon-smoke-flight-stat.txt; \
+	grep -q 'service: .* observation' daemon-smoke-flight-stat.txt || fail "no service section" cat daemon-smoke-flight-stat.txt; \
+	grep -q 'logs: .* record' daemon-smoke-flight-stat.txt || fail "no log section" cat daemon-smoke-flight-stat.txt; \
+	grep -q 'tpid_service_tenant_jobs_done_total{stage="service",tenant="smoke"}' daemon-smoke-metrics.txt \
+		|| fail "tenant SLO family missing from /metrics"; \
 	kill -QUIT $$pid; sleep 1; \
-	kill -0 $$pid 2>/dev/null || { echo "flight-smoke: SIGQUIT killed the daemon"; exit 1; }; \
-	grep -q -- '--- tpid flight dump (sigquit' flight-smoke.log || { echo "flight-smoke: SIGQUIT produced no dump"; tail -5 flight-smoke.log; exit 1; }; \
-	kill -TERM $$pid; wait $$pid || { echo "flight-smoke: drain exited non-zero"; exit 1; }; \
-	trap - EXIT; \
-	echo "flight-smoke: correlation, flight dump, tenant SLOs, SIGQUIT all OK"
-
-# history-smoke is the run-history CI gate: tpid runs with an archive
-# and per-run profiling, the same budgeted job (atpg_budget_ms makes it
-# non-cacheable, so the repeat executes a real flow) is submitted twice,
-# and then: both runs must be archived, the archived trace must gunzip
-# and pass tracestat via stdin, the second run's diff against the first
-# must say no-regression, tpid_service_regression_total must scrape as
-# zero, and the captured CPU profile must carry run_id/stage pprof
-# labels. -max-regress 75 keeps shared-CI timing jitter out of the gate.
-history-smoke:
-	go build -o tpid-smoke ./cmd/tpid
-	go build -o tracestat-smoke ./cmd/tracestat
-	@set -e; \
-	rm -rf history-smoke-data; \
-	./tpid-smoke -addr localhost:9354 -workers 2 -flow-workers 2 -data-dir history-smoke-data \
-		-profile-runs -max-regress 75 >history-smoke.log 2>&1 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	up=0; for i in $$(seq 1 100); do \
-		curl -sf http://localhost:9354/healthz >/dev/null 2>&1 && { up=1; break; }; sleep 0.1; \
-	done; \
-	test $$up = 1 || { echo "history-smoke: tpid never came up"; cat history-smoke.log; exit 1; }; \
+	kill -0 $$pid 2>/dev/null || fail "SIGQUIT killed the daemon"; \
+	test -s daemon-smoke-data/flight-sigquit-1.ndjson && grep -q '"reason":"sigquit"' daemon-smoke.log \
+		|| fail "SIGQUIT produced no dump" tail -5 daemon-smoke.log; \
+	\
+	phase=history; \
 	body='{"tenant":"smoke","circuit":{"spec":"s38417c","scale":0.05},"tp_levels":[0,2],"flow":{"experiment":"s38417c","atpg_budget_ms":600000}}'; \
-	run=""; \
 	for attempt in 1 2; do \
-		id=$$(curl -sf -X POST -d "$$body" http://localhost:9354/v1/jobs | sed -n 's/.*"id": "\([^"]*\)".*/\1/p'); \
-		test -n "$$id" || { echo "history-smoke: submission $$attempt rejected"; exit 1; }; \
-		ok=0; for i in $$(seq 1 600); do \
-			curl -sf http://localhost:9354/v1/jobs/$$id/result -o /dev/null 2>/dev/null && { ok=1; break; }; sleep 0.5; \
-		done; \
-		test $$ok = 1 || { echo "history-smoke: job $$attempt never finished"; exit 1; }; \
-		run=$$(curl -sf http://localhost:9354/v1/jobs/$$id | sed -n 's/.*"run_id": "\([^"]*\)".*/\1/p'); \
-		test -n "$$run" || { echo "history-smoke: job $$attempt carries no run_id (cache hit?)"; exit 1; }; \
+		id=$$(curl -sf -X POST -d "$$body" $$url/v1/jobs | field id); \
+		test -n "$$id" || fail "submission $$attempt rejected"; \
+		await_result $$id /dev/null || fail "job $$attempt never finished"; \
+		run=$$(curl -sf $$url/v1/jobs/$$id | field run_id); \
+		test -n "$$run" || fail "job $$attempt carries no run_id (cache hit?)"; \
 		arch=0; for i in $$(seq 1 100); do \
-			curl -sf http://localhost:9354/v1/runs/$$run -o history-smoke-run$$attempt.json 2>/dev/null && { arch=1; break; }; sleep 0.1; \
+			curl -sf $$url/v1/runs/$$run -o daemon-smoke-run$$attempt.json 2>/dev/null && { arch=1; break; }; sleep 0.1; \
 		done; \
-		test $$arch = 1 || { echo "history-smoke: run $$run never archived"; exit 1; }; \
-		echo "history-smoke: run $$attempt archived as $$run"; \
+		test $$arch = 1 || fail "run $$run never archived"; \
+		echo "daemon-smoke[$$phase]: run $$attempt archived as $$run"; \
 	done; \
-	grep -q '"verdict": "no-baseline"' history-smoke-run1.json \
-		|| { echo "history-smoke: first run should have no baseline"; cat history-smoke-run1.json; exit 1; }; \
-	curl -sf http://localhost:9354/v1/runs/$$run/trace | gunzip -c | ./tracestat-smoke - >history-smoke-stat.txt \
-		|| { echo "history-smoke: archived trace failed tracestat"; cat history-smoke-stat.txt; exit 1; }; \
-	curl -sf http://localhost:9354/v1/runs/$$run/diff -o history-smoke-diff.json; \
-	grep -q '"verdict": "no-regression"' history-smoke-diff.json \
-		|| { echo "history-smoke: rerun diff is not clean"; cat history-smoke-diff.json; exit 1; }; \
-	curl -sf http://localhost:9354/metrics -o history-smoke-metrics.txt; \
-	grep -q 'tpid_service_regression_total' history-smoke-metrics.txt \
-		|| { echo "history-smoke: regression counter family missing"; exit 1; }; \
-	if grep 'tpid_service_regression_total{' history-smoke-metrics.txt | grep -qv ' 0$$'; then \
-		echo "history-smoke: regression counter moved on identical reruns"; \
-		grep tpid_service_regression history-smoke-metrics.txt; exit 1; \
+	grep -q '"verdict": "no-baseline"' daemon-smoke-run1.json \
+		|| fail "first run should have no baseline" cat daemon-smoke-run1.json; \
+	curl -sf $$url/v1/runs/$$run/trace | gunzip -c | ./tracestat-smoke - >daemon-smoke-trace-stat.txt \
+		|| fail "archived trace failed tracestat" cat daemon-smoke-trace-stat.txt; \
+	curl -sf $$url/v1/runs/$$run/diff -o daemon-smoke-diff.json; \
+	grep -q '"verdict": "no-regression"' daemon-smoke-diff.json || fail "rerun diff is not clean" cat daemon-smoke-diff.json; \
+	curl -sf $$url/metrics -o daemon-smoke-metrics.txt; \
+	grep -q 'tpid_service_regression_total' daemon-smoke-metrics.txt || fail "regression counter family missing"; \
+	if grep 'tpid_service_regression_total{' daemon-smoke-metrics.txt | grep -qv ' 0$$'; then \
+		fail "regression counter moved on identical reruns" grep tpid_service_regression daemon-smoke-metrics.txt; \
 	fi; \
-	grep -q 'tpid_service_runs_archived_total' history-smoke-metrics.txt \
-		|| { echo "history-smoke: archive counters missing from /metrics"; exit 1; }; \
-	curl -sf http://localhost:9354/v1/runs/$$run/profile -o history-smoke.pprof \
-		|| { echo "history-smoke: no archived CPU profile"; exit 1; }; \
-	gunzip -c history-smoke.pprof | grep -aq run_id || { echo "history-smoke: profile lacks run_id label"; exit 1; }; \
-	gunzip -c history-smoke.pprof | grep -aq stage || { echo "history-smoke: profile lacks stage label"; exit 1; }; \
-	kill -TERM $$pid; wait $$pid || { echo "history-smoke: drain exited non-zero"; exit 1; }; \
+	grep -q 'tpid_service_runs_archived_total' daemon-smoke-metrics.txt || fail "archive counters missing from /metrics"; \
+	curl -sf $$url/v1/runs/$$run/profile -o daemon-smoke.pprof || fail "no archived CPU profile"; \
+	gunzip -c daemon-smoke.pprof | grep -aq run_id || fail "profile lacks run_id label"; \
+	gunzip -c daemon-smoke.pprof | grep -aq stage || fail "profile lacks stage label"; \
+	\
+	phase=drain; \
+	kill -TERM $$pid; wait $$pid || fail "drain exited non-zero" tail -5 daemon-smoke.log; \
 	trap - EXIT; \
-	echo "history-smoke: archive, trace, clean diff, zero counter, labeled profile all OK"
+	echo "daemon-smoke: submit, correlate, history, drain all OK"
 
 # crash-smoke is the durability CI gate: TestCrashRestartResumesSweep
 # builds the real tpid binary, starts it with a journal directory,

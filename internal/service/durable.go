@@ -1,12 +1,10 @@
 package service
 
-// Durability: the server's journal integration. Every job-state
-// transition of a journaled job appends one fsync'd record:
+// Durability: the record formats the lifecycle's transitions (see
+// lifecycle.go) append to the journal, and what a restart makes of them.
 //
 //	accepted   — the job's replayable request (canonical bench text +
-//	             resolved flow config), written BEFORE the run is
-//	             queued, so an accepted record always precedes any
-//	             terminal record for the same job.
+//	             resolved flow config).
 //	level-done — one completed sweep level (content-addressed level key
 //	             + its Metrics): the checkpoint granule resume is built
 //	             on. Budgeted (wall-clock-dependent) and truncated
@@ -14,15 +12,14 @@ package service
 //	retired    — a run's jobs reaching done/failed/canceled, with the
 //	             full result for done runs so a restarted daemon can
 //	             answer GET /result without recomputing.
-//	canceled   — a single job detached by DELETE.
+//	canceled   — a single job detached by DELETE, or refused by the
+//	             queue after its accepted record was written.
 //
 // On startup the journal is replayed: retired jobs become queryable
 // terminal jobs again (complete cacheable results repopulate the LRU in
 // record order), level checkpoints repopulate the resume store, and
 // unfinished jobs are recompiled from their accepted records and
-// re-enqueued — running only the levels that have no checkpoint.
-// Cache-hit answered submissions are never journaled at all: they cost
-// no flow, so there is nothing to recover.
+// re-admitted — running only the levels that have no checkpoint.
 //
 // Journal append failures are counted (service.journal_errors) but do
 // not fail requests: the daemon degrades to in-memory operation rather
@@ -31,6 +28,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"time"
 
 	"tpilayout/internal/flow"
@@ -97,9 +95,10 @@ type recCanceled struct {
 // a restarted daemon serves for already-finished work.
 type retiredJob struct {
 	JobID string `json:"job_id"`
-	// RunID is the job's admission-time run identity, preserved so a
-	// restarted daemon answers status queries with the same run_id the
-	// pre-crash daemon minted.
+	// RunID is the run the job was retired under (its own, or the one it
+	// coalesced onto; "" for a cache answer), preserved so a restarted
+	// daemon answers status queries with the run_id the pre-crash daemon
+	// reported.
 	RunID     string     `json:"run_id,omitempty"`
 	Tenant    string     `json:"tenant"`
 	Name      string     `json:"name"`
@@ -126,31 +125,26 @@ type snapState struct {
 // the surviving level checkpoints.
 func foldRecords(recs []journal.Record) *snapState {
 	st := &snapState{}
-	pendIdx := map[string]int{} // job id → index into st.Pending (-1 = tombstone)
-	rebuildIdx := func() {
-		pendIdx = map[string]int{}
-		for i, p := range st.Pending {
-			pendIdx[p.JobID] = i
-		}
-	}
-	takePending := func(id string) (recAccepted, bool) {
-		i, ok := pendIdx[id]
-		if !ok || i < 0 {
-			return recAccepted{}, false
-		}
-		rec := st.Pending[i]
-		st.Pending = append(st.Pending[:i:i], st.Pending[i+1:]...)
-		rebuildIdx()
-		return rec, true
-	}
 	levelIdx := map[string]int{}
+	// retire moves a pending job to the retired list under the verdict r
+	// of its terminal record; a second terminal record for the job, or
+	// one for a job never accepted, changes nothing.
+	retire := func(id string, r retiredJob) {
+		i := slices.IndexFunc(st.Pending, func(p recAccepted) bool { return p.JobID == id })
+		if i < 0 {
+			return
+		}
+		acc := st.Pending[i]
+		st.Pending = slices.Delete(st.Pending, i, i+1)
+		r.JobID, r.Tenant, r.Name, r.TPLevels, r.Created = id, acc.Tenant, acc.Name, acc.TPLevels, acc.Created
+		st.Retired = append(st.Retired, r)
+	}
 	for _, r := range recs {
 		switch r.Type {
 		case journal.TypeSnapshot:
 			var snap snapState
 			if json.Unmarshal(r.Data, &snap) == nil {
 				st = &snap
-				rebuildIdx()
 				levelIdx = map[string]int{}
 				for i, l := range st.Levels {
 					levelIdx[l.Key] = i
@@ -158,11 +152,9 @@ func foldRecords(recs []journal.Record) *snapState {
 			}
 		case journal.TypeAccepted:
 			var rec recAccepted
-			if json.Unmarshal(r.Data, &rec) == nil && rec.JobID != "" {
-				if _, dup := pendIdx[rec.JobID]; !dup {
-					pendIdx[rec.JobID] = len(st.Pending)
-					st.Pending = append(st.Pending, rec)
-				}
+			if json.Unmarshal(r.Data, &rec) == nil && rec.JobID != "" &&
+				!slices.ContainsFunc(st.Pending, func(p recAccepted) bool { return p.JobID == rec.JobID }) {
+				st.Pending = append(st.Pending, rec)
 			}
 		case journal.TypeLevelDone:
 			var rec recLevelDone
@@ -176,32 +168,19 @@ func foldRecords(recs []journal.Record) *snapState {
 			}
 		case journal.TypeRetired:
 			var rec recRetired
-			if json.Unmarshal(r.Data, &rec) != nil {
-				continue
-			}
-			for _, id := range rec.JobIDs {
-				acc, ok := takePending(id)
-				if !ok {
-					continue // already terminal (duplicate record) or unknown
+			if json.Unmarshal(r.Data, &rec) == nil {
+				for _, id := range rec.JobIDs {
+					retire(id, retiredJob{
+						RunID: rec.RunID, State: rec.State, Error: rec.Error, CacheKey: rec.CacheKey,
+						Cacheable: rec.Cacheable, Result: rec.Result, Finished: rec.Finished,
+					})
 				}
-				st.Retired = append(st.Retired, retiredJob{
-					JobID: id, RunID: acc.RunID, Tenant: acc.Tenant, Name: acc.Name,
-					TPLevels: acc.TPLevels, State: rec.State, Error: rec.Error,
-					CacheKey: rec.CacheKey, Cacheable: rec.Cacheable,
-					Result: rec.Result, Created: acc.Created, Finished: rec.Finished,
-				})
 			}
 		case journal.TypeCanceled:
 			var rec recCanceled
-			if json.Unmarshal(r.Data, &rec) != nil {
-				continue
-			}
-			if acc, ok := takePending(rec.JobID); ok {
-				st.Retired = append(st.Retired, retiredJob{
-					JobID: rec.JobID, RunID: acc.RunID, Tenant: acc.Tenant, Name: acc.Name,
-					TPLevels: acc.TPLevels, State: StateCanceled,
-					Error: "canceled by client", Created: acc.Created,
-					Finished: rec.Finished,
+			if json.Unmarshal(r.Data, &rec) == nil {
+				retire(rec.JobID, retiredJob{
+					RunID: rec.RunID, State: StateCanceled, Error: canceledByClient, Finished: rec.Finished,
 				})
 			}
 		}
@@ -218,16 +197,12 @@ func foldRecords(recs []journal.Record) *snapState {
 type checkpointStore struct {
 	m     map[string]recLevelDone
 	order []string
-	max   int
 }
 
-const defaultMaxCheckpoints = 8192
+const maxCheckpoints = 8192
 
-func newCheckpointStore(max int) *checkpointStore {
-	if max <= 0 {
-		max = defaultMaxCheckpoints
-	}
-	return &checkpointStore{m: map[string]recLevelDone{}, max: max}
+func newCheckpointStore() *checkpointStore {
+	return &checkpointStore{m: map[string]recLevelDone{}}
 }
 
 // All methods are called with Server.mu held.
@@ -240,7 +215,7 @@ func (c *checkpointStore) get(key string) (flow.Metrics, bool) {
 func (c *checkpointStore) put(rec recLevelDone) {
 	if _, ok := c.m[rec.Key]; !ok {
 		c.order = append(c.order, rec.Key)
-		for len(c.order) > c.max {
+		for len(c.order) > maxCheckpoints {
 			delete(c.m, c.order[0])
 			c.order = c.order[1:]
 		}
@@ -279,13 +254,17 @@ func (s *Server) appendRecord(t journal.Type, v any) {
 	}
 }
 
+// journalCompactBytes is the live-segment size past which a retirement
+// triggers snapshot compaction.
+const journalCompactBytes = 4 << 20
+
 // maybeCompact snapshots the journal when its live segments outgrow the
 // compaction threshold. One compaction at a time; concurrent retiring
 // runs skip rather than queue.
 func (s *Server) maybeCompact() {
 	// Not before replay is done: until then the pending jobs of the
 	// journal are not all back in s.jobs, and a snapshot would drop them.
-	if s.jrnl == nil || s.dead.Load() || !s.ready.Load() || s.jrnl.Size() < s.opt.JournalCompactBytes {
+	if s.jrnl == nil || s.dead.Load() || !s.ready.Load() || s.jrnl.Size() < journalCompactBytes {
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -398,105 +377,37 @@ func (s *Server) replay(st *snapState) {
 	s.ready.Store(true)
 }
 
-// readmit re-creates one pending job from its accepted record and
-// enqueues it. Reports whether the job was re-queued (as opposed to
-// answered terminally).
+// readmit re-admits one pending job from its accepted record under its
+// journaled ids. Reports whether the job is owed a run again (as opposed
+// to answered terminally).
 func (s *Server) readmit(rec *recAccepted) bool {
-	req := &JobRequest{
+	s.mu.Lock()
+	_, exists := s.jobs[rec.JobID]
+	s.mu.Unlock()
+	if exists {
+		return false
+	}
+	comp, err := compileRequest(&JobRequest{
 		Tenant:   rec.Tenant,
 		Circuit:  CircuitSpec{Bench: rec.Bench, Name: rec.Name},
 		TPLevels: rec.TPLevels,
 		Flow:     rec.Flow,
-	}
-	comp, err := compileRequest(req)
-	now := time.Now()
-	// Every way out of here changes a job's state and may journal it.
-	s.jgate.RLock()
-	defer s.jgate.RUnlock()
+	})
 	if err != nil {
 		// The record no longer compiles (journal from a newer build?):
 		// retire it as failed so it stops replaying forever.
-		s.mu.Lock()
 		job := &Job{
-			ID: rec.JobID, Tenant: rec.Tenant, Circuit: rec.Name,
-			Levels: rec.TPLevels, state: StateFailed,
-			errMsg: "replay: " + err.Error(), created: rec.Created,
-			started: rec.Created, finished: now, journaled: true,
+			ID: rec.JobID, Tenant: rec.Tenant, Circuit: rec.Name, Levels: rec.TPLevels,
+			state: StateQueued, created: rec.Created, journaled: true, accepted: rec,
 		}
+		s.mu.Lock()
 		s.rememberJobLocked(job)
 		s.mu.Unlock()
-		s.jobsFailed.Add(1)
-		s.appendRecord(journal.TypeRetired, &recRetired{
-			JobIDs: []string{rec.JobID}, State: StateFailed,
-			Error: job.errMsg, Finished: now,
-		})
+		s.retire([]*Job{job}, outcome{state: StateFailed, errMsg: "replay: " + err.Error()})
 		return false
 	}
-
-	job := &Job{
-		ID: rec.JobID, Tenant: comp.tenant, Key: comp.key, Levels: comp.levels,
-		Circuit: comp.design.Name, created: rec.Created,
-		journaled: true, cacheable: comp.cacheable, accepted: rec,
-	}
-
-	s.mu.Lock()
-	if _, exists := s.jobs[job.ID]; exists {
-		s.mu.Unlock()
-		return false
-	}
-	if comp.cacheable {
-		if live, ok := s.inflight[comp.key]; ok {
-			// An identical pending job is already re-queued: coalesce.
-			job.run = live
-			job.coalesce = true
-			job.state = s.runStateLocked(live)
-			live.jobs = append(live.jobs, job)
-			s.rememberJobLocked(job)
-			s.mu.Unlock()
-			return true
-		}
-		if res, ok := s.cache.Get(comp.key); ok {
-			// A retired twin's recovered result answers this job.
-			job.state = StateDone
-			job.cacheHit = true
-			job.result = res
-			job.started = job.created
-			job.finished = now
-			s.rememberJobLocked(job)
-			s.mu.Unlock()
-			s.jobsDone.Add(1)
-			s.appendRecord(journal.TypeRetired, &recRetired{
-				JobIDs: []string{job.ID}, State: StateDone, CacheKey: comp.key,
-				Cacheable: true, Result: res, Finished: now,
-			})
-			return false
-		}
-	}
-	rn := s.newRun(comp, rec.Flow.ATPGBudgetMS, job, rec.RunID)
-	if err := s.queue.Push(rn); err != nil {
-		// Queue full or draining at replay: retire as canceled so the
-		// client sees a definite outcome rather than a silent drop.
-		job.state = StateCanceled
-		job.errMsg = "replay: " + err.Error()
-		job.run = nil
-		job.finished = now
-		s.rememberJobLocked(job)
-		s.mu.Unlock()
-		rn.cancel()
-		s.jobsCanceled.Add(1)
-		s.appendRecord(journal.TypeRetired, &recRetired{
-			JobIDs: []string{job.ID}, State: StateCanceled,
-			Error: job.errMsg, CacheKey: comp.key, Finished: now,
-		})
-		return false
-	}
-	if comp.cacheable {
-		s.inflight[comp.key] = rn
-	}
-	s.active[rn] = true
-	s.rememberJobLocked(job)
-	s.mu.Unlock()
-	return true
+	_, how := s.admit(comp, rec, true)
+	return how == admitQueued || how == admitCoalesced
 }
 
 // Kill simulates an abrupt process death for crash tests: journal

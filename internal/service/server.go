@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -251,12 +250,6 @@ type Options struct {
 	// Retry governs per-level retries of transient failures (panics,
 	// deadlines); zero fields take the RetryPolicy defaults.
 	Retry RetryPolicy
-	// JournalCompactBytes triggers snapshot compaction once the live
-	// journal segments exceed it (default 4 MiB).
-	JournalCompactBytes int64
-	// JournalSegmentBytes is the journal's segment-rotation threshold
-	// (default: the journal package's 4 MiB).
-	JournalSegmentBytes int64
 	// HistoryRuns bounds how many retired runs the run-history archive
 	// retains (default 512; negative disables the archive entirely).
 	// The archive only exists for durable servers (DataDir set): it
@@ -313,9 +306,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.FlightRunEvents <= 0 {
 		out.FlightRunEvents = 256
-	}
-	if out.JournalCompactBytes <= 0 {
-		out.JournalCompactBytes = 4 << 20
 	}
 	if out.HistoryRuns == 0 {
 		out.HistoryRuns = 512
@@ -446,7 +436,7 @@ func Open(opt Options) (*Server, error) {
 	}
 	s.queue = newFairQueue(s.opt.QueueDepth)
 	s.cache = newResultCache(s.opt.CacheBytes)
-	s.checkpoints = newCheckpointStore(0)
+	s.checkpoints = newCheckpointStore()
 	s.runFlow = s.sweepRun
 	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
 		return flow.RunLevel(rn.ctx, base, cfg, pct)
@@ -457,9 +447,8 @@ func Open(opt Options) (*Server, error) {
 
 	if s.opt.DataDir != "" {
 		j, recs, err := journal.Open(s.opt.DataDir, journal.Options{
-			SegmentBytes: s.opt.JournalSegmentBytes,
-			NoSync:       s.opt.journalNoSync,
-			Hook:         s.opt.journalHook,
+			NoSync: s.opt.journalNoSync,
+			Hook:   s.opt.journalHook,
 		})
 		if err != nil {
 			return nil, err
@@ -555,12 +544,8 @@ func (s *Server) Stats() Stats {
 // Submission
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining, not accepting jobs")
-		return
-	}
-	if !s.ready.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is replaying its journal, not ready yet")
+	if why := s.unready(); why != "" {
+		writeError(w, http.StatusServiceUnavailable, "server is %s, not accepting jobs", why)
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
@@ -592,176 +577,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job := &Job{
-		ID:      s.claimJobID(r.Header.Get("X-Request-ID")),
-		Tenant:  comp.tenant,
-		Key:     comp.key,
-		Levels:  comp.levels,
-		Circuit: comp.design.Name,
-		created: time.Now(),
+	rec := &recAccepted{
+		JobID:    s.claimJobID(r.Header.Get("X-Request-ID")),
+		Tenant:   comp.tenant,
+		Name:     comp.design.Name,
+		Bench:    comp.bench,
+		TPLevels: comp.levels,
+		Flow:     req.Flow,
+		Created:  time.Now(),
 	}
-	defer s.releaseJobID(job.ID)
+	defer s.releaseJobID(rec.JobID)
+	// Pin the resolved preset: a spec-submitted circuit replays from its
+	// canonical bench text, which must not fall back to the default preset.
+	rec.Flow.Experiment = comp.preset
 	// Echo the job's identity so clients correlate responses with their
 	// own request IDs (the header matches a valid supplied X-Request-ID,
 	// otherwise carries the minted id).
-	w.Header().Set("X-Request-ID", job.ID)
+	w.Header().Set("X-Request-ID", rec.JobID)
 
-	// Content-addressed fast path: an identical finished sweep serves
-	// from the cache without touching the queue.
-	if comp.cacheable {
-		if res, ok := s.cache.Get(comp.key); ok {
-			s.mu.Lock()
-			job.state = StateDone
-			job.cacheHit = true
-			job.result = res
-			job.started = job.created
-			job.finished = time.Now()
-			s.rememberJobLocked(job)
-			s.mu.Unlock()
-			s.jobsDone.Add(1)
-			s.emitMetric(map[string]int64{"service.jobs_done": 1, "service.cache_hit_jobs": 1}, nil, nil)
-			s.emitTenantMetric(job.Tenant,
-				map[string]int64{"service.tenant_jobs_done": 1},
-				map[string]telemetry.HistData{"service.tenant_e2e_ns": telemetry.Observation(int64(job.finished.Sub(job.created)))})
-			s.opt.Log.Info("job answered from cache",
-				"job_id", job.ID, "tenant", job.Tenant, "circuit", job.Circuit, "key", job.Key)
-			s.writeStatus(w, http.StatusOK, job)
-			return
-		}
+	switch job, how := s.admit(comp, rec, false); how {
+	case admitAnswered:
+		s.writeStatus(w, http.StatusOK, job)
+	case admitQueued, admitCoalesced:
+		s.writeStatus(w, http.StatusAccepted, job)
+	case admitQueueFull:
+		s.reject429(w)
+	case admitDraining:
+		writeError(w, http.StatusServiceUnavailable, "server is draining, not accepting jobs")
 	}
-
-	// Fast-fail an obviously full queue before paying a journal fsync for
-	// a job that will bounce with 429 anyway (the race with Push below is
-	// compensated by a canceled record).
-	if s.jrnl != nil {
-		s.mu.Lock()
-		_, coalescible := s.inflight[comp.key]
-		full := s.queue.Len() >= s.opt.QueueDepth
-		s.mu.Unlock()
-		if full && !(comp.cacheable && coalescible) {
-			s.reject429(w)
-			return
-		}
-	}
-
-	// Mint the run identity before journaling so the accepted record
-	// carries it; a coalesced submission is retired under the absorbing
-	// run's id instead (see durable.go).
-	runID := s.newRunID()
-
-	// Journal acceptance BEFORE the job becomes reachable: an accepted
-	// record always precedes any terminal record for the same job, so
-	// replay can never see a retirement of an unknown job. The gate is
-	// held until the job is reachable (or its record compensated), or a
-	// compaction in between would drop the record of a job its snapshot
-	// does not know yet.
-	s.jgate.RLock()
-	if s.jrnl != nil {
-		rec := &recAccepted{
-			JobID:    job.ID,
-			RunID:    runID,
-			Tenant:   comp.tenant,
-			Name:     comp.design.Name,
-			Bench:    comp.bench,
-			TPLevels: comp.levels,
-			Flow:     req.Flow,
-			Created:  job.created,
-		}
-		// Pin the resolved preset: a spec-submitted circuit replays from
-		// its canonical bench text, which must not fall back to the
-		// default preset.
-		rec.Flow.Experiment = comp.preset
-		s.appendRecord(journal.TypeAccepted, rec)
-		job.journaled = true
-		job.accepted = rec
-	}
-	job.cacheable = comp.cacheable
-
-	s.mu.Lock()
-	if comp.cacheable {
-		// Singleflight: an identical run already queued or running absorbs
-		// this submission — one flow, many results.
-		if live, ok := s.inflight[comp.key]; ok {
-			job.run = live
-			job.runID = live.id
-			job.coalesce = true
-			job.state = s.runStateLocked(live)
-			live.jobs = append(live.jobs, job)
-			s.rememberJobLocked(job)
-			s.mu.Unlock()
-			s.jgate.RUnlock()
-			s.emitMetric(map[string]int64{"service.coalesced_jobs": 1}, nil, nil)
-			s.opt.Log.Info("job coalesced onto in-flight run",
-				"job_id", job.ID, "run_id", job.runID, "tenant", job.Tenant, "circuit", job.Circuit)
-			s.writeStatus(w, http.StatusAccepted, job)
-			return
-		}
-		// Re-check the cache under the lock: finishRun publishes to the
-		// cache before it retires the inflight entry, so a run that ended
-		// between the first cache probe and here is guaranteed visible on
-		// one of the two paths — an identical submission never pays for a
-		// second flow.
-		if res, ok := s.cache.Get(comp.key); ok {
-			job.state = StateDone
-			job.cacheHit = true
-			job.result = res
-			job.started = job.created
-			job.finished = time.Now()
-			journaled := job.journaled
-			s.rememberJobLocked(job)
-			s.mu.Unlock()
-			s.jobsDone.Add(1)
-			if journaled {
-				// The accepted record exists; balance it so replay does
-				// not resurrect an already-answered job.
-				s.appendRecord(journal.TypeRetired, &recRetired{
-					JobIDs: []string{job.ID}, State: StateDone, CacheKey: comp.key,
-					Cacheable: true, Result: res, Finished: time.Now(),
-				})
-			}
-			s.jgate.RUnlock()
-			s.emitMetric(map[string]int64{"service.jobs_done": 1, "service.cache_hit_jobs": 1}, nil, nil)
-			s.emitTenantMetric(job.Tenant,
-				map[string]int64{"service.tenant_jobs_done": 1},
-				map[string]telemetry.HistData{"service.tenant_e2e_ns": telemetry.Observation(int64(job.finished.Sub(job.created)))})
-			s.opt.Log.Info("job answered from cache",
-				"job_id", job.ID, "tenant", job.Tenant, "circuit", job.Circuit, "key", job.Key)
-			s.writeStatus(w, http.StatusOK, job)
-			return
-		}
-	}
-
-	rn := s.newRun(comp, req.Flow.ATPGBudgetMS, job, runID)
-	if err := s.queue.Push(rn); err != nil {
-		journaled := job.journaled
-		s.mu.Unlock()
-		rn.cancel()
-		if journaled {
-			// Compensate the accepted record: this job never ran.
-			s.appendRecord(journal.TypeCanceled, &recCanceled{JobID: job.ID, Finished: time.Now()})
-		}
-		s.jgate.RUnlock()
-		if errors.Is(err, ErrQueueFull) {
-			s.reject429(w)
-		} else {
-			writeError(w, http.StatusServiceUnavailable, "server is draining, not accepting jobs")
-		}
-		return
-	}
-	if comp.cacheable {
-		s.inflight[comp.key] = rn
-	}
-	s.active[rn] = true
-	s.rememberJobLocked(job)
-	depth := s.queue.Len()
-	s.mu.Unlock()
-	s.jgate.RUnlock()
-
-	s.emitMetric(map[string]int64{"service.jobs_submitted": 1},
-		map[string]float64{"service.queue_depth": float64(depth)}, nil)
-	rn.log.Info("job accepted", "circuit", job.Circuit,
-		"levels", len(job.Levels), "queue_depth", depth, "sweep_mode", rn.cfg.SweepMode.String())
-	s.writeStatus(w, http.StatusAccepted, job)
 }
 
 // claimJobID returns the job ID for a submission: a valid, unused
@@ -819,49 +662,6 @@ func (s *Server) reject429(w http.ResponseWriter) {
 	writeError(w, http.StatusTooManyRequests, "job queue full (%d queued), retry later", s.opt.QueueDepth)
 }
 
-// newRun builds the run for a freshly admitted (or replayed) job.
-// runID "" mints a fresh id; replay passes the journaled one so a
-// resumed run keeps its pre-crash identity.
-func (s *Server) newRun(comp *compiled, budgetMS int64, job *Job, runID string) *run {
-	if runID == "" {
-		runID = s.newRunID()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	rn := &run{
-		id:        runID,
-		key:       comp.key,
-		baseKey:   comp.baseKey,
-		circHash:  comp.circHash,
-		cfgHash:   comp.cfgHash,
-		cacheable: comp.cacheable,
-		tenant:    comp.tenant,
-		primary:   job.ID,
-		designN:   comp.design,
-		cfg:       comp.cfg,
-		levels:    comp.levels,
-		workers:   comp.workers,
-		budgetMS:  budgetMS,
-		events:    newBroadcaster(),
-		ctx:       ctx,
-		cancel:    cancel,
-		enqueued:  time.Now(),
-		jobs:      []*Job{job},
-	}
-	if s.opt.Flight != nil {
-		rn.flight = telemetry.NewFlightRecorder(s.opt.FlightRunEvents)
-	}
-	rn.log = s.opt.Log.With("job_id", job.ID, "run_id", runID, "tenant", rn.tenant)
-	if rn.flight != nil {
-		// Tee this run's log lines into its own black box as well.
-		rn.log = rn.log.WithSinks(rn.flight)
-	}
-	rn.retryBudget.Store(int64(s.opt.Retry.JobBudget))
-	job.run = rn
-	job.runID = runID
-	job.state = StateQueued
-	return rn
-}
-
 func (s *Server) newJobID() string {
 	var b [6]byte
 	rand.Read(b[:])
@@ -891,428 +691,6 @@ func (s *Server) rememberJobLocked(job *Job) {
 		s.order = s.order[1:]
 		delete(s.jobs, victimID)
 	}
-}
-
-func (s *Server) runStateLocked(r *run) State {
-	if r.startedRunning {
-		return StateRunning
-	}
-	return StateQueued
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool
-
-func (s *Server) worker() {
-	defer s.workersWG.Done()
-	for {
-		rn, ok := s.queue.Pop()
-		if !ok {
-			return
-		}
-		s.execute(rn)
-	}
-}
-
-// execute runs one dequeued run to its terminal state.
-func (s *Server) execute(rn *run) {
-	now := time.Now()
-	s.mu.Lock()
-	if len(rn.jobs) == 0 {
-		// Every submitter cancelled while the run was queued; nothing to
-		// do. finalizeRunLocked already ran from the cancel path.
-		s.mu.Unlock()
-		return
-	}
-	rn.startedRunning = true
-	rn.started = now
-	for _, j := range rn.jobs {
-		j.state = StateRunning
-		j.started = now
-	}
-	s.mu.Unlock()
-
-	wait := now.Sub(rn.enqueued)
-	s.running.Add(1)
-	s.flowRuns.Add(1)
-	s.emitRunMetric(rn,
-		map[string]int64{"service.flow_runs": 1},
-		map[string]float64{
-			"service.queue_depth": float64(s.queue.Len()),
-			"service.running":     float64(s.running.Load()),
-		},
-		map[string]telemetry.HistData{"service.queue_wait_ns": telemetry.Observation(int64(wait))},
-	)
-	s.emitTenantMetric(rn.tenant, nil,
-		map[string]telemetry.HistData{"service.tenant_queue_wait_ns": telemetry.Observation(int64(wait))})
-	rn.log.Info("run started", "queue_wait_ms", wait.Milliseconds(), "levels", len(rn.levels))
-
-	res, err := s.runFlowProfiled(rn)
-	s.running.Add(-1)
-	s.finishRun(rn, res, err)
-}
-
-// sweepRun is the production runFlow: the supervised partial sweep with
-// the run's broadcaster (SSE) and the server's /metrics sink attached,
-// executed level by level through the checkpoint/retry driver.
-func (s *Server) sweepRun(rn *run) (*JobResult, error) {
-	sinks := []telemetry.Sink{rn.events}
-	if s.opt.Metrics != nil {
-		sinks = append(sinks, s.opt.Metrics)
-	}
-	if s.opt.Flight != nil {
-		sinks = append(sinks, s.opt.Flight)
-	}
-	if rn.flight != nil {
-		sinks = append(sinks, rn.flight)
-	}
-	sinks = append(sinks, s.opt.ExtraSinks...)
-
-	cfg := rn.cfg
-	// Every span this run emits — and therefore every SSE frame, every
-	// /metrics fold, and every flight-recorder entry — carries the run's
-	// correlation identity.
-	cfg.Telemetry = telemetry.New(sinks...).WithAttrs(rn.attrs())
-	cfg.Workers = rn.workers
-	if cfg.Workers == 0 {
-		cfg.Workers = s.opt.FlowWorkers
-	}
-	cfg.Deadline = atpgDeadline(rn.budgetMS, time.Now())
-	if s.opt.stageHook != nil {
-		cfg.StageHook = s.opt.stageHook
-	}
-
-	start := time.Now()
-	levels, err := s.runLevels(rn, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cerr := rn.ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-
-	res := &JobResult{
-		Circuit:   rn.designN.Name,
-		TPLevels:  rn.levels,
-		ElapsedMS: time.Since(start).Milliseconds(),
-		Complete:  true,
-	}
-	for _, lr := range levels {
-		ls := LevelStatus{TPPercent: lr.TPPercent}
-		if lr.Err != nil {
-			ls.Error = lr.Err.Error()
-			res.Complete = false
-		} else {
-			ls.OK = true
-			ls.Truncated = lr.Metrics.Truncated
-		}
-		res.Levels = append(res.Levels, ls)
-	}
-	res.Rows = flow.CompletedMetrics(levels)
-	if len(res.Rows) > 0 {
-		res.Table1 = flow.FormatTable1(res.Rows)
-		res.Table2 = flow.FormatTable2(res.Rows)
-		res.Table3 = flow.FormatTable3(res.Rows)
-	}
-	return res, nil
-}
-
-// runLevels is the resumable, retrying replacement for a monolithic
-// SweepPartial call: levels with a durable checkpoint are answered from
-// the store without running a flow, the rest execute on a bounded
-// worker pool with per-level retry (transient failures only) under the
-// run's retry budget, and every freshly completed level is checkpointed
-// the moment it finishes — so a crash loses at most the levels still in
-// flight. The stitched result is bit-identical to an uninterrupted
-// sweep because checkpointed Metrics round-trip exactly through JSON.
-func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]flow.LevelResult, len(rn.levels))
-	var missing []int
-	s.mu.Lock()
-	for i, pct := range rn.levels {
-		out[i].TPPercent = pct
-		// Budget-truncated sweeps depend on wall-clock speed: they are
-		// neither cached nor checkpointed nor resumed.
-		if rn.cacheable {
-			if m, ok := s.checkpoints.get(levelKey(rn.baseKey, cfg.SweepMode, pct)); ok {
-				out[i].Metrics = m
-				continue
-			}
-		}
-		missing = append(missing, i)
-	}
-	s.mu.Unlock()
-	if resumed := int64(len(rn.levels) - len(missing)); resumed > 0 {
-		rn.resumedLevels.Add(resumed)
-		s.levelsResumed.Add(resumed)
-		s.emitRunMetric(rn, map[string]int64{"service.levels_resumed": resumed}, nil, nil)
-		rn.log.Info("levels resumed from checkpoints", "resumed", resumed, "missing", len(missing))
-	}
-	if len(missing) == 0 {
-		return out, nil
-	}
-
-	var sweepSpan *telemetry.Span
-	if cfg.TelemetrySpan != nil {
-		sweepSpan = cfg.TelemetrySpan.ChildTP(flow.StageSweep, -1)
-	} else {
-		sweepSpan = cfg.Telemetry.StartSpan(flow.StageSweep, -1)
-	}
-	defer sweepSpan.End()
-	base := flow.PrewarmBase(rn.designN)
-
-	// attemptLevel runs one level via exec under the shared retry policy
-	// and checkpoints it on success; full and incremental modes differ
-	// only in what exec does.
-	attemptLevel := func(i int, exec func(lcfg flow.Config, pct float64) flow.LevelResult) {
-		pct := rn.levels[i]
-		lcfg := cfg
-		lcfg.TelemetrySpan = sweepSpan
-		for attempt := 1; ; attempt++ {
-			lr := exec(lcfg, pct)
-			s.levelsRun.Add(1)
-			s.emitRunMetric(rn, map[string]int64{"service.levels_run": 1}, nil, nil)
-			out[i] = lr
-			if lr.Err == nil {
-				rn.log.Debug("level done", "tp_percent", pct, "attempt", attempt,
-					"truncated", lr.Metrics.Truncated)
-				if rn.cacheable && !lr.Metrics.Truncated {
-					rec := recLevelDone{
-						Key: levelKey(rn.baseKey, cfg.SweepMode, pct), TPPercent: pct, Metrics: lr.Metrics,
-						RunID: rn.id, JobID: rn.primary,
-					}
-					s.jgate.RLock()
-					s.mu.Lock()
-					s.checkpoints.put(rec)
-					s.mu.Unlock()
-					s.appendRecord(journal.TypeLevelDone, &rec)
-					s.jgate.RUnlock()
-				}
-				return
-			}
-			// Permanent failures, cancellations, exhausted attempts, and
-			// an exhausted per-job budget all surface the error as-is.
-			if rn.ctx.Err() != nil || !transientError(lr.Err) || attempt >= s.opt.Retry.MaxAttempts {
-				rn.log.Warn("level failed", "tp_percent", pct, "attempt", attempt, "error", lr.Err)
-				return
-			}
-			if rn.retryBudget.Add(-1) < 0 {
-				rn.log.Warn("level failed, retry budget exhausted", "tp_percent", pct,
-					"attempt", attempt, "error", lr.Err)
-				return
-			}
-			backoff := s.opt.Retry.backoff(attempt)
-			rn.retries.Add(1)
-			s.retries.Add(1)
-			s.emitRunMetric(rn, map[string]int64{"service.retries": 1}, nil, nil)
-			rn.log.Warn("level retrying after transient failure", "tp_percent", pct,
-				"attempt", attempt, "backoff_ms", backoff.Milliseconds(), "error", lr.Err)
-			// Context-aware backoff: a DELETE that cancels the run aborts
-			// this sleep immediately and frees the worker.
-			if !sleepCtx(rn.ctx, backoff) {
-				return
-			}
-		}
-	}
-	runOne := func(i int) {
-		attemptLevel(i, func(lcfg flow.Config, pct float64) flow.LevelResult {
-			return s.runLevel(rn, base, lcfg, pct)
-		})
-	}
-
-	if cfg.SweepMode == flow.SweepIncremental {
-		// Serialized artifact chain over the missing levels in ascending
-		// TP order; results still land in input order. Only the Metrics
-		// are checkpointed — checkpoint-per-level-only is deliberate:
-		// artifacts (the post-TPI snapshot) are in-memory handles,
-		// so a crash-restarted sweep skips its checkpointed levels and
-		// cold-starts the chain at the first missing one, which is still
-		// exact because a cold link runs from the pristine base. A retry
-		// reuses the last good artifacts the same way.
-		order := append([]int(nil), missing...)
-		sort.SliceStable(order, func(a, b int) bool {
-			return rn.levels[order[a]] < rn.levels[order[b]]
-		})
-		var arts *flow.LevelArtifacts
-		for _, i := range order {
-			attemptLevel(i, func(lcfg flow.Config, pct float64) flow.LevelResult {
-				lr, next := s.runLevelChained(rn, base, lcfg, pct, arts)
-				if next != nil {
-					arts = next
-				}
-				return lr
-			})
-		}
-		return out, nil
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	if workers <= 1 {
-		for _, i := range missing {
-			runOne(i)
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(missing) {
-					return
-				}
-				runOne(missing[k])
-			}
-		}()
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// finishRun delivers a finished run to every attached job, feeds the
-// cache, and tears the run down.
-func (s *Server) finishRun(rn *run, res *JobResult, err error) {
-	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || (err == nil && rn.ctx.Err() != nil)
-
-	// Cache only complete, successful, deterministic results: a partial
-	// sweep (one level panicked or timed out) must be retried, not
-	// replayed forever from the cache.
-	if err == nil && !canceled && rn.cacheable && res != nil && res.Complete {
-		s.cache.Put(rn.key, res)
-	}
-
-	now := time.Now()
-	s.jgate.RLock() // held from the terminal-state flip to its journal record
-	s.mu.Lock()
-	rn.done = true
-	delete(s.inflight, rn.key)
-	delete(s.active, rn)
-	jobs := rn.jobs
-	rn.jobs = nil
-	var done, failed, cancl int64
-	var journaledIDs []string
-	tenantSLO := map[string]*tenantOutcome{}
-	for _, j := range jobs {
-		j.finished = now
-		switch {
-		case canceled:
-			j.state = StateCanceled
-			j.errMsg = "run canceled"
-		case err != nil:
-			j.state = StateFailed
-			j.errMsg = err.Error()
-		default:
-			j.state = StateDone
-			j.result = res
-		}
-		to := tenantSLO[j.Tenant]
-		if to == nil {
-			to = &tenantOutcome{}
-			tenantSLO[j.Tenant] = to
-		}
-		to.e2e.Merge(telemetry.Observation(int64(now.Sub(j.created))))
-		switch j.state {
-		case StateDone:
-			done++
-			to.done++
-		case StateFailed:
-			failed++
-			to.failed++
-		case StateCanceled:
-			cancl++
-			to.canceled++
-		}
-		if j.journaled {
-			journaledIDs = append(journaledIDs, j.ID)
-		}
-	}
-	s.mu.Unlock()
-
-	// Journal the retirement of every journaled job the run carried.
-	// Crash semantics: a SIGKILL before this append leaves the jobs
-	// pending, so the restarted daemon re-runs them (cheaply, from
-	// their level checkpoints); a clean drain that cancels queued jobs
-	// lands here too and retires them durably as canceled.
-	if len(journaledIDs) > 0 {
-		rr := &recRetired{
-			JobIDs: journaledIDs, RunID: rn.id, CacheKey: rn.key,
-			Cacheable: rn.cacheable, Finished: now,
-		}
-		switch {
-		case canceled:
-			rr.State = StateCanceled
-			rr.Error = "run canceled"
-		case err != nil:
-			rr.State = StateFailed
-			rr.Error = err.Error()
-		default:
-			rr.State = StateDone
-			rr.Result = res
-		}
-		s.appendRecord(journal.TypeRetired, rr)
-	}
-	s.jgate.RUnlock()
-	if len(journaledIDs) > 0 {
-		s.maybeCompact()
-	}
-
-	s.jobsDone.Add(done)
-	s.jobsFailed.Add(failed)
-	s.jobsCanceled.Add(cancl)
-	rn.cancel() // release the context's resources
-	rn.events.Close()
-	s.emitRunMetric(rn, map[string]int64{
-		"service.jobs_done":     done,
-		"service.jobs_failed":   failed,
-		"service.jobs_canceled": cancl,
-	}, map[string]float64{
-		"service.queue_depth": float64(s.queue.Len()),
-		"service.running":     float64(s.running.Load()),
-	}, nil)
-	for tenant, to := range tenantSLO {
-		s.emitTenantMetric(tenant, map[string]int64{
-			"service.tenant_jobs_done":     to.done,
-			"service.tenant_jobs_failed":   to.failed,
-			"service.tenant_jobs_canceled": to.canceled,
-		}, map[string]telemetry.HistData{"service.tenant_e2e_ns": to.e2e})
-	}
-	state, errMsg := StateDone, ""
-	switch {
-	case canceled:
-		state = StateCanceled
-	case err != nil:
-		state, errMsg = StateFailed, err.Error()
-	}
-	rn.log.Info("run finished", "state", string(state), "jobs", len(jobs),
-		"retries", rn.retries.Load(), "resumed_levels", rn.resumedLevels.Load(), "error", errMsg)
-
-	// Retire the run into the history archive and let the regression
-	// sentinel compare it against its baseline. Only runs that actually
-	// executed a flow are archived — a run torn down while still queued
-	// has no trace worth keeping.
-	if s.archive != nil && rn.startedRunning && !s.dead.Load() {
-		s.archiveRun(rn, jobs, state, errMsg, now)
-	}
-}
-
-// tenantOutcome accumulates one tenant's share of a finished run: the
-// per-tenant SLO sample set (terminal-state counts + end-to-end
-// latency observations) emitted as tpid_service_tenant_* families.
-type tenantOutcome struct {
-	done, failed, canceled int64
-	e2e                    telemetry.HistData
 }
 
 // ---------------------------------------------------------------------------
@@ -1360,59 +738,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleCancel detaches one job from its run; it is idempotent on a job
+// that is already terminal.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	job := s.lookup(w, r)
 	if job == nil {
 		return
 	}
-	s.jgate.RLock() // held from the terminal-state flip to its journal record
-	s.mu.Lock()
-	if job.state.terminal() {
-		s.mu.Unlock()
-		s.jgate.RUnlock()
-		s.writeStatus(w, http.StatusOK, job) // idempotent
-		return
-	}
-	job.state = StateCanceled
-	job.errMsg = "canceled by client"
-	job.finished = time.Now()
-	journaled := job.journaled
-	rn := job.run
-	var lastWaiter bool
-	if rn != nil {
-		for i, j := range rn.jobs {
-			if j == job {
-				rn.jobs = append(rn.jobs[:i:i], rn.jobs[i+1:]...)
-				break
-			}
-		}
-		lastWaiter = len(rn.jobs) == 0 && !rn.done
-		if lastWaiter {
-			rn.done = true
-			delete(s.inflight, rn.key)
-			delete(s.active, rn)
-		}
-	}
-	s.mu.Unlock()
-	if journaled {
-		s.appendRecord(journal.TypeCanceled, &recCanceled{JobID: job.ID, RunID: job.runID, Finished: time.Now()})
-	}
-	s.jgate.RUnlock()
-
-	s.jobsCanceled.Add(1)
-	s.emitMetric(map[string]int64{"service.jobs_canceled": 1}, nil, nil)
-	s.emitTenantMetric(job.Tenant,
-		map[string]int64{"service.tenant_jobs_canceled": 1},
-		map[string]telemetry.HistData{"service.tenant_e2e_ns": telemetry.Observation(int64(job.finished.Sub(job.created)))})
-	s.opt.Log.Info("job canceled by client", "job_id", job.ID, "run_id", job.runID,
-		"tenant", job.Tenant, "last_waiter", lastWaiter)
-	if lastWaiter {
-		// Nobody else wants this run: take it off the queue if still
-		// there, abort the flow if running (including a retry backoff
-		// sleep, which selects on this context), close the event stream.
-		s.queue.Remove(rn)
-		rn.cancel()
-		rn.events.Close()
+	if s.retire([]*Job{job}, outcome{state: StateCanceled, errMsg: canceledByClient, compact: true}) > 0 {
+		s.opt.Log.Info("job canceled by client", "job_id", job.ID, "tenant", job.Tenant)
 	}
 	s.writeStatus(w, http.StatusOK, job)
 }
@@ -1502,14 +836,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // Not ready while replaying the journal (startup) or draining
 // (shutdown) — load balancers steer new work elsewhere in both windows.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
+	if why := s.unready(); why != "" {
+		writeError(w, http.StatusServiceUnavailable, "%s", why)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+}
+
+// unready says why the server takes no new work right now, "" if it does.
+func (s *Server) unready() string {
 	switch {
 	case s.draining.Load():
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		return "draining"
 	case !s.ready.Load():
-		writeError(w, http.StatusServiceUnavailable, "replaying journal")
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		return "replaying its journal"
 	}
+	return ""
 }
 
 // ---------------------------------------------------------------------------
@@ -1604,18 +946,6 @@ func (s *Server) emitRunMetric(rn *run, counters map[string]int64, gauges map[st
 		Type: telemetry.EventSpanEnd, Stage: "service", Time: time.Now(),
 		Counters: counters, Gauges: gauges, Hists: hists, Attrs: rn.attrs(),
 	}, rn.flight)
-}
-
-// emitTenantMetric emits the per-tenant SLO families
-// (tpid_service_tenant_*): terminal-state counters plus queue-wait and
-// end-to-end latency histograms, labeled tenant="..." on /metrics with
-// the PromSink's bounded-cardinality "other" overflow.
-func (s *Server) emitTenantMetric(tenant string, counters map[string]int64, hists map[string]telemetry.HistData) {
-	s.emitEvent(telemetry.Event{
-		Type: telemetry.EventSpanEnd, Stage: "service", Time: time.Now(),
-		Counters: counters, Hists: hists,
-		Attrs: map[string]string{"tenant": tenant},
-	}, nil)
 }
 
 func (s *Server) emitEvent(e telemetry.Event, runFlight *telemetry.FlightRecorder) {
