@@ -4,11 +4,9 @@ BENCH_PATTERN ?= BenchmarkTable1_|BenchmarkTable2_S38417|BenchmarkTable3_S38417|
 
 TRACE_OUT ?= trace.ndjson
 TRACE_BASELINE ?= trace_baseline.ndjson
-TRACE_INCR_OUT ?= trace_incr.ndjson
-TRACE_INCR_BASELINE ?= trace_incr_baseline.ndjson
 MAX_REGRESS ?= 25
 
-.PHONY: test race bench bench-smoke trace-smoke trace-diff trace-incr-smoke trace-incr-diff metrics-smoke daemon-smoke crash-smoke chaos
+.PHONY: test race bench bench-smoke trace-smoke trace-diff metrics-smoke daemon-smoke crash-smoke chaos
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -40,21 +38,6 @@ trace-smoke:
 # regressed stage and TP level.
 trace-diff:
 	go run ./cmd/tracediff -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_BASELINE) $(TRACE_OUT)
-
-# trace-incr-smoke traces the incremental sweep engine: a serialized
-# three-level chain (-sweep-mode incremental), then tracestat over the
-# trace. This is the path the artifact chain and the incremental
-# re-levelizer (flow.sta_incremental_ns) exercise together.
-trace-incr-smoke:
-	go run ./cmd/tpitables -circuits s38417c -scale 0.1 -levels 0,2,5 -workers 1 \
-		-sweep-mode incremental -table 1 -trace $(TRACE_INCR_OUT)
-	go run ./cmd/tracestat $(TRACE_INCR_OUT)
-
-# trace-incr-diff gates the incremental path the same way trace-diff
-# gates the full flow: stage-by-stage against the committed incremental
-# baseline, normalized so only relative regressions fail.
-trace-incr-diff:
-	go run ./cmd/tracediff -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_INCR_BASELINE) $(TRACE_INCR_OUT)
 
 # metrics-smoke starts a sweep with a live /metrics listener, scrapes it
 # mid-run, and asserts the exposition carries the expected histogram

@@ -91,7 +91,6 @@ func main() {
 	retryAttempts := flag.Int("retry-attempts", 3, "attempts per sweep level before its transient failure becomes permanent")
 	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff (doubles per attempt, full jitter)")
 	retryMax := flag.Duration("retry-max", 5*time.Second, "backoff ceiling per retry")
-	sweepMode := flag.String("sweep-mode", "full", "default level scheduling for jobs that do not set flow.sweep_mode: full (levels fan out across the worker pool) or incremental (levels serialize, each reusing the previous level's artifacts); results are bit-identical either way")
 	flightEvents := flag.Int("flight-events", 4096, "flight-recorder ring size: most recent telemetry events retained for /debug/flight, SIGQUIT, and panic dumps (0 disables)")
 	historyRuns := flag.Int("history-runs", 512, "retired runs kept in the run-history archive under <data-dir>/runs (negative disables history; requires -data-dir)")
 	historyBudget := flag.Int64("history-budget", 512<<20, "byte budget for archived traces+profiles (oldest runs evicted first; negative = unbounded)")
@@ -138,7 +137,6 @@ func main() {
 		Log:                logger,
 		Flight:             flight,
 		DataDir:            *dataDir,
-		DefaultSweepMode:   *sweepMode,
 		HistoryRuns:        *historyRuns,
 		HistoryBudgetBytes: *historyBudget,
 		ProfileRuns:        *profileRuns,

@@ -46,7 +46,6 @@ func main() {
 	table := flag.String("table", "all", "which table to print: 1, 2, 3, or all")
 	levels := flag.String("levels", "0,1,2,3,4,5", "test-point percentages to sweep")
 	workers := flag.Int("workers", 0, "sweep concurrency (0 = GOMAXPROCS, 1 = serial)")
-	sweepMode := flag.String("sweep-mode", "full", "level scheduling: full (levels fan out across workers) or incremental (levels serialize, each reusing the previous level's artifacts); tables are bit-identical either way")
 	timeout := flag.Duration("timeout", 0, "cancel the remaining sweep after this long (0 = no limit); completed levels still print")
 	obsFlags := obs.Register()
 	logFlags := obs.RegisterLog()
@@ -80,9 +79,10 @@ func main() {
 		pcts = append(pcts, v)
 	}
 
-	mode, err := tpilayout.ParseSweepMode(*sweepMode)
-	if err != nil {
-		fatal("parsing -sweep-mode", err)
+	switch *table {
+	case "1", "2", "3", "all":
+	default:
+		fatal("bad -table", fmt.Errorf("%q is not one of 1, 2, 3, all", *table))
 	}
 
 	tracer, closeTrace, err := obsFlags.Tracer()
@@ -107,7 +107,6 @@ func main() {
 		cfg := tpilayout.ExperimentConfig(name)
 		cfg.SkipATPG = *table == "2" || *table == "3"
 		cfg.Workers = *workers
-		cfg.SweepMode = mode
 		cfg.Telemetry = tracer
 		start := time.Now()
 		results, err := tpilayout.SweepPartial(ctx, design, cfg, pcts)

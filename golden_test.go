@@ -27,10 +27,6 @@ var goldenLevels = []float64{0, 2, 5}
 
 // goldenSweep renders all three tables of a reduced-scale s38417c sweep.
 func goldenSweep(t *testing.T, workers int) string {
-	return goldenSweepMode(t, workers, SweepFull)
-}
-
-func goldenSweepMode(t *testing.T, workers int, mode SweepMode) string {
 	t.Helper()
 	design, err := Generate(S38417Class().Scale(0.05), DefaultLibrary())
 	if err != nil {
@@ -38,7 +34,6 @@ func goldenSweepMode(t *testing.T, workers int, mode SweepMode) string {
 	}
 	cfg := ExperimentConfig("s38417c")
 	cfg.Workers = workers
-	cfg.SweepMode = mode
 	rows, err := Sweep(design, cfg, goldenLevels)
 	if err != nil {
 		t.Fatal(err)
@@ -68,22 +63,6 @@ func TestSweepGolden(t *testing.T) {
 	}
 	if string(want) != serial {
 		t.Errorf("sweep output drifted from golden file %s\n%s", path, diffLines(string(want), serial))
-	}
-}
-
-// TestSweepIncrementalGolden locks the incremental engine against the
-// same committed golden tables as full mode: the cross-level artifact
-// chain (TPI resume, incremental relevel) must not move a single output
-// byte.
-func TestSweepIncrementalGolden(t *testing.T) {
-	incr := goldenSweepMode(t, 1, SweepIncremental)
-	path := filepath.Join(goldenDir, "sweep_s38417c.golden")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run TestSweepGolden with -update to create it): %v", err)
-	}
-	if string(want) != incr {
-		t.Errorf("incremental sweep drifted from golden file %s\n%s", path, diffLines(string(want), incr))
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // StageError is the typed failure of one flow stage: which stage failed,
-// at which test-point level, and why. Every error Run/RunContext returns
+// at which test-point level, and why. Every error RunContext returns
 // wraps the underlying cause in a StageError, so callers can dispatch
 // with errors.As:
 //
@@ -90,9 +90,6 @@ func (c *Config) Validate() error {
 	}
 	if c.TimingOptRounds < 0 {
 		bad = append(bad, fmt.Sprintf("TimingOptRounds %d negative", c.TimingOptRounds))
-	}
-	if c.SweepMode != SweepFull && c.SweepMode != SweepIncremental {
-		bad = append(bad, fmt.Sprintf("SweepMode %d unknown (want SweepFull or SweepIncremental)", int(c.SweepMode)))
 	}
 	if len(bad) == 0 {
 		return nil

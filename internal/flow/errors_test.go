@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestFlowRejectsMissingScanConfig(t *testing.T) {
 	n := design(t)
 	cfg := Config{} // neither MaxChainLength nor MaxChains
 	cfg.Place.TargetUtilization = 0.9
-	_, err := Run(n, cfg)
+	_, err := RunContext(context.Background(), n, cfg)
 	if err == nil || !strings.Contains(err.Error(), "scan") {
 		t.Fatalf("err = %v, want scan-stage failure", err)
 	}
@@ -26,7 +27,7 @@ func TestFlowRejectsBadUtilization(t *testing.T) {
 	n := design(t)
 	cfg := Config{Scan: scan.Options{MaxChainLength: 50}}
 	cfg.Place.TargetUtilization = 1.5
-	_, err := Run(n, cfg)
+	_, err := RunContext(context.Background(), n, cfg)
 	if err == nil || !strings.Contains(err.Error(), "place") {
 		t.Fatalf("err = %v, want place-stage failure", err)
 	}
@@ -43,7 +44,7 @@ func TestFlowRejectsOverfullTPBudget(t *testing.T) {
 	for id := range n.Nets {
 		cfg.ExcludeNets[netlist.NetID(id)] = true
 	}
-	_, err := Run(n, cfg)
+	_, err := RunContext(context.Background(), n, cfg)
 	if err == nil || !strings.Contains(err.Error(), "TPI") {
 		t.Fatalf("err = %v, want TPI-stage failure", err)
 	}
@@ -59,7 +60,7 @@ func TestFlowDoesNotMutateInput(t *testing.T) {
 	cfg := Config{Scan: scan.Options{MaxChainLength: 50}, SkipATPG: true}
 	cfg.Place.TargetUtilization = 0.9
 	cfg.TPPercent = 2
-	if _, err := Run(n, cfg); err != nil {
+	if _, err := RunContext(context.Background(), n, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if n.NumLiveCells() != cells || len(n.Nets) != nets || n.NumFlipFlops() != ffs {

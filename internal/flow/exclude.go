@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"context"
+
 	"tpilayout/internal/netlist"
 )
 
@@ -14,7 +16,7 @@ func CriticalNets(design *netlist.Netlist, cfg Config) (map[netlist.NetID]bool, 
 	base.TPPercent = 0
 	base.ExcludeNets = nil
 	base.SkipATPG = true
-	r, err := Run(design, base)
+	r, err := RunContext(context.Background(), design, base)
 	if err != nil {
 		return nil, err
 	}

@@ -93,10 +93,8 @@ type Config struct {
 	Route route.Options
 	STA   sta.Options
 
-	// SweepMode selects full per-level reruns (the default oracle path)
-	// or the incremental cross-level engine. Single runs ignore it; see
-	// SweepMode's doc for the exactness contract.
-	SweepMode SweepMode
+	// Compile stub read by nothing: bench/sweep.go assigns it; delete with ROADMAP item 1.
+	SweepMode int
 
 	// SkipATPG runs only the physical side (steps 2–6); Table 2/3
 	// sweeps do not need patterns.
@@ -111,6 +109,9 @@ type Config struct {
 	// the trade the paper describes.
 	TimingOptRounds int
 }
+
+// The value bench/sweep.go assigns to the stub field above; goes with it.
+const SweepIncremental = 1
 
 // Result carries every artifact of one flow run.
 type Result struct {
@@ -191,16 +192,12 @@ type DomainTiming struct {
 	TSkew    float64
 }
 
-// Run executes the six flow steps on a fresh clone of design.
-func Run(design *netlist.Netlist, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), design, cfg)
-}
-
-// RunContext is Run under supervision: the context cancels the run
-// between (and inside) stages, every error is a *StageError naming the
-// failing stage, and panics are isolated into errors. A cancellation
-// lands within one work unit (one PODEM fault, one bisection cut, one
-// routed net), not one flow.
+// RunContext executes the six flow steps on a fresh clone of design
+// under supervision: the context cancels the run between (and inside)
+// stages, every error is a *StageError naming the failing stage, and
+// panics are isolated into errors. A cancellation lands within one work
+// unit (one PODEM fault, one bisection cut, one routed net), not one
+// flow.
 func RunContext(ctx context.Context, design *netlist.Netlist, cfg Config) (*Result, error) {
 	// Validate before cloning: an invalid config must fail without
 	// touching the design at all.
@@ -214,15 +211,7 @@ func RunContext(ctx context.Context, design *netlist.Netlist, cfg Config) (*Resu
 // design directly and Result.Netlist is design itself. Callers that
 // already hold a private copy (the sweep engine clones once per level
 // from a prewarmed base circuit) use this to avoid the double clone.
-func RunInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (*Result, error) {
-	return runInPlace(ctx, design, cfg, nil)
-}
-
-// runInPlace executes the flow, optionally under an incremental-sweep
-// chain: with a non-nil chain the TPI stage resumes from the inbound
-// artifacts' point prefix (design must then be a clone of the artifact
-// netlist) and captures outbound artifacts for the next level.
-func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config, chain *chainState) (res *Result, err error) {
+func RunInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *Result, err error) {
 	if verr := cfg.Validate(); verr != nil {
 		return nil, newStageError(StageConfig, cfg.TPPercent, verr)
 	}
@@ -287,39 +276,13 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config, chain 
 	if err := enter(StageTPI); err != nil {
 		return nil, err
 	}
-	// Under an incremental chain, n is a clone of the previous level's
-	// post-TPI snapshot: the TP budget must be computed against the base
-	// design's flip-flop count (the snapshot already contains one TSFF
-	// per previous point), and insertion resumes from the existing
-	// points. tpi.Resume's tail is byte-identical to a from-scratch
-	// insertion, so everything downstream is too.
-	ffBefore := n.NumFlipFlops()
-	if chain != nil && chain.in != nil {
-		ffBefore = chain.in.baseFF
-	}
-	tpCount := int(math.Round(cfg.TPPercent / 100 * float64(ffBefore)))
-	var tps *tpi.Result
-	if chain != nil && chain.in != nil {
-		tps, err = tpi.Resume(n, chain.in.tps, tpi.Options{Count: tpCount, Exclude: cfg.ExcludeNets})
-	} else {
-		tps, err = tpi.Insert(n, tpi.Options{Count: tpCount, Exclude: cfg.ExcludeNets})
-	}
+	tpCount := int(math.Round(cfg.TPPercent / 100 * float64(n.NumFlipFlops())))
+	tps, err := tpi.Insert(n, tpi.Options{Count: tpCount, Exclude: cfg.ExcludeNets})
 	if err != nil {
 		return nil, fail(err)
 	}
 	res.TPs = tps
 	stageSpan.Counter("tpi.points").Add(int64(len(tps.Points)))
-	if chain != nil {
-		// Snapshot for the next level: post-TPI, pre-scan, prewarmed so
-		// the next clone shares the derived caches (the prewarm itself
-		// rides the incremental re-levelizer over the TPI edit log).
-		snap := n.Clone()
-		snap.Prewarm()
-		chain.out = &LevelArtifacts{
-			netlist: snap, tps: tps, baseFF: ffBefore,
-			tpCount: len(tps.Points),
-		}
-	}
 	if err := enter(StageScan); err != nil {
 		return nil, err
 	}

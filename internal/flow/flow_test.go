@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"testing"
 
 	"tpilayout/internal/circuitgen"
@@ -26,7 +27,7 @@ func TestFlowStages(t *testing.T) {
 	cfg := Config{Scan: scan.Options{MaxChainLength: 25}}
 	cfg.Place.TargetUtilization = 0.90
 	cfg.TPPercent = 2
-	r, err := Run(n, cfg)
+	r, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestBaselineHasNoTestPoints(t *testing.T) {
 	n := design(t)
 	cfg := Config{Scan: scan.Options{MaxChainLength: 25}, SkipATPG: true}
 	cfg.Place.TargetUtilization = 0.90
-	r, err := Run(n, cfg)
+	r, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestAreaGrowsWithTestPoints(t *testing.T) {
 	var prevCore, prevCells float64
 	for i, pct := range []float64{0, 2.5, 5} {
 		cfg.TPPercent = pct
-		r, err := Run(n, cfg)
+		r, err := RunContext(context.Background(), n, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestCriticalNetExclusion(t *testing.T) {
 	}
 	cfg.TPPercent = 3
 	cfg.ExcludeNets = ex
-	r, err := Run(n, cfg)
+	r, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestScanCreditRaisesCoverage(t *testing.T) {
 	cfg := Config{Scan: scan.Options{MaxChainLength: 25}}
 	cfg.Place.TargetUtilization = 0.90
 	cfg.TPPercent = 3
-	r, err := Run(n, cfg)
+	r, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +179,12 @@ func TestTimingOptRecoversSpeed(t *testing.T) {
 	cfg := Config{Scan: scan.Options{MaxChainLength: 25}, SkipATPG: true}
 	cfg.Place.TargetUtilization = 0.90
 	cfg.TPPercent = 3
-	plain, err := Run(n, cfg)
+	plain, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.TimingOptRounds = 3
-	opt, err := Run(n, cfg)
+	opt, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

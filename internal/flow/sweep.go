@@ -3,10 +3,8 @@ package flow
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -55,24 +53,20 @@ type LevelResult struct {
 	Err       error
 }
 
-// Sweep runs the flow for each test-point percentage and returns one
-// metrics row per layout, in order. Each layout is generated from scratch
-// (separate floorplans), exactly as the paper does.
+// SweepContext runs the flow for each test-point percentage and returns
+// one metrics row per layout, in order. Each layout is generated from
+// scratch (separate floorplans), exactly as the paper does.
 //
-// The layouts are independent, so Sweep fans them out over up to
+// The layouts are independent, so SweepContext fans them out over up to
 // cfg.Workers goroutines (GOMAXPROCS when 0), each running the full
 // Figure 2 flow on its own clone of design. Results are reassembled in
 // input order and are bit-identical to a serial (Workers: 1) run; only
 // the wall-clock time changes.
-func Sweep(design *netlist.Netlist, cfg Config, tpPercents []float64) ([]Metrics, error) {
-	return SweepContext(context.Background(), design, cfg, tpPercents)
-}
-
-// SweepContext is Sweep under supervision: cancelling the context stops
-// every in-flight layout within one work unit and returns the context's
-// error. All levels are attempted; if any fail, the error of the first
-// failing level in input order is returned (use SweepPartial to also
-// recover the levels that completed).
+//
+// Cancelling the context stops every in-flight layout within one work
+// unit and returns the context's error. All levels are attempted; if any
+// fail, the error of the first failing level in input order is returned
+// (use SweepPartial to also recover the levels that completed).
 func SweepContext(ctx context.Context, design *netlist.Netlist, cfg Config, tpPercents []float64) ([]Metrics, error) {
 	levels, err := SweepPartial(ctx, design, cfg, tpPercents)
 	if err != nil {
@@ -139,54 +133,6 @@ func RunLevel(ctx context.Context, base *netlist.Netlist, cfg Config, pct float6
 	return out
 }
 
-// RunLevelChained is RunLevel with the incremental cross-level engine:
-// when prev (the previous level's artifacts) is non-nil and its test-point
-// prefix fits under this level's budget, the level runs on a clone of the
-// previous level's post-TPI snapshot — resuming TPI and releveling only
-// the edited cones — instead of the pristine base. It returns this level's
-// artifacts for the next link of the chain (nil only when the TPI stage
-// itself did not complete). Both paths produce bit-identical
-// LevelResults, and a failed level leaves the chain intact because the
-// caller keeps the last good artifacts. Like RunLevel it never panics.
-func RunLevelChained(ctx context.Context, base *netlist.Netlist, cfg Config, pct float64, prev *LevelArtifacts) (out LevelResult, arts *LevelArtifacts) {
-	out.TPPercent = pct
-	defer func() {
-		if r := recover(); r != nil {
-			pe := supervise.AsPanicError(r)
-			out.Err = &StageError{Stage: StageSweep, TPPercent: pct, Err: pe, Stack: pe.Stack}
-		}
-	}()
-	c := cfg
-	c.TPPercent = pct
-	// The resume prefix must fit under this level's budget: a level with
-	// fewer points than the artifact snapshot already contains falls back
-	// to the pristine base.
-	chain := &chainState{}
-	src := base
-	if prev != nil {
-		budget := int(math.Round(pct / 100 * float64(prev.baseFF)))
-		if prev.tpCount <= budget {
-			chain.in = prev
-			src = prev.netlist
-		}
-	}
-	// Each level runs in place on its own clone, so the shared base (or
-	// artifact snapshot) stays strictly read-only and the flow pays no
-	// second defensive clone.
-	var r *Result
-	var err error
-	pprof.Do(ctx, runLabels(c, pct), func(ctx context.Context) {
-		r, err = runInPlace(ctx, src.Clone(), c, chain)
-	})
-	arts = chain.out
-	if err != nil {
-		out.Err = err
-		return out, arts
-	}
-	out.Metrics = r.Metrics
-	return out, arts
-}
-
 // SweepPartial is the graceful-degradation sweep: it runs every level and
 // returns one LevelResult per TP percentage, in input order, so a failed,
 // panicked, or timed-out level is reported in place while completed
@@ -213,32 +159,6 @@ func SweepPartial(ctx context.Context, design *netlist.Netlist, cfg Config, tpPe
 	}
 	defer sweepSpan.End()
 	base := PrewarmBase(design)
-
-	if cfg.SweepMode == SweepIncremental {
-		// Serialized level chain in ascending TP order: each level's
-		// artifacts (TPI prefix, prewarmed snapshot) feed the next, and
-		// results land back in input order. The worker pool applies
-		// inside each level's fault-simulation shards instead of across
-		// levels; results stay bit-identical to full mode.
-		order := make([]int, len(tpPercents))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return tpPercents[order[a]] < tpPercents[order[b]]
-		})
-		var arts *LevelArtifacts
-		for _, i := range order {
-			c := cfg
-			c.TelemetrySpan = sweepSpan
-			lr, next := RunLevelChained(ctx, base, c, tpPercents[i], arts)
-			out[i] = lr
-			if next != nil {
-				arts = next
-			}
-		}
-		return out, nil
-	}
 
 	runLevel := func(i int) {
 		c := cfg

@@ -38,7 +38,7 @@ func TestRunSpanTree(t *testing.T) {
 	var hooked []string
 	cfg.StageHook = func(stage string, tp float64) { hooked = append(hooked, stage) }
 
-	r, err := Run(n, cfg)
+	r, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPanicClosesSpan(t *testing.T) {
 			panic("hook detonated mid-flow")
 		}
 	}
-	_, err := Run(n, cfg)
+	_, err := RunContext(context.Background(), n, cfg)
 	if err == nil {
 		t.Fatal("panicking stage returned nil error")
 	}
@@ -182,7 +182,7 @@ func TestTelemetryOffIsFree(t *testing.T) {
 	cfg := Config{Scan: scan.Options{MaxChainLength: 25}}
 	cfg.Place.TargetUtilization = 0.90
 	cfg.TPPercent = 1
-	r, err := Run(n, cfg)
+	r, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,6 +235,89 @@ func TestReplayAnswersRetired(t *testing.T) {
 		t.Fatalf("resubmit of evicted oldest job: code=%d cache_hit=%v, want 202 fresh", codeOld, stOld.CacheHit)
 	}
 	waitState(t, s2, stOld.ID, StateDone)
+}
+
+// TestReplayToleratesRemovedFlowFields: admission rejects a flow field
+// this build does not know, replay must not. A data dir written while
+// flow.sweep_mode and flow.atpg_memo still existed — a pending job
+// accepted as incremental, with one level checkpointed under the old
+// <base>/incr/tp0 key — re-queues that job and finishes it with the
+// tables a fresh submission gets, instead of retiring it
+// failed-on-replay. The /incr/ checkpoint is never matched: both levels
+// run through runLevel.
+func TestReplayToleratesRemovedFlowFields(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := json.Marshal(map[string]any{
+		"job_id": "old-1", "tenant": "acme", "name": "tiny", "bench": testBench,
+		"tp_levels": []float64{0, 2}, "created": "2026-08-08T13:07:25Z",
+		"flow": map[string]any{"skip_atpg": true, "sweep_mode": "incremental", "atpg_memo": true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req JobRequest
+	if err := json.Unmarshal(jobBody(t, "acme", 0, 2), &req); err != nil {
+		t.Fatal(err)
+	}
+	comp, err := compileRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stubMetrics is not what the real flow produces, so a match on this
+	// record would show in the tables.
+	levelDone, err := json.Marshal(recLevelDone{
+		Key: comp.baseKey + "/incr/tp0", TPPercent: 0, Metrics: stubMetrics(0), JobID: "old-1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		typ     journal.Type
+		payload []byte
+	}{{journal.TypeAccepted, accepted}, {journal.TypeLevelDone, levelDone}} {
+		if err := j.Append(r.typ, r.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var ran atomic.Int32
+	s := openDurable(t, dir, Options{Workers: 1}, func(s *Server) {
+		inner := s.runLevel
+		s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
+			ran.Add(1)
+			return inner(rn, base, cfg, pct)
+		}
+	})
+	defer shutdown(t, s)
+	st := waitState(t, s, "old-1", StateDone)
+	if n := s.Stats().ReplayedJobs; n != 1 {
+		t.Fatalf("replayed_jobs = %d, want 1", n)
+	}
+	if n := ran.Load(); n != 2 || st.ResumedLevels != 0 {
+		t.Fatalf("replayed job ran %d levels and resumed %d, want 2 and 0 (the /incr/ checkpoint must not match)",
+			n, st.ResumedLevels)
+	}
+	_, got := getResult(t, s, "old-1")
+
+	fresh := New(Options{Workers: 1})
+	defer shutdown(t, fresh)
+	_, fst := postJob(t, fresh, jobBody(t, "acme", 0, 2))
+	waitState(t, fresh, fst.ID, StateDone)
+	_, want := getResult(t, fresh, fst.ID)
+	if got == nil || want == nil || !got.Complete || !want.Complete {
+		t.Fatalf("results incomplete: replayed %+v, fresh %+v", got, want)
+	}
+	if got.Table1 != want.Table1 || got.Table2 != want.Table2 || got.Table3 != want.Table3 {
+		t.Fatalf("replayed tables differ from a fresh submission:\n%s%s%s\nvs\n%s%s%s",
+			got.Table1, got.Table2, got.Table3, want.Table1, want.Table2, want.Table3)
+	}
 }
 
 // TestCacheHitJournalsNothing: a submission answered from the result

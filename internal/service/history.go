@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"tpilayout/internal/flow"
 	"tpilayout/internal/telemetry"
 	"tpilayout/internal/tracecmp"
 	"tpilayout/internal/trachive"
@@ -47,14 +46,12 @@ func (s *Server) runFlowProfiled(rn *run) (*JobResult, error) {
 }
 
 // baselineKeyOf renders the archive's baseline identity: short circuit
-// and config hashes plus the sweep mode. Runs sharing a key ran the
-// same circuit under the same resolved config in the same mode — the
-// precondition for a meaningful duration comparison. TP levels are
-// deliberately absent (the diff aligns per stage×level cell), and the
-// mode is included because incremental and full sweeps have different
-// per-level cost profiles by design.
-func baselineKeyOf(circHash, cfgHash string, mode flow.SweepMode) string {
-	return shortHash(circHash) + "-" + shortHash(cfgHash) + "-" + mode.String()
+// and config hashes. Runs sharing a key ran the same circuit under the
+// same resolved config — the precondition for a meaningful duration
+// comparison. TP levels are deliberately absent (the diff aligns per
+// stage×level cell).
+func baselineKeyOf(circHash, cfgHash string) string {
+	return shortHash(circHash) + "-" + shortHash(cfgHash)
 }
 
 func shortHash(h string) string {
@@ -90,8 +87,7 @@ func (s *Server) archiveRun(rn *run, jobs []*Job, state State, errMsg string, no
 		Circuit:     rn.designN.Name,
 		CircuitHash: rn.circHash,
 		ConfigHash:  rn.cfgHash,
-		SweepMode:   rn.cfg.SweepMode.String(),
-		BaselineKey: baselineKeyOf(rn.circHash, rn.cfgHash, rn.cfg.SweepMode),
+		BaselineKey: baselineKeyOf(rn.circHash, rn.cfgHash),
 		State:       string(state),
 		Error:       errMsg,
 		TPLevels:    rn.levels,

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tpilayout/internal/journal"
 	"tpilayout/internal/telemetry"
 	"tpilayout/internal/trachive"
 )
@@ -273,7 +275,7 @@ func TestSentinelQuietOnIdenticalRerun(t *testing.T) {
 	}
 
 	// tpid_service_regression_total renders at zero before any
-	// regression ever fires — the scrape CI's history-smoke greps for.
+	// regression ever fires — the scrape CI's daemon-smoke greps for.
 	rec := httptest.NewRecorder()
 	prom.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	expo := rec.Body.String()
@@ -368,6 +370,58 @@ func TestHistorySurvivesCrashRestart(t *testing.T) {
 	m2 := waitArchived(t, s2, st2.RunID)
 	if m2.Diff == nil || m2.Diff.Against != st1.RunID || m2.Diff.Verdict != "no-regression" {
 		t.Fatalf("post-restart diff: %+v", m2.Diff)
+	}
+}
+
+// TestHistoryListsRunsArchivedUnderOldKey: an index entry written while
+// runs still carried sweep_mode and a "<circuit>-<config>-full" baseline
+// key keeps listing and filtering under that key, and is no longer the
+// baseline of a rerun (it ages out under retention).
+func TestHistoryListsRunsArchivedUnderOldKey(t *testing.T) {
+	dir := t.TempDir()
+	s1 := openDurable(t, dir, Options{Workers: 1}, nil)
+	_, st1 := postJob(t, s1, budgetBody(t, "smoke", 1))
+	waitState(t, s1, st1.ID, StateDone)
+	m1 := waitArchived(t, s1, st1.RunID)
+	shutdown(t, s1)
+
+	// Re-index the run the way the old build wrote it.
+	var old map[string]any
+	raw, err := json.Marshal(m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	oldKey := m1.BaselineKey + "-full"
+	old["sweep_mode"], old["baseline_key"] = "full", oldKey
+	if raw, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	idx, _, err := journal.Open(filepath.Join(dir, "runs", "index"), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Append(journal.Type(10), raw); err != nil { // trachive's "archived" record
+		t.Fatal(err)
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openDurable(t, dir, Options{Workers: 1}, nil)
+	defer shutdown(t, s2)
+	for _, q := range []string{"", "?baseline=" + oldKey} {
+		if runs := listRuns(t, s2, q); len(runs) != 1 || runs[0].RunID != st1.RunID || runs[0].BaselineKey != oldKey {
+			t.Fatalf("GET /v1/runs%s = %+v, want the old run under %q", q, runs, oldKey)
+		}
+	}
+	_, st2 := postJob(t, s2, budgetBody(t, "smoke", 1))
+	waitState(t, s2, st2.ID, StateDone)
+	m2 := waitArchived(t, s2, st2.RunID)
+	if m2.BaselineKey != m1.BaselineKey || m2.Diff == nil || m2.Diff.Verdict != "no-baseline" {
+		t.Fatalf("rerun key %q diff %+v, want key %q with no baseline", m2.BaselineKey, m2.Diff, m1.BaselineKey)
 	}
 }
 

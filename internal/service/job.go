@@ -68,12 +68,6 @@ type FlowConfig struct {
 	// Results are bit-identical for every value, so Workers is excluded
 	// from the cache key.
 	Workers int `json:"workers,omitempty"`
-	// SweepMode schedules the job's levels: "full" (default) fans levels
-	// across the worker pool, "incremental" serializes them and threads
-	// each level's artifacts into the next. Results are bit-identical
-	// either way, so the mode is excluded from the result-cache key;
-	// level checkpoints, however, are mode-discriminated (see levelKey).
-	SweepMode string `json:"sweep_mode,omitempty"`
 	// ATPGBudgetMS bounds the ATPG effort per level; an expiring budget
 	// truncates the run instead of failing it. Budgeted results depend on
 	// wall-clock speed, so a job with a budget is never cached and never
@@ -167,11 +161,6 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 	}
 	cfg.SkipATPG = fc.SkipATPG
 	cfg.TimingOptRounds = fc.TimingOptRounds
-	mode, err := flow.ParseSweepMode(fc.SweepMode)
-	if err != nil {
-		return nil, badRequest("flow.sweep_mode: %v", err)
-	}
-	cfg.SweepMode = mode
 	if fc.Workers < 0 || fc.Workers > maxFlowWorker {
 		return nil, badRequest("flow.workers %d outside [0,%d]", fc.Workers, maxFlowWorker)
 	}
@@ -239,18 +228,9 @@ func configHash(cfg *flow.Config, budgetMS int64) string {
 }
 
 // levelKey addresses one checkpointed level: the level-independent base
-// key, the sweep mode that produced it, and the TP percentage. Full mode
-// keeps the legacy key shape (journals written before the incremental
-// engine replay into the right namespace); incremental checkpoints carry
-// an extra segment so a level produced by the artifact chain never
-// masquerades as a full-rerun-verified one, even though both modes are
-// bit-identical by construction.
-func levelKey(baseKey string, mode flow.SweepMode, pct float64) string {
-	suffix := "/tp" + strconv.FormatFloat(pct, 'g', -1, 64)
-	if mode == flow.SweepIncremental {
-		return baseKey + "/incr" + suffix
-	}
-	return baseKey + suffix
+// key and the TP percentage.
+func levelKey(baseKey string, pct float64) string {
+	return baseKey + "/tp" + strconv.FormatFloat(pct, 'g', -1, 64)
 }
 
 // buildDesign parses or generates the request's circuit, returning the

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,7 +170,7 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 	s.emitMetric(map[string]int64{"service.jobs_submitted": 1},
 		map[string]float64{"service.queue_depth": float64(depth)}, nil)
 	job.run.log.Info("job accepted", "circuit", job.Circuit, "levels", len(job.Levels),
-		"queue_depth", depth, "sweep_mode", job.run.cfg.SweepMode.String())
+		"queue_depth", depth)
 	return job, admitQueued
 }
 
@@ -360,7 +359,7 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 		// Budget-truncated sweeps depend on wall-clock speed: they are
 		// neither cached nor checkpointed nor resumed.
 		if rn.cacheable {
-			if m, ok := s.checkpoints.get(levelKey(rn.baseKey, cfg.SweepMode, pct)); ok {
+			if m, ok := s.checkpoints.get(levelKey(rn.baseKey, pct)); ok {
 				out[i].Metrics = m
 				continue
 			}
@@ -387,15 +386,14 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 	defer sweepSpan.End()
 	base := flow.PrewarmBase(rn.designN)
 
-	// attemptLevel runs one level via exec under the shared retry policy
-	// and checkpoints it on success; full and incremental modes differ
-	// only in what exec does.
-	attemptLevel := func(i int, exec func(lcfg flow.Config, pct float64) flow.LevelResult) {
+	// attemptLevel runs one level under the retry policy and checkpoints
+	// it on success.
+	attemptLevel := func(i int) {
 		pct := rn.levels[i]
 		lcfg := cfg
 		lcfg.TelemetrySpan = sweepSpan
 		for attempt := 1; ; attempt++ {
-			lr := exec(lcfg, pct)
+			lr := s.runLevel(rn, base, lcfg, pct)
 			s.levelsRun.Add(1)
 			s.emitRunMetric(rn, map[string]int64{"service.levels_run": 1}, nil, nil)
 			out[i] = lr
@@ -404,7 +402,7 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 					"truncated", lr.Metrics.Truncated)
 				if rn.cacheable && !lr.Metrics.Truncated {
 					s.checkpoint(&recLevelDone{
-						Key: levelKey(rn.baseKey, cfg.SweepMode, pct), TPPercent: pct, Metrics: lr.Metrics,
+						Key: levelKey(rn.baseKey, pct), TPPercent: pct, Metrics: lr.Metrics,
 						RunID: rn.id, JobID: rn.primary,
 					})
 				}
@@ -434,38 +432,6 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 			}
 		}
 	}
-	runOne := func(i int) {
-		attemptLevel(i, func(lcfg flow.Config, pct float64) flow.LevelResult {
-			return s.runLevel(rn, base, lcfg, pct)
-		})
-	}
-
-	if cfg.SweepMode == flow.SweepIncremental {
-		// Serialized artifact chain over the missing levels in ascending
-		// TP order; results still land in input order. Only the Metrics
-		// are checkpointed — checkpoint-per-level-only is deliberate:
-		// artifacts (the post-TPI snapshot) are in-memory handles,
-		// so a crash-restarted sweep skips its checkpointed levels and
-		// cold-starts the chain at the first missing one, which is still
-		// exact because a cold link runs from the pristine base. A retry
-		// reuses the last good artifacts the same way.
-		order := append([]int(nil), missing...)
-		sort.SliceStable(order, func(a, b int) bool {
-			return rn.levels[order[a]] < rn.levels[order[b]]
-		})
-		var arts *flow.LevelArtifacts
-		for _, i := range order {
-			attemptLevel(i, func(lcfg flow.Config, pct float64) flow.LevelResult {
-				lr, next := s.runLevelChained(rn, base, lcfg, pct, arts)
-				if next != nil {
-					arts = next
-				}
-				return lr
-			})
-		}
-		return out, nil
-	}
-
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -475,7 +441,7 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 	}
 	if workers <= 1 {
 		for _, i := range missing {
-			runOne(i)
+			attemptLevel(i)
 		}
 		return out, nil
 	}
@@ -490,7 +456,7 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 				if k >= len(missing) {
 					return
 				}
-				runOne(missing[k])
+				attemptLevel(missing[k])
 			}
 		}()
 	}

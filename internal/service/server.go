@@ -241,12 +241,6 @@ type Options struct {
 	// restart on the same directory replays retired results, level
 	// checkpoints, and unfinished jobs. Empty = purely in-memory.
 	DataDir string
-	// DefaultSweepMode is applied to submissions that leave
-	// flow.sweep_mode empty ("full" when empty itself). It is resolved at
-	// admission and journaled with the job, so a crash-restarted job
-	// resumes in the mode it was admitted with even if the daemon
-	// restarts with a different default. Invalid values fail Open.
-	DefaultSweepMode string
 	// Retry governs per-level retries of transient failures (panics,
 	// deadlines); zero fields take the RetryPolicy defaults.
 	Retry RetryPolicy
@@ -394,12 +388,9 @@ type Server struct {
 	// with a stub to exercise queueing/fairness/shutdown without paying
 	// for real layouts. runLevel executes ONE level inside the real
 	// checkpoint/retry driver; chaos tests replace it to inject level
-	// failures while the driver itself stays under test. runLevelChained
-	// is its incremental-mode twin, threading the previous level's
-	// artifacts into the next link of the chain.
-	runFlow         func(r *run) (*JobResult, error)
-	runLevel        func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult
-	runLevelChained func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64, prev *flow.LevelArtifacts) (flow.LevelResult, *flow.LevelArtifacts)
+	// failures while the driver itself stays under test.
+	runFlow  func(r *run) (*JobResult, error)
+	runLevel func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult
 
 	shutdownCh chan struct{}
 	shutdownMu sync.Mutex
@@ -431,18 +422,12 @@ func Open(opt Options) (*Server, error) {
 		claimed:    map[string]bool{},
 		shutdownCh: make(chan struct{}),
 	}
-	if _, err := flow.ParseSweepMode(s.opt.DefaultSweepMode); err != nil {
-		return nil, fmt.Errorf("service: default sweep mode: %w", err)
-	}
 	s.queue = newFairQueue(s.opt.QueueDepth)
 	s.cache = newResultCache(s.opt.CacheBytes)
 	s.checkpoints = newCheckpointStore()
 	s.runFlow = s.sweepRun
 	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
 		return flow.RunLevel(rn.ctx, base, cfg, pct)
-	}
-	s.runLevelChained = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64, prev *flow.LevelArtifacts) (flow.LevelResult, *flow.LevelArtifacts) {
-		return flow.RunLevelChained(rn.ctx, base, cfg, pct, prev)
 	}
 
 	if s.opt.DataDir != "" {
@@ -560,11 +545,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
 		return
-	}
-	// Resolve the daemon's default sweep mode at admission, so the
-	// journaled flow config pins the mode the job actually ran in.
-	if req.Flow.SweepMode == "" {
-		req.Flow.SweepMode = s.opt.DefaultSweepMode
 	}
 	comp, err := compileRequest(&req)
 	if err != nil {

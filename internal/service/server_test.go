@@ -590,15 +590,19 @@ func TestBadRequests(t *testing.T) {
 		{"oversized scale", `{"circuit":{"spec":"s38417c","scale":99},"tp_levels":[0]}`, http.StatusBadRequest},
 		// A flow option this build no longer has is an unknown field, and
 		// the 400 names it.
-		{"atpg_memo", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"sweep_mode":"incremental","atpg_memo":true}}`, testBench), http.StatusBadRequest},
+		{"atpg_memo", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"atpg_memo":true}}`, testBench), http.StatusBadRequest},
+		{"sweep_mode", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"sweep_mode":"full"}}`, testBench), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, resp := do(t, s, "POST", "/v1/jobs", []byte(tc.body))
 		if code != tc.want {
 			t.Errorf("%s: code = %d, want %d (%s)", tc.name, code, tc.want, resp)
 		}
-		if tc.name == "atpg_memo" && !strings.Contains(string(resp), "atpg_memo") {
-			t.Errorf("%s: response does not name the field: %s", tc.name, resp)
+		switch tc.name {
+		case "atpg_memo", "sweep_mode":
+			if !strings.Contains(string(resp), tc.name) {
+				t.Errorf("%s: response does not name the field: %s", tc.name, resp)
+			}
 		}
 	}
 	if n := s.FlowRuns(); n != 0 {

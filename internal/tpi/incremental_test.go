@@ -2,7 +2,7 @@ package tpi
 
 // Differential tests of the incremental insertion loop: after every
 // insertion the session must equal a fresh testability.Analyze exactly
-// (== on float64, no tolerance), and Insert/Resume must pick the very
+// (== on float64, no tolerance), and Insert must pick the very
 // points a loop that re-analyses from scratch picks.
 
 import (
@@ -175,19 +175,11 @@ func TestSessionEqualsFreshAnalyzeAtArbitraryNets(t *testing.T) {
 
 // referenceInsert is the insertion loop as it was before the session:
 // analyse the whole netlist from scratch, scan every net, insert one
-// point, repeat. prev continues an earlier result the way Resume does.
-func referenceInsert(t *testing.T, n *netlist.Netlist, opt Options, prev *Result) *Result {
+// point, repeat.
+func referenceInsert(t *testing.T, n *netlist.Netlist, opt Options) *Result {
 	t.Helper()
-	res := &Result{}
-	if prev != nil {
-		res.Points, res.TE, res.TR = append([]TestPoint(nil), prev.Points...), prev.TE, prev.TR
-	} else {
-		res.TE, res.TR = n.AddPI("tp_te"), n.AddPI("tp_tr")
-	}
+	res := &Result{TE: n.AddPI("tp_te"), TR: n.AddPI("tp_tr")}
 	taken := map[netlist.NetID]bool{}
-	for _, tp := range res.Points {
-		taken[tp.Target] = true
-	}
 	constraints := map[netlist.NetID]int8{res.TE: 0, res.TR: 1}
 	for len(res.Points) < opt.Count {
 		fresh, err := testability.NewSession(n, testability.Options{Constraints: constraints})
@@ -257,7 +249,7 @@ func TestInsertMatchesReferenceLoop(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
-				ref := referenceInsert(t, want, tc.opt, nil)
+				ref := referenceInsert(t, want, tc.opt)
 				if !reflect.DeepEqual(res, ref) {
 					t.Errorf("%s: Insert chose different points than the reference loop", tc.name)
 				}
@@ -267,26 +259,6 @@ func TestInsertMatchesReferenceLoop(t *testing.T) {
 						t.Errorf("%s: test point on excluded net %s", tc.name, got.Nets[tp.Target].Name)
 					}
 				}
-			}
-
-			// Resume from a mid-sweep prefix: 10 points, then on to 25.
-			got, want := base.Clone(), base.Clone()
-			prefix, err := Insert(got, Options{Count: 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Resume(got, prefix, Options{Count: 25})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refPrefix := referenceInsert(t, want, Options{Count: 10}, nil)
-			ref := referenceInsert(t, want, Options{Count: 25}, refPrefix)
-			if !reflect.DeepEqual(res, ref) {
-				t.Error("resume: Resume chose different points than the reference loop")
-			}
-			sameNetlist(t, got, want)
-			if len(prefix.Points) != 10 {
-				t.Errorf("Resume mutated its prefix: %d points", len(prefix.Points))
 			}
 		})
 	}

@@ -98,37 +98,8 @@ func Insert(n *netlist.Netlist, opt Options) (*Result, error) {
 	return res, err
 }
 
-// Resume continues a previous insertion on a netlist that already holds
-// prev's test points (a snapshot of the netlist taken right after the
-// Insert that produced prev). It reuses prev's TE/TR control nets and
-// inserts only the opt.Count − len(prev.Points) missing TSFFs, naming and
-// numbering them as a from-scratch Insert(opt.Count) would.
-//
-// Because Insert's selection loop ranks every point on the testability of
-// the netlist as edited so far, the state after k insertions fully determines
-// insertion k+1 — so Resume's continuation is byte-identical to the tail
-// of a from-scratch run, and the resulting netlist mutations match
-// exactly. prev is not mutated; the returned Result owns its own Points
-// slice.
-func Resume(n *netlist.Netlist, prev *Result, opt Options) (*Result, error) {
-	if prev == nil || prev.TE == netlist.NoNet {
-		return Insert(n, opt)
-	}
-	res := &Result{
-		Points: append([]TestPoint(nil), prev.Points...),
-		TE:     prev.TE,
-		TR:     prev.TR,
-	}
-	if opt.Count <= len(res.Points) {
-		return res, nil
-	}
-	err := insertLoop(n, opt, res)
-	return res, err
-}
-
-// insertLoop is the shared selection/insertion engine behind Insert and
-// Resume: pick the best net, splice a TSFF, repeat until res holds
-// opt.Count points.
+// insertLoop is the selection/insertion engine behind Insert: pick the
+// best net, splice a TSFF, repeat until res holds opt.Count points.
 func insertLoop(n *netlist.Netlist, opt Options, res *Result) error {
 	in, err := newInserter(n, opt, res)
 	if err != nil {
@@ -151,7 +122,7 @@ func insertLoop(n *netlist.Netlist, opt Options, res *Result) error {
 	return err
 }
 
-// inserter is the state of one Insert/Resume call. It runs the paper's
+// inserter is the state of one Insert call. It runs the paper's
 // fully iterative process — every point is chosen on the testability of
 // the netlist as edited so far — with the analysis kept current by one
 // testability.Session instead of being redone per point, and with the
@@ -196,9 +167,6 @@ func newInserter(n *netlist.Netlist, opt Options, res *Result) (*inserter, error
 		if excluded && int(net) < len(in.blocked) {
 			in.blocked[net] = true
 		}
-	}
-	for _, tp := range res.Points {
-		in.blocked[tp.Target] = true
 	}
 	for id := range n.Nets {
 		in.refresh(netlist.NetID(id))

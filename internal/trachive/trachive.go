@@ -5,7 +5,7 @@
 // trace write and the index append costs at most that one run. The
 // archive is the substrate of the regression sentinel: each retiring
 // run is diffed against the most recent archived run sharing its
-// baseline key (circuit hash, config hash, sweep mode).
+// baseline key (circuit hash, config hash).
 //
 // On-disk layout under the archive directory:
 //
@@ -66,7 +66,6 @@ type Meta struct {
 	Circuit      string         `json:"circuit,omitempty"`
 	CircuitHash  string         `json:"circuit_hash"`
 	ConfigHash   string         `json:"config_hash"`
-	SweepMode    string         `json:"sweep_mode,omitempty"`
 	BaselineKey  string         `json:"baseline_key"`
 	State        string         `json:"state"`
 	Error        string         `json:"error,omitempty"`
@@ -565,7 +564,6 @@ func (a *Archive) Rollup(key string) []RollupCell {
 type BaselineInfo struct {
 	Key       string `json:"key"`
 	Circuit   string `json:"circuit,omitempty"`
-	SweepMode string `json:"sweep_mode,omitempty"`
 	Runs      int    `json:"runs"`
 	Completed int    `json:"completed"`
 	Latest    string `json:"latest_run_id"`
@@ -585,7 +583,6 @@ func (a *Archive) Baselines() []BaselineInfo {
 			byKey[m.BaselineKey] = bi
 		}
 		bi.Circuit = m.Circuit
-		bi.SweepMode = m.SweepMode
 		bi.Latest = m.RunID
 		bi.Runs++
 		if m.State == "done" && m.Rollup != nil {

@@ -44,7 +44,6 @@ func metaFor(runID, key, state string, events []telemetry.Event) *Meta {
 		Circuit:     "c1",
 		CircuitHash: "aaaa",
 		ConfigHash:  "bbbb",
-		SweepMode:   "full",
 		BaselineKey: key,
 		State:       state,
 		Started:     time.Unix(100, 0),

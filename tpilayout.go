@@ -57,10 +57,6 @@ type (
 	// returned by Run/Sweep and their Context variants wraps one
 	// (recoverable with errors.As).
 	StageError = flow.StageError
-	// SweepMode selects full per-level reruns (the default oracle path)
-	// or the incremental cross-level engine; both produce bit-identical
-	// tables.
-	SweepMode = flow.SweepMode
 
 	// Tracer is the observability entry point: set Config.Telemetry to a
 	// NewTracer(...) and every flow stage and sweep level is timed and
@@ -157,7 +153,9 @@ func Generate(spec Spec, lib *Library) (*Netlist, error) {
 }
 
 // Run executes the full Figure 2 flow once.
-func Run(design *Netlist, cfg Config) (*Result, error) { return flow.Run(design, cfg) }
+func Run(design *Netlist, cfg Config) (*Result, error) {
+	return flow.RunContext(context.Background(), design, cfg)
+}
 
 // RunContext executes the full Figure 2 flow once under supervision: the
 // context cancels the run within one work unit (one PODEM fault, one
@@ -173,21 +171,6 @@ func RunContext(ctx context.Context, design *Netlist, cfg Config) (*Result, erro
 func CriticalNets(design *Netlist, cfg Config) (map[netlist.NetID]bool, error) {
 	return flow.CriticalNets(design, cfg)
 }
-
-// Sweep scheduling modes (Config.SweepMode).
-const (
-	// SweepFull reruns every level from the pristine base, fanned out
-	// across Config.Workers.
-	SweepFull = flow.SweepFull
-	// SweepIncremental serializes levels in ascending TP order and
-	// threads each level's artifacts (TPI prefix, prewarmed caches) into
-	// the next.
-	SweepIncremental = flow.SweepIncremental
-)
-
-// ParseSweepMode parses a -sweep-mode flag value ("", "full",
-// "incremental", "incr").
-func ParseSweepMode(s string) (SweepMode, error) { return flow.ParseSweepMode(s) }
 
 // ExperimentConfig returns the per-circuit flow configuration the paper
 // describes: chains of at most 100 flops for s38417 and circuit 1 with
@@ -209,7 +192,7 @@ type LevelResult = flow.LevelResult
 // input order and are bit-identical to a serial (Workers: 1) run; only
 // the wall-clock time changes.
 func Sweep(design *Netlist, cfg Config, tpPercents []float64) ([]Metrics, error) {
-	return flow.Sweep(design, cfg, tpPercents)
+	return flow.SweepContext(context.Background(), design, cfg, tpPercents)
 }
 
 // SweepContext is Sweep under supervision: cancelling the context stops
