@@ -1,12 +1,13 @@
 # Convenience targets; everything is plain `go` underneath.
 
-BENCH_PATTERN ?= BenchmarkTable1_|BenchmarkTable2_S38417|BenchmarkTable3_S38417|BenchmarkSweepSerial|BenchmarkSweepParallel
-
 TRACE_OUT ?= trace.ndjson
-TRACE_BASELINE ?= trace_baseline.ndjson
 MAX_REGRESS ?= 25
 
-.PHONY: test race bench bench-smoke trace-smoke trace-diff metrics-smoke daemon-smoke crash-smoke chaos
+# The one traced run trace-smoke and trace-diff both make.
+TRACED_RUN = go run ./cmd/tpiflow -circuit s38417c -scale 0.25 -tp 1
+TRACE_RERUN = $(TRACE_OUT:.ndjson=-rerun.ndjson)
+
+.PHONY: test race trace-smoke trace-diff metrics-smoke daemon-smoke crash-smoke chaos
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -14,30 +15,23 @@ test:
 race:
 	go test -race ./...
 
-bench:
-	go test -run xxx -bench '$(BENCH_PATTERN)' -benchtime=3x -benchmem .
-
-# bench-smoke is the CI gate: one iteration of the Table 1 benchmark,
-# race detector off, failing on any panic. -short keeps it under the CI
-# budget by skipping the slow circuits (DSPCore is ~85 s/op at default
-# scale); the full set stays behind `make bench`.
-bench-smoke:
-	go test -short -run xxx -bench BenchmarkTable1 -benchtime=1x -benchmem .
-
 # trace-smoke is the observability CI gate: one traced s38417 run at
 # reduced scale, then tracestat over the trace — which exits non-zero if
 # any span is unbalanced. $(TRACE_OUT) is left behind for archiving.
 trace-smoke:
-	go run ./cmd/tpiflow -circuit s38417c -scale 0.25 -tp 1 -trace $(TRACE_OUT) -progress
+	$(TRACED_RUN) -trace $(TRACE_OUT) -progress
 	go run ./cmd/tracestat $(TRACE_OUT)
 
-# trace-diff is the cross-run regression sentinel: the fresh trace is
-# compared stage-by-stage against the committed baseline. -normalize
-# compares each stage's share of its run (machine-speed invariant) and
-# -min-dur keeps sub-100ms stages out of the gate; exit 1 names the
-# regressed stage and TP level.
-trace-diff:
-	go run ./cmd/tracediff -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_BASELINE) $(TRACE_OUT)
+# trace-diff exercises the cross-run regression sentinel end to end: the
+# traced run is made a second time and tracediff compares the two fresh
+# traces of one seed on one host stage by stage, so no committed trace
+# has to be re-recorded when the flow changes (timing across commits is
+# `bash bench/run.sh`). -normalize compares each stage's share of its
+# run and -min-dur keeps sub-100ms stages out of the gate; exit 1 names
+# the regressed stage and TP level.
+trace-diff: trace-smoke
+	$(TRACED_RUN) -trace $(TRACE_RERUN)
+	go run ./cmd/tracediff -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_OUT) $(TRACE_RERUN)
 
 # metrics-smoke starts a sweep with a live /metrics listener, scrapes it
 # mid-run, and asserts the exposition carries the expected histogram

@@ -283,45 +283,6 @@ func BenchmarkAblationDynamicCompaction(b *testing.B) {
 	}
 }
 
-// benchSweepWorkers runs the full Table-1 sweep (ATPG included) at a
-// fixed worker count, so the Serial/Parallel pair below measures the
-// speedup of the two-tier concurrency (per-TP% layouts + fault shards).
-func benchSweepWorkers(b *testing.B, workers int) {
-	design, cfg := benchDesign(b, "s38417c")
-	b.ReportAllocs()
-	cfg.Workers = workers
-	for i := 0; i < b.N; i++ {
-		rows, err := Sweep(design, cfg, benchLevels)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[len(rows)-1].Patterns), "patterns_tp5")
-	}
-}
-
-func BenchmarkSweepSerial(b *testing.B)   { benchSweepWorkers(b, 1) }
-func BenchmarkSweepParallel(b *testing.B) { benchSweepWorkers(b, 0) }
-
-// benchFaultSimWorkers isolates the fault-simulation sharding: a single
-// layout (no sweep-level fan-out) with the ATPG fault list split across
-// the given number of FaultSim shards.
-func benchFaultSimWorkers(b *testing.B, workers int) {
-	design, cfg := benchDesign(b, "s38417c")
-	b.ReportAllocs()
-	cfg.TPPercent = 1
-	cfg.ATPG.Workers = workers
-	for i := 0; i < b.N; i++ {
-		res, err := Run(design, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Metrics.Patterns), "patterns")
-	}
-}
-
-func BenchmarkFaultSimSerial(b *testing.B)   { benchFaultSimWorkers(b, 1) }
-func BenchmarkFaultSimParallel(b *testing.B) { benchFaultSimWorkers(b, 0) }
-
 // BenchmarkAblationTimingOpt runs the Section 5 timing-optimization
 // design iterations: speed recovered after TPI, paid for with core area.
 func BenchmarkAblationTimingOpt(b *testing.B) {

@@ -6,19 +6,18 @@
 // change).
 //
 // It is the repo's cross-run regression sentinel: the exit status is 1
-// when any stage regressed beyond -max-regress percent, so CI can diff
-// a fresh trace-smoke artifact against the committed baseline and fail
-// the build on a real slowdown. The same align/compare core
-// (internal/tracecmp) runs inside tpid, diffing every retired run
-// against its archived baseline.
+// when any stage regressed beyond -max-regress percent; CI diffs two
+// fresh traces of one run (make trace-diff) to keep it exercised. The
+// same align/compare core (internal/tracecmp) runs inside tpid, diffing
+// every retired run against its archived baseline.
 //
 // Usage:
 //
 //	tracediff [flags] baseline current
 //
 //	tpiflow -circuit s38417c -trace new.ndjson
-//	tracediff -max-regress 25 -min-dur 100ms trace_baseline.ndjson new.ndjson
-//	curl -s tpid:8080/v1/runs/r42/trace | tracediff trace_baseline.ndjson -
+//	tracediff -max-regress 25 -min-dur 100ms old.ndjson new.ndjson
+//	curl -s tpid:8080/v1/runs/r42/trace | tracediff old.ndjson -
 //
 // Wall-clock comparisons across machines are noisy; -normalize compares
 // each stage's share of its run's total time instead of absolute

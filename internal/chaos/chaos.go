@@ -3,9 +3,9 @@
 // An Injector is seeded and configured with a plan: named injection
 // points, each with a firing probability and an optional limit on how
 // many times it fires. Code under test consults the injector at its
-// points (directly via Should/Fail, or through adapters like StageHook
-// and the journal hook); the injector decides pseudo-randomly but
-// REPRODUCIBLY whether to inject the fault.
+// points (directly via Should/Fail, or through the JournalHook adapter);
+// the injector decides pseudo-randomly but REPRODUCIBLY whether to
+// inject the fault.
 //
 // Determinism under concurrency: the decision for the nth occurrence of
 // a point is a pure hash of (seed, point, n). Goroutine interleaving
@@ -70,13 +70,6 @@ func (in *Injector) Arm(point string, plan Plan) *Injector {
 	return in
 }
 
-// Disarm removes point from the plan; its counters are preserved.
-func (in *Injector) Disarm(point string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.plans, point)
-}
-
 // Should records one occurrence of point and reports whether it fires.
 func (in *Injector) Should(point string) bool {
 	fired, _ := in.observe(point)
@@ -135,32 +128,6 @@ func (in *Injector) Fired(point string) int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.fired[point]
-}
-
-// TotalFired sums fired occurrences across all points.
-func (in *Injector) TotalFired() int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var t int64
-	for _, n := range in.fired {
-		t += n
-	}
-	return t
-}
-
-// StageHook adapts the injector to flow.Config.StageHook: when the
-// point "panic.<stage>" fires, the hook panics — exercising the flow's
-// panic isolation exactly as a real stage bug would.
-func (in *Injector) StageHook() func(stage string, tpPercent float64) {
-	return func(stage string, tpPercent float64) {
-		point := "panic." + stage
-		if in.Should(point) {
-			panic(&Fault{Point: point, N: in.Fired(point)})
-		}
-	}
 }
 
 // JournalHook adapts the injector to journal.Options.Hook shape: the

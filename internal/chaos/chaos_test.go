@@ -129,45 +129,9 @@ func TestUnarmedAndNil(t *testing.T) {
 		t.Fatalf("Seen = %d, want 2 (observed even when unarmed)", in.Seen("ghost"))
 	}
 	var nilIn *Injector
-	if nilIn.Should("x") || nilIn.Fail("x") != nil || nilIn.Seen("x") != 0 || nilIn.TotalFired() != 0 {
+	if nilIn.Should("x") || nilIn.Fail("x") != nil || nilIn.Seen("x") != 0 {
 		t.Fatal("nil injector misbehaved")
 	}
-}
-
-// TestDisarm: disarmed points stop firing; counters survive.
-func TestDisarm(t *testing.T) {
-	in := New(5).Arm("p", Plan{Probability: 1})
-	in.Should("p")
-	in.Disarm("p")
-	if in.Should("p") {
-		t.Fatal("disarmed point fired")
-	}
-	if in.Fired("p") != 1 || in.Seen("p") != 2 {
-		t.Fatalf("counters after disarm: fired=%d seen=%d", in.Fired("p"), in.Seen("p"))
-	}
-}
-
-// TestStageHookPanics: the flow adapter panics with a *Fault when its
-// point fires, and stays silent otherwise.
-func TestStageHookPanics(t *testing.T) {
-	in := New(9).Arm("panic.atpg", Plan{Probability: 1, Limit: 1})
-	hook := in.StageHook()
-
-	hook("place", 2.0) // unarmed stage: no panic
-
-	panicked := func() (p any) {
-		defer func() { p = recover() }()
-		hook("atpg", 2.0)
-		return nil
-	}()
-	if panicked == nil {
-		t.Fatal("armed stage hook did not panic")
-	}
-	if _, ok := panicked.(*Fault); !ok {
-		t.Fatalf("panic value = %T, want *Fault", panicked)
-	}
-	// Limit reached: subsequent calls pass.
-	hook("atpg", 5.0)
 }
 
 // TestJournalHook: op names map to journal.<op> points.
@@ -184,8 +148,5 @@ func TestJournalHook(t *testing.T) {
 	}
 	if err := hook("fsync"); err != nil {
 		t.Fatalf("limit not honored: %v", err)
-	}
-	if in.TotalFired() != 1 {
-		t.Fatalf("TotalFired = %d, want 1", in.TotalFired())
 	}
 }

@@ -7,8 +7,8 @@
 //  5. Layout extraction             (extract)
 //  6. Static timing analysis        (sta)
 //
-// One Run produces one layout plus every number the paper's Tables 1–3
-// report for it.
+// One RunContext produces one layout plus every number the paper's
+// Tables 1–3 report for it; SweepLevels (sweep.go) runs one per TP level.
 //
 // Execution is supervised: RunContext honors context cancellation with
 // checkpoints inside every long stage, every failure is reported as a
@@ -47,11 +47,12 @@ type Config struct {
 	// ExcludeNets blocks nets from TPI (critical-path exclusion).
 	ExcludeNets map[netlist.NetID]bool
 
-	// Workers bounds the concurrency of the flow: Sweep fans one layout
-	// per worker, and Run forwards the value to the fault simulator's
-	// shard count (unless ATPG.Workers overrides it). 0 means GOMAXPROCS,
-	// 1 forces fully serial execution. Results are bit-identical for
-	// every value — parallelism only changes wall-clock time.
+	// Workers bounds the concurrency of the flow: SweepLevels fans one
+	// layout per worker, and each run forwards the value to the fault
+	// simulator's shard count (unless ATPG.Workers overrides it). 0 means
+	// GOMAXPROCS, 1 forces fully serial execution. Results are
+	// bit-identical for every value — parallelism only changes
+	// wall-clock time.
 	Workers int
 
 	// Deadline bounds the ATPG effort of the run (forwarded to
@@ -80,11 +81,9 @@ type Config struct {
 	// Telemetry costs one nil check per instrumentation site.
 	Telemetry *telemetry.Tracer
 
-	// TelemetrySpan, when non-nil, nests the run's spans under an
-	// existing span instead of opening a new root — the sweep engine
-	// parents each level's run span under its sweep-root span. It wins
-	// over Telemetry.
-	TelemetrySpan *telemetry.Span
+	// parent, when non-nil, is the span the run's span opens under
+	// instead of a new root: SweepLevels sets it to its sweep span.
+	parent *telemetry.Span
 
 	Scan  scan.Options
 	Place place.Options
@@ -132,8 +131,7 @@ type Result struct {
 	Truncated bool
 
 	// Telemetry is the run's finished span tree (stage durations,
-	// counters, gauges), nil unless Config.Telemetry or TelemetrySpan
-	// was set.
+	// counters, gauges), nil unless Config.Telemetry was set.
 	Telemetry *telemetry.Snapshot
 
 	Metrics Metrics
@@ -204,14 +202,14 @@ func RunContext(ctx context.Context, design *netlist.Netlist, cfg Config) (*Resu
 	if verr := cfg.Validate(); verr != nil {
 		return nil, newStageError(StageConfig, cfg.TPPercent, verr)
 	}
-	return RunInPlace(ctx, design.Clone(), cfg)
+	return runInPlace(ctx, design.Clone(), cfg)
 }
 
-// RunInPlace is RunContext without the defensive clone: the flow edits
+// runInPlace is RunContext without the defensive clone: the flow edits
 // design directly and Result.Netlist is design itself. Callers that
 // already hold a private copy (the sweep engine clones once per level
 // from a prewarmed base circuit) use this to avoid the double clone.
-func RunInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *Result, err error) {
+func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *Result, err error) {
 	if verr := cfg.Validate(); verr != nil {
 		return nil, newStageError(StageConfig, cfg.TPPercent, verr)
 	}
@@ -446,12 +444,12 @@ func RunInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 	return res, nil
 }
 
-// runSpan opens the span that wraps one whole run: a child of
-// TelemetrySpan when the caller (the sweep engine) provides a parent, a
-// root span from Telemetry otherwise, nil when telemetry is off.
+// runSpan opens the span that wraps one whole run: a child of the sweep
+// span inside a sweep, a root span from Telemetry otherwise, nil when
+// telemetry is off.
 func (c *Config) runSpan() *telemetry.Span {
-	if c.TelemetrySpan != nil {
-		return c.TelemetrySpan.ChildTP(StageRun, c.TPPercent)
+	if c.parent != nil {
+		return c.parent.ChildTP(StageRun, c.TPPercent)
 	}
 	return c.Telemetry.StartSpan(StageRun, c.TPPercent)
 }

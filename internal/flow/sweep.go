@@ -12,7 +12,6 @@ import (
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/scan"
 	"tpilayout/internal/supervise"
-	"tpilayout/internal/telemetry"
 )
 
 // runLabels builds the pprof label set attributing profile samples to
@@ -88,25 +87,27 @@ func SweepContext(ctx context.Context, design *netlist.Netlist, cfg Config, tpPe
 // (CSR adjacency, fanout view, levelization), so per-level clones share
 // the warmed cache pointers instead of each rebuilding them — and no
 // two workers ever race on a lazy build, because the returned base is
-// immutable once prewarmed. It is the per-sweep setup step RunLevel
-// expects, split out so a resuming caller (the service's checkpoint
-// driver) can prewarm once and run individual levels à la carte.
+// immutable once prewarmed. SweepLevels calls it once per sweep and
+// hands the result to every level.
 func PrewarmBase(design *netlist.Netlist) *netlist.Netlist {
 	base := design.Clone()
 	base.Prewarm()
 	return base
 }
 
+// LevelFunc runs one level of a sweep: the flow at pct% test points on
+// the prewarmed base, with cfg as SweepLevels prepared it for the level.
+// RunLevel is the LevelFunc of a plain sweep; a caller that wraps it
+// (the service retries and checkpoints around it) must hand it the cfg
+// it was given, which is what ties the level's run span to the sweep.
+type LevelFunc func(ctx context.Context, base *netlist.Netlist, cfg Config, pct float64) LevelResult
+
 // RunLevel runs exactly one sweep level — the full Figure 2 flow at
 // pct% test points on a fresh clone of the prewarmed base — and returns
-// its LevelResult. It never panics: the worker-level recover that
-// SweepPartial installs lives here, so a crashing level (inside a stage
-// or outside, Clone included) degrades to LevelResult.Err, normally a
-// *StageError wrapping a supervise.PanicError. cfg.TPPercent is
-// overwritten with pct; cfg.TelemetrySpan (when non-nil) parents the
-// level's run span, letting a resumed level join an existing sweep
-// trace. This is the level-granular entry point checkpoint/resume and
-// per-level retry are built on.
+// its LevelResult. It never panics: the worker-level recover of a sweep
+// lives here, so a crashing level (inside a stage or outside, Clone
+// included) degrades to LevelResult.Err, normally a *StageError wrapping
+// a supervise.PanicError. cfg.TPPercent is overwritten with pct.
 func RunLevel(ctx context.Context, base *netlist.Netlist, cfg Config, pct float64) (out LevelResult) {
 	out.TPPercent = pct
 	defer func() {
@@ -123,7 +124,7 @@ func RunLevel(ctx context.Context, base *netlist.Netlist, cfg Config, pct float6
 	var r *Result
 	var err error
 	pprof.Do(ctx, runLabels(c, pct), func(ctx context.Context) {
-		r, err = RunInPlace(ctx, base.Clone(), c)
+		r, err = runInPlace(ctx, base.Clone(), c)
 	})
 	if err != nil {
 		out.Err = err
@@ -141,30 +142,27 @@ func RunLevel(ctx context.Context, base *netlist.Netlist, cfg Config, pct float6
 // LevelResult.Err fields. Each worker is panic-isolated: one crashing
 // level can neither kill the process nor poison its siblings.
 func SweepPartial(ctx context.Context, design *netlist.Netlist, cfg Config, tpPercents []float64) ([]LevelResult, error) {
+	return SweepLevels(ctx, design, cfg, tpPercents, RunLevel)
+}
+
+// SweepLevels is the sweep engine: it validates cfg, opens the sweep
+// span, prewarms design once, and calls level for every TP percentage on
+// up to cfg.Workers goroutines (GOMAXPROCS when 0), returning the
+// results in input order. What happens around one level — nothing for a
+// CLI sweep (RunLevel), retry and checkpointing for the service — is
+// level's business; the error is non-nil only for an invalid Config.
+func SweepLevels(ctx context.Context, design *netlist.Netlist, cfg Config, tpPercents []float64, level LevelFunc) ([]LevelResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	out := make([]LevelResult, len(tpPercents))
-	for i, pct := range tpPercents {
-		out[i].TPPercent = pct
-	}
 	// One sweep-root span parents every level's run span, so a trace of
 	// a parallel sweep still reads as one tree: sweep → run(tp) →
 	// stages. The -1 level marks the root as a cross-level aggregate.
-	var sweepSpan *telemetry.Span
-	if cfg.TelemetrySpan != nil {
-		sweepSpan = cfg.TelemetrySpan.ChildTP(StageSweep, -1)
-	} else {
-		sweepSpan = cfg.Telemetry.StartSpan(StageSweep, -1)
-	}
+	sweepSpan := cfg.Telemetry.StartSpan(StageSweep, -1)
 	defer sweepSpan.End()
+	cfg.parent = sweepSpan
 	base := PrewarmBase(design)
-
-	runLevel := func(i int) {
-		c := cfg
-		c.TelemetrySpan = sweepSpan
-		out[i] = RunLevel(ctx, base, c, tpPercents[i])
-	}
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -174,8 +172,8 @@ func SweepPartial(ctx context.Context, design *netlist.Netlist, cfg Config, tpPe
 		workers = len(tpPercents)
 	}
 	if workers <= 1 {
-		for i := range tpPercents {
-			runLevel(i)
+		for i, pct := range tpPercents {
+			out[i] = level(ctx, base, cfg, pct)
 		}
 		return out, nil
 	}
@@ -190,7 +188,7 @@ func SweepPartial(ctx context.Context, design *netlist.Netlist, cfg Config, tpPe
 				if i >= len(tpPercents) {
 					return
 				}
-				runLevel(i)
+				out[i] = level(ctx, base, cfg, tpPercents[i])
 			}
 		}()
 	}

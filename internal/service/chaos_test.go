@@ -168,8 +168,11 @@ func chaosScenario(t *testing.T, seed int64) {
 			t.Errorf("seed %d: job %s spent %d retries, budget %d", seed, id, st.Retries, chaosJobBudget)
 		}
 	}
-	journalFaults := faultsBeforeRestart || s2.Stats().JournalErrors > 0
+	// Read the fault count after the drain: a job turns terminal before
+	// its retired record is appended, so that append can still be faulted
+	// once waitTerminal has returned.
 	shutdown(t, s2)
+	journalFaults := faultsBeforeRestart || s2.Stats().JournalErrors > 0
 
 	// Invariants 1, 4, 5 over the journal itself.
 	checkJournalInvariants(t, dir, seed, journalFaults)

@@ -150,8 +150,23 @@ func TestKillResumesOnlyMissingLevels(t *testing.T) {
 // resubmission runs only the levels no earlier sweep completed.
 func TestResubmitSharesCheckpoints(t *testing.T) {
 	rec := &levelRecorder{}
-	s := openDurable(t, t.TempDir(), Options{Workers: 1}, func(s *Server) {
-		s.runLevel = rec.hook
+	// Every span_start any run emits, to count sweeps per run below.
+	var spanMu sync.Mutex
+	var spans []telemetry.Event
+	sink := telemetry.FuncSink(func(e telemetry.Event) {
+		if e.Type == telemetry.EventSpanStart {
+			spanMu.Lock()
+			spans = append(spans, e)
+			spanMu.Unlock()
+		}
+	})
+	s := openDurable(t, t.TempDir(), Options{Workers: 1, ExtraSinks: []telemetry.Sink{sink}}, func(s *Server) {
+		// Record the level, then run the real flow, so levels open run spans.
+		real := s.runLevel
+		s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
+			rec.hook(rn, base, cfg, pct)
+			return real(rn, base, cfg, pct)
+		}
 	})
 	defer shutdown(t, s)
 
@@ -170,6 +185,40 @@ func TestResubmitSharesCheckpoints(t *testing.T) {
 	}
 	if ran := rec.executed(); !reflect.DeepEqual(ran, []float64{0, 1, 5}) {
 		t.Fatalf("executed levels %v, want [0 1 5] (level 1 exactly once)", ran)
+	}
+
+	// The run's span tree is the engine's: a run resuming 3 of 6 levels
+	// opens one sweep with one run child per executed level, and a run
+	// answered wholly from checkpoints opens none.
+	sweepOf := func(runID string) (sweeps, runs int) {
+		spanMu.Lock()
+		defer spanMu.Unlock()
+		var sweepID int64
+		for _, e := range spans {
+			if e.Attrs["run_id"] == runID && e.Stage == flow.StageSweep {
+				sweeps, sweepID = sweeps+1, e.ID
+			}
+		}
+		for _, e := range spans {
+			if e.Attrs["run_id"] == runID && e.Stage == flow.StageRun && e.Parent == sweepID {
+				runs++
+			}
+		}
+		return sweeps, runs
+	}
+	_, st3 := postJob(t, s, jobBody(t, "acme", 0, 1, 2, 3, 4, 5))
+	if got := waitState(t, s, st3.ID, StateDone); got.ResumedLevels != 3 {
+		t.Fatalf("six-level sweep resumed_levels = %d, want 3", got.ResumedLevels)
+	}
+	if sweeps, runs := sweepOf(st3.RunID); sweeps != 1 || runs != 3 {
+		t.Fatalf("run resuming 3 of 6 levels: %d sweep spans with %d run children, want 1 with 3", sweeps, runs)
+	}
+	_, st4 := postJob(t, s, jobBody(t, "acme", 5, 0))
+	if got := waitState(t, s, st4.ID, StateDone); got.ResumedLevels != 2 || got.CacheHit {
+		t.Fatalf("checkpointed mix: resumed_levels %d cache_hit %v, want 2 from a fresh run", got.ResumedLevels, got.CacheHit)
+	}
+	if sweeps, _ := sweepOf(st4.RunID); sweeps != 0 {
+		t.Fatalf("fully checkpointed run opened %d sweep spans, want none", sweeps)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tpilayout/internal/flow"
 	"tpilayout/internal/journal"
 	"tpilayout/internal/telemetry"
 	"tpilayout/internal/trachive"
@@ -210,8 +211,19 @@ func TestHistoryArchiveAndQueryAPI(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// atPlaceStart returns a sink that calls f when a place span opens. A
+// sink runs on the flow's goroutine between the span's start stamp and
+// the stage's first instruction, so what f spends is inside the span.
+func atPlaceStart(f func()) telemetry.Sink {
+	return telemetry.FuncSink(func(e telemetry.Event) {
+		if e.Type == telemetry.EventSpanStart && e.Stage == flow.StagePlace {
+			f()
+		}
+	})
+}
+
 // sentinelOpts builds the server options the sentinel tests share: a
-// stage hook that sleeps inside the place stage (delay in nanoseconds,
+// sink that sleeps as the place stage opens (delay in nanoseconds,
 // swapped atomically between runs) and a floor that only the delayed
 // stage clears, so scheduler jitter on the microsecond stages can
 // never gate.
@@ -220,11 +232,7 @@ func sentinelOpts(delay *atomic.Int64, prom *telemetry.PromSink) Options {
 		Workers:        1,
 		Metrics:        prom,
 		SentinelMinDur: 10 * time.Millisecond,
-		stageHook: func(stage string, _ float64) {
-			if stage == "place" {
-				time.Sleep(time.Duration(delay.Load()))
-			}
-		},
+		ExtraSinks:     []telemetry.Sink{atPlaceStart(func() { time.Sleep(time.Duration(delay.Load())) })},
 	}
 }
 
@@ -431,15 +439,12 @@ func TestRunProfileCapture(t *testing.T) {
 	opt := Options{
 		Workers:     1,
 		ProfileRuns: true,
-		// Burn real CPU inside one stage so the 100 Hz profiler is
+		// Burn real CPU inside one run so the 100 Hz profiler is
 		// guaranteed samples that carry the run's pprof labels.
-		stageHook: func(stage string, _ float64) {
-			if stage != "place" {
-				return
-			}
+		ExtraSinks: []telemetry.Sink{atPlaceStart(func() {
 			for start := time.Now(); time.Since(start) < 400*time.Millisecond; {
 			}
-		},
+		})},
 	}
 	s := openDurable(t, t.TempDir(), opt, nil)
 	defer shutdown(t, s)

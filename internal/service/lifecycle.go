@@ -20,14 +20,12 @@ package service
 import (
 	"context"
 	"errors"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tpilayout/internal/flow"
 	"tpilayout/internal/journal"
+	"tpilayout/internal/netlist"
 	"tpilayout/internal/telemetry"
 )
 
@@ -300,9 +298,6 @@ func (s *Server) sweepRun(rn *run) (*JobResult, error) {
 		cfg.Workers = s.opt.FlowWorkers
 	}
 	cfg.Deadline = atpgDeadline(rn.budgetMS, time.Now())
-	if s.opt.stageHook != nil {
-		cfg.StageHook = s.opt.stageHook
-	}
 
 	start := time.Now()
 	levels, err := s.runLevels(rn, cfg)
@@ -339,20 +334,18 @@ func (s *Server) sweepRun(rn *run) (*JobResult, error) {
 	return res, nil
 }
 
-// runLevels is the resumable, retrying replacement for a monolithic
-// SweepPartial call: levels with a durable checkpoint are answered from
-// the store without running a flow, the rest execute on a bounded
-// worker pool with per-level retry (transient failures only) under the
-// run's retry budget, and every freshly completed level is checkpointed
-// the moment it finishes — so a crash loses at most the levels still in
-// flight. The stitched result is bit-identical to an uninterrupted
-// sweep because checkpointed Metrics round-trip exactly through JSON.
+// runLevels is the resumable, retrying sweep: levels with a durable
+// checkpoint are answered from the store without running a flow, the
+// rest go to flow.SweepLevels with per-level retry (transient failures
+// only) under the run's retry budget, and every freshly completed level
+// is checkpointed the moment it finishes — so a crash loses at most the
+// levels still in flight. The stitched result is bit-identical to an
+// uninterrupted sweep because checkpointed Metrics round-trip exactly
+// through JSON.
 func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	out := make([]flow.LevelResult, len(rn.levels))
 	var missing []int
+	var missingPct []float64
 	s.mu.Lock()
 	for i, pct := range rn.levels {
 		out[i].TPPercent = pct
@@ -365,6 +358,7 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 			}
 		}
 		missing = append(missing, i)
+		missingPct = append(missingPct, pct)
 	}
 	s.mu.Unlock()
 	if resumed := int64(len(rn.levels) - len(missing)); resumed > 0 {
@@ -373,95 +367,63 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 		s.emitRunMetric(rn, map[string]int64{"service.levels_resumed": resumed}, nil, nil)
 		rn.log.Info("levels resumed from checkpoints", "resumed", resumed, "missing", len(missing))
 	}
+	// A fully checkpointed run executes nothing, so it opens no sweep.
 	if len(missing) == 0 {
 		return out, nil
 	}
-
-	var sweepSpan *telemetry.Span
-	if cfg.TelemetrySpan != nil {
-		sweepSpan = cfg.TelemetrySpan.ChildTP(flow.StageSweep, -1)
-	} else {
-		sweepSpan = cfg.Telemetry.StartSpan(flow.StageSweep, -1)
+	ran, err := flow.SweepLevels(rn.ctx, rn.designN, cfg, missingPct,
+		func(_ context.Context, base *netlist.Netlist, lcfg flow.Config, pct float64) flow.LevelResult {
+			return s.attemptLevel(rn, base, lcfg, pct)
+		})
+	if err != nil {
+		return nil, err
 	}
-	defer sweepSpan.End()
-	base := flow.PrewarmBase(rn.designN)
-
-	// attemptLevel runs one level under the retry policy and checkpoints
-	// it on success.
-	attemptLevel := func(i int) {
-		pct := rn.levels[i]
-		lcfg := cfg
-		lcfg.TelemetrySpan = sweepSpan
-		for attempt := 1; ; attempt++ {
-			lr := s.runLevel(rn, base, lcfg, pct)
-			s.levelsRun.Add(1)
-			s.emitRunMetric(rn, map[string]int64{"service.levels_run": 1}, nil, nil)
-			out[i] = lr
-			if lr.Err == nil {
-				rn.log.Debug("level done", "tp_percent", pct, "attempt", attempt,
-					"truncated", lr.Metrics.Truncated)
-				if rn.cacheable && !lr.Metrics.Truncated {
-					s.checkpoint(&recLevelDone{
-						Key: levelKey(rn.baseKey, pct), TPPercent: pct, Metrics: lr.Metrics,
-						RunID: rn.id, JobID: rn.primary,
-					})
-				}
-				return
-			}
-			// Permanent failures, cancellations, exhausted attempts, and
-			// an exhausted per-job budget all surface the error as-is.
-			if rn.ctx.Err() != nil || !transientError(lr.Err) || attempt >= s.opt.Retry.MaxAttempts {
-				rn.log.Warn("level failed", "tp_percent", pct, "attempt", attempt, "error", lr.Err)
-				return
-			}
-			if rn.retryBudget.Add(-1) < 0 {
-				rn.log.Warn("level failed, retry budget exhausted", "tp_percent", pct,
-					"attempt", attempt, "error", lr.Err)
-				return
-			}
-			backoff := s.opt.Retry.backoff(attempt)
-			rn.retries.Add(1)
-			s.retries.Add(1)
-			s.emitRunMetric(rn, map[string]int64{"service.retries": 1}, nil, nil)
-			rn.log.Warn("level retrying after transient failure", "tp_percent", pct,
-				"attempt", attempt, "backoff_ms", backoff.Milliseconds(), "error", lr.Err)
-			// Context-aware backoff: a DELETE that cancels the run aborts
-			// this sleep immediately and frees the worker.
-			if !sleepCtx(rn.ctx, backoff) {
-				return
-			}
-		}
+	for k, i := range missing {
+		out[i] = ran[k]
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	if workers <= 1 {
-		for _, i := range missing {
-			attemptLevel(i)
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(missing) {
-					return
-				}
-				attemptLevel(missing[k])
-			}
-		}()
-	}
-	wg.Wait()
 	return out, nil
+}
+
+// attemptLevel runs one level under the retry policy and checkpoints it
+// on success. Permanent failures, cancellations, exhausted attempts and
+// an exhausted per-job budget all surface the level's error as-is.
+func (s *Server) attemptLevel(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
+	for attempt := 1; ; attempt++ {
+		lr := s.runLevel(rn, base, cfg, pct)
+		s.levelsRun.Add(1)
+		s.emitRunMetric(rn, map[string]int64{"service.levels_run": 1}, nil, nil)
+		if lr.Err == nil {
+			rn.log.Debug("level done", "tp_percent", pct, "attempt", attempt,
+				"truncated", lr.Metrics.Truncated)
+			if rn.cacheable && !lr.Metrics.Truncated {
+				s.checkpoint(&recLevelDone{
+					Key: levelKey(rn.baseKey, pct), TPPercent: pct, Metrics: lr.Metrics,
+					RunID: rn.id, JobID: rn.primary,
+				})
+			}
+			return lr
+		}
+		if rn.ctx.Err() != nil || !transientError(lr.Err) || attempt >= s.opt.Retry.MaxAttempts {
+			rn.log.Warn("level failed", "tp_percent", pct, "attempt", attempt, "error", lr.Err)
+			return lr
+		}
+		if rn.retryBudget.Add(-1) < 0 {
+			rn.log.Warn("level failed, retry budget exhausted", "tp_percent", pct,
+				"attempt", attempt, "error", lr.Err)
+			return lr
+		}
+		backoff := s.opt.Retry.backoff(attempt)
+		rn.retries.Add(1)
+		s.retries.Add(1)
+		s.emitRunMetric(rn, map[string]int64{"service.retries": 1}, nil, nil)
+		rn.log.Warn("level retrying after transient failure", "tp_percent", pct,
+			"attempt", attempt, "backoff_ms", backoff.Milliseconds(), "error", lr.Err)
+		// Context-aware backoff: a DELETE that cancels the run aborts
+		// this sleep immediately and frees the worker.
+		if !sleepCtx(rn.ctx, backoff) {
+			return lr
+		}
+	}
 }
 
 // checkpoint is the level-done transition: one freshly completed level

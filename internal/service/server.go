@@ -273,7 +273,6 @@ type Options struct {
 	// Test hooks (same-package tests only).
 	journalNoSync bool                   // skip per-append fsync
 	journalHook   func(journal.Op) error // fault injection into the journal
-	stageHook     func(string, float64)  // fault injection into flow stages
 	replayGate    chan struct{}          // replay blocks until closed (readyz tests)
 	compactHook   func()                 // runs between a compaction's state capture and its segment cut
 }
