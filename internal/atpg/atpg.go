@@ -23,7 +23,8 @@ type Options struct {
 	// BacktrackLimit bounds PODEM search per fault (default 64).
 	BacktrackLimit int
 	// RetryFactor multiplies the backtrack limit for one retry pass over
-	// aborted faults (default 8; 0 disables the retry).
+	// aborted faults (0 means the default, 4; a negative value or 1
+	// disables the retry).
 	RetryFactor int
 	// FillSeed seeds the random fill of don't-care bits and the random
 	// pattern phase.
@@ -68,7 +69,11 @@ type Options struct {
 	// atpg.aborted_classes, atpg.untestable_classes), PODEM search
 	// effort (atpg.podem_targets, atpg.podem_backtracks), and
 	// fault-simulation sharding (atpg.sim_batches,
-	// atpg.sim_detect_calls, the atpg.shards / atpg.shard_util gauges).
+	// atpg.sim_detect_calls, the atpg.shards / atpg.shard_util gauges);
+	// and where the generation time went, as histograms: atpg.podem_ns
+	// per primary target, atpg.dyncomp_ns per cube's dynamic compaction,
+	// atpg.compact_ns per static pass (top-up coverage check, reverse
+	// compaction).
 	// Counters are flushed once at the end of the run, so the hot loops
 	// pay nothing; a nil span costs nothing at all.
 	Telemetry *telemetry.Span
@@ -166,14 +171,27 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	pool.noDom = opt.noDomShortcut
 	pool.instrument(opt.Telemetry)
 	defer pool.Release()
-	// Per-call PODEM latency and backtrack-depth distributions. The
-	// generation loop is single-goroutine, so both record into local
-	// shards (plain ints) and merge once at flush; with telemetry off the
-	// nil locals also skip the time.Now pair per target.
-	var lPodemNS, lPodemBT *telemetry.LocalHist
+	// Per-call PODEM latency and backtrack-depth distributions, and the
+	// time of the compaction phases around them. The generation loop is
+	// single-goroutine, so all record into local shards (plain ints) and
+	// merge once at flush; with telemetry off the nil locals also skip the
+	// time.Now pair per sample.
+	var lPodemNS, lPodemBT, lDyncompNS, lCompactNS *telemetry.LocalHist
 	if opt.Telemetry != nil {
 		lPodemNS = opt.Telemetry.Histogram("atpg.podem_ns").Local()
 		lPodemBT = opt.Telemetry.Histogram("atpg.podem_bt_depth").Local()
+		lDyncompNS = opt.Telemetry.Histogram("atpg.dyncomp_ns").Local()
+		lCompactNS = opt.Telemetry.Histogram("atpg.compact_ns").Local()
+	}
+	// timed runs fn and, with telemetry on, records how long it took.
+	timed := func(l *telemetry.LocalHist, fn func()) {
+		if l == nil {
+			fn()
+			return
+		}
+		t0 := time.Now()
+		fn()
+		l.ObserveDuration(time.Since(t0))
 	}
 
 	rng := rand.New(rand.NewSource(opt.FillSeed))
@@ -252,10 +270,10 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	randomGenerated := len(res.Patterns)
 
-	// abortSnaps holds the abort-point snapshot of each first-pass search
-	// that exhausted its backtrack budget, keyed by fault-class rep; the
-	// retry pass resumes those searches from where they stopped instead of
-	// re-deriving the first BacktrackLimit backtracks.
+	// abortSnaps holds the decision stack of each first-pass search that
+	// exhausted its backtrack budget, keyed by fault-class rep; the retry
+	// pass replays it and carries on from where the search stopped instead
+	// of re-deriving the first BacktrackLimit backtracks.
 	var abortSnaps map[int32]*abortSnap
 	const (
 		snapNone    = iota // pass unrelated to the abort/retry pair (top-up)
@@ -309,7 +327,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 					// mark now so a slow sim round cannot re-target it.
 					set.SetStatus(r, fault.Detected)
 					if !opt.NoDynamicCompaction {
-						compactInto(gen, set, reps, ri, opt.SecondaryLimit)
+						timed(lDyncompNS, func() { compactInto(gen, set, reps, ri, opt.SecondaryLimit) })
 						cube = gen.cube()
 					}
 					fillRandom(cube, rng)
@@ -358,7 +376,8 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// and dynamic compaction packs independent easy faults densely); the
 	// random patterns then survive compaction only as a last resort.
 	if randomGenerated > 0 && !expired() {
-		det := pool.coveredBy(res.Patterns[randomGenerated:], set, reps)
+		var det map[int32]bool
+		timed(lCompactNS, func() { det = pool.coveredBy(res.Patterns[randomGenerated:], set, reps) })
 		var fallback []int32
 		for _, r := range reps {
 			if set.Status(r) == fault.Detected && !det[r] {
@@ -394,7 +413,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	if !opt.NoCompact {
 		var kept []bool
-		res.Patterns, kept = compactReverse(pool, set, reps, res.Patterns)
+		timed(lCompactNS, func() { res.Patterns, kept = compactReverse(pool, set, reps, res.Patterns) })
 		for i, k := range kept {
 			if !k {
 				continue
@@ -424,6 +443,8 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	lPodemNS.Flush()
 	lPodemBT.Flush()
+	lDyncompNS.Flush()
+	lCompactNS.Flush()
 	flushTelemetry(opt.Telemetry, res, gen, pool, randomGenerated)
 	return res, nil
 }

@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"tpilayout/internal/circuitgen"
 	"tpilayout/internal/fault"
 	"tpilayout/internal/logicsim"
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/stdcell"
+	"tpilayout/internal/telemetry"
 )
 
 // randCircuit builds a deterministic random combinational circuit with
@@ -129,8 +131,11 @@ func bruteForceDetects(t testing.TB, n *netlist.Netlist, f fault.Fault) uint64 {
 
 // TestPodemAgainstBruteForce verifies, fault by fault, that PODEM's
 // verdict (testable/untestable) matches exhaustive simulation and that
-// every generated pattern actually detects its target.
+// every generated pattern actually detects its target: on combinational
+// circuits at the default limits, where every class must be resolved, and
+// (subtest scan) on scan circuits at a limit that makes searches abort.
 func TestPodemAgainstBruteForce(t *testing.T) {
+	t.Run("scan", testScanAgainstOracle)
 	for seed := int64(1); seed <= 8; seed++ {
 		n := randCircuit(t, seed, 5, 30)
 		set := fault.NewUniverse(n)
@@ -356,5 +361,74 @@ func TestSimPoolShardsMatchSerial(t *testing.T) {
 				t.Fatalf("round %d fault %d: pool word %#x != serial word %#x", round, r, got[i], want)
 			}
 		}
+	}
+}
+
+// tracedRun runs the generator with a telemetry span on it and returns the
+// span's finished record beside the result.
+func tracedRun(t *testing.T, n *netlist.Netlist, opt Options) (*Result, *fault.Set, *telemetry.Snapshot) {
+	t.Helper()
+	sp := telemetry.New().StartSpan("atpg", 0)
+	opt.Telemetry = sp
+	set := fault.NewUniverse(n)
+	res, err := Run(n, set, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	return res, set, sp.Snapshot()
+}
+
+// TestRetryFactorDefault pins what Options.RetryFactor's comment says: 0
+// means 4, and a negative value opens no retry pass.
+func TestRetryFactorDefault(t *testing.T) {
+	n, err := circuitgen.Generate(circuitgen.S38417Class().Scale(0.03), stdcell.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No random phase, so no top-up either: every PODEM target is a first-
+	// pass or a retry target.
+	run := func(factor int) (*Result, map[fault.Status]int, int64) {
+		res, set, snap := tracedRun(t, n, Options{BacktrackLimit: 8, RetryFactor: factor, RandomRounds: -1})
+		return res, set.Counts(), snap.Counter("atpg.podem_targets")
+	}
+	def, defCounts, defTargets := run(0)
+	four, fourCounts, fourTargets := run(4)
+	if !reflect.DeepEqual(def.Patterns, four.Patterns) || !reflect.DeepEqual(defCounts, fourCounts) || defTargets != fourTargets {
+		t.Errorf("RetryFactor 0 (%d patterns, %v, %d targets) != RetryFactor 4 (%d patterns, %v, %d targets)",
+			len(def.Patterns), defCounts, defTargets, len(four.Patterns), fourCounts, fourTargets)
+	}
+	none, _, noneTargets := run(-1)
+	if none.AbortedClasses == 0 {
+		t.Fatal("no class aborts at limit 8: the circuit cannot tell a retry from none")
+	}
+	if noneTargets > int64(none.FaultClasses) {
+		t.Errorf("RetryFactor -1 made %d PODEM targets of %d classes: some class was targeted twice", noneTargets, none.FaultClasses)
+	}
+	if defTargets <= noneTargets || defTargets > noneTargets+int64(none.AbortedClasses) {
+		t.Errorf("RetryFactor 0 made %d targets, want the %d of the first pass plus at most its %d aborted classes",
+			defTargets, noneTargets, none.AbortedClasses)
+	}
+	if def.AbortedClasses > none.AbortedClasses {
+		t.Errorf("the retry pass left more classes aborted (%d) than no retry (%d)", def.AbortedClasses, none.AbortedClasses)
+	}
+}
+
+// TestPhaseHistograms: with telemetry on, the stage span carries one
+// atpg.dyncomp_ns sample per compacted cube and one atpg.compact_ns sample
+// per static pass (top-up coverage check, reverse compaction), and the
+// three timed phases fit inside the span.
+func TestPhaseHistograms(t *testing.T) {
+	n := randCircuit(t, 42, 6, 60)
+	_, _, snap := tracedRun(t, n, Options{})
+	dyn, compact, podem := snap.Hist("atpg.dyncomp_ns"), snap.Hist("atpg.compact_ns"), snap.Hist("atpg.podem_ns")
+	if dyn.Count == 0 || dyn.Count > podem.Count {
+		t.Errorf("atpg.dyncomp_ns has %d samples for %d PODEM targets, want one per successful target", dyn.Count, podem.Count)
+	}
+	if compact.Count != 2 {
+		t.Errorf("atpg.compact_ns has %d samples, want 2 (coveredBy, compactReverse)", compact.Count)
+	}
+	if sum := time.Duration(dyn.Sum + compact.Sum + podem.Sum); sum > snap.Duration {
+		t.Errorf("timed phases add up to %v, more than the %v span around them", sum, snap.Duration)
 	}
 }

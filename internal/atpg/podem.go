@@ -20,6 +20,12 @@ const (
 // decisions are made only at sources (PIs and scan cells), objectives are
 // chosen from fault activation and the D-frontier, and backtracing is
 // guided by SCOAP controllability.
+//
+// The search state is a function of the fault and the decision stack
+// alone: the planes are the fixed point of the assignments, and objective
+// and backtrace read nothing else (the candidate list is only ever a
+// superset of the D-frontier, and ties between candidates are broken by a
+// total order). So going back is a restore, and a stack can be replayed.
 type podem struct {
 	v       *View
 	s       *sim5
@@ -36,10 +42,14 @@ type podem struct {
 	nBacktracks int64 // decision flips across generate and extend
 }
 
+// decision is one source assignment on the stack. mark and ncand are the
+// lengths of the simulator's trail and candidate list just before it was
+// assigned: undoing to them is the state the decision was made in.
 type decision struct {
-	src     netlist.NetID
-	val     uint8
-	flipped bool
+	src         netlist.NetID
+	val         uint8
+	flipped     bool
+	mark, ncand int32
 }
 
 func newPodem(v *View, ta *testability.Analysis, btLimit int) *podem {
@@ -55,14 +65,10 @@ func (p *podem) generate(f fault.Fault) ([]int8, genResult) {
 	return p.search(f, 0)
 }
 
-// abortSnap freezes a search at its abort point: the settled planes, the
-// D-frontier candidate list (whose order the objective's first-wins argmin
-// consumes), the decision stack — with the pending flip already applied to
-// the top entry but not yet assigned, exactly as generate leaves it — and
-// the backtrack count at the abort check.
+// abortSnap freezes a search at its abort point: the decision stack — with
+// the pending flip already applied to the top entry but not yet assigned,
+// exactly as search leaves it — and the backtrack count at the abort check.
 type abortSnap struct {
-	planes     []uint8
-	cand       []netlist.CellID
 	decisions  []decision
 	backtracks int
 }
@@ -71,29 +77,67 @@ type abortSnap struct {
 // generate returned genAborted.
 func (p *podem) snapshot() *abortSnap {
 	return &abortSnap{
-		planes:     append([]uint8(nil), p.s.P...),
-		cand:       append([]netlist.CellID(nil), p.s.cand...),
 		decisions:  append([]decision(nil), p.decisions...),
 		backtracks: p.btLimit + 1,
 	}
 }
 
 // resume continues an aborted search under the current (larger) backtrack
-// limit from its abort snapshot instead of re-deriving the whole prefix.
-// This is exact: PODEM is deterministic and the backtrack limit only gates
-// the abort check, so a from-scratch run at the larger limit would retrace
-// the identical decision sequence to the abort point, arrive at exactly
-// the snapshot state with the same pending flip, execute that flip (the
-// count now being under the limit), and carry on — which is precisely what
-// resume does directly.
+// limit by replaying its decision stack from the baseline. This is exact:
+// the backtrack limit only gates the abort check, so a from-scratch run at
+// the larger limit would retrace the identical decision sequence to the
+// abort point, execute the pending flip (the count now being under the
+// limit) and stand in the state these assignments produce — the last one
+// replayed being that flip.
 func (p *podem) resume(f fault.Fault, snap *abortSnap) ([]int8, genResult) {
-	p.s.restore(f, snap.planes, snap.cand)
+	p.s.setFault(f)
 	p.decisions = append(p.decisions[:0], snap.decisions...)
 	p.nTargets++
-	// Execute the flip the abort cut short.
-	d := &p.decisions[len(p.decisions)-1]
-	p.s.assign(d.src, d.val)
+	for i := range p.decisions {
+		p.assignAt(i)
+	}
 	return p.search(f, snap.backtracks)
+}
+
+// assignAt assigns decision i of the stack from the current state.
+func (p *podem) assignAt(i int) {
+	d := &p.decisions[i]
+	d.mark, d.ncand = int32(len(p.s.trail)), int32(len(p.s.cand))
+	p.s.assign(d.src, d.val)
+}
+
+// advance makes the next decision towards detecting f — objective,
+// backtrace, assign — and reports false when there is none to make.
+func (p *podem) advance(f fault.Fault) bool {
+	objNet, objVal, state := p.objective(f)
+	if state != objOK {
+		return false
+	}
+	src, val, ok := p.backtrace(objNet, objVal)
+	if !ok {
+		return false
+	}
+	p.decisions = append(p.decisions, decision{src: src, val: val})
+	p.assignAt(len(p.decisions) - 1)
+	return true
+}
+
+// backtrack undoes the decisions above floor down to the deepest one not
+// yet flipped, flips that one on the stack — the caller counts it and
+// either assigns it or gives up — and reports false when none is left.
+func (p *podem) backtrack(floor int) bool {
+	for len(p.decisions) > floor {
+		d := &p.decisions[len(p.decisions)-1]
+		p.s.undoTo(int(d.mark), int(d.ncand))
+		if !d.flipped {
+			d.flipped = true
+			d.val = 1 - d.val
+			p.nBacktracks++
+			return true
+		}
+		p.decisions = p.decisions[:len(p.decisions)-1]
+	}
+	return false
 }
 
 // search is the PODEM decision loop shared by generate and resume.
@@ -102,38 +146,16 @@ func (p *podem) search(f fault.Fault, backtracks int) ([]int8, genResult) {
 		if p.s.detected() {
 			return p.cube(), genSuccess
 		}
-		objNet, objVal, state := p.objective(f)
-		assigned := false
-		if state == objOK {
-			if src, val, ok := p.backtrace(objNet, objVal); ok {
-				p.decisions = append(p.decisions, decision{src: src, val: val})
-				p.s.assign(src, val)
-				assigned = true
-			}
-		}
-		if assigned {
+		if p.advance(f) {
 			continue
 		}
-		// Backtrack.
-		for {
-			if len(p.decisions) == 0 {
-				return nil, genUntestable
-			}
-			d := &p.decisions[len(p.decisions)-1]
-			if !d.flipped {
-				d.flipped = true
-				d.val = 1 - d.val
-				backtracks++
-				p.nBacktracks++
-				if backtracks > p.btLimit {
-					return nil, genAborted
-				}
-				p.s.assign(d.src, d.val)
-				break
-			}
-			p.s.assign(d.src, lX)
-			p.decisions = p.decisions[:len(p.decisions)-1]
+		if !p.backtrack(0) {
+			return nil, genUntestable
 		}
+		if backtracks++; backtracks > p.btLimit {
+			return nil, genAborted
+		}
+		p.assignAt(len(p.decisions) - 1)
 	}
 }
 
@@ -151,47 +173,26 @@ func (p *podem) extend(f fault.Fault, budget int) bool {
 		if p.s.detected() {
 			return true
 		}
-		objNet, objVal, state := p.objective(f)
-		assigned := false
-		if state == objOK {
-			if src, val, ok := p.backtrace(objNet, objVal); ok {
-				p.decisions = append(p.decisions, decision{src: src, val: val})
-				p.s.assign(src, val)
-				assigned = true
-			}
-		}
-		if assigned {
+		if p.advance(f) {
 			continue
 		}
-		for {
-			if len(p.decisions) == checkpoint {
-				return false // cannot serve f under the frozen cube
-			}
-			d := &p.decisions[len(p.decisions)-1]
-			if !d.flipped {
-				d.flipped = true
-				d.val = 1 - d.val
-				backtracks++
-				p.nBacktracks++
-				if backtracks > budget {
-					p.rollback(checkpoint)
-					return false
-				}
-				p.s.assign(d.src, d.val)
-				break
-			}
-			p.s.assign(d.src, lX)
-			p.decisions = p.decisions[:len(p.decisions)-1]
+		if !p.backtrack(checkpoint) {
+			return false // cannot serve f under the frozen cube
 		}
+		if backtracks++; backtracks > budget {
+			p.rollback(checkpoint)
+			return false
+		}
+		p.assignAt(len(p.decisions) - 1)
 	}
 }
 
-// rollback unassigns decisions above the checkpoint.
+// rollback undoes the decisions above the checkpoint.
 func (p *podem) rollback(checkpoint int) {
-	for len(p.decisions) > checkpoint {
-		d := p.decisions[len(p.decisions)-1]
-		p.s.assign(d.src, lX)
-		p.decisions = p.decisions[:len(p.decisions)-1]
+	if len(p.decisions) > checkpoint {
+		d := p.decisions[checkpoint]
+		p.s.undoTo(int(d.mark), int(d.ncand))
+		p.decisions = p.decisions[:checkpoint]
 	}
 }
 
@@ -219,7 +220,9 @@ const (
 
 // objective picks the next goal: activate the fault if it is not yet
 // activated, otherwise advance the D-frontier gate with the best
-// observability that still has an X-path to a sink.
+// observability that still has an X-path to a sink, ties going to the
+// lower level and then the lower cell — a total order, so the choice does
+// not depend on the order the candidate list happens to be in.
 func (p *podem) objective(f fault.Fault) (netlist.NetID, uint8, objState) {
 	want := uint8(1 - f.SA)
 	switch p.s.g(f.Net) {
@@ -230,13 +233,15 @@ func (p *podem) objective(f fault.Fault) (netlist.NetID, uint8, objState) {
 	}
 	// Activated: drive the frontier.
 	var best netlist.CellID = netlist.NoCell
-	bestCO := testability.Inf + 1
-	for _, ci := range p.s.frontier() {
+	var bestCO int32
+	p.s.newXpathEpoch()
+	for _, ci := range p.s.cand {
 		out := p.v.CellOut[ci]
-		if !p.s.xpathFrom(out) {
+		co := p.ta.CO[out]
+		if best != netlist.NoCell && (co > bestCO || co == bestCO && !p.before(ci, best)) {
 			continue
 		}
-		if co := p.ta.CO[out]; co < bestCO {
+		if p.s.onFrontier(ci) && p.s.xpath(out) {
 			bestCO = co
 			best = ci
 		}
@@ -245,6 +250,14 @@ func (p *podem) objective(f fault.Fault) (netlist.NetID, uint8, objState) {
 		return 0, 0, objFail
 	}
 	return p.propObjective(best)
+}
+
+// before orders two cells by (level, CellID).
+func (p *podem) before(a, b netlist.CellID) bool {
+	if la, lb := p.v.Level[a], p.v.Level[b]; la != lb {
+		return la < lb
+	}
+	return a < b
 }
 
 // propObjective returns the (net, value) needed to push the fault effect

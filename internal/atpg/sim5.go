@@ -34,21 +34,47 @@ type sim5 struct {
 	nq      int
 	minLvl  int
 
-	// D-frontier candidates (cells that recently had a D input and an X
-	// output). frontier() filters them.
+	// D-frontier candidates: cells evaluated with a D input and an X
+	// output since the planes were last reset. Forward simulation only
+	// binds values, so an entry that has left the frontier stays out of
+	// it until undoTo cuts the list back; onFrontier filters.
 	cand   []netlist.CellID
 	inCand []bool
 
 	// Baseline packed planes with all sources X (constants propagated).
 	baseline []uint8
 
-	// Scratch for X-path search.
+	// Undo trail: the previous planes of every net assign and run changed,
+	// oldest first. Going back to an earlier state is undoTo, never a
+	// simulation.
+	trail []undo
+
+	// Cone of influence of the installed fault: cells stamped coneEpoch,
+	// the highest stamp there is. The event queue skips cells stamped below
+	// coneFrom, which is coneEpoch while simulation is restricted to the
+	// cone and 0 otherwise; settle brings the skipped cells up to date in
+	// one sweep. drv is the combinational driver of each net (NoCell for
+	// sources), coneCells the marking worklist.
+	cone      []int32
+	coneEpoch int32
+	coneFrom  int32
+	coneCells []netlist.CellID
+	drv       []netlist.CellID
+
+	// X-path marks, shared by the queries of one epoch pair: xpEpoch
+	// stamps a net with no X-path to a sink, xpEpoch+1 one that has.
 	xpVisit []int32
 	xpEpoch int32
 
 	// Incremental count of sinks currently carrying a fault effect.
 	sinkD   int
 	dAtSink []bool
+}
+
+// undo is one trail entry: a net and the planes it held before a write.
+type undo struct {
+	net netlist.NetID
+	old uint8
 }
 
 // Composite five-valued views of a net.
@@ -67,9 +93,17 @@ func newSim5(v *View) *sim5 {
 		buckets: make([][]netlist.CellID, v.MaxLevel+2),
 		queued:  make([]bool, len(v.N.Cells)),
 		inCand:  make([]bool, len(v.N.Cells)),
+		cone:    make([]int32, len(v.N.Cells)),
+		drv:     make([]netlist.CellID, len(v.N.Nets)),
 		xpVisit: make([]int32, len(v.N.Nets)),
 		dAtSink: make([]bool, len(v.N.Nets)),
 		fCell:   netlist.NoCell,
+	}
+	for i := range s.drv {
+		s.drv[i] = netlist.NoCell
+		if d := v.N.Nets[i].Driver; d != netlist.NoCell && v.Comb(d) {
+			s.drv[i] = d
+		}
 	}
 	s.baseline = computeBaseline(v)
 	return s
@@ -91,10 +125,18 @@ func computeBaseline(v *View) []uint8 {
 			b[i] = pX
 		}
 	}
+	settleGood(v, b, nil, 0)
+	return b
+}
+
+// settleGood evaluates in topological order the good value of every
+// combinational cell not stamped ep in cone (of every one when cone is
+// nil) and mirrors it into the faulty plane.
+func settleGood(v *View, b []uint8, cone []int32, ep int32) {
 	var ins [16]uint8
 	for _, ci := range v.Order {
 		out := v.CellOut[ci]
-		if v.ConstVal[out] >= 0 {
+		if v.ConstVal[out] >= 0 || cone != nil && cone[ci] == ep {
 			continue
 		}
 		fanin := v.fanin(ci)
@@ -104,51 +146,95 @@ func computeBaseline(v *View) []uint8 {
 		g := eval3(v.CellKind[ci], ins[:len(fanin)])
 		b[out] = pk(g, g)
 	}
-	return b
 }
 
-// setFault installs fault f and resets both planes to the baseline.
+// setFault installs fault f, resets both planes to the baseline and
+// restricts simulation to the fault's cone of influence.
 func (s *sim5) setFault(f fault.Fault) {
 	s.installFault(f)
 	copy(s.P, s.baseline)
 	s.resetFrontier()
+	s.markCone()
 	s.inject()
 	s.run()
+	s.trail = s.trail[:0]
 }
 
-// restore reinstates a snapshotted search state for fault f: planes are
-// copied back, the D-frontier candidate list is restored in its recorded
-// order (inCand is its membership index by invariant), and the sink-effect
-// count is recomputed from the planes. The event queue is empty at every
-// snapshot point (each mutation drains it before control returns), so no
-// queue state is carried.
-func (s *sim5) restore(f fault.Fault, planes []uint8, cand []netlist.CellID) {
-	s.installFault(f)
-	copy(s.P, planes)
-	s.cand = append(s.cand[:0], cand...)
-	for i := range s.inCand {
-		s.inCand[i] = false
-	}
-	for _, ci := range cand {
-		s.inCand[ci] = true
-	}
-	s.sinkD = 0
-	for i := range s.dAtSink {
-		s.dAtSink[i] = false
-	}
-	for _, net := range s.v.Sinks {
-		if v := compT[s.P[net]]; v == cD || v == cDB {
-			s.dAtSink[net] = true
-			s.sinkD++
+// markCone stamps the cone of influence of the installed fault and turns
+// the restriction on: the fan-out cone of the fault site (the only cells a
+// fault effect, the D-frontier or an X-path can reach), closed under
+// fan-in (every cell that can set a value there), plus the fan-in of the
+// site itself (activation). The set is closed under fan-in, so the planes
+// inside it are exactly those of a full-circuit simulation, and every net
+// objective, backtrace and xpath read lies inside it.
+func (s *sim5) markCone() {
+	s.coneEpoch++
+	cells := s.coneCells[:0]
+	add := func(ci netlist.CellID) {
+		if ci != netlist.NoCell && s.cone[ci] != s.coneEpoch {
+			s.cone[ci] = s.coneEpoch
+			cells = append(cells, ci)
 		}
 	}
+	if s.fCell == netlist.NoCell {
+		for _, ci := range s.v.combLoads(s.fNet) {
+			add(ci)
+		}
+	} else if s.v.Comb(s.fCell) {
+		add(s.fCell)
+	}
+	for i := 0; i < len(cells); i++ {
+		for _, ci := range s.v.combLoads(s.v.CellOut[cells[i]]) {
+			add(ci)
+		}
+	}
+	add(s.drv[s.fNet])
+	for i := 0; i < len(cells); i++ {
+		for _, net := range s.v.fanin(cells[i]) {
+			add(s.drv[net])
+		}
+	}
+	s.coneCells = cells
+	s.coneFrom = s.coneEpoch
+}
+
+// settle lifts the cone restriction and brings the cells the event queue
+// skipped under it up to date, so the good plane is that of a full-circuit
+// simulation of the current assignments. The faulty plane of those cells
+// mirrors the good one: none of them is in the fault's fan-out cone.
+func (s *sim5) settle() {
+	if s.coneFrom != 0 {
+		s.coneFrom = 0
+		settleGood(s.v, s.P, s.cone, s.coneEpoch)
+	}
+}
+
+// undoTo takes the planes, the sink-effect count and the candidate list
+// back to the state in which the trail held mark entries and the
+// candidate list ncand.
+func (s *sim5) undoTo(mark, ncand int) {
+	for i := len(s.trail) - 1; i >= mark; i-- {
+		e := s.trail[i]
+		s.P[e.net] = e.old
+		s.updateSink(e.net)
+	}
+	s.trail = s.trail[:mark]
+	for _, ci := range s.cand[ncand:] {
+		s.inCand[ci] = false
+	}
+	s.cand = s.cand[:ncand]
 }
 
 // retarget swaps the injected fault while keeping the current source
 // assignments (and thus the good plane): the faulty plane is rebuilt from
 // the good plane plus the new injection. This is the primitive behind
-// dynamic compaction — extending one test cube to additional faults.
+// dynamic compaction — extending one test cube to additional faults. It
+// settles first and simulates the full circuit from then on (the cube's
+// assignments reach beyond any one secondary's cone), and it starts a new
+// trail: the entries of the frozen cube hold faulty planes of the previous
+// fault and are never undone.
 func (s *sim5) retarget(f fault.Fault) {
+	s.settle()
 	s.installFault(f)
 	for i, p := range s.P {
 		g := p & 0xf
@@ -157,6 +243,7 @@ func (s *sim5) retarget(f fault.Fault) {
 	s.resetFrontier()
 	s.inject()
 	s.run()
+	s.trail = s.trail[:0]
 }
 
 // installFault decodes the fault site into the injection fields.
@@ -221,7 +308,7 @@ func (s *sim5) enqueueLoads(net netlist.NetID) {
 	// in enqueue are already paid for the whole net.
 	for p, end := s.v.CombLoadIdx[net], s.v.CombLoadIdx[net+1]; p < end; p++ {
 		ci := s.v.CombLoadCells[p]
-		if !s.queued[ci] {
+		if !s.queued[ci] && s.cone[ci] >= s.coneFrom {
 			s.queued[ci] = true
 			s.nq++
 			lvl := s.v.CombLoadLvl[p]
@@ -233,12 +320,13 @@ func (s *sim5) enqueueLoads(net netlist.NetID) {
 	}
 }
 
-// assign sets a source (or unassigns it with lX) and repropagates.
+// assign sets a source and propagates the change.
 func (s *sim5) assign(net netlist.NetID, val uint8) {
 	fv := val
 	if s.fCell == netlist.NoCell && net == s.fNet {
 		fv = s.fSA
 	}
+	s.trail = append(s.trail, undo{net, s.P[net]})
 	s.P[net] = pk(val, fv)
 	s.updateSink(net)
 	s.enqueueLoads(net)
@@ -272,6 +360,7 @@ func (s *sim5) updateSink(net netlist.NetID) {
 // fault-effect test rides along as a table lookup on the same byte.
 func (s *sim5) run() {
 	P := s.P
+	trail := s.trail
 	stem := s.fCell == netlist.NoCell
 	start := s.minLvl
 	if start < 1 {
@@ -318,8 +407,9 @@ func (s *sim5) run() {
 				np = np&0xf | s.fSA<<4
 			}
 			changed := np != P[out]
-			P[out] = np
 			if changed {
+				trail = append(trail, undo{out, P[out]})
+				P[out] = np
 				s.updateSink(out)
 			}
 			// Track D-frontier candidates.
@@ -333,6 +423,7 @@ func (s *sim5) run() {
 		}
 		s.buckets[lvl] = bucket[:0]
 	}
+	s.trail = trail
 }
 
 // evalFaultCell evaluates the branch-fault load cell, substituting the
@@ -427,33 +518,25 @@ func (s *sim5) detected() bool {
 	return s.sinkD > 0
 }
 
-// frontier returns the live D-frontier: combinational cells with a fault
-// effect on an input and an X output, compacting the candidate list.
-func (s *sim5) frontier() []netlist.CellID {
-	out := s.cand[:0]
-	for _, ci := range s.cand {
-		if compT[s.P[s.v.CellOut[ci]]] == cX && s.hasDInput(ci) {
-			out = append(out, ci)
-		} else {
-			s.inCand[ci] = false
-		}
-	}
-	s.cand = out
-	return out
+// onFrontier reports whether candidate ci is on the D-frontier now: a
+// fault effect on an input and an X output.
+func (s *sim5) onFrontier(ci netlist.CellID) bool {
+	return compT[s.P[s.v.CellOut[ci]]] == cX && s.hasDInput(ci)
 }
 
-// xpath reports whether an X-valued path exists from net to any sink.
-func (s *sim5) xpathFrom(net netlist.NetID) bool {
-	s.xpEpoch++
-	return s.xpath(net)
-}
+// newXpathEpoch forgets the X-path marks; call whenever the planes may
+// have changed since the last query.
+func (s *sim5) newXpathEpoch() { s.xpEpoch += 2 }
 
+// xpath reports whether an X-valued path exists from net to any sink,
+// reusing what earlier queries of the epoch have proven about the nets on
+// the way.
 func (s *sim5) xpath(net netlist.NetID) bool {
 	if s.v.IsSink[net] {
 		return true
 	}
-	if s.xpVisit[net] == s.xpEpoch {
-		return false
+	if m := s.xpVisit[net]; m >= s.xpEpoch {
+		return m > s.xpEpoch
 	}
 	s.xpVisit[net] = s.xpEpoch
 	// Only combinational loads can extend the path: a flip-flop d pin is
@@ -461,6 +544,7 @@ func (s *sim5) xpath(net netlist.NetID) bool {
 	for _, ci := range s.v.combLoads(net) {
 		out := s.v.CellOut[ci]
 		if compT[s.P[out]] == cX && s.xpath(out) {
+			s.xpVisit[net] = s.xpEpoch + 1
 			return true
 		}
 	}

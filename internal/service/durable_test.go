@@ -292,8 +292,10 @@ func TestReplayAnswersRetired(t *testing.T) {
 // accepted as incremental, with one level checkpointed under the old
 // <base>/incr/tp0 key — re-queues that job and finishes it with the
 // tables a fresh submission gets, instead of retiring it
-// failed-on-replay. The /incr/ checkpoint is never matched: both levels
-// run through runLevel.
+// failed-on-replay. The /incr/ checkpoint is never matched, and neither
+// is the other level's checkpoint under the base key that builds before
+// the tpid/v2 key domain derived for this request: both levels run through
+// runLevel.
 func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := journal.Open(dir, journal.Options{NoSync: true})
@@ -324,10 +326,21 @@ func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// comp.baseKey as the parent of the v2 domain computed it (14b4287).
+	const v1BaseKey = "af5844279a772403af1c6f5c49c03cd8ce6fe8e75c61bb91b40baed81e99c840"
+	if comp.baseKey == v1BaseKey {
+		t.Fatal("base key is still the tpid/v1 one")
+	}
+	levelDoneV1, err := json.Marshal(recLevelDone{
+		Key: levelKey(v1BaseKey, 2), TPPercent: 2, Metrics: stubMetrics(2), JobID: "old-1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range []struct {
 		typ     journal.Type
 		payload []byte
-	}{{journal.TypeAccepted, accepted}, {journal.TypeLevelDone, levelDone}} {
+	}{{journal.TypeAccepted, accepted}, {journal.TypeLevelDone, levelDone}, {journal.TypeLevelDone, levelDoneV1}} {
 		if err := j.Append(r.typ, r.payload); err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +363,7 @@ func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 		t.Fatalf("replayed_jobs = %d, want 1", n)
 	}
 	if n := ran.Load(); n != 2 || st.ResumedLevels != 0 {
-		t.Fatalf("replayed job ran %d levels and resumed %d, want 2 and 0 (the /incr/ checkpoint must not match)",
+		t.Fatalf("replayed job ran %d levels and resumed %d, want 2 and 0 (neither old checkpoint may match)",
 			n, st.ResumedLevels)
 	}
 	_, got := getResult(t, s, "old-1")

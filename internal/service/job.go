@@ -203,8 +203,9 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 }
 
 // circuitHash is the circuit half of the archive baseline key: SHA-256
-// over the canonical bench text with the same domain separator the
-// cache key uses.
+// over the canonical bench text. Its domain separator (and configHash's)
+// stays at v1 when the cache key's moves on, so run history continues
+// across a change of tables.
 func circuitHash(bench string) string {
 	h := sha256.Sum256([]byte("tpid/v1/circuit\n" + bench))
 	return hex.EncodeToString(h[:])
@@ -315,6 +316,10 @@ func canonicalKey(design *netlist.Netlist, cfg *flow.Config, levels []float64, b
 }
 
 // keyFromBench is canonicalKey over an already-canonicalized bench text.
+// The domain tag is the version of the tables: it moves whenever a build
+// produces different bytes for the same request (v2: PODEM's frontier
+// tie-break), so results and level checkpoints an older build left in a
+// data dir match nothing and age out.
 func keyFromBench(bench string, cfg *flow.Config, levels []float64, budgetMS int64) string {
 	hc := hashedConfig{
 		MaxChains:         cfg.Scan.MaxChains,
@@ -328,9 +333,9 @@ func keyFromBench(bench string, cfg *flow.Config, levels []float64, budgetMS int
 	}
 	cfgJSON, _ := json.Marshal(hc) // fixed field set: cannot fail
 	h := sha256.New()
-	h.Write([]byte("tpid/v1/circuit\n"))
+	h.Write([]byte("tpid/v2/circuit\n"))
 	h.Write([]byte(bench))
-	h.Write([]byte("\x00tpid/v1/config\n"))
+	h.Write([]byte("\x00tpid/v2/config\n"))
 	h.Write(cfgJSON)
 	return hex.EncodeToString(h.Sum(nil))
 }
