@@ -3,11 +3,14 @@
 TRACE_OUT ?= trace.ndjson
 MAX_REGRESS ?= 25
 
-# The one traced run trace-smoke and trace-diff both make.
-TRACED_RUN = go run ./cmd/tpiflow -circuit s38417c -scale 0.25 -tp 1
+# The one traced sweep trace-smoke and trace-diff both make. -workers 1
+# keeps it serial, so level 0's stages have all closed (and are
+# scrapeable) while level 1 is still running.
+TRACED_RUN = go run ./cmd/tpitables -circuits s38417c -scale 0.25 -levels 0,1 -workers 1 -table 1
 TRACE_RERUN = $(TRACE_OUT:.ndjson=-rerun.ndjson)
+TRACE_SCRAPE = $(TRACE_OUT:.ndjson=-metrics.txt)
 
-.PHONY: test race trace-smoke trace-diff metrics-smoke daemon-smoke crash-smoke chaos
+.PHONY: test race trace-smoke trace-diff daemon-smoke chaos
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -15,15 +18,34 @@ test:
 race:
 	go test -race ./...
 
-# trace-smoke is the observability CI gate: one traced s38417 run at
-# reduced scale, then tracestat over the trace — which exits non-zero if
-# any span is unbalanced. $(TRACE_OUT) is left behind for archiving.
+# trace-smoke is the observability CI gate: one traced s38417 sweep at
+# reduced scale, read twice. While it runs, its live /metrics listener is
+# scraped and the exposition must carry the per-stage counter, gauge and
+# histogram families — PromSink, the -metrics flag and the hot-path
+# instrumentation outside of unit tests. When it is done, tracestat reads
+# the NDJSON trace and exits non-zero if any span is unbalanced.
+# $(TRACE_OUT) and $(TRACE_SCRAPE) are left behind for archiving.
 trace-smoke:
-	$(TRACED_RUN) -trace $(TRACE_OUT) -progress
+	$(TRACED_RUN) -trace $(TRACE_OUT) -progress -metrics localhost:9341 & \
+	pid=$$!; \
+	scraped=0; \
+	for i in $$(seq 1 600); do \
+		if curl -sf http://localhost:9341/metrics -o $(TRACE_SCRAPE) 2>/dev/null && \
+			grep -q tpilayout_route_net_ns $(TRACE_SCRAPE) && \
+			grep -q tpilayout_atpg_podem_ns $(TRACE_SCRAPE); then scraped=1; break; fi; \
+		sleep 0.2; \
+	done; \
+	wait $$pid || { echo "trace-smoke: sweep failed"; exit 1; }; \
+	test $$scraped = 1 || { echo "trace-smoke: live scrape never saw the histogram families"; exit 1; }; \
+	for fam in tpilayout_spans_total tpilayout_stage_duration_ns_bucket tpilayout_stage_last_duration_ns \
+		tpilayout_atpg_podem_ns tpilayout_atpg_sim_batch_ns tpilayout_place_fm_cut_delta tpilayout_route_net_ns; do \
+		grep -q "$$fam" $(TRACE_SCRAPE) || { echo "trace-smoke: missing family $$fam"; cat $(TRACE_SCRAPE); exit 1; }; \
+	done; \
+	echo "trace-smoke: live scrape OK, all families present"
 	go run ./cmd/tracestat $(TRACE_OUT)
 
 # trace-diff exercises the cross-run regression sentinel end to end: the
-# traced run is made a second time and tracediff compares the two fresh
+# traced sweep is made a second time and tracediff compares the two fresh
 # traces of one seed on one host stage by stage, so no committed trace
 # has to be re-recorded when the flow changes (timing across commits is
 # `bash bench/run.sh`). -normalize compares each stage's share of its
@@ -32,30 +54,6 @@ trace-smoke:
 trace-diff: trace-smoke
 	$(TRACED_RUN) -trace $(TRACE_RERUN)
 	go run ./cmd/tracediff -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_OUT) $(TRACE_RERUN)
-
-# metrics-smoke starts a sweep with a live /metrics listener, scrapes it
-# mid-run, and asserts the exposition carries the expected histogram
-# families — the end-to-end check that PromSink, the -metrics flag, and
-# the hot-path instrumentation hang together outside of unit tests.
-# -workers 1 keeps the sweep serial so level 0's stages have all closed
-# (and are scrapeable) while level 1 is still running.
-metrics-smoke:
-	go run ./cmd/tpitables -circuits s38417c -scale 0.25 -levels 0,1 -workers 1 -table 1 -metrics localhost:9341 & \
-	pid=$$!; \
-	scraped=0; \
-	for i in $$(seq 1 600); do \
-		if curl -sf http://localhost:9341/metrics -o metrics-smoke.txt 2>/dev/null && \
-			grep -q tpilayout_route_net_ns metrics-smoke.txt && \
-			grep -q tpilayout_atpg_podem_ns metrics-smoke.txt; then scraped=1; break; fi; \
-		sleep 0.2; \
-	done; \
-	wait $$pid || { echo "metrics-smoke: sweep failed"; exit 1; }; \
-	test $$scraped = 1 || { echo "metrics-smoke: live scrape never saw the histogram families"; exit 1; }; \
-	for fam in tpilayout_spans_total tpilayout_stage_duration_ns_bucket tpilayout_stage_last_duration_ns \
-		tpilayout_atpg_podem_ns tpilayout_atpg_sim_batch_ns tpilayout_place_fm_cut_delta tpilayout_route_net_ns; do \
-		grep -q "$$fam" metrics-smoke.txt || { echo "metrics-smoke: missing family $$fam"; cat metrics-smoke.txt; exit 1; }; \
-	done; \
-	echo "metrics-smoke: live scrape OK, all families present"
 
 # daemon-smoke is the daemon CI gate: one real tpid — durable, JSON logs,
 # per-run profiling — walked through four phases over curl. Every failure
@@ -170,15 +168,6 @@ daemon-smoke:
 	kill -TERM $$pid; wait $$pid || fail "drain exited non-zero" tail -5 daemon-smoke.log; \
 	trap - EXIT; \
 	echo "daemon-smoke: submit, correlate, history, drain all OK"
-
-# crash-smoke is the durability CI gate: TestCrashRestartResumesSweep
-# builds the real tpid binary, starts it with a journal directory,
-# SIGKILLs it the moment the first sweep-level checkpoint is durable,
-# restarts it on the same directory, and requires the resumed job to
-# finish with tables byte-identical to the committed golden — having
-# re-run only the levels that never checkpointed.
-crash-smoke:
-	go test -run 'TestCrashRestartResumesSweep' -count=1 -v .
 
 # chaos runs the seeded fault-injection recovery suite under the race
 # detector: 200 seeds of level panics, journal append faults, abrupt

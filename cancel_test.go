@@ -18,7 +18,20 @@ import (
 	"time"
 
 	"tpilayout/internal/flow"
+	"tpilayout/internal/telemetry"
 )
+
+// atSpanStart returns a tracer whose one sink calls fn with the stage name
+// and TP level of every span that opens (sweep, run, then the stages), on
+// the goroutine that opens it: how this suite cancels or blows up at the
+// entry of a stage.
+func atSpanStart(fn func(stage string, tpPercent float64)) *telemetry.Tracer {
+	return telemetry.New(telemetry.FuncSink(func(e telemetry.Event) {
+		if e.Type == telemetry.EventSpanStart {
+			fn(e.Stage, e.TPPercent)
+		}
+	}))
+}
 
 // cancelDesign is the shared small design of this suite, built once.
 func cancelDesign(t *testing.T) *Netlist {
@@ -62,16 +75,16 @@ func TestSweepCancelAtRandomPoints(t *testing.T) {
 			cfg := ExperimentConfig("s38417c")
 			cfg.SkipATPG = true // physical flow only: keeps each trial fast
 			cfg.Workers = workers
-			// Cancel when the fleet has crossed cancelAt stage entries in
-			// total — a different randomized point inside the sweep each
-			// trial (0 = cancelled before any stage runs).
+			// Cancel when the fleet has opened cancelAt spans in total — a
+			// different randomized point inside the sweep each trial (0 =
+			// cancelled before any stage runs).
 			cancelAt := int64(rng.Intn(12))
 			var entered atomic.Int64
-			cfg.StageHook = func(stage string, tpPercent float64) {
+			cfg.Telemetry = atSpanStart(func(stage string, tpPercent float64) {
 				if entered.Add(1) > cancelAt {
 					cancel()
 				}
-			}
+			})
 
 			out, err := SweepPartial(ctx, design, cfg, levels)
 			cancel()
@@ -131,7 +144,7 @@ func TestSweepCancelMidATPGReturnsPromptly(t *testing.T) {
 	cfg.Workers = 2
 	var armed atomic.Bool
 	var cancelledAt atomic.Int64
-	cfg.StageHook = func(stage string, tpPercent float64) {
+	cfg.Telemetry = atSpanStart(func(stage string, tpPercent float64) {
 		// Fire once, shortly after the first level reaches ATPG, so the
 		// cancel lands inside the pattern-generation loops rather than at
 		// a stage boundary.
@@ -141,7 +154,7 @@ func TestSweepCancelMidATPGReturnsPromptly(t *testing.T) {
 				cancel()
 			})
 		}
-	}
+	})
 
 	_, err = SweepContext(ctx, design, cfg, []float64{0, 2})
 	returned := time.Now().UnixNano()
@@ -183,7 +196,7 @@ func TestSweepUncancelledMatchesGolden(t *testing.T) {
 }
 
 // TestSweepPanicLevelIsolated is the headline robustness scenario: one
-// level of a sweep panics (induced through the stage hook) and the sweep
+// level of a sweep panics (induced at the entry of its place stage) and the sweep
 // still returns metrics for every other level, plus a StageError carrying
 // the captured stack for the one that blew up. The process survives.
 func TestSweepPanicLevelIsolated(t *testing.T) {
@@ -193,11 +206,11 @@ func TestSweepPanicLevelIsolated(t *testing.T) {
 	cfg := ExperimentConfig("s38417c")
 	cfg.SkipATPG = true
 	cfg.Workers = 3
-	cfg.StageHook = func(stage string, tpPercent float64) {
+	cfg.Telemetry = atSpanStart(func(stage string, tpPercent float64) {
 		if tpPercent == 2 && stage == flow.StagePlace {
 			panic("induced placement failure at the 2% level")
 		}
-	}
+	})
 
 	out, err := SweepPartial(context.Background(), design, cfg, levels)
 	if err != nil {

@@ -15,6 +15,15 @@ import (
 	"tpilayout/internal/testability"
 )
 
+// Effort bounds no caller varies.
+const (
+	// secondaryLimit caps the secondary targets dynamic compaction
+	// attempts per cube.
+	secondaryLimit = 192
+	// maxPatterns fails the run if the pattern count explodes.
+	maxPatterns = 1 << 20
+)
+
 // Options configures an ATPG run.
 type Options struct {
 	// Constraints freezes nets to capture-mode constants (scan-enable = 0,
@@ -48,11 +57,6 @@ type Options struct {
 	// conflicting PI requirements into independent scan-cell bits)
 	// reduce the pattern count.
 	NoDynamicCompaction bool
-	// SecondaryLimit caps secondary targets attempted per cube
-	// (default 192).
-	SecondaryLimit int
-	// MaxPatterns aborts the run if the pattern count explodes (default 1<<20).
-	MaxPatterns int
 	// Deadline bounds the wall-clock effort of the run. Past it, the run
 	// stops random and deterministic generation at the next fault-class
 	// boundary, marks every remaining undetected class Aborted, and
@@ -143,9 +147,6 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	if opt.RandomRounds < 0 {
 		opt.RandomRounds = -1 // explicit disable survives the default below
-	}
-	if opt.MaxPatterns <= 0 {
-		opt.MaxPatterns = 1 << 20
 	}
 	v, err := NewView(n, opt.Constraints)
 	if err != nil {
@@ -327,7 +328,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 					// mark now so a slow sim round cannot re-target it.
 					set.SetStatus(r, fault.Detected)
 					if !opt.NoDynamicCompaction {
-						timed(lDyncompNS, func() { compactInto(gen, set, reps, ri, opt.SecondaryLimit) })
+						timed(lDyncompNS, func() { compactInto(gen, set, reps, ri) })
 						cube = gen.cube()
 					}
 					fillRandom(cube, rng)
@@ -346,8 +347,8 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 			if count == 0 {
 				return nil
 			}
-			if len(res.Patterns) > opt.MaxPatterns {
-				return fmt.Errorf("atpg: pattern count exceeded %d", opt.MaxPatterns)
+			if len(res.Patterns) > maxPatterns {
+				return fmt.Errorf("atpg: pattern count exceeded %d", maxPatterns)
 			}
 			simulateAndDrop(batch)
 		}
@@ -521,17 +522,14 @@ func (p *simPool) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) ma
 // starting after the primary fault's rank, it retargets still-undetected
 // fault classes into the same cube until the attempt budget is spent.
 // Successfully merged classes are marked detected.
-func compactInto(gen *podem, set *fault.Set, reps []int32, primaryRank, limit int) {
-	if limit <= 0 {
-		limit = 192
-	}
+func compactInto(gen *podem, set *fault.Set, reps []int32, primaryRank int) {
 	attempts, consecFails := 0, 0
 	for _, r2 := range reps[primaryRank+1:] {
 		if set.Status(r2) != fault.Undetected {
 			continue
 		}
 		attempts++
-		if attempts > limit {
+		if attempts > secondaryLimit {
 			break
 		}
 		if gen.extend(set.Faults[r2], 8) {

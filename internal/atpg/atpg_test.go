@@ -80,11 +80,11 @@ func bruteForceDetects(t testing.TB, n *netlist.Netlist, f fault.Fault) uint64 {
 	if f.SA == 1 {
 		sa = ^uint64(0)
 	}
-	fan := n.Fanouts()
+	fan := n.CSR()
 	var fCell netlist.CellID = netlist.NoCell
 	fPin := -1
 	if f.Load != fault.StemLoad {
-		ld := fan[f.Net][f.Load]
+		ld := fan.Fanout(f.Net)[f.Load]
 		fCell = ld.Cell
 		fPin = ld.Pin
 	}
@@ -117,9 +117,9 @@ func bruteForceDetects(t testing.TB, n *netlist.Netlist, f fault.Fault) uint64 {
 	}
 	var det uint64
 	for _, po := range n.POs {
-		if f.Load != fault.StemLoad && fan[f.Net][f.Load].Cell == netlist.NoCell {
+		if f.Load != fault.StemLoad && fCell == netlist.NoCell {
 			// Branch fault directly on this PO tap.
-			if fan[f.Net][f.Load].PO >= 0 && n.POs[fan[f.Net][f.Load].PO].Net == po.Net {
+			if tap := fan.Fanout(f.Net)[f.Load].PO; tap >= 0 && n.POs[tap].Net == po.Net {
 				det |= (good.Get(po.Net) ^ sa) & mask
 			}
 			continue
@@ -209,13 +209,13 @@ func TestRedundantFaultProven(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the b-branch into g1, stuck-at-1.
-	fan := n.Fanouts()
+	fan := n.CSR()
 	found := false
 	for i, f := range set.Faults {
 		if f.Net != b || f.SA != 1 || f.Load == fault.StemLoad {
 			continue
 		}
-		if ld := fan[b][f.Load]; ld.Cell == g1 {
+		if ld := fan.Fanout(b)[f.Load]; ld.Cell == g1 {
 			found = true
 			if st := set.Status(int32(i)); st != fault.Untestable {
 				t.Errorf("redundant fault classified %v, want untestable", st)

@@ -50,8 +50,9 @@ func randScanCircuit(t testing.TB, seed int64, nPI, nFF, nGates int) (*netlist.N
 		si = qs[i]
 	}
 	n.AddPO("so", si)
-	for net, loads := range n.Fanouts() {
-		if len(loads) == 0 && n.Nets[net].Driver != netlist.NoCell {
+	csr := n.CSR()
+	for net := range n.Nets {
+		if csr.FanoutLen(netlist.NetID(net)) == 0 && n.Nets[net].Driver != netlist.NoCell {
 			n.AddPO("po", netlist.NetID(net))
 		}
 	}
@@ -69,7 +70,7 @@ func randScanCircuit(t testing.TB, seed int64, nPI, nFF, nGates int) (*netlist.N
 type scalarOracle struct {
 	n       *netlist.Netlist
 	order   []netlist.CellID
-	fan     [][]netlist.Load
+	fan     *netlist.CSR
 	sources []netlist.NetID
 	fixed   map[netlist.NetID]int8
 	ffs     []netlist.CellID
@@ -81,7 +82,7 @@ func newScalarOracle(t testing.TB, n *netlist.Netlist, sources []netlist.NetID, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &scalarOracle{n: n, order: lv.Order, fan: n.Fanouts(), sources: sources, fixed: fixed,
+	return &scalarOracle{n: n, order: lv.Order, fan: n.CSR(), sources: sources, fixed: fixed,
 		ffs: n.FlipFlops(), val: make([]bool, len(n.Nets))}
 }
 
@@ -140,7 +141,7 @@ func (o *scalarOracle) observe(bit func(i int) bool, f *fault.Fault) []bool {
 	if f != nil {
 		stem = f.Load == fault.StemLoad
 		if branch = !stem; branch {
-			pinOf = o.fan[f.Net][f.Load]
+			pinOf = o.fan.Fanout(f.Net)[f.Load]
 		}
 	}
 	sa := f != nil && f.SA == 1

@@ -100,7 +100,7 @@ func Remove(n *netlist.Netlist, r *Result) {
 		buf := r.Buffers[i]
 		c := &n.Cells[buf]
 		src := c.Ins[0]
-		loads := append([]netlist.Load(nil), n.Fanouts()[c.Out]...)
+		loads := append([]netlist.Load(nil), n.CSR().Fanout(c.Out)...)
 		n.MoveLoads(c.Out, src, loads)
 		n.KillCell(buf)
 	}

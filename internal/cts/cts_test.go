@@ -32,13 +32,13 @@ func TestTreeRespectsFanoutLimit(t *testing.T) {
 	if len(r.Buffers) == 0 {
 		t.Fatal("no clock buffers inserted")
 	}
-	fan := n.Fanouts()
+	fan := n.CSR()
 	// Every net in the clock trees must drive at most MaxFanout sinks
 	// (buffers count as sinks of their level).
 	for _, b := range r.Buffers {
 		out := n.Cells[b].Out
-		if len(fan[out]) > 8 {
-			t.Errorf("clock buffer %s drives %d loads", n.Cells[b].Name, len(fan[out]))
+		if fan.FanoutLen(out) > 8 {
+			t.Errorf("clock buffer %s drives %d loads", n.Cells[b].Name, fan.FanoutLen(out))
 		}
 		if n.Cells[b].Tag != netlist.TagClockBuf {
 			t.Error("clock buffer not tagged")
@@ -46,8 +46,8 @@ func TestTreeRespectsFanoutLimit(t *testing.T) {
 	}
 	for dom := range n.Domains {
 		root := n.PIs[n.Domains[dom].ClockPI].Net
-		if len(fan[root]) > 8 {
-			t.Errorf("clock root %s drives %d loads", n.Domains[dom].Name, len(fan[root]))
+		if fan.FanoutLen(root) > 8 {
+			t.Errorf("clock root %s drives %d loads", n.Domains[dom].Name, fan.FanoutLen(root))
 		}
 	}
 	if err := n.Validate(); err != nil {

@@ -64,17 +64,6 @@ type Config struct {
 	// cancelling the context aborts the run with an error.
 	Deadline time.Time
 
-	// StageHook, when non-nil, is called at the entry of every flow stage
-	// with the stage name and the run's TP percentage. It is the legacy
-	// entry-only shim over the telemetry layer: the hook fires exactly
-	// when the stage's telemetry span opens, and the span's close (with
-	// duration and error — guaranteed even when the stage panics) carries
-	// the exit half of the pair to the Telemetry sinks. A panicking hook
-	// exercises the same isolation path as a panicking stage (the run
-	// returns a StageError, the process survives, the open span is
-	// closed with the error).
-	StageHook func(stage string, tpPercent float64)
-
 	// Telemetry, when non-nil, traces the run: one "run" span wrapping
 	// one child span per flow stage (enter/exit/duration/error), with
 	// the stage counters of atpg/place/route/cts/sta attached. A nil
@@ -235,8 +224,7 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 	// The deferred close is what keeps span trees balanced on every exit:
 	// a panic (recovered here) or an error return closes the open stage
 	// span and the run span with the failure attached, so a trace always
-	// shows where the time went — the asymmetry the entry-only StageHook
-	// had.
+	// shows where the time went.
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, newStageError(stage, cfg.TPPercent, supervise.AsPanicError(r))
@@ -256,9 +244,6 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		stage = s
 		stageSpan = runSpan.Child(s)
 		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("stage", s)))
-		if cfg.StageHook != nil {
-			cfg.StageHook(s, cfg.TPPercent)
-		}
 		if cerr := ctx.Err(); cerr != nil {
 			return newStageError(s, cfg.TPPercent, cerr)
 		}
@@ -427,17 +412,6 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 	}
 
 	res.fillMetrics(tpCount, fillerArea)
-	// Incremental re-levelization accounting: the wall time the run's
-	// analyses (ATPG view builds, STA, SCOAP) saved by releveling only
-	// edited fanout cones instead of the whole graph. One counter for the
-	// run total, one histogram observation per run for distributions
-	// across sweep levels.
-	if ls := n.LevelizeStats(); ls.Incremental > 0 {
-		runSpan.Counter("flow.sta_incremental_ns").Add(ls.IncrementalNS)
-		runSpan.Histogram("flow.sta_incremental_ns").Observe(ls.IncrementalNS)
-		runSpan.Counter("flow.relevel_incremental").Add(int64(ls.Incremental))
-		runSpan.Counter("flow.relevel_full").Add(int64(ls.Full + ls.Fallback))
-	}
 	endStage(nil)
 	runSpan.End()
 	res.Telemetry = runSpan.Snapshot()

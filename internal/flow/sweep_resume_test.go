@@ -113,17 +113,17 @@ func TestRunLevelMatchesSweepPartial(t *testing.T) {
 	}
 }
 
-// TestRunLevelIsolatesPanics: a stage hook that panics degrades to a
-// StageError carried in LevelResult.Err, never a process panic.
+// TestRunLevelIsolatesPanics: a panic at the entry of a stage degrades to
+// a StageError carried in LevelResult.Err, never a process panic.
 func TestRunLevelIsolatesPanics(t *testing.T) {
 	n := design(t)
 	cfg := Config{Scan: scan.Options{MaxChainLength: 25}}
 	cfg.Place.TargetUtilization = 0.90
-	cfg.StageHook = func(stage string, tp float64) {
+	cfg.Telemetry = telemetry.New(atSpanStart(func(stage string, tp float64) {
 		if stage == StageATPG {
 			panic("injected stage crash")
 		}
-	}
+	}))
 	base := PrewarmBase(n)
 	lr := RunLevel(context.Background(), base, cfg, 2)
 	if lr.Err == nil {
@@ -134,7 +134,7 @@ func TestRunLevelIsolatesPanics(t *testing.T) {
 		t.Fatalf("err = %T %v, want *StageError", lr.Err, lr.Err)
 	}
 	// The base must remain usable for a subsequent clean level.
-	cfg.StageHook = nil
+	cfg.Telemetry = nil
 	if lr2 := RunLevel(context.Background(), base, cfg, 2); lr2.Err != nil {
 		t.Fatalf("base poisoned by panicked sibling: %v", lr2.Err)
 	}

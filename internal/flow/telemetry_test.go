@@ -12,15 +12,26 @@ import (
 )
 
 // tracedConfig returns a small-circuit config with an NDJSON-sinked
-// tracer attached.
-func tracedConfig() (Config, *bytes.Buffer, *telemetry.NDJSONSink) {
+// tracer attached; extra sinks sit behind the NDJSON one.
+func tracedConfig(extra ...telemetry.Sink) (Config, *bytes.Buffer, *telemetry.NDJSONSink) {
 	var buf bytes.Buffer
 	sink := telemetry.NewNDJSONSink(&buf)
 	cfg := Config{Scan: scan.Options{MaxChainLength: 25}}
 	cfg.Place.TargetUtilization = 0.90
 	cfg.TPPercent = 1
-	cfg.Telemetry = telemetry.New(sink)
+	cfg.Telemetry = telemetry.New(append([]telemetry.Sink{sink}, extra...)...)
 	return cfg, &buf, sink
+}
+
+// atSpanStart is how these tests cancel, record or blow up at the entry
+// of a stage: a sink that calls fn with every opening span's stage name
+// and TP level, on the goroutine that opens it.
+func atSpanStart(fn func(stage string, tp float64)) telemetry.Sink {
+	return telemetry.FuncSink(func(e telemetry.Event) {
+		if e.Type == telemetry.EventSpanStart {
+			fn(e.Stage, e.TPPercent)
+		}
+	})
 }
 
 // The Fig. 2 stages every successful traced run must cover, in flow
@@ -35,8 +46,6 @@ var wantStages = []string{StageTPI, StageScan, StagePlace, StageATPG,
 func TestRunSpanTree(t *testing.T) {
 	n := design(t)
 	cfg, buf, sink := tracedConfig()
-	var hooked []string
-	cfg.StageHook = func(stage string, tp float64) { hooked = append(hooked, stage) }
 
 	r, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
@@ -54,10 +63,6 @@ func TestRunSpanTree(t *testing.T) {
 	}
 	if strings.Join(got, ",") != strings.Join(wantStages, ",") {
 		t.Fatalf("stage order = %v, want %v", got, wantStages)
-	}
-	// The StageHook shim fires at exactly the span openings.
-	if strings.Join(hooked, ",") != strings.Join(wantStages, ",") {
-		t.Fatalf("StageHook order = %v, want %v", hooked, wantStages)
 	}
 	if sn.Duration <= 0 || float64(stageSum) < 0.95*float64(sn.Duration) {
 		t.Errorf("stage durations (%d ns) cover less than 95%% of the run (%d ns)",
@@ -99,19 +104,16 @@ func TestRunSpanTree(t *testing.T) {
 	}
 }
 
-// TestPanicClosesSpan is the StageHook-asymmetry regression test: the
-// legacy hook fired on entry only, so a panicking stage left no record
-// of where the time went. With the telemetry shim, a panic mid-stage
-// must still close the open span — the NDJSON trace stays balanced and
-// the failing stage's span_end carries the error.
+// TestPanicClosesSpan: a panic inside a stage must still close the open
+// span, so the trace shows where the time went — the NDJSON trace stays
+// balanced and the failing stage's span_end carries the error.
 func TestPanicClosesSpan(t *testing.T) {
 	n := design(t)
-	cfg, buf, sink := tracedConfig()
-	cfg.StageHook = func(stage string, tp float64) {
+	cfg, buf, sink := tracedConfig(atSpanStart(func(stage string, tp float64) {
 		if stage == StageRoute {
-			panic("hook detonated mid-flow")
+			panic("sink detonated mid-flow")
 		}
-	}
+	}))
 	_, err := RunContext(context.Background(), n, cfg)
 	if err == nil {
 		t.Fatal("panicking stage returned nil error")
@@ -151,14 +153,13 @@ func TestPanicClosesSpan(t *testing.T) {
 // also leaves a balanced trace with the error on the open spans.
 func TestCancelClosesSpan(t *testing.T) {
 	n := design(t)
-	cfg, buf, sink := tracedConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.StageHook = func(stage string, tp float64) {
+	cfg, buf, sink := tracedConfig(atSpanStart(func(stage string, tp float64) {
 		if stage == StagePlace {
 			cancel()
 		}
-	}
+	}))
 	_, err := RunContext(ctx, n, cfg)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")

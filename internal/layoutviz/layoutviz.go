@@ -124,7 +124,7 @@ func drawCells(b *bytes.Buffer, p *place.Placement, ox, oy float64) {
 
 func drawWires(b *bytes.Buffer, p *place.Placement, r *route.Result, ox, oy float64, maxNets int) {
 	n := p.N
-	fan := n.Fanouts()
+	csr := n.CSR()
 	type job struct {
 		id  netlist.NetID
 		len float64
@@ -151,7 +151,7 @@ func drawWires(b *bytes.Buffer, p *place.Placement, r *route.Result, ox, oy floa
 			continue
 		}
 		dx, dy := p.Pos(nn.Driver)
-		for _, ld := range fan[jb.id] {
+		for _, ld := range csr.Fanout(jb.id) {
 			if ld.Cell == netlist.NoCell || !p.Placed(ld.Cell) {
 				continue
 			}

@@ -46,7 +46,7 @@ func (s *Sim) Get(id netlist.NetID) uint64 { return s.Val[id] }
 func (s *Sim) Propagate() {
 	for _, ci := range s.Levels.Order {
 		c := &s.N.Cells[ci]
-		s.Val[c.Out] = EvalCell(c, s.Val)
+		s.Val[c.Out] = EvalNets(c.Cell.Kind, c.Ins, s.Val)
 	}
 }
 
@@ -86,59 +86,9 @@ func (s *Sim) ffNext(c *netlist.Instance) uint64 {
 	panic(fmt.Sprintf("logicsim: not a flip-flop: %s", c.Cell.Name))
 }
 
-// EvalCell evaluates one combinational cell against a net-value array.
-// It is exported so that the fault simulator can re-evaluate single cells
-// with perturbed inputs.
-func EvalCell(c *netlist.Instance, val []uint64) uint64 {
-	ins := c.Ins
-	switch c.Cell.Kind {
-	case stdcell.KindInv:
-		return ^val[ins[0]]
-	case stdcell.KindBuf:
-		return val[ins[0]]
-	case stdcell.KindNand:
-		w := ^uint64(0)
-		for _, in := range ins {
-			w &= val[in]
-		}
-		return ^w
-	case stdcell.KindNor:
-		w := uint64(0)
-		for _, in := range ins {
-			w |= val[in]
-		}
-		return ^w
-	case stdcell.KindAnd:
-		w := ^uint64(0)
-		for _, in := range ins {
-			w &= val[in]
-		}
-		return w
-	case stdcell.KindOr:
-		w := uint64(0)
-		for _, in := range ins {
-			w |= val[in]
-		}
-		return w
-	case stdcell.KindXor:
-		return val[ins[0]] ^ val[ins[1]]
-	case stdcell.KindXnor:
-		return ^(val[ins[0]] ^ val[ins[1]])
-	case stdcell.KindAoi21:
-		return ^((val[ins[0]] & val[ins[1]]) | val[ins[2]])
-	case stdcell.KindOai21:
-		return ^((val[ins[0]] | val[ins[1]]) & val[ins[2]])
-	case stdcell.KindMux2:
-		a, b, sel := val[ins[0]], val[ins[1]], val[ins[2]]
-		return (sel & b) | (^sel & a)
-	}
-	panic(fmt.Sprintf("logicsim: cannot evaluate %s cell", c.Cell.Kind))
-}
-
 // EvalNets evaluates a cell kind whose input nets are given as a flat
-// NetID slice (e.g. a CSR fanin row) against a net-value array. It is the
-// Instance-free twin of EvalCell for hot loops that iterate dense
-// per-cell arrays instead of chasing Instance structs.
+// NetID slice (an Instance's Ins or a CSR fanin row) against a net-value
+// array.
 func EvalNets(kind stdcell.Kind, ins []netlist.NetID, val []uint64) uint64 {
 	switch kind {
 	case stdcell.KindInv:

@@ -4,17 +4,15 @@ package netlist
 // contiguous loads array indexed by per-net offsets (fanout direction) and
 // one contiguous input-net array indexed by per-cell offsets (fanin
 // direction). Hot loops (fault propagation, PODEM, STA, placement) scan
-// these arrays sequentially instead of chasing the slice-of-slices
-// Fanouts() index.
+// these arrays sequentially.
 //
 // A CSR is immutable once built; Netlist caches one per connectivity
 // revision and Clone shares the cached pointer, so sweep levels cloned
 // from a prewarmed base reuse the same arrays until their first edit.
 type CSR struct {
 	// FanoutIdx has len(Nets)+1 entries; the loads of net i are
-	// FanoutLoads[FanoutIdx[i]:FanoutIdx[i+1]], in exactly the order the
-	// legacy Fanouts() index produced them (live cells by ascending ID,
-	// pins in order, then primary outputs by ascending index). Fault
+	// FanoutLoads[FanoutIdx[i]:FanoutIdx[i+1]]: live cells by ascending
+	// ID, pins in order, then primary outputs by ascending index. Fault
 	// Load indices are defined against this order.
 	FanoutIdx   []int32
 	FanoutLoads []Load
@@ -75,8 +73,8 @@ func (n *Netlist) CSR() *CSR {
 		c.FanoutIdx[i] += c.FanoutIdx[i-1]
 	}
 
-	// Fill pass, in the exact legacy Fanouts() order: cells ascending
-	// with pins in order, then primary outputs.
+	// Fill pass: cells ascending with pins in order, then primary
+	// outputs.
 	c.FanoutLoads = make([]Load, c.FanoutIdx[len(n.Nets)])
 	cursor := append([]int32(nil), c.FanoutIdx[:len(n.Nets)]...)
 	for ci := range n.Cells {

@@ -13,8 +13,8 @@ import (
 )
 
 // referenceAdjacency rebuilds the fanout/fanin maps the slow, obvious way,
-// straight from the Instance arrays and in the exact order the legacy
-// Fanouts() index defined (live cells ascending, pins in order, then POs).
+// straight from the Instance arrays and in the order CSR documents (live
+// cells ascending, pins in order, then POs).
 // It is the ground truth the flat CSR must reproduce bit for bit, because
 // fault Load indices are defined against that order.
 func referenceAdjacency(n *netlist.Netlist) (fan [][]netlist.Load, fanin [][]netlist.NetID) {
@@ -122,7 +122,6 @@ func checkAdjacency(t *testing.T, n *netlist.Netlist, label string) {
 	t.Helper()
 	fan, fanin := referenceAdjacency(n)
 	csr := n.CSR()
-	legacy := n.Fanouts()
 	if got, want := len(csr.FanoutIdx), len(n.Nets)+1; got != want {
 		t.Fatalf("%s: FanoutIdx len = %d, want %d", label, got, want)
 	}
@@ -137,9 +136,6 @@ func checkAdjacency(t *testing.T, n *netlist.Netlist, label string) {
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("%s: net %d load %d = %+v, want %+v", label, id, k, got[k], want[k])
-			}
-			if legacy[id][k] != want[k] {
-				t.Fatalf("%s: net %d legacy load %d = %+v, want %+v", label, id, k, legacy[id][k], want[k])
 			}
 		}
 	}
@@ -241,9 +237,10 @@ func TestCSRMatchesReference(t *testing.T) {
 	})
 }
 
-// TestCSRDirtySplit locks the connectivity/attribute revision split: an
-// attribute-only swap (same kind, same pin map) must keep the cached CSR
-// pointer alive, while a connectivity edit must invalidate it.
+// TestCSRDirtySplit locks what does and does not bump the connectivity
+// revision: a same-kind swap (same pin map) rebuilds nothing — the cached
+// CSR and Levels pointers stay — while a connectivity edit invalidates
+// both, on the edited netlist only.
 func TestCSRDirtySplit(t *testing.T) {
 	lib := stdcell.Default()
 	n, err := circuitgen.Generate(circuitgen.Spec{
@@ -254,6 +251,14 @@ func TestCSRDirtySplit(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	before := n.CSR()
+	levels := func(n *netlist.Netlist) *netlist.Levels {
+		lv, err := n.Levelize()
+		if err != nil {
+			t.Fatalf("Levelize: %v", err)
+		}
+		return lv
+	}
+	lvBefore := levels(n)
 
 	// Find a NAND2X1 to upsize: a drive-strength swap keeps the net↔pin
 	// graph intact, so the adjacency cache must survive.
@@ -270,24 +275,24 @@ func TestCSRDirtySplit(t *testing.T) {
 	if !swapped {
 		t.Fatal("no NAND2X1 in generated circuit to swap")
 	}
-	if after := n.CSR(); after != before {
-		t.Fatal("attribute-only SwapCell invalidated the CSR cache")
+	if n.CSR() != before || levels(n) != lvBefore {
+		t.Fatal("same-kind SwapCell invalidated a cache")
 	}
 
 	// A clone shares the warmed cache pointer until its first edit.
 	clone := n.Clone()
-	if clone.CSR() != before {
-		t.Fatal("Clone did not share the cached CSR pointer")
+	if clone.CSR() != before || levels(clone) != lvBefore {
+		t.Fatal("Clone did not share the cached pointers")
 	}
 
 	// Connectivity edit: must rebuild.
 	clone.InsertOnNet("tb", "BUFX1", clone.Cells[0].Out, nil)
-	if clone.CSR() == before {
-		t.Fatal("connectivity edit did not invalidate the clone's CSR cache")
+	if clone.CSR() == before || levels(clone) == lvBefore {
+		t.Fatal("connectivity edit did not invalidate the clone's caches")
 	}
-	// ...and the parent keeps its original pointer untouched.
-	if n.CSR() != before {
-		t.Fatal("edit on clone invalidated the parent's CSR cache")
+	// ...and the parent keeps its original pointers untouched.
+	if n.CSR() != before || levels(n) != lvBefore {
+		t.Fatal("edit on clone invalidated the parent's caches")
 	}
 	checkAdjacency(t, clone, "clone-post-edit")
 }

@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Structural editing operations. These are the primitives that DfT
 // insertion (test points, scan, buffering) and ECO passes are built from.
@@ -42,24 +45,8 @@ func (n *Netlist) SwapCell(id CellID, newCellName string, extra map[string]NetID
 	// A swap to a same-kind variant with an identical pin→net mapping
 	// (the drive-strength upgrades of timing optimization) changes only
 	// cell attributes: adjacency and levelization stay valid.
-	sameConn := nc.Kind == inst.Cell.Kind && len(ins) == len(inst.Ins)
-	if sameConn {
-		for i := range ins {
-			if ins[i] != inst.Ins[i] {
-				sameConn = false
-				break
-			}
-		}
-	}
-	if sameConn {
-		n.dirtyAttr()
-	} else {
-		// Old and new pin nets plus the output: a kind change can flip
-		// whether the output counts as combinationally driven.
-		n.dirtyNet(inst.Ins...)
-		n.dirtyNet(ins...)
-		n.dirtyNet(inst.Out)
-		n.dirtyCell(id)
+	if nc.Kind != inst.Cell.Kind || !slices.Equal(ins, inst.Ins) {
+		n.connRev++
 	}
 	inst.Cell = nc
 	inst.Ins = ins
@@ -70,7 +57,7 @@ func (n *Netlist) SwapCell(id CellID, newCellName string, extra map[string]NetID
 // currently on from are ignored. Primary-output loads are moved too when
 // included in loads.
 func (n *Netlist) MoveLoads(from, to NetID, loads []Load) {
-	n.dirtyNet(from, to)
+	n.connRev++
 	for _, ld := range loads {
 		if ld.Cell != NoCell {
 			if n.Cells[ld.Cell].Ins[ld.Pin] == from {
@@ -90,7 +77,7 @@ func (n *Netlist) MoveLoads(from, to NetID, loads []Load) {
 // is nil) move to the fresh net. It returns the new cell and net.
 func (n *Netlist) InsertOnNet(name, cellName string, net NetID, loads []Load) (CellID, NetID) {
 	if loads == nil {
-		loads = append([]Load(nil), n.Fanouts()[net]...)
+		loads = append([]Load(nil), n.CSR().Fanout(net)...)
 	}
 	out := n.AddNet(name + "_n")
 	cell := n.Lib.MustCell(cellName)
@@ -106,16 +93,13 @@ func (n *Netlist) InsertOnNet(name, cellName string, net NetID, loads []Load) (C
 
 // SetInput rewires a single input pin of a cell to a different net.
 func (n *Netlist) SetInput(id CellID, pin int, net NetID) {
-	n.dirtyNet(n.Cells[id].Ins[pin], net)
-	n.dirtyCell(id)
+	n.connRev++
 	n.Cells[id].Ins[pin] = net
 }
 
 // KillCell marks an instance dead and releases its output net's driver.
 func (n *Netlist) KillCell(id CellID) {
-	n.dirtyNet(n.Cells[id].Ins...)
-	n.dirtyNet(n.Cells[id].Out)
-	n.dirtyCell(id)
+	n.connRev++
 	inst := &n.Cells[id]
 	inst.Dead = true
 	if inst.Out != NoNet && n.Nets[inst.Out].Driver == id {
@@ -171,7 +155,7 @@ func (n *Netlist) Validate() error {
 }
 
 // Clone returns a deep copy of the netlist (sharing the immutable
-// library). Derived-structure caches (CSR, fanout view, levelization) are
+// library). Derived-structure caches (CSR, levelization) are
 // immutable per connectivity revision, so the clone shares the cached
 // pointers: a sweep level cloned from a prewarmed base circuit pays no
 // rebuild until its first connectivity edit.
@@ -185,18 +169,11 @@ func (n *Netlist) Clone() *Netlist {
 		POs:     append([]Port(nil), n.POs...),
 		Domains: append([]Domain(nil), n.Domains...),
 
-		connRev:    n.connRev,
-		attrRev:    n.attrRev,
-		csr:        n.csr,
-		csrRev:     n.csrRev,
-		fanouts:    n.fanouts,
-		fanoutsRev: n.fanoutsRev,
-		levels:     n.levels,
-		levelsRev:  n.levelsRev,
-
-		dirtyNets:  append([]NetID(nil), n.dirtyNets...),
-		dirtyCells: append([]CellID(nil), n.dirtyCells...),
-		dirtyAll:   n.dirtyAll,
+		connRev:   n.connRev,
+		csr:       n.csr,
+		csrRev:    n.csrRev,
+		levels:    n.levels,
+		levelsRev: n.levelsRev,
 	}
 	for i := range n.Cells {
 		c := n.Cells[i]

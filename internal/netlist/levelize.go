@@ -1,9 +1,6 @@
 package netlist
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Levels is the levelized (topologically ordered) view of the
 // combinational core of a netlist. Sequential cell outputs and primary
@@ -24,146 +21,18 @@ type Levels struct {
 
 // Levelize computes the topological order of the combinational core. It
 // returns an error naming a cell on a combinational cycle if one exists.
-// The result is cached per connectivity revision (attribute-only edits do
-// not invalidate it) and must not be modified.
+// The result is cached per connectivity revision (a same-kind SwapCell
+// does not invalidate it) and must not be modified.
 func (n *Netlist) Levelize() (*Levels, error) {
 	if n.levels != nil && n.levelsRev == n.connRev {
 		return n.levels, nil
-	}
-	// Incremental path: a stale cached levelization plus a complete edit
-	// log means only the fanout cones of the logged nets can have moved —
-	// re-levelize those with a worklist instead of re-running Kahn over
-	// the whole graph. The result is bit-identical to a full rebuild
-	// because Order is a pure function of CellLevel.
-	if n.levels != nil && !n.dirtyAll {
-		start := time.Now()
-		if lv, ok := n.relevelIncremental(n.levels); ok {
-			n.levStats.Incremental++
-			n.levStats.IncrementalNS += time.Since(start).Nanoseconds()
-			n.levels, n.levelsRev = lv, n.connRev
-			n.dirtyNets, n.dirtyCells = n.dirtyNets[:0], n.dirtyCells[:0]
-			return lv, nil
-		}
-		n.levStats.Fallback++
 	}
 	lv, err := n.levelize()
 	if err != nil {
 		return nil, err
 	}
-	n.levStats.Full++
 	n.levels, n.levelsRev = lv, n.connRev
-	n.dirtyNets, n.dirtyCells = nil, nil
-	n.dirtyAll = false
 	return lv, nil
-}
-
-// relevelIncremental rebuilds the levelization by chaotic worklist
-// iteration over the fanout cones of the edit log, against the previous
-// cached Levels (which is shared with clones and therefore copied, never
-// mutated). It reports ok=false — leaving a full rebuild to the caller —
-// when the iteration budget is exhausted, which is how an edit-created
-// combinational cycle surfaces (around a cycle the level equations are
-// unsatisfiable, so levels grow without bound).
-func (n *Netlist) relevelIncremental(prev *Levels) (*Levels, bool) {
-	lv := &Levels{
-		CellLevel: make([]int, len(n.Cells)),
-		NetLevel:  make([]int, len(n.Nets)),
-	}
-	copy(lv.CellLevel, prev.CellLevel)
-	for ci := len(prev.CellLevel); ci < len(n.Cells); ci++ {
-		lv.CellLevel[ci] = -1
-	}
-	copy(lv.NetLevel, prev.NetLevel)
-
-	isComb := func(ci CellID) bool {
-		c := &n.Cells[ci]
-		return !c.Dead && !c.Cell.Kind.IsSequential() && !c.Cell.Kind.IsPhysicalOnly()
-	}
-
-	csr := n.CSR()
-	var queue []CellID
-	inQueue := make(map[CellID]bool, len(n.dirtyCells)+len(n.dirtyNets)*2)
-	enqueue := func(ci CellID) {
-		if !inQueue[ci] {
-			inQueue[ci] = true
-			queue = append(queue, ci)
-		}
-	}
-	// enqueueNet reconciles a net whose source may have changed and
-	// enqueues its combinational loads for re-evaluation.
-	enqueueNet := func(net NetID, want int) {
-		if lv.NetLevel[net] != want {
-			lv.NetLevel[net] = want
-		}
-		for _, ld := range csr.Fanout(net) {
-			if ld.Cell != NoCell && isComb(ld.Cell) {
-				enqueue(ld.Cell)
-			}
-		}
-	}
-
-	// Seed: every logged cell, plus — for every logged net — its current
-	// driver and all current loads. A net whose driver is not (or no
-	// longer) a combinational cell is pinned back to level 0 here; a net
-	// with a combinational driver is reconciled when that driver is
-	// processed below.
-	for _, ci := range n.dirtyCells {
-		enqueue(ci)
-	}
-	for _, net := range n.dirtyNets {
-		if d := n.Nets[net].Driver; d != NoCell && isComb(d) {
-			enqueue(d)
-			// Loads still need re-evaluation even if the net's level is
-			// unchanged: MoveLoads rewires pins without moving levels.
-			enqueueNet(net, lv.NetLevel[net])
-		} else {
-			enqueueNet(net, 0)
-		}
-	}
-
-	budget := 2*len(n.Cells) + 64
-	for head := 0; head < len(queue); head++ {
-		if budget--; budget < 0 {
-			return nil, false
-		}
-		ci := queue[head]
-		inQueue[ci] = false
-		c := &n.Cells[ci]
-		level := -1
-		if isComb(ci) {
-			level = 0
-			for _, net := range c.Ins {
-				if net != NoNet && lv.NetLevel[net] > level {
-					level = lv.NetLevel[net]
-				}
-			}
-			level++
-			if level > len(n.Cells) {
-				return nil, false // level blow-up: combinational cycle
-			}
-		}
-		lv.CellLevel[ci] = level
-		if c.Out == NoNet || n.Nets[c.Out].Driver != ci {
-			continue
-		}
-		want := 0
-		if level > 0 {
-			want = level
-		}
-		if lv.NetLevel[c.Out] != want {
-			enqueueNet(c.Out, want)
-		}
-	}
-
-	// Order and MaxLevel are pure functions of CellLevel; rebuild both
-	// with the same counting sort the full path uses.
-	for _, l := range lv.CellLevel {
-		if l > lv.MaxLevel {
-			lv.MaxLevel = l
-		}
-	}
-	lv.sortOrder()
-	return lv, true
 }
 
 func (n *Netlist) levelize() (*Levels, error) {
@@ -245,9 +114,8 @@ func (n *Netlist) levelize() (*Levels, error) {
 // sortOrder canonicalizes Order to (level, cell ID) via a counting sort.
 // Every consumer of Order is a pure dataflow sweep (each cell's result
 // depends only on already-computed fanin values), so any topological order
-// yields identical analysis results; making the canonical order a pure
-// function of CellLevel is what lets the incremental relevel reproduce it
-// exactly without replaying the Kahn queue.
+// yields identical analysis results; the canonical order makes them
+// independent of the Kahn queue's visiting order too.
 func (lv *Levels) sortOrder() {
 	cnt := make([]int, lv.MaxLevel+2)
 	total := 0

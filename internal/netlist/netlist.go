@@ -100,47 +100,18 @@ type Netlist struct {
 	POs     []Port
 	Domains []Domain
 
-	// Derived-structure caches. Each is (re)built lazily and keyed on
-	// connRev, the connectivity revision: only edits that change the
-	// net↔pin graph (add/kill/rewire) bump it. Attribute-only edits
-	// (drive-strength swaps that keep the same kind and pin→net map)
-	// bump attrRev instead and leave the caches valid — this is what
-	// keeps STA/placement design iterations from rebuilding adjacency.
-	connRev    uint64
-	attrRev    uint64
-	csr        *CSR
-	csrRev     uint64
-	fanouts    [][]Load
-	fanoutsRev uint64
-	levels     *Levels
-	levelsRev  uint64
-
-	// Epoch-stamped edit log: the nets and cells touched by connectivity
-	// edits since the cached levelization was built. While dirtyAll is
-	// false, Levelize can re-levelize incrementally by sweeping only the
-	// fanout cones of the logged nets instead of the whole graph. Edit
-	// primitives that know their footprint call dirtyNet/dirtyCell; any
-	// edit that cannot name its footprint calls dirty(), which poisons
-	// the log and forces the next levelization to run from scratch.
-	dirtyNets  []NetID
-	dirtyCells []CellID
-	dirtyAll   bool
-	levStats   LevStats
+	// Derived graph data: connRev is the connectivity revision, bumped by
+	// every edit primitive that changes the net↔pin graph (add, kill,
+	// rewire) and by nothing else; csr and levels are rebuilt lazily
+	// when their revision falls behind it. An edit that keeps the graph
+	// intact (a same-kind drive-strength swap) bumps nothing, so STA and
+	// placement iterations do not rebuild adjacency.
+	connRev   uint64
+	csr       *CSR
+	csrRev    uint64
+	levels    *Levels
+	levelsRev uint64
 }
-
-// LevStats counts how the levelization cache was (re)built, and the time
-// spent on the incremental path. Clones start with zeroed counters.
-type LevStats struct {
-	Full        uint64 // full Kahn rebuilds
-	Incremental uint64 // worklist relevels over the edit log
-	Fallback    uint64 // incremental attempts that bailed to a full rebuild
-	// IncrementalNS is the wall time spent in successful incremental
-	// relevels (the time a full rebuild would otherwise have absorbed).
-	IncrementalNS int64
-}
-
-// LevelizeStats returns this netlist's levelization rebuild counters.
-func (n *Netlist) LevelizeStats() LevStats { return n.levStats }
 
 // Load is one sink of a net: either pin Pin of cell Cell, or primary
 // output PO (index into POs) when Cell == NoCell.
@@ -158,9 +129,8 @@ func New(name string, lib *stdcell.Library) *Netlist {
 // AddNet creates a net with no driver and returns its ID.
 func (n *Netlist) AddNet(name string) NetID {
 	n.Nets = append(n.Nets, Net{Name: name, Driver: NoCell, PI: -1, Const: -1})
-	id := NetID(len(n.Nets) - 1)
-	n.dirtyNet(id)
-	return id
+	n.connRev++
+	return NetID(len(n.Nets) - 1)
 }
 
 // AddConst creates (or returns an existing) constant-0 or constant-1 net.
@@ -197,7 +167,7 @@ func (n *Netlist) AddClockPI(name string, period float64) (NetID, int) {
 
 // AddPO marks a net as a primary output.
 func (n *Netlist) AddPO(name string, net NetID) {
-	n.dirtyNet(net)
+	n.connRev++
 	n.POs = append(n.POs, Port{Name: name, Net: net, Domain: -1})
 }
 
@@ -209,10 +179,8 @@ func (n *Netlist) AddCell(name string, cell *stdcell.Cell, ins []NetID, out NetI
 		panic(fmt.Sprintf("netlist: cell %s (%s) given %d inputs, wants %d",
 			name, cell.Name, len(ins), len(cell.Inputs)))
 	}
-	n.dirtyNet(ins...)
-	n.dirtyNet(out)
+	n.connRev++
 	id := CellID(len(n.Cells))
-	n.dirtyCell(id)
 	n.Cells = append(n.Cells, Instance{
 		Name:   name,
 		Cell:   cell,
@@ -235,82 +203,13 @@ func (n *Netlist) Cell(id CellID) *Instance { return &n.Cells[id] }
 // Net returns the net for id.
 func (n *Netlist) Net(id NetID) *Net { return &n.Nets[id] }
 
-// dirty invalidates derived indices after a connectivity edit whose
-// footprint is unknown: it poisons the edit log, so the next levelization
-// rebuilds from scratch. Edits that can name the nets they touch call
-// dirtyNet instead; edits that provably keep the net↔pin graph intact
-// call dirtyAttr.
-func (n *Netlist) dirty() {
-	n.connRev++
-	n.dirtyAll = true
-	n.dirtyNets, n.dirtyCells = nil, nil
-}
-
-// dirtyLogCap bounds the edit log: past this many entries a full rebuild
-// is cheaper than replaying the log, so the log poisons itself.
-const dirtyLogCap = 1 << 14
-
-// dirtyNet records a connectivity edit that touches exactly the given
-// nets (every net whose driver, load set, or load pins changed).
-func (n *Netlist) dirtyNet(nets ...NetID) {
-	n.connRev++
-	if n.dirtyAll {
-		return
-	}
-	for _, net := range nets {
-		if net != NoNet {
-			n.dirtyNets = append(n.dirtyNets, net)
-		}
-	}
-	if len(n.dirtyNets)+len(n.dirtyCells) > dirtyLogCap {
-		n.dirtyAll = true
-		n.dirtyNets, n.dirtyCells = nil, nil
-	}
-}
-
-// dirtyCell records a cell whose liveness or pin map changed, alongside
-// the dirtyNet entries of the nets it touches. It does not bump connRev —
-// it always accompanies a dirtyNet call that does.
-func (n *Netlist) dirtyCell(id CellID) {
-	if n.dirtyAll {
-		return
-	}
-	n.dirtyCells = append(n.dirtyCells, id)
-}
-
-// dirtyAttr records an attribute-only edit (cell variant swap with an
-// identical pin→net mapping): adjacency, levelization, and the CSR stay
-// valid.
-func (n *Netlist) dirtyAttr() { n.attrRev++ }
-
-// Fanouts returns the sink list of every net as a per-net slice view over
-// the CSR adjacency. The index is rebuilt lazily after connectivity edits;
-// the returned slices must not be modified.
-func (n *Netlist) Fanouts() [][]Load {
-	if n.fanouts != nil && n.fanoutsRev == n.connRev {
-		return n.fanouts
-	}
-	csr := n.CSR()
-	f := make([][]Load, len(n.Nets))
-	for i := range f {
-		lo, hi := csr.FanoutIdx[i], csr.FanoutIdx[i+1]
-		// Full slice expression: capacity is capped at the net's own
-		// segment, so an (illegal) append by a caller cannot clobber the
-		// next net's loads silently.
-		f[i] = csr.FanoutLoads[lo:hi:hi]
-	}
-	n.fanouts, n.fanoutsRev = f, n.connRev
-	return f
-}
-
-// Prewarm builds every derived-structure cache (CSR adjacency, fanout
-// view, levelization) so that subsequent Clones share them. Sweep uses it
+// Prewarm builds both derived-structure caches (CSR adjacency and
+// levelization) so that subsequent Clones share them. Sweep uses it
 // to pay the build cost once per base circuit instead of once per level.
 // A combinational cycle leaves the levelization uncached; the error
 // resurfaces at first real use.
 func (n *Netlist) Prewarm() {
 	n.CSR()
-	n.Fanouts()
 	n.Levelize() //nolint:errcheck // cycle errors resurface at first use
 }
 

@@ -61,14 +61,14 @@ func TestBuildAndValidate(t *testing.T) {
 
 func TestFanouts(t *testing.T) {
 	n := buildSmall(t)
-	fan := n.Fanouts()
+	fan := n.CSR()
 	// n1 drives u2's input and the "tap" PO.
 	n1 := netByName(t, n, "n1")
-	if len(fan[n1]) != 2 {
-		t.Fatalf("fanout(n1) = %d loads, want 2", len(fan[n1]))
+	if len(fan.Fanout(n1)) != 2 {
+		t.Fatalf("fanout(n1) = %d loads, want 2", len(fan.Fanout(n1)))
 	}
 	var haveCell, havePO bool
-	for _, ld := range fan[n1] {
+	for _, ld := range fan.Fanout(n1) {
 		if ld.Cell != NoCell {
 			haveCell = true
 		} else if ld.PO >= 0 {
@@ -76,7 +76,7 @@ func TestFanouts(t *testing.T) {
 		}
 	}
 	if !haveCell || !havePO {
-		t.Errorf("fanout(n1) loads = %+v, want one cell pin and one PO", fan[n1])
+		t.Errorf("fanout(n1) loads = %+v, want one cell pin and one PO", fan.Fanout(n1))
 	}
 }
 
@@ -147,20 +147,20 @@ func TestSwapCellMissingPin(t *testing.T) {
 func TestInsertOnNet(t *testing.T) {
 	n := buildSmall(t)
 	n1 := netByName(t, n, "n1")
-	before := len(n.Fanouts()[n1])
+	before := len(n.CSR().Fanout(n1))
 	bufID, newNet := n.InsertOnNet("buf0", "BUFX2", n1, nil)
 	if err := n.Validate(); err != nil {
 		t.Fatalf("Validate after insert: %v", err)
 	}
-	fan := n.Fanouts()
-	if len(fan[n1]) != 1 {
-		t.Fatalf("old net keeps %d loads, want 1 (the buffer)", len(fan[n1]))
+	fan := n.CSR()
+	if len(fan.Fanout(n1)) != 1 {
+		t.Fatalf("old net keeps %d loads, want 1 (the buffer)", len(fan.Fanout(n1)))
 	}
-	if fan[n1][0].Cell != bufID {
+	if fan.Fanout(n1)[0].Cell != bufID {
 		t.Error("old net's only load is not the inserted buffer")
 	}
-	if len(fan[newNet]) != before {
-		t.Errorf("new net has %d loads, want %d", len(fan[newNet]), before)
+	if len(fan.Fanout(newNet)) != before {
+		t.Errorf("new net has %d loads, want %d", len(fan.Fanout(newNet)), before)
 	}
 }
 

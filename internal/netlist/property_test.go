@@ -94,12 +94,8 @@ func TestFanoutIndexConsistency(t *testing.T) {
 			nets = append(nets, out)
 		}
 		n.AddPO("po", nets[len(nets)-1])
-		fan := n.Fanouts()
 		// Count connections both ways.
-		fromIndex := 0
-		for _, loads := range fan {
-			fromIndex += len(loads)
-		}
+		fromIndex := len(n.CSR().FanoutLoads)
 		fromCells := len(n.POs)
 		for ci := range n.Cells {
 			if !n.Cells[ci].Dead {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tpilayout/internal/circuitgen"
+	"tpilayout/internal/netlist"
 	"tpilayout/internal/place"
 	"tpilayout/internal/stdcell"
 )
@@ -46,13 +47,13 @@ func TestTwoPinNetLength(t *testing.T) {
 	// distance and no more than distance + detours.
 	p, r := routed(t, 0.90)
 	n := p.N
-	fan := n.Fanouts()
+	fan := n.CSR()
 	checked := 0
 	for id := range n.Nets {
 		if n.Nets[id].Dead || n.Nets[id].Const >= 0 || n.Nets[id].Driver < 0 {
 			continue
 		}
-		loads := fan[id]
+		loads := fan.Fanout(netlist.NetID(id))
 		if len(loads) != 1 || loads[0].Cell < 0 {
 			continue
 		}

@@ -193,7 +193,7 @@ func stitch(n *netlist.Netlist, c *Chain, idx int) {
 // buildSETree splits the scan-enable load between buffers when the fanout
 // exceeds the limit, tagging the buffers for ECO placement.
 func (r *Result) buildSETree(n *netlist.Netlist, limit int) {
-	loads := append([]netlist.Load(nil), n.Fanouts()[r.SE]...)
+	loads := append([]netlist.Load(nil), n.CSR().Fanout(r.SE)...)
 	if len(loads) <= limit {
 		return
 	}

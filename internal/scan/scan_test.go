@@ -159,8 +159,7 @@ func TestSEBufferTree(t *testing.T) {
 	if len(res.SEBuffers) == 0 {
 		t.Fatal("no scan-enable buffers despite tiny fanout limit")
 	}
-	fan := n.Fanouts()
-	if got := len(fan[res.SE]); got > 8+len(res.SEBuffers) {
+	if got := n.CSR().FanoutLen(res.SE); got > 8+len(res.SEBuffers) {
 		t.Errorf("scan-enable root still drives %d loads", got)
 	}
 	for _, b := range res.SEBuffers {

@@ -14,6 +14,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -148,6 +149,20 @@ func (t *Tracer) newSpan(parent *Span, stage string, tp float64) *Span {
 	if parent != nil {
 		pid = parent.id
 	}
+	// A sink that panics on this span_start would leave the span open for
+	// good: the caller has no *Span yet for its deferred close to end. So
+	// the span ends itself, with the panic as its error, and the panic
+	// goes on. Sinks listed behind the panicking one see that end alone.
+	defer func() {
+		if r := recover(); r != nil {
+			err, ok := r.(error)
+			if !ok {
+				err = fmt.Errorf("panic: %v", r)
+			}
+			s.EndErr(err)
+			panic(r)
+		}
+	}()
 	t.emit(Event{Type: EventSpanStart, ID: s.id, Parent: pid, Stage: stage, TPPercent: tp, Time: s.start})
 	return s
 }

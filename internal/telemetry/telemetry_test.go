@@ -140,6 +140,51 @@ func TestParseTraceUnbalanced(t *testing.T) {
 	}
 }
 
+// TestSinkPanicOnStartClosesSpan: a sink that panics while handling a
+// span_start fires before the caller holds the span, so no deferred close
+// of the caller's can end it. The span ends itself with the panic as its
+// error, the panic still reaches the caller, and the trace the sinks ahead
+// of the panicking one wrote stays balanced.
+func TestSinkPanicOnStartClosesSpan(t *testing.T) {
+	var buf bytes.Buffer
+	nd := NewNDJSONSink(&buf)
+	tr := New(nd, FuncSink(func(e Event) {
+		if e.Type == EventSpanStart && e.Stage == "route" {
+			panic("sink detonated")
+		}
+	}))
+	root := tr.StartSpan("run", 2)
+	root.Child("place").End()
+	func() {
+		defer func() {
+			if r := recover(); r != "sink detonated" {
+				t.Errorf("recovered %v, want the sink's panic value", r)
+			}
+			root.EndErr(errors.New("route failed"))
+		}()
+		root.Child("route")
+		t.Error("Child returned past a panicking sink")
+	}()
+	if err := nd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := ParseTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trace.Balanced() {
+		t.Fatalf("span left open: %v", trace.Unbalanced)
+	}
+	for _, sp := range trace.Spans {
+		if want := map[string]string{"place": "", "route": "panic: sink detonated", "run": "route failed"}[sp.Stage]; sp.Err != want {
+			t.Errorf("%s span_end err = %q, want %q", sp.Stage, sp.Err, want)
+		}
+	}
+	if sn := root.Snapshot().Find("route"); sn == nil || sn.Err == "" {
+		t.Errorf("route snapshot not attached to its parent with the error: %+v", sn)
+	}
+}
+
 // TestConcurrentChildren models a parallel sweep: many goroutines open
 // and close children of one root while sharing a counter. Run with
 // -race.

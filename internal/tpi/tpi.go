@@ -114,12 +114,7 @@ func insertLoop(n *netlist.Netlist, opt Options, res *Result) error {
 			return err
 		}
 	}
-	// Hand the netlist on with its levelization current. The stages that
-	// follow re-levelize incrementally over their own edits, on a work
-	// budget that TPI's edit log (19 entries per point) would otherwise
-	// use up, sending them to a full rebuild.
-	_, err = n.Levelize()
-	return err
+	return nil
 }
 
 // inserter is the state of one Insert call. It runs the paper's
