@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +13,9 @@ import (
 // FuzzJobRequest throws arbitrary bytes at the submission decoder through
 // the full handler: whatever the body, the server must answer (2xx for a
 // valid job, 4xx for garbage) and never panic — the same hardening bar
-// FuzzParseBench holds the .bench reader to.
+// FuzzParseBench holds the .bench reader to. Every body goes in twice,
+// and the second answer, which the request index may give, agrees with
+// the first: same status class, and the same key for a job.
 func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`{}`))
@@ -33,16 +36,37 @@ func FuzzJobRequest(f *testing.F) {
 	s.runFlow = func(rn *run) (*JobResult, error) { return stubResult(rn), nil }
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req) // must not panic
-		switch {
-		case rec.Code >= 200 && rec.Code < 300:
-		case rec.Code >= 400 && rec.Code < 500:
-		case rec.Code == http.StatusServiceUnavailable:
-			// Queue pressure from earlier fuzz-accepted jobs is fine.
-		default:
-			t.Fatalf("submission answered %d for body %q", rec.Code, body)
+		var answers [2]*httptest.ResponseRecorder
+		for i := range answers {
+			req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req) // must not panic
+			switch {
+			case rec.Code >= 200 && rec.Code < 300:
+			case rec.Code >= 400 && rec.Code < 500:
+			case rec.Code == http.StatusServiceUnavailable:
+				// Queue pressure from earlier fuzz-accepted jobs is fine.
+			default:
+				t.Fatalf("submission answered %d for body %q", rec.Code, body)
+			}
+			answers[i] = rec
+		}
+		first, second := answers[0], answers[1]
+		if pressure := func(code int) bool {
+			return code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
+		}; pressure(first.Code) || pressure(second.Code) {
+			return
+		}
+		if first.Code/100 != second.Code/100 {
+			t.Fatalf("body %q answered %d, then %d", body, first.Code, second.Code)
+		}
+		if first.Code/100 == 2 {
+			var a, b JobStatus
+			json.Unmarshal(first.Body.Bytes(), &a)
+			json.Unmarshal(second.Body.Bytes(), &b)
+			if a.Key == "" || a.Key != b.Key {
+				t.Fatalf("body %q keyed %q, then %q", body, a.Key, b.Key)
+			}
 		}
 	})
 }

@@ -10,9 +10,12 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -89,11 +92,18 @@ type JobRequest struct {
 
 // compiled is a validated, executable form of a JobRequest: the parsed
 // design, the resolved flow.Config, and the content-addressed cache key.
+// checkRequest fills the fields every submission pays for; address fills
+// the rest from the circuit. A job answered from the request index has
+// key and hit, and neither design nor anything derived from it.
 type compiled struct {
 	tenant    string
+	src       circuitSource // the circuit, checked; src.name is the design's name
 	design    *netlist.Netlist
 	cfg       flow.Config
 	levels    []float64
+	budgetMS  int64
+	digest    requestDigest
+	hit       *JobResult // the cached result the request index resolved to
 	key       string
 	baseKey   string // level-independent address: checkpoint key prefix
 	circHash  string // circuit-only hash: run-history baseline key half
@@ -120,6 +130,23 @@ func badRequest(format string, args ...any) error {
 // that mean the same sweep hash identically regardless of field spelling,
 // bench formatting, or worker count.
 func compileRequest(req *JobRequest) (*compiled, error) {
+	c, err := checkRequest(req, true)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.address(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// checkRequest is the part of compileRequest every submission pays for:
+// every check, the resolved config and the request digest, with the
+// circuit checked but not built. With parse set it builds the circuit in
+// the place compileRequest always has (after the circuit fields, before
+// the flow fields), so a request with several faults is refused for the
+// same one.
+func checkRequest(req *JobRequest, parse bool) (*compiled, error) {
 	c := &compiled{tenant: strings.TrimSpace(req.Tenant)}
 	if c.tenant == "" {
 		c.tenant = "default"
@@ -141,13 +168,19 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 	}
 	c.levels = append([]float64(nil), req.TPLevels...)
 
-	design, preset, err := buildDesign(&req.Circuit)
+	src, err := sourceOf(&req.Circuit)
 	if err != nil {
 		return nil, err
 	}
-	c.design = design
+	c.src = src
+	if parse {
+		if c.design, err = src.build(); err != nil {
+			return nil, err
+		}
+	}
 
 	fc := req.Flow
+	preset := src.preset
 	if fc.Experiment != "" {
 		preset = fc.Experiment
 	}
@@ -176,19 +209,34 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 	if err := probe.Validate(); err != nil {
 		return nil, badRequest("%v", err)
 	}
+	c.preset = preset
+	c.budgetMS = fc.ATPGBudgetMS
+	c.cacheable = fc.ATPGBudgetMS == 0
+	c.digest = digestRequest(&req.Circuit, &cfg, c.levels, fc.ATPGBudgetMS)
+	return c, nil
+}
 
+// address is the circuit part of compileRequest: it builds the design
+// unless checkRequest already did, canonicalizes it and derives the keys.
+func (c *compiled) address() error {
+	if c.design == nil {
+		design, err := c.src.build()
+		if err != nil {
+			return err
+		}
+		c.design = design
+	}
 	var bench bytes.Buffer
-	if err := circuitgen.WriteBench(&bench, design); err != nil {
-		return nil, fmt.Errorf("service: canonicalizing circuit: %w", err)
+	if err := circuitgen.WriteBench(&bench, c.design); err != nil {
+		return fmt.Errorf("service: canonicalizing circuit: %w", err)
 	}
 	c.bench = bench.String()
-	c.preset = preset
-	c.key = keyFromBench(c.bench, &cfg, c.levels, fc.ATPGBudgetMS)
+	c.key = keyFromBench(c.bench, &c.cfg, c.levels, c.budgetMS)
 	// The base key drops the level list and budget: every level of every
 	// sweep over the same circuit+config shares one checkpoint namespace,
 	// so a resubmission with a different level mix still resumes the
 	// levels it has in common with earlier runs.
-	c.baseKey = keyFromBench(c.bench, &cfg, nil, 0)
+	c.baseKey = keyFromBench(c.bench, &c.cfg, nil, 0)
 	// The history hashes split the content address into its two halves,
 	// so the run archive can answer "same circuit, any config" and "same
 	// config, any circuit" queries independently. Levels are excluded:
@@ -197,9 +245,36 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 	// share. The ATPG budget stays in the config hash — a budgeted run
 	// is not comparable to an unbudgeted one.
 	c.circHash = circuitHash(c.bench)
-	c.cfgHash = configHash(&cfg, fc.ATPGBudgetMS)
-	c.cacheable = fc.ATPGBudgetMS == 0
-	return c, nil
+	c.cfgHash = configHash(&c.cfg, c.budgetMS)
+	return nil
+}
+
+// requestDigest addresses a request by its bytes rather than its meaning:
+// the key of the request index (cache.go).
+type requestDigest [sha256.Size]byte
+
+// digestRequest is SHA-256 over the circuit fields exactly as received
+// (strings length-prefixed, floats as their bits, so no two field tuples
+// encode alike) followed by the hashedConfig JSON keyFromBench hashes.
+// Everything the key is a function of is in it: the canonical text is a
+// function of the circuit fields, the rest of the config JSON.
+func digestRequest(cs *CircuitSpec, cfg *flow.Config, levels []float64, budgetMS int64) requestDigest {
+	h := sha256.New()
+	h.Write([]byte("tpid/request\n"))
+	var word [8]byte
+	for _, s := range []string{cs.Bench, cs.Name, cs.Spec} {
+		binary.BigEndian.PutUint64(word[:], uint64(len(s)))
+		h.Write(word[:])
+		io.WriteString(h, s)
+	}
+	for _, f := range []float64{cs.PeriodPS, cs.Scale} {
+		binary.BigEndian.PutUint64(word[:], math.Float64bits(f))
+		h.Write(word[:])
+	}
+	h.Write(hashedConfigJSON(cfg, levels, budgetMS))
+	var d requestDigest
+	h.Sum(d[:0])
+	return d
 }
 
 // circuitHash is the circuit half of the archive baseline key: SHA-256
@@ -214,17 +289,7 @@ func circuitHash(bench string) string {
 // configHash is the config half of the archive baseline key: SHA-256
 // over the resolved config (level list excluded, ATPG budget included).
 func configHash(cfg *flow.Config, budgetMS int64) string {
-	hc := hashedConfig{
-		MaxChains:         cfg.Scan.MaxChains,
-		MaxChainLength:    cfg.Scan.MaxChainLength,
-		SEFanoutLimit:     cfg.Scan.SEFanoutLimit,
-		TargetUtilization: cfg.Place.TargetUtilization,
-		SkipATPG:          cfg.SkipATPG,
-		TimingOptRounds:   cfg.TimingOptRounds,
-		ATPGBudgetMS:      budgetMS,
-	}
-	cfgJSON, _ := json.Marshal(hc) // fixed field set: cannot fail
-	h := sha256.Sum256(append([]byte("tpid/v1/config\n"), cfgJSON...))
+	h := sha256.Sum256(append([]byte("tpid/v1/config\n"), hashedConfigJSON(cfg, nil, budgetMS)...))
 	return hex.EncodeToString(h[:])
 }
 
@@ -234,56 +299,74 @@ func levelKey(baseKey string, pct float64) string {
 	return baseKey + "/tp" + strconv.FormatFloat(pct, 'g', -1, 64)
 }
 
-// buildDesign parses or generates the request's circuit, returning the
-// design plus the preset name its config should default to.
-func buildDesign(cs *CircuitSpec) (*netlist.Netlist, string, error) {
-	lib := stdcell.Default()
+// circuitSource is a request's circuit after every check that needs
+// neither parsing nor generating it: what build needs, the design's name
+// and the preset its config defaults to.
+type circuitSource struct {
+	bench  string // inline .bench text; "" for a generated circuit
+	name   string
+	period float64
+	spec   circuitgen.Spec
+	preset string
+}
+
+// sourceOf checks the request's circuit fields.
+func sourceOf(cs *CircuitSpec) (circuitSource, error) {
 	switch {
 	case cs.Bench != "" && cs.Spec != "":
-		return nil, "", badRequest("circuit: set either bench or spec, not both")
+		return circuitSource{}, badRequest("circuit: set either bench or spec, not both")
 	case cs.Bench != "":
 		name := strings.TrimSpace(cs.Name)
 		if name == "" {
 			name = "bench"
 		}
 		if len(name) > maxNameLen {
-			return nil, "", badRequest("circuit.name longer than %d bytes", maxNameLen)
+			return circuitSource{}, badRequest("circuit.name longer than %d bytes", maxNameLen)
 		}
 		period := cs.PeriodPS
 		if period == 0 {
 			period = 10000
 		}
 		if period < 0 {
-			return nil, "", badRequest("circuit.period_ps negative")
+			return circuitSource{}, badRequest("circuit.period_ps negative")
 		}
-		n, err := circuitgen.ReadBench(strings.NewReader(cs.Bench), name, lib, period)
-		if err != nil {
-			return nil, "", badRequest("circuit.bench: %v", err)
-		}
-		return n, "bench", nil
+		return circuitSource{bench: cs.Bench, name: name, period: period, preset: "bench"}, nil
 	case cs.Spec != "":
 		spec, err := circuitgen.SpecByName(cs.Spec)
 		if err != nil {
-			return nil, "", badRequest("circuit.spec: %v", err)
+			return circuitSource{}, badRequest("circuit.spec: %v", err)
 		}
 		scale := cs.Scale
 		if scale == 0 {
 			scale = 1
 		}
 		if scale < 0 || scale > maxSpecScale {
-			return nil, "", badRequest("circuit.scale %g outside (0,%g]", scale, maxSpecScale)
+			return circuitSource{}, badRequest("circuit.scale %g outside (0,%g]", scale, maxSpecScale)
 		}
 		if scale != 1 {
 			spec = spec.Scale(scale)
 		}
-		n, err := circuitgen.Generate(spec, lib)
-		if err != nil {
-			return nil, "", fmt.Errorf("service: generating %s: %w", spec.Name, err)
-		}
-		return n, spec.Name, nil
+		return circuitSource{name: spec.Name, spec: spec, preset: spec.Name}, nil
 	default:
-		return nil, "", badRequest("circuit: one of bench or spec is required")
+		return circuitSource{}, badRequest("circuit: one of bench or spec is required")
 	}
+}
+
+// build parses or generates the circuit.
+func (src *circuitSource) build() (*netlist.Netlist, error) {
+	lib := stdcell.Default()
+	if src.bench != "" {
+		n, err := circuitgen.ReadBench(strings.NewReader(src.bench), src.name, lib, src.period)
+		if err != nil {
+			return nil, badRequest("circuit.bench: %v", err)
+		}
+		return n, nil
+	}
+	n, err := circuitgen.Generate(src.spec, lib)
+	if err != nil {
+		return nil, fmt.Errorf("service: generating %s: %w", src.spec.Name, err)
+	}
+	return n, nil
 }
 
 // hashedConfig is the canonical form of everything that can change a
@@ -301,27 +384,10 @@ type hashedConfig struct {
 	TPLevels          []float64
 }
 
-// canonicalKey derives the content address of a request: SHA-256 over
-// the canonical ".bench" text of the parsed design (WriteBench is a
-// fixed point of ReadBench∘WriteBench, so formatting differences in the
-// submitted text vanish) plus the resolved config and level list. Two
-// requests with equal keys are guaranteed to produce byte-identical
-// tables, which is what makes the result cache and singleflight sound.
-func canonicalKey(design *netlist.Netlist, cfg *flow.Config, levels []float64, budgetMS int64) (string, error) {
-	var bench bytes.Buffer
-	if err := circuitgen.WriteBench(&bench, design); err != nil {
-		return "", err
-	}
-	return keyFromBench(bench.String(), cfg, levels, budgetMS), nil
-}
-
-// keyFromBench is canonicalKey over an already-canonicalized bench text.
-// The domain tag is the version of the tables: it moves whenever a build
-// produces different bytes for the same request (v2: PODEM's frontier
-// tie-break), so results and level checkpoints an older build left in a
-// data dir match nothing and age out.
-func keyFromBench(bench string, cfg *flow.Config, levels []float64, budgetMS int64) string {
-	hc := hashedConfig{
+// hashedConfigJSON is the hashedConfig of a resolved config as the keys
+// hash it.
+func hashedConfigJSON(cfg *flow.Config, levels []float64, budgetMS int64) []byte {
+	cfgJSON, _ := json.Marshal(hashedConfig{ // fixed field set: cannot fail
 		MaxChains:         cfg.Scan.MaxChains,
 		MaxChainLength:    cfg.Scan.MaxChainLength,
 		SEFanoutLimit:     cfg.Scan.SEFanoutLimit,
@@ -330,13 +396,26 @@ func keyFromBench(bench string, cfg *flow.Config, levels []float64, budgetMS int
 		TimingOptRounds:   cfg.TimingOptRounds,
 		ATPGBudgetMS:      budgetMS,
 		TPLevels:          levels,
-	}
-	cfgJSON, _ := json.Marshal(hc) // fixed field set: cannot fail
+	})
+	return cfgJSON
+}
+
+// keyFromBench derives the content address of a request: SHA-256 over
+// the canonical ".bench" text of the parsed design (WriteBench is a
+// fixed point of ReadBench∘WriteBench, so formatting differences in the
+// submitted text vanish) plus the resolved config and level list. Two
+// requests with equal keys are guaranteed to produce byte-identical
+// tables, which is what makes the result cache and singleflight sound.
+// The domain tag is the version of the tables: it moves whenever a build
+// produces different bytes for the same request (v2: PODEM's frontier
+// tie-break), so results and level checkpoints an older build left in a
+// data dir match nothing and age out.
+func keyFromBench(bench string, cfg *flow.Config, levels []float64, budgetMS int64) string {
 	h := sha256.New()
 	h.Write([]byte("tpid/v2/circuit\n"))
 	h.Write([]byte(bench))
 	h.Write([]byte("\x00tpid/v2/config\n"))
-	h.Write(cfgJSON)
+	h.Write(hashedConfigJSON(cfg, levels, budgetMS))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

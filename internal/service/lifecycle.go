@@ -48,7 +48,7 @@ const (
 func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, admission) {
 	job := &Job{
 		ID: rec.JobID, Tenant: comp.tenant, Key: comp.key, Levels: comp.levels,
-		Circuit: comp.design.Name, state: StateQueued, created: rec.Created,
+		Circuit: comp.src.name, digest: comp.digest, state: StateQueued, created: rec.Created,
 		cacheable: comp.cacheable, journaled: replay,
 	}
 	if replay {
@@ -56,6 +56,9 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 	}
 	answer := func(res *JobResult) (*Job, admission) {
 		s.retire([]*Job{job}, outcome{state: StateDone, result: res, cacheHit: true})
+		// These bytes compiled to a cached key: the next identical request
+		// resolves without building its circuit.
+		s.cache.Alias(job.digest, job.Key)
 		s.opt.Log.Info("job answered from cache",
 			"job_id", job.ID, "tenant", job.Tenant, "circuit", job.Circuit, "key", job.Key)
 		return job, admitAnswered
@@ -64,9 +67,14 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 	if !replay {
 		// Content-addressed fast path: an identical finished sweep serves
 		// from the cache without touching the queue, the gate or the
-		// journal — it cost no flow, so there is nothing to recover.
+		// journal — it cost no flow, so there is nothing to recover. The
+		// request index may have found the result already (comp.hit).
 		if comp.cacheable {
-			if res, ok := s.cache.Get(comp.key); ok {
+			res, ok := comp.hit, comp.hit != nil
+			if !ok {
+				res, ok = s.cache.Get(comp.key)
+			}
+			if ok {
 				s.mu.Lock()
 				s.rememberJobLocked(job)
 				s.mu.Unlock()
@@ -452,7 +460,8 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 	// sweep (one level panicked or timed out) must be retried, not
 	// replayed forever from the cache. Publishing before the inflight
 	// entry goes is what admit's re-check under the lock relies on.
-	if out.state == StateDone && rn.cacheable && res != nil && res.Complete {
+	publish := out.state == StateDone && rn.cacheable && res != nil && res.Complete
+	if publish {
 		s.cache.Put(rn.key, res)
 	}
 
@@ -462,6 +471,13 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 	jobs := rn.jobs
 	rn.jobs = nil
 	s.mu.Unlock()
+	if publish {
+		// Every waiter's request compiled to rn.key: a resubmission of the
+		// same bytes resolves from the request index.
+		for _, j := range jobs {
+			s.cache.Alias(j.digest, rn.key)
+		}
+	}
 	// Crash semantics: a SIGKILL before the retired record leaves the
 	// jobs pending, so the restarted daemon re-runs them (cheaply, from
 	// their level checkpoints); a clean drain that cancels queued runs

@@ -92,6 +92,7 @@ type Job struct {
 	Key     string
 	Levels  []float64
 	Circuit string
+	digest  requestDigest // of the submission, aliased to Key once its result is cached
 
 	// All below guarded by Server.mu.
 	state     State
@@ -545,7 +546,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
 		return
 	}
-	comp, err := compileRequest(&req)
+	comp, err := s.compile(&req)
 	if err != nil {
 		var reqErr *requestError
 		if errors.As(err, &reqErr) {
@@ -559,7 +560,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rec := &recAccepted{
 		JobID:    s.claimJobID(r.Header.Get("X-Request-ID")),
 		Tenant:   comp.tenant,
-		Name:     comp.design.Name,
+		Name:     comp.src.name,
 		Bench:    comp.bench,
 		TPLevels: comp.levels,
 		Flow:     req.Flow,
@@ -584,6 +585,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case admitDraining:
 		writeError(w, http.StatusServiceUnavailable, "server is draining, not accepting jobs")
 	}
+}
+
+// compile resolves a submission. Every check runs; then, when these
+// exact circuit bytes and config were compiled before and their result is
+// still cached, the request index answers with no circuit built. Any
+// other request takes the full compileRequest path.
+func (s *Server) compile(req *JobRequest) (*compiled, error) {
+	c, err := checkRequest(req, false)
+	if err != nil {
+		// The full path refuses the request for the fault it always has:
+		// a bad circuit text before a bad flow field.
+		return compileRequest(req)
+	}
+	if c.cacheable {
+		var ok bool
+		if c.key, c.hit, ok = s.cache.Resolve(c.digest); ok {
+			return c, nil
+		}
+	}
+	if err := c.address(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // claimJobID returns the job ID for a submission: a valid, unused
