@@ -70,8 +70,9 @@ func (b *broadcaster) next(ctx context.Context, from int) (tail []telemetry.Even
 }
 
 // snapshot returns all events retained so far. The archive calls it at
-// retirement (after Close — retention survives closing) to persist the
-// run's full trace; tests use it to assert on streams.
+// retirement, after Close, to persist the run's full trace. Retention
+// survives closing: the broadcaster lives in the run's record, so every
+// retained job still replays its run's stream over SSE.
 func (b *broadcaster) snapshot() []telemetry.Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()

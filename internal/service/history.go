@@ -84,7 +84,7 @@ func (s *Server) archiveRun(rn *run, jobs []*Job, state State, errMsg string, no
 	meta := &trachive.Meta{
 		RunID:       rn.id,
 		Tenant:      rn.tenant,
-		Circuit:     rn.designN.Name,
+		Circuit:     rn.circuit,
 		CircuitHash: rn.circHash,
 		ConfigHash:  rn.cfgHash,
 		BaselineKey: baselineKeyOf(rn.circHash, rn.cfgHash),

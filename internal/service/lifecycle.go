@@ -110,7 +110,7 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 		job.journaled, job.accepted = true, rec
 	}
 	s.mu.Lock()
-	var live *run
+	var live, rn *run
 	var cached *JobResult
 	var refused error
 	if comp.cacheable {
@@ -126,13 +126,13 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 	}
 	switch {
 	case live != nil:
-		job.run, job.runID, job.coalesce = live, live.id, true
+		job.run, job.record, job.runID, job.coalesce = live, live.runRecord, live.id, true
 		if live.startedRunning {
 			job.state = StateRunning
 		}
 		live.jobs = append(live.jobs, job)
 	case cached == nil:
-		rn := s.newRun(comp, rec, job)
+		rn = s.newRun(comp, rec, job)
 		if refused = s.queue.Push(rn); refused == nil {
 			if comp.cacheable {
 				s.inflight[comp.key] = rn
@@ -175,7 +175,8 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 	depth := s.queue.Len()
 	s.emitMetric(map[string]int64{"service.jobs_submitted": 1},
 		map[string]float64{"service.queue_depth": float64(depth)}, nil)
-	job.run.log.Info("job accepted", "circuit", job.Circuit, "levels", len(job.Levels),
+	// The run may have finished already, and retire drops job.run.
+	rn.log.Info("job accepted", "circuit", job.Circuit, "levels", len(job.Levels),
 		"queue_depth", depth)
 	return job, admitQueued
 }
@@ -185,7 +186,7 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
 	ctx, cancel := context.WithCancel(context.Background())
 	rn := &run{
-		id:        rec.RunID,
+		runRecord: &runRecord{id: rec.RunID, events: newBroadcaster()},
 		key:       comp.key,
 		baseKey:   comp.baseKey,
 		circHash:  comp.circHash,
@@ -193,12 +194,12 @@ func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
 		cacheable: comp.cacheable,
 		tenant:    comp.tenant,
 		primary:   job.ID,
+		circuit:   comp.src.name,
 		designN:   comp.design,
 		cfg:       comp.cfg,
 		levels:    comp.levels,
 		workers:   comp.workers,
 		budgetMS:  rec.Flow.ATPGBudgetMS,
-		events:    newBroadcaster(),
 		ctx:       ctx,
 		cancel:    cancel,
 		enqueued:  time.Now(),
@@ -213,7 +214,7 @@ func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
 		rn.log = rn.log.WithSinks(rn.flight)
 	}
 	rn.retryBudget.Store(int64(s.opt.Retry.JobBudget))
-	job.run, job.runID = rn, rn.id
+	job.run, job.record, job.runID = rn, rn.runRecord, rn.id
 	return rn
 }
 
@@ -317,7 +318,7 @@ func (s *Server) sweepRun(rn *run) (*JobResult, error) {
 	}
 
 	res := &JobResult{
-		Circuit:   rn.designN.Name,
+		Circuit:   rn.circuit,
 		TPLevels:  rn.levels,
 		ElapsedMS: time.Since(start).Milliseconds(),
 		Complete:  true,
@@ -446,7 +447,8 @@ func (s *Server) checkpoint(rec *recLevelDone) {
 }
 
 // finishRun delivers a run's verdict to every job still attached to it,
-// feeds the cache, and tears the run down.
+// feeds the cache, and tears the run down. Once it returns, the run's
+// record is all its jobs still reference.
 func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 	out, errMsg := outcome{state: StateDone, result: res}, ""
 	switch {
@@ -521,6 +523,11 @@ const canceledByClient = "canceled by client"
 // loses its last waiter here is dropped: off the queue if still there,
 // its flow aborted if running (including a retry backoff sleep, which
 // selects on the run's context), its event stream closed.
+//
+// A retired job keeps what a GET can still ask for: its verdict and its
+// run's record. It lets go of the run and of its accepted record, which
+// only a pending job needs, so neither the parsed design nor the bench
+// text outlives the run's last waiter.
 func (s *Server) retire(jobs []*Job, out outcome) int {
 	// A journaled transition runs under the gate; a cache answer to a job
 	// that was never journaled must not wait behind a compaction.
@@ -551,6 +558,7 @@ func (s *Server) retire(jobs []*Job, out outcome) int {
 				orphans = append(orphans, rn)
 			}
 		}
+		j.run, j.accepted = nil, nil
 		retired = append(retired, j)
 		if j.journaled {
 			journaled = append(journaled, j.ID)
@@ -604,8 +612,8 @@ func (s *Server) retire(jobs []*Job, out outcome) int {
 			counters["service.cache_hit_jobs"] = 1
 		}
 		var runFlight *telemetry.FlightRecorder
-		if j.run != nil {
-			runFlight = j.run.flight
+		if j.record != nil {
+			runFlight = j.record.flight
 		}
 		s.emitEvent(telemetry.Event{
 			Type: telemetry.EventSpanEnd, Stage: "service", Time: now, Counters: counters, Gauges: gauges,

@@ -482,3 +482,86 @@ func TestReplayCountsOnMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactionAfterRetirements: a compaction taken after jobs retired
+// done, failed and canceled, with one job still running, snapshots what
+// the journal folds to. Retired jobs no longer hold their accepted
+// records; the pending one keeps its record, bench text included, and a
+// restart runs it from the snapshot.
+func TestCompactionAfterRetirements(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	install := func(s *Server) { installStubFlow(s, started, release, nil) }
+	s := openDurable(t, dir, Options{Workers: 1}, install)
+	post := func(id string, levels ...float64) {
+		if code := postAs(t, s, id, jobBody(t, "acme", levels...)); code != http.StatusAccepted {
+			t.Fatalf("submit %s = %d", id, code)
+		}
+	}
+	want := map[string]State{"a": StateDone, "c": StateDone, "f": StateFailed, "q": StateCanceled}
+	post("a", 2)
+	waitState(t, s, "a", StateDone)
+	post("c", 3)
+	waitState(t, s, "c", StateDone)
+	post("f", fails)
+	waitState(t, s, "f", StateFailed)
+	post("p", parks)
+	<-started
+	post("q", 4)
+	if code, _ := do(t, s, "DELETE", "/v1/jobs/q", nil); code != http.StatusOK {
+		t.Fatalf("DELETE q = %d", code)
+	}
+
+	all := func(string) bool { return true }
+	asJSON := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	before, err := journal.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foldBefore, snap := foldRecords(before), s.snapshotState()
+	if !reflect.DeepEqual(viewOf(foldBefore, all), viewOf(snap, all)) {
+		t.Fatalf("fold of the journal != snapshot of the server:\nfold %+v\nsnap %+v", viewOf(foldBefore, all), viewOf(snap, all))
+	}
+	if len(snap.Pending) != 1 || snap.Pending[0].Bench == "" || asJSON(snap.Pending[0]) != asJSON(foldBefore.Pending[0]) {
+		t.Fatalf("pending job's record: snapshot %+v, journaled %+v", snap.Pending, foldBefore.Pending)
+	}
+	s.mu.Lock()
+	for id, j := range s.jobs {
+		if (j.accepted != nil) != (id == "p") || (j.run != nil) != (id == "p") {
+			t.Errorf("job %s (%s) holds accepted record %v, run %v", id, j.state, j.accepted != nil, j.run != nil)
+		}
+	}
+	s.mu.Unlock()
+
+	s.compactJournal()
+	after, err := journal.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != 1 || after[0].Type != journal.TypeSnapshot {
+		t.Fatalf("compacted journal holds %d records, want the snapshot alone", len(after))
+	}
+	if fold, snap := asJSON(foldRecords(after)), asJSON(s.snapshotState()); fold != snap {
+		t.Fatalf("fold of the compacted journal != snapshot of the server:\nfold %s\nsnap %s", fold, snap)
+	}
+
+	s.Kill()
+	close(release)
+	s2 := openDurable(t, dir, Options{Workers: 1}, install)
+	defer shutdown(t, s2)
+	if got := waitState(t, s2, "p", StateDone); got.RunID != getStatus(t, s, "p").RunID {
+		t.Errorf("p resumed under run %s, accepted under %s", got.RunID, getStatus(t, s, "p").RunID)
+	}
+	for id, state := range want {
+		if got := getStatus(t, s2, id); got.State != state {
+			t.Errorf("after restart %s is %s, want %s", id, got.State, state)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -115,7 +116,9 @@ func (q *fairQueue) Remove(r *run) bool {
 	fifo := q.tenants[r.tenant]
 	for i, qr := range fifo {
 		if qr == r {
-			q.tenants[r.tenant] = append(fifo[:i:i], fifo[i+1:]...)
+			// Delete clears the vacated slot, so the FIFO's array does not
+			// keep the dropped run alive.
+			q.tenants[r.tenant] = slices.Delete(fifo, i, i+1)
 			q.n--
 			// A now-empty FIFO leaves a stale ring entry; popLocked
 			// collects it.

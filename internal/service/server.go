@@ -43,7 +43,7 @@ func (s State) terminal() bool {
 // concurrent identical submissions coalesce), and a run outlives a
 // cancelled job as long as any other job still wants its result.
 type run struct {
-	id        string // run_id: the correlation identity of this flow run
+	*runRecord
 	key       string
 	baseKey   string // level-independent content address (checkpoint keys)
 	circHash  string // circuit-only hash (run-history baseline key)
@@ -51,14 +51,13 @@ type run struct {
 	cacheable bool
 	tenant    string // queue bucket: the first submitter's tenant
 	primary   string // job_id of the first submitter (correlation attrs)
+	circuit   string // the design's name, fixed at admission
 	designN   *netlist.Netlist
 	cfg       flow.Config
 	levels    []float64
 	workers   int
 	budgetMS  int64
-	events    *broadcaster
-	flight    *telemetry.FlightRecorder // per-run black box (nil if disabled)
-	log       *telemetry.Logger         // job_id/run_id/tenant pre-bound
+	log       *telemetry.Logger // job_id/run_id/tenant pre-bound
 	ctx       context.Context
 	cancel    context.CancelFunc
 
@@ -67,15 +66,26 @@ type run struct {
 
 	profile []byte // per-run CPU profile (nil unless -profile-runs captured one)
 
-	retryBudget   atomic.Int64 // remaining per-job retry tokens
-	retries       atomic.Int64 // retries spent so far
-	resumedLevels atomic.Int64 // levels answered from checkpoints
+	retryBudget atomic.Int64 // remaining per-job retry tokens
 
 	// All below guarded by Server.mu. An empty jobs list means nobody
 	// wants the result anymore and the run may be dropped/cancelled.
 	jobs           []*Job
 	startedRunning bool
 	done           bool
+}
+
+// runRecord is the part of a run that outlives it: what a GET on a job
+// can still ask of its run once the run is gone — the run's identity,
+// its counters, its event stream (SSE) and its flight ring. The run and
+// every job attached to it share one, so a job a DELETE retired early
+// keeps following the run's counters.
+type runRecord struct {
+	id            string // run_id: the correlation identity of this flow run
+	events        *broadcaster
+	flight        *telemetry.FlightRecorder // per-run black box (nil if disabled)
+	retries       atomic.Int64              // retries spent so far
+	resumedLevels atomic.Int64              // levels answered from checkpoints
 }
 
 // attrs is the run's correlation identity, stamped onto every event the
@@ -95,19 +105,26 @@ type Job struct {
 	digest  requestDigest // of the submission, aliased to Key once its result is cached
 
 	// All below guarded by Server.mu.
-	state     State
-	runID     string // id of the run that executed (or will execute) the job
-	cacheHit  bool
-	coalesce  bool // attached to an already-inflight run
-	run       *run // nil once terminal via cache hit
+	state    State
+	runID    string // id of the run that executed (or will execute) the job
+	cacheHit bool
+	coalesce bool // attached to an already-inflight run
+	// run is the live run the job waits on, nil once the job is terminal;
+	// record is what the job keeps of it for good (nil when no run was
+	// ever attached: a cache answer, or a retirement read back by replay).
+	run       *run
+	record    *runRecord
 	errMsg    string
 	result    *JobResult
 	created   time.Time
 	started   time.Time
 	finished  time.Time
-	journaled bool         // an accepted record exists for this job
-	cacheable bool         // result eligible for cache + checkpoints
-	accepted  *recAccepted // replayable request (journaled jobs only)
+	journaled bool // an accepted record exists for this job
+	cacheable bool // result eligible for cache + checkpoints
+	// accepted is the replayable request, bench text included, of a
+	// journaled job still owed a run; compaction snapshots it. Dropped at
+	// retirement.
+	accepted *recAccepted
 }
 
 // LevelStatus is the per-level outcome inside a JobResult.
@@ -768,7 +785,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	rn := job.run
+	rec := job.record
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -776,7 +793,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	if rn != nil {
+	if rec != nil {
 		// Stream the retained trace, then follow live until the run
 		// closes or the client goes away. Every frame carries its event
 		// index as the SSE id, so a reconnecting client that sends
@@ -788,10 +805,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				i = n + 1
 			}
 		}
-		stop := context.AfterFunc(r.Context(), rn.events.wake)
+		stop := context.AfterFunc(r.Context(), rec.events.wake)
 		defer stop()
 		for {
-			tail, ok := rn.events.next(r.Context(), i)
+			tail, ok := rec.events.next(r.Context(), i)
 			if !ok {
 				break
 			}
@@ -970,8 +987,8 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("job"); id != "" {
 		s.mu.Lock()
 		job := s.jobs[id]
-		if job != nil && job.run != nil {
-			fr = job.run.flight
+		if job != nil && job.record != nil {
+			fr = job.record.flight
 		} else {
 			fr = nil
 		}
@@ -999,9 +1016,9 @@ func (s *Server) statusLocked(job *Job) JobStatus {
 		Error:     job.errMsg,
 		CreatedAt: job.created.UTC().Format(time.RFC3339Nano),
 	}
-	if job.run != nil {
-		st.Retries = job.run.retries.Load()
-		st.ResumedLevels = job.run.resumedLevels.Load()
+	if job.record != nil {
+		st.Retries = job.record.retries.Load()
+		st.ResumedLevels = job.record.resumedLevels.Load()
 	}
 	if !job.started.IsZero() {
 		st.StartedAt = job.started.UTC().Format(time.RFC3339Nano)

@@ -140,7 +140,7 @@ func shutdown(t *testing.T, s *Server) {
 // assertions without paying for a layout.
 func stubResult(rn *run) *JobResult {
 	res := &JobResult{
-		Circuit:  rn.designN.Name,
+		Circuit:  rn.circuit,
 		TPLevels: rn.levels,
 		Table1:   "stub-table-1",
 		Complete: true,
