@@ -45,7 +45,7 @@ trace-smoke:
 	go run ./cmd/tracestat $(TRACE_OUT)
 
 # trace-diff exercises the cross-run regression sentinel end to end: the
-# traced sweep is made a second time and tracediff compares the two fresh
+# traced sweep is made a second time and tracestat compares the two fresh
 # traces of one seed on one host stage by stage, so no committed trace
 # has to be re-recorded when the flow changes (timing across commits is
 # `bash bench/run.sh`). -normalize compares each stage's share of its
@@ -53,7 +53,7 @@ trace-smoke:
 # the regressed stage and TP level.
 trace-diff: trace-smoke
 	$(TRACED_RUN) -trace $(TRACE_RERUN)
-	go run ./cmd/tracediff -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_OUT) $(TRACE_RERUN)
+	go run ./cmd/tracestat -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_OUT) $(TRACE_RERUN)
 
 # daemon-smoke is the daemon CI gate: one real tpid — durable, JSON logs,
 # per-run profiling — walked through four phases over curl. Every failure

@@ -15,8 +15,7 @@ import (
 	"tpilayout"
 )
 
-// Flags holds the observability flag values shared by tpiflow and
-// tpitables.
+// Flags holds tpitables' observability flag values.
 type Flags struct {
 	Trace    string
 	Progress bool
@@ -36,7 +35,7 @@ func Register() *Flags {
 }
 
 // LogFlags holds the structured-logging flag values shared by tpid,
-// tpiflow, and tpitables.
+// layoutviz, and tpitables.
 type LogFlags struct {
 	Format string
 	Level  string

@@ -5,6 +5,10 @@
 // Usage:
 //
 //	tpitables -circuits s38417c,wctrl1,p26909c -scale 0.25 -table all -workers 0 -timeout 10m
+//	tpitables -circuits s38417c -scale 0.25 -levels 1      # one layout
+//
+// -table takes a comma list of 1, 2, 3 or all (e.g. 2,3); ATPG runs only
+// when Table 1 is selected, so -table 2,3 is the physical flow alone.
 //
 // The six layouts of a sweep are built concurrently on up to -workers
 // goroutines (0 = GOMAXPROCS, 1 = serial); the tables are byte-identical
@@ -14,7 +18,11 @@
 // Ctrl-C (SIGINT) cancels cleanly. Either way the sweep degrades rather
 // than vanishes — completed levels are printed as partial tables and
 // every failed or cancelled level is marked with a "!! ... FAILED" line;
-// the exit status is non-zero if any level failed.
+// the exit status is non-zero if any level failed. -atpg-budget instead
+// bounds only the ATPG effort of each circuit's sweep, counted from the
+// sweep's start: an expiring budget degrades its levels (remaining faults
+// are marked aborted, and a "note:" line after the tables names each
+// truncated level) rather than failing them.
 //
 // At -scale 1 the circuits have their full published sizes; smaller
 // scales keep the structure (and the trends) while running much faster.
@@ -43,10 +51,11 @@ import (
 func main() {
 	circuits := flag.String("circuits", "s38417c,wctrl1,p26909c", "comma-separated circuit list")
 	scale := flag.Float64("scale", 1.0, "circuit size scale factor")
-	table := flag.String("table", "all", "which table to print: 1, 2, 3, or all")
+	table := flag.String("table", "all", "tables to print: a comma list of 1, 2, 3, or all (ATPG runs only for Table 1)")
 	levels := flag.String("levels", "0,1,2,3,4,5", "test-point percentages to sweep")
 	workers := flag.Int("workers", 0, "sweep concurrency (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "cancel the remaining sweep after this long (0 = no limit); completed levels still print")
+	atpgBudget := flag.Duration("atpg-budget", 0, "ATPG effort budget per circuit sweep, from its start; expiry truncates the levels instead of failing them (0 = no limit)")
 	obsFlags := obs.Register()
 	logFlags := obs.RegisterLog()
 	flag.Parse()
@@ -79,11 +88,11 @@ func main() {
 		pcts = append(pcts, v)
 	}
 
-	switch *table {
-	case "1", "2", "3", "all":
-	default:
-		fatal("bad -table", fmt.Errorf("%q is not one of 1, 2, 3, all", *table))
+	show, err := parseTables(*table)
+	if err != nil {
+		fatal("bad -table", err)
 	}
+	formats := [...]func([]tpilayout.Metrics) string{1: tpilayout.FormatTable1, 2: tpilayout.FormatTable2, 3: tpilayout.FormatTable3}
 
 	tracer, closeTrace, err := obsFlags.Tracer()
 	if err != nil {
@@ -105,10 +114,13 @@ func main() {
 			fatal("generating netlist", err)
 		}
 		cfg := tpilayout.ExperimentConfig(name)
-		cfg.SkipATPG = *table == "2" || *table == "3"
+		cfg.SkipATPG = !show[1]
 		cfg.Workers = *workers
 		cfg.Telemetry = tracer
 		start := time.Now()
+		if *atpgBudget > 0 {
+			cfg.Deadline = start.Add(*atpgBudget)
+		}
 		results, err := tpilayout.SweepPartial(ctx, design, cfg, pcts)
 		if err != nil {
 			fatal("running sweep", err)
@@ -117,14 +129,15 @@ func main() {
 		fmt.Printf("== %s (scale %.2f, %d/%d layouts, %v) ==\n\n",
 			name, *scale, len(rows), len(results), time.Since(start).Round(time.Second))
 		if len(rows) > 0 {
-			if *table == "1" || *table == "all" {
-				fmt.Println(tpilayout.FormatTable1(rows))
+			for i, format := range formats {
+				if show[i] {
+					fmt.Println(format(rows))
+				}
 			}
-			if *table == "2" || *table == "all" {
-				fmt.Println(tpilayout.FormatTable2(rows))
-			}
-			if *table == "3" || *table == "all" {
-				fmt.Println(tpilayout.FormatTable3(rows))
+		}
+		for _, lr := range results {
+			if lr.Err == nil && lr.Metrics.Truncated {
+				fmt.Printf("note: ATPG budget expired at %g%% TPs — remaining faults aborted, FC/FE reflect the achieved detections\n", lr.TPPercent)
 			}
 		}
 		if failed := tpilayout.FormatSweepFailures(results); failed != "" {
@@ -138,4 +151,21 @@ func main() {
 	if anyFailed {
 		os.Exit(1)
 	}
+}
+
+// parseTables reads -table's comma list into the set of table numbers
+// to print (index 0 is unused).
+func parseTables(s string) ([4]bool, error) {
+	var show [4]bool
+	for _, t := range strings.Split(s, ",") {
+		switch t = strings.TrimSpace(t); t {
+		case "1", "2", "3":
+			show[t[0]-'0'] = true
+		case "all":
+			show[1], show[2], show[3] = true, true, true
+		default:
+			return show, fmt.Errorf("%q is not a comma list of 1, 2, 3, all", s)
+		}
+	}
+	return show, nil
 }

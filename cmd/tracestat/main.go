@@ -1,19 +1,37 @@
 // Command tracestat summarizes an NDJSON span trace written by
-// tpiflow/tpitables -trace (or any telemetry NDJSON sink): a per-stage
+// tpitables -trace (or any telemetry NDJSON sink): a per-stage
 // wall-time table with one column per swept test-point level, the
 // fraction of each run accounted for by its stages, and the stage
-// counter totals.
+// counter totals. Given two traces it compares them instead.
 //
 // Usage:
 //
-//	tpiflow -circuit s38417c -trace out.ndjson
+//	tpitables -circuits s38417c -levels 1 -trace out.ndjson
 //	tracestat out.ndjson
 //	tracestat < out.ndjson
 //	curl -s tpid:8080/v1/runs/r000042/trace | tracestat -
+//	tracestat -max-regress 25 -min-dur 100ms old.ndjson out.ndjson
 //
 // Inputs may be gzip-compressed (tpid's archived traces are): the gzip
 // magic is sniffed and decompressed transparently. "-" (or no argument)
 // reads stdin.
+//
+// Two traces (baseline, current) print a Table-2-style per-stage delta
+// report instead: baseline vs current duration per stage × TP level,
+// the signed percentage change, and any counter drift (patterns, cuts,
+// overflows — deterministic, so any drift is a real behavioral change).
+// It is the repo's cross-run regression sentinel: the exit status is 1
+// when any stage regressed beyond -max-regress percent, and 2 when an
+// input is unreadable or unbalanced; CI diffs two fresh traces of one
+// run (make trace-diff) to keep it exercised. The same align/compare
+// core (internal/tracecmp) runs inside tpid, diffing every retired run
+// against its archived baseline. Wall-clock comparisons across machines
+// are noisy; -normalize compares each stage's share of its run's total
+// time instead of absolute durations, which cancels machine speed, and
+// -min-dur suppresses sub-threshold stages entirely. A stage that
+// dominates its run is share-invariant (slowing it slows the run too),
+// so -normalize keeps an absolute backstop: -hard-regress gates any
+// stage whose wall time grew beyond that percentage regardless of share.
 //
 // The exit status is non-zero if the trace is unbalanced (a span
 // started but never ended, or vice versa) — the signature of a crashed
@@ -39,6 +57,7 @@ import (
 	"time"
 
 	"tpilayout"
+	"tpilayout/internal/tracecmp"
 )
 
 // stageRun is the stage name of the span wrapping one full flow run
@@ -51,14 +70,27 @@ func main() {
 	p50 := flag.Bool("p50", true, "print a median column per histogram in the distribution table")
 	p99 := flag.Bool("p99", true, "print a 99th-percentile column per histogram in the distribution table")
 	flight := flag.Bool("flight", false, "treat the input as a flight-recorder dump: ring rotation drops the oldest span starts, so unbalanced spans are noted instead of failing")
+	maxRegress := flag.Float64("max-regress", 25, "with two traces: fail (exit 1) when a stage's duration grew by more than this percentage")
+	minDur := flag.Duration("min-dur", 0, "with two traces: noise floor — stages whose baseline duration is below this never gate (e.g. 100ms)")
+	normalize := flag.Bool("normalize", false, "with two traces: compare each stage's share of run total instead of absolute durations (machine-speed invariant)")
+	hardRegress := flag.Float64("hard-regress", 150, "with two traces and -normalize: absolute-time backstop — a stage whose wall time grew beyond this percentage gates even if its share of the run barely moved (dominant stages are share-invariant); 0 disables")
 	flag.Parse()
 
-	var in io.Reader = os.Stdin
-	name := "<stdin>"
-	if flag.NArg() > 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracestat [flags] [trace.ndjson]")
+	switch flag.NArg() {
+	case 0, 1:
+	case 2:
+		os.Exit(diff(flag.Arg(0), flag.Arg(1), tracecmp.Options{
+			MaxRegressPct:  *maxRegress,
+			HardRegressPct: *hardRegress,
+			MinDur:         *minDur,
+			Normalize:      *normalize,
+		}))
+	default:
+		fmt.Fprintln(os.Stderr, "usage: tracestat [flags] [trace.ndjson | baseline current]")
 		os.Exit(2)
 	}
+	var in io.Reader = os.Stdin
+	name := "<stdin>"
 	if flag.NArg() == 1 && flag.Arg(0) != "-" {
 		name = flag.Arg(0)
 		f, err := os.Open(name)
@@ -88,6 +120,47 @@ func main() {
 			len(trace.Unbalanced), trace.Unbalanced)
 		os.Exit(1)
 	}
+}
+
+// diff prints tracecmp's delta report of two traces and returns the
+// exit status: 0 clean, 1 a regression beyond threshold, 2 an unreadable
+// or unbalanced input.
+func diff(basePath, curPath string, opt tracecmp.Options) int {
+	base, err := loadSide(basePath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracestat: %s: %v\n", basePath, err)
+		return 2
+	}
+	cur, err := loadSide(curPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracestat: %s: %v\n", curPath, err)
+		return 2
+	}
+	rep := tracecmp.Diff(base, cur, opt)
+	rep.Write(os.Stdout)
+	if len(rep.Regressions) == 0 {
+		return 0
+	}
+	keys := make([]string, len(rep.Regressions))
+	for i, r := range rep.Regressions {
+		keys[i] = r.Key.String()
+	}
+	fmt.Fprintf(os.Stderr, "tracestat: %d stage(s) regressed beyond threshold (vs %s): %s\n",
+		len(rep.Regressions), basePath, strings.Join(keys, "; "))
+	return 1
+}
+
+// loadSide reads one NDJSON trace (plain or gzipped); "-" is stdin.
+func loadSide(path string) (*tracecmp.Side, error) {
+	if path == "-" {
+		return tracecmp.LoadTrace(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return tracecmp.LoadTrace(f)
 }
 
 // summarizeService tabulates the observation events a tpid stream

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -112,7 +116,7 @@ func TestServiceAndLogSections(t *testing.T) {
 		"service: 3 observation event(s)",
 		"service.cache_hits", "3", // summed across flushes
 		"service.jobs_done{tenant=acme}", // tenant-split family
-		"service.queue_depth", "1", // gauge: last value wins
+		"service.queue_depth", "1",       // gauge: last value wins
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("service section missing %q:\n%s", want, out)
@@ -132,6 +136,63 @@ func TestServiceAndLogSections(t *testing.T) {
 	}
 	if strings.Contains(out, "job accepted") {
 		t.Errorf("INFO records should not be reprinted:\n%s", out)
+	}
+}
+
+// TestDiffExitStatus: with two traces tracestat prints the delta report
+// and exits 0 on an identical pair, 1 when a stage slowed (naming the
+// stage and level on stderr), and 2 on an unreadable or unbalanced input.
+func TestDiffExitStatus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary; skipped in -short")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "tracestat")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building tracestat: %v\n%s", err, out)
+	}
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.ndjson", traceText)
+	slowed := write("slowed.ndjson", strings.Replace(traceText, `"dur_ns":1500000000`, `"dur_ns":4500000000`, 1))
+	lines := strings.SplitAfter(traceText, "\n")
+	unbalanced := write("unbalanced.ndjson", strings.Join(lines[:2], ""))
+
+	for _, tc := range []struct {
+		name, cur  string
+		code       int
+		wantStderr string
+	}{
+		{"identical", base, 0, ""},
+		{"slowed", slowed, 1, "atpg @ tp 2.0%"},
+		{"unreadable", filepath.Join(dir, "missing.ndjson"), 2, "missing.ndjson"},
+		{"unbalanced", unbalanced, 2, "unbalanced"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, base, tc.cur)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		code := 0
+		if err := cmd.Run(); err != nil {
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			code = ee.ExitCode()
+		}
+		if code != tc.code {
+			t.Errorf("%s: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", tc.name, code, tc.code, stdout.String(), stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.wantStderr) {
+			t.Errorf("%s: stderr does not contain %q:\n%s", tc.name, tc.wantStderr, stderr.String())
+		}
+		if tc.code < 2 && !strings.Contains(stdout.String(), "cells compared") {
+			t.Errorf("%s: no delta report on stdout:\n%s", tc.name, stdout.String())
+		}
 	}
 }
 

@@ -366,9 +366,10 @@ func TestSimPoolShardsMatchSerial(t *testing.T) {
 
 // tracedRun runs the generator with a telemetry span on it and returns the
 // span's finished record beside the result.
-func tracedRun(t *testing.T, n *netlist.Netlist, opt Options) (*Result, *fault.Set, *telemetry.Snapshot) {
+func tracedRun(t *testing.T, n *netlist.Netlist, opt Options) (*Result, *fault.Set, telemetry.SpanRecord) {
 	t.Helper()
-	sp := telemetry.New().StartSpan("atpg", 0)
+	var events []telemetry.Event
+	sp := telemetry.New(telemetry.FuncSink(func(e telemetry.Event) { events = append(events, e) })).StartSpan("atpg", 0)
 	opt.Telemetry = sp
 	set := fault.NewUniverse(n)
 	res, err := Run(n, set, opt)
@@ -376,7 +377,11 @@ func tracedRun(t *testing.T, n *netlist.Netlist, opt Options) (*Result, *fault.S
 		t.Fatal(err)
 	}
 	sp.End()
-	return res, set, sp.Snapshot()
+	trace := telemetry.TraceFromEvents(events)
+	if len(trace.Spans) != 1 {
+		t.Fatalf("traced run recorded %d spans, want 1", len(trace.Spans))
+	}
+	return res, set, trace.Spans[0]
 }
 
 // TestRetryFactorDefault pins what Options.RetryFactor's comment says: 0
@@ -390,7 +395,7 @@ func TestRetryFactorDefault(t *testing.T) {
 	// pass or a retry target.
 	run := func(factor int) (*Result, map[fault.Status]int, int64) {
 		res, set, snap := tracedRun(t, n, Options{BacktrackLimit: 8, RetryFactor: factor, RandomRounds: -1})
-		return res, set.Counts(), snap.Counter("atpg.podem_targets")
+		return res, set.Counts(), snap.Counters["atpg.podem_targets"]
 	}
 	def, defCounts, defTargets := run(0)
 	four, fourCounts, fourTargets := run(4)
@@ -421,7 +426,7 @@ func TestRetryFactorDefault(t *testing.T) {
 func TestPhaseHistograms(t *testing.T) {
 	n := randCircuit(t, 42, 6, 60)
 	_, _, snap := tracedRun(t, n, Options{})
-	dyn, compact, podem := snap.Hist("atpg.dyncomp_ns"), snap.Hist("atpg.compact_ns"), snap.Hist("atpg.podem_ns")
+	dyn, compact, podem := snap.Hists["atpg.dyncomp_ns"], snap.Hists["atpg.compact_ns"], snap.Hists["atpg.podem_ns"]
 	if dyn.Count == 0 || dyn.Count > podem.Count {
 		t.Errorf("atpg.dyncomp_ns has %d samples for %d PODEM targets, want one per successful target", dyn.Count, podem.Count)
 	}

@@ -119,10 +119,6 @@ type Result struct {
 	// cover only the detections achieved within the budget.
 	Truncated bool
 
-	// Telemetry is the run's finished span tree (stage durations,
-	// counters, gauges), nil unless Config.Telemetry was set.
-	Telemetry *telemetry.Snapshot
-
 	Metrics Metrics
 }
 
@@ -414,7 +410,6 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 	res.fillMetrics(tpCount, fillerArea)
 	endStage(nil)
 	runSpan.End()
-	res.Telemetry = runSpan.Snapshot()
 	return res, nil
 }
 

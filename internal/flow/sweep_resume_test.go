@@ -105,7 +105,6 @@ func TestRunLevelMatchesSweepPartial(t *testing.T) {
 		if sweep[i].Err != nil {
 			t.Fatalf("SweepPartial level %.1f failed: %v", pct, sweep[i].Err)
 		}
-		// Telemetry snapshots differ by construction; compare metrics.
 		if !reflect.DeepEqual(lr.Metrics, sweep[i].Metrics) {
 			t.Errorf("level %.1f: RunLevel metrics diverge from SweepPartial\nrun:   %+v\nsweep: %+v",
 				pct, lr.Metrics, sweep[i].Metrics)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,10 +40,10 @@ func atSpanStart(fn func(stage string, tp float64)) telemetry.Sink {
 var wantStages = []string{StageTPI, StageScan, StagePlace, StageATPG,
 	StageCTS, StageECO, StageRoute, StageExtract, StageSTA}
 
-// TestRunSpanTree: a traced run yields Result.Telemetry — a "run" root
-// whose children are exactly the Fig. 2 stages in flow order, with the
-// stage counters attached, and whose duration is covered (±5%) by the
-// sum of the stage durations.
+// TestRunSpanTree: a traced run's trace holds a "run" root whose
+// children are exactly the Fig. 2 stages in flow order, with the stage
+// counters attached, and whose duration is covered (±5%) by the sum of
+// the stage durations.
 func TestRunSpanTree(t *testing.T) {
 	n := design(t)
 	cfg, buf, sink := tracedConfig()
@@ -51,22 +52,43 @@ func TestRunSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn := r.Telemetry
-	if sn == nil || sn.Stage != StageRun || sn.TPPercent != 1 {
-		t.Fatalf("run snapshot missing or wrong: %+v", sn)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
+	trace, err := telemetry.ParseTrace(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trace.Balanced() {
+		t.Fatalf("NDJSON trace unbalanced: %v", trace.Unbalanced)
+	}
+	var run *telemetry.SpanRecord
+	for i := range trace.Spans {
+		if trace.Spans[i].Parent == 0 {
+			run = &trace.Spans[i]
+		}
+	}
+	if run == nil || run.Stage != StageRun || run.TPPercent != 1 {
+		t.Fatalf("run span missing or wrong: %+v", run)
+	}
+	// Spans are in end order, and serial stages end in flow order.
 	var got []string
 	var stageSum int64
-	for _, c := range sn.Children {
-		got = append(got, c.Stage)
-		stageSum += int64(c.Duration)
+	stages := map[string]telemetry.SpanRecord{}
+	for _, sp := range trace.Spans {
+		if sp.Parent != run.ID {
+			continue
+		}
+		got = append(got, sp.Stage)
+		stageSum += int64(sp.Duration)
+		stages[sp.Stage] = sp
 	}
 	if strings.Join(got, ",") != strings.Join(wantStages, ",") {
 		t.Fatalf("stage order = %v, want %v", got, wantStages)
 	}
-	if sn.Duration <= 0 || float64(stageSum) < 0.95*float64(sn.Duration) {
+	if run.Duration <= 0 || float64(stageSum) < 0.95*float64(run.Duration) {
 		t.Errorf("stage durations (%d ns) cover less than 95%% of the run (%d ns)",
-			stageSum, int64(sn.Duration))
+			stageSum, int64(run.Duration))
 	}
 	// Spot-check the counter taxonomy at its stage homes.
 	for stage, counter := range map[string]string{
@@ -77,30 +99,15 @@ func TestRunSpanTree(t *testing.T) {
 		StageSTA:   "sta.domains",
 		StageCTS:   "cts.buffers",
 	} {
-		st := sn.Find(stage)
-		if st == nil {
-			t.Fatalf("no %s span", stage)
-		}
-		if st.Counters[counter] == 0 {
+		if st := stages[stage]; st.Counters[counter] == 0 {
 			t.Errorf("%s: counter %s missing or zero (have %v)", stage, counter, st.Counters)
 		}
 	}
-	if pat := sn.Find(StageATPG).Counters["atpg.patterns"]; pat != int64(len(r.ATPG.Patterns)) {
+	if pat := stages[StageATPG].Counters["atpg.patterns"]; pat != int64(len(r.ATPG.Patterns)) {
 		t.Errorf("atpg.patterns = %d, want %d", pat, len(r.ATPG.Patterns))
 	}
-	if bt := sn.Counter("atpg.podem_backtracks"); bt == 0 {
+	if stages[StageATPG].Counters["atpg.podem_backtracks"] == 0 {
 		t.Log("note: zero PODEM backtracks on this circuit (legal, but unusual)")
-	}
-
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	trace, err := telemetry.ParseTrace(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !trace.Balanced() {
-		t.Fatalf("NDJSON trace unbalanced: %v", trace.Unbalanced)
 	}
 }
 
@@ -176,18 +183,21 @@ func TestCancelClosesSpan(t *testing.T) {
 	}
 }
 
-// TestTelemetryOffIsFree: without a tracer the run produces no snapshot
-// and behaves identically.
+// TestTelemetryOffIsFree: without a tracer the run produces the same
+// metrics as a traced one.
 func TestTelemetryOffIsFree(t *testing.T) {
 	n := design(t)
-	cfg := Config{Scan: scan.Options{MaxChainLength: 25}}
-	cfg.Place.TargetUtilization = 0.90
-	cfg.TPPercent = 1
+	cfg, _, _ := tracedConfig()
+	traced, err := RunContext(context.Background(), n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Telemetry = nil
 	r, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Telemetry != nil {
-		t.Fatal("untraced run grew a telemetry snapshot")
+	if !reflect.DeepEqual(r.Metrics, traced.Metrics) {
+		t.Fatalf("untraced metrics %+v differ from traced %+v", r.Metrics, traced.Metrics)
 	}
 }

@@ -64,7 +64,7 @@ func shortHash(h string) string {
 // sentinelOptions is the diff policy the in-service sentinel applies:
 // normalized shares (machine-speed invariant across restarts and
 // hosts) with the configured gate, backstop, and noise floor — the
-// same semantics as `tracediff -normalize`.
+// same semantics as `tracestat -normalize BASE CUR`.
 func (s *Server) sentinelOptions() tracecmp.Options {
 	return tracecmp.Options{
 		MaxRegressPct:  s.opt.MaxRegressPct,
@@ -300,7 +300,7 @@ func (s *Server) handleRunMeta(w http.ResponseWriter, r *http.Request) {
 // download, NOT Content-Encoding — that would make Go clients
 // transparently decompress while curl pipes stayed compressed, so the
 // bytes a consumer sees would depend on its HTTP library). Piping into
-// tracediff/tracestat works either way: they sniff the gzip magic.
+// tracestat works either way: it sniffs the gzip magic.
 func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	if !s.requireArchive(w) {
 		return

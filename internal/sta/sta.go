@@ -424,8 +424,14 @@ func (a *analyzer) fillReport(rep *PathReport, capture netlist.CellID, dNet netl
 	for i, j := 0, len(rep.PathCells)-1; i < j; i, j = i+1, j-1 {
 		rep.PathCells[i], rep.PathCells[j] = rep.PathCells[j], rep.PathCells[i]
 	}
-	if rep.Launch != netlist.NoCell && !math.IsNaN(clkArr[rep.Launch]) {
-		rep.TSkew = clkArr[rep.Launch] - clkArr[rep.Capture]
+	// Tcp subtracts the capture clock's arrival, so Eq. 3 needs it in the
+	// skew term whatever launched the path: a primary input launches at 0.
+	launchArr := 0.0
+	if rep.Launch != netlist.NoCell {
+		launchArr = clkArr[rep.Launch]
+	}
+	if skew := launchArr - clkArr[capture]; !math.IsNaN(skew) {
+		rep.TSkew = skew
 	}
 	if rep.Tcp > 0 {
 		rep.FmaxMHz = 1e6 / rep.Tcp

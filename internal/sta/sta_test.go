@@ -70,11 +70,31 @@ func TestHandComputedPath(t *testing.T) {
 	}
 }
 
-func TestEq3DecompositionIdentity(t *testing.T) {
-	// On a full layout flow, the reported components must sum to Tcp
-	// exactly (Eq. 3 of the paper).
+// piLaunch builds: d0 -> BUF -> BUF -> ff.d with ff clocked through a
+// clock buffer, so the only timed path launches at a primary input and
+// the capture clock arrives after 0.
+func piLaunch(t testing.TB) (*netlist.Netlist, *extract.Parasitics) {
+	t.Helper()
 	lib := stdcell.Default()
-	n, err := circuitgen.Generate(circuitgen.S38417Class().Scale(0.03), lib)
+	n := netlist.New("pilaunch", lib)
+	clk, dom := n.AddClockPI("clk", 10000)
+	clkb := n.AddNet("clkb")
+	n.AddCell("cbuf", lib.MustCell("BUFX1"), []netlist.NetID{clk}, clkb)
+	d := n.AddPI("d0")
+	for i := 0; i < 2; i++ {
+		_, d = n.InsertOnNet("buf", "BUFX1", d, []netlist.Load{})
+	}
+	q := n.AddNet("q")
+	ff := n.AddCell("ff", lib.MustCell("DFFX1"), []netlist.NetID{d, clkb}, q)
+	n.Cells[ff].Domain = dom
+	n.AddPO("q", q)
+	return n, extract.Extract(n, nil)
+}
+
+// layoutFixture places and routes a small generated circuit.
+func layoutFixture(t testing.TB) (*netlist.Netlist, *extract.Parasitics) {
+	t.Helper()
+	n, err := circuitgen.Generate(circuitgen.S38417Class().Scale(0.03), stdcell.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,19 +102,34 @@ func TestEq3DecompositionIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := route.Route(p, route.Options{})
-	par := extract.Extract(n, r)
-	res, err := Analyze(n, par, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range res.PerDomain {
-		if rep.Tcp <= 0 {
-			t.Fatal("no critical path found")
+	return n, extract.Extract(n, route.Route(p, route.Options{}))
+}
+
+func TestEq3DecompositionIdentity(t *testing.T) {
+	// The reported components must sum to Tcp exactly (Eq. 3 of the
+	// paper), on a full layout flow and on a path launched at a primary
+	// input, whose skew is minus the capture clock's insertion delay.
+	for name, build := range map[string]func(testing.TB) (*netlist.Netlist, *extract.Parasitics){
+		"layout":    layoutFixture,
+		"pi-launch": piLaunch,
+	} {
+		n, par := build(t)
+		res, err := Analyze(n, par, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum := rep.TWires + rep.TIntrinsic + rep.TLoadDep + rep.TSetup + rep.TSkew
-		if math.Abs(sum-rep.Tcp) > 1e-6 {
-			t.Errorf("domain %d: components sum to %.3f, Tcp = %.3f", rep.Domain, sum, rep.Tcp)
+		for _, rep := range res.PerDomain {
+			if rep.Tcp <= 0 {
+				t.Fatalf("%s: no critical path found", name)
+			}
+			if name == "pi-launch" && (rep.Launch != netlist.NoCell || res.ClkArrival[rep.Capture] <= 0) {
+				t.Fatalf("%s: fixture launches at %d with capture clock at %.3f, want a PI launch after a clock buffer",
+					name, rep.Launch, res.ClkArrival[rep.Capture])
+			}
+			sum := rep.TWires + rep.TIntrinsic + rep.TLoadDep + rep.TSetup + rep.TSkew
+			if math.Abs(sum-rep.Tcp) > 1e-6 {
+				t.Errorf("%s domain %d: components sum to %.3f, Tcp = %.3f", name, rep.Domain, sum, rep.Tcp)
+			}
 		}
 	}
 }

@@ -154,7 +154,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 }
 
 // TestSpanHistogramFlush: histograms registered on a span ride its
-// span_end event and snapshot, duplicate names merging.
+// span_end event through an NDJSON round trip, duplicate names merging.
 func TestSpanHistogramFlush(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewNDJSONSink(&buf)
@@ -169,50 +169,23 @@ func TestSpanHistogramFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sn := sp.Snapshot()
-	d, ok := sn.Hists["atpg.podem_ns"]
-	if !ok || d.Count != 2 || d.Sum != 4000 {
-		t.Fatalf("snapshot hist = %+v", sn.Hists)
-	}
-	if _, ok := sn.Hists["atpg.unused"]; ok {
-		t.Fatal("empty histogram flushed")
-	}
-
-	// NDJSON round trip preserves the histogram.
 	trace, err := ParseTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got HistData
-	for _, s := range trace.Spans {
-		if h, ok := s.Hists["atpg.podem_ns"]; ok {
-			got = h
-		}
+	if len(trace.Spans) != 1 {
+		t.Fatalf("got %d spans, want 1", len(trace.Spans))
 	}
-	if got.Count != 2 || got.Sum != 4000 {
-		t.Fatalf("round-tripped hist = %+v", got)
+	hists := trace.Spans[0].Hists
+	got, ok := hists["atpg.podem_ns"]
+	if !ok || got.Count != 2 || got.Sum != 4000 {
+		t.Fatalf("round-tripped hists = %+v", hists)
+	}
+	if _, ok := hists["atpg.unused"]; ok {
+		t.Fatal("empty histogram flushed")
 	}
 	if q := got.Quantile(0.5); q <= 0 {
 		t.Fatalf("round-tripped quantile = %g", q)
-	}
-}
-
-// TestSnapshotHistSubtree: Snapshot.Hist merges over the span tree,
-// the cross-level aggregation a sweep root exposes.
-func TestSnapshotHistSubtree(t *testing.T) {
-	tr := New()
-	root := tr.StartSpan("sweep", -1)
-	for tp := 0; tp < 3; tp++ {
-		run := root.ChildTP("run", float64(tp))
-		st := run.Child("route")
-		st.Histogram("route.net_ns").Observe(int64(100 * (tp + 1)))
-		st.End()
-		run.End()
-	}
-	root.End()
-	d := root.Snapshot().Hist("route.net_ns")
-	if d.Count != 3 || d.Sum != 100+200+300 {
-		t.Fatalf("subtree hist = %+v", d)
 	}
 }
 

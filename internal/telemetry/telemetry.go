@@ -1,10 +1,11 @@
 // Package telemetry is the flow's zero-dependency observability layer:
 // nested wall-clock spans for every stage of the Figure 2 flow, typed
 // counters and gauges recorded at the hot sites of ATPG, placement,
-// routing, clock-tree synthesis and STA, and pluggable sinks — an
-// in-memory snapshot tree, an NDJSON event stream (one JSON object per
-// line, jq/flamegraph-friendly), a Prometheus exposition, and live
-// progress lines.
+// routing, clock-tree synthesis and STA, and pluggable sinks — an NDJSON
+// event stream (one JSON object per line, jq/flamegraph-friendly), a
+// flight-recorder ring, a Prometheus exposition, and live progress
+// lines. A span's only record is its span_end event; ParseTrace and
+// TraceFromEvents pair those back into spans.
 //
 // The layer is built to disappear: every method is safe on a nil
 // *Tracer / *Span / *Counter / *Gauge receiver and returns immediately,
@@ -144,10 +145,9 @@ func (t *Tracer) StartSpan(stage string, tpPercent float64) *Span {
 }
 
 func (t *Tracer) newSpan(parent *Span, stage string, tp float64) *Span {
-	s := &Span{tr: t, id: t.ids.Add(1), parent: parent, stage: stage, tp: tp, start: t.now(), cpuStart: procCPUNS()}
-	var pid int64
+	s := &Span{tr: t, id: t.ids.Add(1), stage: stage, tp: tp, start: t.now(), cpuStart: procCPUNS()}
 	if parent != nil {
-		pid = parent.id
+		s.parent = parent.id
 	}
 	// A sink that panics on this span_start would leave the span open for
 	// good: the caller has no *Span yet for its deferred close to end. So
@@ -163,7 +163,7 @@ func (t *Tracer) newSpan(parent *Span, stage string, tp float64) *Span {
 			panic(r)
 		}
 	}()
-	t.emit(Event{Type: EventSpanStart, ID: s.id, Parent: pid, Stage: stage, TPPercent: tp, Time: s.start})
+	t.emit(Event{Type: EventSpanStart, ID: s.id, Parent: s.parent, Stage: stage, TPPercent: tp, Time: s.start})
 	return s
 }
 
@@ -184,7 +184,7 @@ func (t *Tracer) emit(e Event) {
 type Span struct {
 	tr     *Tracer
 	id     int64
-	parent *Span
+	parent int64 // 0 = root span
 	stage  string
 	tp     float64
 	start  time.Time
@@ -196,8 +196,7 @@ type Span struct {
 	counters []*Counter
 	gauges   []*Gauge
 	hists    []*Histogram
-	children []*Snapshot
-	snap     *Snapshot // non-nil once ended
+	ended    bool
 }
 
 // Stage returns the span's stage name ("" on nil).
@@ -234,8 +233,8 @@ func (s *Span) ChildTP(stage string, tpPercent float64) *Span {
 }
 
 // Counter registers a named counter on the span. Its value is flushed
-// into the span_end event and the snapshot. Registering the same name
-// twice sums the two at flush time.
+// into the span_end event. Registering the same name twice sums the two
+// at flush time.
 func (s *Span) Counter(name string) *Counter {
 	if s == nil {
 		return nil
@@ -289,51 +288,48 @@ func (s *Span) Elapsed() time.Duration {
 func (s *Span) End() { s.EndErr(nil) }
 
 // EndErr closes the span, recording err (nil for success): the duration
-// is fixed, counters and gauges are flushed, the snapshot is attached to
-// the parent, and one span_end event is emitted. Only the first close
-// wins; later calls are no-ops, which lets a deferred EndErr guarantee
-// balance on panic/error paths without double-emitting on the happy
-// path.
+// is fixed, counters, gauges and histograms are flushed, and one
+// span_end event is emitted. Only the first close wins; later calls are
+// no-ops, which lets a deferred EndErr guarantee balance on panic/error
+// paths without double-emitting on the happy path.
 func (s *Span) EndErr(err error) {
 	if s == nil {
 		return
 	}
 	end := s.tr.now()
 	s.mu.Lock()
-	if s.snap != nil {
+	if s.ended {
 		s.mu.Unlock()
 		return
 	}
-	snap := &Snapshot{
-		Stage:     s.stage,
-		TPPercent: s.tp,
-		Start:     s.start,
-		Duration:  end.Sub(s.start),
-		Children:  s.children,
+	s.ended = true
+	e := Event{
+		Type: EventSpanEnd, ID: s.id, Parent: s.parent, Stage: s.stage,
+		TPPercent: s.tp, Time: s.start, DurNS: int64(end.Sub(s.start)),
 	}
 	if s.cpuStart != 0 {
 		if cpu := procCPUNS() - s.cpuStart; cpu > 0 {
-			snap.CPUNS = cpu
+			e.CPUNS = cpu
 		}
 	}
 	if err != nil {
-		snap.Err = err.Error()
+		e.Err = err.Error()
 	}
 	for _, c := range s.counters {
 		if v := c.Value(); v != 0 {
-			if snap.Counters == nil {
-				snap.Counters = make(map[string]int64, len(s.counters))
+			if e.Counters == nil {
+				e.Counters = make(map[string]int64, len(s.counters))
 			}
-			snap.Counters[c.name] += v
+			e.Counters[c.name] += v
 		}
 	}
 	for _, g := range s.gauges {
 		// NaN/Inf would poison json.Marshal of the NDJSON line; drop them.
 		if v := g.Value(); v != 0 && !math.IsNaN(v) && !math.IsInf(v, 0) {
-			if snap.Gauges == nil {
-				snap.Gauges = make(map[string]float64, len(s.gauges))
+			if e.Gauges == nil {
+				e.Gauges = make(map[string]float64, len(s.gauges))
 			}
-			snap.Gauges[g.name] = v
+			e.Gauges[g.name] = v
 		}
 	}
 	for _, h := range s.hists {
@@ -341,49 +337,15 @@ func (s *Span) EndErr(err error) {
 		if d.Count == 0 {
 			continue
 		}
-		if snap.Hists == nil {
-			snap.Hists = make(map[string]HistData, len(s.hists))
+		if e.Hists == nil {
+			e.Hists = make(map[string]HistData, len(s.hists))
 		}
-		merged := snap.Hists[h.name]
+		merged := e.Hists[h.name]
 		merged.Merge(d)
-		snap.Hists[h.name] = merged
+		e.Hists[h.name] = merged
 	}
-	s.snap = snap
 	s.mu.Unlock()
-
-	if s.parent != nil {
-		s.parent.addChild(snap)
-	}
-	var pid int64
-	if s.parent != nil {
-		pid = s.parent.id
-	}
-	s.tr.emit(Event{
-		Type: EventSpanEnd, ID: s.id, Parent: pid, Stage: s.stage,
-		TPPercent: s.tp, Time: s.start, DurNS: int64(snap.Duration),
-		CPUNS: snap.CPUNS,
-		Err:   snap.Err, Counters: snap.Counters, Gauges: snap.Gauges,
-		Hists: snap.Hists,
-	})
-}
-
-func (s *Span) addChild(sn *Snapshot) {
-	s.mu.Lock()
-	s.children = append(s.children, sn)
-	s.mu.Unlock()
-}
-
-// Snapshot returns the span's finished record, or nil before End. The
-// snapshot owns its subtree: children appear in the order they closed
-// (serial flow stages close in flow order; concurrent sweep levels close
-// in completion order).
-func (s *Span) Snapshot() *Snapshot {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snap
+	s.tr.emit(e)
 }
 
 // Counter is a monotonically increasing span-scoped metric. Adds are
@@ -427,64 +389,4 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Snapshot is the in-memory record of one finished span and its
-// subtree; flow attaches the run's snapshot to Result.Telemetry.
-type Snapshot struct {
-	Stage     string              `json:"stage"`
-	TPPercent float64             `json:"tp"`
-	Start     time.Time           `json:"start"`
-	Duration  time.Duration       `json:"duration"`
-	CPUNS     int64               `json:"cpu_ns,omitempty"`
-	Err       string              `json:"err,omitempty"`
-	Counters  map[string]int64    `json:"counters,omitempty"`
-	Gauges    map[string]float64  `json:"gauges,omitempty"`
-	Hists     map[string]HistData `json:"hists,omitempty"`
-	Children  []*Snapshot         `json:"children,omitempty"`
-}
-
-// Find returns the first snapshot with the given stage name in a
-// depth-first walk of the subtree (including the receiver), or nil.
-func (sn *Snapshot) Find(stage string) *Snapshot {
-	if sn == nil {
-		return nil
-	}
-	if sn.Stage == stage {
-		return sn
-	}
-	for _, c := range sn.Children {
-		if f := c.Find(stage); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
-// Counter returns the named counter's value summed over the subtree.
-func (sn *Snapshot) Counter(name string) int64 {
-	if sn == nil {
-		return 0
-	}
-	total := sn.Counters[name]
-	for _, c := range sn.Children {
-		total += c.Counter(name)
-	}
-	return total
-}
-
-// Hist returns the named histogram merged over the subtree — the
-// cross-level aggregation a sweep root's snapshot exposes.
-func (sn *Snapshot) Hist(name string) HistData {
-	var d HistData
-	if sn == nil {
-		return d
-	}
-	if h, ok := sn.Hists[name]; ok {
-		d.Merge(h)
-	}
-	for _, c := range sn.Children {
-		d.Merge(c.Hist(name))
-	}
-	return d
 }

@@ -31,13 +31,14 @@ func TestNilFastPath(t *testing.T) {
 	}
 	sp.ChildTP("level", 2).EndErr(errors.New("x"))
 	sp.End()
-	if sp.Snapshot() != nil {
-		t.Fatal("nil span produced a snapshot")
-	}
 }
 
-func TestSpanTreeSnapshot(t *testing.T) {
-	tr := New()
+// TestSpanTreeEvents: a span's record is its span_end event — parent
+// link, TP level, summed counters, gauges and the first close's error —
+// and a second close emits nothing.
+func TestSpanTreeEvents(t *testing.T) {
+	rec := NewFlightRecorder(16)
+	tr := New(rec)
 	root := tr.StartSpan("run", 2)
 	a := root.Child("tpi")
 	a.Counter("tpi.points").Add(7)
@@ -50,25 +51,32 @@ func TestSpanTreeSnapshot(t *testing.T) {
 	b.End() // idempotent: only the first close wins
 	root.End()
 
-	sn := root.Snapshot()
-	if sn == nil || sn.Stage != "run" || sn.TPPercent != 2 {
-		t.Fatalf("bad root snapshot: %+v", sn)
+	trace := TraceFromEvents(rec.Snapshot())
+	if !trace.Balanced() || len(trace.Events) != 6 {
+		t.Fatalf("want 3 balanced spans in 6 events, got %d events, unbalanced %v", len(trace.Events), trace.Unbalanced)
 	}
-	if len(sn.Children) != 2 || sn.Children[0].Stage != "tpi" || sn.Children[1].Stage != "atpg" {
-		t.Fatalf("children = %+v", sn.Children)
+	var stages []string
+	for _, sp := range trace.Spans {
+		stages = append(stages, sp.Stage)
 	}
-	at := sn.Find("atpg")
-	if at.Counters["atpg.patterns"] != 101 {
-		t.Errorf("patterns = %d, want 101", at.Counters["atpg.patterns"])
+	if strings.Join(stages, ",") != "tpi,atpg,run" {
+		t.Fatalf("spans closed as %v, want tpi,atpg,run", stages)
+	}
+	tpiSpan, at, run := trace.Spans[0], trace.Spans[1], trace.Spans[2]
+	if run.Parent != 0 || run.TPPercent != 2 {
+		t.Fatalf("bad root span: %+v", run)
+	}
+	if tpiSpan.Parent != run.ID || at.Parent != run.ID || at.TPPercent != 2 {
+		t.Fatalf("children not linked to the root at its level: %+v, %+v", tpiSpan, at)
+	}
+	if at.Counters["atpg.patterns"] != 101 || tpiSpan.Counters["tpi.points"] != 7 {
+		t.Errorf("counters = %v, %v", at.Counters, tpiSpan.Counters)
 	}
 	if at.Gauges["atpg.util"] != 0.75 {
 		t.Errorf("util = %g", at.Gauges["atpg.util"])
 	}
 	if at.Err != "boom" {
 		t.Errorf("err = %q (second End must not overwrite)", at.Err)
-	}
-	if sn.Counter("atpg.patterns") != 101 || sn.Counter("tpi.points") != 7 {
-		t.Error("subtree counter sums wrong")
 	}
 }
 
@@ -179,9 +187,9 @@ func TestSinkPanicOnStartClosesSpan(t *testing.T) {
 		if want := map[string]string{"place": "", "route": "panic: sink detonated", "run": "route failed"}[sp.Stage]; sp.Err != want {
 			t.Errorf("%s span_end err = %q, want %q", sp.Stage, sp.Err, want)
 		}
-	}
-	if sn := root.Snapshot().Find("route"); sn == nil || sn.Err == "" {
-		t.Errorf("route snapshot not attached to its parent with the error: %+v", sn)
+		if sp.Stage == "route" && sp.Parent != root.id {
+			t.Errorf("route span_end names parent %d, want the run span %d", sp.Parent, root.id)
+		}
 	}
 }
 
@@ -219,12 +227,17 @@ func TestConcurrentChildren(t *testing.T) {
 	if !trace.Balanced() {
 		t.Fatalf("unbalanced: %v", trace.Unbalanced)
 	}
-	sn := root.Snapshot()
-	if len(sn.Children) != 8 {
-		t.Fatalf("root has %d children, want 8", len(sn.Children))
+	children := 0
+	for _, sp := range trace.Spans {
+		switch {
+		case sp.Parent == root.id:
+			children++
+		case sp.ID == root.id && sp.Counters["sweep.levels"] != 8:
+			t.Fatalf("shared counter = %d", sp.Counters["sweep.levels"])
+		}
 	}
-	if sn.Counters["sweep.levels"] != 8 {
-		t.Fatalf("shared counter = %d", sn.Counters["sweep.levels"])
+	if children != 8 {
+		t.Fatalf("root has %d children, want 8", children)
 	}
 	if got := trace.Levels(); len(got) != 8 {
 		t.Fatalf("levels = %v", got)

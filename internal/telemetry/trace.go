@@ -46,11 +46,11 @@ type Trace struct {
 	Logs []Event
 }
 
-// SniffGzip wraps r so gzip-compressed input (detected by the 0x1f 0x8b
+// sniffGzip wraps r so gzip-compressed input (detected by the 0x1f 0x8b
 // magic bytes) is transparently decompressed; plain input passes
-// through. Archived traces are stored gzipped, so tracediff/tracestat
-// accept either form from the same flag.
-func SniffGzip(r io.Reader) (io.Reader, error) {
+// through. Archived traces are stored gzipped, so tracestat accepts
+// either form from the same argument.
+func sniffGzip(r io.Reader) (io.Reader, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(2)
 	if err == io.EOF {
@@ -71,7 +71,7 @@ func SniffGzip(r io.Reader) (io.Reader, error) {
 // Balance problems are reported in Trace.Unbalanced, not as an error —
 // call Balanced to gate on them.
 func ParseTrace(r io.Reader) (*Trace, error) {
-	rr, err := SniffGzip(r)
+	rr, err := sniffGzip(r)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // Package tracecmp aligns and compares two flow recordings (NDJSON
 // span traces) into a Table-2-style per-stage delta report. It is the
-// shared core of the tracediff CLI and tpid's in-service regression
+// shared core of `tracestat BASE CUR` and tpid's in-service regression
 // sentinel: both build a Side per recording and Diff them under the same
 // -normalize / -max-regress semantics.
 package tracecmp
@@ -103,11 +103,7 @@ func (s *Side) UnmarshalJSON(data []byte) error {
 // LoadTrace aggregates an NDJSON trace into per-(stage, TP) cells.
 // The reader may be gzip-compressed (sniffed by magic bytes).
 func LoadTrace(r io.Reader) (*Side, error) {
-	rr, err := telemetry.SniffGzip(r)
-	if err != nil {
-		return nil, err
-	}
-	trace, err := telemetry.ParseTrace(rr)
+	trace, err := telemetry.ParseTrace(r)
 	if err != nil {
 		return nil, err
 	}

@@ -23,6 +23,13 @@
 // deadline-bounded (returning a valid Truncated result, like an
 // industrial abort), and a panicking sweep level degrades into one
 // failed row instead of killing the process.
+//
+// Runs are observable: set Config.Telemetry to a NewTracer and every
+// stage and sweep level reaches its sinks as span events, one span_end
+// per span (NewNDJSONSink writes them, ParseTrace reads them back). On
+// the command line, cmd/tpitables prints the tables for any set of
+// circuits and levels, and cmd/tracestat summarizes one trace or
+// compares two.
 package tpilayout
 
 import (
@@ -70,9 +77,6 @@ type (
 	TraceEvent = telemetry.Event
 	// TraceSpan is one timed region of a run.
 	TraceSpan = telemetry.Span
-	// Snapshot is the in-memory span tree of one run, attached to
-	// Result.Telemetry.
-	Snapshot = telemetry.Snapshot
 	// Trace is a parsed NDJSON trace file (see ParseTrace).
 	Trace = telemetry.Trace
 	// Histogram is a lock-free latency/size distribution attached to a
