@@ -20,10 +20,14 @@ type region struct {
 //
 // All working storage lives on the bisector and is reused across the
 // (strictly serial) recursion: local net numbering uses epoch-stamped
-// arrays instead of a per-node map, incidence lists are flat CSR arrays,
-// and the FM gain buckets keep their capacity between passes. The cut
-// decisions are bit-identical to the slice-of-slices version — every
-// iteration order the FM tie-breaking depends on is preserved.
+// arrays instead of a per-node map, incidence lists are flat CSR arrays
+// built in two walks per node, and the FM gain buckets keep their capacity
+// between passes. A move updates its neighbours' gains by the classical FM
+// delta on critical nets only, and the best-bucket scan starts at a
+// maintained top index. The cut decisions are bit-identical to a bisector
+// that recomputes every neighbour's gain and scans every bucket (kept as
+// refBisector in reference_test.go): every iteration order and every
+// bucket push the FM tie-breaking depends on is preserved.
 type bisector struct {
 	n      *netlist.Netlist
 	passes int
@@ -36,6 +40,7 @@ type bisector struct {
 
 	// Per-node scratch (valid only between a partition call and the next).
 	side    []uint8
+	width   []float64        // cell widths in node order
 	spill   []netlist.CellID // stable-split overflow buffer
 	netEp   int32
 	netSeen []int32 // per-global-net epoch stamp
@@ -134,6 +139,9 @@ func newBisector(n *netlist.Netlist, passes int) *bisector {
 
 	b.netSeen = make([]int32, len(n.Nets))
 	b.netPos = make([]int32, len(n.Nets))
+	// The root node is the largest: size the append-filled scratch for it.
+	b.cursor = make([]int32, 0, len(n.Nets))
+	b.localBuf = make([]int32, 0, total)
 	return b
 }
 
@@ -216,111 +224,94 @@ func (b *bisector) partition(cells []netlist.CellID, fracA float64) []uint8 {
 		b.side = make([]uint8, n)
 	}
 	side := b.side[:n]
+	if cap(b.width) < n {
+		b.width = make([]float64, n)
+	}
+	width := b.width[:n]
 	totalArea := 0.0
-	for _, c := range cells {
-		totalArea += b.n.Cells[c].Cell.Width
+	for i, c := range cells {
+		width[i] = b.n.Cells[c].Cell.Width
+		totalArea += width[i]
 	}
 	targetA := totalArea * fracA
 	// Initial split: prefix by area (inherits the caller's ordering,
 	// which preserves locality from the parent cut).
 	areaA := 0.0
-	for i, c := range cells {
+	for i := range cells {
 		if areaA < targetA {
 			side[i] = 0
-			areaA += b.n.Cells[c].Cell.Width
+			areaA += width[i]
 		} else {
 			side[i] = 1
 		}
 	}
 
 	// Preliminary local net numbering in first-seen order, via epoch
-	// stamps on two netlist-sized arrays (no per-node map).
+	// stamps on two netlist-sized arrays (no per-node map), counting each
+	// net's incidences in the same walk.
 	b.netEp++
 	ep := b.netEp
-	numNets := 0
-	incidences := 0
-	for _, c := range cells {
-		nets := b.cellNets(c)
-		incidences += len(nets)
-		for _, net := range nets {
-			if b.netSeen[net] != ep {
-				b.netSeen[net] = ep
-				b.netPos[net] = int32(numNets)
-				numNets++
-			}
-		}
-	}
-	// Count incidences per preliminary net, then keep only nets with at
-	// least two members in this region (first-seen order preserved).
-	b.cursor = grow(b.cursor, numNets)
-	cnt := b.cursor
+	cnt := b.cursor[:0]
 	for _, c := range cells {
 		for _, net := range b.cellNets(c) {
+			if b.netSeen[net] != ep {
+				b.netSeen[net] = ep
+				b.netPos[net] = int32(len(cnt))
+				cnt = append(cnt, 0)
+			}
 			cnt[b.netPos[net]]++
 		}
 	}
+	b.cursor = cnt
+	numNets := len(cnt)
+	// Keep only nets with at least two members in this region (first-seen
+	// order preserved). Members of kept net k are
+	// members[memberIdx[k]:memberIdx[k+1]], in ascending cell order.
 	b.keep = grow(b.keep, numNets)
+	b.memberIdx = grow(b.memberIdx, numNets+1)
 	kept := 0
-	keptInc := 0
-	for p := 0; p < numNets; p++ {
-		if cnt[p] >= 2 {
+	for p, c := range cnt {
+		if c >= 2 {
 			b.keep[p] = int32(kept)
 			kept++
-			keptInc += int(cnt[p])
+			b.memberIdx[kept] = b.memberIdx[kept-1] + c
 		} else {
 			b.keep[p] = -1
 		}
 	}
-	// Member CSR: members of kept net k are
-	// members[memberIdx[k]:memberIdx[k+1]], in ascending cell order.
-	b.memberIdx = grow(b.memberIdx, kept+1)
-	for p := 0; p < numNets; p++ {
-		if k := b.keep[p]; k >= 0 {
-			b.memberIdx[k+1] = cnt[p]
-		}
-	}
-	for k := 1; k <= kept; k++ {
-		b.memberIdx[k] += b.memberIdx[k-1]
-	}
+	b.memberIdx = b.memberIdx[:kept+1]
+	keptInc := int(b.memberIdx[kept])
 	if cap(b.members) < keptInc {
 		b.members = make([]int32, keptInc)
 	}
 	b.members = b.members[:keptInc]
-	b.cursor = grow(b.cursor, kept) // aliases cnt, which is dead past here
-	cur := b.cursor
+	cur := grow(b.cursor, kept) // aliases cnt, which is dead past here
+	b.cursor = cur
 	copy(cur, b.memberIdx[:kept])
-	for i, c := range cells {
-		for _, net := range b.cellNets(c) {
-			if k := b.keep[b.netPos[net]]; k >= 0 {
-				b.members[cur[k]] = int32(i)
-				cur[k]++
-			}
-		}
-	}
-	// Per-cell local net CSR, each cell's list in ascending kept-net
-	// order (the order the FM tie-breaking saw historically).
+	// One more walk fills the members and the per-cell local net CSR,
+	// each cell's list sorted into ascending kept-net order (the order the
+	// FM tie-breaking saw historically; a cell has a handful of nets).
 	b.localIdx = grow(b.localIdx, n+1)
-	for k := 0; k < kept; k++ {
-		for _, m := range b.members[b.memberIdx[k]:b.memberIdx[k+1]] {
-			b.localIdx[m+1]++
+	local := b.localBuf[:0]
+	for i, c := range cells {
+		start := len(local)
+		for _, net := range b.cellNets(c) {
+			k := b.keep[b.netPos[net]]
+			if k < 0 {
+				continue
+			}
+			b.members[cur[k]] = int32(i)
+			cur[k]++
+			j := len(local)
+			local = append(local, k)
+			for ; j > start && local[j-1] > k; j-- {
+				local[j] = local[j-1]
+			}
+			local[j] = k
 		}
+		b.localIdx[i+1] = int32(len(local))
 	}
-	for i := 1; i <= n; i++ {
-		b.localIdx[i] += b.localIdx[i-1]
-	}
-	if cap(b.localBuf) < keptInc {
-		b.localBuf = make([]int32, keptInc)
-	}
-	b.localBuf = b.localBuf[:keptInc]
-	b.cursor = grow(b.cursor, n)
-	cur = b.cursor
-	copy(cur, b.localIdx[:n])
-	for k := 0; k < kept; k++ {
-		for _, m := range b.members[b.memberIdx[k]:b.memberIdx[k+1]] {
-			b.localBuf[cur[m]] = int32(k)
-			cur[m]++
-		}
-	}
+	b.localBuf = local
 
 	tol := totalArea*0.02 + 12*b.n.Lib.SiteWidth
 	for pass := 0; pass < b.passes; pass++ {
@@ -361,24 +352,24 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 	}
 	b.gain = grow(b.gain, n)
 	gain := b.gain
-	computeGain := func(i int) int32 {
-		g := int32(0)
+	for i := range gain {
 		s := side[i]
 		for _, ni := range b.cellLocals(int32(i)) {
 			if cnt[ni][s] == 1 {
-				g++
+				gain[i]++
 			}
 			if cnt[ni][1-s] == 0 {
-				g--
+				gain[i]--
 			}
 		}
-		return g
 	}
 	// Gain buckets with lazy deletion: a popped entry is valid only if it
-	// matches the cell's current gain and the cell is unlocked.
+	// matches the cell's current gain and the cell is unlocked. Every
+	// bucket above top is empty.
 	for gi := range b.buckets {
 		b.buckets[gi] = b.buckets[gi][:0]
 	}
+	top := -1
 	clamp := func(g int32) int32 {
 		if g > maxGain {
 			return maxGain
@@ -388,9 +379,12 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 		}
 		return g
 	}
-	push := func(i int) {
-		g := clamp(gain[i])
-		b.buckets[g+maxGain] = append(b.buckets[g+maxGain], int32(i))
+	push := func(i int32) {
+		gi := int(clamp(gain[i]) + maxGain)
+		b.buckets[gi] = append(b.buckets[gi], i)
+		if gi > top {
+			top = gi
+		}
 	}
 	if cap(b.locked) < n {
 		b.locked = make([]bool, n)
@@ -400,16 +394,19 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 		locked[i] = false
 	}
 	for i := 0; i < n; i++ {
-		gain[i] = computeGain(i)
-		push(i)
+		push(int32(i))
 	}
 
 	moves := b.moves[:0]
 	cumDelta, bestDelta, bestK := int32(0), int32(0), 0
 	curAreaA := *areaA
 
+	// popBest returns the newest valid entry of the highest non-empty
+	// bucket that keeps the balance. Everything it pops on the way is
+	// dropped, so when it returns from bucket gi all buckets above gi are
+	// empty and top can come down to gi.
 	popBest := func() int32 {
-		for gi := len(b.buckets) - 1; gi >= 0; gi-- {
+		for gi := top; gi >= 0; gi-- {
 			bl := b.buckets[gi]
 			for len(bl) > 0 {
 				i := bl[len(bl)-1]
@@ -418,7 +415,7 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 					continue // stale entry
 				}
 				// Balance check.
-				w := b.n.Cells[cells[i]].Cell.Width
+				w := b.width[i]
 				na := curAreaA
 				if side[i] == 0 {
 					na -= w
@@ -429,10 +426,12 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 					continue // would unbalance; try next (leave popped)
 				}
 				b.buckets[gi] = bl
+				top = gi
 				return i
 			}
 			b.buckets[gi] = bl
 		}
+		top = -1
 		return -1
 	}
 
@@ -443,7 +442,7 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 		}
 		locked[i] = true
 		s := side[i]
-		w := b.n.Cells[cells[i]].Cell.Width
+		w := b.width[i]
 		if s == 0 {
 			curAreaA -= w
 		} else {
@@ -451,17 +450,37 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 		}
 		cumDelta -= gain[i]
 		moves = append(moves, move{cell: i, delta: gain[i]})
-		// Apply move: update counts and neighbour gains.
+		// Apply move: update neighbour gains by the classical FM delta,
+		// then the counts. With F and T the net's counts on the from and to
+		// sides before the move, an unlocked member on the from side gains
+		// [F==2]+[T==0] and one on the to side loses [T==1]+[F==1], so only
+		// a critical net (F <= 2 or T <= 1) is walked.
 		for _, ni := range b.cellLocals(i) {
-			cnt[ni][s]--
-			cnt[ni][1-s]++
+			c := &cnt[ni]
+			from, to := c[s], c[1-s]
+			if from <= 2 || to <= 1 {
+				dFrom := one(from == 2) + one(to == 0)
+				dTo := -one(to == 1) - one(from == 1)
+				for _, m := range b.netMembers(ni) {
+					if !locked[m] {
+						if side[m] == s {
+							gain[m] += dFrom
+						} else {
+							gain[m] += dTo
+						}
+					}
+				}
+			}
+			c[s]--
+			c[1-s]++
 		}
 		side[i] = 1 - s
+		// Re-push every unlocked neighbour, changed gain or not: a bucket
+		// is a stack, so the push is what brings the cell to its top.
 		for _, ni := range b.cellLocals(i) {
 			for _, m := range b.netMembers(ni) {
 				if !locked[m] {
-					gain[m] = computeGain(int(m))
-					push(int(m))
+					push(m)
 				}
 			}
 		}
@@ -479,7 +498,7 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 	for k := len(moves) - 1; k >= bestK; k-- {
 		i := moves[k].cell
 		s := side[i]
-		w := b.n.Cells[cells[i]].Cell.Width
+		w := b.width[i]
 		if s == 0 {
 			curAreaA -= w
 		} else {
@@ -490,4 +509,12 @@ func (b *bisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 	b.moves = moves[:0]
 	*areaA = curAreaA
 	return bestDelta < 0
+}
+
+// one is 1 for true and 0 for false.
+func one(ok bool) int32 {
+	if ok {
+		return 1
+	}
+	return 0
 }

@@ -112,30 +112,23 @@ func (p *Placement) buildGaps() *gapTable {
 	return g
 }
 
-// extend appends the space created by a RowLen increase to every row.
+// extend appends the space created by a RowLen increase to every row: a
+// row's last gap grows to the new end only if no cell lies after it;
+// otherwise the row gains a gap from its last used x.
 func (g *gapTable) extend(p *Placement) {
-	for r := range g.rows {
-		if n := len(g.rows[r]); n > 0 && g.rows[r][n-1].x1 < p.RowLen {
-			last := &g.rows[r][n-1]
-			// Merge if the last gap touches the old row end.
-			last.x1 = p.RowLen
-		} else {
-			g.rows[r] = append(g.rows[r], gap{x0: p.RowLen, x1: p.RowLen})
-			g.rows[r][len(g.rows[r])-1].x0 = lastUsed(p, r)
-		}
-	}
-}
-
-func lastUsed(p *Placement, r int) float64 {
-	max := 0.0
+	lastUsed := make([]float64, len(g.rows))
 	for ci := range p.N.Cells {
-		if !p.N.Cells[ci].Dead && p.Row[ci] == int32(r) {
-			if e := p.X[ci] + p.N.Cells[ci].Cell.Width; e > max {
-				max = e
-			}
+		if r := p.Row[ci]; !p.N.Cells[ci].Dead && r >= 0 {
+			lastUsed[r] = math.Max(lastUsed[r], p.X[ci]+p.N.Cells[ci].Cell.Width)
 		}
 	}
-	return max
+	for r, row := range g.rows {
+		if k := len(row); k > 0 && row[k-1].x1 >= lastUsed[r] {
+			row[k-1].x1 = p.RowLen
+		} else {
+			g.rows[r] = append(row, gap{x0: lastUsed[r], x1: p.RowLen})
+		}
+	}
 }
 
 // insert places cell id in the gap whose usable position is nearest

@@ -34,8 +34,10 @@ type Options struct {
 	// (default 2).
 	FMPasses int
 	// Telemetry, when non-nil, receives the placement counters
-	// (place.cuts, place.fm_passes, place.fm_moves, place.fm_moves_tried)
-	// on the placement stage's span. Nil costs nothing.
+	// (place.cells, place.cuts, place.fm_passes, place.fm_moves,
+	// place.fm_moves_tried) and the per-FM-pass cut improvement
+	// distribution (place.fm_cut_delta) on the placement stage's span.
+	// Nil costs nothing.
 	Telemetry *telemetry.Span
 }
 
@@ -251,7 +253,7 @@ func (p *Placement) legalize() error {
 		if x > p.RowLen {
 			p.RowLen = math.Ceil(x/lib.SiteWidth) * lib.SiteWidth
 		}
-		p.rowUsed[r] = usedLength(n, rows[r])
+		p.rowUsed[r] = width(n, rows[r])
 	}
 	return nil
 }
@@ -262,10 +264,6 @@ func width(n *netlist.Netlist, cells []netlist.CellID) float64 {
 		w += n.Cells[id].Cell.Width
 	}
 	return w
-}
-
-func usedLength(n *netlist.Netlist, cells []netlist.CellID) float64 {
-	return width(n, cells)
 }
 
 // HPWL returns the total half-perimeter wire length over all multi-pin

@@ -178,6 +178,36 @@ func TestECONearCentroid(t *testing.T) {
 	}
 }
 
+// TestECOExtendKeepsLegal fills every row, so ECO must lengthen the rows.
+// A row whose last free interval is interior (cells follow it up to the
+// old row end) must gain the new space after its last cell, not have that
+// interval stretched across the cells behind it.
+func TestECOExtendKeepsLegal(t *testing.T) {
+	n, p := placeSmall(t, 0.97)
+	p.InsertFillers()
+	oldLen := p.RowLen
+	var added []netlist.CellID
+	for i, ff := range n.FlipFlops() {
+		if i >= 40 {
+			break
+		}
+		buf, _ := n.InsertOnNet("ecobuf", "BUFX4", n.Cells[ff].Out, nil)
+		added = append(added, buf)
+	}
+	if err := p.ECO(); err != nil {
+		t.Fatal(err)
+	}
+	if p.RowLen <= oldLen {
+		t.Fatalf("row length %g did not grow from %g: the rows were never extended", p.RowLen, oldLen)
+	}
+	for _, id := range added {
+		if !p.Placed(id) {
+			t.Fatalf("ECO left %s unplaced", n.Cells[id].Name)
+		}
+	}
+	checkLegal(t, n, p)
+}
+
 func TestInsertFillers(t *testing.T) {
 	n, p := placeSmall(t, 0.80)
 	area := p.InsertFillers()

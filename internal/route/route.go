@@ -73,6 +73,7 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 		pins []point
 	}
 	var jobs []job
+	maxPins := 0
 	for id := range n.Nets {
 		nn := &n.Nets[id]
 		if nn.Dead || nn.Const >= 0 {
@@ -96,9 +97,27 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 		}
 		if len(pins) >= 2 {
 			jobs = append(jobs, job{id: netlist.NetID(id), pins: pins})
+			maxPins = max(maxPins, len(pins))
 		}
 	}
-	sort.SliceStable(jobs, func(i, j int) bool { return len(jobs[i].pins) > len(jobs[j].pins) })
+	// Stable counting sort by pin count, descending: slot k holds the nets
+	// with maxPins-k pins, each slot in net ID order.
+	next := make([]int, maxPins+1)
+	for _, jb := range jobs {
+		next[maxPins-len(jb.pins)]++
+	}
+	at := 0
+	for k, c := range next {
+		next[k] = at
+		at += c
+	}
+	sorted := make([]job, len(jobs))
+	for _, jb := range jobs {
+		k := maxPins - len(jb.pins)
+		sorted[next[k]] = jb
+		next[k]++
+	}
+	jobs = sorted
 
 	// Per-net latency and detour ("rip-up") distributions. The routing
 	// loop is serial, so both record into local shards; with telemetry
