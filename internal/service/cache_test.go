@@ -2,13 +2,22 @@ package service
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
 )
 
 func testDigest(i int) requestDigest { return sha256.Sum256([]byte(fmt.Sprint(i))) }
+
+// aliasJob is a job of tenant acme over circuit tiny at one level whose
+// body had digest testDigest(i) and compiled to key.
+func aliasJob(i int, key string) *Job {
+	return &Job{Tenant: "acme", Circuit: "tiny", Levels: []float64{1}, Key: key, digest: testDigest(i)}
+}
+
+// aliasJobBytes is what aliasJob's alias is charged: aliasBytes plus its
+// tenant, circuit name and one level.
+const aliasJobBytes = aliasBytes + 4 + 4 + 8
 
 // checkCache asserts the cache's invariants: used is the sum of the
 // entries' sizes (aliases included) and within budget, and every alias
@@ -24,7 +33,7 @@ func checkCache(t *testing.T, c *resultCache) {
 		sum += ent.size
 		aliases += len(ent.digests)
 		for _, d := range ent.digests {
-			if c.byDigest[d] != el {
+			if c.byDigest[d].el != el {
 				t.Fatalf("alias of %s does not resolve to it", ent.key)
 			}
 		}
@@ -37,30 +46,35 @@ func checkCache(t *testing.T, c *resultCache) {
 	}
 }
 
-// TestCacheAliasAccounting: aliases are charged to the budget, however
-// many of them one result collects.
+// TestCacheAliasAccounting: a result is charged the response bytes it
+// keeps, and aliases are charged to the budget, however many of them one
+// result collects.
 func TestCacheAliasAccounting(t *testing.T) {
-	res := &JobResult{Circuit: "tiny", Complete: true}
-	data, _ := json.Marshal(res)
-	size := int64(len(data))
+	res := encodeResult(&JobResult{Circuit: "tiny", Complete: true})
+	size := int64(len(res.head))
 
 	c := newResultCache(1 << 20)
 	c.Put("k", res)
-	c.Alias(testDigest(0), "k")
-	c.Alias(testDigest(0), "k") // a known digest is charged once
-	c.Alias(testDigest(1), "gone")
-	if _, bytes, _, _ := c.Stats(); bytes != size+aliasBytes {
-		t.Fatalf("used %d, want %d for one result and one alias", bytes, size+aliasBytes)
+	c.Alias(aliasJob(0, "k"))
+	c.Alias(aliasJob(0, "k")) // a known digest is charged once
+	c.Alias(aliasJob(1, "gone"))
+	c.Alias(&Job{Key: "k"}) // a replayed job has no body to alias
+	if _, bytes, _, _ := c.Stats(); bytes != size+aliasJobBytes {
+		t.Fatalf("used %d, want %d for one result and one alias", bytes, size+aliasJobBytes)
 	}
 	checkCache(t, c)
+	comp, ok := c.Resolve(testDigest(0))
+	if !ok || comp.key != "k" || comp.hit != res || comp.tenant != "acme" || comp.src.name != "tiny" || len(comp.levels) != 1 {
+		t.Fatalf("alias resolved to %+v, %v", comp, ok)
+	}
 
 	// A budget for two results: the aliases of one crowd out the other,
 	// then the result itself, and the cache never goes over.
-	c = newResultCache(2*size + 3*aliasBytes)
+	c = newResultCache(2*size + 3*aliasJobBytes)
 	c.Put("a", res)
 	c.Put("b", res)
 	for i := 0; i < 64; i++ {
-		c.Alias(testDigest(i), "b")
+		c.Alias(aliasJob(i, "b"))
 		checkCache(t, c)
 	}
 	if _, ok := c.Get("a"); ok {
@@ -69,7 +83,7 @@ func TestCacheAliasAccounting(t *testing.T) {
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b with 64 aliases is over the whole budget, yet still cached")
 	}
-	if _, _, ok := c.Resolve(testDigest(0)); ok {
+	if _, ok := c.Resolve(testDigest(0)); ok {
 		t.Fatal("an alias outlived its entry")
 	}
 }
@@ -77,11 +91,11 @@ func TestCacheAliasAccounting(t *testing.T) {
 // TestAliasAfterEviction: a request whose alias went with its evicted
 // result is accepted for a fresh run, never answered stale.
 func TestAliasAfterEviction(t *testing.T) {
-	one, _ := json.Marshal(&JobResult{
+	one := encodeResult(&JobResult{
 		Circuit: "tiny", TPLevels: []float64{1}, Table1: "stub-table-1", Complete: true,
 		Levels: []LevelStatus{{TPPercent: 1, OK: true}},
 	})
-	s := stubServer(t, Options{Workers: 1, CacheBytes: int64(len(one)) + 2*aliasBytes})
+	s := stubServer(t, Options{Workers: 1, CacheBytes: int64(len(one.head)) + 2*aliasJobBytes})
 	bodyA, bodyB := jobBody(t, "acme", 1), jobBody(t, "acme", 2)
 	_, a := submitDone(t, s, bodyA)
 	if !aliased(t, s, bodyA) {

@@ -310,7 +310,7 @@ func (s *Server) snapshotState() *snapState {
 			st.Retired = append(st.Retired, retiredJob{
 				JobID: job.ID, RunID: job.runID, Tenant: job.Tenant, Name: job.Circuit,
 				TPLevels: job.Levels, State: job.state, Error: job.errMsg,
-				CacheKey: job.Key, Cacheable: job.cacheable, Result: job.result,
+				CacheKey: job.Key, Cacheable: job.cacheable, Result: job.result.value(),
 				Created: job.created, Finished: job.finished,
 			})
 		} else if job.accepted != nil {
@@ -341,16 +341,19 @@ func (s *Server) replay(st *snapState) {
 		r := &st.Retired[i]
 		job := &Job{
 			ID: r.JobID, runID: r.RunID, Tenant: r.Tenant, Key: r.CacheKey, Levels: r.TPLevels,
-			Circuit: r.Name, state: r.State, errMsg: r.Error, result: r.Result,
+			Circuit: r.Name, state: r.State, errMsg: r.Error,
 			created: r.Created, finished: r.Finished, started: r.Created,
 			journaled: true, cacheable: r.Cacheable,
 		}
 		if _, exists := s.jobs[job.ID]; exists {
 			continue
 		}
+		if r.Result != nil {
+			job.result = encodeResult(r.Result)
+		}
 		s.rememberJobLocked(job)
 		if r.Cacheable && r.Result != nil && r.Result.Complete {
-			s.cache.Put(r.CacheKey, r.Result)
+			s.cache.Put(r.CacheKey, job.result)
 		}
 	}
 	s.mu.Unlock()

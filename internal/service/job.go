@@ -10,12 +10,9 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -92,9 +89,8 @@ type JobRequest struct {
 
 // compiled is a validated, executable form of a JobRequest: the parsed
 // design, the resolved flow.Config, and the content-addressed cache key.
-// checkRequest fills the fields every submission pays for; address fills
-// the rest from the circuit. A job answered from the request index has
-// key and hit, and neither design nor anything derived from it.
+// A job answered from the request index has what its alias stores —
+// tenant, src.name, levels, key and hit — and nothing else.
 type compiled struct {
 	tenant    string
 	src       circuitSource // the circuit, checked; src.name is the design's name
@@ -102,8 +98,8 @@ type compiled struct {
 	cfg       flow.Config
 	levels    []float64
 	budgetMS  int64
-	digest    requestDigest
-	hit       *JobResult // the cached result the request index resolved to
+	digest    requestDigest  // of the submission's body; zero for a replayed job
+	hit       *encodedResult // the cached result the request index resolved to
 	key       string
 	baseKey   string // level-independent address: checkpoint key prefix
 	circHash  string // circuit-only hash: run-history baseline key half
@@ -130,23 +126,6 @@ func badRequest(format string, args ...any) error {
 // that mean the same sweep hash identically regardless of field spelling,
 // bench formatting, or worker count.
 func compileRequest(req *JobRequest) (*compiled, error) {
-	c, err := checkRequest(req, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.address(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// checkRequest is the part of compileRequest every submission pays for:
-// every check, the resolved config and the request digest, with the
-// circuit checked but not built. With parse set it builds the circuit in
-// the place compileRequest always has (after the circuit fields, before
-// the flow fields), so a request with several faults is refused for the
-// same one.
-func checkRequest(req *JobRequest, parse bool) (*compiled, error) {
 	c := &compiled{tenant: strings.TrimSpace(req.Tenant)}
 	if c.tenant == "" {
 		c.tenant = "default"
@@ -173,10 +152,11 @@ func checkRequest(req *JobRequest, parse bool) (*compiled, error) {
 		return nil, err
 	}
 	c.src = src
-	if parse {
-		if c.design, err = src.build(); err != nil {
-			return nil, err
-		}
+	// The circuit is built after its fields are checked and before the
+	// flow fields are, so a request with several faults is refused for the
+	// first of them in that order.
+	if c.design, err = src.build(); err != nil {
+		return nil, err
 	}
 
 	fc := req.Flow
@@ -212,20 +192,14 @@ func checkRequest(req *JobRequest, parse bool) (*compiled, error) {
 	c.preset = preset
 	c.budgetMS = fc.ATPGBudgetMS
 	c.cacheable = fc.ATPGBudgetMS == 0
-	c.digest = digestRequest(&req.Circuit, &cfg, c.levels, fc.ATPGBudgetMS)
+	if err := c.address(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// address is the circuit part of compileRequest: it builds the design
-// unless checkRequest already did, canonicalizes it and derives the keys.
+// address canonicalizes the built design and derives the keys from it.
 func (c *compiled) address() error {
-	if c.design == nil {
-		design, err := c.src.build()
-		if err != nil {
-			return err
-		}
-		c.design = design
-	}
 	var bench bytes.Buffer
 	if err := circuitgen.WriteBench(&bench, c.design); err != nil {
 		return fmt.Errorf("service: canonicalizing circuit: %w", err)
@@ -253,25 +227,14 @@ func (c *compiled) address() error {
 // the key of the request index (cache.go).
 type requestDigest [sha256.Size]byte
 
-// digestRequest is SHA-256 over the circuit fields exactly as received
-// (strings length-prefixed, floats as their bits, so no two field tuples
-// encode alike) followed by the hashedConfig JSON keyFromBench hashes.
-// Everything the key is a function of is in it: the canonical text is a
-// function of the circuit fields, the rest of the config JSON.
-func digestRequest(cs *CircuitSpec, cfg *flow.Config, levels []float64, budgetMS int64) requestDigest {
+// digestBody is SHA-256 over a submission's body exactly as received.
+// Everything a job is a function of is in those bytes: they decode to one
+// request, which passes or fails the same checks and compiles to the same
+// key every time.
+func digestBody(body []byte) requestDigest {
 	h := sha256.New()
-	h.Write([]byte("tpid/request\n"))
-	var word [8]byte
-	for _, s := range []string{cs.Bench, cs.Name, cs.Spec} {
-		binary.BigEndian.PutUint64(word[:], uint64(len(s)))
-		h.Write(word[:])
-		io.WriteString(h, s)
-	}
-	for _, f := range []float64{cs.PeriodPS, cs.Scale} {
-		binary.BigEndian.PutUint64(word[:], math.Float64bits(f))
-		h.Write(word[:])
-	}
-	h.Write(hashedConfigJSON(cfg, levels, budgetMS))
+	h.Write([]byte("tpid/request-body\n"))
+	h.Write(body)
 	var d requestDigest
 	h.Sum(d[:0])
 	return d

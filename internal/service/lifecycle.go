@@ -54,11 +54,11 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 	if replay {
 		job.accepted = rec
 	}
-	answer := func(res *JobResult) (*Job, admission) {
+	answer := func(res *encodedResult) (*Job, admission) {
 		s.retire([]*Job{job}, outcome{state: StateDone, result: res, cacheHit: true})
-		// These bytes compiled to a cached key: the next identical request
-		// resolves without building its circuit.
-		s.cache.Alias(job.digest, job.Key)
+		// This body compiled to a cached key: the next identical body
+		// resolves without being decoded.
+		s.cache.Alias(job)
 		s.opt.Log.Info("job answered from cache",
 			"job_id", job.ID, "tenant", job.Tenant, "circuit", job.Circuit, "key", job.Key)
 		return job, admitAnswered
@@ -111,7 +111,7 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 	}
 	s.mu.Lock()
 	var live, rn *run
-	var cached *JobResult
+	var cached *encodedResult
 	var refused error
 	if comp.cacheable {
 		// Singleflight: an identical run already queued or running absorbs
@@ -450,13 +450,17 @@ func (s *Server) checkpoint(rec *recLevelDone) {
 // feeds the cache, and tears the run down. Once it returns, the run's
 // record is all its jobs still reference.
 func (s *Server) finishRun(rn *run, res *JobResult, err error) {
-	out, errMsg := outcome{state: StateDone, result: res}, ""
+	out, errMsg := outcome{state: StateDone}, ""
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded), err == nil && rn.ctx.Err() != nil:
 		out = outcome{state: StateCanceled, errMsg: "run canceled"}
 	case err != nil:
 		errMsg = err.Error()
 		out = outcome{state: StateFailed, errMsg: errMsg}
+	case res != nil:
+		// Encoded once: every GET /result of every job sharing the result,
+		// from this run or from the cache, writes these bytes.
+		out.result = encodeResult(res)
 	}
 	// Cache only complete, successful, deterministic results: a partial
 	// sweep (one level panicked or timed out) must be retried, not
@@ -464,7 +468,7 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 	// entry goes is what admit's re-check under the lock relies on.
 	publish := out.state == StateDone && rn.cacheable && res != nil && res.Complete
 	if publish {
-		s.cache.Put(rn.key, res)
+		s.cache.Put(rn.key, out.result)
 	}
 
 	now := time.Now()
@@ -475,9 +479,9 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 	s.mu.Unlock()
 	if publish {
 		// Every waiter's request compiled to rn.key: a resubmission of the
-		// same bytes resolves from the request index.
+		// same body resolves from the request index.
 		for _, j := range jobs {
-			s.cache.Alias(j.digest, rn.key)
+			s.cache.Alias(j)
 		}
 	}
 	// Crash semantics: a SIGKILL before the retired record leaves the
@@ -504,8 +508,8 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 type outcome struct {
 	state    State
 	errMsg   string
-	result   *JobResult // StateDone only
-	cacheHit bool       // answered from the result cache: no flow ran
+	result   *encodedResult // StateDone only
+	cacheHit bool           // answered from the result cache: no flow ran
 	// compact journals the retirement as one canceled record per job
 	// instead of a retired record. foldRecords reads a canceled record
 	// back as "canceled by client", so it suits a DELETE and a job whose
@@ -580,7 +584,7 @@ func (s *Server) retire(jobs []*Job, out outcome) int {
 		} else {
 			s.appendRecord(journal.TypeRetired, &recRetired{
 				JobIDs: journaled, RunID: first.runID, State: out.state, Error: out.errMsg,
-				CacheKey: first.Key, Cacheable: first.cacheable, Result: out.result, Finished: now,
+				CacheKey: first.Key, Cacheable: first.cacheable, Result: out.result.value(), Finished: now,
 			})
 		}
 	}

@@ -205,7 +205,7 @@ func TestLifecycleTable(t *testing.T) {
 			drive: func(e *env) map[string]State {
 				// The result lands in the cache after admit's first probe.
 				key := keyOf(e.t, jobBody(e.t, "acme", 2))
-				e.onAppend = func() { e.s.cache.Put(key, &JobResult{Circuit: "tiny", Complete: true}) }
+				e.onAppend = func() { e.s.cache.Put(key, encodeResult(&JobResult{Circuit: "tiny", Complete: true})) }
 				post(e, "a", 200, 2)
 				if st := getStatus(e.t, e.s, "a"); !st.CacheHit || st.RunID != "" {
 					e.t.Fatalf("status = %+v, want a cache hit under no run", st)

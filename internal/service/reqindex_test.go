@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -32,17 +34,9 @@ func TestPinnedKeys(t *testing.T) {
 // aliased reports whether the request index resolves body.
 func aliased(t *testing.T, s *Server, body []byte) bool {
 	t.Helper()
-	var req JobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		t.Fatal(err)
-	}
-	c, err := checkRequest(&req, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
-	_, ok := s.cache.byDigest[c.digest]
+	_, ok := s.cache.byDigest[digestBody(body)]
 	return ok
 }
 
@@ -82,7 +76,9 @@ func submitDone(t *testing.T, s *Server, body []byte) (int, JobStatus) {
 // TestRequestVariantKeys: for requests that mean the same sweep or
 // another one, the key an alias serves is the key a full compile on a
 // fresh server computes, and cache_hit is what the key rule says — a
-// resubmission hits exactly when its key is cached.
+// resubmission hits exactly when its key is cached. A body that differs
+// from the base body in any byte pays one full compile before its own
+// alias answers it.
 func TestRequestVariantKeys(t *testing.T) {
 	base := JobRequest{
 		Tenant:   "acme",
@@ -96,11 +92,24 @@ func TestRequestVariantKeys(t *testing.T) {
 		edit(&r)
 		return r
 	}
+	indented, err := json.MarshalIndent(base, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The request as sent, for the cases that are not their req's own
+	// encoding.
+	sent := map[string][]byte{
+		"same fields, indented JSON": indented,
+		"same fields, keys reordered": []byte(fmt.Sprintf(
+			`{"flow":{"skip_atpg":true},"tp_levels":[0,2],"circuit":{"name":"tiny","bench":%q},"tenant":"acme"}`, testBench)),
+	}
 	cases := []struct {
 		name    string
 		req     JobRequest
 		sameKey bool // as the base request's
 	}{
+		{"same fields, indented JSON", base, true},
+		{"same fields, keys reordered", base, true},
 		{"reformatted", variant(func(r *JobRequest) {
 			r.Circuit.Bench = "# a comment\n\nINPUT( a )\nINPUT(b)\n  OUTPUT(y)\nd1 = DFF( a )   # domain=clk\ny = NAND(d1 ,b)\n\n"
 		}), true},
@@ -129,7 +138,10 @@ func TestRequestVariantKeys(t *testing.T) {
 	_, baseSt := postJob(t, fresh, mustJSON(t, base))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body := mustJSON(t, tc.req)
+			body := sent[tc.name]
+			if body == nil {
+				body = mustJSON(t, tc.req)
+			}
 			// The key a full compile gives, on a server that has no alias.
 			code, want := postJob(t, stubServer(t, Options{Workers: 1}), body)
 			if code != http.StatusAccepted {
@@ -141,6 +153,9 @@ func TestRequestVariantKeys(t *testing.T) {
 
 			s := stubServer(t, Options{Workers: 1})
 			submitDone(t, s, mustJSON(t, base))
+			if aliased(t, s, body) {
+				t.Fatal("a body never submitted to this server is aliased")
+			}
 			// First submission: a full compile, a hit exactly when the key is
 			// the base request's.
 			code, first := submitDone(t, s, body)
@@ -161,8 +176,8 @@ func TestRequestVariantKeys(t *testing.T) {
 			if s.FlowRuns() != runs {
 				t.Fatal("an alias-served submission ran a flow")
 			}
-			if second.Tenant != strings.TrimSpace(tc.req.Tenant) {
-				t.Fatalf("alias-served tenant %q", second.Tenant)
+			if second.Tenant != strings.TrimSpace(tc.req.Tenant) || !slices.Equal(second.TPLevels, want.TPLevels) {
+				t.Fatalf("alias-served tenant %q levels %v, want %q %v", second.Tenant, second.TPLevels, tc.req.Tenant, want.TPLevels)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -102,7 +103,7 @@ type Job struct {
 	Key     string
 	Levels  []float64
 	Circuit string
-	digest  requestDigest // of the submission, aliased to Key once its result is cached
+	digest  requestDigest // of the submission's body, aliased to Key once its result is cached
 
 	// All below guarded by Server.mu.
 	state    State
@@ -115,7 +116,7 @@ type Job struct {
 	run       *run
 	record    *runRecord
 	errMsg    string
-	result    *JobResult
+	result    *encodedResult
 	created   time.Time
 	started   time.Time
 	finished  time.Time
@@ -147,8 +148,63 @@ type JobResult struct {
 	// Complete is true when every requested level produced a row.
 	Complete  bool  `json:"complete"`
 	ElapsedMS int64 `json:"elapsed_ms"`
-	// CacheHit is personalized per job at response time.
+	// CacheHit is personalized per job at response time. It stays the
+	// last field: encodedResult keeps the body up to its value.
 	CacheHit bool `json:"cache_hit"`
+}
+
+// encodedResult is a finished result beside its GET /result body, encoded
+// once when the result is first delivered: the bytes writeJSON writes for
+// it, up to cache_hit's value — the one byte run that differs between the
+// jobs sharing a result.
+type encodedResult struct {
+	res  *JobResult
+	head []byte // nil when the result cannot be encoded
+}
+
+// What follows cache_hit's name in a result body, by its value.
+var (
+	resultTail    = []byte("false\n}\n")
+	resultTailHit = []byte("true\n}\n")
+)
+
+func encodeResult(res *JobResult) *encodedResult {
+	out := *res
+	out.CacheHit = false
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if enc.Encode(&out) != nil {
+		return &encodedResult{res: res}
+	}
+	head, ok := bytes.CutSuffix(buf.Bytes(), resultTail)
+	if !ok {
+		panic("service: JobResult no longer ends with cache_hit")
+	}
+	return &encodedResult{res: res, head: bytes.Clone(head)}
+}
+
+// value is the result itself, nil for none.
+func (e *encodedResult) value() *JobResult {
+	if e == nil {
+		return nil
+	}
+	return e.res
+}
+
+// write answers GET /result with the stored body, cache_hit personalized.
+func (e *encodedResult) write(w http.ResponseWriter, cacheHit bool) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if e.head == nil {
+		return // writeJSON writes nothing for a value it cannot encode
+	}
+	w.Write(e.head)
+	if cacheHit {
+		w.Write(resultTailHit)
+	} else {
+		w.Write(resultTail)
+	}
 }
 
 // JobStatus is the GET /v1/jobs/{id} body (and the submission response).
@@ -545,16 +601,25 @@ func (s *Server) Stats() Stats {
 // ---------------------------------------------------------------------------
 // Submission
 
+// bodyPool holds the buffers submissions are read into; one above
+// maxPooledBody goes back to the allocator instead.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if why := s.unready(); why != "" {
 		writeError(w, http.StatusServiceUnavailable, "server is %s, not accepting jobs", why)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
-	var req JobRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.opt.MaxBodyBytes)
@@ -563,24 +628,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
 		return
 	}
-	comp, err := s.compile(&req)
-	if err != nil {
-		var reqErr *requestError
-		if errors.As(err, &reqErr) {
-			writeError(w, http.StatusBadRequest, "%v", err)
-		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+	body := buf.Bytes()
+
+	// The request index answers a body a full compile has resolved to a
+	// cached key before anything decodes it. Every other body is decoded
+	// and compiled in full.
+	digest := digestBody(body)
+	comp, indexed := s.cache.Resolve(digest)
+	var flowCfg FlowConfig
+	if !indexed {
+		req, err := decodeRequest(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
+			return
 		}
-		return
+		if comp, err = compileRequest(req); err != nil {
+			var reqErr *requestError
+			if errors.As(err, &reqErr) {
+				writeError(w, http.StatusBadRequest, "%v", err)
+			} else {
+				writeError(w, http.StatusInternalServerError, "%v", err)
+			}
+			return
+		}
+		comp.digest, flowCfg = digest, req.Flow
 	}
 
+	// An index answer is never journaled: its record only names the job.
 	rec := &recAccepted{
 		JobID:    s.claimJobID(r.Header.Get("X-Request-ID")),
 		Tenant:   comp.tenant,
 		Name:     comp.src.name,
 		Bench:    comp.bench,
 		TPLevels: comp.levels,
-		Flow:     req.Flow,
+		Flow:     flowCfg,
 		Created:  time.Now(),
 	}
 	defer s.releaseJobID(rec.JobID)
@@ -604,27 +685,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// compile resolves a submission. Every check runs; then, when these
-// exact circuit bytes and config were compiled before and their result is
-// still cached, the request index answers with no circuit built. Any
-// other request takes the full compileRequest path.
-func (s *Server) compile(req *JobRequest) (*compiled, error) {
-	c, err := checkRequest(req, false)
-	if err != nil {
-		// The full path refuses the request for the fault it always has:
-		// a bad circuit text before a bad flow field.
-		return compileRequest(req)
-	}
-	if c.cacheable {
-		var ok bool
-		if c.key, c.hit, ok = s.cache.Resolve(c.digest); ok {
-			return c, nil
-		}
-	}
-	if err := c.address(); err != nil {
+// decodeRequest decodes a submission body: one JSON value of JobRequest's
+// fields, followed by nothing but whitespace.
+func decodeRequest(body []byte) (*JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		return nil, err
 	}
-	return c, nil
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("data after the request at offset %d", len(body)-len(rest))
+	}
+	return &req, nil
 }
 
 // claimJobID returns the job ID for a submission: a valid, unused
@@ -744,11 +817,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	switch state {
 	case StateDone:
-		// Personalize the shared (possibly cached) result without
-		// mutating it.
-		out := *res
-		out.CacheHit = cacheHit
-		writeJSON(w, http.StatusOK, &out)
+		res.write(w, cacheHit)
 	case StateFailed:
 		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
 	case StateCanceled:

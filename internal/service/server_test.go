@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -634,4 +635,109 @@ func TestFailedRunReporting(t *testing.T) {
 		t.Fatalf("resubmit after failure: code=%d cache_hit=%v", code2, st2.CacheHit)
 	}
 	waitState(t, s, st2.ID, StateDone)
+}
+
+// TestSubmitRejectsTrailingData: a body is one JSON value and whitespace.
+// Anything else after the value is a 400, even when the value alone is a
+// job whose result is cached and aliased.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	s := stubServer(t, Options{Workers: 1})
+	body := jobBody(t, "acme", 0)
+	submitDone(t, s, body)
+	for _, tail := range []string{` trailing garbage {"x":1}`, `{}`, `]`, "\n0"} {
+		code, resp := do(t, s, "POST", "/v1/jobs", append(slices.Clip(body), tail...))
+		if code != http.StatusBadRequest || !strings.Contains(string(resp), "data after the request") {
+			t.Errorf("tail %q: %d %s, want 400 naming the data after the request", tail, code, resp)
+		}
+	}
+	if code, st := postJob(t, s, append(slices.Clip(body), " \t\r\n"...)); code != http.StatusOK || !st.CacheHit {
+		t.Fatalf("body with trailing whitespace = %d cache_hit=%v, want 200 hit", code, st.CacheHit)
+	}
+}
+
+// TestSubmitBodyCapIsExact: MaxBodyBytes caps the whole body, not the
+// JSON value at its start. A body of exactly the cap is accepted; one
+// byte more is a 413, although the JSON ends long before it.
+func TestSubmitBodyCapIsExact(t *testing.T) {
+	const limit = 4096
+	s := stubServer(t, Options{Workers: 1, MaxBodyBytes: limit})
+	body := jobBody(t, "acme", 0)
+	padded := func(n int) []byte {
+		return append(slices.Clip(body), bytes.Repeat([]byte(" "), n-len(body))...)
+	}
+	if code, _ := submitDone(t, s, padded(limit)); code/100 != 2 {
+		t.Fatalf("body of %d bytes = %d, want accepted", limit, code)
+	}
+	for _, n := range []int{limit + 1, len(body) + 1<<20} {
+		code, resp := do(t, s, "POST", "/v1/jobs", padded(n))
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(resp), "exceeds 4096 bytes") {
+			t.Errorf("body of %d bytes = %d %s, want 413", n, code, resp)
+		}
+	}
+}
+
+// TestResultBodyUnchanged: GET /result writes the stored encoding of a
+// result, which is byte for byte what writeJSON writes for the result
+// with the job's cache_hit: for a run's own job, a cache answer, an index
+// answer and a budgeted job no cache holds.
+func TestResultBodyUnchanged(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer shutdown(t, s)
+	// The real flow, and a name the encoder escapes.
+	req := JobRequest{
+		Tenant:   "acme",
+		Circuit:  CircuitSpec{Bench: testBench, Name: "t<i&n>y"},
+		TPLevels: []float64{0, 2},
+		Flow:     FlowConfig{SkipATPG: true},
+	}
+	body := mustJSON(t, req)
+	indented, err := json.MarshalIndent(req, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted := req
+	budgeted.Flow.ATPGBudgetMS = 60000
+
+	type job struct {
+		name     string
+		code     int
+		st       JobStatus
+		cacheHit bool
+	}
+	var jobs []job
+	submit := func(name string, body []byte, wantCode int, cacheHit bool) {
+		code, st := submitDone(t, s, body)
+		if code != wantCode {
+			t.Fatalf("%s: submit = %d, want %d", name, code, wantCode)
+		}
+		jobs = append(jobs, job{name, code, st, cacheHit})
+	}
+	submit("run's own job", body, http.StatusAccepted, false)
+	submit("cache answer", indented, http.StatusOK, true)
+	if !aliased(t, s, body) {
+		t.Fatal("the run's body is not aliased")
+	}
+	submit("index answer", body, http.StatusOK, true)
+	submit("budgeted job", mustJSON(t, budgeted), http.StatusAccepted, false)
+
+	for _, j := range jobs {
+		s.mu.Lock()
+		out := *s.jobs[j.st.ID].result.value()
+		s.mu.Unlock()
+		out.CacheHit = j.cacheHit
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, &out)
+
+		got := httptest.NewRecorder()
+		s.ServeHTTP(got, httptest.NewRequest("GET", "/v1/jobs/"+j.st.ID+"/result", nil))
+		if got.Code != http.StatusOK || got.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: GET /result = %d %q", j.name, got.Code, got.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: GET /result body\n%s\nwant\n%s", j.name, got.Body, want.Body)
+		}
+	}
+	if s.FlowRuns() != 2 {
+		t.Fatalf("%d flows ran, want the first job's and the budgeted one's", s.FlowRuns())
+	}
 }
