@@ -44,9 +44,9 @@ trace-smoke:
 	echo "trace-smoke: live scrape OK, all families present"
 	go run ./cmd/tracestat $(TRACE_OUT)
 
-# trace-diff exercises the cross-run regression sentinel end to end: the
-# traced sweep is made a second time and tracestat compares the two fresh
-# traces of one seed on one host stage by stage, so no committed trace
+# trace-diff exercises the run comparison, tracestat BASE CUR, end to
+# end: the traced sweep is made a second time and tracestat compares the
+# two fresh traces of one seed on one host stage by stage, so no committed trace
 # has to be re-recorded when the flow changes (timing across commits is
 # `bash bench/run.sh`). -normalize compares each stage's share of its
 # run and -min-dur keeps sub-100ms stages out of the gate; exit 1 names
@@ -72,11 +72,11 @@ trace-diff: trace-smoke
 #   history:   the same budgeted job (atpg_budget_ms makes it
 #              non-cacheable, so the repeat executes a real flow) runs
 #              twice; both runs must be archived, the archived trace must
-#              gunzip and pass tracestat via stdin, the first run has no
-#              baseline and the second diffs no-regression against it,
-#              tpid_service_regression_total scrapes as zero, and the
-#              captured CPU profile carries run_id/stage pprof labels.
-#              -max-regress 75 keeps shared-CI timing jitter out of the gate.
+#              gunzip and pass tracestat via stdin, the two downloaded
+#              traces must compare clean with `tracestat BASE CUR` (the
+#              one run comparison; -max-regress 75 keeps shared-CI timing
+#              jitter out of the gate), and the captured CPU profile
+#              carries run_id/stage pprof labels.
 #   drain:     SIGTERM drains the daemon and it exits 0.
 daemon-smoke:
 	go build -o tpid-smoke ./cmd/tpid
@@ -92,7 +92,7 @@ daemon-smoke:
 	}; \
 	rm -rf daemon-smoke-data; \
 	./tpid-smoke -addr localhost:9352 -workers 2 -flow-workers 2 -data-dir daemon-smoke-data \
-		-log-format json -profile-runs -max-regress 75 >daemon-smoke.log 2>&1 & pid=$$!; \
+		-log-format json -profile-runs >daemon-smoke.log 2>&1 & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	up=0; for i in $$(seq 1 100); do \
 		curl -sf $$url/healthz >/dev/null 2>&1 && { up=1; break; }; sleep 0.1; \
@@ -146,19 +146,14 @@ daemon-smoke:
 			curl -sf $$url/v1/runs/$$run -o daemon-smoke-run$$attempt.json 2>/dev/null && { arch=1; break; }; sleep 0.1; \
 		done; \
 		test $$arch = 1 || fail "run $$run never archived"; \
+		curl -sf $$url/v1/runs/$$run/trace -o daemon-smoke-run$$attempt.trace.gz || fail "run $$run has no archived trace"; \
 		echo "daemon-smoke[$$phase]: run $$attempt archived as $$run"; \
 	done; \
-	grep -q '"verdict": "no-baseline"' daemon-smoke-run1.json \
-		|| fail "first run should have no baseline" cat daemon-smoke-run1.json; \
-	curl -sf $$url/v1/runs/$$run/trace | gunzip -c | ./tracestat-smoke - >daemon-smoke-trace-stat.txt \
+	gunzip -c daemon-smoke-run2.trace.gz | ./tracestat-smoke - >daemon-smoke-trace-stat.txt \
 		|| fail "archived trace failed tracestat" cat daemon-smoke-trace-stat.txt; \
-	curl -sf $$url/v1/runs/$$run/diff -o daemon-smoke-diff.json; \
-	grep -q '"verdict": "no-regression"' daemon-smoke-diff.json || fail "rerun diff is not clean" cat daemon-smoke-diff.json; \
+	./tracestat-smoke -normalize -max-regress 75 -min-dur 100ms daemon-smoke-run1.trace.gz daemon-smoke-run2.trace.gz \
+		>daemon-smoke-trace-diff.txt || fail "the rerun's trace does not compare clean" cat daemon-smoke-trace-diff.txt; \
 	curl -sf $$url/metrics -o daemon-smoke-metrics.txt; \
-	grep -q 'tpid_service_regression_total' daemon-smoke-metrics.txt || fail "regression counter family missing"; \
-	if grep 'tpid_service_regression_total{' daemon-smoke-metrics.txt | grep -qv ' 0$$'; then \
-		fail "regression counter moved on identical reruns" grep tpid_service_regression daemon-smoke-metrics.txt; \
-	fi; \
 	grep -q 'tpid_service_runs_archived_total' daemon-smoke-metrics.txt || fail "archive counters missing from /metrics"; \
 	curl -sf $$url/v1/runs/$$run/profile -o daemon-smoke.pprof || fail "no archived CPU profile"; \
 	gunzip -c daemon-smoke.pprof | grep -aq run_id || fail "profile lacks run_id label"; \

@@ -15,14 +15,11 @@
 //	DELETE /v1/jobs/{id}        cancel (mid-run cancellation lands within one work unit)
 //	GET    /v1/stats            queue depth, cache hit/miss, jobs by terminal state
 //	GET    /v1/runs             run-history archive, newest first; filter by circuit=,
-//	                            config= (hash prefixes), tenant=, state=, baseline=,
+//	                            config= (hash prefixes), tenant=, state=,
 //	                            since=<RFC3339>, limit=
-//	GET    /v1/runs/stats       archive retention counters + baseline keys;
-//	                            ?baseline=<key> adds that key's cross-run P50/P99 rollup
-//	GET    /v1/runs/{id}        one archived run: metadata, stage×level rollup,
-//	                            regression-sentinel verdict
+//	GET    /v1/runs/stats       archive retention counters
+//	GET    /v1/runs/{id}        one archived run's metadata (hashes, state, wall/CPU ms, sizes)
 //	GET    /v1/runs/{id}/trace  the run's full span trace (gzip NDJSON)
-//	GET    /v1/runs/{id}/diff   Table-2-style diff vs its baseline (?against=<run_id>)
 //	GET    /v1/runs/{id}/profile per-run CPU profile (pprof; needs -profile-runs)
 //	GET    /healthz             liveness: 200 whenever the process serves HTTP
 //	GET    /readyz              readiness: 503 while replaying the journal or draining
@@ -53,6 +50,9 @@
 // and a restart on the same directory replays them — finished jobs stay
 // queryable, unfinished jobs re-run only their missing levels, and a
 // kill -9 mid-sweep costs at most the levels that were in flight.
+// Retired runs are archived under <data-dir>/runs (-history-runs,
+// -history-budget). The daemon does not compare runs: download two
+// archived traces and diff them with `tracestat -normalize a.gz b.gz`.
 package main
 
 import (
@@ -95,9 +95,6 @@ func main() {
 	historyRuns := flag.Int("history-runs", 512, "retired runs kept in the run-history archive under <data-dir>/runs (negative disables history; requires -data-dir)")
 	historyBudget := flag.Int64("history-budget", 512<<20, "byte budget for archived traces+profiles (oldest runs evicted first; negative = unbounded)")
 	profileRuns := flag.Bool("profile-runs", false, "capture a per-run CPU profile (pprof, with run_id/stage/tp_level labels) and archive it beside the trace; overlapping runs are profiled one at a time")
-	maxRegress := flag.Float64("max-regress", 25, "regression sentinel: flag a retired run whose stage grew beyond this percentage (normalized share) versus its archived baseline")
-	hardRegress := flag.Float64("hard-regress", 150, "regression sentinel: absolute-time backstop percentage for share-invariant dominant stages (negative disables)")
-	sentinelMinDur := flag.Duration("sentinel-min-dur", 100*time.Millisecond, "regression sentinel noise floor: stages whose baseline duration is below this never gate (negative disables)")
 	logFlags := obs.RegisterLog()
 	flag.Parse()
 
@@ -140,9 +137,6 @@ func main() {
 		HistoryRuns:        *historyRuns,
 		HistoryBudgetBytes: *historyBudget,
 		ProfileRuns:        *profileRuns,
-		MaxRegressPct:      *maxRegress,
-		HardRegressPct:     *hardRegress,
-		SentinelMinDur:     *sentinelMinDur,
 		Retry: service.RetryPolicy{
 			MaxAttempts: *retryAttempts,
 			BaseDelay:   *retryBase,

@@ -20,15 +20,20 @@
 // report instead: baseline vs current duration per stage × TP level,
 // the signed percentage change, and any counter drift (patterns, cuts,
 // overflows — deterministic, so any drift is a real behavioral change).
-// It is the repo's cross-run regression sentinel: the exit status is 1
-// when any stage regressed beyond -max-regress percent, and 2 when an
-// input is unreadable or unbalanced; CI diffs two fresh traces of one
-// run (make trace-diff) to keep it exercised. The same align/compare
-// core (internal/tracecmp) runs inside tpid, diffing every retired run
-// against its archived baseline. Wall-clock comparisons across machines
-// are noisy; -normalize compares each stage's share of its run's total
-// time instead of absolute durations, which cancels machine speed, and
-// -min-dur suppresses sub-threshold stages entirely. A stage that
+// It is the repo's one run comparison: the exit status is 1 when any
+// stage regressed beyond -max-regress percent, and 2 when an input is
+// unreadable or unbalanced. CI diffs two fresh traces of one sweep (make
+// trace-diff) and two runs tpid archived (make daemon-smoke); tpid
+// itself stores traces and compares nothing:
+//
+//	curl -s tpid:8080/v1/runs/r000041/trace -o a.gz
+//	curl -s tpid:8080/v1/runs/r000042/trace -o b.gz
+//	tracestat -normalize -min-dur 100ms a.gz b.gz
+//
+// Wall-clock comparisons across machines are noisy; -normalize compares
+// each stage's share of its run's total time instead of absolute
+// durations, which cancels machine speed, and -min-dur suppresses
+// sub-threshold stages entirely. A stage that
 // dominates its run is share-invariant (slowing it slows the run too),
 // so -normalize keeps an absolute backstop: -hard-regress gates any
 // stage whose wall time grew beyond that percentage regardless of share.

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,7 +76,7 @@ func listRuns(t *testing.T, s *Server, query string) []trachive.Meta {
 func TestHistoryDisabledWithoutDataDir(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
-	for _, path := range []string{"/v1/runs", "/v1/runs/stats", "/v1/runs/r1", "/v1/runs/r1/trace", "/v1/runs/r1/diff", "/v1/runs/r1/profile"} {
+	for _, path := range []string{"/v1/runs", "/v1/runs/stats", "/v1/runs/r1", "/v1/runs/r1/trace", "/v1/runs/r1/profile"} {
 		if code, _ := do(t, s, "GET", path, nil); code != http.StatusNotFound {
 			t.Errorf("GET %s on in-memory server = %d, want 404", path, code)
 		}
@@ -84,8 +84,7 @@ func TestHistoryDisabledWithoutDataDir(t *testing.T) {
 }
 
 // TestHistoryArchiveAndQueryAPI: a retired run lands in the archive
-// with an intact gzip trace, a rollup, and a no-baseline verdict; the
-// /v1/runs surface filters and serves it.
+// with an intact gzip trace; the /v1/runs surface filters and serves it.
 func TestHistoryArchiveAndQueryAPI(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := openDurable(t, t.TempDir(), Options{Workers: 2}, nil)
@@ -102,19 +101,13 @@ func TestHistoryArchiveAndQueryAPI(t *testing.T) {
 	if ma.State != "done" || ma.Tenant != "alice" || ma.Circuit != "tiny" {
 		t.Fatalf("meta a: %+v", ma)
 	}
-	if ma.CircuitHash == "" || ma.ConfigHash == "" || ma.BaselineKey == "" {
+	if ma.CircuitHash == "" || ma.ConfigHash == "" {
 		t.Fatalf("meta a missing hashes: %+v", ma)
 	}
-	if ma.Rollup == nil || len(ma.Rollup.Cells) == 0 {
-		t.Fatal("meta a has no rollup")
-	}
-	if ma.Diff == nil || ma.Diff.Verdict != "no-baseline" {
-		t.Fatalf("first run of its key should be no-baseline, got %+v", ma.Diff)
-	}
-	// Same circuit and config → same hashes; different level lists share
-	// the baseline key by design.
-	if mb.CircuitHash != ma.CircuitHash || mb.BaselineKey != ma.BaselineKey {
-		t.Fatalf("baseline keys diverged: %q vs %q", ma.BaselineKey, mb.BaselineKey)
+	// Same circuit and config → same hashes; the level list is in
+	// neither.
+	if mb.CircuitHash != ma.CircuitHash || mb.ConfigHash != ma.ConfigHash {
+		t.Fatalf("hashes diverged: %+v vs %+v", ma, mb)
 	}
 	if len(mb.JobIDs) != 1 || mb.JobIDs[0] != stB.ID {
 		t.Fatalf("job ids: %v", mb.JobIDs)
@@ -132,7 +125,6 @@ func TestHistoryArchiveAndQueryAPI(t *testing.T) {
 		{"?circuit=" + ma.CircuitHash[:8], []string{mb.RunID, ma.RunID}},
 		{"?circuit=ffffffff", nil},
 		{"?config=" + ma.ConfigHash[:8], []string{mb.RunID, ma.RunID}},
-		{"?baseline=" + ma.BaselineKey, []string{mb.RunID, ma.RunID}},
 		{"?limit=1", []string{mb.RunID}},
 		{"?tenant=alice&state=done", []string{ma.RunID}},
 	} {
@@ -143,9 +135,6 @@ func TestHistoryArchiveAndQueryAPI(t *testing.T) {
 		for i := range got {
 			if got[i].RunID != tc.want[i] {
 				t.Fatalf("GET /v1/runs%s[%d] = %s, want %s", tc.query, i, got[i].RunID, tc.want[i])
-			}
-			if got[i].Rollup != nil {
-				t.Fatalf("list view must omit rollups")
 			}
 		}
 	}
@@ -184,21 +173,16 @@ func TestHistoryArchiveAndQueryAPI(t *testing.T) {
 		t.Fatal("archived trace lost its run_id attrs")
 	}
 
-	// /v1/runs/stats: retention counters plus the one baseline key.
-	code, resp := do(t, s, "GET", "/v1/runs/stats?baseline="+ma.BaselineKey, nil)
+	// /v1/runs/stats: retention counters.
+	code, resp := do(t, s, "GET", "/v1/runs/stats", nil)
 	if code != http.StatusOK {
 		t.Fatalf("GET /v1/runs/stats = %d", code)
 	}
-	var rs struct {
-		Runs      int                     `json:"runs"`
-		Bytes     int64                   `json:"bytes"`
-		Baselines []trachive.BaselineInfo `json:"baselines"`
-		Rollup    []trachive.RollupCell   `json:"rollup"`
-	}
+	var rs trachive.Stats
 	if err := json.Unmarshal(resp, &rs); err != nil {
 		t.Fatal(err)
 	}
-	if rs.Runs != 2 || rs.Bytes == 0 || len(rs.Baselines) != 1 || len(rs.Rollup) == 0 {
+	if rs.Runs != 2 || rs.Bytes == 0 {
 		t.Fatalf("runs stats: %+v", rs)
 	}
 
@@ -222,141 +206,9 @@ func atPlaceStart(f func()) telemetry.Sink {
 	})
 }
 
-// sentinelOpts builds the server options the sentinel tests share: a
-// sink that sleeps as the place stage opens (delay in nanoseconds,
-// swapped atomically between runs) and a floor that only the delayed
-// stage clears, so scheduler jitter on the microsecond stages can
-// never gate.
-func sentinelOpts(delay *atomic.Int64, prom *telemetry.PromSink) Options {
-	return Options{
-		Workers:        1,
-		Metrics:        prom,
-		SentinelMinDur: 10 * time.Millisecond,
-		ExtraSinks:     []telemetry.Sink{atPlaceStart(func() { time.Sleep(time.Duration(delay.Load())) })},
-	}
-}
-
-// TestSentinelQuietOnIdenticalRerun: the same job run twice at the same
-// speed diffs clean — the verdict is no-regression and the regression
-// counter stays at a scrapeable zero.
-func TestSentinelQuietOnIdenticalRerun(t *testing.T) {
-	var delay atomic.Int64
-	delay.Store(int64(50 * time.Millisecond))
-	prom := telemetry.NewPromSink("tpid")
-	s := openDurable(t, t.TempDir(), sentinelOpts(&delay, prom), nil)
-	defer shutdown(t, s)
-
-	_, st1 := postJob(t, s, budgetBody(t, "smoke", 1))
-	waitState(t, s, st1.ID, StateDone)
-	waitArchived(t, s, st1.RunID)
-
-	_, st2 := postJob(t, s, budgetBody(t, "smoke", 1))
-	waitState(t, s, st2.ID, StateDone)
-	if st2.RunID == st1.RunID || st2.CacheHit {
-		t.Fatalf("budgeted rerun did not execute a fresh flow: %+v", st2)
-	}
-	m2 := waitArchived(t, s, st2.RunID)
-	if m2.Diff == nil || m2.Diff.Verdict != "no-regression" || m2.Diff.Against != st1.RunID {
-		t.Fatalf("rerun verdict: %+v", m2.Diff)
-	}
-	if n := s.Stats().Regressions; n != 0 {
-		t.Fatalf("regressions = %d on identical rerun", n)
-	}
-
-	// The diff endpoint agrees, both implicitly and explicitly.
-	for _, q := range []string{"", "?against=" + st1.RunID} {
-		code, resp := do(t, s, "GET", "/v1/runs/"+st2.RunID+"/diff"+q, nil)
-		if code != http.StatusOK {
-			t.Fatalf("GET diff%s = %d: %s", q, code, resp)
-		}
-		var d struct {
-			Verdict string `json:"verdict"`
-			Against string `json:"against"`
-			Text    string `json:"text"`
-		}
-		if err := json.Unmarshal(resp, &d); err != nil {
-			t.Fatal(err)
-		}
-		if d.Verdict != "no-regression" || d.Against != st1.RunID || !strings.Contains(d.Text, "no regressions") {
-			t.Fatalf("diff%s: %+v", q, d)
-		}
-	}
-
-	// tpid_service_regression_total renders at zero before any
-	// regression ever fires — the scrape CI's daemon-smoke greps for.
-	rec := httptest.NewRecorder()
-	prom.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	expo := rec.Body.String()
-	if !strings.Contains(expo, "tpid_service_regression_total") {
-		t.Fatal("regression counter family missing from exposition")
-	}
-	for _, line := range strings.Split(expo, "\n") {
-		if strings.HasPrefix(line, "tpid_service_regression_total{") && !strings.HasSuffix(line, " 0") {
-			t.Fatalf("nonzero regression series on clean rerun: %s", line)
-		}
-	}
-	if !strings.Contains(expo, "tpid_service_crossrun_p50_ns") || !strings.Contains(expo, `baseline="`) {
-		t.Fatal("cross-run rollup gauges missing from exposition")
-	}
-}
-
-// TestSentinelFiresOnInjectedSlowdown: re-running the same job with the
-// place stage slowed 10× trips the sentinel — the archived verdict, the
-// service counter, and the /metrics series all name the stage and level.
-func TestSentinelFiresOnInjectedSlowdown(t *testing.T) {
-	var delay atomic.Int64
-	delay.Store(int64(50 * time.Millisecond))
-	prom := telemetry.NewPromSink("tpid")
-	s := openDurable(t, t.TempDir(), sentinelOpts(&delay, prom), nil)
-	defer shutdown(t, s)
-
-	_, st1 := postJob(t, s, budgetBody(t, "smoke", 1))
-	waitState(t, s, st1.ID, StateDone)
-	waitArchived(t, s, st1.RunID)
-
-	delay.Store(int64(500 * time.Millisecond))
-	_, st2 := postJob(t, s, budgetBody(t, "smoke", 1))
-	waitState(t, s, st2.ID, StateDone)
-	m2 := waitArchived(t, s, st2.RunID)
-
-	if m2.Diff == nil || m2.Diff.Verdict != "regression" || m2.Diff.Against != st1.RunID {
-		t.Fatalf("slowdown verdict: %+v", m2.Diff)
-	}
-	var sawPlace bool
-	for _, row := range m2.Diff.Regressions {
-		if row.Stage == "place" && row.TP == 1 {
-			sawPlace = true
-		}
-	}
-	if !sawPlace {
-		t.Fatalf("regressions do not name place @ tp 1: %+v", m2.Diff.Regressions)
-	}
-	if n := s.Stats().Regressions; n == 0 {
-		t.Fatal("regression counter did not move")
-	}
-
-	rec := httptest.NewRecorder()
-	prom.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	expo := rec.Body.String()
-	var sawSeries bool
-	for _, line := range strings.Split(expo, "\n") {
-		if strings.HasPrefix(line, "tpid_service_regression_total{") &&
-			strings.Contains(line, `stage="place"`) && strings.Contains(line, `level="1"`) &&
-			!strings.HasSuffix(line, " 0") {
-			sawSeries = true
-		}
-	}
-	if !sawSeries {
-		t.Fatalf("no stage/level-labeled regression series:\n%s", expo)
-	}
-	if !strings.Contains(expo, "tpid_service_regression_last") {
-		t.Fatal("regression_last gauge missing")
-	}
-}
-
 // TestHistorySurvivesCrashRestart: archived runs outlive a SIGKILL
 // (journal-backed index, no clean Close), and a rerun after restart
-// diffs against the pre-crash baseline.
+// archives after them.
 func TestHistorySurvivesCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1 := openDurable(t, dir, Options{Workers: 1}, nil)
@@ -368,50 +220,66 @@ func TestHistorySurvivesCrashRestart(t *testing.T) {
 	s2 := openDurable(t, dir, Options{Workers: 1}, nil)
 	defer shutdown(t, s2)
 	m1b := waitArchived(t, s2, st1.RunID)
-	if m1b.TraceBytes != m1.TraceBytes || m1b.BaselineKey != m1.BaselineKey {
+	if m1b.TraceBytes != m1.TraceBytes || m1b.Seq != m1.Seq || m1b.CircuitHash != m1.CircuitHash {
 		t.Fatalf("archived run changed across restart: %+v vs %+v", m1, m1b)
 	}
 
-	// The pre-crash run serves as baseline for a post-restart rerun.
+	// A post-restart rerun archives beside the pre-crash run, newer.
 	_, st2 := postJob(t, s2, budgetBody(t, "smoke", 1))
 	waitState(t, s2, st2.ID, StateDone)
 	m2 := waitArchived(t, s2, st2.RunID)
-	if m2.Diff == nil || m2.Diff.Against != st1.RunID || m2.Diff.Verdict != "no-regression" {
-		t.Fatalf("post-restart diff: %+v", m2.Diff)
+	if m2.Seq <= m1.Seq || m2.ConfigHash != m1.ConfigHash {
+		t.Fatalf("post-restart run: %+v, pre-crash %+v", m2, m1)
+	}
+	if runs := listRuns(t, s2, ""); len(runs) != 2 || runs[0].RunID != st2.RunID || runs[1].RunID != st1.RunID {
+		t.Fatalf("runs after restart: %+v", runs)
 	}
 }
 
-// TestHistoryListsRunsArchivedUnderOldKey: an index entry written while
-// runs still carried sweep_mode and a "<circuit>-<config>-full" baseline
-// key keeps listing and filtering under that key, and is no longer the
-// baseline of a rerun (it ages out under retention).
-func TestHistoryListsRunsArchivedUnderOldKey(t *testing.T) {
+// TestHistoryOpensParentFormatIndex: a data dir whose archive index was
+// written by a build that still compared runs opens, lists and serves its
+// runs. Those records carry "baseline_key", "rollup" and "diff" fields
+// (one key in the older "<circuit>-<config>-full" form, beside a
+// sweep_mode field), in both the snapshot and an appended record;
+// decoding must ignore them, so this fails if Meta ever decodes strictly.
+func TestHistoryOpensParentFormatIndex(t *testing.T) {
 	dir := t.TempDir()
 	s1 := openDurable(t, dir, Options{Workers: 1}, nil)
-	_, st1 := postJob(t, s1, budgetBody(t, "smoke", 1))
-	waitState(t, s1, st1.ID, StateDone)
-	m1 := waitArchived(t, s1, st1.RunID)
+	var metas []trachive.Meta
+	for range 2 {
+		_, st := postJob(t, s1, budgetBody(t, "smoke", 1))
+		waitState(t, s1, st.ID, StateDone)
+		metas = append(metas, waitArchived(t, s1, st.RunID))
+	}
 	shutdown(t, s1)
 
-	// Re-index the run the way the old build wrote it.
-	var old map[string]any
-	raw, err := json.Marshal(m1)
+	// Rewrite the index from scratch, the way the parent build wrote it.
+	key := metas[0].CircuitHash[:12] + "-" + metas[0].ConfigHash[:12]
+	parent := func(m trachive.Meta, extra string) []byte {
+		raw, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(raw[:len(raw)-1], ","+extra+"}"...)
+	}
+	rollup := `"rollup":{"cells":[{"stage":"run","tp":1,"dur_ns":2.5e7,"cpu_ns":2e7,"n":1},` +
+		`{"stage":"place","tp":1,"dur_ns":1e7,"n":1,"counters":{"place.cuts":7}}],"run_totals":[{"tp":1,"dur_ns":2.5e7}]}`
+	old := parent(metas[0], `"sweep_mode":"full","baseline_key":"`+key+`-full",`+rollup+`,"diff":{"verdict":"no-baseline"}`)
+	cur := parent(metas[1], `"baseline_key":"`+key+`",`+rollup+`,"diff":{"against":"`+metas[0].RunID+
+		`","verdict":"regression","cells":2,"regressions":[{"stage":"place","tp":1,"base_ns":40,"cur_ns":60,"delta_pct":null,"regressed":true}]}`)
+	idxDir := filepath.Join(dir, "runs", "index")
+	if err := os.RemoveAll(idxDir); err != nil {
+		t.Fatal(err)
+	}
+	idx, _, err := journal.Open(idxDir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &old); err != nil {
+	snap := `{"seq":` + strconv.FormatUint(metas[0].Seq, 10) + `,"runs":[` + string(old) + `]}`
+	if err := idx.Compact([]byte(snap)); err != nil {
 		t.Fatal(err)
 	}
-	oldKey := m1.BaselineKey + "-full"
-	old["sweep_mode"], old["baseline_key"] = "full", oldKey
-	if raw, err = json.Marshal(old); err != nil {
-		t.Fatal(err)
-	}
-	idx, _, err := journal.Open(filepath.Join(dir, "runs", "index"), journal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Append(journal.Type(10), raw); err != nil { // trachive's "archived" record
+	if err := idx.Append(journal.Type(10), cur); err != nil { // trachive's "archived" record
 		t.Fatal(err)
 	}
 	if err := idx.Close(); err != nil {
@@ -420,16 +288,34 @@ func TestHistoryListsRunsArchivedUnderOldKey(t *testing.T) {
 
 	s2 := openDurable(t, dir, Options{Workers: 1}, nil)
 	defer shutdown(t, s2)
-	for _, q := range []string{"", "?baseline=" + oldKey} {
-		if runs := listRuns(t, s2, q); len(runs) != 1 || runs[0].RunID != st1.RunID || runs[0].BaselineKey != oldKey {
-			t.Fatalf("GET /v1/runs%s = %+v, want the old run under %q", q, runs, oldKey)
+	for _, q := range []string{
+		"?circuit=" + metas[0].CircuitHash[:8],
+		"?config=" + metas[0].ConfigHash[:8],
+		"?tenant=smoke",
+	} {
+		if runs := listRuns(t, s2, q); len(runs) != 2 || runs[0].RunID != metas[1].RunID || runs[1].RunID != metas[0].RunID {
+			t.Fatalf("GET /v1/runs%s = %+v, want both parent-format runs", q, runs)
 		}
 	}
-	_, st2 := postJob(t, s2, budgetBody(t, "smoke", 1))
-	waitState(t, s2, st2.ID, StateDone)
-	m2 := waitArchived(t, s2, st2.RunID)
-	if m2.BaselineKey != m1.BaselineKey || m2.Diff == nil || m2.Diff.Verdict != "no-baseline" {
-		t.Fatalf("rerun key %q diff %+v, want key %q with no baseline", m2.BaselineKey, m2.Diff, m1.BaselineKey)
+	for _, m := range metas {
+		if code, body := do(t, s2, "GET", "/v1/runs/"+m.RunID, nil); code != http.StatusOK {
+			t.Fatalf("GET /v1/runs/%s = %d: %s", m.RunID, code, body)
+		}
+		code, body := do(t, s2, "GET", "/v1/runs/"+m.RunID+"/trace", nil)
+		if code != http.StatusOK || int64(len(body)) != m.TraceBytes {
+			t.Fatalf("GET trace %s = %d, %d bytes, want %d", m.RunID, code, len(body), m.TraceBytes)
+		}
+	}
+
+	// A new run archives beside them.
+	_, st := postJob(t, s2, budgetBody(t, "smoke", 1))
+	waitState(t, s2, st.ID, StateDone)
+	m3 := waitArchived(t, s2, st.RunID)
+	if m3.Seq <= metas[1].Seq {
+		t.Fatalf("new run seq %d, parent-format runs end at %d", m3.Seq, metas[1].Seq)
+	}
+	if runs := listRuns(t, s2, "?tenant=smoke"); len(runs) != 3 || runs[0].RunID != st.RunID {
+		t.Fatalf("runs after a new archive: %+v", runs)
 	}
 }
 
@@ -454,6 +340,9 @@ func TestRunProfileCapture(t *testing.T) {
 	m := waitArchived(t, s, st.RunID)
 	if m.ProfileBytes == 0 {
 		t.Fatal("no profile archived")
+	}
+	if m.CPUMS == 0 {
+		t.Fatal("a run that burned CPU archived cpu_ms 0")
 	}
 
 	code, body := do(t, s, "GET", "/v1/runs/"+st.RunID+"/profile", nil)

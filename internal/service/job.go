@@ -102,8 +102,8 @@ type compiled struct {
 	hit       *encodedResult // the cached result the request index resolved to
 	key       string
 	baseKey   string // level-independent address: checkpoint key prefix
-	circHash  string // circuit-only hash: run-history baseline key half
-	cfgHash   string // config-only hash: the other baseline key half
+	circHash  string // circuit-only hash: the run archive's circuit= filter
+	cfgHash   string // config-only hash: the run archive's config= filter
 	bench     string // canonical .bench text (journal accepted records)
 	preset    string // resolved experiment preset (pinned for replay)
 	cacheable bool
@@ -214,8 +214,8 @@ func (c *compiled) address() error {
 	// The history hashes split the content address into its two halves,
 	// so the run archive can answer "same circuit, any config" and "same
 	// config, any circuit" queries independently. Levels are excluded:
-	// the regression sentinel aligns runs per (stage, tp) cell, so two
-	// sweeps over different level mixes still diff on the levels they
+	// `tracestat BASE CUR` aligns runs per (stage, tp) cell, so two
+	// sweeps over different level mixes still compare on the levels they
 	// share. The ATPG budget stays in the config hash — a budgeted run
 	// is not comparable to an unbudgeted one.
 	c.circHash = circuitHash(c.bench)
@@ -240,7 +240,7 @@ func digestBody(body []byte) requestDigest {
 	return d
 }
 
-// circuitHash is the circuit half of the archive baseline key: SHA-256
+// circuitHash is the archived run's circuit identity: SHA-256
 // over the canonical bench text. Its domain separator (and configHash's)
 // stays at v1 when the cache key's moves on, so run history continues
 // across a change of tables.
@@ -249,7 +249,7 @@ func circuitHash(bench string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// configHash is the config half of the archive baseline key: SHA-256
+// configHash is the archived run's config identity: SHA-256
 // over the resolved config (level list excluded, ATPG budget included).
 func configHash(cfg *flow.Config, budgetMS int64) string {
 	h := sha256.Sum256(append([]byte("tpid/v1/config\n"), hashedConfigJSON(cfg, nil, budgetMS)...))

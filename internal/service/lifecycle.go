@@ -495,8 +495,7 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 	rn.log.Info("run finished", "state", string(out.state), "jobs", len(jobs),
 		"retries", rn.retries.Load(), "resumed_levels", rn.resumedLevels.Load(), "error", errMsg)
 
-	// Retire the run into the history archive and let the regression
-	// sentinel compare it against its baseline. Only runs that actually
+	// Retire the run into the history archive. Only runs that actually
 	// executed a flow are archived — a run torn down while still queued
 	// has no trace worth keeping.
 	if s.archive != nil && rn.startedRunning && !s.dead.Load() {

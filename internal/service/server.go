@@ -47,8 +47,8 @@ type run struct {
 	*runRecord
 	key       string
 	baseKey   string // level-independent content address (checkpoint keys)
-	circHash  string // circuit-only hash (run-history baseline key)
-	cfgHash   string // config-only hash (run-history baseline key)
+	circHash  string // circuit-only hash (run-history circuit= filter)
+	cfgHash   string // config-only hash (run-history config= filter)
 	cacheable bool
 	tenant    string // queue bucket: the first submitter's tenant
 	primary   string // job_id of the first submitter (correlation attrs)
@@ -259,7 +259,6 @@ type Stats struct {
 	JournalErrors int64 `json:"journal_errors"`
 	// Run-history archive counters (zero when history is disabled).
 	RunsArchived  int64 `json:"runs_archived"`
-	Regressions   int64 `json:"regressions"`
 	HistoryRuns   int   `json:"history_runs"`
 	HistoryBytes  int64 `json:"history_bytes"`
 	ArchiveErrors int64 `json:"archive_errors"`
@@ -332,17 +331,6 @@ type Options struct {
 	// serialized: a run that arrives while another is being profiled
 	// simply goes unprofiled.
 	ProfileRuns bool
-	// MaxRegressPct is the regression sentinel's share-regression gate
-	// (default 25): a retired run whose stage grew beyond this many
-	// percent versus its archived baseline is flagged.
-	MaxRegressPct float64
-	// HardRegressPct is the sentinel's absolute-time backstop under
-	// normalization (default 150; negative disables).
-	HardRegressPct float64
-	// SentinelMinDur is the sentinel's noise floor: stages whose
-	// baseline duration is below it never gate (default 100ms;
-	// negative disables the floor).
-	SentinelMinDur time.Duration
 
 	// Test hooks (same-package tests only).
 	journalNoSync bool                   // skip per-append fsync
@@ -379,19 +367,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.HistoryBudgetBytes == 0 {
 		out.HistoryBudgetBytes = 512 << 20
-	}
-	if out.MaxRegressPct <= 0 {
-		out.MaxRegressPct = 25
-	}
-	if out.HardRegressPct == 0 {
-		out.HardRegressPct = 150
-	} else if out.HardRegressPct < 0 {
-		out.HardRegressPct = 0
-	}
-	if out.SentinelMinDur == 0 {
-		out.SentinelMinDur = 100 * time.Millisecond
-	} else if out.SentinelMinDur < 0 {
-		out.SentinelMinDur = 0
 	}
 	out.Retry = out.Retry.withDefaults()
 	return out
@@ -454,7 +429,6 @@ type Server struct {
 	archive       *trachive.Archive
 	profileBusy   atomic.Bool
 	runsArchived  atomic.Int64
-	regressions   atomic.Int64
 	archiveErrors atomic.Int64
 
 	// runFlow executes one run and returns its result; tests replace it
@@ -541,7 +515,6 @@ func Open(opt Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/runs/stats", s.handleRunsStats)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRunMeta)
 	s.mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleRunTrace)
-	s.mux.HandleFunc("GET /v1/runs/{id}/diff", s.handleRunDiff)
 	s.mux.HandleFunc("GET /v1/runs/{id}/profile", s.handleRunProfile)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
@@ -591,7 +564,6 @@ func (s *Server) Stats() Stats {
 		JournalErrors: s.journalErrors.Load(),
 
 		RunsArchived:  s.runsArchived.Load(),
-		Regressions:   s.regressions.Load(),
 		HistoryRuns:   archStats.Runs,
 		HistoryBytes:  archStats.Bytes,
 		ArchiveErrors: s.archiveErrors.Load(),

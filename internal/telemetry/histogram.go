@@ -178,14 +178,6 @@ func (d *HistData) Merge(other HistData) {
 	}
 }
 
-// Mean returns the average observed value (0 when empty).
-func (d HistData) Mean() float64 {
-	if d.Count == 0 {
-		return 0
-	}
-	return float64(d.Sum) / float64(d.Count)
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) by linear
 // interpolation inside the containing power-of-two bucket — the same
 // estimate a Prometheus histogram_quantile gives for this bucket

@@ -16,15 +16,6 @@ import (
 // tenant label would let one abusive client mint unbounded series.
 const defaultTenantLimit = 32
 
-// extraLabels are event attrs promoted to metric labels beyond tenant:
-// the sentinel's regression families carry the regressed level, and the
-// cross-run rollup gauges carry their baseline key. Each is bounded to
-// extraLimit distinct values with an "other" overflow, the same
-// cardinality defense as the tenant cap.
-var extraLabels = [...]string{"baseline", "level"}
-
-const extraLimit = 64
-
 // PromSink folds telemetry events into a live Prometheus exposition:
 // every counter becomes a `<prefix>_<name>_total` counter family,
 // every gauge a gauge family, every histogram a histogram family with
@@ -36,7 +27,7 @@ const extraLimit = 64
 // where the stage itself records no explicit metrics. All series carry a
 // stage="<span stage>" label; events whose attrs carry a tenant (the
 // service's per-tenant SLO families) additionally carry a tenant label,
-// bounded to TenantLimit distinct values with an "other" overflow
+// bounded to defaultTenantLimit distinct values with an "other" overflow
 // bucket.
 //
 // PromSink is both a Sink (attach it to a Tracer) and an http.Handler
@@ -47,13 +38,11 @@ const extraLimit = 64
 type PromSink struct {
 	prefix string
 
-	mu         sync.Mutex
-	counters   map[string]map[string]float64   // family -> label set -> value
-	gauges     map[string]map[string]float64   // family -> label set -> value
-	hists      map[string]map[string]*HistData // family -> label set -> merged data
-	tenants    map[string]bool                 // tenants granted their own label value
-	maxTenants int
-	extras     map[string]map[string]bool // extra label key -> values granted a label
+	mu       sync.Mutex
+	counters map[string]map[string]float64   // family -> label set -> value
+	gauges   map[string]map[string]float64   // family -> label set -> value
+	hists    map[string]map[string]*HistData // family -> label set -> merged data
+	tenants  map[string]bool                 // tenants granted their own label value
 }
 
 // NewPromSink returns an empty exposition surface. prefix namespaces
@@ -61,23 +50,12 @@ type PromSink struct {
 // metric-name prefix or it is sanitized like everything else.
 func NewPromSink(prefix string) *PromSink {
 	return &PromSink{
-		prefix:     promName(prefix),
-		counters:   map[string]map[string]float64{},
-		gauges:     map[string]map[string]float64{},
-		hists:      map[string]map[string]*HistData{},
-		tenants:    map[string]bool{},
-		maxTenants: defaultTenantLimit,
-		extras:     map[string]map[string]bool{},
+		prefix:   promName(prefix),
+		counters: map[string]map[string]float64{},
+		gauges:   map[string]map[string]float64{},
+		hists:    map[string]map[string]*HistData{},
+		tenants:  map[string]bool{},
 	}
-}
-
-// SetTenantLimit caps the number of distinct tenant label values
-// (default 32). Tenants beyond the cap are folded into tenant="other";
-// tenants that already own a label value keep it.
-func (p *PromSink) SetTenantLimit(n int) {
-	p.mu.Lock()
-	p.maxTenants = n
-	p.mu.Unlock()
 }
 
 // Emit folds a span_end event into the live metric state.
@@ -118,28 +96,9 @@ func (p *PromSink) Emit(e Event) {
 // accumulate into one series and the exposition sorts by it.
 func (p *PromSink) labelsLocked(e Event) string {
 	labels := `stage="` + promLabel(e.Stage) + `"`
-	for _, key := range extraLabels {
-		v := e.Attrs[key]
-		if v == "" {
-			continue
-		}
-		vals := p.extras[key]
-		if vals == nil {
-			vals = map[string]bool{}
-			p.extras[key] = vals
-		}
-		if !vals[v] {
-			if len(vals) < extraLimit {
-				vals[v] = true
-			} else {
-				v = "other"
-			}
-		}
-		labels += `,` + key + `="` + promLabel(v) + `"`
-	}
 	if t := e.Attrs["tenant"]; t != "" {
 		if !p.tenants[t] {
-			if len(p.tenants) < p.maxTenants {
+			if len(p.tenants) < defaultTenantLimit {
 				p.tenants[t] = true
 			} else {
 				t = "other"

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -154,23 +155,23 @@ func TestPromLabelEscaping(t *testing.T) {
 // tenant="other" while established tenants keep their own series.
 func TestPromTenantOverflow(t *testing.T) {
 	p := NewPromSink("t")
-	p.SetTenantLimit(2)
 	obs := func(tenant string) Event {
 		return Event{Type: EventSpanEnd, ID: 0, Stage: "service",
 			Counters: map[string]int64{"jobs_done": 1},
 			Attrs:    map[string]string{"tenant": tenant}}
 	}
-	p.Emit(obs("alpha"))
-	p.Emit(obs("beta"))
+	for i := 0; i < defaultTenantLimit; i++ {
+		p.Emit(obs(fmt.Sprintf("t%02d", i)))
+	}
 	p.Emit(obs("gamma")) // over the cap: folded
 	p.Emit(obs("delta")) // over the cap: folded
-	p.Emit(obs("alpha")) // established tenant keeps its series
+	p.Emit(obs("t00"))   // established tenant keeps its series
 
 	out := scrape(t, p)
 	for series, want := range map[string]string{
-		`t_jobs_done_total{stage="service",tenant="alpha"} 2`: "alpha keeps its own series",
-		`t_jobs_done_total{stage="service",tenant="beta"} 1`:  "beta under the cap",
-		`t_jobs_done_total{stage="service",tenant="other"} 2`: "gamma+delta folded into other",
+		`t_jobs_done_total{stage="service",tenant="t00"} 2`:                                      "t00 keeps its own series",
+		fmt.Sprintf(`t_jobs_done_total{stage="service",tenant="t%02d"} 1`, defaultTenantLimit-1): "the last tenant under the cap",
+		`t_jobs_done_total{stage="service",tenant="other"} 2`:                                    "gamma+delta folded into other",
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("%s: missing %q\ngot:\n%s", want, series, out)

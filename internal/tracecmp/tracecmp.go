@@ -1,12 +1,11 @@
 // Package tracecmp aligns and compares two flow recordings (NDJSON
 // span traces) into a Table-2-style per-stage delta report. It is the
-// shared core of `tracestat BASE CUR` and tpid's in-service regression
-// sentinel: both build a Side per recording and Diff them under the same
-// -normalize / -max-regress semantics.
+// core of `tracestat BASE CUR`, the one place two runs are compared:
+// tpitables -trace files and tpid's archived traces
+// (GET /v1/runs/{id}/trace) both load as a Side.
 package tracecmp
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -19,8 +18,8 @@ import (
 
 // Key identifies one comparable cell: a flow stage at one TP level.
 type Key struct {
-	Stage string  `json:"stage"`
-	TP    float64 `json:"tp"`
+	Stage string
+	TP    float64
 }
 
 func (k Key) String() string {
@@ -30,8 +29,6 @@ func (k Key) String() string {
 // Cell is one side's aggregate for a key.
 type Cell struct {
 	DurNS    float64          // summed span durations
-	CPUNS    float64          // summed process-CPU attribution, when the trace carries it
-	N        int64            // spans
 	Counters map[string]int64 // summed span counters
 }
 
@@ -40,64 +37,6 @@ type Cell struct {
 type Side struct {
 	Cells    map[Key]*Cell
 	RunTotal map[float64]float64 // tp -> summed run-span ns
-}
-
-// sideJSON is the wire form of a Side: maps with struct / float keys
-// don't round-trip through encoding/json, so cells flatten to a sorted
-// list. Archived run rollups are stored in this shape.
-type sideJSON struct {
-	Cells []cellJSON `json:"cells"`
-	Runs  []runJSON  `json:"run_totals"`
-}
-
-type cellJSON struct {
-	Stage    string           `json:"stage"`
-	TP       float64          `json:"tp"`
-	DurNS    float64          `json:"dur_ns"`
-	CPUNS    float64          `json:"cpu_ns,omitempty"`
-	N        int64            `json:"n"`
-	Counters map[string]int64 `json:"counters,omitempty"`
-}
-
-type runJSON struct {
-	TP    float64 `json:"tp"`
-	DurNS float64 `json:"dur_ns"`
-}
-
-// MarshalJSON renders the side as sorted cell and run-total lists.
-func (s *Side) MarshalJSON() ([]byte, error) {
-	var out sideJSON
-	for k, c := range s.Cells {
-		out.Cells = append(out.Cells, cellJSON{Stage: k.Stage, TP: k.TP, DurNS: c.DurNS, CPUNS: c.CPUNS, N: c.N, Counters: c.Counters})
-	}
-	sort.Slice(out.Cells, func(i, j int) bool {
-		if out.Cells[i].TP != out.Cells[j].TP {
-			return out.Cells[i].TP < out.Cells[j].TP
-		}
-		return out.Cells[i].Stage < out.Cells[j].Stage
-	})
-	for tp, d := range s.RunTotal {
-		out.Runs = append(out.Runs, runJSON{TP: tp, DurNS: d})
-	}
-	sort.Slice(out.Runs, func(i, j int) bool { return out.Runs[i].TP < out.Runs[j].TP })
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON reverses MarshalJSON.
-func (s *Side) UnmarshalJSON(data []byte) error {
-	var in sideJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	s.Cells = map[Key]*Cell{}
-	s.RunTotal = map[float64]float64{}
-	for _, c := range in.Cells {
-		s.Cells[Key{c.Stage, c.TP}] = &Cell{DurNS: c.DurNS, CPUNS: c.CPUNS, N: c.N, Counters: c.Counters}
-	}
-	for _, r := range in.Runs {
-		s.RunTotal[r.TP] = r.DurNS
-	}
-	return nil
 }
 
 // LoadTrace aggregates an NDJSON trace into per-(stage, TP) cells.
@@ -111,21 +50,16 @@ func LoadTrace(r io.Reader) (*Side, error) {
 }
 
 // FromTrace builds a Side from a parsed trace: every run span and every
-// direct stage child of a run span counts, summing durations, CPU and
+// direct stage child of a run span counts, summing durations and
 // counters — repeated stages (timing-opt re-placement) fold into one
 // cell, matching how tracestat tabulates.
 func FromTrace(trace *telemetry.Trace) (*Side, error) {
 	if !trace.Balanced() {
 		return nil, fmt.Errorf("unbalanced trace (span ids %v)", trace.Unbalanced)
 	}
-	return FromSpans(trace.Spans)
-}
-
-// FromSpans builds a Side from reconstructed spans (already balanced).
-func FromSpans(spans []telemetry.SpanRecord) (*Side, error) {
 	runLevel := map[int64]float64{}
 	s := &Side{Cells: map[Key]*Cell{}, RunTotal: map[float64]float64{}}
-	for _, sp := range spans {
+	for _, sp := range trace.Spans {
 		if sp.Stage == "run" {
 			runLevel[sp.ID] = sp.TPPercent
 			s.RunTotal[sp.TPPercent] += float64(sp.Duration)
@@ -134,7 +68,7 @@ func FromSpans(spans []telemetry.SpanRecord) (*Side, error) {
 	if len(runLevel) == 0 {
 		return nil, fmt.Errorf("no run spans in trace")
 	}
-	for _, sp := range spans {
+	for _, sp := range trace.Spans {
 		var k Key
 		if sp.Stage == "run" {
 			k = Key{"run", sp.TPPercent}
@@ -148,9 +82,7 @@ func FromSpans(spans []telemetry.SpanRecord) (*Side, error) {
 			c = &Cell{Counters: map[string]int64{}}
 			s.Cells[k] = c
 		}
-		c.N++
 		c.DurNS += float64(sp.Duration)
-		c.CPUNS += float64(sp.CPUNS)
 		for name, v := range sp.Counters {
 			c.Counters[name] += v
 		}
@@ -176,46 +108,11 @@ type Row struct {
 	Note      string  // "only in baseline" / "only in current" / counter deltas
 }
 
-// rowJSON keeps Row serializable: DeltaPct can be NaN/±Inf, which
-// encoding/json rejects, so it renders as null in that case.
-type rowJSON struct {
-	Stage     string   `json:"stage"`
-	TP        float64  `json:"tp"`
-	BaseNS    float64  `json:"base_ns"`
-	CurNS     float64  `json:"cur_ns"`
-	DeltaPct  *float64 `json:"delta_pct"`
-	Regressed bool     `json:"regressed,omitempty"`
-	Note      string   `json:"note,omitempty"`
-}
-
-// MarshalJSON renders the row with a null delta when it is undefined.
-func (r Row) MarshalJSON() ([]byte, error) {
-	out := rowJSON{Stage: r.Stage, TP: r.TP, BaseNS: r.BaseNS, CurNS: r.CurNS, Regressed: r.Regressed, Note: r.Note}
-	if !math.IsNaN(r.DeltaPct) && !math.IsInf(r.DeltaPct, 0) {
-		d := r.DeltaPct
-		out.DeltaPct = &d
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON reverses MarshalJSON (null delta -> NaN).
-func (r *Row) UnmarshalJSON(data []byte) error {
-	var in rowJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*r = Row{Key: Key{in.Stage, in.TP}, BaseNS: in.BaseNS, CurNS: in.CurNS, DeltaPct: math.NaN(), Regressed: in.Regressed, Note: in.Note}
-	if in.DeltaPct != nil {
-		r.DeltaPct = *in.DeltaPct
-	}
-	return nil
-}
-
 // Report is the full comparison outcome.
 type Report struct {
-	Rows        []Row `json:"rows"`
-	Regressions []Row `json:"regressions"`
-	Normalized  bool  `json:"normalized"`
+	Rows        []Row
+	Regressions []Row
+	Normalized  bool
 }
 
 // value returns the comparable number for a cell: absolute summed ns,

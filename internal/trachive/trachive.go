@@ -1,11 +1,10 @@
 // Package trachive is tpid's run-history trace archive: when a run
-// retires, the service persists its full span trace (gzip NDJSON), its
-// stage×level rollup, and its metadata into <data-dir>/runs/, indexed
-// by a crash-safe journal (internal/journal) so a SIGKILL between the
-// trace write and the index append costs at most that one run. The
-// archive is the substrate of the regression sentinel: each retiring
-// run is diffed against the most recent archived run sharing its
-// baseline key (circuit hash, config hash).
+// retires, the service persists its full span trace (gzip NDJSON) and
+// its metadata into <data-dir>/runs/, indexed by a crash-safe journal
+// (internal/journal) so a SIGKILL between the trace write and the index
+// append costs at most that one run. The archive stores runs; it does
+// not compare them. Two archived traces are compared offline with
+// `tracestat BASE CUR`.
 //
 // On-disk layout under the archive directory:
 //
@@ -33,7 +32,6 @@ import (
 
 	"tpilayout/internal/journal"
 	"tpilayout/internal/telemetry"
-	"tpilayout/internal/tracecmp"
 )
 
 // Journal record types private to the archive index (the journal treats
@@ -43,44 +41,29 @@ const (
 	typeEvicted  journal.Type = 11 // payload: run_id bytes
 )
 
-// DiffSummary is the sentinel's verdict for one archived run, stored in
-// its Meta and served at /v1/runs/{id}.
-type DiffSummary struct {
-	// Against is the baseline run's run_id ("" when Verdict is
-	// "no-baseline").
-	Against string `json:"against,omitempty"`
-	// Verdict is "no-regression", "regression", or "no-baseline".
-	Verdict string `json:"verdict"`
-	// Cells is how many stage×level cells were compared.
-	Cells int `json:"cells,omitempty"`
-	// Regressions holds the gated rows (empty on a clean diff).
-	Regressions []tracecmp.Row `json:"regressions,omitempty"`
-}
-
 // Meta is one archived run's metadata — everything the query API can
-// filter or report without opening the trace file.
+// filter or report without opening the trace file. Index records written
+// by older builds also carry "baseline_key", "rollup" and "diff" fields;
+// decoding ignores them.
 type Meta struct {
-	RunID        string         `json:"run_id"`
-	JobIDs       []string       `json:"job_ids,omitempty"`
-	Tenant       string         `json:"tenant,omitempty"`
-	Circuit      string         `json:"circuit,omitempty"`
-	CircuitHash  string         `json:"circuit_hash"`
-	ConfigHash   string         `json:"config_hash"`
-	BaselineKey  string         `json:"baseline_key"`
-	State        string         `json:"state"`
-	Error        string         `json:"error,omitempty"`
-	TPLevels     []float64      `json:"tp_levels,omitempty"`
-	Started      time.Time      `json:"started"`
-	Finished     time.Time      `json:"finished"`
-	WallMS       int64          `json:"wall_ms"`
-	CPUMS        int64          `json:"cpu_ms,omitempty"`
-	Events       int            `json:"events,omitempty"`
-	TraceBytes   int64          `json:"trace_bytes"`
-	ProfileBytes int64          `json:"profile_bytes,omitempty"`
-	Rollup       *tracecmp.Side `json:"rollup,omitempty"`
-	Diff         *DiffSummary   `json:"diff,omitempty"`
+	RunID        string    `json:"run_id"`
+	JobIDs       []string  `json:"job_ids,omitempty"`
+	Tenant       string    `json:"tenant,omitempty"`
+	Circuit      string    `json:"circuit,omitempty"`
+	CircuitHash  string    `json:"circuit_hash"`
+	ConfigHash   string    `json:"config_hash"`
+	State        string    `json:"state"`
+	Error        string    `json:"error,omitempty"`
+	TPLevels     []float64 `json:"tp_levels,omitempty"`
+	Started      time.Time `json:"started"`
+	Finished     time.Time `json:"finished"`
+	WallMS       int64     `json:"wall_ms"`
+	CPUMS        int64     `json:"cpu_ms,omitempty"`
+	Events       int       `json:"events,omitempty"`
+	TraceBytes   int64     `json:"trace_bytes"`
+	ProfileBytes int64     `json:"profile_bytes,omitempty"`
 	// Seq is the archive-order sequence number (assigned at Put); higher
-	// is newer. Baseline lookup and eviction order ride on it.
+	// is newer. List order and eviction order ride on it.
 	Seq uint64 `json:"seq"`
 }
 
@@ -171,13 +154,11 @@ func Open(dir string, opt Options) (*Archive, error) {
 		}
 	}
 	// An index entry whose trace file is gone cannot be served: drop it.
-	for id, m := range a.runs {
+	for id := range a.runs {
 		if _, err := os.Stat(a.tracePath(id)); err != nil {
 			delete(a.runs, id)
 			a.dropped++
-			continue
 		}
-		_ = m
 	}
 	a.rebuildOrderLocked()
 	// Artifact files the index does not reference are orphans from a
@@ -433,13 +414,12 @@ func (a *Archive) OpenProfile(runID string) (*os.File, error) {
 // Filter selects archived runs. Hash fields match by prefix so clients
 // can use the short forms the API reports.
 type Filter struct {
-	Circuit  string    // circuit hash prefix
-	Config   string    // config hash prefix
-	Tenant   string    // exact tenant
-	State    string    // exact terminal state
-	Baseline string    // exact baseline key
-	Since    time.Time // runs finished at/after this instant
-	Limit    int       // max results (0 = all)
+	Circuit string    // circuit hash prefix
+	Config  string    // config hash prefix
+	Tenant  string    // exact tenant
+	State   string    // exact terminal state
+	Since   time.Time // runs finished at/after this instant
+	Limit   int       // max results (0 = all)
 }
 
 func (f Filter) match(m *Meta) bool {
@@ -455,9 +435,6 @@ func (f Filter) match(m *Meta) bool {
 	if f.State != "" && m.State != f.State {
 		return false
 	}
-	if f.Baseline != "" && m.BaselineKey != f.Baseline {
-		return false
-	}
 	if !f.Since.IsZero() && m.Finished.Before(f.Since) {
 		return false
 	}
@@ -468,7 +445,7 @@ func (f Filter) match(m *Meta) bool {
 func (a *Archive) List(f Filter) []*Meta {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var out []*Meta
+	out := []*Meta{} // never nil: an empty list renders as [] in JSON
 	for i := len(a.order) - 1; i >= 0; i-- {
 		m := a.runs[a.order[i]]
 		if !f.match(m) {
@@ -479,121 +456,6 @@ func (a *Archive) List(f Filter) []*Meta {
 			break
 		}
 	}
-	return out
-}
-
-// Baseline returns the newest archived run with the given baseline key
-// that completed ("done" with a rollup) strictly before seq (0 = before
-// anything newer, i.e. the newest overall). It is the sentinel's
-// baseline lookup: call it with the retiring run's prospective position
-// (or 0 before Put) to diff against the previous completed run.
-func (a *Archive) Baseline(key string, beforeSeq uint64) (*Meta, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := len(a.order) - 1; i >= 0; i-- {
-		m := a.runs[a.order[i]]
-		if beforeSeq > 0 && m.Seq >= beforeSeq {
-			continue
-		}
-		if m.BaselineKey == key && m.State == "done" && m.Rollup != nil {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
-// RollupCell is one stage×level latency summary aggregated across the
-// retained runs of a baseline key.
-type RollupCell struct {
-	Stage     string  `json:"stage"`
-	TP        float64 `json:"tp"`
-	Runs      int     `json:"runs"`
-	MeanNS    float64 `json:"mean_ns"`
-	P50NS     float64 `json:"p50_ns"`
-	P99NS     float64 `json:"p99_ns"`
-	CPUMeanNS float64 `json:"cpu_mean_ns,omitempty"`
-}
-
-// Rollup aggregates cross-run P50/P99 stage latencies over the retained
-// completed runs sharing a baseline key, sorted by level then stage.
-func (a *Archive) Rollup(key string) []RollupCell {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	hists := map[tracecmp.Key]*telemetry.HistData{}
-	cpu := map[tracecmp.Key]float64{}
-	runs := map[tracecmp.Key]int{}
-	for _, id := range a.order {
-		m := a.runs[id]
-		if m.BaselineKey != key || m.State != "done" || m.Rollup == nil {
-			continue
-		}
-		for k, c := range m.Rollup.Cells {
-			h := hists[k]
-			if h == nil {
-				h = &telemetry.HistData{}
-				hists[k] = h
-			}
-			h.Merge(telemetry.Observation(int64(c.DurNS)))
-			cpu[k] += c.CPUNS
-			runs[k]++
-		}
-	}
-	out := make([]RollupCell, 0, len(hists))
-	for k, h := range hists {
-		c := RollupCell{
-			Stage: k.Stage, TP: k.TP, Runs: runs[k],
-			MeanNS: h.Mean(), P50NS: h.Quantile(0.5), P99NS: h.Quantile(0.99),
-		}
-		if runs[k] > 0 {
-			c.CPUMeanNS = cpu[k] / float64(runs[k])
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TP != out[j].TP {
-			return out[i].TP < out[j].TP
-		}
-		return out[i].Stage < out[j].Stage
-	})
-	return out
-}
-
-// BaselineInfo summarizes one baseline key's retained history: how many
-// runs share it, how many completed (and thus feed rollups and baseline
-// lookups), and the newest run carrying it.
-type BaselineInfo struct {
-	Key       string `json:"key"`
-	Circuit   string `json:"circuit,omitempty"`
-	Runs      int    `json:"runs"`
-	Completed int    `json:"completed"`
-	Latest    string `json:"latest_run_id"`
-}
-
-// Baselines lists the distinct baseline keys across retained runs,
-// sorted by key for stable output.
-func (a *Archive) Baselines() []BaselineInfo {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	byKey := map[string]*BaselineInfo{}
-	for _, id := range a.order { // ascending Seq: the last writer is newest
-		m := a.runs[id]
-		bi := byKey[m.BaselineKey]
-		if bi == nil {
-			bi = &BaselineInfo{Key: m.BaselineKey}
-			byKey[m.BaselineKey] = bi
-		}
-		bi.Circuit = m.Circuit
-		bi.Latest = m.RunID
-		bi.Runs++
-		if m.State == "done" && m.Rollup != nil {
-			bi.Completed++
-		}
-	}
-	out := make([]BaselineInfo, 0, len(byKey))
-	for _, bi := range byKey {
-		out = append(out, *bi)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tpilayout/internal/telemetry"
-	"tpilayout/internal/tracecmp"
 )
 
 // runEvents builds a minimal balanced run trace: one run span at tp
@@ -24,27 +23,13 @@ func runEvents(tp float64, stageNS int64) []telemetry.Event {
 	}
 }
 
-func rollupOf(t *testing.T, events []telemetry.Event) *tracecmp.Side {
-	t.Helper()
-	tr := telemetry.TraceFromEvents(events)
-	if !tr.Balanced() {
-		t.Fatalf("test events unbalanced: %v", tr.Unbalanced)
-	}
-	side, err := tracecmp.FromSpans(tr.Spans)
-	if err != nil {
-		t.Fatalf("FromSpans: %v", err)
-	}
-	return side
-}
-
-func metaFor(runID, key, state string, events []telemetry.Event) *Meta {
+func metaFor(runID, state string) *Meta {
 	m := &Meta{
 		RunID:       runID,
 		Tenant:      "t1",
 		Circuit:     "c1",
 		CircuitHash: "aaaa",
 		ConfigHash:  "bbbb",
-		BaselineKey: key,
 		State:       state,
 		Started:     time.Unix(100, 0),
 		Finished:    time.Unix(101, 0),
@@ -67,8 +52,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	defer a.Close()
 
 	events := runEvents(1, 5e8)
-	m := metaFor("r1", "k1", "done", events)
-	m.Rollup = rollupOf(t, events)
+	m := metaFor("r1", "done")
 	profile := []byte("pprof-bytes")
 	if err := a.Put(m, events, profile); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -124,9 +108,7 @@ func TestRecoverWithoutClose(t *testing.T) {
 	a := openT(t, dir)
 	events := runEvents(1, 5e8)
 	for i := 0; i < 3; i++ {
-		m := metaFor(fmt.Sprintf("r%d", i), "k1", "done", events)
-		m.Rollup = rollupOf(t, events)
-		if err := a.Put(m, events, nil); err != nil {
+		if err := a.Put(metaFor(fmt.Sprintf("r%d", i), "done"), events, nil); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -142,10 +124,9 @@ func TestRecoverWithoutClose(t *testing.T) {
 	if st := b.Stats(); st.Runs != 3 || st.Dropped != 0 {
 		t.Fatalf("stats after reopen: %+v", st)
 	}
-	// Baseline lookup survives the reopen (Seq order intact).
-	base, ok := b.Baseline("k1", 0)
-	if !ok || base.RunID != "r2" {
-		t.Fatalf("baseline after reopen: %+v ok=%v", base, ok)
+	// Seq order survives the reopen: the newest run lists first.
+	if runs := b.List(Filter{}); len(runs) != 3 || runs[0].RunID != "r2" {
+		t.Fatalf("list after reopen: %+v", runs)
 	}
 }
 
@@ -157,7 +138,7 @@ func TestReopenDropsTornEntries(t *testing.T) {
 	a := openT(t, dir)
 	events := runEvents(1, 5e8)
 	for _, id := range []string{"r1", "r2"} {
-		if err := a.Put(metaFor(id, "k1", "done", events), events, nil); err != nil {
+		if err := a.Put(metaFor(id, "done"), events, nil); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -196,7 +177,7 @@ func TestRetentionByCount(t *testing.T) {
 	defer a.Close()
 	events := runEvents(1, 5e8)
 	for i := 0; i < 4; i++ {
-		if err := a.Put(metaFor(fmt.Sprintf("r%d", i), "k1", "done", events), events, nil); err != nil {
+		if err := a.Put(metaFor(fmt.Sprintf("r%d", i), "done"), events, nil); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -227,7 +208,7 @@ func TestRetentionByBytesKeepsNewest(t *testing.T) {
 	defer a.Close()
 	events := runEvents(1, 5e8)
 	for i := 0; i < 3; i++ {
-		if err := a.Put(metaFor(fmt.Sprintf("r%d", i), "k1", "done", events), events, nil); err != nil {
+		if err := a.Put(metaFor(fmt.Sprintf("r%d", i), "done"), events, nil); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 		st := a.Stats()
@@ -245,8 +226,8 @@ func TestListFilters(t *testing.T) {
 	a := openT(t, dir)
 	defer a.Close()
 	events := runEvents(1, 5e8)
-	put := func(id, circ, cfg, tenant, state, key string, fin time.Time) {
-		m := metaFor(id, key, state, events)
+	put := func(id, circ, cfg, tenant, state string, fin time.Time) {
+		m := metaFor(id, state)
 		m.CircuitHash = circ
 		m.ConfigHash = cfg
 		m.Tenant = tenant
@@ -257,9 +238,9 @@ func TestListFilters(t *testing.T) {
 	}
 	t1 := time.Unix(1000, 0)
 	t2 := time.Unix(2000, 0)
-	put("r1", "abc123", "cfg111", "alice", "done", "k1", t1)
-	put("r2", "abc123", "cfg222", "bob", "failed", "k2", t2)
-	put("r3", "def456", "cfg111", "alice", "done", "k3", t2)
+	put("r1", "abc123", "cfg111", "alice", "done", t1)
+	put("r2", "abc123", "cfg222", "bob", "failed", t2)
+	put("r3", "def456", "cfg111", "alice", "done", t2)
 
 	cases := []struct {
 		name string
@@ -271,7 +252,6 @@ func TestListFilters(t *testing.T) {
 		{"config prefix", Filter{Config: "cfg111"}, []string{"r3", "r1"}},
 		{"tenant", Filter{Tenant: "alice"}, []string{"r3", "r1"}},
 		{"state", Filter{State: "failed"}, []string{"r2"}},
-		{"baseline", Filter{Baseline: "k3"}, []string{"r3"}},
 		{"since", Filter{Since: time.Unix(1500, 0)}, []string{"r3", "r2"}},
 		{"limit", Filter{Limit: 2}, []string{"r3", "r2"}},
 		{"combo", Filter{Circuit: "abc", Tenant: "alice"}, []string{"r1"}},
@@ -289,91 +269,6 @@ func TestListFilters(t *testing.T) {
 	}
 }
 
-func TestBaselineSelection(t *testing.T) {
-	dir := t.TempDir()
-	a := openT(t, dir)
-	defer a.Close()
-	events := runEvents(1, 5e8)
-	side := rollupOf(t, events)
-
-	m1 := metaFor("r1", "k1", "done", events)
-	m1.Rollup = side
-	m2 := metaFor("r2", "k1", "failed", events) // wrong state: never a baseline
-	m3 := metaFor("r3", "k1", "done", events)   // done but no rollup
-	m4 := metaFor("r4", "k2", "done", events)   // different key
-	m4.Rollup = side
-	for _, m := range []*Meta{m1, m2, m3, m4} {
-		if err := a.Put(m, events, nil); err != nil {
-			t.Fatalf("Put %s: %v", m.RunID, err)
-		}
-	}
-
-	base, ok := a.Baseline("k1", 0)
-	if !ok || base.RunID != "r1" {
-		t.Fatalf("Baseline(k1): got %+v ok=%v, want r1", base, ok)
-	}
-	// beforeSeq excludes the candidate itself and everything newer.
-	if _, ok := a.Baseline("k1", base.Seq); ok {
-		t.Fatal("Baseline(k1, beforeSeq=r1.Seq) should find nothing older")
-	}
-	if _, ok := a.Baseline("k9", 0); ok {
-		t.Fatal("Baseline on unknown key should miss")
-	}
-}
-
-func TestBaselinesAndRollup(t *testing.T) {
-	dir := t.TempDir()
-	a := openT(t, dir)
-	defer a.Close()
-
-	fast := runEvents(1, 4e8)
-	slow := runEvents(1, 6e8)
-	m1 := metaFor("r1", "k1", "done", fast)
-	m1.Rollup = rollupOf(t, fast)
-	m2 := metaFor("r2", "k1", "done", slow)
-	m2.Rollup = rollupOf(t, slow)
-	m3 := metaFor("r3", "k2", "failed", slow)
-	for _, m := range []*Meta{m1, m2, m3} {
-		ev := fast
-		if err := a.Put(m, ev, nil); err != nil {
-			t.Fatalf("Put %s: %v", m.RunID, err)
-		}
-	}
-
-	bs := a.Baselines()
-	if len(bs) != 2 {
-		t.Fatalf("Baselines: %d keys, want 2", len(bs))
-	}
-	if bs[0].Key != "k1" || bs[0].Runs != 2 || bs[0].Completed != 2 || bs[0].Latest != "r2" {
-		t.Fatalf("k1 info: %+v", bs[0])
-	}
-	if bs[1].Key != "k2" || bs[1].Completed != 0 {
-		t.Fatalf("k2 info: %+v", bs[1])
-	}
-
-	cells := a.Rollup("k1")
-	if len(cells) == 0 {
-		t.Fatal("Rollup(k1) empty")
-	}
-	var tpi *RollupCell
-	for i := range cells {
-		if cells[i].Stage == "tpi" {
-			tpi = &cells[i]
-		}
-	}
-	if tpi == nil || tpi.Runs != 2 {
-		t.Fatalf("tpi cell: %+v", tpi)
-	}
-	// Mean of 4e8 and 6e8 is 5e8; quantile estimates are bucketed, so
-	// only sanity-check the mean.
-	if tpi.MeanNS != 5e8 {
-		t.Fatalf("tpi mean: %g want 5e8", tpi.MeanNS)
-	}
-	if tpi.P50NS <= 0 || tpi.P99NS < tpi.P50NS {
-		t.Fatalf("tpi quantiles: p50=%g p99=%g", tpi.P50NS, tpi.P99NS)
-	}
-}
-
 // TestCompaction: enough Puts to cross CompactBytes fold the index into
 // a snapshot, and a reopen on the compacted index still sees every run.
 func TestCompaction(t *testing.T) {
@@ -384,9 +279,7 @@ func TestCompaction(t *testing.T) {
 	}
 	events := runEvents(1, 5e8)
 	for i := 0; i < 5; i++ {
-		m := metaFor(fmt.Sprintf("r%d", i), "k1", "done", events)
-		m.Rollup = rollupOf(t, events)
-		if err := a.Put(m, events, nil); err != nil {
+		if err := a.Put(metaFor(fmt.Sprintf("r%d", i), "done"), events, nil); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -397,9 +290,8 @@ func TestCompaction(t *testing.T) {
 	if st := b.Stats(); st.Runs != 5 {
 		t.Fatalf("after compacted reopen: %+v", st)
 	}
-	base, ok := b.Baseline("k1", 0)
-	if !ok || base.RunID != "r4" || base.Rollup == nil {
-		t.Fatalf("baseline after compaction: %+v ok=%v", base, ok)
+	if runs := b.List(Filter{}); len(runs) != 5 || runs[0].RunID != "r4" {
+		t.Fatalf("list after compaction: %+v", runs)
 	}
 }
 
@@ -410,12 +302,12 @@ func TestReplacedRun(t *testing.T) {
 	a := openT(t, dir)
 	defer a.Close()
 	events := runEvents(1, 5e8)
-	if err := a.Put(metaFor("r1", "k1", "done", events), events, []byte("prof")); err != nil {
+	if err := a.Put(metaFor("r1", "done"), events, []byte("prof")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	first := a.Stats()
 	// Re-archive the same run_id, this time without a profile.
-	if err := a.Put(metaFor("r1", "k1", "done", events), events, nil); err != nil {
+	if err := a.Put(metaFor("r1", "done"), events, nil); err != nil {
 		t.Fatalf("re-Put: %v", err)
 	}
 	st := a.Stats()
