@@ -20,6 +20,10 @@ const (
 	// secondaryLimit caps the secondary targets dynamic compaction
 	// attempts per cube.
 	secondaryLimit = 192
+	// satConflictBudget bounds each SAT call of the residue pass, in
+	// conflicts rather than time so verdicts do not depend on the host; a
+	// call that runs out leaves its class Aborted.
+	satConflictBudget = 1000
 	// maxPatterns fails the run if the pattern count explodes.
 	maxPatterns = 1 << 20
 )
@@ -29,12 +33,9 @@ type Options struct {
 	// Constraints freezes nets to capture-mode constants (scan-enable = 0,
 	// TSFF controls TE = 0 / TR = 1).
 	Constraints map[netlist.NetID]int8
-	// BacktrackLimit bounds PODEM search per fault (default 64).
+	// BacktrackLimit bounds PODEM search per fault (default 64). A class
+	// whose search exceeds it goes to the SAT residue pass.
 	BacktrackLimit int
-	// RetryFactor multiplies the backtrack limit for one retry pass over
-	// aborted faults (0 means the default, 4; a negative value or 1
-	// disables the retry).
-	RetryFactor int
 	// FillSeed seeds the random fill of don't-care bits and the random
 	// pattern phase.
 	FillSeed int64
@@ -140,11 +141,6 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	if opt.BacktrackLimit <= 0 {
 		opt.BacktrackLimit = 64
 	}
-	if opt.RetryFactor < 0 {
-		opt.RetryFactor = 0
-	} else if opt.RetryFactor == 0 {
-		opt.RetryFactor = 4
-	}
 	if opt.RandomRounds < 0 {
 		opt.RandomRounds = -1 // explicit disable survives the default below
 	}
@@ -177,9 +173,10 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// single-goroutine, so all record into local shards (plain ints) and
 	// merge once at flush; with telemetry off the nil locals also skip the
 	// time.Now pair per sample.
-	var lPodemNS, lPodemBT, lDyncompNS, lCompactNS *telemetry.LocalHist
+	var lPodemNS, lPodemBT, lSatNS, lDyncompNS, lCompactNS *telemetry.LocalHist
 	if opt.Telemetry != nil {
 		lPodemNS = opt.Telemetry.Histogram("atpg.podem_ns").Local()
+		lSatNS = opt.Telemetry.Histogram("atpg.sat_ns").Local()
 		lPodemBT = opt.Telemetry.Histogram("atpg.podem_bt_depth").Local()
 		lDyncompNS = opt.Telemetry.Histogram("atpg.dyncomp_ns").Local()
 		lCompactNS = opt.Telemetry.Histogram("atpg.compact_ns").Local()
@@ -271,105 +268,122 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	randomGenerated := len(res.Patterns)
 
-	// abortSnaps holds the decision stack of each first-pass search that
-	// exhausted its backtrack budget, keyed by fault-class rep; the retry
-	// pass replays it and carries on from where the search stopped instead
-	// of re-deriving the first BacktrackLimit backtracks.
-	var abortSnaps map[int32]*abortSnap
-	const (
-		snapNone    = iota // pass unrelated to the abort/retry pair (top-up)
-		snapRecord         // first pass: snapshot aborted searches
-		snapConsume        // retry pass: resume from snapshots
-	)
-	runPass := func(limit, snapPhase int) error {
-		gen.btLimit = limit
-		for {
-			batch.Reset()
-			count := 0
-			for ri, r := range reps {
-				if set.Status(r) != fault.Undetected {
-					continue
-				}
-				// One PODEM fault is the cancellation work unit: a cancel
-				// lands before the next target, and an expired deadline
-				// truncates the pass at a class boundary.
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				if expired() {
-					break
-				}
-				var t0 time.Time
-				btBefore := gen.nBacktracks
-				if lPodemNS != nil {
-					t0 = time.Now()
-				}
-				var cube []int8
-				var g genResult
-				if snap, ok := abortSnaps[r]; ok && snapPhase == snapConsume {
-					delete(abortSnaps, r)
-					cube, g = gen.resume(set.Faults[r], snap)
-				} else {
-					cube, g = gen.generate(set.Faults[r])
-				}
-				if snapPhase == snapRecord && g == genAborted {
-					if abortSnaps == nil {
-						abortSnaps = make(map[int32]*abortSnap)
-					}
-					abortSnaps[r] = gen.snapshot()
-				}
-				if lPodemNS != nil {
-					lPodemNS.Observe(int64(time.Since(t0)))
-					lPodemBT.Observe(gen.nBacktracks - btBefore)
-				}
-				switch g {
-				case genSuccess:
-					// The target is provably detected by its own pattern;
-					// mark now so a slow sim round cannot re-target it.
-					set.SetStatus(r, fault.Detected)
-					if !opt.NoDynamicCompaction {
-						timed(lDyncompNS, func() { compactInto(gen, set, reps, ri) })
-						cube = gen.cube()
-					}
-					fillRandom(cube, rng)
-					batch.SetPattern(count, cube)
-					res.Patterns = append(res.Patterns, Pattern(cube))
-					count++
-				case genUntestable:
-					set.SetStatus(r, fault.Untestable)
-				case genAborted:
-					set.SetStatus(r, fault.Aborted)
-				}
-				if count == 64 {
-					break
-				}
-			}
-			if count == 0 {
-				return nil
-			}
-			if len(res.Patterns) > maxPatterns {
-				return fmt.Errorf("atpg: pattern count exceeded %d", maxPatterns)
-			}
-			simulateAndDrop(batch)
+	// Deterministic generation runs in passes over the classes in reps
+	// order. A test found for a class becomes a pattern through emit; every
+	// 64 patterns the batch is fault-simulated and whatever it detects is
+	// dropped.
+	batch.Reset()
+	count := 0
+	flush := func() error {
+		if count == 0 {
+			return nil
 		}
+		if len(res.Patterns) > maxPatterns {
+			return fmt.Errorf("atpg: pattern count exceeded %d", maxPatterns)
+		}
+		simulateAndDrop(batch)
+		batch.Reset()
+		count = 0
+		return nil
+	}
+	// emit turns the cube gen holds for reps[ri], a test for it, into a
+	// pattern: dynamic compaction, random fill, a batch slot. The target is
+	// marked detected first, so a slow sim round cannot re-target it.
+	emit := func(ri int, cube []int8) error {
+		set.SetStatus(reps[ri], fault.Detected)
+		if !opt.NoDynamicCompaction {
+			timed(lDyncompNS, func() { compactInto(gen, set, reps, ri) })
+			cube = gen.cube()
+		}
+		fillRandom(cube, rng)
+		batch.SetPattern(count, cube)
+		res.Patterns = append(res.Patterns, Pattern(cube))
+		if count++; count == 64 {
+			return flush()
+		}
+		return nil
+	}
+	// pass hands target every class whose status is want when its turn
+	// comes. One class is the cancellation work unit: a cancel lands
+	// before the next target, and an expired deadline truncates the pass
+	// at a class boundary.
+	pass := func(want fault.Status, target func(ri int, r int32) error) error {
+		for ri, r := range reps {
+			if set.Status(r) != want {
+				continue
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			if expired() {
+				break
+			}
+			if err := target(ri, r); err != nil {
+				return err
+			}
+		}
+		return flush()
+	}
+	podemPass := func() error {
+		return pass(fault.Undetected, func(ri int, r int32) error {
+			var t0 time.Time
+			btBefore := gen.nBacktracks
+			if lPodemNS != nil {
+				t0 = time.Now()
+			}
+			cube, g := gen.generate(set.Faults[r])
+			if lPodemNS != nil {
+				lPodemNS.Observe(int64(time.Since(t0)))
+				lPodemBT.Observe(gen.nBacktracks - btBefore)
+			}
+			switch g {
+			case genSuccess:
+				return emit(ri, cube)
+			case genUntestable:
+				set.SetStatus(r, fault.Untestable)
+			case genAborted:
+				set.SetStatus(r, fault.Aborted)
+			}
+			return nil
+		})
 	}
 
-	if err := runPass(opt.BacktrackLimit, snapRecord); err != nil {
+	if err := podemPass(); err != nil {
 		return nil, err
 	}
-	if opt.RetryFactor > 1 && !expired() {
-		// Second chance for aborted faults with a deeper search, resumed
-		// from their first-pass abort points.
-		for _, r := range reps {
-			if set.Status(r) == fault.Aborted {
-				set.SetStatus(r, fault.Undetected)
-			}
+	// The SAT residue pass: every class PODEM gave up on goes to the
+	// solver. An UNSAT miter proves the class untestable; a model becomes
+	// a cube that must detect the class in the PODEM simulator before it
+	// is emitted like a PODEM cube. A budget-out or a cube that fails the
+	// check leaves the class Aborted.
+	var mit *miter
+	var satResolved int64
+	if err := pass(fault.Aborted, func(ri int, r int32) error {
+		if mit == nil {
+			mit = newMiter(v)
 		}
-		if err := runPass(opt.BacktrackLimit*opt.RetryFactor, snapConsume); err != nil {
-			return nil, err
+		var t0 time.Time
+		if lSatNS != nil {
+			t0 = time.Now()
 		}
+		f := set.Faults[r]
+		verdict := mit.solve(f, satConflictBudget)
+		detects := verdict == satSat && gen.load(f, mit.cube())
+		if lSatNS != nil {
+			lSatNS.Observe(int64(time.Since(t0)))
+		}
+		switch {
+		case detects:
+			satResolved++
+			return emit(ri, gen.cube())
+		case verdict == satUnsat:
+			satResolved++
+			set.SetStatus(r, fault.Untestable)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	abortSnaps = nil
 
 	// Top-up: classes detected only during the random phase would force
 	// the final compaction to keep whole random patterns for a handful of
@@ -386,7 +400,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 				fallback = append(fallback, r)
 			}
 		}
-		if err := runPass(opt.BacktrackLimit, snapNone); err != nil {
+		if err := podemPass(); err != nil {
 			return nil, err
 		}
 		// Anything the top-up could not regenerate is still covered by a
@@ -444,9 +458,10 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	lPodemNS.Flush()
 	lPodemBT.Flush()
+	lSatNS.Flush()
 	lDyncompNS.Flush()
 	lCompactNS.Flush()
-	flushTelemetry(opt.Telemetry, res, gen, pool, randomGenerated)
+	flushTelemetry(opt.Telemetry, res, gen, pool, randomGenerated, satResolved)
 	return res, nil
 }
 
@@ -454,7 +469,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 // one pass at the end — the generation and simulation loops themselves
 // carry only plain per-struct ints, so instrumentation adds no work to
 // the hot paths.
-func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, randomGenerated int) {
+func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, randomGenerated int, satResolved int64) {
 	if sp == nil {
 		return
 	}
@@ -468,6 +483,7 @@ func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, 
 	sp.Counter("atpg.untestable_classes").Add(int64(res.UntestableClasses))
 	sp.Counter("atpg.podem_targets").Add(gen.nTargets)
 	sp.Counter("atpg.podem_backtracks").Add(gen.nBacktracks)
+	sp.Counter("atpg.sat_resolved").Add(satResolved)
 	sp.Counter("atpg.sim_batches").Add(pool.batches)
 	var total, peak int64
 	for _, w := range pool.work {

@@ -384,41 +384,6 @@ func tracedRun(t *testing.T, n *netlist.Netlist, opt Options) (*Result, *fault.S
 	return res, set, trace.Spans[0]
 }
 
-// TestRetryFactorDefault pins what Options.RetryFactor's comment says: 0
-// means 4, and a negative value opens no retry pass.
-func TestRetryFactorDefault(t *testing.T) {
-	n, err := circuitgen.Generate(circuitgen.S38417Class().Scale(0.03), stdcell.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No random phase, so no top-up either: every PODEM target is a first-
-	// pass or a retry target.
-	run := func(factor int) (*Result, map[fault.Status]int, int64) {
-		res, set, snap := tracedRun(t, n, Options{BacktrackLimit: 8, RetryFactor: factor, RandomRounds: -1})
-		return res, set.Counts(), snap.Counters["atpg.podem_targets"]
-	}
-	def, defCounts, defTargets := run(0)
-	four, fourCounts, fourTargets := run(4)
-	if !reflect.DeepEqual(def.Patterns, four.Patterns) || !reflect.DeepEqual(defCounts, fourCounts) || defTargets != fourTargets {
-		t.Errorf("RetryFactor 0 (%d patterns, %v, %d targets) != RetryFactor 4 (%d patterns, %v, %d targets)",
-			len(def.Patterns), defCounts, defTargets, len(four.Patterns), fourCounts, fourTargets)
-	}
-	none, _, noneTargets := run(-1)
-	if none.AbortedClasses == 0 {
-		t.Fatal("no class aborts at limit 8: the circuit cannot tell a retry from none")
-	}
-	if noneTargets > int64(none.FaultClasses) {
-		t.Errorf("RetryFactor -1 made %d PODEM targets of %d classes: some class was targeted twice", noneTargets, none.FaultClasses)
-	}
-	if defTargets <= noneTargets || defTargets > noneTargets+int64(none.AbortedClasses) {
-		t.Errorf("RetryFactor 0 made %d targets, want the %d of the first pass plus at most its %d aborted classes",
-			defTargets, noneTargets, none.AbortedClasses)
-	}
-	if def.AbortedClasses > none.AbortedClasses {
-		t.Errorf("the retry pass left more classes aborted (%d) than no retry (%d)", def.AbortedClasses, none.AbortedClasses)
-	}
-}
-
 // TestPhaseHistograms: with telemetry on, the stage span carries one
 // atpg.dyncomp_ns sample per compacted cube and one atpg.compact_ns sample
 // per static pass (top-up coverage check, reverse compaction), and the

@@ -229,38 +229,28 @@ func checkAgainstOracle(t *testing.T, label string, n *netlist.Netlist, set *fau
 // testScanAgainstOracle is the sequential half of
 // TestPodemAgainstBruteForce: the whole generator on random scan circuits
 // of 6 to 14 sources with a backtrack limit of 4 — low enough that searches
-// abort, the retry pass resumes them and the top-up re-targets — with every
+// abort, the SAT pass settles them and the top-up re-targets — with every
 // verdict checked by exhaustive scalar simulation.
 func testScanAgainstOracle(t *testing.T) {
 	shapes := []struct{ nPI, nFF, nGates int }{
 		{3, 2, 20}, {4, 3, 30}, {5, 4, 40}, {6, 5, 50}, {7, 6, 60}, {4, 9, 60},
 	}
-	aborted, untestable := 0, 0
+	var satCalls, resolved int64
+	untestable := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		sh := shapes[int(seed)%len(shapes)]
 		n, fixed := randScanCircuit(t, seed, sh.nPI, sh.nFF, sh.nGates)
-		opt := Options{Constraints: fixed, BacktrackLimit: 4, FillSeed: seed}
-		set := fault.NewUniverse(n)
-		res, err := Run(n, set, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, set, snap := tracedRun(t, n, Options{Constraints: fixed, BacktrackLimit: 4, FillSeed: seed})
 		if got, want := len(res.View.Sources), sh.nPI+sh.nFF+1; got != want {
 			t.Fatalf("seed %d: %d sources, want %d", seed, got, want)
 		}
 		checkAgainstOracle(t, fmt.Sprintf("seed %d", seed), n, set, res, fixed)
 		untestable += res.UntestableClasses
-		// What the first pass alone leaves aborted is what the retry pass
-		// of the run above had to resume.
-		opt.RetryFactor = -1
-		first, err := Run(n, fault.NewUniverse(n), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aborted += first.AbortedClasses
+		satCalls += snap.Hists["atpg.sat_ns"].Count
+		resolved += snap.Counters["atpg.sat_resolved"]
 	}
-	t.Logf("%d classes aborted in the first pass, %d untestable, over all seeds", aborted, untestable)
-	if aborted == 0 || untestable == 0 {
-		t.Errorf("want first-pass aborts (for the retry to resume) and untestable verdicts (for the oracle to confirm)")
+	t.Logf("%d SAT calls on first-pass aborts, %d settled, %d untestable, over all seeds", satCalls, resolved, untestable)
+	if satCalls == 0 || resolved == 0 || untestable == 0 {
+		t.Errorf("want first-pass aborts settled by SAT and untestable verdicts (for the oracle to confirm)")
 	}
 }

@@ -25,7 +25,7 @@ const (
 // alone: the planes are the fixed point of the assignments, and objective
 // and backtrace read nothing else (the candidate list is only ever a
 // superset of the D-frontier, and ties between candidates are broken by a
-// total order). So going back is a restore, and a stack can be replayed.
+// total order). So going back is a restore.
 type podem struct {
 	v       *View
 	s       *sim5
@@ -62,41 +62,36 @@ func (p *podem) generate(f fault.Fault) ([]int8, genResult) {
 	p.s.setFault(f)
 	p.decisions = p.decisions[:0]
 	p.nTargets++
-	return p.search(f, 0)
-}
-
-// abortSnap freezes a search at its abort point: the decision stack — with
-// the pending flip already applied to the top entry but not yet assigned,
-// exactly as search leaves it — and the backtrack count at the abort check.
-type abortSnap struct {
-	decisions  []decision
-	backtracks int
-}
-
-// snapshot captures the current abort state; call only immediately after
-// generate returned genAborted.
-func (p *podem) snapshot() *abortSnap {
-	return &abortSnap{
-		decisions:  append([]decision(nil), p.decisions...),
-		backtracks: p.btLimit + 1,
+	for backtracks := 0; ; {
+		if p.s.detected() {
+			return p.cube(), genSuccess
+		}
+		if p.advance(f) {
+			continue
+		}
+		if !p.backtrack(0) {
+			return nil, genUntestable
+		}
+		if backtracks++; backtracks > p.btLimit {
+			return nil, genAborted
+		}
+		p.assignAt(len(p.decisions) - 1)
 	}
 }
 
-// resume continues an aborted search under the current (larger) backtrack
-// limit by replaying its decision stack from the baseline. This is exact:
-// the backtrack limit only gates the abort check, so a from-scratch run at
-// the larger limit would retrace the identical decision sequence to the
-// abort point, execute the pending flip (the count now being under the
-// limit) and stand in the state these assignments produce — the last one
-// replayed being that flip.
-func (p *podem) resume(f fault.Fault, snap *abortSnap) ([]int8, genResult) {
+// load installs f with the specified bits of cube assigned as frozen
+// decisions — the state generate leaves after a success — and reports
+// whether the cube detects f.
+func (p *podem) load(f fault.Fault, cube []int8) bool {
 	p.s.setFault(f)
-	p.decisions = append(p.decisions[:0], snap.decisions...)
-	p.nTargets++
-	for i := range p.decisions {
-		p.assignAt(i)
+	p.decisions = p.decisions[:0]
+	for i, b := range cube {
+		if b >= 0 {
+			p.decisions = append(p.decisions, decision{src: p.v.Sources[i], val: uint8(b), flipped: true})
+			p.assignAt(len(p.decisions) - 1)
+		}
 	}
-	return p.search(f, snap.backtracks)
+	return p.s.detected()
 }
 
 // assignAt assigns decision i of the stack from the current state.
@@ -138,25 +133,6 @@ func (p *podem) backtrack(floor int) bool {
 		p.decisions = p.decisions[:len(p.decisions)-1]
 	}
 	return false
-}
-
-// search is the PODEM decision loop shared by generate and resume.
-func (p *podem) search(f fault.Fault, backtracks int) ([]int8, genResult) {
-	for {
-		if p.s.detected() {
-			return p.cube(), genSuccess
-		}
-		if p.advance(f) {
-			continue
-		}
-		if !p.backtrack(0) {
-			return nil, genUntestable
-		}
-		if backtracks++; backtracks > p.btLimit {
-			return nil, genAborted
-		}
-		p.assignAt(len(p.decisions) - 1)
-	}
 }
 
 // extend attempts dynamic compaction: with the current assignments (from
@@ -220,9 +196,13 @@ const (
 
 // objective picks the next goal: activate the fault if it is not yet
 // activated, otherwise advance the D-frontier gate with the best
-// observability that still has an X-path to a sink, ties going to the
-// lower level and then the lower cell — a total order, so the choice does
-// not depend on the order the candidate list happens to be in.
+// observability that still has an X-path to a sink and a side input left to
+// sensitise, ties going to the lower level and then the lower cell — a
+// total order, so the choice does not depend on the order the candidate
+// list happens to be in. (A multiplexer whose fault effect sits on the data
+// input its known select turns away, such as a test point's scan input
+// under TE = 0, has none; letting it win would fail the objective while
+// other frontier gates could still propagate.)
 func (p *podem) objective(f fault.Fault) (netlist.NetID, uint8, objState) {
 	want := uint8(1 - f.SA)
 	switch p.s.g(f.Net) {
@@ -234,6 +214,8 @@ func (p *podem) objective(f fault.Fault) (netlist.NetID, uint8, objState) {
 	// Activated: drive the frontier.
 	var best netlist.CellID = netlist.NoCell
 	var bestCO int32
+	var objNet netlist.NetID
+	var objVal uint8
 	p.s.newXpathEpoch()
 	for _, ci := range p.s.cand {
 		out := p.v.CellOut[ci]
@@ -241,15 +223,17 @@ func (p *podem) objective(f fault.Fault) (netlist.NetID, uint8, objState) {
 		if best != netlist.NoCell && (co > bestCO || co == bestCO && !p.before(ci, best)) {
 			continue
 		}
-		if p.s.onFrontier(ci) && p.s.xpath(out) {
-			bestCO = co
-			best = ci
+		if !p.s.onFrontier(ci) || !p.s.xpath(out) {
+			continue
+		}
+		if n, v, st := p.propObjective(ci); st == objOK {
+			bestCO, best, objNet, objVal = co, ci, n, v
 		}
 	}
 	if best == netlist.NoCell {
 		return 0, 0, objFail
 	}
-	return p.propObjective(best)
+	return objNet, objVal, objOK
 }
 
 // before orders two cells by (level, CellID).

@@ -109,6 +109,9 @@ func refObjective(p *podem, f fault.Fault) (netlist.NetID, uint8, objState) {
 		if p.s.xpEpoch++; !xpath(out) {
 			continue
 		}
+		if _, _, st := p.propObjective(ci); st != objOK {
+			continue
+		}
 		if co, bco := p.ta.CO[out], int32(0); best == netlist.NoCell {
 			best = ci
 		} else if bco = p.ta.CO[p.v.CellOut[best]]; co < bco ||
@@ -160,16 +163,14 @@ func trailCircuits(t *testing.T) map[string]*netlist.Netlist {
 }
 
 // TestTrailMatchesPropagateUndo holds production's search — undo trail,
-// cone-restricted events, shared X-path marks, resume by replay — to
-// refSearch with ==, for every fault class of every circuit at both
-// backtrack limits a run uses (first pass and retry): same verdict, same
-// cube, same number of backtracks. After each generate the planes must be
-// those of a from-scratch full-circuit simulation of the decision stack
-// (inside the cone; everywhere once a success has been settled),
-// and an aborted search resumed at the larger limit must equal a fresh
-// generate at that limit.
+// cone-restricted events, shared X-path marks — to refSearch with ==, for
+// every fault class of every circuit at the backtrack limit a run uses:
+// same verdict, same cube, same number of backtracks. After each generate
+// the planes must be those of a from-scratch full-circuit simulation of
+// the decision stack (inside the cone; everywhere once a success has been
+// settled).
 func TestTrailMatchesPropagateUndo(t *testing.T) {
-	const first, retry = 64, 256
+	const limit = 64
 	for name, n := range trailCircuits(t) {
 		v, err := NewView(n, nil)
 		if err != nil {
@@ -225,7 +226,7 @@ func TestTrailMatchesPropagateUndo(t *testing.T) {
 		reps := set.Reps()
 		for i, r := range reps {
 			f := set.Faults[r]
-			_, g, _ := generate(f, first)
+			_, g, _ := generate(f, limit)
 			outcomes[g]++
 			if g == genSuccess {
 				// Dynamic compaction on top of the cube, as compactInto
@@ -244,20 +245,9 @@ func TestTrailMatchesPropagateUndo(t *testing.T) {
 					}
 				}
 			}
-			if g != genAborted {
-				continue
-			}
-			snap := prod.snapshot()
-			cube, g, bt := generate(f, retry)
-			before := prod.nBacktracks
-			rcube, rg := prod.resume(f, snap)
-			if rbt := snap.backtracks + int(prod.nBacktracks-before); rg != g || rbt != bt || !slices.Equal(rcube, cube) {
-				t.Fatalf("%s %+v: resume (%v, %d backtracks, %v) != generate at limit %d (%v, %d backtracks, %v)",
-					name, f, rg, rbt, rcube, retry, g, bt, cube)
-			}
 		}
 		t.Logf("%s: %d classes: %d detected, %d untestable, %d aborted at limit %d",
-			name, len(set.Reps()), outcomes[genSuccess], outcomes[genUntestable], outcomes[genAborted], first)
+			name, len(set.Reps()), outcomes[genSuccess], outcomes[genUntestable], outcomes[genAborted], limit)
 		if n.NumLiveCells() > 100 && (outcomes[genUntestable] == 0 || outcomes[genAborted] == 0) {
 			t.Errorf("%s: want every outcome exercised, got %v", name, outcomes)
 		}

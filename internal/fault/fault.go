@@ -407,13 +407,14 @@ func (s *Set) Coverage() (fc, fe float64) {
 	return float64(det) / float64(tot), float64(det+c[Untestable]) / float64(tot)
 }
 
-// CreditScan marks every still-undetected or aborted fault matched by pred
+// CreditScan marks every fault matched by pred that capture patterns do
+// not detect — undetected, aborted, or proven untestable in capture mode —
 // as covered by the scan shift/flush tests. It returns the number of
 // classes credited.
 func (s *Set) CreditScan(pred func(Fault) bool) int {
 	n := 0
 	for _, r := range s.classReps {
-		if s.status[r] != Undetected && s.status[r] != Aborted {
+		if s.status[r] == Detected || s.status[r] == ScanCredit {
 			continue
 		}
 		if pred(s.Faults[r]) {

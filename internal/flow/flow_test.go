@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"tpilayout/internal/atpg"
 	"tpilayout/internal/circuitgen"
+	"tpilayout/internal/fault"
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/scan"
 	"tpilayout/internal/stdcell"
@@ -168,6 +170,54 @@ func TestScanCreditRaisesCoverage(t *testing.T) {
 	}
 	if scanCredited == 0 {
 		t.Error("no faults credited to scan shift/flush tests despite TSFFs present")
+	}
+}
+
+// TestDfTUntestableIsScanCredited: a fault on DfT infrastructure that
+// capture-mode ATPG proves untestable (a test point's scan input under
+// TE = 0, say) is covered by the shift and flush tests, so it ends
+// ScanCredit exactly as an aborted one does.
+func TestDfTUntestableIsScanCredited(t *testing.T) {
+	n := design(t)
+	cfg := Config{Scan: scan.Options{MaxChainLength: 25}}
+	cfg.Place.TargetUtilization = 0.90
+	cfg.TPPercent = 3
+	r, err := RunContext(context.Background(), n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The flow's capture-mode ATPG again, on the final netlist and without
+	// the credit, names the DfT classes it proves untestable.
+	constraints := r.Scan.CaptureConstraints()
+	for k, v := range r.TPs.CaptureConstraints() {
+		constraints[k] = v
+	}
+	fresh := fault.NewUniverse(r.Netlist)
+	if _, err := atpg.Run(r.Netlist, fresh, atpg.Options{Constraints: constraints, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	index := map[fault.Fault]int32{}
+	for i, f := range r.Faults.Faults {
+		index[f] = int32(i)
+	}
+	proven := 0
+	for _, rep := range fresh.Reps() {
+		f := fresh.Faults[rep]
+		if fresh.Status(rep) != fault.Untestable || !onDfT(r.Netlist, f) {
+			continue
+		}
+		i, ok := index[f]
+		if !ok {
+			continue
+		}
+		proven++
+		if st := r.Faults.Status(i); st != fault.ScanCredit {
+			t.Errorf("DfT fault %+v (%s) is proven untestable in capture mode but ends %v, want %v",
+				f, r.Netlist.Nets[f.Net].Name, st, fault.ScanCredit)
+		}
+	}
+	if proven == 0 {
+		t.Fatal("capture-mode ATPG proves no DfT class untestable: nothing to check")
 	}
 }
 

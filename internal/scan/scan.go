@@ -148,7 +148,8 @@ func chainCount(nff int, opt Options) int {
 	return nch
 }
 
-// formChains slices the element list into nch balanced chains.
+// formChains slices the element list into nch balanced chains, with no
+// scan ports yet: stitch creates them.
 func formChains(elems []Element, nch int) []Chain {
 	chains := make([]Chain, nch)
 	base := len(elems) / nch
@@ -159,7 +160,11 @@ func formChains(elems []Element, nch int) []Chain {
 		if i < extra {
 			l++
 		}
-		chains[i].Elements = append([]Element(nil), elems[pos:pos+l]...)
+		chains[i] = Chain{
+			Elements: append([]Element(nil), elems[pos:pos+l]...),
+			ScanIn:   netlist.NoNet,
+			ScanOut:  netlist.NoNet,
+		}
 		pos += l
 	}
 	return chains

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -216,5 +217,110 @@ func TestReorderReducesWireLength(t *testing.T) {
 	}
 	if got := s.Get(c.ScanOut); got != 0x77 {
 		t.Errorf("post-reorder shift broken: scan-out %#x", got)
+	}
+}
+
+// TestChainInventory checks the stitched scan structure, after Insert and
+// again after Reorder: each chain head reads its own scan-in PI si<i> and
+// each chain's last flop drives the PO so<i>; every scan flip-flop and TSFF
+// is in exactly one chain; no clock net reaches a scan-in pin or a TSFF
+// input-mux b pin; and scan-enable reaches every se pin.
+func TestChainInventory(t *testing.T) {
+	n := genSmall(t)
+	tps, err := tpi.Insert(n, tpi.Options{Count: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Insert(n, tps, Options{MaxChainLength: 12, SEFanoutLimit: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumChains() < 2 || len(res.SEBuffers) == 0 {
+		t.Fatalf("want several chains and a scan-enable tree, got %d chains, %d buffers", res.NumChains(), len(res.SEBuffers))
+	}
+	checkInventory(t, "insert", n, tps, res)
+	rng := rand.New(rand.NewSource(5))
+	pos := make(map[netlist.CellID][2]float64)
+	for _, ff := range n.FlipFlops() {
+		pos[ff] = [2]float64{rng.Float64() * 1000, float64(rng.Intn(20)) * 3.7}
+	}
+	Reorder(n, res, func(id netlist.CellID) (float64, float64) { p := pos[id]; return p[0], p[1] })
+	checkInventory(t, "reorder", n, tps, res)
+}
+
+func checkInventory(t *testing.T, when string, n *netlist.Netlist, tps *tpi.Result, res *Result) {
+	t.Helper()
+	if err := n.Validate(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	isClock := func(net netlist.NetID) bool {
+		pi := n.Nets[net].PI
+		return pi >= 0 && n.PIs[pi].Clock
+	}
+	piNamed := map[string]netlist.NetID{}
+	for _, pi := range n.PIs {
+		piNamed[pi.Name] = pi.Net
+	}
+	poNamed := map[string]netlist.NetID{}
+	for _, po := range n.POs {
+		poNamed[po.Name] = po.Net
+	}
+	inChain := map[netlist.CellID]int{}
+	for i, c := range res.Chains {
+		head := c.Elements[0]
+		si, ok := piNamed[fmt.Sprintf("si%d", i)]
+		if !ok || c.ScanIn != si || n.Cells[head.SIcell].Ins[head.SIpin] != si {
+			t.Errorf("%s: chain %d head reads net %d, want its own scan-in PI si%d (%d, present %v)",
+				when, i, n.Cells[head.SIcell].Ins[head.SIpin], i, si, ok)
+		}
+		last := n.Cells[c.Elements[len(c.Elements)-1].FF].Out
+		if so, ok := poNamed[fmt.Sprintf("so%d", i)]; !ok || so != last || c.ScanOut != last {
+			t.Errorf("%s: chain %d ends in net %d, but PO so%d is net %d (present %v)", when, i, last, i, so, ok)
+		}
+		for k, e := range c.Elements {
+			inChain[e.FF]++
+			if k > 0 {
+				if prev := n.Cells[c.Elements[k-1].FF].Out; n.Cells[e.SIcell].Ins[e.SIpin] != prev {
+					t.Errorf("%s: chain %d element %d does not read the previous element's output", when, i, k)
+				}
+			}
+		}
+	}
+	for _, ff := range n.FlipFlops() {
+		if inChain[ff] != 1 {
+			t.Errorf("%s: flip-flop %s is in %d chains, want 1", when, n.Cells[ff].Name, inChain[ff])
+		}
+	}
+	if len(inChain) != n.NumFlipFlops() {
+		t.Errorf("%s: chains hold %d distinct cells, want the %d flip-flops", when, len(inChain), n.NumFlipFlops())
+	}
+	// fromSE reports whether net is scan-enable, directly or through the
+	// scan-enable buffer tree.
+	fromSE := func(net netlist.NetID) bool {
+		for {
+			if net == res.SE {
+				return true
+			}
+			d := n.Nets[net].Driver
+			if d == netlist.NoCell || n.Cells[d].Tag != netlist.TagSEBuffer {
+				return false
+			}
+			net = n.Cells[d].Ins[0]
+		}
+	}
+	for _, ff := range n.FlipFlops() {
+		c := &n.Cells[ff]
+		if si := c.Cell.FindInput("si"); si >= 0 && isClock(c.Ins[si]) {
+			t.Errorf("%s: clock net reaches the si pin of %s", when, c.Name)
+		}
+		if se := c.Cell.FindInput("se"); se >= 0 && !fromSE(c.Ins[se]) {
+			t.Errorf("%s: the se pin of %s is not driven by scan-enable", when, c.Name)
+		}
+	}
+	for _, tp := range tps.Points {
+		im := &n.Cells[tp.InMux]
+		if b := im.Cell.FindInput("b"); isClock(im.Ins[b]) {
+			t.Errorf("%s: clock net reaches the b pin of TSFF input mux %s", when, im.Name)
+		}
 	}
 }

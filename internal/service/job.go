@@ -371,13 +371,14 @@ func hashedConfigJSON(cfg *flow.Config, levels []float64, budgetMS int64) []byte
 // tables, which is what makes the result cache and singleflight sound.
 // The domain tag is the version of the tables: it moves whenever a build
 // produces different bytes for the same request (v2: PODEM's frontier
-// tie-break), so results and level checkpoints an older build left in a
-// data dir match nothing and age out.
+// tie-break; v3: the SAT residue pass and the scan ports), so results and
+// level checkpoints an older build left in a data dir match nothing and
+// age out.
 func keyFromBench(bench string, cfg *flow.Config, levels []float64, budgetMS int64) string {
 	h := sha256.New()
-	h.Write([]byte("tpid/v2/circuit\n"))
+	h.Write([]byte("tpid/v3/circuit\n"))
 	h.Write([]byte(bench))
-	h.Write([]byte("\x00tpid/v2/config\n"))
+	h.Write([]byte("\x00tpid/v3/config\n"))
 	h.Write(hashedConfigJSON(cfg, levels, budgetMS))
 	return hex.EncodeToString(h.Sum(nil))
 }

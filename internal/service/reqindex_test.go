@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// TestPinnedKeys: the cache key and checkpoint base key of one request,
-// as the parent of the request index (603ec1f) computed them. A data dir
-// that build wrote must keep hitting.
+// TestPinnedKeys: the cache key and checkpoint base key of one request
+// in the tpid/v3 key domain (the SAT residue pass and the scan ports). A
+// data dir a build of this domain wrote must keep hitting; the pins move
+// only with the domain tag.
 func TestPinnedKeys(t *testing.T) {
 	var req JobRequest
 	if err := json.Unmarshal(jobBody(t, "acme", 0, 2), &req); err != nil {
@@ -23,8 +24,8 @@ func TestPinnedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		key     = "cfec1b4d98e1bee436203be18018eafb05f58bf10752662fca0cb613b6d850fc"
-		baseKey = "26a0a84fa6da852aa43b2b36b7b364048d3b4e27415eef0fd9827471fd713bbb"
+		key     = "bd7f4e6bbd5ed9efe1ddcd2c5312afebe6b0b43606fedb2add5d80169b5fe2b0"
+		baseKey = "8a71eb207ed8892aa834b0b855cb50431cfec11df4b6352a643f6542258fc7d8"
 	)
 	if comp.key != key || comp.baseKey != baseKey {
 		t.Fatalf("key %s base %s, want %s base %s", comp.key, comp.baseKey, key, baseKey)
