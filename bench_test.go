@@ -13,7 +13,9 @@ package tpilayout
 //	BenchmarkAblationCPExclusion  — TPI with vs. without critical-path exclusion (§5)
 //	BenchmarkAblationReorder      — layout-driven scan reordering vs. netlist order (flow step 3)
 //	BenchmarkAblationTPBudget     — pattern count vs. TP% ("levels off" observation)
-//	BenchmarkAblationDynamicCompaction — pattern compaction machinery on/off
+//
+// Dynamic compaction's effect on the pattern count is asserted by
+// TestDynamicCompactionPaysOff in internal/atpg.
 //
 // The circuits default to a reduced scale so `go test -bench=.` finishes
 // in minutes; set TPI_BENCH_SCALE (e.g. 1.0) to run the paper-size
@@ -163,7 +165,7 @@ func BenchmarkFigure3(b *testing.B) {
 		}
 		total := 0
 		for _, st := range []layoutviz.Stage{layoutviz.StageFloorplan, layoutviz.StagePlacement, layoutviz.StageRouted} {
-			total += len(layoutviz.SVG(res.Place, res.Route, st, layoutviz.Options{}))
+			total += len(layoutviz.SVG(res.Place, res.Route, st))
 		}
 		b.ReportMetric(float64(total), "svg_bytes")
 	}
@@ -257,29 +259,6 @@ func BenchmarkAblationTPBudget(b *testing.B) {
 		if i == 0 {
 			b.Log("patterns per TP count:" + out)
 		}
-	}
-}
-
-// BenchmarkAblationDynamicCompaction isolates how much of the compact
-// pattern set comes from dynamic compaction.
-func BenchmarkAblationDynamicCompaction(b *testing.B) {
-	design, cfg := benchDesign(b, "s38417c")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		on := cfg
-		on.TPPercent = 0
-		rOn, err := Run(design, on)
-		if err != nil {
-			b.Fatal(err)
-		}
-		off := on
-		off.ATPG.NoDynamicCompaction = true
-		rOff, err := Run(design, off)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rOn.Metrics.Patterns), "patterns_dyncomp")
-		b.ReportMetric(float64(rOff.Metrics.Patterns), "patterns_nodyncomp")
 	}
 }
 

@@ -68,7 +68,7 @@ func main() {
 		{layoutviz.StageRouted, "fig3c_routed.svg"},
 	}
 	for _, v := range views {
-		doc := layoutviz.SVG(res.Place, res.Route, v.stage, layoutviz.Options{})
+		doc := layoutviz.SVG(res.Place, res.Route, v.stage)
 		path := filepath.Join(*out, v.name)
 		if err := os.WriteFile(path, doc, 0o644); err != nil {
 			fatal("writing view", err)

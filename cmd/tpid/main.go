@@ -88,9 +88,6 @@ func main() {
 	retainJobs := flag.Int("retain-jobs", 512, "terminal jobs kept queryable before the oldest are forgotten")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM lets running jobs finish before canceling them")
 	dataDir := flag.String("data-dir", "", "journal directory for crash-safe operation (empty = in-memory only)")
-	retryAttempts := flag.Int("retry-attempts", 3, "attempts per sweep level before its transient failure becomes permanent")
-	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff (doubles per attempt, full jitter)")
-	retryMax := flag.Duration("retry-max", 5*time.Second, "backoff ceiling per retry")
 	flightEvents := flag.Int("flight-events", 4096, "flight-recorder ring size: most recent telemetry events retained for /debug/flight, SIGQUIT, and panic dumps (0 disables)")
 	historyRuns := flag.Int("history-runs", 512, "retired runs kept in the run-history archive under <data-dir>/runs (negative disables history; requires -data-dir)")
 	historyBudget := flag.Int64("history-budget", 512<<20, "byte budget for archived traces+profiles (oldest runs evicted first; negative = unbounded)")
@@ -137,12 +134,6 @@ func main() {
 		HistoryRuns:        *historyRuns,
 		HistoryBudgetBytes: *historyBudget,
 		ProfileRuns:        *profileRuns,
-		Retry: service.RetryPolicy{
-			MaxAttempts: *retryAttempts,
-			BaseDelay:   *retryBase,
-			MaxDelay:    *retryMax,
-			Jitter:      true,
-		},
 	})
 	if err != nil {
 		fatal("opening service", "error", err)

@@ -26,6 +26,16 @@ const (
 	satConflictBudget = 1000
 	// maxPatterns fails the run if the pattern count explodes.
 	maxPatterns = 1 << 20
+	// backtrackLimit bounds PODEM search per fault. A class whose search
+	// exceeds it goes to the SAT residue pass.
+	backtrackLimit = 64
+	// randomRounds caps the 64-pattern random batches simulated before
+	// deterministic generation. The phase stops early once two
+	// consecutive rounds each detect fewer than 0.1% of the fault classes.
+	randomRounds = 48
+	// fillSeed seeds the random fill of don't-care bits and the random
+	// pattern phase.
+	fillSeed = 0
 )
 
 // Options configures an ATPG run.
@@ -33,31 +43,12 @@ type Options struct {
 	// Constraints freezes nets to capture-mode constants (scan-enable = 0,
 	// TSFF controls TE = 0 / TR = 1).
 	Constraints map[netlist.NetID]int8
-	// BacktrackLimit bounds PODEM search per fault (default 64). A class
-	// whose search exceeds it goes to the SAT residue pass.
-	BacktrackLimit int
-	// FillSeed seeds the random fill of don't-care bits and the random
-	// pattern phase.
-	FillSeed int64
-	// RandomRounds caps the number of 64-pattern random batches simulated
-	// before deterministic generation (default 48; -1 disables the random
-	// phase). The phase stops early once two consecutive rounds each
-	// detect fewer than 0.1% of the fault classes.
-	RandomRounds int
 	// Workers is the number of fault-simulation shards used by the
 	// coverage, drop-detection, and compaction passes: the fault list is
 	// split across this many FaultSim instances and the per-class detect
 	// words are merged by fault index, so the result is bit-identical for
 	// every value. 0 means GOMAXPROCS; 1 forces serial simulation.
 	Workers int
-	// NoCompact disables the final reverse-order static compaction.
-	NoCompact bool
-	// NoDynamicCompaction disables per-cube secondary-fault targeting.
-	// Dynamic compaction is what lets independent detection requirements
-	// share a pattern — and therefore what makes test points (which turn
-	// conflicting PI requirements into independent scan-cell bits)
-	// reduce the pattern count.
-	NoDynamicCompaction bool
 	// Deadline bounds the wall-clock effort of the run. Past it, the run
 	// stops random and deterministic generation at the next fault-class
 	// boundary, marks every remaining undetected class Aborted, and
@@ -88,6 +79,15 @@ type Options struct {
 	// (property-tested); the switch exists so those tests can compare
 	// runs with and without it.
 	noDomShortcut bool
+	// noDynamicCompaction disables per-cube secondary-fault targeting, so
+	// a test can measure what dynamic compaction buys. It is what lets
+	// independent detection requirements share a pattern — and therefore
+	// what makes test points (which turn conflicting PI requirements into
+	// independent scan-cell bits) reduce the pattern count.
+	noDynamicCompaction bool
+	// backtracks, when positive, replaces backtrackLimit, so a test can
+	// make PODEM abort.
+	backtracks int
 }
 
 // Pattern is one fully-specified test pattern: one 0/1 value per view
@@ -138,11 +138,8 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 			res, err = nil, supervise.AsPanicError(r)
 		}
 	}()
-	if opt.BacktrackLimit <= 0 {
-		opt.BacktrackLimit = 64
-	}
-	if opt.RandomRounds < 0 {
-		opt.RandomRounds = -1 // explicit disable survives the default below
+	if opt.backtracks <= 0 {
+		opt.backtracks = backtrackLimit
 	}
 	v, err := NewView(n, opt.Constraints)
 	if err != nil {
@@ -163,7 +160,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		return ta.TC(set.Faults[reps[i]].Net) > ta.TC(set.Faults[reps[j]].Net)
 	})
 
-	gen := newPodem(v, ta, opt.BacktrackLimit)
+	gen := newPodem(v, ta, opt.backtracks)
 	pool := newSimPool(ctx, v, opt.Workers)
 	pool.noDom = opt.noDomShortcut
 	pool.instrument(opt.Telemetry)
@@ -192,7 +189,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		l.ObserveDuration(time.Since(t0))
 	}
 
-	rng := rand.New(rand.NewSource(opt.FillSeed))
+	rng := rand.New(rand.NewSource(fillSeed))
 	res = &Result{
 		View:             v,
 		Faults:           set,
@@ -237,12 +234,9 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// random-pattern-resistant faults (which is exactly the population
 	// test points are inserted for). Useless patterns are discarded again
 	// by the final static compaction.
-	if opt.RandomRounds == 0 {
-		opt.RandomRounds = 48
-	}
 	lowRounds := 0
 	batch := pool.NewBatch()
-	for round := 0; round < opt.RandomRounds && lowRounds < 2 && !expired(); round++ {
+	for round := 0; round < randomRounds && lowRounds < 2 && !expired(); round++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
@@ -291,7 +285,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// marked detected first, so a slow sim round cannot re-target it.
 	emit := func(ri int, cube []int8) error {
 		set.SetStatus(reps[ri], fault.Detected)
-		if !opt.NoDynamicCompaction {
+		if !opt.noDynamicCompaction {
 			timed(lDyncompNS, func() { compactInto(gen, set, reps, ri) })
 			cube = gen.cube()
 		}
@@ -426,18 +420,16 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
-	if !opt.NoCompact {
-		var kept []bool
-		timed(lCompactNS, func() { res.Patterns, kept = compactReverse(pool, set, reps, res.Patterns) })
-		for i, k := range kept {
-			if !k {
-				continue
-			}
-			if i < randomGenerated {
-				res.RandomKept++
-			} else {
-				res.DeterministicKept++
-			}
+	var kept []bool
+	timed(lCompactNS, func() { res.Patterns, kept = compactReverse(pool, set, reps, res.Patterns) })
+	for i, k := range kept {
+		if !k {
+			continue
+		}
+		if i < randomGenerated {
+			res.RandomKept++
+		} else {
+			res.DeterministicKept++
 		}
 	}
 

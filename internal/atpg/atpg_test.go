@@ -144,7 +144,7 @@ func TestPodemAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := NewFaultSim(v)
-		res, err := Run(n, set, Options{FillSeed: seed})
+		res, err := Run(n, set, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,25 +273,77 @@ func TestRunOnGeneratedCircuit(t *testing.T) {
 		fc*100, fe*100, res.AbortedClasses, res.UntestableClasses)
 }
 
+// TestCompactionNeverLosesCoverage hands reverse-order compaction an
+// uncompacted random set: what it keeps must be no larger and must detect
+// every class the whole set detects.
 func TestCompactionNeverLosesCoverage(t *testing.T) {
 	n := randCircuit(t, 42, 6, 60)
-	setA := fault.NewUniverse(n)
-	resA, err := Run(n, setA, Options{NoCompact: true})
+	v, err := NewView(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setB := fault.NewUniverse(n)
-	resB, err := Run(n, setB, Options{})
+	pool := newSimPool(context.Background(), v, 1)
+	defer pool.Release()
+	rng := rand.New(rand.NewSource(42))
+	var all []Pattern
+	for i := 0; i < 200; i++ {
+		p := make(Pattern, len(v.Sources))
+		for j := range p {
+			p[j] = -1
+		}
+		fillRandom(p, rng)
+		all = append(all, p)
+	}
+	set := fault.NewUniverse(n)
+	reps := set.Reps()
+	for _, r := range reps {
+		set.SetStatus(r, fault.Detected)
+	}
+	want := pool.coveredBy(all, set, reps)
+	for _, r := range reps {
+		if !want[r] {
+			set.SetStatus(r, fault.Undetected)
+		}
+	}
+	kept, _ := compactReverse(pool, set, reps, append([]Pattern(nil), all...))
+	if len(kept) > len(all) || len(kept) == 0 {
+		t.Fatalf("compaction kept %d of %d patterns", len(kept), len(all))
+	}
+	got := pool.coveredBy(kept, set, reps)
+	for r := range want {
+		if !got[r] {
+			t.Errorf("compaction lost coverage of %+v", set.Faults[r])
+		}
+	}
+	t.Logf("%d classes detected, %d of %d patterns kept", len(want), len(kept), len(all))
+}
+
+// TestDynamicCompactionPaysOff is the first inequality of the
+// dynamic-compaction ablation: on the circuit of TestRunOnGeneratedCircuit,
+// targeting secondary faults into each cube must give strictly fewer
+// patterns at no loss of fault coverage.
+func TestDynamicCompactionPaysOff(t *testing.T) {
+	n, err := circuitgen.Generate(circuitgen.S38417Class().Scale(0.06), stdcell.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resB.Patterns) > len(resA.Patterns) {
-		t.Errorf("compaction grew the pattern set: %d > %d", len(resB.Patterns), len(resA.Patterns))
+	run := func(noDyn bool) (int, float64) {
+		set := fault.NewUniverse(n)
+		res, err := Run(n, set, Options{noDynamicCompaction: noDyn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, _ := set.Coverage()
+		return len(res.Patterns), fc
 	}
-	fcA, _ := setA.Coverage()
-	fcB, _ := setB.Coverage()
-	if fcB < fcA {
-		t.Errorf("compaction lost coverage: %.4f < %.4f", fcB, fcA)
+	on, fcOn := run(false)
+	off, fcOff := run(true)
+	t.Logf("patterns %d with dynamic compaction, %d without; FC %.2f%% vs %.2f%%", on, off, fcOn*100, fcOff*100)
+	if on >= off {
+		t.Errorf("dynamic compaction gave %d patterns, not fewer than %d without", on, off)
+	}
+	if fcOn < fcOff {
+		t.Errorf("dynamic compaction lowered FC: %.4f < %.4f", fcOn, fcOff)
 	}
 }
 

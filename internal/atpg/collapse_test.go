@@ -86,7 +86,7 @@ func TestDomShortcutIsInvisible(t *testing.T) {
 		n := randCircuit(t, seed*7, 12, 200)
 		run := func(noDom bool) (*Result, *fault.Set) {
 			set := fault.NewUniverse(n)
-			r, err := Run(n, set, Options{FillSeed: 42, RandomRounds: 4, noDomShortcut: noDom})
+			r, err := Run(n, set, Options{noDomShortcut: noDom})
 			if err != nil {
 				t.Fatal(err)
 			}

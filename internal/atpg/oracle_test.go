@@ -240,7 +240,7 @@ func testScanAgainstOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		sh := shapes[int(seed)%len(shapes)]
 		n, fixed := randScanCircuit(t, seed, sh.nPI, sh.nFF, sh.nGates)
-		res, set, snap := tracedRun(t, n, Options{Constraints: fixed, BacktrackLimit: 4, FillSeed: seed})
+		res, set, snap := tracedRun(t, n, Options{Constraints: fixed, backtracks: 4})
 		if got, want := len(res.View.Sources), sh.nPI+sh.nFF+1; got != want {
 			t.Fatalf("seed %d: %d sources, want %d", seed, got, want)
 		}

@@ -14,14 +14,16 @@ import (
 	"tpilayout/internal/telemetry"
 )
 
+// Tree parameters.
+const (
+	// maxFanout is the number of sinks a single tree buffer may drive.
+	maxFanout = 20
+	// bufferCell is the library buffer used for tree levels.
+	bufferCell = "BUFX8"
+)
+
 // Options configures clock-tree synthesis.
 type Options struct {
-	// MaxFanout is the number of sinks a single tree buffer may drive
-	// (default 20).
-	MaxFanout int
-	// BufferCell is the library buffer used for tree levels (default
-	// BUFX8).
-	BufferCell string
 	// Telemetry, when non-nil, receives the clock-tree counters
 	// (cts.domains, cts.sinks, cts.buffers, cts.levels) on the CTS
 	// stage's span; silent (and free) by default.
@@ -46,12 +48,6 @@ type sink struct {
 // Insert builds a buffered tree for every clock domain and ECO-places the
 // new buffers.
 func Insert(n *netlist.Netlist, p *place.Placement, opt Options) (*Result, error) {
-	if opt.MaxFanout <= 0 {
-		opt.MaxFanout = 20
-	}
-	if opt.BufferCell == "" {
-		opt.BufferCell = "BUFX8"
-	}
 	res := &Result{}
 	sinkTotal := 0
 	for dom := range n.Domains {
@@ -73,7 +69,7 @@ func Insert(n *netlist.Netlist, p *place.Placement, opt Options) (*Result, error
 			continue
 		}
 		sinkTotal += len(sinks)
-		levels := buildTree(n, res, root, sinks, opt, fmt.Sprintf("ctb_d%d", dom), 0)
+		levels := buildTree(n, res, root, sinks, fmt.Sprintf("ctb_d%d", dom), 0)
 		if levels > res.Levels {
 			res.Levels = levels
 		}
@@ -108,10 +104,10 @@ func Remove(n *netlist.Netlist, r *Result) {
 	r.Levels = 0
 }
 
-// buildTree recursively splits sinks into clusters of at most MaxFanout,
+// buildTree recursively splits sinks into clusters of at most maxFanout,
 // inserting one buffer per cluster, and returns the tree depth.
-func buildTree(n *netlist.Netlist, res *Result, src netlist.NetID, sinks []sink, opt Options, prefix string, depth int) int {
-	if len(sinks) <= opt.MaxFanout {
+func buildTree(n *netlist.Netlist, res *Result, src netlist.NetID, sinks []sink, prefix string, depth int) int {
+	if len(sinks) <= maxFanout {
 		for _, s := range sinks {
 			n.SetInput(s.cell, s.pin, src)
 		}
@@ -145,10 +141,10 @@ func buildTree(n *netlist.Netlist, res *Result, src netlist.NetID, sinks []sink,
 	for half, group := range [][]sink{sinks[:mid], sinks[mid:]} {
 		out := n.AddNet(fmt.Sprintf("%s_%d_%d", prefix, depth, half))
 		buf := n.AddCell(fmt.Sprintf("%s_%d_%d", prefix, depth, half),
-			n.Lib.MustCell(opt.BufferCell), []netlist.NetID{src}, out)
+			n.Lib.MustCell(bufferCell), []netlist.NetID{src}, out)
 		n.Cells[buf].Tag = netlist.TagClockBuf
 		res.Buffers = append(res.Buffers, buf)
-		d := buildTree(n, res, out, group, opt, fmt.Sprintf("%s_%d", prefix, half), depth+1)
+		d := buildTree(n, res, out, group, fmt.Sprintf("%s_%d", prefix, half), depth+1)
 		if d > depthMax {
 			depthMax = d
 		}

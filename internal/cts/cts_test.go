@@ -9,7 +9,7 @@ import (
 	"tpilayout/internal/stdcell"
 )
 
-func built(t testing.TB, maxFanout int) (*netlist.Netlist, *place.Placement, *Result) {
+func built(t testing.TB) (*netlist.Netlist, *place.Placement, *Result) {
 	t.Helper()
 	lib := stdcell.Default()
 	n, err := circuitgen.Generate(circuitgen.WirelessCtrlClass().Scale(0.04), lib)
@@ -20,7 +20,7 @@ func built(t testing.TB, maxFanout int) (*netlist.Netlist, *place.Placement, *Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Insert(n, p, Options{MaxFanout: maxFanout})
+	r, err := Insert(n, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,16 +28,16 @@ func built(t testing.TB, maxFanout int) (*netlist.Netlist, *place.Placement, *Re
 }
 
 func TestTreeRespectsFanoutLimit(t *testing.T) {
-	n, _, r := built(t, 8)
+	n, _, r := built(t)
 	if len(r.Buffers) == 0 {
 		t.Fatal("no clock buffers inserted")
 	}
 	fan := n.CSR()
-	// Every net in the clock trees must drive at most MaxFanout sinks
+	// Every net in the clock trees must drive at most maxFanout sinks
 	// (buffers count as sinks of their level).
 	for _, b := range r.Buffers {
 		out := n.Cells[b].Out
-		if fan.FanoutLen(out) > 8 {
+		if fan.FanoutLen(out) > maxFanout {
 			t.Errorf("clock buffer %s drives %d loads", n.Cells[b].Name, fan.FanoutLen(out))
 		}
 		if n.Cells[b].Tag != netlist.TagClockBuf {
@@ -46,7 +46,7 @@ func TestTreeRespectsFanoutLimit(t *testing.T) {
 	}
 	for dom := range n.Domains {
 		root := n.PIs[n.Domains[dom].ClockPI].Net
-		if fan.FanoutLen(root) > 8 {
+		if fan.FanoutLen(root) > maxFanout {
 			t.Errorf("clock root %s drives %d loads", n.Domains[dom].Name, fan.FanoutLen(root))
 		}
 	}
@@ -56,7 +56,7 @@ func TestTreeRespectsFanoutLimit(t *testing.T) {
 }
 
 func TestEveryFlopStillClocked(t *testing.T) {
-	n, _, _ := built(t, 12)
+	n, _, _ := built(t)
 	// Walk each flop's clk net back through buffers to a clock root.
 	for _, ff := range n.FlipFlops() {
 		c := &n.Cells[ff]
@@ -82,7 +82,7 @@ func TestEveryFlopStillClocked(t *testing.T) {
 }
 
 func TestBuffersArePlaced(t *testing.T) {
-	n, p, r := built(t, 12)
+	n, p, r := built(t)
 	for _, b := range r.Buffers {
 		if !p.Placed(b) {
 			t.Fatalf("clock buffer %s not ECO-placed", n.Cells[b].Name)
@@ -94,7 +94,7 @@ func TestBuffersArePlaced(t *testing.T) {
 }
 
 func TestDomainsGetSeparateTrees(t *testing.T) {
-	n, _, r := built(t, 12)
+	n, _, r := built(t)
 	// Buffers must split between the two domains' name prefixes.
 	count := map[byte]int{}
 	for _, b := range r.Buffers {
@@ -107,7 +107,7 @@ func TestDomainsGetSeparateTrees(t *testing.T) {
 }
 
 func TestRemoveRestoresDirectClocking(t *testing.T) {
-	n, _, r := built(t, 8)
+	n, _, r := built(t)
 	before := n.NumLiveCells() - len(r.Buffers)
 	Remove(n, r)
 	if err := n.Validate(); err != nil {
@@ -129,7 +129,7 @@ func TestRemoveRestoresDirectClocking(t *testing.T) {
 		}
 	}
 	// Reinsertion after removal works (remove/insert cycle).
-	if _, err := Insert(n, mustPlace(t, n), Options{MaxFanout: 8}); err != nil {
+	if _, err := Insert(n, mustPlace(t, n), Options{}); err != nil {
 		t.Fatalf("re-insert after removal: %v", err)
 	}
 }

@@ -49,18 +49,16 @@ type Config struct {
 
 	// Workers bounds the concurrency of the flow: SweepLevels fans one
 	// layout per worker, and each run forwards the value to the fault
-	// simulator's shard count (unless ATPG.Workers overrides it). 0 means
-	// GOMAXPROCS, 1 forces fully serial execution. Results are
-	// bit-identical for every value — parallelism only changes
-	// wall-clock time.
+	// simulator's shard count. 0 means GOMAXPROCS, 1 forces fully serial
+	// execution. Results are bit-identical for every value — parallelism
+	// only changes wall-clock time.
 	Workers int
 
-	// Deadline bounds the ATPG effort of the run (forwarded to
-	// ATPG.Deadline when that is zero): past it, deterministic pattern
-	// generation stops, the remaining fault classes are marked aborted,
-	// and the run completes with Result.Truncated set — FC/FE report what
-	// was actually achieved, mirroring industrial abort semantics. The
-	// zero value means no deadline. Deadline degrades the result;
+	// Deadline bounds the ATPG effort of the run: past it, deterministic
+	// pattern generation stops, the remaining fault classes are marked
+	// aborted, and the run completes with Result.Truncated set — FC/FE
+	// report what was actually achieved, mirroring industrial abort
+	// semantics. The zero value means no deadline. Deadline degrades the result;
 	// cancelling the context aborts the run with an error.
 	Deadline time.Time
 
@@ -76,10 +74,6 @@ type Config struct {
 
 	Scan  scan.Options
 	Place place.Options
-	ATPG  atpg.Options
-	CTS   cts.Options
-	Route route.Options
-	STA   sta.Options
 
 	// Compile stub read by nothing: bench/sweep.go assigns it; delete with ROADMAP item 1.
 	SweepMode int
@@ -293,19 +287,11 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 			return nil, err
 		}
 		set := fault.NewUniverse(n)
-		aopt := cfg.ATPG
-		aopt.Telemetry = stageSpan
-		if aopt.Workers == 0 {
-			aopt.Workers = cfg.Workers
-		}
-		if aopt.Deadline.IsZero() {
-			aopt.Deadline = cfg.Deadline
-		}
-		// Always work on a private copy: cfg may be shared by concurrent
-		// sweep workers, and the caller's map must not be mutated.
-		aopt.Constraints = cloneConstraints(cfg.ATPG.Constraints)
-		for k, v := range sc.CaptureConstraints() {
-			aopt.Constraints[k] = v
+		aopt := atpg.Options{
+			Constraints: sc.CaptureConstraints(),
+			Workers:     cfg.Workers,
+			Deadline:    cfg.Deadline,
+			Telemetry:   stageSpan,
 		}
 		for k, v := range tps.CaptureConstraints() {
 			aopt.Constraints[k] = v
@@ -328,9 +314,7 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		if err := enter(StageCTS); err != nil {
 			return 0, err
 		}
-		copt := cfg.CTS
-		copt.Telemetry = stageSpan
-		ct, err := cts.Insert(n, res.Place, copt)
+		ct, err := cts.Insert(n, res.Place, cts.Options{Telemetry: stageSpan})
 		if err != nil {
 			return 0, fail(err)
 		}
@@ -346,9 +330,7 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		if err := enter(StageRoute); err != nil {
 			return 0, err
 		}
-		ropt := cfg.Route
-		ropt.Telemetry = stageSpan
-		rt, err := route.RouteContext(ctx, res.Place, ropt)
+		rt, err := route.RouteContext(ctx, res.Place, route.Options{Telemetry: stageSpan})
 		if err != nil {
 			return 0, fail(err)
 		}
@@ -364,13 +346,8 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		if err := enter(StageSTA); err != nil {
 			return 0, err
 		}
-		sopt := cfg.STA
-		sopt.Telemetry = stageSpan
-		sopt.Constraints = cloneConstraints(cfg.STA.Constraints)
+		sopt := sta.Options{Constraints: tps.ApplicationConstraints(), Telemetry: stageSpan}
 		sopt.Constraints[sc.SE] = 0
-		for k, v := range tps.ApplicationConstraints() {
-			sopt.Constraints[k] = v
-		}
 		st, err := sta.AnalyzeContext(ctx, n, res.Par, sopt)
 		if err != nil {
 			return 0, fail(err)
@@ -421,17 +398,6 @@ func (c *Config) runSpan() *telemetry.Span {
 		return c.parent.ChildTP(StageRun, c.TPPercent)
 	}
 	return c.Telemetry.StartSpan(StageRun, c.TPPercent)
-}
-
-// cloneConstraints returns a fresh constraints map seeded from m (which
-// may be nil). Flow steps extend the map with DfT constants; copying keeps
-// the caller's Config safe to share across concurrent runs.
-func cloneConstraints(m map[netlist.NetID]int8) map[netlist.NetID]int8 {
-	out := make(map[netlist.NetID]int8, len(m)+8)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // upsizeCriticalCells swaps every combinational cell on a critical path

@@ -3,9 +3,41 @@ package flow
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// TestConfigSurface pins every value a caller can set through Config: the
+// exported field paths, recursing into this module's option structs. A
+// knob exists only where a caller sets it, so adding one has to change
+// this list on purpose.
+func TestConfigSurface(t *testing.T) {
+	want := []string{
+		"TPPercent", "ExcludeNets", "Workers", "Deadline", "Telemetry",
+		"Scan.MaxChainLength", "Scan.MaxChains",
+		"Place.TargetUtilization", "Place.Telemetry",
+		"SweepMode", "SkipATPG", "TimingOptRounds",
+	}
+	var got []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch {
+			case !f.IsExported():
+			case f.Type.Kind() == reflect.Struct && strings.HasPrefix(f.Type.PkgPath(), "tpilayout/"):
+				walk(prefix+f.Name+".", f.Type)
+			default:
+				got = append(got, prefix+f.Name)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(Config{}))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Config has %d settable paths, want %d:\n got %q\nwant %q", len(got), len(want), got, want)
+	}
+}
 
 func validConfig() Config {
 	var cfg Config

@@ -23,26 +23,20 @@ const (
 	StageRouted                 // plus routed wires
 )
 
-// Options tunes the rendering.
-type Options struct {
-	// PixelsPerUM scales the drawing (default 4).
-	PixelsPerUM float64
-	// MaxNets caps the number of drawn nets in the routed view (default
-	// 4000; the longest nets are drawn first).
-	MaxNets int
-}
+// Drawing parameters.
+const (
+	// pixelsPerUM scales the drawing.
+	pixelsPerUM = 4.0
+	// maxNets caps the number of drawn nets in the routed view; the
+	// longest nets are drawn first.
+	maxNets = 4000
+)
 
 // SVG renders the given stage of a placed (and, for StageRouted, routed)
 // layout. r may be nil for the earlier stages.
-func SVG(p *place.Placement, r *route.Result, stage Stage, opt Options) []byte {
-	if opt.PixelsPerUM <= 0 {
-		opt.PixelsPerUM = 4
-	}
-	if opt.MaxNets <= 0 {
-		opt.MaxNets = 4000
-	}
-	s := opt.PixelsPerUM
-	margin := p.Opt.RingMargin
+func SVG(p *place.Placement, r *route.Result, stage Stage) []byte {
+	s := pixelsPerUM
+	margin := place.RingMargin
 	chipW := p.CoreW() + 2*margin
 	chipH := p.CoreH() + 2*margin
 	side := chipW
@@ -81,7 +75,7 @@ func SVG(p *place.Placement, r *route.Result, stage Stage, opt Options) []byte {
 		drawCells(&b, p, ox, oy)
 	}
 	if stage >= StageRouted && r != nil {
-		drawWires(&b, p, r, ox, oy, opt.MaxNets)
+		drawWires(&b, p, r, ox, oy, maxNets)
 	}
 	fmt.Fprint(&b, "</svg>\n")
 	return b.Bytes()

@@ -29,9 +29,9 @@ func layout(t testing.TB) (*place.Placement, *route.Result) {
 // increasing content.
 func TestRenderStages(t *testing.T) {
 	p, r := layout(t)
-	fp := SVG(p, nil, StageFloorplan, Options{})
-	pl := SVG(p, nil, StagePlacement, Options{})
-	rt := SVG(p, r, StageRouted, Options{})
+	fp := SVG(p, nil, StageFloorplan)
+	pl := SVG(p, nil, StagePlacement)
+	rt := SVG(p, r, StageRouted)
 	for name, doc := range map[string][]byte{"floorplan": fp, "placement": pl, "routed": rt} {
 		if !bytes.HasPrefix(doc, []byte("<svg")) || !bytes.Contains(doc, []byte("</svg>")) {
 			t.Errorf("%s: not a complete SVG document", name)
@@ -54,9 +54,10 @@ func TestRenderStages(t *testing.T) {
 
 func TestMaxNetsCap(t *testing.T) {
 	p, r := layout(t)
-	small := SVG(p, r, StageRouted, Options{MaxNets: 10})
-	big := SVG(p, r, StageRouted, Options{MaxNets: 100000})
-	if len(small) >= len(big) {
-		t.Error("MaxNets cap had no effect")
+	var small, big bytes.Buffer
+	drawWires(&small, p, r, 0, 0, 10)
+	drawWires(&big, p, r, 0, 0, 100000)
+	if small.Len() >= big.Len() {
+		t.Error("net cap had no effect")
 	}
 }

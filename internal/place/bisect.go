@@ -29,8 +29,7 @@ type region struct {
 // refBisector in reference_test.go): every iteration order and every
 // bucket push the FM tie-breaking depends on is preserved.
 type bisector struct {
-	n      *netlist.Netlist
-	passes int
+	n *netlist.Netlist
 
 	// cellNets lists the (small) nets incident to each cell, CSR-packed:
 	// cellNetBuf[cellNetIdx[c]:cellNetIdx[c+1]].
@@ -81,10 +80,11 @@ const (
 	maxNetSize = 48
 	maxGain    = 32
 	leafCells  = 3 // stop splitting below this population
+	fmPasses   = 2 // FM refinement passes per cut
 )
 
-func newBisector(n *netlist.Netlist, passes int) *bisector {
-	b := &bisector{n: n, passes: passes, rowH: n.Lib.RowHeight}
+func newBisector(n *netlist.Netlist) *bisector {
+	b := &bisector{n: n, rowH: n.Lib.RowHeight}
 	csr := n.CSR()
 	// Count pins per net to exclude global nets.
 	pinCount := make([]int32, len(n.Nets))
@@ -314,7 +314,7 @@ func (b *bisector) partition(cells []netlist.CellID, fracA float64) []uint8 {
 	b.localBuf = local
 
 	tol := totalArea*0.02 + 12*b.n.Lib.SiteWidth
-	for pass := 0; pass < b.passes; pass++ {
+	for pass := 0; pass < fmPasses; pass++ {
 		b.stats.passes++
 		if !b.fmPass(cells, side, kept, &areaA, targetA, tol) {
 			break

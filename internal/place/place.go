@@ -27,12 +27,6 @@ type Options struct {
 	// cells (the paper uses 0.97 for s38417/circuit-1 and 0.50 for
 	// p26909).
 	TargetUtilization float64
-	// RingMargin is the width in µm of the IO + power + ground ring
-	// stack on each side of the core (default 30).
-	RingMargin float64
-	// FMPasses is the number of refinement passes per bisection cut
-	// (default 2).
-	FMPasses int
 	// Telemetry, when non-nil, receives the placement counters
 	// (place.cells, place.cuts, place.fm_passes, place.fm_moves,
 	// place.fm_moves_tried) and the per-FM-pass cut improvement
@@ -40,6 +34,10 @@ type Options struct {
 	// Nil costs nothing.
 	Telemetry *telemetry.Span
 }
+
+// RingMargin is the width in µm of the IO + power + ground ring stack on
+// each side of the core.
+const RingMargin = 30.0
 
 // Placement is a legalized row placement of a netlist.
 type Placement struct {
@@ -71,12 +69,6 @@ func Place(n *netlist.Netlist, opt Options) (*Placement, error) {
 func PlaceContext(ctx context.Context, n *netlist.Netlist, opt Options) (*Placement, error) {
 	if opt.TargetUtilization <= 0 || opt.TargetUtilization > 1 {
 		return nil, fmt.Errorf("place: bad utilization %g", opt.TargetUtilization)
-	}
-	if opt.RingMargin <= 0 {
-		opt.RingMargin = 30
-	}
-	if opt.FMPasses <= 0 {
-		opt.FMPasses = 2
 	}
 	p := &Placement{N: n, Opt: opt}
 	p.floorplan()
@@ -124,7 +116,7 @@ func (p *Placement) AspectRatio() float64 { return p.CoreH() / p.CoreW() }
 // the core plus the ring stack, as in the paper (which notes the chip may
 // hold empty space the router exploits when the core goes rectangular).
 func (p *Placement) ChipArea() float64 {
-	side := math.Max(p.CoreW(), p.CoreH()) + 2*p.Opt.RingMargin
+	side := math.Max(p.CoreW(), p.CoreH()) + 2*RingMargin
 	return side * side
 }
 
@@ -164,7 +156,7 @@ func (p *Placement) global(ctx context.Context) error {
 			cells = append(cells, netlist.CellID(ci))
 		}
 	}
-	b := newBisector(n, p.Opt.FMPasses)
+	b := newBisector(n)
 	b.hCutDelta = p.Opt.Telemetry.Histogram("place.fm_cut_delta").Local()
 	err := b.run(ctx, cells, region{r0: 0, r1: p.NumRows, x0: 0, x1: p.RowLen}, func(id netlist.CellID, reg region) {
 		p.Row[id] = int32(reg.r0)

@@ -445,12 +445,6 @@ func (b *refBisector) fmPass(cells []netlist.CellID, side []uint8, numNets int,
 // telemetry onto opt.Telemetry.
 func refPlace(t *testing.T, n *netlist.Netlist, opt Options) *Placement {
 	t.Helper()
-	if opt.RingMargin <= 0 {
-		opt.RingMargin = 30
-	}
-	if opt.FMPasses <= 0 {
-		opt.FMPasses = 2
-	}
 	p := &Placement{N: n, Opt: opt}
 	p.floorplan()
 	p.X = make([]float64, len(n.Cells))
@@ -464,7 +458,7 @@ func refPlace(t *testing.T, n *netlist.Netlist, opt Options) *Placement {
 			cells = append(cells, netlist.CellID(ci))
 		}
 	}
-	b := newRefBisector(n, opt.FMPasses)
+	b := newRefBisector(n, fmPasses)
 	sp := opt.Telemetry
 	b.hCutDelta = sp.Histogram("place.fm_cut_delta").Local()
 	if err := b.run(context.Background(), cells, region{r0: 0, r1: p.NumRows, x0: 0, x1: p.RowLen}, func(id netlist.CellID, reg region) {

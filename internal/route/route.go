@@ -17,13 +17,17 @@ import (
 	"tpilayout/internal/telemetry"
 )
 
+// The congestion model.
+const (
+	// gcellSize is the routing grid pitch in µm.
+	gcellSize = 20
+	// capacity is the wire length (µm) a routing cell absorbs before it
+	// counts as congested: 16 tracks × pitch.
+	capacity = 16 * gcellSize
+)
+
 // Options configures the router.
 type Options struct {
-	// GCellSize is the routing grid pitch in µm (default 20).
-	GCellSize float64
-	// Capacity is the wire length (µm) a routing cell absorbs before it
-	// counts as congested (default 16 tracks × pitch).
-	Capacity float64
 	// Telemetry, when non-nil, receives the routing counters
 	// (route.nets, route.pins, route.overflows), the route.total_um
 	// gauge, and the per-net route.net_ns / route.net_overflows
@@ -55,15 +59,9 @@ func Route(p *place.Placement, opt Options) *Result {
 // RouteContext is Route with cooperative cancellation, checked every few
 // routed nets; the only possible error is the context's.
 func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result, error) {
-	if opt.GCellSize <= 0 {
-		opt.GCellSize = 20
-	}
-	if opt.Capacity <= 0 {
-		opt.Capacity = 16 * opt.GCellSize
-	}
 	n := p.N
 	res := &Result{NetLen: make([]float64, len(n.Nets))}
-	g := newGrid(p, opt)
+	g := newGrid(p)
 	csr := n.CSR()
 
 	// Deterministic net order: longer (higher-fanout) nets first, so the
@@ -162,21 +160,20 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 
 // grid tracks per-cell routing usage.
 type grid struct {
-	opt      Options
 	nx, ny   int
 	use      []float64
 	overflow int
 }
 
-func newGrid(p *place.Placement, opt Options) *grid {
-	nx := int(math.Ceil(p.CoreW()/opt.GCellSize)) + 1
-	ny := int(math.Ceil(p.CoreH()/opt.GCellSize)) + 1
-	return &grid{opt: opt, nx: nx, ny: ny, use: make([]float64, nx*ny)}
+func newGrid(p *place.Placement) *grid {
+	nx := int(math.Ceil(p.CoreW()/gcellSize)) + 1
+	ny := int(math.Ceil(p.CoreH()/gcellSize)) + 1
+	return &grid{nx: nx, ny: ny, use: make([]float64, nx*ny)}
 }
 
 func (g *grid) cellAt(x, y float64) int {
-	i := int(x / g.opt.GCellSize)
-	j := int(y / g.opt.GCellSize)
+	i := int(x / gcellSize)
+	j := int(y / gcellSize)
 	if i < 0 {
 		i = 0
 	}
@@ -271,7 +268,7 @@ func (g *grid) routeEdge(a, b point) float64 {
 	if math.Min(c1, c2) > 0 {
 		// Congested on both: jog around through the midpoint row.
 		g.overflow++
-		detour = 2 * g.opt.GCellSize
+		detour = 2 * gcellSize
 	}
 	g.commit(a, via)
 	g.commit(via, b)
@@ -282,7 +279,7 @@ func (g *grid) routeEdge(a, b point) float64 {
 func (g *grid) pathCost(a, b point) float64 {
 	cost := 0.0
 	g.walk(a, b, func(cell int, seg float64) {
-		if g.use[cell]+seg > g.opt.Capacity {
+		if g.use[cell]+seg > capacity {
 			cost += seg
 		}
 	})
@@ -301,7 +298,7 @@ func (g *grid) walk(a, b point, f func(cell int, seg float64)) {
 	if length == 0 {
 		return
 	}
-	steps := int(length/g.opt.GCellSize) + 1
+	steps := int(length/gcellSize) + 1
 	for s := 0; s <= steps; s++ {
 		t := float64(s) / float64(steps)
 		x := a.x + (b.x-a.x)*t

@@ -39,10 +39,11 @@ type Options struct {
 	MaxChainLength int
 	// MaxChains bounds the number of chains (0 = derived from length).
 	MaxChains int
-	// SEFanoutLimit is the maximum scan-enable loads per buffer before a
-	// buffer tree is built (default 24).
-	SEFanoutLimit int
 }
+
+// seFanoutLimit is the maximum scan-enable loads per buffer before a
+// buffer tree is built.
+const seFanoutLimit = 24
 
 // Result describes the inserted scan structure.
 type Result struct {
@@ -83,9 +84,6 @@ func Insert(n *netlist.Netlist, tps *tpi.Result, opt Options) (*Result, error) {
 	if opt.MaxChainLength <= 0 && opt.MaxChains <= 0 {
 		return nil, fmt.Errorf("scan: need MaxChainLength or MaxChains")
 	}
-	if opt.SEFanoutLimit <= 0 {
-		opt.SEFanoutLimit = 24
-	}
 	res := &Result{SE: n.AddPI("se")}
 
 	// TSFF internal flops are scanned through their own TE-controlled
@@ -123,7 +121,7 @@ func Insert(n *netlist.Netlist, tps *tpi.Result, opt Options) (*Result, error) {
 	for i := range res.Chains {
 		stitch(n, &res.Chains[i], i)
 	}
-	res.buildSETree(n, opt.SEFanoutLimit)
+	res.buildSETree(n)
 	return res, nil
 }
 
@@ -196,18 +194,18 @@ func stitch(n *netlist.Netlist, c *Chain, idx int) {
 }
 
 // buildSETree splits the scan-enable load between buffers when the fanout
-// exceeds the limit, tagging the buffers for ECO placement.
-func (r *Result) buildSETree(n *netlist.Netlist, limit int) {
+// exceeds seFanoutLimit, tagging the buffers for ECO placement.
+func (r *Result) buildSETree(n *netlist.Netlist) {
 	loads := append([]netlist.Load(nil), n.CSR().Fanout(r.SE)...)
-	if len(loads) <= limit {
+	if len(loads) <= seFanoutLimit {
 		return
 	}
-	for i := 0; i < len(loads); i += limit {
-		end := i + limit
+	for i := 0; i < len(loads); i += seFanoutLimit {
+		end := i + seFanoutLimit
 		if end > len(loads) {
 			end = len(loads)
 		}
-		buf, _ := n.InsertOnNet(fmt.Sprintf("sebuf%d", i/limit), "BUFX4", r.SE, loads[i:end])
+		buf, _ := n.InsertOnNet(fmt.Sprintf("sebuf%d", i/seFanoutLimit), "BUFX4", r.SE, loads[i:end])
 		n.Cells[buf].Tag = netlist.TagSEBuffer
 		r.SEBuffers = append(r.SEBuffers, buf)
 	}

@@ -153,14 +153,14 @@ func TestScanWithTSFFs(t *testing.T) {
 
 func TestSEBufferTree(t *testing.T) {
 	n := genSmall(t)
-	res, err := Insert(n, nil, Options{MaxChainLength: 50, SEFanoutLimit: 8})
+	res, err := Insert(n, nil, Options{MaxChainLength: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.SEBuffers) == 0 {
-		t.Fatal("no scan-enable buffers despite tiny fanout limit")
+		t.Fatalf("no scan-enable buffers for %d flops", n.NumFlipFlops())
 	}
-	if got := n.CSR().FanoutLen(res.SE); got > 8+len(res.SEBuffers) {
+	if got := n.CSR().FanoutLen(res.SE); got > seFanoutLimit+len(res.SEBuffers) {
 		t.Errorf("scan-enable root still drives %d loads", got)
 	}
 	for _, b := range res.SEBuffers {
@@ -231,7 +231,7 @@ func TestChainInventory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Insert(n, tps, Options{MaxChainLength: 12, SEFanoutLimit: 8})
+	res, err := Insert(n, tps, Options{MaxChainLength: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

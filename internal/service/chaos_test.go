@@ -34,8 +34,6 @@ import (
 	"tpilayout/internal/netlist"
 )
 
-const chaosJobBudget = 4
-
 func TestChaosRecoveryInvariants(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -62,10 +60,6 @@ func chaosScenario(t *testing.T, seed int64) {
 	inj.Arm("cancel", chaos.Plan{Probability: 0.3, Limit: 1})
 	inj.Arm("garbage", chaos.Plan{Probability: 0.5, Limit: 1})
 
-	retry := RetryPolicy{
-		MaxAttempts: 2, BaseDelay: 50 * time.Microsecond,
-		MaxDelay: 200 * time.Microsecond, JobBudget: chaosJobBudget,
-	}
 	chaosLevel := func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
 		if inj.Should("level.fail") {
 			return flow.LevelResult{TPPercent: pct, Err: transientStageError(pct)}
@@ -76,7 +70,7 @@ func chaosScenario(t *testing.T, seed int64) {
 	jhook := func(op journal.Op) error { return jh(string(op)) }
 
 	s1, err := Open(Options{
-		Workers: 2, QueueDepth: 16, DataDir: dir, Retry: retry,
+		Workers: 2, QueueDepth: 16, DataDir: dir, retryDelay: 100 * time.Microsecond,
 		journalNoSync: true, journalHook: jhook,
 	})
 	if err != nil {
@@ -137,7 +131,7 @@ func chaosScenario(t *testing.T, seed int64) {
 	// recovered jobs can fail and retry on the second life too.
 	gate := make(chan struct{})
 	s2, err := Open(Options{
-		Workers: 2, QueueDepth: 16, DataDir: dir, Retry: retry,
+		Workers: 2, QueueDepth: 16, DataDir: dir, retryDelay: 100 * time.Microsecond,
 		journalNoSync: true, journalHook: jhook, replayGate: gate,
 	})
 	if err != nil {
@@ -164,8 +158,8 @@ func chaosScenario(t *testing.T, seed int64) {
 		}
 		st := waitTerminal(t, s2, id)
 		// Invariant 3: the retry budget bounds every run's retries.
-		if st.Retries > chaosJobBudget {
-			t.Errorf("seed %d: job %s spent %d retries, budget %d", seed, id, st.Retries, chaosJobBudget)
+		if st.Retries > retryJobBudget {
+			t.Errorf("seed %d: job %s spent %d retries, budget %d", seed, id, st.Retries, retryJobBudget)
 		}
 	}
 	// Read the fault count after the drain: a job turns terminal before

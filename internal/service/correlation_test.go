@@ -64,7 +64,7 @@ func TestEndToEndCorrelation(t *testing.T) {
 	flight := telemetry.NewFlightRecorder(1024)
 	prom := telemetry.NewPromSink("tpid")
 	lr := &levelRecorder{}
-	opt := Options{Workers: 1, Metrics: prom, Log: logger, Flight: flight, FlightRunEvents: 128}
+	opt := Options{Workers: 1, Metrics: prom, Log: logger, Flight: flight}
 	s := openDurable(t, dir, opt, func(s *Server) { s.runLevel = lr.hook })
 	ts := httptest.NewServer(s)
 

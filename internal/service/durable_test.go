@@ -410,9 +410,7 @@ func TestCacheHitJournalsNothing(t *testing.T) {
 // in the job status and the service counters.
 func TestTransientRetrySucceeds(t *testing.T) {
 	var attempts int
-	s := New(Options{Workers: 1, Retry: RetryPolicy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
-	}})
+	s := New(Options{Workers: 1, retryDelay: time.Millisecond})
 	defer shutdown(t, s)
 	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
 		attempts++ // Workers:1 + one level: sequential, no lock needed
@@ -442,7 +440,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 // identically, so retrying is waste.
 func TestPermanentFailureNeverRetries(t *testing.T) {
 	var attempts int
-	s := New(Options{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}})
+	s := New(Options{Workers: 1, retryDelay: time.Millisecond})
 	defer shutdown(t, s)
 	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
 		attempts++
@@ -470,9 +468,7 @@ func TestPermanentFailureNeverRetries(t *testing.T) {
 // must not be served out.
 func TestCancelAbortsBackoff(t *testing.T) {
 	inBackoff := make(chan struct{})
-	s := New(Options{Workers: 1, Retry: RetryPolicy{
-		MaxAttempts: 3, BaseDelay: 30 * time.Second, MaxDelay: 30 * time.Second,
-	}})
+	s := New(Options{Workers: 1, retryDelay: 30 * time.Second})
 	defer shutdown(t, s)
 	var once sync.Once
 	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {

@@ -164,6 +164,9 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 	if fc.Experiment != "" {
 		preset = fc.Experiment
 	}
+	if fc.MaxChains < 0 || fc.MaxChainLength < 0 {
+		return nil, badRequest("flow.max_chains %d and flow.max_chain_length %d must not be negative", fc.MaxChains, fc.MaxChainLength)
+	}
 	cfg := flow.ExperimentConfig(preset)
 	if fc.MaxChains > 0 || fc.MaxChainLength > 0 {
 		cfg.Scan.MaxChains = fc.MaxChains
@@ -348,12 +351,15 @@ type hashedConfig struct {
 }
 
 // hashedConfigJSON is the hashedConfig of a resolved config as the keys
-// hash it.
+// hash it. SEFanoutLimit is the literal 0: the scan-enable fanout limit is
+// a constant of package scan, not part of a request, and 0 is what every
+// key has hashed, so keys and the results and checkpoints stored under
+// them stay valid.
 func hashedConfigJSON(cfg *flow.Config, levels []float64, budgetMS int64) []byte {
 	cfgJSON, _ := json.Marshal(hashedConfig{ // fixed field set: cannot fail
 		MaxChains:         cfg.Scan.MaxChains,
 		MaxChainLength:    cfg.Scan.MaxChainLength,
-		SEFanoutLimit:     cfg.Scan.SEFanoutLimit,
+		SEFanoutLimit:     0,
 		TargetUtilization: cfg.Place.TargetUtilization,
 		SkipATPG:          cfg.SkipATPG,
 		TimingOptRounds:   cfg.TimingOptRounds,

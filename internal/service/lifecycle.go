@@ -206,14 +206,14 @@ func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
 		jobs:      []*Job{job},
 	}
 	if s.opt.Flight != nil {
-		rn.flight = telemetry.NewFlightRecorder(s.opt.FlightRunEvents)
+		rn.flight = telemetry.NewFlightRecorder(runFlightEvents)
 	}
 	rn.log = s.opt.Log.With("job_id", job.ID, "run_id", rn.id, "tenant", rn.tenant)
 	if rn.flight != nil {
 		// Tee this run's log lines into its own black box as well.
 		rn.log = rn.log.WithSinks(rn.flight)
 	}
-	rn.retryBudget.Store(int64(s.opt.Retry.JobBudget))
+	rn.retryBudget.Store(retryJobBudget)
 	job.run, job.record, job.runID = rn, rn.runRecord, rn.id
 	return rn
 }
@@ -412,7 +412,7 @@ func (s *Server) attemptLevel(rn *run, base *netlist.Netlist, cfg flow.Config, p
 			}
 			return lr
 		}
-		if rn.ctx.Err() != nil || !transientError(lr.Err) || attempt >= s.opt.Retry.MaxAttempts {
+		if rn.ctx.Err() != nil || !transientError(lr.Err) || attempt >= retryMaxAttempts {
 			rn.log.Warn("level failed", "tp_percent", pct, "attempt", attempt, "error", lr.Err)
 			return lr
 		}
@@ -421,7 +421,7 @@ func (s *Server) attemptLevel(rn *run, base *netlist.Netlist, cfg flow.Config, p
 				"attempt", attempt, "error", lr.Err)
 			return lr
 		}
-		backoff := s.opt.Retry.backoff(attempt)
+		backoff := s.backoff(attempt)
 		rn.retries.Add(1)
 		s.retries.Add(1)
 		s.emitRunMetric(rn, map[string]int64{"service.retries": 1}, nil, nil)

@@ -240,7 +240,7 @@ func TestRetiredJobAnswersAsBefore(t *testing.T) {
 	var failedOnce atomic.Bool
 	s := New(Options{
 		Workers: 1, Flight: telemetry.NewFlightRecorder(1024),
-		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		retryDelay: time.Millisecond,
 	})
 	defer shutdown(t, s)
 	real := s.runLevel

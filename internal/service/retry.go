@@ -9,61 +9,38 @@ import (
 	"tpilayout/internal/supervise"
 )
 
-// RetryPolicy governs per-level retries of transient failures. A level
-// that panics (isolated to a *StageError wrapping supervise.PanicError)
-// or exceeds its ATPG deadline is retried with full-jitter exponential
-// backoff; validation errors and cancellations never retry.
-type RetryPolicy struct {
-	// MaxAttempts bounds how many times one level may run, counting the
-	// first attempt (default 3; 1 disables retries).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 100ms);
-	// it doubles per attempt up to MaxDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth (default 5s).
-	MaxDelay time.Duration
-	// Jitter enables full jitter: each sleep is uniform in (0, delay]
-	// so retrying levels do not stampede in lockstep.
-	Jitter bool
-	// JobBudget caps the TOTAL retries across all levels of one run
-	// (default 8): a job whose every level keeps crashing fails after
-	// JobBudget extra attempts instead of grinding the pool forever.
-	JobBudget int
-}
+// The retry policy for transient failures. A level that panics (isolated
+// to a *StageError wrapping supervise.PanicError) or exceeds its ATPG
+// deadline is retried with full-jitter exponential backoff; validation
+// errors and cancellations never retry.
+const (
+	// retryMaxAttempts bounds how many times one level may run, counting
+	// the first attempt.
+	retryMaxAttempts = 3
+	// retryBaseDelay is the backoff before the first retry; it doubles per
+	// attempt up to retryMaxDelay.
+	retryBaseDelay = 100 * time.Millisecond
+	retryMaxDelay  = 5 * time.Second
+	// retryJobBudget caps the TOTAL retries across all levels of one run:
+	// a job whose every level keeps crashing fails after this many extra
+	// attempts instead of grinding the pool forever.
+	retryJobBudget = 8
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
+// backoff returns the sleep before retry number retry (1-based). The
+// sleep is uniform in (0, delay] (full jitter), so retrying levels do not
+// stampede in lockstep. Options.retryDelay, when set, replaces the
+// schedule with a fixed sleep.
+func (s *Server) backoff(retry int) time.Duration {
+	if s.opt.retryDelay > 0 {
+		return s.opt.retryDelay
 	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 5 * time.Second
-	}
-	if p.JobBudget <= 0 {
-		p.JobBudget = 8
-	}
-	return p
-}
-
-// backoff returns the sleep before retry number retry (1-based).
-func (p RetryPolicy) backoff(retry int) time.Duration {
-	d := p.BaseDelay
-	for i := 1; i < retry; i++ {
+	d := retryBaseDelay
+	for i := 1; i < retry && d < retryMaxDelay; i++ {
 		d *= 2
-		if d >= p.MaxDelay {
-			d = p.MaxDelay
-			break
-		}
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	if p.Jitter && d > 0 {
-		d = time.Duration(1 + rand.Int63n(int64(d)))
-	}
-	return d
+	d = min(d, retryMaxDelay)
+	return time.Duration(1 + rand.Int63n(int64(d)))
 }
 
 // transientError reports whether a level failure is worth retrying:

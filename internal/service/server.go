@@ -298,12 +298,9 @@ type Options struct {
 	// attached as a sink to every run's tracer and receives every
 	// service metric event and (if the Logger forwards to it) log line.
 	// GET /debug/flight dumps it as NDJSON. Each run additionally
-	// retains its own last FlightRunEvents events, dumped via
+	// retains its own last runFlightEvents events, dumped via
 	// /debug/flight?job=<id>.
 	Flight *telemetry.FlightRecorder
-	// FlightRunEvents sizes the per-run flight ring (default 256); only
-	// meaningful when Flight is set.
-	FlightRunEvents int
 	// ExtraSinks are attached to every job's tracer (tests).
 	ExtraSinks []telemetry.Sink
 	// Flush, when non-nil, is called at the end of Shutdown so the
@@ -314,9 +311,6 @@ type Options struct {
 	// restart on the same directory replays retired results, level
 	// checkpoints, and unfinished jobs. Empty = purely in-memory.
 	DataDir string
-	// Retry governs per-level retries of transient failures (panics,
-	// deadlines); zero fields take the RetryPolicy defaults.
-	Retry RetryPolicy
 	// HistoryRuns bounds how many retired runs the run-history archive
 	// retains (default 512; negative disables the archive entirely).
 	// The archive only exists for durable servers (DataDir set): it
@@ -337,7 +331,12 @@ type Options struct {
 	journalHook   func(journal.Op) error // fault injection into the journal
 	replayGate    chan struct{}          // replay blocks until closed (readyz tests)
 	compactHook   func()                 // runs between a compaction's state capture and its segment cut
+	retryDelay    time.Duration          // fixed, unjittered retry backoff in place of the schedule
 }
+
+// runFlightEvents sizes the per-run flight ring kept when Options.Flight
+// is set.
+const runFlightEvents = 256
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -359,16 +358,12 @@ func (o *Options) withDefaults() Options {
 	if out.RetainJobs <= 0 {
 		out.RetainJobs = 512
 	}
-	if out.FlightRunEvents <= 0 {
-		out.FlightRunEvents = 256
-	}
 	if out.HistoryRuns == 0 {
 		out.HistoryRuns = 512
 	}
 	if out.HistoryBudgetBytes == 0 {
 		out.HistoryBudgetBytes = 512 << 20
 	}
-	out.Retry = out.Retry.withDefaults()
 	return out
 }
 

@@ -588,6 +588,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown spec", `{"circuit":{"spec":"c17"},"tp_levels":[0]}`, http.StatusBadRequest},
 		{"bad bench", `{"circuit":{"bench":"x = FROB(y)"},"tp_levels":[0]}`, http.StatusBadRequest},
 		{"negative workers", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"workers":-1}}`, testBench), http.StatusBadRequest},
+		{"negative max_chain_length", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"max_chains":5,"max_chain_length":-3}}`, testBench), http.StatusBadRequest},
+		{"negative max_chains", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"max_chains":-1}}`, testBench), http.StatusBadRequest},
 		{"oversized scale", `{"circuit":{"spec":"s38417c","scale":99},"tp_levels":[0]}`, http.StatusBadRequest},
 		// A flow option this build no longer has is an unknown field, and
 		// the 400 names it.

@@ -22,15 +22,18 @@ import (
 	"tpilayout/internal/telemetry"
 )
 
+// The design's boundary conditions.
+const (
+	// inputSlew is the edge rate assumed at primary inputs in ps.
+	inputSlew = 40
+	// primaryOutputLoad is the external load on POs in fF.
+	primaryOutputLoad = 8
+)
+
 // Options configures the analysis.
 type Options struct {
 	// Constraints holds application-mode constants for case analysis.
 	Constraints map[netlist.NetID]int8
-	// InputSlew is the edge rate assumed at primary inputs in ps
-	// (default 40).
-	InputSlew float64
-	// PrimaryOutputLoad is the external load on POs in fF (default 8).
-	PrimaryOutputLoad float64
 	// Telemetry, when non-nil, receives the analysis counters
 	// (sta.domains, sta.path_cells, sta.slow_nodes) and the
 	// sta.critical_tcp_ps / sta.worst_skew_ps gauges on the STA stage's
@@ -104,12 +107,6 @@ func Analyze(n *netlist.Netlist, par *extract.Parasitics, opt Options) (*Result,
 // sweeps check the context every few thousand cells, so a cancel lands
 // within one propagation slice, not one full analysis.
 func AnalyzeContext(ctx context.Context, n *netlist.Netlist, par *extract.Parasitics, opt Options) (*Result, error) {
-	if opt.InputSlew <= 0 {
-		opt.InputSlew = 40
-	}
-	if opt.PrimaryOutputLoad <= 0 {
-		opt.PrimaryOutputLoad = 8
-	}
 	lv, err := n.Levelize()
 	if err != nil {
 		return nil, err
@@ -119,7 +116,7 @@ func AnalyzeContext(ctx context.Context, n *netlist.Netlist, par *extract.Parasi
 		poExtra:  make([]float64, len(n.Nets))}
 	for _, po := range n.POs {
 		if po.Net != netlist.NoNet {
-			a.poExtra[po.Net] = opt.PrimaryOutputLoad
+			a.poExtra[po.Net] = primaryOutputLoad
 		}
 	}
 	a.propagateConstants()
@@ -139,7 +136,7 @@ func AnalyzeContext(ctx context.Context, n *netlist.Netlist, par *extract.Parasi
 	for dom := range n.Domains {
 		root := n.PIs[n.Domains[dom].ClockPI].Net
 		a.at[root] = 0
-		a.slew[root] = opt.InputSlew
+		a.slew[root] = inputSlew
 	}
 	if err := a.propagate(); err != nil {
 		return nil, err
@@ -209,7 +206,7 @@ func (a *analyzer) reset() {
 	}
 	for i := 0; i < nNets; i++ {
 		a.at[i] = negInf
-		a.slew[i] = a.opt.InputSlew
+		a.slew[i] = inputSlew
 		a.from[i] = arc{fromNet: netlist.NoNet, viaCell: netlist.NoCell}
 	}
 }
@@ -340,7 +337,7 @@ func (a *analyzer) domainPass(dom int, clkArr []float64) (PathReport, error) {
 			continue
 		}
 		a.at[pi.Net] = 0
-		a.slew[pi.Net] = a.opt.InputSlew
+		a.slew[pi.Net] = inputSlew
 	}
 	ffs := n.FlipFlops()
 	for _, ff := range ffs {
@@ -349,7 +346,7 @@ func (a *analyzer) domainPass(dom int, clkArr []float64) (PathReport, error) {
 			continue
 		}
 		load := a.par.TotalLoad(c.Out) + a.poLoad(c.Out)
-		d, intrin, ldep, oslew, ex := a.cellDelay(c.Cell, a.opt.InputSlew, load)
+		d, intrin, ldep, oslew, ex := a.cellDelay(c.Cell, inputSlew, load)
 		if ex && !a.slowSeen[ff] {
 			a.slowSeen[ff] = true
 			a.slow++

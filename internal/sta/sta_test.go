@@ -34,7 +34,7 @@ func ffPair(t testing.TB) (*netlist.Netlist, *extract.Parasitics) {
 
 func TestHandComputedPath(t *testing.T) {
 	n, par := ffPair(t)
-	res, err := Analyze(n, par, Options{InputSlew: 40})
+	res, err := Analyze(n, par, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

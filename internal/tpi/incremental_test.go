@@ -55,7 +55,7 @@ func startInsert(t testing.TB, n *netlist.Netlist, opt Options) *inserter {
 // taken and excluded nets.
 func referenceRank(n *netlist.Netlist, fresh *testability.Session, opt Options, taken map[netlist.NetID]bool, net netlist.NetID) rank {
 	an := fresh.Analysis()
-	if !insertable(n, fresh, net) || taken[net] || opt.Exclude[net] || an.TC(net) < opt.MinTC {
+	if !insertable(n, fresh, net) || taken[net] || opt.Exclude[net] {
 		return rank{score: -1}
 	}
 	cc := an.CC0[net] + an.CC1[net]
@@ -242,7 +242,6 @@ func TestInsertMatchesReferenceLoop(t *testing.T) {
 			}{
 				{"plain", Options{Count: 25}},
 				{"exclude", Options{Count: 25, Exclude: exclude}},
-				{"minTC", Options{Count: 25, MinTC: 6}},
 			} {
 				got, want := base.Clone(), base.Clone()
 				res, err := Insert(got, tc.opt)

@@ -50,12 +50,6 @@ type Options struct {
 	// critical paths with slack below threshold — the Section 5
 	// discussion). Nets are identified by their IDs before insertion.
 	Exclude map[netlist.NetID]bool
-	// MinTC skips nets easier than this testability cost; 0 accepts any.
-	// The default of 0 lets the ranking decide alone.
-	MinTC float64
-	// Constraints are extra capture-mode constants for the analysis
-	// (e.g. an existing scan-enable net).
-	Constraints map[netlist.NetID]int8
 }
 
 // Result describes the inserted test points and their control nets.
@@ -124,10 +118,9 @@ func insertLoop(n *netlist.Netlist, opt Options, res *Result) error {
 // rank of every net cached so that choosing a point is a compare-only
 // scan: only nets the session reports as moved are re-ranked.
 type inserter struct {
-	n     *netlist.Netlist
-	sess  *testability.Session
-	res   *Result
-	minTC float64
+	n    *netlist.Netlist
+	sess *testability.Session
+	res  *Result
 	// blocked holds opt.Exclude and the targets already taken (a
 	// targeted net keeps a live fanout — the in-mux pin — so without the
 	// guard it could be picked twice).
@@ -146,15 +139,12 @@ type rank struct {
 
 func newInserter(n *netlist.Netlist, opt Options, res *Result) (*inserter, error) {
 	constraints := map[netlist.NetID]int8{res.TE: 0, res.TR: 1}
-	for k, v := range opt.Constraints {
-		constraints[k] = v
-	}
 	sess, err := testability.NewSession(n, testability.Options{Constraints: constraints})
 	if err != nil {
 		return nil, err
 	}
 	in := &inserter{
-		n: n, sess: sess, res: res, minTC: opt.MinTC,
+		n: n, sess: sess, res: res,
 		blocked: make([]bool, len(n.Nets)),
 		rank:    make([]rank, len(n.Nets)),
 	}
@@ -218,7 +208,7 @@ func (in *inserter) refresh(net netlist.NetID) {
 	}
 	an := in.sess.Analysis()
 	r := rank{score: -1}
-	if !in.blocked[net] && insertable(in.n, in.sess, net) && an.TC(net) >= in.minTC {
+	if !in.blocked[net] && insertable(in.n, in.sess, net) {
 		r.score = deficitBits(an.Obs[net])*(1+float64(an.FFICone[net])) +
 			deficitBits(math.Min(an.P1[net], 1-an.P1[net]))
 		r.cc = an.CC0[net] + an.CC1[net]
