@@ -168,7 +168,7 @@ daemon-smoke:
 # detector: 200 seeds of level panics, journal append faults, abrupt
 # kills, cancels, and torn segment tails, each followed by a restart
 # that must satisfy the recovery invariants (no double retirement, no
-# lost jobs on an intact journal, retry budgets respected, clean fold).
+# lost jobs on an intact journal, clean fold).
 # Three passes: the failures this suite exists for are races, and a race
 # reintroduced must not get through on one lucky schedule.
 chaos:

@@ -98,7 +98,7 @@ func PrewarmBase(design *netlist.Netlist) *netlist.Netlist {
 // LevelFunc runs one level of a sweep: the flow at pct% test points on
 // the prewarmed base, with cfg as SweepLevels prepared it for the level.
 // RunLevel is the LevelFunc of a plain sweep; a caller that wraps it
-// (the service retries and checkpoints around it) must hand it the cfg
+// (the service checkpoints around it) must hand it the cfg
 // it was given, which is what ties the level's run span to the sweep.
 type LevelFunc func(ctx context.Context, base *netlist.Netlist, cfg Config, pct float64) LevelResult
 
@@ -149,7 +149,7 @@ func SweepPartial(ctx context.Context, design *netlist.Netlist, cfg Config, tpPe
 // span, prewarms design once, and calls level for every TP percentage on
 // up to cfg.Workers goroutines (GOMAXPROCS when 0), returning the
 // results in input order. What happens around one level — nothing for a
-// CLI sweep (RunLevel), retry and checkpointing for the service — is
+// CLI sweep (RunLevel), checkpointing for the service — is
 // level's business; the error is non-nil only for an invalid Config.
 func SweepLevels(ctx context.Context, design *netlist.Netlist, cfg Config, tpPercents []float64, level LevelFunc) ([]LevelResult, error) {
 	if err := cfg.Validate(); err != nil {

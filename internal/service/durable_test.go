@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -79,9 +80,9 @@ func openDurable(t *testing.T, dir string, opt Options, install func(*Server)) *
 	return s
 }
 
-// transientStageError is the retryable failure shape: a stage panic
-// isolated into a StageError wrapping a supervise.PanicError.
-func transientStageError(pct float64) error {
+// panicStageError is a recovered stage panic: a StageError wrapping a
+// supervise.PanicError, as supervision isolates it.
+func panicStageError(pct float64) error {
 	return &flow.StageError{
 		Stage: flow.StageSweep, TPPercent: pct,
 		Err: supervise.AsPanicError("chaos boom"),
@@ -405,94 +406,72 @@ func TestCacheHitJournalsNothing(t *testing.T) {
 	}
 }
 
-// TestTransientRetrySucceeds: a level that panics on its first attempts
-// is retried with backoff and the job still finishes; retries surface
-// in the job status and the service counters.
-func TestTransientRetrySucceeds(t *testing.T) {
-	var attempts int
-	s := New(Options{Workers: 1, retryDelay: time.Millisecond})
-	defer shutdown(t, s)
-	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
-		attempts++ // Workers:1 + one level: sequential, no lock needed
-		if attempts < 3 {
-			return flow.LevelResult{TPPercent: pct, Err: transientStageError(pct)}
-		}
-		return flow.LevelResult{TPPercent: pct, Metrics: stubMetrics(pct)}
-	}
+// TestFailedLevelRunsOnce: a failed level — a deterministic stage error
+// or a recovered panic — runs once. The flow is a function of its
+// inputs, so a retry would fail the same way; the job finishes with an
+// incomplete result carrying the level's error, nothing is cached, and
+// resubmitting the body re-runs only the failed level, its siblings
+// answered from their checkpoints.
+func TestFailedLevelRunsOnce(t *testing.T) {
+	const failing = 1
+	levels := []float64{0, failing, 2}
+	for _, tc := range []struct {
+		name string
+		err  func(pct float64) error
+	}{
+		{"stage error", func(pct float64) error {
+			return &flow.StageError{Stage: flow.StagePlace, TPPercent: pct, Err: errors.New("utilization infeasible")}
+		}},
+		{"panic", panicStageError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			calls := map[float64]int{}
+			s := New(Options{Workers: 1})
+			defer shutdown(t, s)
+			s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
+				mu.Lock()
+				calls[pct]++
+				mu.Unlock()
+				if pct == failing {
+					return flow.LevelResult{TPPercent: pct, Err: tc.err(pct)}
+				}
+				return flow.LevelResult{TPPercent: pct, Metrics: stubMetrics(pct)}
+			}
+			ran := func() map[float64]int {
+				mu.Lock()
+				defer mu.Unlock()
+				return maps.Clone(calls)
+			}
 
-	_, st := postJob(t, s, jobBody(t, "acme", 7))
-	got := waitState(t, s, st.ID, StateDone)
-	if got.Retries != 2 {
-		t.Fatalf("status retries = %d, want 2", got.Retries)
-	}
-	stats := s.Stats()
-	if stats.Retries != 2 || stats.LevelsRun != 3 {
-		t.Fatalf("stats retries/levels_run = %d/%d, want 2/3", stats.Retries, stats.LevelsRun)
-	}
-	code, res := getResult(t, s, st.ID)
-	if code != http.StatusOK || !res.Complete {
-		t.Fatalf("retried job result: code=%d", code)
-	}
-}
+			body := jobBody(t, "acme", levels...)
+			_, st := postJob(t, s, body)
+			waitState(t, s, st.ID, StateDone) // level errors mark the result incomplete
+			if n := ran()[failing]; n != 1 {
+				t.Fatalf("failed level ran %d times, want 1", n)
+			}
+			if stats := s.Stats(); stats.LevelsRun != int64(len(levels)) || stats.CacheEntries != 0 {
+				t.Fatalf("levels_run %d, cache_entries %d; want %d and 0", stats.LevelsRun, stats.CacheEntries, len(levels))
+			}
+			want := tc.err(failing).Error()
+			_, res := getResult(t, s, st.ID)
+			if res.Complete || res.Levels[failing].Error != want {
+				t.Fatalf("result complete=%v, level %v error %q; want incomplete with %q",
+					res.Complete, levels[failing], res.Levels[failing].Error, want)
+			}
 
-// TestPermanentFailureNeverRetries: a deterministic stage failure (not a
-// panic, not a deadline) runs exactly once — identical inputs would fail
-// identically, so retrying is waste.
-func TestPermanentFailureNeverRetries(t *testing.T) {
-	var attempts int
-	s := New(Options{Workers: 1, retryDelay: time.Millisecond})
-	defer shutdown(t, s)
-	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
-		attempts++
-		return flow.LevelResult{TPPercent: pct, Err: &flow.StageError{
-			Stage: flow.StagePlace, TPPercent: pct, Err: errors.New("utilization infeasible"),
-		}}
-	}
-
-	_, st := postJob(t, s, jobBody(t, "acme", 9))
-	got := waitState(t, s, st.ID, StateDone) // level errors mark the result incomplete
-	if attempts != 1 {
-		t.Fatalf("permanent failure ran %d attempts, want 1", attempts)
-	}
-	if got.Retries != 0 || s.Stats().Retries != 0 {
-		t.Fatalf("permanent failure counted retries: status=%d stats=%d", got.Retries, s.Stats().Retries)
-	}
-	_, res := getResult(t, s, st.ID)
-	if res.Complete || res.Levels[0].Error == "" {
-		t.Fatalf("permanent failure not surfaced per level: %+v", res.Levels)
-	}
-}
-
-// TestCancelAbortsBackoff: DELETE on a job sleeping out a retry backoff
-// cancels it immediately and frees the worker — the 30-second backoff
-// must not be served out.
-func TestCancelAbortsBackoff(t *testing.T) {
-	inBackoff := make(chan struct{})
-	s := New(Options{Workers: 1, retryDelay: 30 * time.Second})
-	defer shutdown(t, s)
-	var once sync.Once
-	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
-		if pct == 1 {
-			once.Do(func() { close(inBackoff) })
-			return flow.LevelResult{TPPercent: pct, Err: transientStageError(pct)}
-		}
-		return flow.LevelResult{TPPercent: pct, Metrics: stubMetrics(pct)}
-	}
-
-	start := time.Now()
-	_, st := postJob(t, s, jobBody(t, "acme", 1))
-	<-inBackoff // the first attempt failed; the worker enters its 30s sleep
-	if code, _ := do(t, s, "DELETE", "/v1/jobs/"+st.ID, nil); code != http.StatusOK {
-		t.Fatalf("DELETE during backoff = %d", code)
-	}
-	waitState(t, s, st.ID, StateCanceled)
-
-	// The proof the sleep was aborted: the single worker runs a fresh job
-	// to completion long before the 30s backoff could have elapsed.
-	_, st2 := postJob(t, s, jobBody(t, "acme", 2))
-	waitState(t, s, st2.ID, StateDone)
-	if elapsed := time.Since(start); elapsed > 15*time.Second {
-		t.Fatalf("worker freed after %v; the backoff sleep was served out", elapsed)
+			code, again := postJob(t, s, body)
+			if code != http.StatusAccepted || again.CacheHit {
+				t.Fatalf("resubmit: code=%d cache_hit=%v, want a fresh run", code, again.CacheHit)
+			}
+			got := waitState(t, s, again.ID, StateDone)
+			if got.ResumedLevels != int64(len(levels)-1) {
+				t.Fatalf("resubmit resumed_levels = %d, want %d", got.ResumedLevels, len(levels)-1)
+			}
+			if c := ran(); !maps.Equal(c, map[float64]int{0: 1, failing: 2, 2: 1}) {
+				t.Fatalf("levels run across both submissions: %v; only the failed level may re-run", c)
+			}
+		})
 	}
 }
 
@@ -672,7 +651,8 @@ func TestJournalFaultsDegradeGracefully(t *testing.T) {
 
 // TestSSEResumeWithLastEventID: an SSE client whose connection drops
 // reconnects with Last-Event-ID and resumes exactly where the stream
-// tore — no replayed and no skipped frames.
+// tore — no replayed and no skipped frames. An id the stream never
+// reached resumes at its end.
 func TestSSEResumeWithLastEventID(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
@@ -739,6 +719,13 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 	}
 	if n := strings.Count(ndjson.String(), "\n"); n != 8 {
 		t.Fatalf("stitched stream has %d events, want 8", n)
+	}
+
+	// An id past the retained stream — here MaxInt, where id+1 wraps —
+	// resumes at its end: no frames, then the done frame.
+	frames3, done := readSSEFrames(t, ts.URL+"/v1/jobs/"+st.ID+"/events", "9223372036854775807", -1)
+	if len(frames3) != 0 || done == "" {
+		t.Fatalf("Last-Event-ID past the stream: %d frames, done frame %q; want none and a done frame", len(frames3), done)
 	}
 }
 

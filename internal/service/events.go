@@ -52,6 +52,13 @@ func (b *broadcaster) Close() {
 // into a prompt return from next.
 func (b *broadcaster) wake() { b.cond.Broadcast() }
 
+// len returns how many events the stream retains so far.
+func (b *broadcaster) len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.events)
+}
+
 // next blocks until events beyond index from exist, then returns the
 // new tail. ok=false means the stream is over: either the broadcaster
 // closed and everything up to from was already delivered, or ctx ended.

@@ -213,7 +213,6 @@ func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
 		// Tee this run's log lines into its own black box as well.
 		rn.log = rn.log.WithSinks(rn.flight)
 	}
-	rn.retryBudget.Store(retryJobBudget)
 	job.run, job.record, job.runID = rn, rn.runRecord, rn.id
 	return rn
 }
@@ -283,7 +282,7 @@ func (s *Server) execute(rn *run) {
 
 // sweepRun is the production runFlow: the supervised partial sweep with
 // the run's broadcaster (SSE) and the server's /metrics sink attached,
-// executed level by level through the checkpoint/retry driver.
+// executed level by level through attemptLevel, which checkpoints.
 func (s *Server) sweepRun(rn *run) (*JobResult, error) {
 	sinks := []telemetry.Sink{rn.events}
 	if s.opt.Metrics != nil {
@@ -343,11 +342,10 @@ func (s *Server) sweepRun(rn *run) (*JobResult, error) {
 	return res, nil
 }
 
-// runLevels is the resumable, retrying sweep: levels with a durable
-// checkpoint are answered from the store without running a flow, the
-// rest go to flow.SweepLevels with per-level retry (transient failures
-// only) under the run's retry budget, and every freshly completed level
-// is checkpointed the moment it finishes — so a crash loses at most the
+// runLevels is the resumable sweep: levels with a durable checkpoint
+// are answered from the store without running a flow, the rest go to
+// flow.SweepLevels once each, and every freshly completed level is
+// checkpointed the moment it finishes — so a crash loses at most the
 // levels still in flight. The stitched result is bit-identical to an
 // uninterrupted sweep because checkpointed Metrics round-trip exactly
 // through JSON.
@@ -393,46 +391,26 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 	return out, nil
 }
 
-// attemptLevel runs one level under the retry policy and checkpoints it
-// on success. Permanent failures, cancellations, exhausted attempts and
-// an exhausted per-job budget all surface the level's error as-is.
+// attemptLevel runs one level once and checkpoints it on success. A
+// failure is not retried: the flow is a function of its inputs, so the
+// level's error surfaces as-is, and resubmitting the body re-runs only
+// the levels no checkpoint answers.
 func (s *Server) attemptLevel(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
-	for attempt := 1; ; attempt++ {
-		lr := s.runLevel(rn, base, cfg, pct)
-		s.levelsRun.Add(1)
-		s.emitRunMetric(rn, map[string]int64{"service.levels_run": 1}, nil, nil)
-		if lr.Err == nil {
-			rn.log.Debug("level done", "tp_percent", pct, "attempt", attempt,
-				"truncated", lr.Metrics.Truncated)
-			if rn.cacheable && !lr.Metrics.Truncated {
-				s.checkpoint(&recLevelDone{
-					Key: levelKey(rn.baseKey, pct), TPPercent: pct, Metrics: lr.Metrics,
-					RunID: rn.id, JobID: rn.primary,
-				})
-			}
-			return lr
-		}
-		if rn.ctx.Err() != nil || !transientError(lr.Err) || attempt >= retryMaxAttempts {
-			rn.log.Warn("level failed", "tp_percent", pct, "attempt", attempt, "error", lr.Err)
-			return lr
-		}
-		if rn.retryBudget.Add(-1) < 0 {
-			rn.log.Warn("level failed, retry budget exhausted", "tp_percent", pct,
-				"attempt", attempt, "error", lr.Err)
-			return lr
-		}
-		backoff := s.backoff(attempt)
-		rn.retries.Add(1)
-		s.retries.Add(1)
-		s.emitRunMetric(rn, map[string]int64{"service.retries": 1}, nil, nil)
-		rn.log.Warn("level retrying after transient failure", "tp_percent", pct,
-			"attempt", attempt, "backoff_ms", backoff.Milliseconds(), "error", lr.Err)
-		// Context-aware backoff: a DELETE that cancels the run aborts
-		// this sleep immediately and frees the worker.
-		if !sleepCtx(rn.ctx, backoff) {
-			return lr
-		}
+	lr := s.runLevel(rn, base, cfg, pct)
+	s.levelsRun.Add(1)
+	s.emitRunMetric(rn, map[string]int64{"service.levels_run": 1}, nil, nil)
+	if lr.Err != nil {
+		rn.log.Warn("level failed", "tp_percent", pct, "error", lr.Err)
+		return lr
 	}
+	rn.log.Debug("level done", "tp_percent", pct, "truncated", lr.Metrics.Truncated)
+	if rn.cacheable && !lr.Metrics.Truncated {
+		s.checkpoint(&recLevelDone{
+			Key: levelKey(rn.baseKey, pct), TPPercent: pct, Metrics: lr.Metrics,
+			RunID: rn.id, JobID: rn.primary,
+		})
+	}
+	return lr
 }
 
 // checkpoint is the level-done transition: one freshly completed level
@@ -463,7 +441,7 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 		out.result = encodeResult(res)
 	}
 	// Cache only complete, successful, deterministic results: a partial
-	// sweep (one level panicked or timed out) must be retried, not
+	// sweep must re-run its failed level on resubmission, not be
 	// replayed forever from the cache. Publishing before the inflight
 	// entry goes is what admit's re-check under the lock relies on.
 	publish := out.state == StateDone && rn.cacheable && res != nil && res.Complete
@@ -493,7 +471,7 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 	rn.cancel() // release the context's resources
 	rn.events.Close()
 	rn.log.Info("run finished", "state", string(out.state), "jobs", len(jobs),
-		"retries", rn.retries.Load(), "resumed_levels", rn.resumedLevels.Load(), "error", errMsg)
+		"resumed_levels", rn.resumedLevels.Load(), "error", errMsg)
 
 	// Retire the run into the history archive. Only runs that actually
 	// executed a flow are archived — a run torn down while still queued
@@ -524,8 +502,7 @@ const canceledByClient = "canceled by client"
 // how many jobs it retired — a job a DELETE or its run's verdict reached
 // first is left alone, so every job is retired exactly once. A run that
 // loses its last waiter here is dropped: off the queue if still there,
-// its flow aborted if running (including a retry backoff sleep, which
-// selects on the run's context), its event stream closed.
+// its flow aborted if running, its event stream closed.
 //
 // A retired job keeps what a GET can still ask for: its verdict and its
 // run's record. It lets go of the run and of its accepted record, which

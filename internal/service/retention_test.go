@@ -227,21 +227,18 @@ func TestRetiredRunIsCollectable(t *testing.T) {
 // change when its run goes away — status, result, event stream and
 // flight dump read the same bytes at done and after the run is collected.
 // A job a DELETE retired while its coalesced twin still waited keeps
-// following the run's retry and resume counters, as it did when it held
-// the run itself.
+// following the run's resume counter, as it did when it held the run
+// itself.
 func TestRetiredJobAnswersAsBefore(t *testing.T) {
 	const (
 		blocks    = 7 // the level runs until released
-		transient = 2 // the level fails once, transiently, then runs
+		transient = 2 // the level fails on its first run
 	)
 	w := newDesignWatch()
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	var failedOnce atomic.Bool
-	s := New(Options{
-		Workers: 1, Flight: telemetry.NewFlightRecorder(1024),
-		retryDelay: time.Millisecond,
-	})
+	s := New(Options{Workers: 1, Flight: telemetry.NewFlightRecorder(1024)})
 	defer shutdown(t, s)
 	real := s.runLevel
 	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
@@ -252,7 +249,7 @@ func TestRetiredJobAnswersAsBefore(t *testing.T) {
 			<-release
 			return flow.LevelResult{TPPercent: pct, Metrics: stubMetrics(pct)}
 		case pct == transient && failedOnce.CompareAndSwap(false, true):
-			return flow.LevelResult{TPPercent: pct, Err: transientStageError(pct)}
+			return flow.LevelResult{TPPercent: pct, Err: panicStageError(pct)}
 		}
 		return real(rn, base, cfg, pct)
 	}
@@ -296,8 +293,8 @@ func TestRetiredJobAnswersAsBefore(t *testing.T) {
 	}
 
 	// A coalesced twin DELETE'd while its run is still queued. The run
-	// then resumes levels 0 and 1 from p's checkpoints and retries level 2
-	// once: the twin's status follows, as the waiter's does.
+	// then resumes levels 0 and 1 from p's checkpoints and fails level 2:
+	// the twin's status follows, as the waiter's does.
 	_, x := postJob(t, s, jobBody(t, "acme", blocks))
 	<-started
 	_, a := postJob(t, s, jobBody(t, "acme", 0, 1, transient))
@@ -311,16 +308,16 @@ func TestRetiredJobAnswersAsBefore(t *testing.T) {
 	close(release)
 	waitState(t, s, x.ID, StateDone)
 	got := waitState(t, s, a.ID, StateDone)
-	if got.Retries != 1 || got.ResumedLevels != 2 {
-		t.Fatalf("a: retries %d, resumed_levels %d, want 1 and 2", got.Retries, got.ResumedLevels)
+	if got.ResumedLevels != 2 {
+		t.Fatalf("a: resumed_levels %d, want 2", got.ResumedLevels)
 	}
 	if !w.collected(t, a.RunID) {
 		t.Fatal("a's run is still reachable")
 	}
 	twin := getStatus(t, s, b.ID)
-	if twin.State != StateCanceled || twin.Retries != got.Retries || twin.ResumedLevels != got.ResumedLevels {
-		t.Fatalf("DELETE'd twin: %s with retries %d, resumed_levels %d; its run ended with %d and %d",
-			twin.State, twin.Retries, twin.ResumedLevels, got.Retries, got.ResumedLevels)
+	if twin.State != StateCanceled || twin.ResumedLevels != got.ResumedLevels {
+		t.Fatalf("DELETE'd twin: %s with resumed_levels %d; its run ended with %d",
+			twin.State, twin.ResumedLevels, got.ResumedLevels)
 	}
 	// Both read the one stream their run emitted.
 	frames := func(id string) string {

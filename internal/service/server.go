@@ -67,8 +67,6 @@ type run struct {
 
 	profile []byte // per-run CPU profile (nil unless -profile-runs captured one)
 
-	retryBudget atomic.Int64 // remaining per-job retry tokens
-
 	// All below guarded by Server.mu. An empty jobs list means nobody
 	// wants the result anymore and the run may be dropped/cancelled.
 	jobs           []*Job
@@ -85,7 +83,6 @@ type runRecord struct {
 	id            string // run_id: the correlation identity of this flow run
 	events        *broadcaster
 	flight        *telemetry.FlightRecorder // per-run black box (nil if disabled)
-	retries       atomic.Int64              // retries spent so far
 	resumedLevels atomic.Int64              // levels answered from checkpoints
 }
 
@@ -224,10 +221,8 @@ type JobStatus struct {
 	// Coalesced reports that this submission attached to an already
 	// in-flight identical run instead of starting its own flow.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Retries counts backoff-retried level attempts of this job's run;
 	// ResumedLevels counts levels answered from durable checkpoints
 	// instead of being re-executed.
-	Retries       int64  `json:"retries,omitempty"`
 	ResumedLevels int64  `json:"resumed_levels,omitempty"`
 	Error         string `json:"error,omitempty"`
 	CreatedAt     string `json:"created_at"`
@@ -251,7 +246,10 @@ type Stats struct {
 	CacheMisses  int64 `json:"cache_misses"`
 	Draining     bool  `json:"draining"`
 	// Durability counters (zero for in-memory servers).
-	Ready         bool  `json:"ready"`
+	Ready bool `json:"ready"`
+	// Retries always reads 0: a failed level runs once and is recovered
+	// by resubmission, which resumes from level checkpoints. The field
+	// stays only while the benchmark harness still reads it.
 	Retries       int64 `json:"retries"`
 	LevelsRun     int64 `json:"levels_run"`
 	LevelsResumed int64 `json:"levels_resumed"`
@@ -290,9 +288,9 @@ type Options struct {
 	Metrics *telemetry.PromSink
 	// Log, when non-nil, is the service's structured logger: every
 	// lifecycle transition (accept, coalesce, cache hit, run start,
-	// retry, checkpoint resume, finish, cancel, drain, replay) logs
-	// through it with job_id/run_id/tenant bound. Nil disables logging
-	// at zero cost.
+	// level failure, checkpoint resume, finish, cancel, drain, replay)
+	// logs through it with job_id/run_id/tenant bound. Nil disables
+	// logging at zero cost.
 	Log *telemetry.Logger
 	// Flight, when non-nil, is the service-wide flight recorder: it is
 	// attached as a sink to every run's tracer and receives every
@@ -331,7 +329,6 @@ type Options struct {
 	journalHook   func(journal.Op) error // fault injection into the journal
 	replayGate    chan struct{}          // replay blocks until closed (readyz tests)
 	compactHook   func()                 // runs between a compaction's state capture and its segment cut
-	retryDelay    time.Duration          // fixed, unjittered retry backoff in place of the schedule
 }
 
 // runFlightEvents sizes the per-run flight ring kept when Options.Flight
@@ -413,7 +410,6 @@ type Server struct {
 	ready         atomic.Bool
 	compacting    atomic.Bool
 	replayWG      sync.WaitGroup
-	retries       atomic.Int64
 	levelsRun     atomic.Int64
 	levelsResumed atomic.Int64
 	replayedJobs  atomic.Int64
@@ -429,8 +425,8 @@ type Server struct {
 	// runFlow executes one run and returns its result; tests replace it
 	// with a stub to exercise queueing/fairness/shutdown without paying
 	// for real layouts. runLevel executes ONE level inside the real
-	// checkpoint/retry driver; chaos tests replace it to inject level
-	// failures while the driver itself stays under test.
+	// runLevels/attemptLevel path; chaos tests replace it to inject
+	// level failures while that path itself stays under test.
 	runFlow  func(r *run) (*JobResult, error)
 	runLevel func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult
 
@@ -552,7 +548,6 @@ func (s *Server) Stats() Stats {
 		Draining:     s.draining.Load(),
 
 		Ready:         s.ready.Load(),
-		Retries:       s.retries.Load(),
 		LevelsRun:     s.levelsRun.Load(),
 		LevelsResumed: s.levelsResumed.Load(),
 		ReplayedJobs:  s.replayedJobs.Load(),
@@ -838,7 +833,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		i := 0
 		if last := r.Header.Get("Last-Event-ID"); last != "" {
 			if n, err := strconv.Atoi(last); err == nil && n >= 0 {
-				i = n + 1
+				// Clamped to the retained stream: an id past its end,
+				// up to MaxInt where n+1 would wrap, resumes at the end.
+				i = min(n, rec.events.len()-1) + 1
 			}
 		}
 		stop := context.AfterFunc(r.Context(), rec.events.wake)
@@ -993,7 +990,7 @@ func (s *Server) emitMetric(counters map[string]int64, gauges map[string]float64
 }
 
 // emitRunMetric is emitMetric carrying a run's correlation attrs, so
-// retry/checkpoint/terminal counter flushes in the flight recorder and
+// level/checkpoint/terminal counter flushes in the flight recorder and
 // on /metrics name the run they belong to. The tenant attr is the
 // run's, so these families split per tenant on /metrics (bounded by
 // the PromSink tenant cap).
@@ -1053,7 +1050,6 @@ func (s *Server) statusLocked(job *Job) JobStatus {
 		CreatedAt: job.created.UTC().Format(time.RFC3339Nano),
 	}
 	if job.record != nil {
-		st.Retries = job.record.retries.Load()
 		st.ResumedLevels = job.record.resumedLevels.Load()
 	}
 	if !job.started.IsZero() {
