@@ -66,9 +66,11 @@ trace-diff: trace-smoke
 #   correlate: the X-Request-ID was honoured, and the job's one run_id is
 #              visible in the status API, the JSON log, the /debug/flight
 #              dump (which tracestat -flight must parse, with service and
-#              log sections) and the per-tenant SLO families; SIGQUIT
-#              dumps the flight recorder (into the data dir, as a durable
-#              daemon does) WITHOUT killing the daemon.
+#              log sections), and /debug/flight?run=<run_id>, whose every
+#              line carries that run_id; /metrics splits the terminal job
+#              counter by tenant; SIGQUIT dumps the flight recorder (into
+#              the data dir, as a durable daemon does) WITHOUT killing the
+#              daemon.
 #   history:   the same budgeted job (atpg_budget_ms makes it
 #              non-cacheable, so the repeat executes a real flow) runs
 #              twice; both runs must be archived, the archived trace must
@@ -127,8 +129,14 @@ daemon-smoke:
 		|| fail "tracestat rejected the flight dump" cat daemon-smoke-flight-stat.txt; \
 	grep -q 'service: .* observation' daemon-smoke-flight-stat.txt || fail "no service section" cat daemon-smoke-flight-stat.txt; \
 	grep -q 'logs: .* record' daemon-smoke-flight-stat.txt || fail "no log section" cat daemon-smoke-flight-stat.txt; \
-	grep -q 'tpid_service_tenant_jobs_done_total{stage="service",tenant="smoke"}' daemon-smoke-metrics.txt \
-		|| fail "tenant SLO family missing from /metrics"; \
+	curl -sf "$$url/debug/flight?run=$$run" -o daemon-smoke-flight-run.ndjson || fail "no flight events for run $$run"; \
+	grep -q "\"run_id\":\"$$run\"" daemon-smoke-flight-run.ndjson || fail "run flight dump does not hold $$run"; \
+	! grep -v "\"run_id\":\"$$run\"" daemon-smoke-flight-run.ndjson >/dev/null \
+		|| fail "run flight dump holds other runs' events" grep -v "\"run_id\":\"$$run\"" daemon-smoke-flight-run.ndjson; \
+	./tracestat-smoke -flight daemon-smoke-flight-run.ndjson >daemon-smoke-flight-run-stat.txt \
+		|| fail "tracestat rejected the run flight dump" cat daemon-smoke-flight-run-stat.txt; \
+	grep -q 'tpid_service_jobs_done_total{stage="service",tenant="smoke"}' daemon-smoke-metrics.txt \
+		|| fail "per-tenant job counter missing from /metrics"; \
 	kill -QUIT $$pid; sleep 1; \
 	kill -0 $$pid 2>/dev/null || fail "SIGQUIT killed the daemon"; \
 	test -s daemon-smoke-data/flight-sigquit-1.ndjson && grep -q '"reason":"sigquit"' daemon-smoke.log \

@@ -276,12 +276,12 @@ func BenchmarkAblationTimingOpt(b *testing.B) {
 		}
 		optCfg := cfg
 		optCfg.TimingOptRounds = 3
-		opt, err := Run(design, optCfg)
+		tuned, err := Run(design, optCfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(plain.Metrics.Timing[0].TcpPS, "Tcp_ps_areaOnly")
-		b.ReportMetric(opt.Metrics.Timing[0].TcpPS, "Tcp_ps_timingOpt")
-		b.ReportMetric(100*(opt.Metrics.CoreArea-plain.Metrics.CoreArea)/plain.Metrics.CoreArea, "coreCost_%")
+		b.ReportMetric(tuned.Metrics.Timing[0].TcpPS, "Tcp_ps_timingOpt")
+		b.ReportMetric(100*(tuned.Metrics.CoreArea-plain.Metrics.CoreArea)/plain.Metrics.CoreArea, "coreCost_%")
 	}
 }

@@ -27,7 +27,7 @@
 //	GET    /debug/pprof/        net/http/pprof
 //	GET    /debug/flight        flight-recorder dump: the last -flight-events telemetry
 //	                            events (spans, service observations, log lines) as
-//	                            NDJSON; ?job=<id> narrows to one live/retained run
+//	                            NDJSON; ?run=<run_id> keeps only that run's events
 //
 // Every submission gets a job_id (a valid client X-Request-ID is
 // honored and echoed back) and every flow run a run_id; both ride on
@@ -127,9 +127,8 @@ func main() {
 		CacheBytes:         *cacheBytes,
 		MaxBodyBytes:       *maxBody,
 		RetainJobs:         *retainJobs,
-		Metrics:            prom,
+		Sinks:              []telemetry.Sink{prom, flight},
 		Log:                logger,
-		Flight:             flight,
 		DataDir:            *dataDir,
 		HistoryRuns:        *historyRuns,
 		HistoryBudgetBytes: *historyBudget,
@@ -148,7 +147,7 @@ func main() {
 	mux.Handle("/v1/", srv)
 	mux.Handle("/healthz", srv)
 	mux.Handle("/readyz", srv)
-	mux.Handle("/debug/flight", srv)
+	mux.HandleFunc("/debug/flight", dumper.serve)
 	mux.Handle("/metrics", prom)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -253,6 +252,24 @@ func (d *flightDumper) dump(reason string, stack []byte) {
 			rpprof.Lookup("goroutine").WriteTo(gf, 1)
 			gf.Close()
 			d.log.Warn("goroutine profile written", "path", gname)
+		}
+	}
+}
+
+// serve answers GET /debug/flight with the ring as NDJSON for tracestat
+// -flight. ?run=<run_id> keeps only that run's events: every span,
+// observation and log line of a run carries its run_id attr.
+func (d *flightDumper) serve(w http.ResponseWriter, r *http.Request) {
+	if d.flight == nil {
+		http.Error(w, "flight recorder disabled", http.StatusNotFound)
+		return
+	}
+	run := r.URL.Query().Get("run")
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	enc := json.NewEncoder(w)
+	for _, e := range d.flight.Snapshot() {
+		if run == "" || e.Attrs["run_id"] == run {
+			enc.Encode(e)
 		}
 	}
 }

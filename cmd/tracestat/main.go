@@ -35,8 +35,8 @@
 // durations, which cancels machine speed, and -min-dur suppresses
 // sub-threshold stages entirely. A stage that
 // dominates its run is share-invariant (slowing it slows the run too),
-// so -normalize keeps an absolute backstop: -hard-regress gates any
-// stage whose wall time grew beyond that percentage regardless of share.
+// so -normalize keeps an absolute backstop: any stage whose wall time
+// grew beyond 150% gates regardless of share.
 //
 // The exit status is non-zero if the trace is unbalanced (a span
 // started but never ended, or vice versa) — the signature of a crashed
@@ -65,20 +65,21 @@ import (
 	"tpilayout/internal/tracecmp"
 )
 
+// backstopPct is the -normalize comparison's absolute backstop: a
+// stage whose wall time grew beyond this percentage gates even if its
+// share of the run barely moved (a dominant stage is share-invariant).
+const backstopPct = 150
+
 // stageRun is the stage name of the span wrapping one full flow run
 // (mirrors the internal flow constant; the NDJSON schema is the stable
 // contract).
 const stageRun = "run"
 
 func main() {
-	showCounters := flag.Bool("counters", true, "print stage counter and gauge totals after the timing table")
-	p50 := flag.Bool("p50", true, "print a median column per histogram in the distribution table")
-	p99 := flag.Bool("p99", true, "print a 99th-percentile column per histogram in the distribution table")
 	flight := flag.Bool("flight", false, "treat the input as a flight-recorder dump: ring rotation drops the oldest span starts, so unbalanced spans are noted instead of failing")
 	maxRegress := flag.Float64("max-regress", 25, "with two traces: fail (exit 1) when a stage's duration grew by more than this percentage")
 	minDur := flag.Duration("min-dur", 0, "with two traces: noise floor — stages whose baseline duration is below this never gate (e.g. 100ms)")
 	normalize := flag.Bool("normalize", false, "with two traces: compare each stage's share of run total instead of absolute durations (machine-speed invariant)")
-	hardRegress := flag.Float64("hard-regress", 150, "with two traces and -normalize: absolute-time backstop — a stage whose wall time grew beyond this percentage gates even if its share of the run barely moved (dominant stages are share-invariant); 0 disables")
 	flag.Parse()
 
 	switch flag.NArg() {
@@ -86,7 +87,7 @@ func main() {
 	case 2:
 		os.Exit(diff(flag.Arg(0), flag.Arg(1), tracecmp.Options{
 			MaxRegressPct:  *maxRegress,
-			HardRegressPct: *hardRegress,
+			HardRegressPct: backstopPct,
 			MinDur:         *minDur,
 			Normalize:      *normalize,
 		}))
@@ -112,7 +113,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracestat:", err)
 		os.Exit(1)
 	}
-	summarize(os.Stdout, name, trace, *showCounters, *p50, *p99)
+	summarize(os.Stdout, name, trace)
 	summarizeService(os.Stdout, trace)
 	summarizeLogs(os.Stdout, trace)
 	if !trace.Balanced() {
@@ -242,7 +243,7 @@ func summarizeLogs(w io.Writer, trace *tpilayout.Trace) {
 	}
 }
 
-func summarize(w io.Writer, name string, trace *tpilayout.Trace, showCounters, p50, p99 bool) {
+func summarize(w io.Writer, name string, trace *tpilayout.Trace) {
 	levels := trace.Levels()
 
 	// First pass: identify run spans and attribute them to their level.
@@ -357,7 +358,7 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace, showCounters, p
 			100*float64(stageTotal)/float64(runTotal), fmtDur(runTotal))
 	}
 
-	if showCounters && (len(counters) > 0 || len(gauges) > 0) {
+	if len(counters) > 0 || len(gauges) > 0 {
 		fmt.Fprintf(w, "\n%-26s", "counter")
 		for _, tp := range levels {
 			fmt.Fprint(w, cell(fmt.Sprintf("tp %.1f%%", tp)))
@@ -381,8 +382,8 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace, showCounters, p
 
 	// Distribution table: the per-level percentile estimates of every
 	// histogram the trace carries (PODEM latency, FM cut deltas, per-net
-	// route times, ...), one row per requested quantile.
-	if (!p50 && !p99) || len(hists) == 0 {
+	// route times, ...): a count, p50 and p99 row per histogram.
+	if len(hists) == 0 {
 		return
 	}
 	fmt.Fprintf(w, "\n%-26s", "histogram")
@@ -394,16 +395,12 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace, showCounters, p
 		rows := []struct {
 			label string
 			q     float64
-			on    bool
 		}{
-			{"count", -1, true},
-			{"p50", 0.5, p50},
-			{"p99", 0.99, p99},
+			{"count", -1},
+			{"p50", 0.5},
+			{"p99", 0.99},
 		}
 		for _, r := range rows {
-			if !r.on {
-				continue
-			}
 			fmt.Fprintf(w, "%-26s", h+" "+r.label)
 			for _, tp := range levels {
 				d := hists[h][tp]

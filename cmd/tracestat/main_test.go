@@ -35,12 +35,12 @@ func parseFixture(t *testing.T) *tpilayout.Trace {
 	return trace
 }
 
-// TestSummarizePercentileTable pins the -p50/-p99 distribution table
+// TestSummarizePercentileTable pins the p50/p99 distribution table
 // format exactly: histogram rows after the counter table, one count/
 // p50/p99 row per histogram, duration formatting for *_ns names.
 func TestSummarizePercentileTable(t *testing.T) {
 	var buf bytes.Buffer
-	summarize(&buf, "fixture", parseFixture(t), true, true, true)
+	summarize(&buf, "fixture", parseFixture(t))
 	out := buf.String()
 
 	want := `
@@ -60,26 +60,6 @@ atpg.podem_ns p99             131.5ms    132.9ms
 	hi := strings.Index(out, "histogram")
 	if ci < 0 || hi < 0 || ci > hi {
 		t.Errorf("counter table missing or misplaced:\n%s", out)
-	}
-}
-
-// TestSummarizePercentileFlags: -p50=false/-p99=false drop their rows;
-// both off drops the whole section.
-func TestSummarizePercentileFlags(t *testing.T) {
-	var buf bytes.Buffer
-	summarize(&buf, "fixture", parseFixture(t), false, false, true)
-	out := buf.String()
-	if strings.Contains(out, "p50") || !strings.Contains(out, "atpg.podem_ns p99") {
-		t.Errorf("-p50=false output wrong:\n%s", out)
-	}
-	if strings.Contains(out, "atpg.patterns") {
-		t.Errorf("-counters=false leaked counters:\n%s", out)
-	}
-
-	buf.Reset()
-	summarize(&buf, "fixture", parseFixture(t), true, false, false)
-	if strings.Contains(buf.String(), "histogram") {
-		t.Errorf("both percentile flags off should drop the section:\n%s", buf.String())
 	}
 }
 

@@ -234,20 +234,20 @@ func TestTimingOptRecoversSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.TimingOptRounds = 3
-	opt, err := RunContext(context.Background(), n, cfg)
+	tuned, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := opt.Netlist.Validate(); err != nil {
+	if err := tuned.Netlist.Validate(); err != nil {
 		t.Fatalf("netlist invalid after timing optimization: %v", err)
 	}
-	if opt.Metrics.Timing[0].TcpPS > plain.Metrics.Timing[0].TcpPS {
+	if tuned.Metrics.Timing[0].TcpPS > plain.Metrics.Timing[0].TcpPS {
 		t.Errorf("timing optimization slowed the circuit: %.0f -> %.0f ps",
-			plain.Metrics.Timing[0].TcpPS, opt.Metrics.Timing[0].TcpPS)
+			plain.Metrics.Timing[0].TcpPS, tuned.Metrics.Timing[0].TcpPS)
 	}
 	// Upsized cells are wider: the core cannot shrink.
-	if opt.Metrics.CoreArea < plain.Metrics.CoreArea {
+	if tuned.Metrics.CoreArea < plain.Metrics.CoreArea {
 		t.Errorf("timing optimization shrank the core: %.0f -> %.0f",
-			plain.Metrics.CoreArea, opt.Metrics.CoreArea)
+			plain.Metrics.CoreArea, tuned.Metrics.CoreArea)
 	}
 }

@@ -53,7 +53,8 @@ func logRecords(t *testing.T, b *syncBuffer) []map[string]any {
 // TestEndToEndCorrelation is the tentpole acceptance test: one
 // submission's job_id and run_id are visible — with the same values —
 // in the HTTP response, the status API, every SSE span frame, the JSON
-// service log, the journal (proven by replay), and the flight recorder.
+// service log, the journal (proven by replay), and the flight recorder
+// passed in Sinks.
 func TestEndToEndCorrelation(t *testing.T) {
 	dir := t.TempDir()
 	logBuf := &syncBuffer{}
@@ -64,7 +65,7 @@ func TestEndToEndCorrelation(t *testing.T) {
 	flight := telemetry.NewFlightRecorder(1024)
 	prom := telemetry.NewPromSink("tpid")
 	lr := &levelRecorder{}
-	opt := Options{Workers: 1, Metrics: prom, Log: logger, Flight: flight}
+	opt := Options{Workers: 1, Sinks: []telemetry.Sink{prom, flight}, Log: logger}
 	s := openDurable(t, dir, opt, func(s *Server) { s.runLevel = lr.hook })
 	ts := httptest.NewServer(s)
 
@@ -145,35 +146,29 @@ func TestEndToEndCorrelation(t *testing.T) {
 			accepted, finished, strings.Join(logBuf.Lines(), "\n"))
 	}
 
-	// Flight recorder: the global ring dump parses and retains events
-	// stamped with this run's ids; the per-run ring serves ?job=.
-	code, dump := do(t, s, "GET", "/debug/flight", nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET /debug/flight = %d", code)
+	// Flight recorder: the ring passed in Sinks dumps as parseable
+	// NDJSON and holds this run's spans and service observations.
+	var dump bytes.Buffer
+	if err := flight.WriteNDJSON(&dump); err != nil {
+		t.Fatal(err)
 	}
-	ftrace, err := telemetry.ParseTrace(bytes.NewReader(dump))
+	ftrace, err := telemetry.ParseTrace(&dump)
 	if err != nil {
 		t.Fatalf("flight dump does not parse: %v", err)
 	}
-	var sawRun bool
-	for _, e := range ftrace.Events {
-		if e.Attrs["run_id"] == runID {
-			sawRun = true
-			break
+	var runSpans, runObs int
+	for _, sp := range ftrace.Spans {
+		if sp.Attrs["run_id"] == runID {
+			runSpans++
 		}
 	}
-	if !sawRun {
-		t.Fatalf("flight dump has no events for run %s:\n%s", runID, dump)
+	for _, e := range ftrace.Observations {
+		if e.Attrs["run_id"] == runID {
+			runObs++
+		}
 	}
-	code, runDump := do(t, s, "GET", "/debug/flight?job="+st.ID, nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET /debug/flight?job= = %d", code)
-	}
-	if _, err := telemetry.ParseTrace(bytes.NewReader(runDump)); err != nil {
-		t.Fatalf("per-run flight dump does not parse: %v", err)
-	}
-	if code, _ := do(t, s, "GET", "/debug/flight?job=nope", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown job flight dump = %d, want 404", code)
+	if runSpans == 0 || runObs == 0 {
+		t.Fatalf("flight recorder holds %d spans and %d observations of run %s, want both", runSpans, runObs, runID)
 	}
 
 	// Per-tenant SLO families surfaced on /metrics with the tenant label.
@@ -181,9 +176,9 @@ func TestEndToEndCorrelation(t *testing.T) {
 	prom.ServeHTTP(mrec, httptest.NewRequest("GET", "/metrics", nil))
 	exposition := mrec.Body.String()
 	for _, want := range []string{
-		`tpid_service_tenant_jobs_done_total{stage="service",tenant="acme"} 1`,
+		`tpid_service_jobs_done_total{stage="service",tenant="acme"} 1`,
 		`tpid_service_tenant_e2e_ns_count{stage="service",tenant="acme"}`,
-		`tpid_service_tenant_queue_wait_ns_count{stage="service",tenant="acme"}`,
+		`tpid_service_queue_wait_ns_count{stage="service",tenant="acme"}`,
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("exposition missing %q:\n%s", want, exposition)

@@ -205,14 +205,7 @@ func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
 		enqueued:  time.Now(),
 		jobs:      []*Job{job},
 	}
-	if s.opt.Flight != nil {
-		rn.flight = telemetry.NewFlightRecorder(runFlightEvents)
-	}
 	rn.log = s.opt.Log.With("job_id", job.ID, "run_id", rn.id, "tenant", rn.tenant)
-	if rn.flight != nil {
-		// Tee this run's log lines into its own black box as well.
-		rn.log = rn.log.WithSinks(rn.flight)
-	}
 	job.run, job.record, job.runID = rn, rn.runRecord, rn.id
 	return rn
 }
@@ -268,10 +261,7 @@ func (s *Server) execute(rn *run) {
 			"service.queue_depth": float64(s.queue.Len()),
 			"service.running":     float64(s.running.Load()),
 		},
-		map[string]telemetry.HistData{
-			"service.queue_wait_ns":        telemetry.Observation(int64(wait)),
-			"service.tenant_queue_wait_ns": telemetry.Observation(int64(wait)),
-		},
+		map[string]telemetry.HistData{"service.queue_wait_ns": telemetry.Observation(int64(wait))},
 	)
 	rn.log.Info("run started", "queue_wait_ms", wait.Milliseconds(), "levels", len(rn.levels))
 
@@ -281,19 +271,10 @@ func (s *Server) execute(rn *run) {
 }
 
 // sweepRun is the production runFlow: the supervised partial sweep with
-// the run's broadcaster (SSE) and the server's /metrics sink attached,
+// the run's broadcaster (SSE) and the server's sinks attached,
 // executed level by level through attemptLevel, which checkpoints.
 func (s *Server) sweepRun(rn *run) (*JobResult, error) {
-	sinks := []telemetry.Sink{rn.events}
-	if s.opt.Metrics != nil {
-		sinks = append(sinks, s.opt.Metrics)
-	}
-	if s.opt.Flight != nil {
-		sinks = append(sinks, s.opt.Flight)
-	}
-	if rn.flight != nil {
-		sinks = append(sinks, rn.flight)
-	}
+	sinks := append([]telemetry.Sink{rn.events}, s.opt.Sinks...)
 	sinks = append(sinks, s.opt.ExtraSinks...)
 
 	cfg := rn.cfg
@@ -584,22 +565,19 @@ func (s *Server) retire(jobs []*Job, out outcome) int {
 		s.jobsCanceled.Add(n)
 	}
 	// One event per job, under the job's own ids and tenant: the terminal
-	// counters, and the per-tenant SLO families beside them.
+	// counters and the end-to-end latency, which the tenant attr splits
+	// per tenant on /metrics.
 	gauges := map[string]float64{"service.queue_depth": float64(s.queue.Len()), "service.running": float64(s.running.Load())}
 	for _, j := range seen {
-		counters := map[string]int64{"service.jobs_" + string(out.state): 1, "service.tenant_jobs_" + string(out.state): 1}
+		counters := map[string]int64{"service.jobs_" + string(out.state): 1}
 		if out.cacheHit {
 			counters["service.cache_hit_jobs"] = 1
-		}
-		var runFlight *telemetry.FlightRecorder
-		if j.record != nil {
-			runFlight = j.record.flight
 		}
 		s.emitEvent(telemetry.Event{
 			Type: telemetry.EventSpanEnd, Stage: "service", Time: now, Counters: counters, Gauges: gauges,
 			Hists: map[string]telemetry.HistData{"service.tenant_e2e_ns": telemetry.Observation(int64(now.Sub(j.created)))},
 			Attrs: map[string]string{"run_id": j.runID, "job_id": j.ID, "tenant": j.Tenant},
-		}, runFlight)
+		})
 	}
 	return len(retired)
 }

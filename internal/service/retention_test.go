@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"errors"
 	"net/http"
 	"runtime"
@@ -13,7 +12,6 @@ import (
 
 	"tpilayout/internal/flow"
 	"tpilayout/internal/netlist"
-	"tpilayout/internal/telemetry"
 )
 
 // designWatch tells, by a finalizer on each watched design, whether the
@@ -224,8 +222,8 @@ func TestRetiredRunIsCollectable(t *testing.T) {
 }
 
 // TestRetiredJobAnswersAsBefore: what a GET returns for a job does not
-// change when its run goes away — status, result, event stream and
-// flight dump read the same bytes at done and after the run is collected.
+// change when its run goes away — status, result and event stream read
+// the same bytes at done and after the run is collected.
 // A job a DELETE retired while its coalesced twin still waited keeps
 // following the run's resume counter, as it did when it held the run
 // itself.
@@ -238,7 +236,7 @@ func TestRetiredJobAnswersAsBefore(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	var failedOnce atomic.Bool
-	s := New(Options{Workers: 1, Flight: telemetry.NewFlightRecorder(1024)})
+	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
 	real := s.runLevel
 	s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
@@ -262,23 +260,12 @@ func TestRetiredJobAnswersAsBefore(t *testing.T) {
 			}
 			out[path] = string(body)
 		}
-		code, body := do(t, s, "GET", "/debug/flight?job="+id, nil)
-		if code != http.StatusOK {
-			t.Fatalf("GET flight of %s = %d: %s", id, code, body)
-		}
-		out["flight"] = string(body)
 		return out
 	}
 
-	// A done job, read the moment retire's terminal event is in its run's
-	// flight ring (nothing lands there after it), then once the run is
-	// gone.
+	// A done job, read at done, then once the run is gone.
 	_, p := postJob(t, s, jobBody(t, "acme", 0, 1))
 	waitState(t, s, p.ID, StateDone)
-	waitFor(t, func() bool {
-		_, body := do(t, s, "GET", "/debug/flight?job="+p.ID, nil)
-		return bytes.Contains(body, []byte(`"service.jobs_done"`))
-	})
 	atDone := reads(p.ID)
 	if !w.collected(t, p.RunID) {
 		t.Fatal("the done job's run is still reachable")

@@ -76,14 +76,13 @@ type run struct {
 
 // runRecord is the part of a run that outlives it: what a GET on a job
 // can still ask of its run once the run is gone — the run's identity,
-// its counters, its event stream (SSE) and its flight ring. The run and
-// every job attached to it share one, so a job a DELETE retired early
-// keeps following the run's counters.
+// its counters and its event stream (SSE). The run and every job
+// attached to it share one, so a job a DELETE retired early keeps
+// following the run's counters.
 type runRecord struct {
 	id            string // run_id: the correlation identity of this flow run
 	events        *broadcaster
-	flight        *telemetry.FlightRecorder // per-run black box (nil if disabled)
-	resumedLevels atomic.Int64              // levels answered from checkpoints
+	resumedLevels atomic.Int64 // levels answered from checkpoints
 }
 
 // attrs is the run's correlation identity, stamped onto every event the
@@ -282,28 +281,18 @@ type Options struct {
 	// RetainJobs bounds how many terminal jobs stay queryable before the
 	// oldest are forgotten (default 512).
 	RetainJobs int
-	// Metrics, when non-nil, receives both the flow telemetry of every
-	// job and the service-level families (queue depth, queue wait,
-	// cache hits, jobs by terminal state) — mount it on /metrics.
-	Metrics *telemetry.PromSink
+	// Sinks receive every run's span events and the service-level
+	// observations (queue depth, queue wait, cache hits, jobs by
+	// terminal state) — tpid passes its /metrics sink and flight recorder.
+	Sinks []telemetry.Sink
 	// Log, when non-nil, is the service's structured logger: every
 	// lifecycle transition (accept, coalesce, cache hit, run start,
 	// level failure, checkpoint resume, finish, cancel, drain, replay)
 	// logs through it with job_id/run_id/tenant bound. Nil disables
 	// logging at zero cost.
 	Log *telemetry.Logger
-	// Flight, when non-nil, is the service-wide flight recorder: it is
-	// attached as a sink to every run's tracer and receives every
-	// service metric event and (if the Logger forwards to it) log line.
-	// GET /debug/flight dumps it as NDJSON. Each run additionally
-	// retains its own last runFlightEvents events, dumped via
-	// /debug/flight?job=<id>.
-	Flight *telemetry.FlightRecorder
 	// ExtraSinks are attached to every job's tracer (tests).
 	ExtraSinks []telemetry.Sink
-	// Flush, when non-nil, is called at the end of Shutdown so the
-	// daemon can flush file-backed telemetry sinks before exit.
-	Flush func() error
 	// DataDir, when set, makes the server durable: job-state transitions
 	// are journaled there (fsync'd, CRC-framed, segment-rotated) and a
 	// restart on the same directory replays retired results, level
@@ -330,10 +319,6 @@ type Options struct {
 	replayGate    chan struct{}          // replay blocks until closed (readyz tests)
 	compactHook   func()                 // runs between a compaction's state capture and its segment cut
 }
-
-// runFlightEvents sizes the per-run flight ring kept when Options.Flight
-// is set.
-const runFlightEvents = 256
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -509,7 +494,6 @@ func Open(opt Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/runs/{id}/profile", s.handleRunProfile)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 
 	s.workersWG.Add(s.opt.Workers)
 	for i := 0; i < s.opt.Workers; i++ {
@@ -966,27 +950,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.jrnl != nil {
 		s.jrnl.Close()
 	}
-	if s.opt.Flush != nil {
-		if ferr := s.opt.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
 	return err
 }
 
 // ---------------------------------------------------------------------------
 // Telemetry + JSON helpers
 
-// emitMetric folds service-level families into the /metrics sink as one
+// emitMetric folds service-level families into the sinks as one
 // synthetic span_end under stage="service" with ID 0 (an observation
 // event, exempt from trace balancing) — the same pipe the flow's own
 // telemetry rides, so one scrape shows engine and service health side
-// by side. Every observation also lands in the flight recorder.
+// by side.
 func (s *Server) emitMetric(counters map[string]int64, gauges map[string]float64, hists map[string]telemetry.HistData) {
 	s.emitEvent(telemetry.Event{
 		Type: telemetry.EventSpanEnd, Stage: "service", Time: time.Now(),
 		Counters: counters, Gauges: gauges, Hists: hists,
-	}, nil)
+	})
 }
 
 // emitRunMetric is emitMetric carrying a run's correlation attrs, so
@@ -998,41 +977,13 @@ func (s *Server) emitRunMetric(rn *run, counters map[string]int64, gauges map[st
 	s.emitEvent(telemetry.Event{
 		Type: telemetry.EventSpanEnd, Stage: "service", Time: time.Now(),
 		Counters: counters, Gauges: gauges, Hists: hists, Attrs: rn.attrs(),
-	}, rn.flight)
+	})
 }
 
-func (s *Server) emitEvent(e telemetry.Event, runFlight *telemetry.FlightRecorder) {
-	if s.opt.Metrics != nil {
-		s.opt.Metrics.Emit(e)
+func (s *Server) emitEvent(e telemetry.Event) {
+	for _, sink := range s.opt.Sinks {
+		sink.Emit(e)
 	}
-	s.opt.Flight.Emit(e) // nil-safe
-	runFlight.Emit(e)
-}
-
-// handleFlight dumps the flight recorder — the service-wide ring, or
-// one run's with ?job=<id> — as NDJSON readable by tracestat -flight.
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if s.opt.Flight == nil {
-		writeError(w, http.StatusNotFound, "flight recorder disabled")
-		return
-	}
-	fr := s.opt.Flight
-	if id := r.URL.Query().Get("job"); id != "" {
-		s.mu.Lock()
-		job := s.jobs[id]
-		if job != nil && job.record != nil {
-			fr = job.record.flight
-		} else {
-			fr = nil
-		}
-		s.mu.Unlock()
-		if fr == nil {
-			writeError(w, http.StatusNotFound, "no flight record for job %q (terminal cache hits and unknown jobs have none)", id)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	fr.WriteNDJSON(w)
 }
 
 func (s *Server) statusLocked(job *Job) JobStatus {

@@ -80,19 +80,6 @@ func (l *Logger) With(args ...any) *Logger {
 	return &Logger{h: l.h.WithAttrs(sa), sinks: l.sinks, attrs: attrs, now: l.now}
 }
 
-// WithSinks returns a Logger that additionally forwards records to the
-// given sinks — the service tees each run's log lines into that run's
-// flight recorder this way.
-func (l *Logger) WithSinks(extra ...Sink) *Logger {
-	if l == nil || len(extra) == 0 {
-		return l
-	}
-	sinks := make([]Sink, 0, len(l.sinks)+len(extra))
-	sinks = append(sinks, l.sinks...)
-	sinks = append(sinks, extra...)
-	return &Logger{h: l.h, sinks: sinks, attrs: l.attrs, now: l.now}
-}
-
 // Debug logs at debug level with alternating key/value args.
 func (l *Logger) Debug(msg string, args ...any) {
 	if l == nil {

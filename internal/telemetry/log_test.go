@@ -134,30 +134,14 @@ func TestLoggerWithBindsAttrs(t *testing.T) {
 	}
 }
 
-// TestLoggerWithSinks: extra sinks tee in addition to the base set —
-// how per-run flight rings receive that run's log lines.
-func TestLoggerWithSinks(t *testing.T) {
-	base := &collectSink{}
-	extra := &collectSink{}
-	l, err := NewLogger(&bytes.Buffer{}, "text", slog.LevelInfo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.WithSinks(extra).Info("both")
-	l.Info("base only")
-	if len(base.events) != 2 || len(extra.events) != 1 {
-		t.Fatalf("base=%d extra=%d, want 2/1", len(base.events), len(extra.events))
-	}
-}
-
 func TestLoggerNil(t *testing.T) {
 	var l *Logger
 	l.Debug("x")
 	l.Info("x")
 	l.Warn("x")
 	l.Error("x")
-	if l.With("k", "v") != nil || l.WithSinks(&collectSink{}) != nil {
-		t.Fatal("nil logger must stay nil through With/WithSinks")
+	if l.With("k", "v") != nil {
+		t.Fatal("nil logger must stay nil through With")
 	}
 }
 

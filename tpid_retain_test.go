@@ -4,7 +4,9 @@ package tpilayout
 // finished jobs queryable; what each one holds is what the daemon's heap
 // grows by per distinct circuit it has answered. A retired job must keep
 // its answer (status, tables, event stream), not its run: not the parsed
-// netlist and not the canonical .bench text of its request.
+// netlist, not the canonical .bench text of its request, and not a
+// telemetry buffer of its own. A daemon with a flight recorder, as tpid
+// runs by default, must grow by no more per job than one without.
 
 import (
 	"bytes"
@@ -20,14 +22,42 @@ import (
 	"tpilayout/internal/circuitgen"
 	"tpilayout/internal/service"
 	"tpilayout/internal/stdcell"
+	"tpilayout/internal/telemetry"
 )
 
 func TestServiceRetainedHeapPerJob(t *testing.T) {
 	const (
-		jobs        = 20
 		maxPerJobMB = 0.3
+		maxFlightMB = 0.02 // extra growth per job a flight recorder may cost
 	)
-	srv, err := service.Open(service.Options{Workers: 1, FlowWorkers: 1, DataDir: t.TempDir()})
+	cases := []struct {
+		name  string
+		sinks []telemetry.Sink
+	}{
+		{"no recorder", nil},
+		{"4096-event flight recorder", []telemetry.Sink{telemetry.NewFlightRecorder(4096)}}, // tpid's -flight-events default
+	}
+	perJob := make([]float64, len(cases))
+	for i, tc := range cases {
+		perJob[i] = retainedHeapPerJob(t, tc.sinks)
+		t.Logf("%s: live heap grew by %.3f MB per retired job", tc.name, perJob[i])
+		if perJob[i] >= maxPerJobMB {
+			t.Fatalf("%s: live heap grew by %.3f MB per retired job, want < %.1f MB", tc.name, perJob[i], maxPerJobMB)
+		}
+	}
+	if extra := perJob[1] - perJob[0]; extra > maxFlightMB {
+		t.Fatalf("a flight recorder costs %.3f MB more per retired job (%.3f against %.3f MB), want at most %.2f MB",
+			extra, perJob[1], perJob[0], maxFlightMB)
+	}
+}
+
+// retainedHeapPerJob runs 20 distinct jobs through a durable in-process
+// daemon with the given sinks and returns the live heap growth per
+// retired job, in MB.
+func retainedHeapPerJob(t *testing.T, sinks []telemetry.Sink) float64 {
+	t.Helper()
+	const jobs = 20
+	srv, err := service.Open(service.Options{Workers: 1, FlowWorkers: 1, DataDir: t.TempDir(), Sinks: sinks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +133,5 @@ func TestServiceRetainedHeapPerJob(t *testing.T) {
 	for seed := int64(1); seed <= jobs; seed++ {
 		run(seed)
 	}
-	perJob := (liveHeap() - before) / jobs
-	t.Logf("live heap grew by %.3f MB per retired job", perJob)
-	if perJob >= maxPerJobMB {
-		t.Fatalf("live heap grew by %.3f MB per retired job, want < %.1f MB", perJob, maxPerJobMB)
-	}
+	return (liveHeap() - before) / jobs
 }

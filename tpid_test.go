@@ -27,7 +27,7 @@ import (
 
 func TestServiceEndToEnd(t *testing.T) {
 	prom := telemetry.NewPromSink("tpid")
-	srv := service.New(service.Options{Workers: 2, FlowWorkers: 2, Metrics: prom})
+	srv := service.New(service.Options{Workers: 2, FlowWorkers: 2, Sinks: []telemetry.Sink{prom}})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
