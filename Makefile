@@ -1,59 +1,12 @@
 # Convenience targets; everything is plain `go` underneath.
 
-TRACE_OUT ?= trace.ndjson
-MAX_REGRESS ?= 25
-
-# The one traced sweep trace-smoke and trace-diff both make. -workers 1
-# keeps it serial, so level 0's stages have all closed (and are
-# scrapeable) while level 1 is still running.
-TRACED_RUN = go run ./cmd/tpitables -circuits s38417c -scale 0.25 -levels 0,1 -workers 1 -table 1
-TRACE_RERUN = $(TRACE_OUT:.ndjson=-rerun.ndjson)
-TRACE_SCRAPE = $(TRACE_OUT:.ndjson=-metrics.txt)
-
-.PHONY: test race trace-smoke trace-diff daemon-smoke chaos
+.PHONY: test race daemon-smoke chaos
 
 test:
 	go build ./... && go vet ./... && go test ./...
 
 race:
 	go test -race ./...
-
-# trace-smoke is the observability CI gate: one traced s38417 sweep at
-# reduced scale, read twice. While it runs, its live /metrics listener is
-# scraped and the exposition must carry the per-stage counter, gauge and
-# histogram families — PromSink, the -metrics flag and the hot-path
-# instrumentation outside of unit tests. When it is done, tracestat reads
-# the NDJSON trace and exits non-zero if any span is unbalanced.
-# $(TRACE_OUT) and $(TRACE_SCRAPE) are left behind for archiving.
-trace-smoke:
-	$(TRACED_RUN) -trace $(TRACE_OUT) -progress -metrics localhost:9341 & \
-	pid=$$!; \
-	scraped=0; \
-	for i in $$(seq 1 600); do \
-		if curl -sf http://localhost:9341/metrics -o $(TRACE_SCRAPE) 2>/dev/null && \
-			grep -q tpilayout_route_net_ns $(TRACE_SCRAPE) && \
-			grep -q tpilayout_atpg_podem_ns $(TRACE_SCRAPE); then scraped=1; break; fi; \
-		sleep 0.2; \
-	done; \
-	wait $$pid || { echo "trace-smoke: sweep failed"; exit 1; }; \
-	test $$scraped = 1 || { echo "trace-smoke: live scrape never saw the histogram families"; exit 1; }; \
-	for fam in tpilayout_spans_total tpilayout_stage_duration_ns_bucket tpilayout_stage_last_duration_ns \
-		tpilayout_atpg_podem_ns tpilayout_atpg_sim_batch_ns tpilayout_place_fm_cut_delta tpilayout_route_net_ns; do \
-		grep -q "$$fam" $(TRACE_SCRAPE) || { echo "trace-smoke: missing family $$fam"; cat $(TRACE_SCRAPE); exit 1; }; \
-	done; \
-	echo "trace-smoke: live scrape OK, all families present"
-	go run ./cmd/tracestat $(TRACE_OUT)
-
-# trace-diff exercises the run comparison, tracestat BASE CUR, end to
-# end: the traced sweep is made a second time and tracestat compares the
-# two fresh traces of one seed on one host stage by stage, so no committed trace
-# has to be re-recorded when the flow changes (timing across commits is
-# `bash bench/run.sh`). -normalize compares each stage's share of its
-# run and -min-dur keeps sub-100ms stages out of the gate; exit 1 names
-# the regressed stage and TP level.
-trace-diff: trace-smoke
-	$(TRACED_RUN) -trace $(TRACE_RERUN)
-	go run ./cmd/tracestat -normalize -max-regress $(MAX_REGRESS) -min-dur 100ms $(TRACE_OUT) $(TRACE_RERUN)
 
 # daemon-smoke is the daemon CI gate: one real tpid — durable, JSON logs,
 # per-run profiling — walked through four phases over curl. Every failure
@@ -62,7 +15,9 @@ trace-diff: trace-smoke
 #              X-Request-ID; the result must come back 200 with complete
 #              tables, an identical resubmission must be a cache hit, and
 #              /metrics must expose the service-level families next to
-#              the flow ones.
+#              the flow ones: spans, per-stage duration histogram and
+#              last-duration gauge, PODEM and simulation-batch latency,
+#              FM cut delta and per-net routing time.
 #   correlate: the X-Request-ID was honoured, and the job's one run_id is
 #              visible in the status API, the JSON log, the /debug/flight
 #              dump (which tracestat -flight must parse, with service and
@@ -113,7 +68,9 @@ daemon-smoke:
 		|| fail "identical resubmission was not a cache hit"; \
 	curl -sf $$url/metrics -o daemon-smoke-metrics.txt; \
 	for fam in tpid_service_jobs_submitted_total tpid_service_flow_runs_total tpid_service_jobs_done_total \
-		tpid_service_cache_hit_jobs_total tpid_service_queue_wait_ns tpid_spans_total; do \
+		tpid_service_cache_hit_jobs_total tpid_service_queue_wait_ns tpid_spans_total \
+		tpid_stage_duration_ns_bucket tpid_stage_last_duration_ns tpid_atpg_podem_ns \
+		tpid_atpg_sim_batch_ns tpid_place_fm_cut_delta tpid_route_net_ns; do \
 		grep -q "$$fam" daemon-smoke-metrics.txt || fail "/metrics missing $$fam" cat daemon-smoke-metrics.txt; \
 	done; \
 	\

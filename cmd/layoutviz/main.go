@@ -10,11 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 
 	"tpilayout"
-	"tpilayout/cmd/internal/obs"
 	"tpilayout/internal/layoutviz"
 )
 
@@ -23,19 +23,11 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "circuit size scale factor")
 	tp := flag.Float64("tp", 1.0, "test-point percentage")
 	out := flag.String("out", ".", "output directory")
-	logFlags := obs.RegisterLog()
 	flag.Parse()
 
-	logger, err := logFlags.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "layoutviz: %v\n", err)
-		os.Exit(1)
-	}
-	logger = logger.With("component", "layoutviz")
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "error", err)
-		os.Exit(1)
-	}
+	log.SetFlags(0)
+	log.SetPrefix("layoutviz: ")
+	fatal := func(msg string, err error) { log.Fatalf("%s: %v", msg, err) }
 
 	spec, err := tpilayout.SpecByName(*circuit)
 	if err != nil {
@@ -73,6 +65,6 @@ func main() {
 		if err := os.WriteFile(path, doc, 0o644); err != nil {
 			fatal("writing view", err)
 		}
-		logger.Info("wrote view", "path", path, "bytes", len(doc))
+		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", path, len(doc))
 	}
 }

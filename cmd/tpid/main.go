@@ -72,7 +72,6 @@ import (
 	"syscall"
 	"time"
 
-	"tpilayout/cmd/internal/obs"
 	"tpilayout/internal/service"
 	"tpilayout/internal/supervise"
 	"tpilayout/internal/telemetry"
@@ -92,14 +91,20 @@ func main() {
 	historyRuns := flag.Int("history-runs", 512, "retired runs kept in the run-history archive under <data-dir>/runs (negative disables history; requires -data-dir)")
 	historyBudget := flag.Int64("history-budget", 512<<20, "byte budget for archived traces+profiles (oldest runs evicted first; negative = unbounded)")
 	profileRuns := flag.Bool("profile-runs", false, "capture a per-run CPU profile (pprof, with run_id/stage/tp_level labels) and archive it beside the trace; overlapping runs are profiled one at a time")
-	logFlags := obs.RegisterLog()
+	logFormat := flag.String("log-format", "text", "structured log format: text or json")
+	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	flag.Parse()
 
 	var flight *telemetry.FlightRecorder
 	if *flightEvents > 0 {
 		flight = telemetry.NewFlightRecorder(*flightEvents)
 	}
-	logger, err := logFlags.Logger(os.Stderr, flight)
+	level, err := telemetry.ParseLogLevel(*logLevel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tpid: %v\n", err)
+		os.Exit(1)
+	}
+	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, level, flight)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tpid: %v\n", err)
 		os.Exit(1)

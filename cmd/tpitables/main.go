@@ -31,13 +31,16 @@
 // every level of every circuit (one sweep → run → stage tree per
 // circuit — feed it to tracestat), -progress prints live per-stage,
 // per-level lines to stderr as the parallel sweep advances, and -pprof
-// serves net/http/pprof (live stage counters are on -metrics).
+// serves net/http/pprof. Live /metrics scrapes are tpid's surface.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
+	"net/http"
+	_ "net/http/pprof" // -pprof serves the default mux
 	"os"
 	"os/signal"
 	"strconv"
@@ -45,7 +48,6 @@ import (
 	"time"
 
 	"tpilayout"
-	"tpilayout/cmd/internal/obs"
 )
 
 func main() {
@@ -56,20 +58,14 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep concurrency (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "cancel the remaining sweep after this long (0 = no limit); completed levels still print")
 	atpgBudget := flag.Duration("atpg-budget", 0, "ATPG effort budget per circuit sweep, from its start; expiry truncates the levels instead of failing them (0 = no limit)")
-	obsFlags := obs.Register()
-	logFlags := obs.RegisterLog()
+	traceFile := flag.String("trace", "", "write an NDJSON span trace to this file (read it back with tracestat)")
+	progress := flag.Bool("progress", false, "print live per-stage progress lines to stderr")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	logger, lerr := logFlags.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintf(os.Stderr, "tpitables: %v\n", lerr)
-		os.Exit(1)
-	}
-	logger = logger.With("component", "tpitables")
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "error", err)
-		os.Exit(1)
-	}
+	log.SetFlags(0)
+	log.SetPrefix("tpitables: ")
+	fatal := func(msg string, err error) { log.Fatalf("%s: %v", msg, err) }
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -94,22 +90,48 @@ func main() {
 	}
 	formats := [...]func([]tpilayout.Metrics) string{1: tpilayout.FormatTable1, 2: tpilayout.FormatTable2, 3: tpilayout.FormatTable3}
 
-	tracer, closeTrace, err := obsFlags.Tracer()
-	if err != nil {
-		fatal("building tracer", err)
-	}
-
-	anyFailed := false
-	for _, name := range strings.Split(*circuits, ",") {
-		name = strings.TrimSpace(name)
-		spec, err := tpilayout.SpecByName(name)
+	// Every name resolves before the first sweep: a typo in the last
+	// circuit must not cost the sweeps of the ones before it.
+	names := strings.Split(*circuits, ",")
+	specs := make([]tpilayout.Spec, len(names))
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		spec, err := tpilayout.SpecByName(names[i])
 		if err != nil {
 			fatal("resolving circuit", err)
 		}
 		if *scale != 1.0 {
 			spec = spec.Scale(*scale)
 		}
-		design, err := tpilayout.Generate(spec, tpilayout.DefaultLibrary())
+		specs[i] = spec
+	}
+
+	var sinks []tpilayout.TraceSink
+	closeTrace := func() error { return nil }
+	if *traceFile != "" {
+		f, err := os.Create(*traceFile)
+		if err != nil {
+			fatal("-trace", err)
+		}
+		sink := tpilayout.NewNDJSONSink(f)
+		sinks = append(sinks, sink)
+		closeTrace = sink.Close // closes the file too
+	}
+	if *progress {
+		sinks = append(sinks, tpilayout.NewProgressSink(os.Stderr))
+	}
+	var tracer *tpilayout.Tracer // nil: telemetry disabled at zero cost
+	if len(sinks) > 0 {
+		tracer = tpilayout.NewTracer(sinks...)
+	}
+	if *pprofAddr != "" {
+		fmt.Fprintf(os.Stderr, "pprof on http://%s/debug/pprof\n", *pprofAddr)
+		go func() { log.Printf("-pprof: %v", http.ListenAndServe(*pprofAddr, nil)) }()
+	}
+
+	anyFailed := false
+	for i, name := range names {
+		design, err := tpilayout.Generate(specs[i], tpilayout.DefaultLibrary())
 		if err != nil {
 			fatal("generating netlist", err)
 		}

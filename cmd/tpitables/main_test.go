@@ -2,15 +2,19 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tpilayout"
 )
 
-// TestBadTableFlagRejected: a -table value that selects no table must
-// fail before any circuit is generated, not sweep and print nothing.
-func TestBadTableFlagRejected(t *testing.T) {
+// TestBadFlagRejected: a -table value that selects no table, or a
+// -circuits list with an unknown name anywhere in it, must fail before
+// any circuit is swept, not sweep and print tables first.
+func TestBadFlagRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary; skipped in -short")
 	}
@@ -18,19 +22,27 @@ func TestBadTableFlagRejected(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building tpitables: %v\n%s", err, out)
 	}
-	for _, table := range []string{"4", "al", ""} {
+	for _, tc := range []struct {
+		args []string
+		want string // stderr must name it
+	}{
+		{[]string{"-table", "4"}, "-table"},
+		{[]string{"-table", "al"}, "-table"},
+		{[]string{"-table", ""}, "-table"},
+		{[]string{"-circuits", "s38417c,nosuch"}, "nosuch"},
+	} {
 		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, "-circuits", "s38417c", "-scale", "0.05", "-levels", "0", "-table", table)
+		cmd := exec.Command(bin, append([]string{"-circuits", "s38417c", "-scale", "0.05", "-levels", "0"}, tc.args...)...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		if _, ok := err.(*exec.ExitError); !ok {
-			t.Errorf("-table %q: err = %v, want a non-zero exit", table, err)
+			t.Errorf("%q: err = %v, want a non-zero exit", tc.args, err)
 		}
-		if !strings.Contains(stderr.String(), "-table") {
-			t.Errorf("-table %q: stderr does not name the flag: %s", table, stderr.String())
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%q: stderr does not name %s: %s", tc.args, tc.want, stderr.String())
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("-table %q: a circuit was swept before the flag was rejected:\n%s", table, stdout.String())
+			t.Errorf("%q: a circuit was swept before the flag was rejected:\n%s", tc.args, stdout.String())
 		}
 	}
 }
@@ -70,5 +82,27 @@ func TestTableList(t *testing.T) {
 	out := runTables(t, "-levels", "0", "-table", "2,3")
 	if strings.Contains(out, "Table 1") || !strings.Contains(out, "Table 2") || !strings.Contains(out, "Table 3") {
 		t.Errorf("-table 2,3 printed the wrong tables:\n%s", out)
+	}
+}
+
+// TestTraceFlag: -trace writes and closes a balanced trace holding one
+// run per swept level.
+func TestTraceFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.ndjson")
+	runTables(t, "-levels", "0,1", "-table", "2", "-trace", path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := tpilayout.ParseTrace(f)
+	if err != nil {
+		t.Fatalf("trace does not parse: %v", err)
+	}
+	if !tr.Balanced() {
+		t.Errorf("trace is unbalanced: spans %v never closed", tr.Unbalanced)
+	}
+	if n := len(tr.Levels()); n != 2 {
+		t.Errorf("trace holds %d levels, want 2", n)
 	}
 }

@@ -22,9 +22,8 @@
 // overflows — deterministic, so any drift is a real behavioral change).
 // It is the repo's one run comparison: the exit status is 1 when any
 // stage regressed beyond -max-regress percent, and 2 when an input is
-// unreadable or unbalanced. CI diffs two fresh traces of one sweep (make
-// trace-diff) and two runs tpid archived (make daemon-smoke); tpid
-// itself stores traces and compares nothing:
+// unreadable or unbalanced. CI diffs two runs tpid archived (make
+// daemon-smoke); tpid itself stores traces and compares nothing:
 //
 //	curl -s tpid:8080/v1/runs/r000041/trace -o a.gz
 //	curl -s tpid:8080/v1/runs/r000042/trace -o b.gz

@@ -198,7 +198,7 @@ func TestHistoryEndToEnd(t *testing.T) {
 	trace2 := checkArchivedTrace(t, ts2.URL, m2.RunID)
 
 	// The two downloaded traces compare clean under tracestat's CI
-	// options (make trace-diff): normalized shares, a 100 ms noise floor.
+	// options (make daemon-smoke): normalized shares, a 100 ms noise floor.
 	side1, err := tracecmp.LoadTrace(bytes.NewReader(trace1))
 	if err != nil {
 		t.Fatal(err)

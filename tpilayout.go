@@ -72,32 +72,14 @@ type (
 	// TraceSink consumes telemetry events (NDJSON writer, progress
 	// printer, Prometheus exposition, or any custom implementation).
 	TraceSink = telemetry.Sink
-	// TraceEvent is one span_start/span_end record — also the NDJSON
-	// wire format, one JSON object per line.
-	TraceEvent = telemetry.Event
-	// TraceSpan is one timed region of a run.
-	TraceSpan = telemetry.Span
 	// Trace is a parsed NDJSON trace file (see ParseTrace).
 	Trace = telemetry.Trace
-	// Histogram is a lock-free latency/size distribution attached to a
-	// span (power-of-two buckets, mergeable, nil is free).
-	Histogram = telemetry.Histogram
-	// LocalHist is a single-goroutine histogram shard, flushed into its
-	// parent Histogram at batch end.
-	LocalHist = telemetry.LocalHist
 	// HistData is a histogram snapshot: the NDJSON/ledger wire form with
 	// quantile estimation and index-wise merging.
 	HistData = telemetry.HistData
 	// PromSink folds telemetry into a Prometheus text exposition; mount
 	// it on /metrics and attach it to a Tracer to scrape a live sweep.
 	PromSink = telemetry.PromSink
-	// Logger is the leveled structured logger (log/slog text or JSON
-	// lines) whose records also flow into telemetry sinks as log events.
-	// A nil *Logger is disabled at zero cost, like a nil Tracer.
-	Logger = telemetry.Logger
-	// FlightRecorder is the fixed-size black-box ring buffer retaining
-	// the most recent telemetry events, dumped as NDJSON.
-	FlightRecorder = telemetry.FlightRecorder
 )
 
 // NewTracer builds a tracer delivering events to the given sinks.
@@ -119,23 +101,6 @@ func NewPromSink(prefix string) *PromSink { return telemetry.NewPromSink(prefix)
 // observation events (span_end with id 0) are collected separately and
 // never count against balance.
 func ParseTrace(r io.Reader) (*Trace, error) { return telemetry.ParseTrace(r) }
-
-// NewLogger builds a structured logger writing format ("text" or
-// "json") lines at or above level ("debug", "info", "warn", "error")
-// to w, forwarding every record to the given sinks as log events (so a
-// FlightRecorder sink retains log lines interleaved with spans).
-func NewLogger(w io.Writer, format, level string, sinks ...TraceSink) (*Logger, error) {
-	lv, err := telemetry.ParseLogLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	return telemetry.NewLogger(w, format, lv, sinks...)
-}
-
-// NewFlightRecorder builds a black-box ring retaining the last n
-// telemetry events (a default size when n <= 0); attach it to tracers
-// and loggers as a sink and dump it with WriteNDJSON.
-func NewFlightRecorder(n int) *FlightRecorder { return telemetry.NewFlightRecorder(n) }
 
 // DefaultLibrary returns the 130 nm-class standard-cell library used by
 // all experiments.
