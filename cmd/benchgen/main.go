@@ -22,6 +22,9 @@ func main() {
 	circuit := flag.String("circuit", "s38417c", "circuit profile")
 	scale := flag.Float64("scale", 1.0, "circuit size scale factor")
 	flag.Parse()
+	if *scale <= 0 {
+		log.Fatalf("bad -scale %g: must be positive", *scale)
+	}
 
 	spec, err := tpilayout.SpecByName(*circuit)
 	if err != nil {

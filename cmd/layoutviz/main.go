@@ -28,6 +28,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("layoutviz: ")
 	fatal := func(msg string, err error) { log.Fatalf("%s: %v", msg, err) }
+	if *scale <= 0 {
+		log.Fatalf("bad -scale %g: must be positive", *scale)
+	}
 
 	spec, err := tpilayout.SpecByName(*circuit)
 	if err != nil {
@@ -40,7 +43,7 @@ func main() {
 	if err != nil {
 		fatal("generating netlist", err)
 	}
-	cfg := tpilayout.ExperimentConfig(*circuit)
+	cfg := tpilayout.ExperimentConfig(spec.Name)
 	cfg.TPPercent = *tp
 	cfg.SkipATPG = true
 	res, err := tpilayout.Run(design, cfg)

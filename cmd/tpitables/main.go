@@ -88,6 +88,9 @@ func main() {
 	if err != nil {
 		fatal("bad -table", err)
 	}
+	if *scale <= 0 {
+		log.Fatalf("bad -scale %g: must be positive", *scale)
+	}
 	formats := [...]func([]tpilayout.Metrics) string{1: tpilayout.FormatTable1, 2: tpilayout.FormatTable2, 3: tpilayout.FormatTable3}
 
 	// Every name resolves before the first sweep: a typo in the last
@@ -135,7 +138,7 @@ func main() {
 		if err != nil {
 			fatal("generating netlist", err)
 		}
-		cfg := tpilayout.ExperimentConfig(name)
+		cfg := tpilayout.ExperimentConfig(specs[i].Name)
 		cfg.SkipATPG = !show[1]
 		cfg.Workers = *workers
 		cfg.Telemetry = tracer

@@ -11,9 +11,10 @@ import (
 	"tpilayout"
 )
 
-// TestBadFlagRejected: a -table value that selects no table, or a
-// -circuits list with an unknown name anywhere in it, must fail before
-// any circuit is swept, not sweep and print tables first.
+// TestBadFlagRejected: a -table value that selects no table, a
+// non-positive -scale, or a -circuits list with an unknown name anywhere
+// in it, must fail before any circuit is swept, not sweep and print
+// tables first.
 func TestBadFlagRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary; skipped in -short")
@@ -30,6 +31,8 @@ func TestBadFlagRejected(t *testing.T) {
 		{[]string{"-table", "al"}, "-table"},
 		{[]string{"-table", ""}, "-table"},
 		{[]string{"-circuits", "s38417c,nosuch"}, "nosuch"},
+		{[]string{"-scale", "-0.5"}, "-scale"},
+		{[]string{"-scale", "0"}, "-scale"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, append([]string{"-circuits", "s38417c", "-scale", "0.05", "-levels", "0"}, tc.args...)...)
@@ -65,6 +68,23 @@ func runTables(t *testing.T, args ...string) string {
 		t.Fatalf("tpitables %v: %v\n%s", args, err, stderr.String())
 	}
 	return stdout.String()
+}
+
+// TestPresetFollowsAlias: a circuit alias gets its circuit's flow preset
+// (p26909c's 32 chains and 50 % utilization), so its tables equal those
+// of the paper name.
+func TestPresetFollowsAlias(t *testing.T) {
+	out := runTables(t, "-circuits", "dsp,p26909c", "-scale", "0.02", "-levels", "0", "-table", "1,2")
+	// Each circuit's section starts at its "== name (scale ...)" header;
+	// drop the headers, which name the circuit as typed and the wall time.
+	var bodies []string
+	for _, sec := range strings.Split(out, "== ")[1:] {
+		_, body, _ := strings.Cut(sec, "\n")
+		bodies = append(bodies, body)
+	}
+	if len(bodies) != 2 || bodies[0] != bodies[1] {
+		t.Errorf("-circuits dsp and p26909c print different tables:\n%s", out)
+	}
 }
 
 // TestATPGBudgetNote: an expired -atpg-budget truncates the level rather
