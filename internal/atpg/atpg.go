@@ -74,11 +74,6 @@ type Options struct {
 	// pay nothing; a nil span costs nothing at all.
 	Telemetry *telemetry.Span
 
-	// noDomShortcut disables the dominance-based detection shortcut in
-	// the drop passes. The shortcut never changes statuses or patterns
-	// (property-tested); the switch exists so those tests can compare
-	// runs with and without it.
-	noDomShortcut bool
 	// noDynamicCompaction disables per-cube secondary-fault targeting, so
 	// a test can measure what dynamic compaction buys. It is what lets
 	// independent detection requirements share a pattern — and therefore
@@ -162,7 +157,6 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 
 	gen := newPodem(v, ta, opt.backtracks)
 	pool := newSimPool(ctx, v, opt.Workers)
-	pool.noDom = opt.noDomShortcut
 	pool.instrument(opt.Telemetry)
 	defer pool.Release()
 	// Per-call PODEM latency and backtrack-depth distributions, and the
@@ -216,8 +210,8 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	simulateAndDrop := func(batch *Batch) int {
 		dropped := 0
 		pool.SimGood(batch)
-		pool.detectEach(reps, set, batch, true, func(r int32) bool {
-			st := set.Status(r)
+		pool.detectEach(reps, set, batch, func(i int) bool {
+			st := set.Status(reps[i])
 			return st == fault.Undetected || st == fault.Aborted
 		}, detWords)
 		for i, r := range reps {
@@ -351,7 +345,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// is emitted like a PODEM cube. A budget-out or a cube that fails the
 	// check leaves the class Aborted.
 	var mit *miter
-	var satResolved int64
+	var sat satStats
 	if err := pass(fault.Aborted, func(ri int, r int32) error {
 		if mit == nil {
 			mit = newMiter(v)
@@ -366,13 +360,18 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		if lSatNS != nil {
 			lSatNS.Observe(int64(time.Since(t0)))
 		}
+		sat.calls++
 		switch {
 		case detects:
-			satResolved++
+			sat.resolved++
 			return emit(ri, gen.cube())
 		case verdict == satUnsat:
-			satResolved++
+			sat.resolved++
 			set.SetStatus(r, fault.Untestable)
+		case verdict == satSat:
+			sat.cubeRejects++
+		default:
+			sat.budgetOuts++
 		}
 		return nil
 	}); err != nil {
@@ -385,11 +384,11 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// and dynamic compaction packs independent easy faults densely); the
 	// random patterns then survive compaction only as a last resort.
 	if randomGenerated > 0 && !expired() {
-		var det map[int32]bool
+		var det []bool
 		timed(lCompactNS, func() { det = pool.coveredBy(res.Patterns[randomGenerated:], set, reps) })
 		var fallback []int32
-		for _, r := range reps {
-			if set.Status(r) == fault.Detected && !det[r] {
+		for i, r := range reps {
+			if set.Status(r) == fault.Detected && !det[i] {
 				set.SetStatus(r, fault.Undetected)
 				fallback = append(fallback, r)
 			}
@@ -453,15 +452,22 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	lSatNS.Flush()
 	lDyncompNS.Flush()
 	lCompactNS.Flush()
-	flushTelemetry(opt.Telemetry, res, gen, pool, randomGenerated, satResolved)
+	flushTelemetry(opt.Telemetry, res, gen, pool, randomGenerated, sat)
 	return res, nil
+}
+
+// satStats counts the SAT residue pass's calls by outcome: resolved
+// (a checked cube or an UNSAT proof), budget-outs, and models whose cube
+// fails the PODEM simulator's check (each leaves its class Aborted).
+type satStats struct {
+	calls, resolved, budgetOuts, cubeRejects int64
 }
 
 // flushTelemetry records the run's counters on the ATPG stage span in
 // one pass at the end — the generation and simulation loops themselves
 // carry only plain per-struct ints, so instrumentation adds no work to
 // the hot paths.
-func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, randomGenerated int, satResolved int64) {
+func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, randomGenerated int, sat satStats) {
 	if sp == nil {
 		return
 	}
@@ -475,19 +481,23 @@ func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, 
 	sp.Counter("atpg.untestable_classes").Add(int64(res.UntestableClasses))
 	sp.Counter("atpg.podem_targets").Add(gen.nTargets)
 	sp.Counter("atpg.podem_backtracks").Add(gen.nBacktracks)
-	sp.Counter("atpg.sat_resolved").Add(satResolved)
+	sp.Counter("atpg.extend_blocked").Add(gen.nBlocked)
+	sp.Counter("atpg.sat_calls").Add(sat.calls)
+	sp.Counter("atpg.sat_resolved").Add(sat.resolved)
+	sp.Counter("atpg.sat_budget_outs").Add(sat.budgetOuts)
+	sp.Counter("atpg.sat_cube_rejects").Add(sat.cubeRejects)
 	sp.Counter("atpg.sim_batches").Add(pool.batches)
-	var total, peak int64
-	for _, w := range pool.work {
+	var total, peak, props int64
+	for i, w := range pool.work {
 		total += w
 		if w > peak {
 			peak = w
 		}
+		props += pool.sims[i].props
 	}
 	sp.Counter("atpg.sim_detect_calls").Add(total)
-	for _, l := range pool.detectNS {
-		l.Flush()
-	}
+	sp.Counter("atpg.sim_region_props").Add(props)
+	pool.detectNS.Flush()
 	sp.Gauge("atpg.shards").Set(float64(len(pool.sims)))
 	if peak > 0 {
 		// 1.0 = every shard did equal work; the gap to 1 is idle shard
@@ -499,12 +509,12 @@ func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, 
 	}
 }
 
-// coveredBy simulates the given patterns and reports which of the reps
-// they detect. Statuses are not modified. The per-batch scan is sharded
-// across the pool; det is only written between batches, so the include
-// callback reads it race-free.
-func (p *simPool) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) map[int32]bool {
-	det := make(map[int32]bool)
+// coveredBy simulates the given patterns and reports, by position in
+// reps, which of the reps they detect. Statuses are not modified. The
+// per-batch scan is sharded across the pool; det is only written between
+// batches, so the include callback reads it race-free.
+func (p *simPool) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) []bool {
+	det := make([]bool, len(reps))
 	out := getWords(len(reps))
 	defer putWords(out)
 	batch := p.NewBatch()
@@ -514,12 +524,12 @@ func (p *simPool) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) ma
 			batch.SetPattern(i-lo, patterns[i])
 		}
 		p.SimGood(batch)
-		p.detectEach(reps, set, batch, true, func(r int32) bool {
-			return !det[r] && set.Status(r) == fault.Detected
+		p.detectEach(reps, set, batch, func(i int) bool {
+			return !det[i] && set.Status(reps[i]) == fault.Detected
 		}, out)
-		for i, r := range reps {
-			if out[i] != 0 {
-				det[r] = true
+		for i, w := range out {
+			if w != 0 {
+				det[i] = true
 			}
 		}
 	}
@@ -540,7 +550,9 @@ func compactInto(gen *podem, set *fault.Set, reps []int32, primaryRank int) {
 		if attempts > secondaryLimit {
 			break
 		}
-		if gen.extend(set.Faults[r2], 8) {
+		// A secondary the frozen cube blocks counts as a failed attempt,
+		// exactly as the extend it skips would have.
+		if f := set.Faults[r2]; !gen.blocked(f) && gen.extend(f, 8) {
 			set.SetStatus(r2, fault.Detected)
 			consecFails = 0
 		} else if consecFails++; consecFails > 48 {
@@ -622,7 +634,7 @@ func compactReverse(p *simPool, set *fault.Set, reps []int32, patterns []Pattern
 			targets = append(targets, r)
 		}
 	}
-	done := make(map[int32]bool, len(targets))
+	done := make([]bool, len(targets))
 	keep := make([]bool, len(patterns))
 	detected := getWords(len(targets))
 	defer putWords(detected)
@@ -638,14 +650,14 @@ func compactReverse(p *simPool, set *fault.Set, reps []int32, patterns []Pattern
 		// Within one batch each still-open target is independent, so the
 		// detect words are computed in parallel and folded into done/keep
 		// serially, in target order — exactly the serial semantics.
-		p.detectEach(targets, set, batch, false, func(r int32) bool {
-			return !done[r]
+		p.detectEach(targets, set, batch, func(i int) bool {
+			return !done[i]
 		}, detected)
-		for i, r := range targets {
-			if done[r] || detected[i] == 0 {
+		for i := range targets {
+			if done[i] || detected[i] == 0 {
 				continue
 			}
-			done[r] = true
+			done[i] = true
 			keep[lo+bits.Len64(detected[i])-1] = true
 		}
 	}

@@ -3,7 +3,6 @@ package atpg
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"tpilayout/internal/circuitgen"
@@ -16,7 +15,7 @@ import (
 //
 //   - equivalence: a pattern detects the class representative iff it
 //     detects every fault merged into the class (identical full detection
-//     words, earlyExit=false);
+//     words of the reference simulator, refDetects);
 //   - dominance: every pattern detecting a child class also detects its
 //     parent (det(child) ⊆ det(parent)), so dropping parents from the
 //     target list never loses detection credit.
@@ -49,7 +48,7 @@ func TestCollapseEquivalenceAndDominance(t *testing.T) {
 				}
 				fs.SimGood(b)
 				for i := range set.Faults {
-					det[i] = fs.Detects(set.Faults[i], b, false)
+					det[i] = fs.refDetects(set.Faults[i], b)
 				}
 				// Equivalence: identical detection word across the class.
 				for i := range set.Faults {
@@ -74,46 +73,6 @@ func TestCollapseEquivalenceAndDominance(t *testing.T) {
 				t.Fatalf("dominance found %d edges but removed no class", domEdges)
 			}
 		})
-	}
-}
-
-// TestDomShortcutIsInvisible runs full ATPG with and without the
-// dominance-based simulation shortcut: the patterns, per-fault statuses,
-// and coverage must be bit-identical — the shortcut is a pure
-// optimization.
-func TestDomShortcutIsInvisible(t *testing.T) {
-	for seed := int64(2); seed <= 3; seed++ {
-		n := randCircuit(t, seed*7, 12, 200)
-		run := func(noDom bool) (*Result, *fault.Set) {
-			set := fault.NewUniverse(n)
-			r, err := Run(n, set, Options{noDomShortcut: noDom})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r, set
-		}
-		rOn, sOn := run(false)
-		rOff, sOff := run(true)
-		if !reflect.DeepEqual(rOn.Patterns, rOff.Patterns) {
-			t.Fatalf("seed %d: pattern sets differ with dominance shortcut on/off (%d vs %d patterns)",
-				seed, len(rOn.Patterns), len(rOff.Patterns))
-		}
-		for i := 0; i < sOn.Total(); i++ {
-			if sOn.Status(int32(i)) != sOff.Status(int32(i)) {
-				t.Fatalf("seed %d: fault %d status %v with shortcut vs %v without",
-					seed, i, sOn.Status(int32(i)), sOff.Status(int32(i)))
-			}
-		}
-		fcOn, feOn := sOn.Coverage()
-		fcOff, feOff := sOff.Coverage()
-		if fcOn != fcOff || feOn != feOff {
-			t.Fatalf("seed %d: coverage %.6f/%.6f with shortcut vs %.6f/%.6f without",
-				seed, fcOn, feOn, fcOff, feOff)
-		}
-		if rOn.FaultClasses != sOn.NumClasses() || rOn.CollapsedClasses != sOn.NumCollapsed() {
-			t.Fatalf("seed %d: Result class counts %d/%d != set %d/%d",
-				seed, rOn.FaultClasses, rOn.CollapsedClasses, sOn.NumClasses(), sOn.NumCollapsed())
-		}
 	}
 }
 

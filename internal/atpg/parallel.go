@@ -15,7 +15,8 @@ import (
 // simPool shards fault-parallel simulation across a set of FaultSim
 // instances. All shards share one good-circuit value plane (written only
 // by SimGood, between parallel sections) while each owns its private
-// propagation state, so Detects runs concurrently without locking.
+// obs cache and propagation state, so Detects runs concurrently without
+// locking.
 //
 // Every result is merged by fault index, never by completion order, so a
 // pool of any size produces bit-identical output to a serial FaultSim.
@@ -28,12 +29,6 @@ type simPool struct {
 	ctx  context.Context
 	sims []*FaultSim
 
-	// noDom disables the dominance shortcut (property tests compare runs
-	// with and without it).
-	noDom bool
-	// plan is the cached dominance schedule for the current reps slice.
-	plan *domPlan
-
 	// Telemetry: batches counts SimGood rounds (master shard, serial);
 	// work[i] counts Detects calls on shard i — each shard index is
 	// owned by exactly one goroutine per parFor call and reads happen
@@ -43,11 +38,10 @@ type simPool struct {
 	work    []int64
 
 	// Latency distributions, present only when the run is instrumented
-	// (see instrument): hBatch times each SimGood round, detectNS[i] is
-	// shard i's private histogram shard of per-fault Detects latency —
-	// same exclusive-ownership rule as work, flushed once at end of run.
+	// (see instrument): hBatch times each SimGood round, detectNS each
+	// detectEach call (on the calling goroutine; flushed at end of run).
 	hBatch   *telemetry.Histogram
-	detectNS []*telemetry.LocalHist
+	detectNS *telemetry.LocalHist
 }
 
 // instrument attaches the pool's latency histograms to the ATPG stage
@@ -58,11 +52,7 @@ func (p *simPool) instrument(sp *telemetry.Span) {
 		return
 	}
 	p.hBatch = sp.Histogram("atpg.sim_batch_ns")
-	h := sp.Histogram("atpg.sim_detect_ns")
-	p.detectNS = make([]*telemetry.LocalHist, len(p.sims))
-	for i := range p.detectNS {
-		p.detectNS[i] = h.Local()
-	}
+	p.detectNS = sp.Histogram("atpg.sim_detect_ns").Local()
 }
 
 // newSimPool builds a pool of workers shards over the view. workers <= 0
@@ -91,7 +81,8 @@ func (p *simPool) Release() {
 func (p *simPool) NewBatch() *Batch { return p.sims[0].NewBatch() }
 
 // SimGood simulates the fault-free circuit for the batch on the master
-// shard; the shared good plane becomes visible to every shard.
+// shard; the shared good plane becomes visible to every shard, and every
+// shard's obs cache is invalidated.
 func (p *simPool) SimGood(b *Batch) {
 	p.batches++
 	if p.hBatch == nil {
@@ -103,108 +94,28 @@ func (p *simPool) SimGood(b *Batch) {
 	p.hBatch.Observe(int64(time.Since(t0)))
 }
 
-// detects is the timed Detects entry: shard-private histogram recording
-// when instrumented, a straight call when not.
-func (p *simPool) detects(shard int, f fault.Fault, b *Batch, earlyExit bool) uint64 {
-	if p.detectNS == nil {
-		return p.sims[shard].Detects(f, b, earlyExit)
-	}
-	t0 := time.Now()
-	w := p.sims[shard].Detects(f, b, earlyExit)
-	p.detectNS[shard].Observe(int64(time.Since(t0)))
-	return w
-}
-
-// domPlan schedules a reps slice for two-phase detection: leaf classes
-// (no dominance children) first, then parent classes, which can inherit a
-// nonzero detection word from any already-computed leaf child instead of
-// simulating. Valid only for boolean (early-exit) consumers: the
-// inherited word proves detection but is not the parent's exact word.
-type domPlan struct {
-	reps      []int32   // identity key: same backing array ⇒ same plan
-	leafPos   []int32   // positions in reps with no dominance children
-	parentPos []int32   // positions with at least one child
-	childPos  [][]int32 // per parent position: leaf-child positions
-}
-
-func buildDomPlan(set *fault.Set, reps []int32) *domPlan {
-	pl := &domPlan{reps: reps, childPos: make([][]int32, len(reps))}
-	pos := make(map[int32]int32, len(reps))
-	isLeaf := make([]bool, len(reps))
-	for i, r := range reps {
-		c := set.ClassIndex(r)
-		pos[c] = int32(i)
-		isLeaf[i] = len(set.DomChildren(c)) == 0
-	}
-	for i, r := range reps {
-		if isLeaf[i] {
-			pl.leafPos = append(pl.leafPos, int32(i))
-			continue
-		}
-		pl.parentPos = append(pl.parentPos, int32(i))
-		var cps []int32
-		for _, cc := range set.DomChildren(set.ClassIndex(r)) {
-			// Only children computed in the leaf phase may be consulted;
-			// parent children run concurrently in this phase.
-			if cp, ok := pos[cc]; ok && isLeaf[cp] {
-				cps = append(cps, cp)
-			}
-		}
-		pl.childPos[i] = cps
-	}
-	return pl
-}
-
 // detectEach fills out[i] with the detection word of fault class reps[i]
 // against the last SimGood batch, sharding the fault list across the
-// pool. Classes rejected by include get 0. include must not mutate
+// pool. Positions rejected by include get 0. include must not mutate
 // anything (it is called concurrently); out must have len(reps). When the
 // pool's context is cancelled mid-call, out is left partially filled —
 // the caller must observe ctx.Err() before using it.
-//
-// With earlyExit the caller only consumes out[i] != 0, which licenses the
-// dominance shortcut: a parent class whose leaf child already produced a
-// nonzero word inherits that word (det(child) ⊆ det(parent)) and skips
-// its own propagation. Exact-word consumers (compaction) pass
-// earlyExit=false and always get true per-class words.
-func (p *simPool) detectEach(reps []int32, set *fault.Set, b *Batch, earlyExit bool, include func(int32) bool, out []uint64) {
-	sim := func(shard, i int) {
-		r := reps[i]
-		if include(r) {
+func (p *simPool) detectEach(reps []int32, set *fault.Set, b *Batch, include func(i int) bool, out []uint64) {
+	var t0 time.Time
+	if p.detectNS != nil {
+		t0 = time.Now()
+	}
+	parFor(p.ctx, len(reps), len(p.sims), func(shard, i int) {
+		if include(i) {
 			p.work[shard]++
-			out[i] = p.detects(shard, set.Faults[r], b, earlyExit)
+			out[i] = p.sims[shard].Detects(set.Faults[reps[i]], b)
 		} else {
 			out[i] = 0
 		}
-	}
-	if !earlyExit || p.noDom {
-		parFor(p.ctx, len(reps), len(p.sims), sim)
-		return
-	}
-	if p.plan == nil || len(p.plan.reps) != len(reps) ||
-		(len(reps) > 0 && &p.plan.reps[0] != &reps[0]) {
-		p.plan = buildDomPlan(set, reps)
-	}
-	pl := p.plan
-	parFor(p.ctx, len(pl.leafPos), len(p.sims), func(shard, k int) {
-		sim(shard, int(pl.leafPos[k]))
 	})
-	parFor(p.ctx, len(pl.parentPos), len(p.sims), func(shard, k int) {
-		i := int(pl.parentPos[k])
-		r := reps[i]
-		if !include(r) {
-			out[i] = 0
-			return
-		}
-		for _, cp := range pl.childPos[i] {
-			if w := out[cp]; w != 0 {
-				out[i] = w
-				return
-			}
-		}
-		p.work[shard]++
-		out[i] = p.detects(shard, set.Faults[r], b, true)
-	})
+	if p.detectNS != nil {
+		p.detectNS.Observe(int64(time.Since(t0)))
+	}
 }
 
 // parFor runs fn(shard, i) for every i in [0, n), distributing chunks of
@@ -224,7 +135,8 @@ func parFor(ctx context.Context, n, workers int, fn func(shard, i int)) {
 		workers = n
 	}
 	// Chunked work stealing: big enough to amortize the atomic, small
-	// enough to balance the wildly uneven per-fault propagation cost.
+	// enough to balance the wildly uneven per-fault cost (a fault whose
+	// stem is not yet in the shard's obs cache pays its propagation).
 	const chunk = 32
 	if workers <= 1 {
 		for lo := 0; lo < n; lo += chunk {

@@ -40,6 +40,7 @@ type podem struct {
 	// silent by default and the numbers still reach the trace.
 	nTargets    int64 // generate calls (primary PODEM targets)
 	nBacktracks int64 // decision flips across generate and extend
+	nBlocked    int64 // secondaries compactInto skipped as blocked
 }
 
 // decision is one source assignment on the stack. mark and ncand are the
@@ -161,6 +162,18 @@ func (p *podem) extend(f fault.Fault, budget int) bool {
 		}
 		p.assignAt(len(p.decisions) - 1)
 	}
+}
+
+// blocked reports whether the frozen cube already holds f's site at its
+// stuck value in the full-circuit good plane: f cannot be activated, and
+// extend would fail without a decision.
+func (p *podem) blocked(f fault.Fault) bool {
+	p.s.settle()
+	if p.s.g(f.Net) != uint8(f.SA) {
+		return false
+	}
+	p.nBlocked++
+	return true
 }
 
 // rollback undoes the decisions above the checkpoint.

@@ -12,6 +12,8 @@ import (
 // one working set instead of reallocating per level.
 type simScratch struct {
 	good    []uint64
+	obs     []uint64
+	obsGen  []int32
 	faulty  []uint64
 	stamp   []int32
 	queued  []bool
@@ -21,19 +23,15 @@ type simScratch struct {
 var scratchPool = sync.Pool{New: func() any { return &simScratch{} }}
 
 // getScratch returns a scratch sized for nets/cells/levels with clean
-// stamps and queue flags (faulty values are guarded by stamps and need no
-// clearing). Growth is monotone: a recycled scratch keeps its capacity.
+// stamps and queue flags (obs and faulty values are guarded by stamps and
+// need no clearing). Growth is monotone: a recycled scratch keeps its
+// capacity.
 func getScratch(nets, cells, levels int) *simScratch {
 	s := scratchPool.Get().(*simScratch)
+	s.obs = growU64(s.obs, nets)
 	s.faulty = growU64(s.faulty, nets)
-	if cap(s.stamp) < nets {
-		s.stamp = make([]int32, nets)
-	} else {
-		s.stamp = s.stamp[:nets]
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-	}
+	s.obsGen = clearedI32(s.obsGen, nets)
+	s.stamp = clearedI32(s.stamp, nets)
 	if cap(s.queued) < cells {
 		s.queued = make([]bool, cells)
 	} else {
@@ -59,6 +57,16 @@ func (s *simScratch) ensureGood(nets int) {
 }
 
 func putScratch(s *simScratch) { scratchPool.Put(s) }
+
+// clearedI32 resizes a stamp buffer and zeroes it.
+func clearedI32(w []int32, n int) []int32 {
+	if cap(w) < n {
+		return make([]int32, n)
+	}
+	w = w[:n]
+	clear(w)
+	return w
+}
 
 // growU64 resizes a word buffer without clearing (callers fully overwrite
 // or stamp-guard the contents).

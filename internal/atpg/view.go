@@ -1,6 +1,6 @@
 // Package atpg implements combinational automatic test pattern generation
 // for full-scan circuits: PODEM with SCOAP-guided backtracing, 64-way
-// parallel-pattern single-fault-propagation fault simulation, dynamic
+// parallel-pattern fault simulation by fan-out-free regions, dynamic
 // fault dropping, and reverse-order static compaction. It produces the
 // compact stuck-at pattern sets whose size the paper's Table 1 tracks
 // before and after test point insertion.
@@ -65,6 +65,14 @@ type View struct {
 
 	// MaxLevel is the deepest cell level.
 	MaxLevel int
+
+	// regionCell and regionPin link each net to its successor inside a
+	// fan-out-free region: a net whose only load is a live combinational
+	// cell records that cell and input pin. Every other net is a region
+	// output (a stem), with regionCell NoCell; that includes every sink,
+	// whose loads hold its PO tap or flip-flop pin.
+	regionCell []netlist.CellID
+	regionPin  []int32
 }
 
 // fanout returns the loads of a net from the flat adjacency.
@@ -175,6 +183,14 @@ func NewView(n *netlist.Netlist, constraints map[netlist.NetID]int8) (*View, err
 		// flops have se = 0). Only d is observed.
 		if di := c.Cell.FindInput("d"); di >= 0 {
 			addSink(c.Ins[di])
+		}
+	}
+	v.regionCell = make([]netlist.CellID, len(n.Nets))
+	v.regionPin = make([]int32, len(n.Nets))
+	for id := range n.Nets {
+		v.regionCell[id] = netlist.NoCell
+		if lds := v.fanout(netlist.NetID(id)); len(lds) == 1 && lds[0].Cell != netlist.NoCell && v.Comb(lds[0].Cell) {
+			v.regionCell[id], v.regionPin[id] = lds[0].Cell, int32(lds[0].Pin)
 		}
 	}
 	return v, nil
