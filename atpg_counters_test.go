@@ -1,6 +1,8 @@
 package tpilayout
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"tpilayout/internal/telemetry"
@@ -10,7 +12,9 @@ import (
 // a tracer and reads the ATPG span of every level: the region simulator
 // propagated stems, the SAT residue pass's calls add up by outcome, and no
 // SAT model was rejected by the PODEM simulator's check (a rejected cube
-// would leave its class Aborted without a word).
+// would leave its class Aborted without a word). Every atpg.* counter is
+// a function of (circuit, config): a sweep at Workers 2 must count, level
+// by level, exactly what the serial sweep counts.
 func TestATPGWorkCounters(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -24,35 +28,64 @@ func TestATPGWorkCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var events []telemetry.Event
-			cfg := ExperimentConfig(c.name)
-			cfg.Workers = 1
-			cfg.Telemetry = NewTracer(telemetry.FuncSink(func(e telemetry.Event) { events = append(events, e) }))
-			if _, err := Sweep(design, cfg, goldenLevels); err != nil {
-				t.Fatal(err)
-			}
-			spans := 0
-			for _, s := range telemetry.TraceFromEvents(events).Spans {
-				if s.Stage != "atpg" {
-					continue
+			// counters sweeps the design on the given number of workers
+			// and returns the atpg.* counters of each level's ATPG span.
+			counters := func(workers int) map[float64]map[string]int64 {
+				var mu sync.Mutex // levels in flight emit concurrently
+				var events []telemetry.Event
+				cfg := ExperimentConfig(c.name)
+				cfg.Workers = workers
+				cfg.Telemetry = NewTracer(telemetry.FuncSink(func(e telemetry.Event) {
+					mu.Lock()
+					events = append(events, e)
+					mu.Unlock()
+				}))
+				if _, err := Sweep(design, cfg, goldenLevels); err != nil {
+					t.Fatal(err)
 				}
-				spans++
-				k := s.Counters
+				out := map[float64]map[string]int64{}
+				for _, s := range telemetry.TraceFromEvents(events).Spans {
+					if s.Stage != "atpg" {
+						continue
+					}
+					k := map[string]int64{}
+					for name, v := range s.Counters {
+						if strings.HasPrefix(name, "atpg.") {
+							k[name] = v
+						}
+					}
+					out[s.TPPercent] = k
+				}
+				if len(out) != len(goldenLevels) {
+					t.Fatalf("workers %d: atpg spans for %d levels, want %d", workers, len(out), len(goldenLevels))
+				}
+				return out
+			}
+			serial, parallel := counters(1), counters(2)
+			for _, tp := range goldenLevels {
+				k := serial[tp]
 				if k["atpg.sim_region_props"] <= 0 {
-					t.Errorf("tp %.1f: atpg.sim_region_props = %d, want > 0", s.TPPercent, k["atpg.sim_region_props"])
+					t.Errorf("tp %.1f: atpg.sim_region_props = %d, want > 0", tp, k["atpg.sim_region_props"])
 				}
 				if k["atpg.sat_cube_rejects"] != 0 {
-					t.Errorf("tp %.1f: atpg.sat_cube_rejects = %d, want 0", s.TPPercent, k["atpg.sat_cube_rejects"])
+					t.Errorf("tp %.1f: atpg.sat_cube_rejects = %d, want 0", tp, k["atpg.sat_cube_rejects"])
 				}
 				if sum := k["atpg.sat_resolved"] + k["atpg.sat_budget_outs"] + k["atpg.sat_cube_rejects"]; sum != k["atpg.sat_calls"] {
-					t.Errorf("tp %.1f: SAT outcomes add up to %d, atpg.sat_calls = %d", s.TPPercent, sum, k["atpg.sat_calls"])
+					t.Errorf("tp %.1f: SAT outcomes add up to %d, atpg.sat_calls = %d", tp, sum, k["atpg.sat_calls"])
 				}
 				t.Logf("tp %.1f: region props %d, extend blocked %d, SAT calls %d (budget-outs %d, cube rejects %d)",
-					s.TPPercent, k["atpg.sim_region_props"], k["atpg.extend_blocked"], k["atpg.sat_calls"],
+					tp, k["atpg.sim_region_props"], k["atpg.extend_blocked"], k["atpg.sat_calls"],
 					k["atpg.sat_budget_outs"], k["atpg.sat_cube_rejects"])
-			}
-			if spans != len(goldenLevels) {
-				t.Fatalf("%d atpg spans, want %d", spans, len(goldenLevels))
+				for name, v := range k {
+					if w, ok := parallel[tp][name]; !ok || w != v {
+						t.Errorf("tp %.1f: %s = %d at Workers 1, %d at Workers 2", tp, name, v, w)
+					}
+				}
+				for name, w := range parallel[tp] {
+					if _, ok := k[name]; !ok {
+						t.Errorf("tp %.1f: %s = %d at Workers 2, absent at Workers 1", tp, name, w)
+					}
+				}
 			}
 		})
 	}

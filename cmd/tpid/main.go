@@ -80,7 +80,7 @@ import (
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address for the API (also serves /metrics and /debug/pprof)")
 	workers := flag.Int("workers", 0, "worker-pool size: concurrent flows (0 = GOMAXPROCS/2)")
-	flowWorkers := flag.Int("flow-workers", 1, "default per-flow parallelism for jobs that do not set flow.workers")
+	flowWorkers := flag.Int("flow-workers", 1, "default number of levels in flight for jobs that do not set flow.workers")
 	queueDepth := flag.Int("queue-depth", 64, "maximum queued jobs across all tenants before 429")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget (content-addressed LRU)")
 	maxBody := flag.Int64("max-body", 8<<20, "maximum submission body size in bytes")

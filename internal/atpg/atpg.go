@@ -43,12 +43,6 @@ type Options struct {
 	// Constraints freezes nets to capture-mode constants (scan-enable = 0,
 	// TSFF controls TE = 0 / TR = 1).
 	Constraints map[netlist.NetID]int8
-	// Workers is the number of fault-simulation shards used by the
-	// coverage, drop-detection, and compaction passes: the fault list is
-	// split across this many FaultSim instances and the per-class detect
-	// words are merged by fault index, so the result is bit-identical for
-	// every value. 0 means GOMAXPROCS; 1 forces serial simulation.
-	Workers int
 	// Deadline bounds the wall-clock effort of the run. Past it, the run
 	// stops random and deterministic generation at the next fault-class
 	// boundary, marks every remaining undetected class Aborted, and
@@ -64,8 +58,8 @@ type Options struct {
 	// outcomes (atpg.fault_classes, atpg.collapsed_classes,
 	// atpg.aborted_classes, atpg.untestable_classes), PODEM search
 	// effort (atpg.podem_targets, atpg.podem_backtracks), and
-	// fault-simulation sharding (atpg.sim_batches,
-	// atpg.sim_detect_calls, the atpg.shards / atpg.shard_util gauges);
+	// fault-simulation work (atpg.sim_batches, atpg.sim_detect_calls,
+	// atpg.sim_region_props);
 	// and where the generation time went, as histograms: atpg.podem_ns
 	// per primary target, atpg.dyncomp_ns per cube's dynamic compaction,
 	// atpg.compact_ns per static pass (top-up coverage check, reverse
@@ -122,11 +116,10 @@ func Run(n *netlist.Netlist, set *fault.Set, opt Options) (*Result, error) {
 }
 
 // RunContext is Run under supervision: cancelling the context stops the
-// run within one work unit (one PODEM fault, one random round, one
-// fault-simulation chunk) and returns the context's error; a panic on
-// any goroutine of the run (including fault-simulation shards) is
-// captured and returned as a *supervise.PanicError instead of crashing
-// the process.
+// run within one work unit (one PODEM fault, one random round, 32
+// positions of a fault-simulation pass) and returns the context's error;
+// a panic in the run is captured and returned as a *supervise.PanicError
+// instead of crashing the process. The run is one goroutine.
 func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Options) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -156,13 +149,12 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	})
 
 	gen := newPodem(v, ta, opt.backtracks)
-	pool := newSimPool(ctx, v, opt.Workers)
-	pool.instrument(opt.Telemetry)
-	defer pool.Release()
+	sim := newSimulator(ctx, v, opt.Telemetry)
+	defer sim.Release()
 	// Per-call PODEM latency and backtrack-depth distributions, and the
-	// time of the compaction phases around them. The generation loop is
-	// single-goroutine, so all record into local shards (plain ints) and
-	// merge once at flush; with telemetry off the nil locals also skip the
+	// time of the compaction phases around them. The run is one
+	// goroutine, so all record into local shards (plain ints) and merge
+	// once at flush; with telemetry off the nil locals also skip the
 	// time.Now pair per sample.
 	var lPodemNS, lPodemBT, lSatNS, lDyncompNS, lCompactNS *telemetry.LocalHist
 	if opt.Telemetry != nil {
@@ -203,23 +195,16 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		return res.Truncated
 	}
 
-	// detWords is reused across drop passes; detWords[i] belongs to
-	// reps[i], which is what keeps the parallel merge deterministic.
-	detWords := getWords(len(reps))
-	defer putWords(detWords)
 	simulateAndDrop := func(batch *Batch) int {
 		dropped := 0
-		pool.SimGood(batch)
-		pool.detectEach(reps, set, batch, func(i int) bool {
+		sim.SimGood(batch)
+		sim.detectEach(reps, set, batch, func(i int) bool {
 			st := set.Status(reps[i])
 			return st == fault.Undetected || st == fault.Aborted
-		}, detWords)
-		for i, r := range reps {
-			if detWords[i] != 0 {
-				set.SetStatus(r, fault.Detected)
-				dropped++
-			}
-		}
+		}, func(i int, _ uint64) {
+			set.SetStatus(reps[i], fault.Detected)
+			dropped++
+		})
 		return dropped
 	}
 
@@ -229,7 +214,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// test points are inserted for). Useless patterns are discarded again
 	// by the final static compaction.
 	lowRounds := 0
-	batch := pool.NewBatch()
+	batch := sim.NewBatch()
 	for round := 0; round < randomRounds && lowRounds < 2 && !expired(); round++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -385,7 +370,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// random patterns then survive compaction only as a last resort.
 	if randomGenerated > 0 && !expired() {
 		var det []bool
-		timed(lCompactNS, func() { det = pool.coveredBy(res.Patterns[randomGenerated:], set, reps) })
+		timed(lCompactNS, func() { det = sim.coveredBy(res.Patterns[randomGenerated:], set, reps) })
 		var fallback []int32
 		for i, r := range reps {
 			if set.Status(r) == fault.Detected && !det[i] {
@@ -420,7 +405,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		return nil, cerr
 	}
 	var kept []bool
-	timed(lCompactNS, func() { res.Patterns, kept = compactReverse(pool, set, reps, res.Patterns) })
+	timed(lCompactNS, func() { res.Patterns, kept = compactReverse(sim, set, reps, res.Patterns) })
 	for i, k := range kept {
 		if !k {
 			continue
@@ -432,8 +417,8 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		}
 	}
 
-	// A cancel that landed inside the compaction sharding leaves partial
-	// detect words; the run must fail rather than return a miscompacted
+	// A cancel that landed inside a compaction detect loop leaves its
+	// pass partial; the run must fail rather than return a miscompacted
 	// set.
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
@@ -452,7 +437,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	lSatNS.Flush()
 	lDyncompNS.Flush()
 	lCompactNS.Flush()
-	flushTelemetry(opt.Telemetry, res, gen, pool, randomGenerated, sat)
+	flushTelemetry(opt.Telemetry, res, gen, sim, randomGenerated, sat)
 	return res, nil
 }
 
@@ -467,7 +452,7 @@ type satStats struct {
 // one pass at the end — the generation and simulation loops themselves
 // carry only plain per-struct ints, so instrumentation adds no work to
 // the hot paths.
-func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, randomGenerated int, sat satStats) {
+func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *simulator, randomGenerated int, sat satStats) {
 	if sp == nil {
 		return
 	}
@@ -486,52 +471,29 @@ func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, pool *simPool, 
 	sp.Counter("atpg.sat_resolved").Add(sat.resolved)
 	sp.Counter("atpg.sat_budget_outs").Add(sat.budgetOuts)
 	sp.Counter("atpg.sat_cube_rejects").Add(sat.cubeRejects)
-	sp.Counter("atpg.sim_batches").Add(pool.batches)
-	var total, peak, props int64
-	for i, w := range pool.work {
-		total += w
-		if w > peak {
-			peak = w
-		}
-		props += pool.sims[i].props
-	}
-	sp.Counter("atpg.sim_detect_calls").Add(total)
-	sp.Counter("atpg.sim_region_props").Add(props)
-	pool.detectNS.Flush()
-	sp.Gauge("atpg.shards").Set(float64(len(pool.sims)))
-	if peak > 0 {
-		// 1.0 = every shard did equal work; the gap to 1 is idle shard
-		// capacity (the load-balance figure of the chunked work stealing).
-		sp.Gauge("atpg.shard_util").Set(float64(total) / (float64(peak) * float64(len(pool.sims))))
-	}
+	sp.Counter("atpg.sim_batches").Add(sim.batches)
+	sp.Counter("atpg.sim_detect_calls").Add(sim.detects)
+	sp.Counter("atpg.sim_region_props").Add(sim.props)
+	sim.detectNS.Flush()
 	if res.Truncated {
 		sp.Counter("atpg.truncated").Add(1)
 	}
 }
 
 // coveredBy simulates the given patterns and reports, by position in
-// reps, which of the reps they detect. Statuses are not modified. The
-// per-batch scan is sharded across the pool; det is only written between
-// batches, so the include callback reads it race-free.
-func (p *simPool) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) []bool {
+// reps, which of the reps they detect. Statuses are not modified.
+func (s *simulator) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) []bool {
 	det := make([]bool, len(reps))
-	out := getWords(len(reps))
-	defer putWords(out)
-	batch := p.NewBatch()
+	batch := s.NewBatch()
 	for lo := 0; lo < len(patterns); lo += 64 {
 		batch.Reset()
 		for i := lo; i < len(patterns) && i < lo+64; i++ {
 			batch.SetPattern(i-lo, patterns[i])
 		}
-		p.SimGood(batch)
-		p.detectEach(reps, set, batch, func(i int) bool {
+		s.SimGood(batch)
+		s.detectEach(reps, set, batch, func(i int) bool {
 			return !det[i] && set.Status(reps[i]) == fault.Detected
-		}, out)
-		for i, w := range out {
-			if w != 0 {
-				det[i] = true
-			}
-		}
+		}, func(i int, _ uint64) { det[i] = true })
 	}
 	return det
 }
@@ -623,7 +585,7 @@ func fillRandom(cube []int8, rng *rand.Rand) {
 // not detected by an already-kept (later) pattern. Batched 64 wide; within
 // a batch a fault is credited to its highest-index detecting pattern,
 // which matches the sequential definition exactly.
-func compactReverse(p *simPool, set *fault.Set, reps []int32, patterns []Pattern) ([]Pattern, []bool) {
+func compactReverse(s *simulator, set *fault.Set, reps []int32, patterns []Pattern) ([]Pattern, []bool) {
 	if len(patterns) == 0 {
 		return patterns, nil
 	}
@@ -636,9 +598,7 @@ func compactReverse(p *simPool, set *fault.Set, reps []int32, patterns []Pattern
 	}
 	done := make([]bool, len(targets))
 	keep := make([]bool, len(patterns))
-	detected := getWords(len(targets))
-	defer putWords(detected)
-	batch := p.NewBatch()
+	batch := s.NewBatch()
 
 	for hi := len(patterns); hi > 0; hi -= min(hi, 64) {
 		lo := hi - min(hi, 64)
@@ -646,20 +606,13 @@ func compactReverse(p *simPool, set *fault.Set, reps []int32, patterns []Pattern
 		for i := lo; i < hi; i++ {
 			batch.SetPattern(i-lo, patterns[i])
 		}
-		p.SimGood(batch)
-		// Within one batch each still-open target is independent, so the
-		// detect words are computed in parallel and folded into done/keep
-		// serially, in target order — exactly the serial semantics.
-		p.detectEach(targets, set, batch, func(i int) bool {
+		s.SimGood(batch)
+		s.detectEach(targets, set, batch, func(i int) bool {
 			return !done[i]
-		}, detected)
-		for i := range targets {
-			if done[i] || detected[i] == 0 {
-				continue
-			}
+		}, func(i int, w uint64) {
 			done[i] = true
-			keep[lo+bits.Len64(detected[i])-1] = true
-		}
+			keep[lo+bits.Len64(w)-1] = true
+		})
 	}
 	out := patterns[:0]
 	for i, p := range patterns {

@@ -3,7 +3,6 @@ package atpg
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -282,8 +281,8 @@ func TestCompactionNeverLosesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newSimPool(context.Background(), v, 1)
-	defer pool.Release()
+	sim := newSimulator(context.Background(), v, nil)
+	defer sim.Release()
 	rng := rand.New(rand.NewSource(42))
 	var all []Pattern
 	for i := 0; i < 200; i++ {
@@ -299,7 +298,7 @@ func TestCompactionNeverLosesCoverage(t *testing.T) {
 	for _, r := range reps {
 		set.SetStatus(r, fault.Detected)
 	}
-	want := pool.coveredBy(all, set, reps)
+	want := sim.coveredBy(all, set, reps)
 	detected := 0
 	for i, r := range reps {
 		if !want[i] {
@@ -308,11 +307,11 @@ func TestCompactionNeverLosesCoverage(t *testing.T) {
 			detected++
 		}
 	}
-	kept, _ := compactReverse(pool, set, reps, append([]Pattern(nil), all...))
+	kept, _ := compactReverse(sim, set, reps, append([]Pattern(nil), all...))
 	if len(kept) > len(all) || len(kept) == 0 {
 		t.Fatalf("compaction kept %d of %d patterns", len(kept), len(all))
 	}
-	got := pool.coveredBy(kept, set, reps)
+	got := sim.coveredBy(kept, set, reps)
 	for i, r := range reps {
 		if want[i] && !got[i] {
 			t.Errorf("compaction lost coverage of %+v", set.Faults[r])
@@ -347,75 +346,6 @@ func TestDynamicCompactionPaysOff(t *testing.T) {
 	}
 	if fcOn < fcOff {
 		t.Errorf("dynamic compaction lowered FC: %.4f < %.4f", fcOn, fcOff)
-	}
-}
-
-// TestRunWorkersDeterministic pins down the fault-parallel merge rule:
-// Run with sharded fault simulation must produce the exact same pattern
-// set and per-class statuses as a serial run, for any worker count.
-func TestRunWorkersDeterministic(t *testing.T) {
-	lib := stdcell.Default()
-	n, err := circuitgen.Generate(circuitgen.S38417Class().Scale(0.04), lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refPatterns []Pattern
-	var refCounts map[fault.Status]int
-	for _, w := range []int{1, 2, 5} {
-		set := fault.NewUniverse(n)
-		res, err := Run(n, set, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if refPatterns == nil {
-			refPatterns, refCounts = res.Patterns, set.Counts()
-			continue
-		}
-		if !reflect.DeepEqual(refPatterns, res.Patterns) {
-			t.Fatalf("workers=%d produced a different pattern set (%d vs %d patterns)",
-				w, len(res.Patterns), len(refPatterns))
-		}
-		if !reflect.DeepEqual(refCounts, set.Counts()) {
-			t.Fatalf("workers=%d produced different fault statuses: %v vs %v",
-				w, set.Counts(), refCounts)
-		}
-	}
-}
-
-// TestSimPoolShardsMatchSerial compares raw shard detection words against
-// a serial FaultSim on random batches: the shards alias the same good
-// plane, so every Detects word must be identical.
-func TestSimPoolShardsMatchSerial(t *testing.T) {
-	n := randCircuit(t, 7, 6, 80)
-	v, err := NewView(n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := fault.NewUniverse(n)
-	serial := NewFaultSim(v)
-	pool := newSimPool(context.Background(), v, 3)
-	rng := rand.New(rand.NewSource(11))
-
-	reps := set.Reps()
-	got := make([]uint64, len(reps))
-	for round := 0; round < 4; round++ {
-		batch := serial.NewBatch()
-		vals := make([]int8, len(v.Sources))
-		for bit := 0; bit < 64; bit++ {
-			for i := range vals {
-				vals[i] = int8(rng.Intn(2))
-			}
-			batch.SetPattern(bit, vals)
-		}
-		serial.SimGood(batch)
-		pool.SimGood(batch)
-		pool.detectEach(reps, set, batch, func(int) bool { return true }, got)
-		for i, r := range reps {
-			want := serial.Detects(set.Faults[r], batch)
-			if got[i] != want {
-				t.Fatalf("round %d fault %d: pool word %#x != serial word %#x", round, r, got[i], want)
-			}
-		}
 	}
 }
 

@@ -21,11 +21,11 @@ type FaultSim struct {
 	v *View
 
 	good []uint64 // per net, 64 parallel pattern values
-	// gen counts SimGood batches; it is shared by a simulator and its
-	// shards, so one SimGood invalidates every shard's obs cache.
-	gen *int32
+	// gen counts SimGood batches, so one SimGood invalidates the obs
+	// cache.
+	gen int32
 
-	// obs[n], valid when obsGen[n] == *gen, is the word of patterns on
+	// obs[n], valid when obsGen[n] == gen, is the word of patterns on
 	// which complementing net n reaches a sink.
 	obs    []uint64
 	obsGen []int32
@@ -37,7 +37,7 @@ type FaultSim struct {
 	buckets [][]netlist.CellID
 	queued  []bool
 
-	// props counts stem propagations (telemetry; one owner per shard).
+	// props counts stem propagations (telemetry).
 	props int64
 
 	scratch *simScratch
@@ -47,23 +47,9 @@ type FaultSim struct {
 // done to return the propagation buffers to the pool.
 func NewFaultSim(v *View) *FaultSim {
 	s := getScratch(len(v.N.Nets), len(v.N.Cells), v.MaxLevel+2)
-	s.ensureGood(len(v.N.Nets))
-	return newFaultSim(v, s.good, new(int32), s)
-}
-
-// NewShard returns a FaultSim that aliases fs's good-value plane but owns
-// private propagation state (obs cache, overlay, stamps, event queue).
-// After a SimGood on fs, Detects may run concurrently on fs and all of its
-// shards: propagation only reads the shared good plane.
-func (fs *FaultSim) NewShard() *FaultSim {
-	return newFaultSim(fs.v, fs.good, fs.gen, getScratch(len(fs.v.N.Nets), len(fs.v.N.Cells), fs.v.MaxLevel+2))
-}
-
-func newFaultSim(v *View, good []uint64, gen *int32, s *simScratch) *FaultSim {
 	return &FaultSim{
 		v:       v,
-		good:    good,
-		gen:     gen,
+		good:    s.good,
 		obs:     s.obs,
 		obsGen:  s.obsGen,
 		faulty:  s.faulty,
@@ -132,10 +118,10 @@ func (b *Batch) mask() uint64 {
 
 // SimGood simulates the fault-free circuit for the batch, leaving per-net
 // values in place for subsequent Detects calls, and invalidates the obs
-// cache of fs and of all its shards.
+// cache.
 func (fs *FaultSim) SimGood(b *Batch) {
 	v := fs.v
-	*fs.gen++
+	fs.gen++
 	for i := range fs.good {
 		fs.good[i] = 0
 		if v.ConstVal[i] == 1 {
@@ -218,8 +204,7 @@ func (fs *FaultSim) through(ci netlist.CellID, pin int, w uint64) uint64 {
 // reaches a sink, caching it for the rest of the batch: a stem's word is
 // its propagation, a region net's its successor's word through the gate.
 func (fs *FaultSim) observe(n netlist.NetID) uint64 {
-	gen := *fs.gen
-	if fs.obsGen[n] == gen {
+	if fs.obsGen[n] == fs.gen {
 		return fs.obs[n]
 	}
 	var w uint64
@@ -228,7 +213,7 @@ func (fs *FaultSim) observe(n netlist.NetID) uint64 {
 	} else {
 		w = fs.through(c, int(fs.v.regionPin[n]), fs.observe(fs.v.CellOut[c]))
 	}
-	fs.obs[n], fs.obsGen[n] = w, gen
+	fs.obs[n], fs.obsGen[n] = w, fs.gen
 	return w
 }
 

@@ -1,7 +1,6 @@
 package atpg
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -97,35 +96,32 @@ func (fs *FaultSim) refDetects(f fault.Fault, b *Batch) uint64 {
 	return det & m
 }
 
-// regionChecker holds the region simulator, through a pool of the given
-// size, to refDetects on one view: every listed fault, every batch.
+// regionChecker holds the region simulator to refDetects on one view:
+// every listed fault, every batch.
 type regionChecker struct {
-	set    *fault.Set
-	faults []int32
-	pool   *simPool
-	ref    *FaultSim
-	got    []uint64
+	set      *fault.Set
+	faults   []int32
+	sim, ref *FaultSim
 }
 
-func newRegionChecker(v *View, set *fault.Set, faults []int32, workers int) *regionChecker {
-	return &regionChecker{set: set, faults: faults, pool: newSimPool(context.Background(), v, workers),
-		ref: NewFaultSim(v), got: make([]uint64, len(faults))}
+func newRegionChecker(v *View, set *fault.Set, faults []int32) *regionChecker {
+	return &regionChecker{set: set, faults: faults, sim: NewFaultSim(v), ref: NewFaultSim(v)}
 }
 
 func (c *regionChecker) release() {
-	c.pool.Release()
+	c.sim.Release()
 	c.ref.Release()
 }
 
 // check compares the two simulators on batch b and returns the first
 // fault whose words differ, with both words, or -1.
 func (c *regionChecker) check(b *Batch) (int32, uint64, uint64) {
-	c.pool.SimGood(b)
+	c.sim.SimGood(b)
 	c.ref.SimGood(b)
-	c.pool.detectEach(c.faults, c.set, b, func(int) bool { return true }, c.got)
-	for i, r := range c.faults {
-		if want := c.ref.refDetects(c.set.Faults[r], b); c.got[i] != want {
-			return r, c.got[i], want
+	for _, r := range c.faults {
+		f := c.set.Faults[r]
+		if got, want := c.sim.Detects(f, b), c.ref.refDetects(f, b); got != want {
+			return r, got, want
 		}
 	}
 	return -1, 0, 0
@@ -169,7 +165,7 @@ func goldenScanCircuit(t *testing.T, spec circuitgen.Spec) (*netlist.Netlist, ma
 // TestRegionSimMatchesPPSFP holds the region simulator to refDetects with
 // ==, for every fault class (detected or not) on every batch of a random pattern
 // set and of the run's final pattern set, on the committed .bench files and
-// the three paper circuits at golden scale, through a 3-shard pool.
+// the three paper circuits at golden scale.
 func TestRegionSimMatchesPPSFP(t *testing.T) {
 	t.Parallel()
 	type tc struct {
@@ -202,13 +198,13 @@ func TestRegionSimMatchesPPSFP(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := fault.NewUniverse(c.n)
-			res, err := Run(c.n, set, Options{Constraints: c.fixed, Workers: 1})
+			res, err := Run(c.n, set, Options{Constraints: c.fixed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc := newRegionChecker(v, set, set.Reps(), 3)
+			rc := newRegionChecker(v, set, set.Reps())
 			defer rc.release()
-			b := rc.pool.NewBatch()
+			b := rc.sim.NewBatch()
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			for round := 0; round < 4; round++ {
 				randomBatch(b, rng, 64)
@@ -231,9 +227,9 @@ func TestRegionSimMatchesPPSFP(t *testing.T) {
 
 // FuzzRegionSim: on a small random scan circuit, random batches (of any
 // fill, including partial ones) must give region words == refDetects words
-// for every fault, with 1 and 3 shards. freeze, when odd, also freezes one
-// net to a constant, as capture-mode constraints do, so some gates have a
-// frozen output that no fault effect passes.
+// for every fault. freeze, when odd, also freezes one net to a constant,
+// as capture-mode constraints do, so some gates have a frozen output that
+// no fault effect passes.
 func FuzzRegionSim(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(3), uint8(40), uint8(64), uint16(0))
 	f.Add(int64(7), uint8(2), uint8(0), uint8(12), uint8(5), uint16(31))
@@ -257,18 +253,15 @@ func FuzzRegionSim(f *testing.F) {
 			all[i] = int32(i)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		for _, workers := range []int{1, 3} {
-			rc := newRegionChecker(v, set, all, workers)
-			b := rc.pool.NewBatch()
-			for round := 0; round < 3; round++ {
-				randomBatch(b, rng, pats)
-				if i, got, want := rc.check(b); i >= 0 {
-					rc.release()
-					t.Fatalf("workers %d round %d, fault %d %+v: region word %#x, reference %#x",
-						workers, round, i, set.Faults[i], got, want)
-				}
+		rc := newRegionChecker(v, set, all)
+		defer rc.release()
+		b := rc.sim.NewBatch()
+		for round := 0; round < 3; round++ {
+			randomBatch(b, rng, pats)
+			if i, got, want := rc.check(b); i >= 0 {
+				t.Fatalf("round %d, fault %d %+v: region word %#x, reference %#x",
+					round, i, set.Faults[i], got, want)
 			}
-			rc.release()
 		}
 	})
 }

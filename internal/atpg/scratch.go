@@ -6,10 +6,10 @@ import (
 	"tpilayout/internal/netlist"
 )
 
-// simScratch bundles the per-shard propagation buffers of a FaultSim.
-// The buffers are recycled through a sync.Pool so that a sweep running
-// six flow levels (each with its own ATPG run and shard fan-out) reuses
-// one working set instead of reallocating per level.
+// simScratch bundles the value planes and propagation buffers of a
+// FaultSim. The buffers are recycled through a sync.Pool so that a sweep
+// running six flow levels (each with its own ATPG run) reuses one
+// working set instead of reallocating per level.
 type simScratch struct {
 	good    []uint64
 	obs     []uint64
@@ -23,11 +23,12 @@ type simScratch struct {
 var scratchPool = sync.Pool{New: func() any { return &simScratch{} }}
 
 // getScratch returns a scratch sized for nets/cells/levels with clean
-// stamps and queue flags (obs and faulty values are guarded by stamps and
-// need no clearing). Growth is monotone: a recycled scratch keeps its
-// capacity.
+// stamps and queue flags (good values are rewritten by every SimGood, obs
+// and faulty values are guarded by stamps; none needs clearing). Growth
+// is monotone: a recycled scratch keeps its capacity.
 func getScratch(nets, cells, levels int) *simScratch {
 	s := scratchPool.Get().(*simScratch)
+	s.good = growU64(s.good, nets)
 	s.obs = growU64(s.obs, nets)
 	s.faulty = growU64(s.faulty, nets)
 	s.obsGen = clearedI32(s.obsGen, nets)
@@ -51,11 +52,6 @@ func getScratch(nets, cells, levels int) *simScratch {
 	return s
 }
 
-// ensureGood sizes the shared good plane; only the master shard uses it.
-func (s *simScratch) ensureGood(nets int) {
-	s.good = growU64(s.good, nets)
-}
-
 func putScratch(s *simScratch) { scratchPool.Put(s) }
 
 // clearedI32 resizes a stamp buffer and zeroes it.
@@ -75,21 +71,4 @@ func growU64(w []uint64, n int) []uint64 {
 		return make([]uint64, n)
 	}
 	return w[:n]
-}
-
-// wordPool recycles the per-class detection-word buffers of the drop and
-// compaction passes.
-var wordPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-func getWords(n int) []uint64 {
-	p := wordPool.Get().(*[]uint64)
-	*p = growU64(*p, n)
-	return *p
-}
-
-func putWords(w []uint64) {
-	if w == nil {
-		return
-	}
-	wordPool.Put(&w)
 }

@@ -3,53 +3,95 @@ package atpg
 import (
 	"context"
 	"errors"
-	"runtime"
-	"strings"
-	"sync/atomic"
+	"reflect"
 	"testing"
 	"time"
 
 	"tpilayout/internal/fault"
-	"tpilayout/internal/supervise"
 )
 
-// TestParForShardPanicIsolated: a panic on one shard goroutine must not
-// kill the process or deadlock the siblings; it resurfaces on the
-// supervising goroutine as a *PanicError carrying the shard's stack.
-func TestParForShardPanicIsolated(t *testing.T) {
-	before := runtime.NumGoroutine()
-	var pe *supervise.PanicError
-	func() {
-		defer func() { pe = supervise.AsPanicError(recover()) }()
-		parFor(context.Background(), 1000, 4, func(shard, i int) {
-			if i == 333 {
-				panic("shard blew up")
-			}
-		})
-	}()
-	if pe == nil || pe.Value != "shard blew up" {
-		t.Fatalf("recovered %+v, want the shard panic", pe)
-	}
-	if !strings.Contains(string(pe.Stack), "parFor") {
-		t.Errorf("panic stack does not show the shard frame:\n%s", pe.Stack)
-	}
-	waitForGoroutines(t, before)
+// countdownCtx is a context whose Err turns context.Canceled after its
+// first k calls (never when k < 0). It counts every call, so an
+// uncancelled run measures how many cancellation checkpoints it passes.
+// A run is one goroutine, so the counter needs no lock.
+type countdownCtx struct {
+	context.Context
+	k, calls int
 }
 
-// TestParForCancelStopsEarly: cancellation between chunks must skip the
-// remaining iterations on every shard.
-func TestParForCancelStopsEarly(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	const n = 1 << 20
-	parFor(ctx, n, 4, func(shard, i int) {
-		if ran.Add(1) == 100 {
-			cancel()
-		}
-	})
-	if got := ran.Load(); got >= n {
-		t.Fatalf("cancelled parFor still ran all %d iterations", got)
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.k >= 0 && c.calls > c.k {
+		return context.Canceled
 	}
+	return nil
+}
+
+// TestCancelInsideFaultSimPass: the detect loop of the fault-simulation
+// passes checks the context every 32 positions and stops at the first
+// check that sees a cancel; and a cancel landing at any checkpoint of a
+// run — between random rounds, between PODEM targets, or inside a drop,
+// coverage or compaction pass, which it leaves partial — must fail the
+// run. A run may return a nil error only with exactly the uncancelled
+// patterns and statuses.
+func TestCancelInsideFaultSimPass(t *testing.T) {
+	n := randCircuit(t, 5, 12, 200)
+	set := fault.NewUniverse(n)
+	reps := set.Reps()
+	if len(reps) <= 2*detectChunk {
+		t.Fatalf("%d fault classes, want more than %d", len(reps), 2*detectChunk)
+	}
+	v, err := NewView(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := newSimulator(&countdownCtx{Context: context.Background(), k: 2}, v, nil)
+	defer sim.Release()
+	b := sim.NewBatch()
+	sim.SimGood(b)
+	sim.detectEach(reps, set, b, func(int) bool { return true }, func(int, uint64) {})
+	if sim.detects != 2*detectChunk {
+		t.Errorf("cancelled at the third checkpoint, the detect loop simulated %d classes, want %d", sim.detects, 2*detectChunk)
+	}
+
+	// run returns the run's result, every fault's status and the number
+	// of checks the run made.
+	run := func(k int) (*Result, []fault.Status, int, error) {
+		ctx := &countdownCtx{Context: context.Background(), k: k}
+		set := fault.NewUniverse(n)
+		res, err := RunContext(ctx, n, set, Options{})
+		st := make([]fault.Status, set.Total())
+		for i := range st {
+			st[i] = set.Status(int32(i))
+		}
+		return res, st, ctx.calls, err
+	}
+	ref, refStatus, calls, err := run(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := 200
+	if raceEnabled {
+		samples = 20
+	}
+	cancelled := 0
+	for i := 0; i <= samples; i++ {
+		k := i * calls / samples
+		res, status, _, err := run(k)
+		switch {
+		case errors.Is(err, context.Canceled):
+			cancelled++
+		case err != nil:
+			t.Fatalf("cancel after %d of %d checks: err = %v, want context.Canceled or nil", k, calls, err)
+		case !reflect.DeepEqual(res.Patterns, ref.Patterns) || !reflect.DeepEqual(status, refStatus):
+			t.Fatalf("cancel after %d of %d checks: nil error with %d patterns, uncancelled run has %d (statuses equal: %t)",
+				k, calls, len(res.Patterns), len(ref.Patterns), reflect.DeepEqual(status, refStatus))
+		}
+	}
+	if cancelled != samples {
+		t.Errorf("%d of %d runs cancelled before their last check failed, want all", cancelled, samples)
+	}
+	t.Logf("%d checkpoints per run; %d sampled cancels all failed the run", calls, cancelled)
 }
 
 // TestRunContextCancelled: cancelling mid-ATPG must abort within one work
@@ -59,7 +101,7 @@ func TestRunContextCancelled(t *testing.T) {
 	set := fault.NewUniverse(n)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the run must not do any real work
-	_, err := RunContext(ctx, n, set, Options{Workers: 2})
+	_, err := RunContext(ctx, n, set, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -111,17 +153,4 @@ func TestDeadlineFarFutureMatchesUnbounded(t *testing.T) {
 	if len(resA.Patterns) != len(resB.Patterns) {
 		t.Fatalf("pattern counts differ: %d vs %d", len(resA.Patterns), len(resB.Patterns))
 	}
-}
-
-// waitForGoroutines lets pool goroutines drain, then asserts no leak.
-func waitForGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Errorf("goroutine leak: %d before, %d after", before, runtime.NumGoroutine())
 }

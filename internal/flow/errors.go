@@ -16,8 +16,7 @@ import (
 //	var se *flow.StageError
 //	if errors.As(err, &se) && se.Stage == flow.StageATPG { ... }
 //
-// A panic inside a stage (including one raised on a fault-simulation
-// shard goroutine) is converted into a StageError whose Err is a
+// A panic inside a stage is converted into a StageError whose Err is a
 // *supervise.PanicError and whose Stack holds the panicking goroutine's
 // stack — the process never crashes and sibling sweep workers are not
 // poisoned.

@@ -12,9 +12,9 @@
 //
 // Execution is supervised: RunContext honors context cancellation with
 // checkpoints inside every long stage, every failure is reported as a
-// typed *StageError, and a panic anywhere in the flow (including on a
-// fault-simulation shard goroutine) is converted into a StageError
-// carrying the captured stack instead of crashing the process.
+// typed *StageError, and a panic anywhere in the flow is converted into
+// a StageError carrying the captured stack instead of crashing the
+// process.
 package flow
 
 import (
@@ -47,11 +47,11 @@ type Config struct {
 	// ExcludeNets blocks nets from TPI (critical-path exclusion).
 	ExcludeNets map[netlist.NetID]bool
 
-	// Workers bounds the concurrency of the flow: SweepLevels fans one
-	// layout per worker, and each run forwards the value to the fault
-	// simulator's shard count. 0 means GOMAXPROCS, 1 forces fully serial
-	// execution. Results are bit-identical for every value — parallelism
-	// only changes wall-clock time.
+	// Workers is the number of levels in flight: SweepLevels runs one
+	// layout per worker, and each layout's flow, ATPG included, is one
+	// goroutine. 0 means GOMAXPROCS, 1 forces fully serial execution.
+	// Results are bit-identical for every value — parallelism only
+	// changes wall-clock time.
 	Workers int
 
 	// Deadline bounds the ATPG effort of the run: past it, deterministic
@@ -289,7 +289,6 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		set := fault.NewUniverse(n)
 		aopt := atpg.Options{
 			Constraints: sc.CaptureConstraints(),
-			Workers:     cfg.Workers,
 			Deadline:    cfg.Deadline,
 			Telemetry:   stageSpan,
 		}

@@ -16,8 +16,7 @@ import (
 
 // runLabels builds the pprof label set attributing profile samples to
 // one flow run: tp_level always, run_id when the service stamped one
-// onto the telemetry tracer. Goroutines the stages spawn (fault-sim
-// shards, sweep workers' children) inherit the labels, so a live
+// onto the telemetry tracer. A level runs on one goroutine, so a live
 // /debug/pprof/profile sample is attributable to its run and level.
 func runLabels(cfg Config, pct float64) pprof.LabelSet {
 	kv := []string{"tp_level", strconv.FormatFloat(pct, 'g', -1, 64)}

@@ -28,7 +28,7 @@ func newBroadcaster() *broadcaster {
 }
 
 // Emit implements telemetry.Sink. The flow's tracer calls it from sweep
-// workers and fault-simulation shards concurrently.
+// workers concurrently.
 func (b *broadcaster) Emit(e telemetry.Event) {
 	b.mu.Lock()
 	if !b.closed {

@@ -64,7 +64,7 @@ type FlowConfig struct {
 	TargetUtilization float64 `json:"target_utilization,omitempty"`
 	SkipATPG          bool    `json:"skip_atpg,omitempty"`
 	TimingOptRounds   int     `json:"timing_opt_rounds,omitempty"`
-	// Workers bounds the per-flow parallelism (0 = the server's default).
+	// Workers bounds the levels in flight (0 = the server's default).
 	// Results are bit-identical for every value, so Workers is excluded
 	// from the cache key.
 	Workers int `json:"workers,omitempty"`

@@ -264,17 +264,17 @@ type Stats struct {
 // Options configures a Server.
 type Options struct {
 	// Workers is the worker-pool size: how many flows run concurrently
-	// (default GOMAXPROCS/2, min 1). Each flow additionally parallelizes
-	// internally up to FlowWorkers.
+	// (default GOMAXPROCS/2, min 1). Each flow additionally runs up to
+	// FlowWorkers of its levels at once.
 	Workers int
 	// QueueDepth bounds the number of queued (not yet running) jobs
 	// across all tenants; a full queue answers 429 (default 64).
 	QueueDepth int
 	// CacheBytes is the result cache budget (default 64 MiB).
 	CacheBytes int64
-	// FlowWorkers is the per-flow parallelism given to jobs that do not
-	// set flow.workers themselves (default 1: with a busy pool, flows
-	// beat each other; raise it for low-traffic latency).
+	// FlowWorkers is the number of levels in flight given to jobs that
+	// do not set flow.workers themselves (default 1: with a busy pool,
+	// flows beat each other; raise it for low-traffic latency).
 	FlowWorkers int
 	// MaxBodyBytes caps a submission body (default 8 MiB).
 	MaxBodyBytes int64

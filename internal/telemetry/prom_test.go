@@ -39,7 +39,6 @@ func TestPromSinkExposition(t *testing.T) {
 
 	sp := tr.StartSpan("atpg", 1)
 	sp.Counter("atpg.patterns").Add(412)
-	sp.Gauge("atpg.shard_util").Set(0.875)
 	h := sp.Histogram("atpg.podem_ns")
 	h.Observe(900)
 	h.Observe(1100)
@@ -48,6 +47,7 @@ func TestPromSinkExposition(t *testing.T) {
 
 	rt := tr.StartSpan("route", 1)
 	rt.Counter("route.overflows").Add(3)
+	rt.Gauge("route.total_um").Set(0.875)
 	rt.EndErr(errors.New("boom"))
 
 	out := scrape(t, p)
@@ -55,8 +55,8 @@ func TestPromSinkExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE tpilayout_atpg_patterns_total counter",
 		`tpilayout_atpg_patterns_total{stage="atpg"} 412`,
-		"# TYPE tpilayout_atpg_shard_util gauge",
-		`tpilayout_atpg_shard_util{stage="atpg"} 0.875`,
+		"# TYPE tpilayout_route_total_um gauge",
+		`tpilayout_route_total_um{stage="route"} 0.875`,
 		"# TYPE tpilayout_atpg_podem_ns histogram",
 		`tpilayout_atpg_podem_ns_sum{stage="atpg"} 1073743824`,
 		`tpilayout_atpg_podem_ns_count{stage="atpg"} 3`,

@@ -127,11 +127,10 @@ func TestPublicAPISweep(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministic runs the same sweep (ATPG included, so the
-// fault-simulation shards are exercised too) under several worker counts
-// and demands identical Metrics slices: the concurrency layer must be
-// invisible in the results. CI runs this under -race, which also makes it
-// the data-race canary for the whole parallel path.
+// TestSweepDeterministic runs the same sweep (ATPG included) under
+// several worker counts and demands identical Metrics slices: the sweep
+// level pool must be invisible in the results. CI runs this under -race,
+// which also makes it the data-race canary for the level pool.
 func TestSweepDeterministic(t *testing.T) {
 	design, err := Generate(S38417Class().Scale(0.04), DefaultLibrary())
 	if err != nil {
