@@ -272,11 +272,7 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace) {
 	for _, s := range trace.Spans {
 		tp, ok := runLevel[s.Parent]
 		if !ok {
-			if s.Stage == stageRun {
-				tp = s.TPPercent // run-span histograms (flow.stage_ns)
-			} else {
-				continue
-			}
+			continue
 		}
 		for h, d := range s.Hists {
 			if hists[h] == nil {
@@ -285,9 +281,6 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace) {
 			merged := hists[h][tp]
 			merged.Merge(d)
 			hists[h][tp] = merged
-		}
-		if s.Stage == stageRun {
-			continue
 		}
 		if stageDur[s.Stage] == nil {
 			stageDur[s.Stage] = map[float64]time.Duration{}

@@ -10,7 +10,6 @@ import (
 
 	"tpilayout/internal/fault"
 	"tpilayout/internal/netlist"
-	"tpilayout/internal/supervise"
 	"tpilayout/internal/telemetry"
 	"tpilayout/internal/testability"
 )
@@ -55,11 +54,10 @@ type Options struct {
 	// Telemetry, when non-nil, receives the run's ATPG counters on the
 	// ATPG stage's span: pattern provenance (atpg.patterns,
 	// atpg.random_patterns, atpg.random_kept, atpg.det_kept), class
-	// outcomes (atpg.fault_classes, atpg.collapsed_classes,
-	// atpg.aborted_classes, atpg.untestable_classes), PODEM search
-	// effort (atpg.podem_targets, atpg.podem_backtracks), and
-	// fault-simulation work (atpg.sim_batches, atpg.sim_detect_calls,
-	// atpg.sim_region_props);
+	// outcomes (atpg.fault_classes, atpg.aborted_classes,
+	// atpg.untestable_classes), PODEM search effort (atpg.podem_targets,
+	// atpg.podem_backtracks), and fault-simulation work
+	// (atpg.sim_batches, atpg.sim_detect_calls, atpg.sim_region_props);
 	// and where the generation time went, as histograms: atpg.podem_ns
 	// per primary target, atpg.dyncomp_ns per cube's dynamic compaction,
 	// atpg.compact_ns per static pass (top-up coverage check, reverse
@@ -94,10 +92,8 @@ type Result struct {
 	AbortedClasses    int
 
 	// FaultClasses is the equivalence-collapsed class count of the fault
-	// universe; CollapsedClasses additionally removes dominated classes
-	// (those provably detected by any test for a dominating input fault).
-	FaultClasses     int
-	CollapsedClasses int
+	// universe.
+	FaultClasses int
 
 	// Truncated reports that Options.Deadline expired before generation
 	// finished; the patterns and fault statuses are valid but cover only
@@ -115,17 +111,11 @@ func Run(n *netlist.Netlist, set *fault.Set, opt Options) (*Result, error) {
 	return RunContext(context.Background(), n, set, opt)
 }
 
-// RunContext is Run under supervision: cancelling the context stops the
-// run within one work unit (one PODEM fault, one random round, 32
-// positions of a fault-simulation pass) and returns the context's error;
-// a panic in the run is captured and returned as a *supervise.PanicError
-// instead of crashing the process. The run is one goroutine.
-func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Options) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, supervise.AsPanicError(r)
-		}
-	}()
+// RunContext is Run under a context: cancelling it stops the run within
+// one work unit (one PODEM fault, one random round, 32 positions of a
+// fault-simulation pass) and returns the context's error. The run is one
+// goroutine.
+func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Options) (*Result, error) {
 	if opt.backtracks <= 0 {
 		opt.backtracks = backtrackLimit
 	}
@@ -152,36 +142,24 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	sim := newSimulator(ctx, v, opt.Telemetry)
 	defer sim.Release()
 	// Per-call PODEM latency and backtrack-depth distributions, and the
-	// time of the compaction phases around them. The run is one
-	// goroutine, so all record into local shards (plain ints) and merge
-	// once at flush; with telemetry off the nil locals also skip the
-	// time.Now pair per sample.
-	var lPodemNS, lPodemBT, lSatNS, lDyncompNS, lCompactNS *telemetry.LocalHist
-	if opt.Telemetry != nil {
-		lPodemNS = opt.Telemetry.Histogram("atpg.podem_ns").Local()
-		lSatNS = opt.Telemetry.Histogram("atpg.sat_ns").Local()
-		lPodemBT = opt.Telemetry.Histogram("atpg.podem_bt_depth").Local()
-		lDyncompNS = opt.Telemetry.Histogram("atpg.dyncomp_ns").Local()
-		lCompactNS = opt.Telemetry.Histogram("atpg.compact_ns").Local()
-	}
+	// time of the compaction phases around them. With telemetry off the
+	// nil histograms also skip the time.Now pair per sample.
+	sp := opt.Telemetry
+	hPodemNS, hPodemBT, hSatNS := sp.Hist("atpg.podem_ns"), sp.Hist("atpg.podem_bt_depth"), sp.Hist("atpg.sat_ns")
+	hDyncompNS, hCompactNS := sp.Hist("atpg.dyncomp_ns"), sp.Hist("atpg.compact_ns")
 	// timed runs fn and, with telemetry on, records how long it took.
-	timed := func(l *telemetry.LocalHist, fn func()) {
-		if l == nil {
+	timed := func(h *telemetry.Hist, fn func()) {
+		if h == nil {
 			fn()
 			return
 		}
 		t0 := time.Now()
 		fn()
-		l.ObserveDuration(time.Since(t0))
+		h.Observe(int64(time.Since(t0)))
 	}
 
 	rng := rand.New(rand.NewSource(fillSeed))
-	res = &Result{
-		View:             v,
-		Faults:           set,
-		FaultClasses:     set.NumClasses(),
-		CollapsedClasses: set.NumCollapsed(),
-	}
+	res := &Result{View: v, Faults: set, FaultClasses: set.NumClasses()}
 
 	// expired latches once the deadline passes: generation stops at the
 	// next fault-class boundary and the run completes truncated.
@@ -265,7 +243,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	emit := func(ri int, cube []int8) error {
 		set.SetStatus(reps[ri], fault.Detected)
 		if !opt.noDynamicCompaction {
-			timed(lDyncompNS, func() { compactInto(gen, set, reps, ri) })
+			timed(hDyncompNS, func() { compactInto(gen, set, reps, ri) })
 			cube = gen.cube()
 		}
 		fillRandom(cube, rng)
@@ -301,13 +279,13 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		return pass(fault.Undetected, func(ri int, r int32) error {
 			var t0 time.Time
 			btBefore := gen.nBacktracks
-			if lPodemNS != nil {
+			if hPodemNS != nil {
 				t0 = time.Now()
 			}
 			cube, g := gen.generate(set.Faults[r])
-			if lPodemNS != nil {
-				lPodemNS.Observe(int64(time.Since(t0)))
-				lPodemBT.Observe(gen.nBacktracks - btBefore)
+			if hPodemNS != nil {
+				hPodemNS.Observe(int64(time.Since(t0)))
+				hPodemBT.Observe(gen.nBacktracks - btBefore)
 			}
 			switch g {
 			case genSuccess:
@@ -336,14 +314,14 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 			mit = newMiter(v)
 		}
 		var t0 time.Time
-		if lSatNS != nil {
+		if hSatNS != nil {
 			t0 = time.Now()
 		}
 		f := set.Faults[r]
 		verdict := mit.solve(f, satConflictBudget)
 		detects := verdict == satSat && gen.load(f, mit.cube())
-		if lSatNS != nil {
-			lSatNS.Observe(int64(time.Since(t0)))
+		if hSatNS != nil {
+			hSatNS.Observe(int64(time.Since(t0)))
 		}
 		sat.calls++
 		switch {
@@ -370,7 +348,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// random patterns then survive compaction only as a last resort.
 	if randomGenerated > 0 && !expired() {
 		var det []bool
-		timed(lCompactNS, func() { det = sim.coveredBy(res.Patterns[randomGenerated:], set, reps) })
+		timed(hCompactNS, func() { det = sim.coveredBy(res.Patterns[randomGenerated:], set, reps) })
 		var fallback []int32
 		for i, r := range reps {
 			if set.Status(r) == fault.Detected && !det[i] {
@@ -405,7 +383,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		return nil, cerr
 	}
 	var kept []bool
-	timed(lCompactNS, func() { res.Patterns, kept = compactReverse(sim, set, reps, res.Patterns) })
+	timed(hCompactNS, func() { res.Patterns, kept = compactReverse(sim, set, reps, res.Patterns) })
 	for i, k := range kept {
 		if !k {
 			continue
@@ -432,12 +410,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 			res.AbortedClasses++
 		}
 	}
-	lPodemNS.Flush()
-	lPodemBT.Flush()
-	lSatNS.Flush()
-	lDyncompNS.Flush()
-	lCompactNS.Flush()
-	flushTelemetry(opt.Telemetry, res, gen, sim, randomGenerated, sat)
+	flushTelemetry(sp, res, gen, sim, randomGenerated, sat)
 	return res, nil
 }
 
@@ -456,27 +429,25 @@ func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *simulator,
 	if sp == nil {
 		return
 	}
-	sp.Counter("atpg.patterns").Add(int64(len(res.Patterns)))
-	sp.Counter("atpg.random_patterns").Add(int64(randomGenerated))
-	sp.Counter("atpg.random_kept").Add(int64(res.RandomKept))
-	sp.Counter("atpg.det_kept").Add(int64(res.DeterministicKept))
-	sp.Counter("atpg.fault_classes").Add(int64(res.FaultClasses))
-	sp.Counter("atpg.collapsed_classes").Add(int64(res.CollapsedClasses))
-	sp.Counter("atpg.aborted_classes").Add(int64(res.AbortedClasses))
-	sp.Counter("atpg.untestable_classes").Add(int64(res.UntestableClasses))
-	sp.Counter("atpg.podem_targets").Add(gen.nTargets)
-	sp.Counter("atpg.podem_backtracks").Add(gen.nBacktracks)
-	sp.Counter("atpg.extend_blocked").Add(gen.nBlocked)
-	sp.Counter("atpg.sat_calls").Add(sat.calls)
-	sp.Counter("atpg.sat_resolved").Add(sat.resolved)
-	sp.Counter("atpg.sat_budget_outs").Add(sat.budgetOuts)
-	sp.Counter("atpg.sat_cube_rejects").Add(sat.cubeRejects)
-	sp.Counter("atpg.sim_batches").Add(sim.batches)
-	sp.Counter("atpg.sim_detect_calls").Add(sim.detects)
-	sp.Counter("atpg.sim_region_props").Add(sim.props)
-	sim.detectNS.Flush()
+	sp.Add("atpg.patterns", int64(len(res.Patterns)))
+	sp.Add("atpg.random_patterns", int64(randomGenerated))
+	sp.Add("atpg.random_kept", int64(res.RandomKept))
+	sp.Add("atpg.det_kept", int64(res.DeterministicKept))
+	sp.Add("atpg.fault_classes", int64(res.FaultClasses))
+	sp.Add("atpg.aborted_classes", int64(res.AbortedClasses))
+	sp.Add("atpg.untestable_classes", int64(res.UntestableClasses))
+	sp.Add("atpg.podem_targets", gen.nTargets)
+	sp.Add("atpg.podem_backtracks", gen.nBacktracks)
+	sp.Add("atpg.extend_blocked", gen.nBlocked)
+	sp.Add("atpg.sat_calls", sat.calls)
+	sp.Add("atpg.sat_resolved", sat.resolved)
+	sp.Add("atpg.sat_budget_outs", sat.budgetOuts)
+	sp.Add("atpg.sat_cube_rejects", sat.cubeRejects)
+	sp.Add("atpg.sim_batches", sim.batches)
+	sp.Add("atpg.sim_detect_calls", sim.detects)
+	sp.Add("atpg.sim_region_props", sim.props)
 	if res.Truncated {
-		sp.Counter("atpg.truncated").Add(1)
+		sp.Add("atpg.truncated", 1)
 	}
 }
 

@@ -28,8 +28,7 @@ type simulator struct {
 	// SimGood round, detectNS each detectEach call. Both are nil when the
 	// run is uninstrumented, and every hot-path site then skips its
 	// time.Now pair entirely.
-	hBatch   *telemetry.Histogram
-	detectNS *telemetry.LocalHist
+	hBatch, detectNS *telemetry.Hist
 }
 
 // newSimulator builds the run's simulator over the view, recording into
@@ -38,8 +37,8 @@ func newSimulator(ctx context.Context, v *View, sp *telemetry.Span) *simulator {
 	return &simulator{
 		FaultSim: NewFaultSim(v),
 		ctx:      ctx,
-		hBatch:   sp.Histogram("atpg.sim_batch_ns"),
-		detectNS: sp.Histogram("atpg.sim_detect_ns").Local(),
+		hBatch:   sp.Hist("atpg.sim_batch_ns"),
+		detectNS: sp.Hist("atpg.sim_detect_ns"),
 	}
 }
 

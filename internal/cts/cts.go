@@ -78,10 +78,10 @@ func Insert(n *netlist.Netlist, p *place.Placement, opt Options) (*Result, error
 		return nil, err
 	}
 	if sp := opt.Telemetry; sp != nil {
-		sp.Counter("cts.domains").Add(int64(len(n.Domains)))
-		sp.Counter("cts.sinks").Add(int64(sinkTotal))
-		sp.Counter("cts.buffers").Add(int64(len(res.Buffers)))
-		sp.Counter("cts.levels").Add(int64(res.Levels))
+		sp.Add("cts.domains", int64(len(n.Domains)))
+		sp.Add("cts.sinks", int64(sinkTotal))
+		sp.Add("cts.buffers", int64(len(res.Buffers)))
+		sp.Add("cts.levels", int64(res.Levels))
 	}
 	return res, nil
 }

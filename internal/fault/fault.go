@@ -6,7 +6,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/stdcell"
@@ -55,13 +54,11 @@ func (s Status) String() string {
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
 
-// Set is a fault universe over one netlist, with equivalence classes and
-// dominance relations. The universe is uncollapsed (it enumerates every
-// pin and stem fault, the "total number of stuck-at faults" a tool
-// reports); Rep maps each fault to its equivalence-class representative,
-// which is what ATPG and fault simulation iterate over. Dominance edges
-// (parent class provably detected by any pattern detecting a child class)
-// further shrink the set of classes that must be explicitly targeted.
+// Set is a fault universe over one netlist, with its equivalence classes.
+// The universe is uncollapsed (it enumerates every pin and stem fault,
+// the "total number of stuck-at faults" a tool reports); Rep maps each
+// fault to its equivalence-class representative, which is what ATPG and
+// fault simulation iterate over.
 type Set struct {
 	N      *netlist.Netlist
 	Faults []Fault
@@ -69,19 +66,10 @@ type Set struct {
 	status []Status // per representative (entries for non-reps unused)
 
 	classReps []int32 // sorted unique representatives
-	classIdx  []int32 // fault index -> dense class index (position in classReps)
-
-	// Dominance CSR over dense class indices: domChildren[domIdx[c]:
-	// domIdx[c+1]] lists the classes dominated by class c. Every pattern
-	// detecting a child also detects its parent, so a class with children
-	// never needs to be targeted explicitly.
-	domIdx      []int32
-	domChildren []int32
-	numLeaf     int // classes with no dominance children
 }
 
 // NewUniverse enumerates all stuck-at faults of the live logic in n and
-// collapses structural equivalences and dominances. The netlist must not
+// collapses structural equivalences. The netlist must not
 // be edited while the Set is in use (fanout order defines Load indices).
 func NewUniverse(n *netlist.Netlist) *Set {
 	s := &Set{N: n}
@@ -250,108 +238,12 @@ func NewUniverse(n *netlist.Netlist) *Set {
 	// Union keeps the minimum index as root, so a fault is its class's
 	// representative exactly when Rep[i] == i, and ascending index order
 	// matches the first-seen order the rest of the pipeline depends on.
-	s.classIdx = make([]int32, len(s.Faults))
 	for i := range s.Rep {
 		if s.Rep[i] == int32(i) {
-			s.classIdx[i] = int32(len(s.classReps))
 			s.classReps = append(s.classReps, int32(i))
 		}
 	}
-	for i := range s.classIdx {
-		s.classIdx[i] = s.classIdx[s.Rep[i]]
-	}
-
-	s.collapseDominance(n, stemIdx, branchOf)
 	return s
-}
-
-// collapseDominance records gate-local dominance edges: for And/Nand/Or/
-// Nor gates, any pattern detecting an input fault with the listed stuck
-// value must set every side input non-controlling and propagate the gate
-// output difference, which is exactly a test for the corresponding output
-// stem fault. The output class (parent) therefore never needs explicit
-// targeting once its input classes (children) are covered.
-//
-// The relation is recorded per class: det(child) ⊆ det(parent) holds for
-// every pattern, so a nonzero child detection word is proof of parent
-// detection — but not the parent's exact word, which is why only
-// boolean-consuming passes may exploit it.
-func (s *Set) collapseDominance(n *netlist.Netlist, stemIdx []int32, branchOf func(netlist.CellID, int) int32) {
-	type edge struct{ parent, child int32 }
-	var edges []edge
-	for ci := range n.Cells {
-		c := &n.Cells[ci]
-		if c.Dead || c.Out == netlist.NoNet {
-			continue
-		}
-		oi := stemIdx[c.Out]
-		if oi < 0 {
-			continue
-		}
-		var parent int32
-		var inSA int32 // stuck value of the dominated input faults
-		switch c.Cell.Kind {
-		case stdcell.KindAnd:
-			parent, inSA = oi+1, 1 // out sa1 ⊇ every input sa1
-		case stdcell.KindNand:
-			parent, inSA = oi, 1 // out sa0 ⊇ every input sa1
-		case stdcell.KindOr:
-			parent, inSA = oi, 0 // out sa0 ⊇ every input sa0
-		case stdcell.KindNor:
-			parent, inSA = oi+1, 0 // out sa1 ⊇ every input sa0
-		default:
-			continue // no gate-local dominance for the remaining kinds
-		}
-		pc := s.classIdx[parent]
-		for pin := range c.Ins {
-			bi := branchOf(netlist.CellID(ci), pin)
-			if bi < 0 {
-				continue
-			}
-			cc := s.classIdx[bi+inSA]
-			if cc == pc {
-				continue // merged by equivalence (e.g. single-input gates)
-			}
-			edges = append(edges, edge{parent: pc, child: cc})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].parent != edges[j].parent {
-			return edges[i].parent < edges[j].parent
-		}
-		return edges[i].child < edges[j].child
-	})
-	nc := len(s.classReps)
-	s.domIdx = make([]int32, nc+1)
-	s.domChildren = make([]int32, 0, len(edges))
-	prev := edge{parent: -1, child: -1}
-	for _, e := range edges {
-		if e == prev {
-			continue
-		}
-		prev = e
-		s.domIdx[e.parent+1]++
-		s.domChildren = append(s.domChildren, 0) // placeholder, filled below
-	}
-	for c := 0; c < nc; c++ {
-		s.domIdx[c+1] += s.domIdx[c]
-	}
-	cursor := append([]int32(nil), s.domIdx[:nc]...)
-	prev = edge{parent: -1, child: -1}
-	for _, e := range edges {
-		if e == prev {
-			continue
-		}
-		prev = e
-		s.domChildren[cursor[e.parent]] = e.child
-		cursor[e.parent]++
-	}
-	s.numLeaf = 0
-	for c := 0; c < nc; c++ {
-		if s.domIdx[c+1] == s.domIdx[c] {
-			s.numLeaf++
-		}
-	}
 }
 
 // Total is the uncollapsed fault count — the paper's "#faults" column.
@@ -360,23 +252,8 @@ func (s *Set) Total() int { return len(s.Faults) }
 // NumClasses is the equivalence-collapsed fault-class count.
 func (s *Set) NumClasses() int { return len(s.classReps) }
 
-// NumCollapsed is the class count after dominance collapsing: classes
-// with no dominated children, the only ones a test generator must target
-// explicitly (a parent is provably detected by any child's test).
-func (s *Set) NumCollapsed() int { return s.numLeaf }
-
 // Reps returns the representative fault indices in deterministic order.
 func (s *Set) Reps() []int32 { return s.classReps }
-
-// ClassIndex returns the dense class index of fault i (the position of
-// its representative in Reps).
-func (s *Set) ClassIndex(i int32) int32 { return s.classIdx[i] }
-
-// DomChildren returns the dense class indices dominated by class c:
-// every pattern detecting a child class also detects class c.
-func (s *Set) DomChildren(c int32) []int32 {
-	return s.domChildren[s.domIdx[c]:s.domIdx[c+1]]
-}
 
 // Status returns the status of the fault's equivalence class.
 func (s *Set) Status(i int32) Status { return s.status[s.Rep[i]] }

@@ -126,15 +126,13 @@ type Metrics struct {
 	Chains int
 	LMax   int
 	Faults int
-	// FaultClasses / CollapsedClasses mirror the ATPG result's structural
-	// collapsing counters: equivalence classes, and classes remaining
-	// after dominance removal. FC/FE stay defined over the full universe.
-	FaultClasses     int
-	CollapsedClasses int
-	FC, FE           float64 // percent
-	Patterns         int
-	TDV              int64 // bits
-	TAT              int64 // cycles
+	// FaultClasses mirrors the ATPG result's equivalence-class count.
+	// FC/FE stay defined over the full universe.
+	FaultClasses int
+	FC, FE       float64 // percent
+	Patterns     int
+	TDV          int64 // bits
+	TAT          int64 // cycles
 
 	// Truncated mirrors Result.Truncated: the ATPG deadline expired and
 	// the Table 1 numbers reflect a budget-bounded run.
@@ -198,16 +196,8 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 	// that step's telemetry span (nil when telemetry is off).
 	stage := StageConfig
 	runSpan := cfg.runSpan()
-	// flow.stage_ns collects the per-stage wall-time distribution of the
-	// whole run (re-placed stages contribute one observation each), so a
-	// trace or /metrics scrape can answer "where did the time go" without
-	// replaying every span. Nil when telemetry is off.
-	stageHist := runSpan.Histogram("flow.stage_ns")
 	var stageSpan *telemetry.Span
 	endStage := func(e error) {
-		if stageHist != nil && stageSpan != nil {
-			stageHist.Observe(int64(stageSpan.Elapsed()))
-		}
 		stageSpan.EndErr(e)
 		stageSpan = nil
 	}
@@ -255,7 +245,7 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		return nil, fail(err)
 	}
 	res.TPs = tps
-	stageSpan.Counter("tpi.points").Add(int64(len(tps.Points)))
+	stageSpan.Add("tpi.points", int64(len(tps.Points)))
 	if err := enter(StageScan); err != nil {
 		return nil, err
 	}
@@ -264,8 +254,8 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		return nil, fail(err)
 	}
 	res.Scan = sc
-	stageSpan.Counter("scan.chains").Add(int64(sc.NumChains()))
-	stageSpan.Counter("scan.max_length").Add(int64(sc.MaxLength()))
+	stageSpan.Add("scan.chains", int64(sc.NumChains()))
+	stageSpan.Add("scan.max_length", int64(sc.MaxLength()))
 
 	// Step 2: floorplanning and placement.
 	if err := enter(StagePlace); err != nil {
@@ -325,7 +315,7 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 			return 0, fail(err)
 		}
 		fillerArea := res.Place.InsertFillers()
-		stageSpan.Counter("eco.fillers").Add(int64(len(res.Place.FillerCells)))
+		stageSpan.Add("eco.fillers", int64(len(res.Place.FillerCells)))
 		if err := enter(StageRoute); err != nil {
 			return 0, err
 		}
@@ -457,7 +447,6 @@ func (r *Result) fillMetrics(tpCount int, fillerArea float64) {
 	if r.Faults != nil {
 		m.Faults = r.Faults.Total()
 		m.FaultClasses = r.ATPG.FaultClasses
-		m.CollapsedClasses = r.ATPG.CollapsedClasses
 		fc, fe := r.Faults.Coverage()
 		m.FC = fc * 100
 		m.FE = fe * 100

@@ -170,12 +170,6 @@ func SweepLevels(ctx context.Context, design *netlist.Netlist, cfg Config, tpPer
 	if workers > len(tpPercents) {
 		workers = len(tpPercents)
 	}
-	if workers <= 1 {
-		for i, pct := range tpPercents {
-			out[i] = level(ctx, base, cfg, pct)
-		}
-		return out, nil
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -66,9 +66,8 @@ type bisector struct {
 		cuts, passes, movesKept, movesTried int64
 	}
 	// hCutDelta is the per-FM-pass cut-improvement distribution
-	// (place.fm_cut_delta), a local shard because the recursion is
-	// serial; nil (and free) when telemetry is off.
-	hCutDelta *telemetry.LocalHist
+	// (place.fm_cut_delta); nil (and free) when telemetry is off.
+	hCutDelta *telemetry.Hist
 }
 
 type move struct {

@@ -157,7 +157,7 @@ func (p *Placement) global(ctx context.Context) error {
 		}
 	}
 	b := newBisector(n)
-	b.hCutDelta = p.Opt.Telemetry.Histogram("place.fm_cut_delta").Local()
+	b.hCutDelta = p.Opt.Telemetry.Hist("place.fm_cut_delta")
 	err := b.run(ctx, cells, region{r0: 0, r1: p.NumRows, x0: 0, x1: p.RowLen}, func(id netlist.CellID, reg region) {
 		p.Row[id] = int32(reg.r0)
 		p.X[id] = reg.x0
@@ -165,12 +165,11 @@ func (p *Placement) global(ctx context.Context) error {
 	// The bisection is strictly serial, so the stats are plain ints,
 	// flushed once — zero cost on the recursion itself.
 	if sp := p.Opt.Telemetry; sp != nil {
-		sp.Counter("place.cells").Add(int64(len(cells)))
-		sp.Counter("place.cuts").Add(b.stats.cuts)
-		sp.Counter("place.fm_passes").Add(b.stats.passes)
-		sp.Counter("place.fm_moves").Add(b.stats.movesKept)
-		sp.Counter("place.fm_moves_tried").Add(b.stats.movesTried)
-		b.hCutDelta.Flush()
+		sp.Add("place.cells", int64(len(cells)))
+		sp.Add("place.cuts", b.stats.cuts)
+		sp.Add("place.fm_passes", b.stats.passes)
+		sp.Add("place.fm_moves", b.stats.movesKept)
+		sp.Add("place.fm_moves_tried", b.stats.movesTried)
 	}
 	return err
 }

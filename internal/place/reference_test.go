@@ -54,7 +54,7 @@ type refBisector struct {
 	stats struct {
 		cuts, passes, movesKept, movesTried int64
 	}
-	hCutDelta *telemetry.LocalHist
+	hCutDelta *telemetry.Hist
 }
 
 type refMove struct {
@@ -460,19 +460,18 @@ func refPlace(t *testing.T, n *netlist.Netlist, opt Options) *Placement {
 	}
 	b := newRefBisector(n, fmPasses)
 	sp := opt.Telemetry
-	b.hCutDelta = sp.Histogram("place.fm_cut_delta").Local()
+	b.hCutDelta = sp.Hist("place.fm_cut_delta")
 	if err := b.run(context.Background(), cells, region{r0: 0, r1: p.NumRows, x0: 0, x1: p.RowLen}, func(id netlist.CellID, reg region) {
 		p.Row[id] = int32(reg.r0)
 		p.X[id] = reg.x0
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sp.Counter("place.cells").Add(int64(len(cells)))
-	sp.Counter("place.cuts").Add(b.stats.cuts)
-	sp.Counter("place.fm_passes").Add(b.stats.passes)
-	sp.Counter("place.fm_moves").Add(b.stats.movesKept)
-	sp.Counter("place.fm_moves_tried").Add(b.stats.movesTried)
-	b.hCutDelta.Flush()
+	sp.Add("place.cells", int64(len(cells)))
+	sp.Add("place.cuts", b.stats.cuts)
+	sp.Add("place.fm_passes", b.stats.passes)
+	sp.Add("place.fm_moves", b.stats.movesKept)
+	sp.Add("place.fm_moves_tried", b.stats.movesTried)
 	if err := p.legalize(); err != nil {
 		t.Fatal(err)
 	}

@@ -117,14 +117,9 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 	}
 	jobs = sorted
 
-	// Per-net latency and detour ("rip-up") distributions. The routing
-	// loop is serial, so both record into local shards; with telemetry
-	// off the nil locals also skip the time.Now pair per net.
-	var hNetNS, hNetOvf *telemetry.LocalHist
-	if sp := opt.Telemetry; sp != nil {
-		hNetNS = sp.Histogram("route.net_ns").Local()
-		hNetOvf = sp.Histogram("route.net_overflows").Local()
-	}
+	// Per-net latency and detour ("rip-up") distributions; with telemetry
+	// off the nil histograms also skip the time.Now pair per net.
+	hNetNS, hNetOvf := opt.Telemetry.Hist("route.net_ns"), opt.Telemetry.Hist("route.net_overflows")
 	pinTotal := 0
 	for ji, jb := range jobs {
 		if ji&63 == 0 && ctx != nil {
@@ -148,12 +143,10 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 	}
 	res.Overflow = g.overflow
 	if sp := opt.Telemetry; sp != nil {
-		sp.Counter("route.nets").Add(int64(len(jobs)))
-		sp.Counter("route.pins").Add(int64(pinTotal))
-		sp.Counter("route.overflows").Add(int64(g.overflow))
-		sp.Gauge("route.total_um").Set(res.Total)
-		hNetNS.Flush()
-		hNetOvf.Flush()
+		sp.Add("route.nets", int64(len(jobs)))
+		sp.Add("route.pins", int64(pinTotal))
+		sp.Add("route.overflows", int64(g.overflow))
+		sp.Set("route.total_um", res.Total)
 	}
 	return res, nil
 }

@@ -178,8 +178,8 @@ func AnalyzeContext(ctx context.Context, n *netlist.Netlist, par *extract.Parasi
 	}
 	res.SlowNodes = a.slow
 	if sp := opt.Telemetry; sp != nil {
-		sp.Counter("sta.domains").Add(int64(len(res.PerDomain)))
-		sp.Counter("sta.slow_nodes").Add(int64(res.SlowNodes))
+		sp.Add("sta.domains", int64(len(res.PerDomain)))
+		sp.Add("sta.slow_nodes", int64(res.SlowNodes))
 		pathCells, worstTcp, worstSkew := 0, 0.0, 0.0
 		for _, rep := range res.PerDomain {
 			pathCells += len(rep.PathCells)
@@ -188,9 +188,9 @@ func AnalyzeContext(ctx context.Context, n *netlist.Netlist, par *extract.Parasi
 		for _, sk := range res.WorstSkew {
 			worstSkew = math.Max(worstSkew, sk)
 		}
-		sp.Counter("sta.path_cells").Add(int64(pathCells))
-		sp.Gauge("sta.critical_tcp_ps").Set(worstTcp)
-		sp.Gauge("sta.worst_skew_ps").Set(worstSkew)
+		sp.Add("sta.path_cells", int64(pathCells))
+		sp.Set("sta.critical_tcp_ps", worstTcp)
+		sp.Set("sta.worst_skew_ps", worstSkew)
 	}
 	return res, nil
 }

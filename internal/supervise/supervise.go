@@ -1,9 +1,9 @@
 // Package supervise provides the panic-isolation primitives of the
 // supervised flow runner: a typed PanicError that carries the panicking
 // goroutine's stack across goroutine boundaries, and helpers to capture
-// panics at supervision points (sweep workers, the ATPG run, flow
-// stages) so that one crashing work unit degrades into an error instead
-// of killing the process.
+// panics at supervision points (sweep levels, flow stages) so that one
+// crashing work unit degrades into an error instead of killing the
+// process.
 package supervise
 
 import (

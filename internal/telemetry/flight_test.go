@@ -142,3 +142,44 @@ func BenchmarkFlightRecorderEmit(b *testing.B) {
 		f.Emit(e)
 	}
 }
+
+// TestInterleavedRunsInOneRing: tpid gives each run its own tracer over
+// shared sinks, so two runs in flight interleave in the flight ring.
+// Span IDs are unique per process, so the dump still pairs every start
+// with its own end.
+func TestInterleavedRunsInOneRing(t *testing.T) {
+	rec := NewFlightRecorder(16)
+	a := New(rec).WithAttrs(map[string]string{"run_id": "rA"})
+	b := New(rec).WithAttrs(map[string]string{"run_id": "rB"})
+	runA := a.StartSpan("run", 0)
+	runB := b.StartSpan("run", 2)
+	atpgA := runA.Child("atpg")
+	atpgB := runB.Child("atpg")
+	atpgA.End()
+	runA.End()
+	atpgB.End()
+	runB.End()
+
+	var buf bytes.Buffer
+	if err := rec.WriteNDJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := ParseTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trace.Balanced() || len(trace.Spans) != 4 {
+		t.Fatalf("got %d spans, unbalanced %v; want 4 balanced", len(trace.Spans), trace.Unbalanced)
+	}
+	runOf := map[int64]string{}
+	for _, sp := range trace.Spans {
+		if sp.Stage == "run" {
+			runOf[sp.ID] = sp.Attrs["run_id"]
+		}
+	}
+	for _, sp := range trace.Spans {
+		if sp.Stage == "atpg" && runOf[sp.Parent] != sp.Attrs["run_id"] {
+			t.Errorf("%s atpg span parented by run %q", sp.Attrs["run_id"], runOf[sp.Parent])
+		}
+	}
+}

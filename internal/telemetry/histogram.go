@@ -3,8 +3,6 @@ package telemetry
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
-	"time"
 )
 
 // histBuckets is the number of exponential buckets. Bucket i holds
@@ -41,107 +39,36 @@ func HistBucketUpper(i int) int64 {
 	return int64(1) << uint(i)
 }
 
-// Histogram is a span-scoped latency/size distribution with
-// power-of-two exponential buckets. Observe is lock-free (one atomic
-// add on the bucket plus sum/count), safe for concurrent use, and —
-// like every telemetry handle — a no-op on a nil receiver, so
-// instrumented hot loops pay one nil check when telemetry is off.
-//
-// Hot paths that observe at very high rates from a single goroutine
-// (PODEM calls, per-net routing) should record into a Local() shard —
-// plain non-atomic counts owned by one goroutine — and Flush it into
-// the histogram once at the end of the run. That is the lock-free
-// per-shard recording scheme: N goroutines each own a LocalHist, and
-// the merge at flush is the only synchronized step.
-type Histogram struct {
-	name    string
-	counts  [histBuckets]atomic.Uint64
-	sum     atomic.Int64
-	observd atomic.Int64
+// Hist is a span-scoped latency/size distribution with power-of-two
+// exponential buckets: plain counts, owned by the goroutine that ends
+// its span, read once at the close. Observe is a no-op on a nil
+// receiver, so instrumented hot loops pay one nil check when telemetry
+// is off.
+type Hist struct {
+	counts [histBuckets]uint64
+	sum, n int64
 }
 
 // Observe records one value (a duration in nanoseconds, a depth, a
-// count). No-op on a nil receiver.
-func (h *Histogram) Observe(v int64) {
+// count).
+func (h *Hist) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.counts[histBucketOf(v)].Add(1)
-	h.sum.Add(v)
-	h.observd.Add(1)
+	h.counts[histBucketOf(v)]++
+	h.sum += v
+	h.n++
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
-// Local returns a new single-goroutine shard of the histogram (nil on
-// a nil receiver, keeping the whole disabled subtree free). The shard
-// records without atomics; call Flush to merge it back.
-func (h *Histogram) Local() *LocalHist {
-	if h == nil {
-		return nil
-	}
-	return &LocalHist{parent: h}
-}
-
-// Snapshot returns the histogram's current merged state.
-func (h *Histogram) Snapshot() HistData {
-	if h == nil {
-		return HistData{}
-	}
-	d := HistData{Count: h.observd.Load(), Sum: h.sum.Load()}
-	for i := range h.counts {
-		if c := h.counts[i].Load(); c != 0 {
-			if d.Buckets == nil {
-				d.Buckets = make(map[int]uint64, 8)
-			}
+// data returns the histogram's serializable form.
+func (h *Hist) data() HistData {
+	d := HistData{Count: h.n, Sum: h.sum, Buckets: make(map[int]uint64, 8)}
+	for i, c := range h.counts {
+		if c != 0 {
 			d.Buckets[i] = c
 		}
 	}
 	return d
-}
-
-// LocalHist is one goroutine's private shard of a Histogram: plain
-// counts, no atomics, no locks. Exactly one goroutine may Observe a
-// given shard at a time; Flush merges the shard into the parent with
-// atomic adds and resets it, and must not race with that goroutine's
-// Observes. All methods are no-ops on a nil receiver.
-type LocalHist struct {
-	parent  *Histogram
-	counts  [histBuckets]uint64
-	sum     int64
-	observd int64
-}
-
-// Observe records one value into the shard.
-func (l *LocalHist) Observe(v int64) {
-	if l == nil {
-		return
-	}
-	l.counts[histBucketOf(v)]++
-	l.sum += v
-	l.observd++
-}
-
-// ObserveDuration records a duration in nanoseconds into the shard.
-func (l *LocalHist) ObserveDuration(d time.Duration) { l.Observe(int64(d)) }
-
-// Flush merges the shard into its parent histogram and zeroes the
-// shard, so a shard may be flushed more than once (e.g. per batch)
-// without double counting.
-func (l *LocalHist) Flush() {
-	if l == nil || l.observd == 0 {
-		return
-	}
-	for i, c := range l.counts {
-		if c != 0 {
-			l.parent.counts[i].Add(c)
-			l.counts[i] = 0
-		}
-	}
-	l.parent.sum.Add(l.sum)
-	l.parent.observd.Add(l.observd)
-	l.sum, l.observd = 0, 0
 }
 
 // HistData is the serializable snapshot of a histogram: total count,
@@ -149,7 +76,7 @@ func (l *LocalHist) Flush() {
 // bucket index (see HistBucketUpper for the bounds). It is the NDJSON
 // wire form (riding on span_end events) and the cross-run merge unit:
 // all histograms share one bucket layout, so Merge is index-wise
-// addition — across shards, across sweep levels, across runs.
+// addition — across spans, across sweep levels, across runs.
 type HistData struct {
 	Count   int64          `json:"n"`
 	Sum     int64          `json:"s"`
@@ -157,7 +84,7 @@ type HistData struct {
 }
 
 // Observation returns the HistData of one observed value — the unit a
-// caller without a long-lived Histogram (the service layer's per-event
+// caller without a span's Hist (the service layer's per-event
 // queue-wait samples) merges into a sink-side accumulator.
 func Observation(v int64) HistData {
 	return HistData{Count: 1, Sum: v, Buckets: map[int]uint64{histBucketOf(v): 1}}

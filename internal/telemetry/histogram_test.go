@@ -3,9 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestHistBucketOf(t *testing.T) {
@@ -35,27 +33,19 @@ func TestHistBucketOf(t *testing.T) {
 }
 
 func TestHistogramNil(t *testing.T) {
-	var h *Histogram
+	var h *Hist
 	h.Observe(5)
-	h.ObserveDuration(time.Second)
-	if l := h.Local(); l != nil {
-		t.Fatal("nil histogram produced a local shard")
-	}
-	var l *LocalHist
-	l.Observe(5)
-	l.ObserveDuration(time.Second)
-	l.Flush()
-	if d := h.Snapshot(); d.Count != 0 {
-		t.Fatal("nil histogram snapshot non-empty")
-	}
-	// Nil-span registration keeps the whole subtree free.
+	// A nil span hands out nil histograms, keeping the whole subtree
+	// free.
 	var sp *Span
-	sp.Histogram("x").Observe(1)
-	sp.Histogram("x").Local().Observe(1)
+	if sp.Hist("x") != nil {
+		t.Fatal("nil span produced a histogram")
+	}
+	sp.Hist("x").Observe(1)
 }
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
-	h := &Histogram{name: "t"}
+	h := &Hist{}
 	// 100 observations of 100, 10 of 100_000.
 	for i := 0; i < 100; i++ {
 		h.Observe(100)
@@ -63,7 +53,7 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(100_000)
 	}
-	d := h.Snapshot()
+	d := h.data()
 	if d.Count != 110 || d.Sum != 100*100+10*100_000 {
 		t.Fatalf("count/sum = %d/%d", d.Count, d.Sum)
 	}
@@ -83,40 +73,21 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	}
 }
 
-func TestLocalHistFlushAndMerge(t *testing.T) {
-	h := &Histogram{name: "t"}
-	shards := make([]*LocalHist, 4)
-	for i := range shards {
-		shards[i] = h.Local()
+// TestHistDataMerge: merging is index-wise bucket addition.
+func TestHistDataMerge(t *testing.T) {
+	h := &Hist{}
+	for i := 0; i < 4000; i++ {
+		h.Observe(int64(i))
 	}
-	var wg sync.WaitGroup
-	for s, l := range shards {
-		wg.Add(1)
-		go func(s int, l *LocalHist) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				l.Observe(int64(s*1000 + i))
-			}
-		}(s, l)
-	}
-	wg.Wait()
-	for _, l := range shards {
-		l.Flush()
-		l.Flush() // second flush of a drained shard is a no-op
-	}
-	d := h.Snapshot()
-	if d.Count != 4000 {
-		t.Fatalf("merged count = %d, want 4000", d.Count)
-	}
+	d := h.data()
 	var bucketTotal uint64
 	for _, c := range d.Buckets {
 		bucketTotal += c
 	}
-	if bucketTotal != 4000 {
-		t.Fatalf("bucket total = %d, want 4000", bucketTotal)
+	if d.Count != 4000 || bucketTotal != 4000 {
+		t.Fatalf("count = %d, bucket total = %d, want 4000", d.Count, bucketTotal)
 	}
 
-	// HistData.Merge is index-wise addition.
 	var m HistData
 	m.Merge(d)
 	m.Merge(d)
@@ -130,26 +101,6 @@ func TestLocalHistFlushAndMerge(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrentObserve exercises the lock-free path under
-// -race: many goroutines observing one histogram directly.
-func TestHistogramConcurrentObserve(t *testing.T) {
-	h := &Histogram{name: "t"}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				h.Observe(int64(i))
-			}
-		}()
-	}
-	wg.Wait()
-	if d := h.Snapshot(); d.Count != 4000 {
-		t.Fatalf("count = %d", d.Count)
-	}
-}
-
 // TestSpanHistogramFlush: histograms registered on a span ride its
 // span_end event through an NDJSON round trip, duplicate names merging.
 func TestSpanHistogramFlush(t *testing.T) {
@@ -157,10 +108,9 @@ func TestSpanHistogramFlush(t *testing.T) {
 	sink := NewNDJSONSink(&buf)
 	tr := New(sink)
 	sp := tr.StartSpan("atpg", 1)
-	sp.Histogram("atpg.podem_ns").Observe(1000)
-	sp.Histogram("atpg.podem_ns").Observe(3000) // same name: merged
-	empty := sp.Histogram("atpg.unused")
-	_ = empty // zero observations: dropped at flush
+	sp.Hist("atpg.podem_ns").Observe(1000)
+	sp.Hist("atpg.podem_ns").Observe(3000) // same name: same histogram
+	sp.Hist("atpg.unused")                 // zero observations: dropped at close
 	sp.End()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -187,38 +137,19 @@ func TestSpanHistogramFlush(t *testing.T) {
 }
 
 // The nil-receiver histogram path must stay as free as the nil counter
-// path: ≤2 ns/op, zero allocations (asserted by the bench harness in
-// CI via -benchmem and eyeballed locally).
-func BenchmarkDisabledHistogram(b *testing.B) {
+// path: ≤2 ns/op, zero allocations (asserted in CI via -benchmem).
+func BenchmarkDisabledHist(b *testing.B) {
 	b.ReportAllocs()
-	var h *Histogram
+	var h *Hist
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
 	}
 }
 
-func BenchmarkDisabledLocalHist(b *testing.B) {
+func BenchmarkEnabledHist(b *testing.B) {
 	b.ReportAllocs()
-	var l *LocalHist
-	for i := 0; i < b.N; i++ {
-		l.Observe(int64(i))
-	}
-}
-
-func BenchmarkEnabledHistogram(b *testing.B) {
-	b.ReportAllocs()
-	h := &Histogram{name: "bench"}
+	h := &Hist{}
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
 	}
-}
-
-func BenchmarkEnabledLocalHist(b *testing.B) {
-	b.ReportAllocs()
-	h := &Histogram{name: "bench"}
-	l := h.Local()
-	for i := 0; i < b.N; i++ {
-		l.Observe(int64(i))
-	}
-	l.Flush()
 }

@@ -38,16 +38,16 @@ func TestPromSinkExposition(t *testing.T) {
 	tr := New(p)
 
 	sp := tr.StartSpan("atpg", 1)
-	sp.Counter("atpg.patterns").Add(412)
-	h := sp.Histogram("atpg.podem_ns")
+	sp.Add("atpg.patterns", 412)
+	h := sp.Hist("atpg.podem_ns")
 	h.Observe(900)
 	h.Observe(1100)
 	h.Observe(1 << 30)
 	sp.End()
 
 	rt := tr.StartSpan("route", 1)
-	rt.Counter("route.overflows").Add(3)
-	rt.Gauge("route.total_um").Set(0.875)
+	rt.Add("route.overflows", 3)
+	rt.Set("route.total_um", 0.875)
 	rt.EndErr(errors.New("boom"))
 
 	out := scrape(t, p)
@@ -102,7 +102,7 @@ func TestPromSinkLiveScrape(t *testing.T) {
 	root := tr.StartSpan("sweep", -1)
 	run := root.ChildTP("run", 1)
 	st := run.Child("place")
-	st.Counter("place.cuts").Add(7)
+	st.Add("place.cuts", 7)
 	st.End()
 	// root and run still open.
 	out := scrape(t, p)

@@ -1,6 +1,6 @@
 // Package telemetry is the flow's zero-dependency observability layer:
-// nested wall-clock spans for every stage of the Figure 2 flow, typed
-// counters and gauges recorded at the hot sites of ATPG, placement,
+// nested wall-clock spans for every stage of the Figure 2 flow, the
+// counters, gauges and histograms each span records for ATPG, placement,
 // routing, clock-tree synthesis and STA, and pluggable sinks — an NDJSON
 // event stream (one JSON object per line, jq/flamegraph-friendly), a
 // flight-recorder ring, a Prometheus exposition, and live progress
@@ -8,7 +8,7 @@
 // TraceFromEvents pair those back into spans.
 //
 // The layer is built to disappear: every method is safe on a nil
-// *Tracer / *Span / *Counter / *Gauge receiver and returns immediately,
+// *Tracer / *Span / *Hist receiver and returns immediately,
 // so instrumented code holds plain pointers and pays one predictable nil
 // check per call when telemetry is off. The disabled path allocates
 // nothing and starts no goroutines.
@@ -94,9 +94,13 @@ func (f FuncSink) Emit(e Event) { f(e) }
 type Tracer struct {
 	sinks []Sink
 	attrs map[string]string // stamped onto every event; read-only once set
-	ids   atomic.Int64
-	now   func() time.Time // test hook; time.Now in production
+	now   func() time.Time  // test hook; time.Now in production
 }
+
+// spanIDs numbers spans across every Tracer of the process, so runs
+// whose tracers share a sink (tpid's flight recorder) never reuse an ID
+// that ParseTrace pairs by.
+var spanIDs atomic.Int64
 
 // New returns a Tracer delivering events to the given sinks.
 func New(sinks ...Sink) *Tracer {
@@ -106,11 +110,10 @@ func New(sinks ...Sink) *Tracer {
 // WithAttrs returns a Tracer sharing the receiver's sinks whose every
 // event carries the given correlation attrs (merged over any the
 // receiver already stamps). tpid uses this to stamp run_id/job_id/
-// tenant onto every span a flow run emits. The derived tracer has its
-// own span-ID sequence, so derive before opening spans, not mid-trace.
-// The attrs map is retained and shared by reference: callers must not
-// mutate it, and sinks must treat Event.Attrs as read-only. Safe on a
-// nil receiver (stays nil: disabled telemetry stays free).
+// tenant onto every span a flow run emits. The attrs map is retained
+// and shared by reference: callers must not mutate it, and sinks must
+// treat Event.Attrs as read-only. Safe on a nil receiver (stays nil:
+// disabled telemetry stays free).
 func (t *Tracer) WithAttrs(attrs map[string]string) *Tracer {
 	if t == nil || len(attrs) == 0 {
 		return t
@@ -145,7 +148,7 @@ func (t *Tracer) StartSpan(stage string, tpPercent float64) *Span {
 }
 
 func (t *Tracer) newSpan(parent *Span, stage string, tp float64) *Span {
-	s := &Span{tr: t, id: t.ids.Add(1), stage: stage, tp: tp, start: t.now(), cpuStart: procCPUNS()}
+	s := &Span{tr: t, id: spanIDs.Add(1), stage: stage, tp: tp, start: t.now(), cpuStart: procCPUNS()}
 	if parent != nil {
 		s.parent = parent.id
 	}
@@ -177,10 +180,11 @@ func (t *Tracer) emit(e Event) {
 }
 
 // Span is one timed region — a flow stage, a sweep level, or a whole
-// run. Spans nest via Child, carry per-span counters and gauges, and
-// close exactly once (End is idempotent, so a deferred safety close
-// after an explicit close is a no-op). All methods are safe on a nil
-// receiver and safe for concurrent use.
+// run. Spans nest via Child, carry per-span counters, gauges and
+// histograms, and close exactly once (End is idempotent, so a deferred
+// safety close after an explicit close is a no-op). All methods are
+// safe on a nil receiver and safe for concurrent use; a *Hist belongs
+// to the goroutine that ends its span.
 type Span struct {
 	tr     *Tracer
 	id     int64
@@ -193,9 +197,9 @@ type Span struct {
 	cpuStart int64
 
 	mu       sync.Mutex
-	counters []*Counter
-	gauges   []*Gauge
-	hists    []*Histogram
+	counters map[string]int64
+	gauges   map[string]float64
+	hists    map[string]*Hist
 	ended    bool
 }
 
@@ -232,56 +236,54 @@ func (s *Span) ChildTP(stage string, tpPercent float64) *Span {
 	return s.tr.newSpan(s, stage, tpPercent)
 }
 
-// Counter registers a named counter on the span. Its value is flushed
-// into the span_end event. Registering the same name twice sums the two
-// at flush time.
-func (s *Span) Counter(name string) *Counter {
+// Add adds n to the span's named counter. A name added to twice sums.
+func (s *Span) Add(name string, n int64) {
 	if s == nil {
-		return nil
+		return
 	}
-	c := &Counter{name: name}
 	s.mu.Lock()
-	s.counters = append(s.counters, c)
+	if !s.ended {
+		if s.counters == nil {
+			s.counters = make(map[string]int64)
+		}
+		s.counters[name] += n
+	}
 	s.mu.Unlock()
-	return c
 }
 
-// Gauge registers a named gauge on the span.
-func (s *Span) Gauge(name string) *Gauge {
+// Set records the span's named gauge; the last value set wins.
+func (s *Span) Set(name string, v float64) {
 	if s == nil {
-		return nil
+		return
 	}
-	g := &Gauge{name: name}
 	s.mu.Lock()
-	s.gauges = append(s.gauges, g)
+	if !s.ended {
+		if s.gauges == nil {
+			s.gauges = make(map[string]float64)
+		}
+		s.gauges[name] = v
+	}
 	s.mu.Unlock()
-	return g
 }
 
-// Histogram registers a named histogram on the span. Its snapshot is
-// flushed into the span_end event; registering the same name twice
-// merges the two at flush time (index-wise bucket addition). On a nil
-// span it returns a nil histogram, whose Observe (and whose Local
-// shards) cost one nil check each.
-func (s *Span) Histogram(name string) *Histogram {
+// Hist returns the span's named histogram, the same one for every call
+// with that name. Only the goroutine that ends the span may observe
+// into it. On a nil span it returns nil, whose Observe is one nil check.
+func (s *Span) Hist(name string) *Hist {
 	if s == nil {
 		return nil
 	}
-	h := &Histogram{name: name}
 	s.mu.Lock()
-	s.hists = append(s.hists, h)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	h := s.hists[name]
+	if h == nil {
+		if s.hists == nil {
+			s.hists = make(map[string]*Hist)
+		}
+		h = &Hist{}
+		s.hists[name] = h
+	}
 	return h
-}
-
-// Elapsed returns the wall time since the span opened (0 on nil). It
-// does not close the span; flow uses it to feed the per-stage wall
-// time into the stage's duration histogram just before the close.
-func (s *Span) Elapsed() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.tr.now().Sub(s.start)
 }
 
 // End closes the span successfully.
@@ -315,78 +317,34 @@ func (s *Span) EndErr(err error) {
 	if err != nil {
 		e.Err = err.Error()
 	}
-	for _, c := range s.counters {
-		if v := c.Value(); v != 0 {
-			if e.Counters == nil {
-				e.Counters = make(map[string]int64, len(s.counters))
-			}
-			e.Counters[c.name] += v
+	// The span is closed to further writes, so its maps can ride the
+	// event as they are once the dropped entries are gone.
+	for name, v := range s.counters {
+		if v == 0 {
+			delete(s.counters, name)
 		}
 	}
-	for _, g := range s.gauges {
+	if len(s.counters) > 0 {
+		e.Counters = s.counters
+	}
+	for name, v := range s.gauges {
 		// NaN/Inf would poison json.Marshal of the NDJSON line; drop them.
-		if v := g.Value(); v != 0 && !math.IsNaN(v) && !math.IsInf(v, 0) {
-			if e.Gauges == nil {
-				e.Gauges = make(map[string]float64, len(s.gauges))
-			}
-			e.Gauges[g.name] = v
+		if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			delete(s.gauges, name)
 		}
 	}
-	for _, h := range s.hists {
-		d := h.Snapshot()
-		if d.Count == 0 {
+	if len(s.gauges) > 0 {
+		e.Gauges = s.gauges
+	}
+	for name, h := range s.hists {
+		if h.n == 0 {
 			continue
 		}
 		if e.Hists == nil {
 			e.Hists = make(map[string]HistData, len(s.hists))
 		}
-		merged := e.Hists[h.name]
-		merged.Merge(d)
-		e.Hists[h.name] = merged
+		e.Hists[name] = h.data()
 	}
 	s.mu.Unlock()
 	s.tr.emit(e)
-}
-
-// Counter is a monotonically increasing span-scoped metric. Adds are
-// atomic, so shard goroutines may share one counter.
-type Counter struct {
-	name string
-	v    atomic.Int64
-}
-
-// Add increases the counter; no-op on a nil receiver or n == 0.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a last-value-wins span-scoped metric.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Set records the gauge value; no-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the last set value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }

@@ -22,13 +22,9 @@ func TestNilFastPath(t *testing.T) {
 	if child != nil {
 		t.Fatal("nil span produced a child")
 	}
-	c := child.Counter("atpg.patterns")
-	g := child.Gauge("atpg.util")
-	c.Add(5)
-	g.Set(0.5)
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatal("nil metrics returned nonzero values")
-	}
+	child.Add("atpg.patterns", 5)
+	child.Set("atpg.util", 0.5)
+	child.Hist("atpg.podem_ns").Observe(5)
 	sp.ChildTP("level", 2).EndErr(errors.New("x"))
 	sp.End()
 }
@@ -41,12 +37,12 @@ func TestSpanTreeEvents(t *testing.T) {
 	tr := New(rec)
 	root := tr.StartSpan("run", 2)
 	a := root.Child("tpi")
-	a.Counter("tpi.points").Add(7)
+	a.Add("tpi.points", 7)
 	a.End()
 	b := root.Child("atpg")
-	b.Counter("atpg.patterns").Add(100)
-	b.Counter("atpg.patterns").Add(1) // duplicate name sums
-	b.Gauge("atpg.util").Set(0.75)
+	b.Add("atpg.patterns", 100)
+	b.Add("atpg.patterns", 1) // duplicate name sums
+	b.Set("atpg.util", 0.75)
 	b.EndErr(errors.New("boom"))
 	b.End() // idempotent: only the first close wins
 	root.End()
@@ -86,7 +82,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	tr := New(sink)
 	root := tr.StartSpan("run", 1)
 	st := root.Child("place")
-	st.Counter("place.moves").Add(3)
+	st.Add("place.moves", 3)
 	st.End()
 	root.Child("route").EndErr(errors.New("net 4: no path"))
 	root.End()
@@ -194,25 +190,24 @@ func TestSinkPanicOnStartClosesSpan(t *testing.T) {
 }
 
 // TestConcurrentChildren models a parallel sweep: many goroutines open
-// and close children of one root while sharing a counter. Run with
+// and close children of one root while adding to its counter. Run with
 // -race.
 func TestConcurrentChildren(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewNDJSONSink(&buf)
 	tr := New(sink)
 	root := tr.StartSpan("sweep", -1)
-	shared := root.Counter("sweep.levels")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			lv := root.ChildTP("run", float64(i))
-			lv.Counter("work.items").Add(int64(i))
+			lv.Add("work.items", int64(i))
 			st := lv.Child("place")
 			st.End()
 			lv.End()
-			shared.Add(1)
+			root.Add("sweep.levels", 1)
 		}(i)
 	}
 	wg.Wait()
@@ -265,7 +260,7 @@ func TestGaugeNaNDropped(t *testing.T) {
 	sink := NewNDJSONSink(&buf)
 	tr := New(sink)
 	sp := tr.StartSpan("sta", 0)
-	sp.Gauge("sta.slack").Set(nan())
+	sp.Set("sta.slack", nan())
 	sp.End()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -284,15 +279,15 @@ func BenchmarkDisabledSpan(b *testing.B) {
 	var tr *Tracer
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartSpan("stage", 1)
-		sp.Counter("x").Add(1)
+		sp.Add("x", 1)
 		sp.End()
 	}
 }
 
 func BenchmarkDisabledCounter(b *testing.B) {
-	var c *Counter
+	var sp *Span
 	for i := 0; i < b.N; i++ {
-		c.Add(1)
+		sp.Add("x", 1)
 	}
 }
 
@@ -300,7 +295,7 @@ func BenchmarkEnabledSpan(b *testing.B) {
 	tr := New() // no sinks: measures span bookkeeping alone
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartSpan("stage", 1)
-		sp.Counter("x").Add(1)
+		sp.Add("x", 1)
 		sp.End()
 	}
 }

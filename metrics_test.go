@@ -66,7 +66,6 @@ func TestMetricsExpositionEndToEnd(t *testing.T) {
 	// The hot-path instrumentation shows up as explicit histogram
 	// families with nonzero counts.
 	for _, fam := range []string{
-		"tpilayout_flow_stage_ns",
 		"tpilayout_atpg_podem_ns",
 		"tpilayout_atpg_podem_bt_depth",
 		"tpilayout_atpg_sim_batch_ns",
