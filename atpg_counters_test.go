@@ -10,7 +10,8 @@ import (
 
 // TestATPGWorkCounters runs golden-scale sweeps of s38417c and wctrl1 with
 // a tracer and reads the ATPG span of every level: the region simulator
-// propagated stems, the SAT residue pass's calls add up by outcome, and no
+// propagated stems, the pre-screen proved some classes and no more than
+// end untestable, the SAT residue pass's calls add up by outcome, and no
 // SAT model was rejected by the PODEM simulator's check (a rejected cube
 // would leave its class Aborted without a word). Every atpg.* counter is
 // a function of (circuit, config): a sweep at Workers 2 must count, level
@@ -67,15 +68,19 @@ func TestATPGWorkCounters(t *testing.T) {
 				if k["atpg.sim_region_props"] <= 0 {
 					t.Errorf("tp %.1f: atpg.sim_region_props = %d, want > 0", tp, k["atpg.sim_region_props"])
 				}
+				if p := k["atpg.prescreened_classes"]; p <= 0 || p > k["atpg.untestable_classes"] {
+					t.Errorf("tp %.1f: atpg.prescreened_classes = %d, want in (0, %d], the untestable classes",
+						tp, p, k["atpg.untestable_classes"])
+				}
 				if k["atpg.sat_cube_rejects"] != 0 {
 					t.Errorf("tp %.1f: atpg.sat_cube_rejects = %d, want 0", tp, k["atpg.sat_cube_rejects"])
 				}
 				if sum := k["atpg.sat_resolved"] + k["atpg.sat_budget_outs"] + k["atpg.sat_cube_rejects"]; sum != k["atpg.sat_calls"] {
 					t.Errorf("tp %.1f: SAT outcomes add up to %d, atpg.sat_calls = %d", tp, sum, k["atpg.sat_calls"])
 				}
-				t.Logf("tp %.1f: region props %d, extend blocked %d, SAT calls %d (budget-outs %d, cube rejects %d)",
-					tp, k["atpg.sim_region_props"], k["atpg.extend_blocked"], k["atpg.sat_calls"],
-					k["atpg.sat_budget_outs"], k["atpg.sat_cube_rejects"])
+				t.Logf("tp %.1f: region props %d, extend blocked %d, prescreened %d of %d untestable, SAT calls %d (budget-outs %d, cube rejects %d)",
+					tp, k["atpg.sim_region_props"], k["atpg.extend_blocked"], k["atpg.prescreened_classes"],
+					k["atpg.untestable_classes"], k["atpg.sat_calls"], k["atpg.sat_budget_outs"], k["atpg.sat_cube_rejects"])
 				for name, v := range k {
 					if w, ok := parallel[tp][name]; !ok || w != v {
 						t.Errorf("tp %.1f: %s = %d at Workers 1, %d at Workers 2", tp, name, v, w)

@@ -28,6 +28,13 @@ const (
 	// backtrackLimit bounds PODEM search per fault. A class whose search
 	// exceeds it goes to the SAT residue pass.
 	backtrackLimit = 64
+	// prescreenDepth and prescreenFanin bound the pre-screen's relaxation
+	// of the miter: its fan-out cone stops this many gates past the fault
+	// site, where the nets count as observed, and its good circuit this
+	// many gates behind the cone, where the nets are free. Its UNSAT
+	// proves a class untestable (miter.build).
+	prescreenDepth = 1
+	prescreenFanin = 16
 	// randomRounds caps the 64-pattern random batches simulated before
 	// deterministic generation. The phase stops early once two
 	// consecutive rounds each detect fewer than 0.1% of the fault classes.
@@ -55,13 +62,19 @@ type Options struct {
 	// ATPG stage's span: pattern provenance (atpg.patterns,
 	// atpg.random_patterns, atpg.random_kept, atpg.det_kept), class
 	// outcomes (atpg.fault_classes, atpg.aborted_classes,
-	// atpg.untestable_classes), PODEM search effort (atpg.podem_targets,
-	// atpg.podem_backtracks), and fault-simulation work
-	// (atpg.sim_batches, atpg.sim_detect_calls, atpg.sim_region_props);
-	// and where the generation time went, as histograms: atpg.podem_ns
-	// per primary target, atpg.dyncomp_ns per cube's dynamic compaction,
-	// atpg.compact_ns per static pass (top-up coverage check, reverse
-	// compaction).
+	// atpg.untestable_classes, atpg.prescreened_classes), PODEM search
+	// effort (atpg.podem_targets, atpg.podem_backtracks,
+	// atpg.extend_blocked), the SAT residue pass's calls by outcome
+	// (atpg.sat_calls, atpg.sat_resolved, atpg.sat_budget_outs,
+	// atpg.sat_cube_rejects), fault-simulation work (atpg.sim_batches,
+	// atpg.sim_detect_calls, atpg.sim_region_props), and atpg.truncated
+	// (1, only when the deadline cut the run). Histograms record where
+	// the time went: atpg.prescreen_ns once per run, atpg.podem_ns and
+	// atpg.podem_bt_depth per primary target, atpg.sat_ns per SAT call,
+	// atpg.dyncomp_ns per cube's dynamic compaction, atpg.compact_ns per
+	// static pass (top-up coverage check, reverse compaction),
+	// atpg.sim_batch_ns per good-circuit batch and atpg.sim_detect_ns per
+	// detect loop.
 	// Counters are flushed once at the end of the run, so the hot loops
 	// pay nothing; a nil span costs nothing at all.
 	Telemetry *telemetry.Span
@@ -75,6 +88,9 @@ type Options struct {
 	// backtracks, when positive, replaces backtrackLimit, so a test can
 	// make PODEM abort.
 	backtracks int
+	// noPrescreen skips the pre-screen, so a test can check that it
+	// changes no pattern and no status.
+	noPrescreen bool
 }
 
 // Pattern is one fully-specified test pattern: one 0/1 value per view
@@ -146,7 +162,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// nil histograms also skip the time.Now pair per sample.
 	sp := opt.Telemetry
 	hPodemNS, hPodemBT, hSatNS := sp.Hist("atpg.podem_ns"), sp.Hist("atpg.podem_bt_depth"), sp.Hist("atpg.sat_ns")
-	hDyncompNS, hCompactNS := sp.Hist("atpg.dyncomp_ns"), sp.Hist("atpg.compact_ns")
+	hDyncompNS, hCompactNS, hPrescreenNS := sp.Hist("atpg.dyncomp_ns"), sp.Hist("atpg.compact_ns"), sp.Hist("atpg.prescreen_ns")
 	// timed runs fn and, with telemetry on, records how long it took.
 	timed := func(h *telemetry.Hist, fn func()) {
 		if h == nil {
@@ -219,6 +235,24 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	randomGenerated := len(res.Patterns)
 
+	// The pre-screen: every class still undetected gets one SAT call on a
+	// relaxation of its miter, and an UNSAT answer proves it untestable.
+	// A proof is used only where the run would otherwise pay for the
+	// class: at its own turn in a PODEM pass, which marks it Untestable
+	// instead of searching, and in dynamic compaction, which counts it a
+	// failed attempt instead of extending. Statuses change at the same
+	// points as without the screen, so patterns and tables do not move.
+	mit := newMiter(v)
+	proven := make([]bool, len(reps))
+	var prescreened int
+	if !opt.noPrescreen {
+		var err error
+		timed(hPrescreenNS, func() { prescreened, err = prescreen(ctx, mit, set, reps, proven, expired) })
+		if err != nil {
+			return nil, err
+		}
+	}
+
 	// Deterministic generation runs in passes over the classes in reps
 	// order. A test found for a class becomes a pattern through emit; every
 	// 64 patterns the batch is fault-simulated and whatever it detects is
@@ -243,7 +277,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	emit := func(ri int, cube []int8) error {
 		set.SetStatus(reps[ri], fault.Detected)
 		if !opt.noDynamicCompaction {
-			timed(hDyncompNS, func() { compactInto(gen, set, reps, ri) })
+			timed(hDyncompNS, func() { compactInto(gen, set, reps, ri, proven) })
 			cube = gen.cube()
 		}
 		fillRandom(cube, rng)
@@ -277,6 +311,10 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	podemPass := func() error {
 		return pass(fault.Undetected, func(ri int, r int32) error {
+			if proven[ri] {
+				set.SetStatus(r, fault.Untestable)
+				return nil
+			}
 			var t0 time.Time
 			btBefore := gen.nBacktracks
 			if hPodemNS != nil {
@@ -307,12 +345,8 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// a cube that must detect the class in the PODEM simulator before it
 	// is emitted like a PODEM cube. A budget-out or a cube that fails the
 	// check leaves the class Aborted.
-	var mit *miter
 	var sat satStats
 	if err := pass(fault.Aborted, func(ri int, r int32) error {
-		if mit == nil {
-			mit = newMiter(v)
-		}
 		var t0 time.Time
 		if hSatNS != nil {
 			t0 = time.Now()
@@ -410,8 +444,32 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 			res.AbortedClasses++
 		}
 	}
-	flushTelemetry(sp, res, gen, sim, randomGenerated, sat)
+	flushTelemetry(sp, res, gen, sim, randomGenerated, prescreened, sat)
 	return res, nil
+}
+
+// prescreen screens every class of reps still Undetected (miter.screen)
+// and marks, by position in reps, those it proves untestable in proven;
+// it returns how many. It checks ctx before each class and stops at an
+// expired deadline, leaving the classes it did not reach unproven.
+func prescreen(ctx context.Context, mit *miter, set *fault.Set, reps []int32, proven []bool, expired func() bool) (int, error) {
+	n := 0
+	for ri, r := range reps {
+		if set.Status(r) != fault.Undetected {
+			continue
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return n, cerr
+		}
+		if expired() {
+			break
+		}
+		if mit.screen(set.Faults[r], satConflictBudget) {
+			proven[ri] = true
+			n++
+		}
+	}
+	return n, nil
 }
 
 // satStats counts the SAT residue pass's calls by outcome: resolved
@@ -425,7 +483,7 @@ type satStats struct {
 // one pass at the end — the generation and simulation loops themselves
 // carry only plain per-struct ints, so instrumentation adds no work to
 // the hot paths.
-func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *simulator, randomGenerated int, sat satStats) {
+func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *simulator, randomGenerated, prescreened int, sat satStats) {
 	if sp == nil {
 		return
 	}
@@ -436,6 +494,7 @@ func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *simulator,
 	sp.Add("atpg.fault_classes", int64(res.FaultClasses))
 	sp.Add("atpg.aborted_classes", int64(res.AbortedClasses))
 	sp.Add("atpg.untestable_classes", int64(res.UntestableClasses))
+	sp.Add("atpg.prescreened_classes", int64(prescreened))
 	sp.Add("atpg.podem_targets", gen.nTargets)
 	sp.Add("atpg.podem_backtracks", gen.nBacktracks)
 	sp.Add("atpg.extend_blocked", gen.nBlocked)
@@ -472,10 +531,12 @@ func (s *simulator) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) 
 // compactInto runs dynamic compaction for the cube currently held by gen:
 // starting after the primary fault's rank, it retargets still-undetected
 // fault classes into the same cube until the attempt budget is spent.
-// Successfully merged classes are marked detected.
-func compactInto(gen *podem, set *fault.Set, reps []int32, primaryRank int) {
+// Successfully merged classes are marked detected. proven marks, by
+// position in reps, the classes the pre-screen proved untestable.
+func compactInto(gen *podem, set *fault.Set, reps []int32, primaryRank int, proven []bool) {
 	attempts, consecFails := 0, 0
-	for _, r2 := range reps[primaryRank+1:] {
+	for i := primaryRank + 1; i < len(reps); i++ {
+		r2 := reps[i]
 		if set.Status(r2) != fault.Undetected {
 			continue
 		}
@@ -483,9 +544,10 @@ func compactInto(gen *podem, set *fault.Set, reps []int32, primaryRank int) {
 		if attempts > secondaryLimit {
 			break
 		}
-		// A secondary the frozen cube blocks counts as a failed attempt,
-		// exactly as the extend it skips would have.
-		if f := set.Faults[r2]; !gen.blocked(f) && gen.extend(f, 8) {
+		// A secondary proved untestable, or one the frozen cube blocks,
+		// counts as a failed attempt, exactly as the extend it skips
+		// would have.
+		if f := set.Faults[r2]; !proven[i] && !gen.blocked(f) && gen.extend(f, 8) {
 			set.SetStatus(r2, fault.Detected)
 			consecFails = 0
 		} else if consecFails++; consecFails > 48 {

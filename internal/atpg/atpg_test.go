@@ -370,20 +370,25 @@ func tracedRun(t *testing.T, n *netlist.Netlist, opt Options) (*Result, *fault.S
 }
 
 // TestPhaseHistograms: with telemetry on, the stage span carries one
-// atpg.dyncomp_ns sample per compacted cube and one atpg.compact_ns sample
-// per static pass (top-up coverage check, reverse compaction), and the
-// three timed phases fit inside the span.
+// atpg.dyncomp_ns sample per compacted cube, one atpg.compact_ns sample
+// per static pass (top-up coverage check, reverse compaction) and one
+// atpg.prescreen_ns sample, and the four timed phases fit inside the
+// span.
 func TestPhaseHistograms(t *testing.T) {
 	n := randCircuit(t, 42, 6, 60)
 	_, _, snap := tracedRun(t, n, Options{})
 	dyn, compact, podem := snap.Hists["atpg.dyncomp_ns"], snap.Hists["atpg.compact_ns"], snap.Hists["atpg.podem_ns"]
+	screen := snap.Hists["atpg.prescreen_ns"]
+	if screen.Count != 1 {
+		t.Errorf("atpg.prescreen_ns has %d samples, want 1", screen.Count)
+	}
 	if dyn.Count == 0 || dyn.Count > podem.Count {
 		t.Errorf("atpg.dyncomp_ns has %d samples for %d PODEM targets, want one per successful target", dyn.Count, podem.Count)
 	}
 	if compact.Count != 2 {
 		t.Errorf("atpg.compact_ns has %d samples, want 2 (coveredBy, compactReverse)", compact.Count)
 	}
-	if sum := time.Duration(dyn.Sum + compact.Sum + podem.Sum); sum > snap.Duration {
+	if sum := time.Duration(dyn.Sum + compact.Sum + podem.Sum + screen.Sum); sum > snap.Duration {
 		t.Errorf("timed phases add up to %v, more than the %v span around them", sum, snap.Duration)
 	}
 }

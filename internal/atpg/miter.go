@@ -20,6 +20,9 @@ import (
 //
 // The D-chains are redundant for correctness but they are what lets the
 // solver find a sensitised path instead of searching the whole miter.
+// The pre-screen (screen) builds a relaxation of the same encoding: the
+// cone stops prescreenDepth gates past the site and the good circuit
+// prescreenFanin gates behind the cone.
 // Branch faults into a flip-flop d pin or a primary output (sim5.directObs)
 // need only their activation justified.
 type miter struct {
@@ -74,14 +77,34 @@ func newMiter(v *View) *miter {
 	}
 }
 
+// unbounded, as build's depth or fanin, encodes the whole cone or the
+// whole fan-in closure.
+const unbounded = -1
+
 // solve builds the miter of f and runs the solver on it under the budget.
 func (m *miter) solve(f fault.Fault, budget int) satResult {
-	m.build(f)
+	m.build(f, unbounded, unbounded)
 	return m.sat.solve(budget)
 }
 
-// build encodes the miter of f into the solver.
-func (m *miter) build(f fault.Fault) {
+// screen builds the pre-screen's relaxation of f's miter and reports
+// whether the solver refutes it within the budget, which proves f
+// untestable.
+func (m *miter) screen(f fault.Fault, budget int) bool {
+	m.build(f, prescreenDepth, prescreenFanin)
+	return m.sat.solve(budget) == satUnsat
+}
+
+// build encodes the miter of f into the solver. A depth >= 0 stops the
+// fan-out cone that many gates past the fault site and observes the nets
+// there; a fanin >= 1 leaves the nets more than that many gates behind
+// the cone free (closeGood; at 0 the inputs of the cone's gates would
+// have no good variables). Either bound only drops constraints, so every
+// test of f satisfies the bounded miter too, and its UNSAT still proves f
+// untestable: any sensitised path leaves the bounded cone through an
+// observed net, since a net outside it reads no cone net but those at
+// the bound.
+func (m *miter) build(f fault.Fault, depth, fanin int) {
 	v, s := m.v, &m.sat
 	s.reset()
 	m.epoch++
@@ -109,22 +132,31 @@ func (m *miter) build(f fault.Fault) {
 	}
 	if m.directObs {
 		m.need(f.Net)
-		m.closeGood()
+		m.closeGood(fanin)
 		s.addClause(m.g(f.Net, 1-m.fSA))
 		return
 	}
 	if site == netlist.NoNet {
 		m.need(f.Net)
-		m.closeGood()
+		m.closeGood(fanin)
 		s.addClause() // unobservable: the empty clause
 		return
 	}
 
 	// The fan-out cone: nets a fault effect can reach, each with a faulty
-	// and a D variable. A cell with a frozen output stops the effect.
+	// and a D variable. A cell with a frozen output stops the effect. The
+	// walk is breadth first, so dnets[edge:] are the nets at the depth
+	// bound, left unexpanded.
 	m.addD(site)
-	for i := 0; i < len(m.dnets); i++ {
-		for _, ci := range v.combLoads(m.dnets[i]) {
+	edge := 0
+	for next, dist := 1, 0; edge < len(m.dnets); edge++ {
+		if edge == next {
+			next, dist = len(m.dnets), dist+1
+		}
+		if dist == depth {
+			break
+		}
+		for _, ci := range v.combLoads(m.dnets[edge]) {
 			if out := v.CellOut[ci]; v.ConstVal[out] < 0 && !m.isD(out) {
 				m.addD(out)
 			}
@@ -135,7 +167,7 @@ func (m *miter) build(f fault.Fault) {
 	for _, n := range m.dnets {
 		m.need(n)
 	}
-	m.closeGood()
+	m.closeGood(fanin)
 
 	// Faulty copy of the cone.
 	for _, n := range m.dnets {
@@ -157,12 +189,12 @@ func (m *miter) build(f fault.Fault) {
 
 	// D-chains.
 	sinks := m.sinks[:0]
-	for _, n := range m.dnets {
+	for i, n := range m.dnets {
 		d := posLit(m.dv[n])
 		g, fl := m.g(n, 1), m.fl(n)
 		s.addClause(d.neg(), g, fl)
 		s.addClause(d.neg(), g.neg(), fl.neg())
-		if v.IsSink[n] {
+		if v.IsSink[n] || i >= edge {
 			sinks = append(sinks, n)
 			continue
 		}
@@ -208,25 +240,30 @@ func (m *miter) need(n netlist.NetID) {
 
 // closeGood encodes the good circuit over the fan-in closure of the queued
 // nets: frozen nets as units, combinational drivers as gate clauses,
-// anything else (sources, undriven nets) left free.
-func (m *miter) closeGood() {
+// anything else (sources, undriven nets) left free. The full closure
+// (fanin unbounded) is walked depth first. A bounded one is walked breadth
+// first, so each net's depth is its distance behind the queued nets, and
+// the nets fanin gates behind them are left free too.
+func (m *miter) closeGood(fanin int) {
 	v := m.v
-	for len(m.work) > 0 {
-		n := m.work[len(m.work)-1]
-		m.work = m.work[:len(m.work)-1]
-		if cv := v.ConstVal[n]; cv >= 0 {
-			m.sat.addClause(m.g(n, uint8(cv)))
-			continue
+	if fanin == unbounded {
+		for len(m.work) > 0 {
+			n := m.work[len(m.work)-1]
+			m.work = m.work[:len(m.work)-1]
+			m.expand(n)
 		}
-		ci := v.N.Nets[n].Driver
-		if ci == netlist.NoCell || !v.Comb(ci) || m.cellEp[ci] == m.epoch {
-			continue
+	} else {
+		for head, next, dist := 0, len(m.work), 0; head < len(m.work); head++ {
+			if head == next {
+				next, dist = len(m.work), dist+1
+			}
+			if n := m.work[head]; dist < fanin {
+				m.expand(n)
+			} else if cv := v.ConstVal[n]; cv >= 0 {
+				m.sat.addClause(m.g(n, uint8(cv)))
+			}
 		}
-		m.cellEp[ci] = m.epoch
-		m.cells = append(m.cells, ci)
-		for _, in := range v.fanin(ci) {
-			m.need(in)
-		}
+		m.work = m.work[:0]
 	}
 	for _, ci := range m.cells {
 		ins := m.ins[:0]
@@ -235,6 +272,25 @@ func (m *miter) closeGood() {
 		}
 		m.ins = ins
 		m.gate(v.CellKind[ci], posLit(m.gv[v.CellOut[ci]]), ins)
+	}
+}
+
+// expand encodes a frozen net as a unit, or queues the fan-in of its
+// combinational driver and records the driver for closeGood's clauses.
+func (m *miter) expand(n netlist.NetID) {
+	v := m.v
+	if cv := v.ConstVal[n]; cv >= 0 {
+		m.sat.addClause(m.g(n, uint8(cv)))
+		return
+	}
+	ci := v.N.Nets[n].Driver
+	if ci == netlist.NoCell || !v.Comb(ci) || m.cellEp[ci] == m.epoch {
+		return
+	}
+	m.cellEp[ci] = m.epoch
+	m.cells = append(m.cells, ci)
+	for _, in := range v.fanin(ci) {
+		m.need(in)
 	}
 }
 

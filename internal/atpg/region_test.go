@@ -139,15 +139,16 @@ func randomBatch(b *Batch, rng *rand.Rand, n int) {
 	}
 }
 
-// goldenScanCircuit is a paper profile at golden scale after test point
-// and scan insertion, with its capture-mode constraints.
-func goldenScanCircuit(t *testing.T, spec circuitgen.Spec) (*netlist.Netlist, map[netlist.NetID]int8) {
+// goldenScanCircuit is a paper profile at golden scale after the
+// insertion of tpCount test points and scan, with its capture-mode
+// constraints.
+func goldenScanCircuit(t *testing.T, spec circuitgen.Spec, tpCount int) (*netlist.Netlist, map[netlist.NetID]int8) {
 	t.Helper()
 	n, err := circuitgen.Generate(spec, stdcell.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tps, err := tpi.Insert(n, tpi.Options{Count: 4})
+	tps, err := tpi.Insert(n, tpi.Options{Count: tpCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestRegionSimMatchesPPSFP(t *testing.T) {
 			specs = specs[:1]
 		}
 		for _, spec := range specs {
-			n, fixed := goldenScanCircuit(t, spec)
+			n, fixed := goldenScanCircuit(t, spec, 4)
 			cases[spec.Name+"@0.05"] = tc{n: n, fixed: fixed}
 		}
 	}

@@ -181,6 +181,45 @@ func (c *satChecker) check(f fault.Fault, budget int) satResult {
 	return res
 }
 
+// neverDetected holds faults called UNSAT to exhaustive scalar
+// simulation: no input combination may detect any of them.
+func (c *satChecker) neverDetected(faults []fault.Fault) {
+	c.t.Helper()
+	for word := 0; word < 1<<len(c.v.Sources) && len(faults) > 0; word++ {
+		bit := func(i int) bool { return word>>i&1 == 1 }
+		good := c.oracle.observe(bit, nil)
+		for _, f := range faults {
+			if c.oracle.detects(bit, good, f) {
+				c.t.Fatalf("%s: %+v is UNSAT, but input combination %#x detects it", c.label, f, word)
+			}
+		}
+	}
+}
+
+// randomPhase credits the capture-dead classes of set and drops what 16
+// rounds of 64 random patterns detect, leaving, as in a run, the classes
+// random patterns miss.
+func (c *satChecker) randomPhase(set *fault.Set) {
+	precreditCaptureDead(c.v, set)
+	rng := rand.New(rand.NewSource(1))
+	batch := c.fs.NewBatch()
+	pat := make([]int8, len(c.v.Sources))
+	for round := 0; round < 16; round++ {
+		for bit := 0; bit < 64; bit++ {
+			for i := range pat {
+				pat[i] = int8(rng.Intn(2))
+			}
+			batch.SetPattern(bit, pat)
+		}
+		c.fs.SimGood(batch)
+		for _, r := range set.Reps() {
+			if set.Status(r) == fault.Undetected && c.fs.Detects(set.Faults[r], batch) != 0 {
+				set.SetStatus(r, fault.Detected)
+			}
+		}
+	}
+}
+
 // TestSATAgainstOracle runs the miter on every fault class of the random
 // scan circuits testScanAgainstOracle uses, without a budget, and holds
 // each verdict to exhaustive scalar simulation: SAT cubes detect (see
@@ -208,16 +247,7 @@ func TestSATAgainstOracle(t *testing.T) {
 				unsat = append(unsat, f)
 			}
 		}
-		nsrc := len(c.v.Sources)
-		for word := 0; word < 1<<nsrc; word++ {
-			bit := func(i int) bool { return word>>i&1 == 1 }
-			good := c.oracle.observe(bit, nil)
-			for _, f := range unsat {
-				if c.oracle.detects(bit, good, f) {
-					t.Fatalf("seed %d: %+v is UNSAT, but input combination %#x detects it", seed, f, word)
-				}
-			}
-		}
+		c.neverDetected(unsat)
 		if c.counts[satSat] == 0 || c.counts[satUnsat] == 0 {
 			t.Errorf("seed %d: want both verdicts exercised, got %v", seed, c.counts)
 		}
@@ -244,28 +274,10 @@ func TestSATResidueChecked(t *testing.T) {
 		specs = specs[:1] // the golden circuit alone: ~13x slower under -race
 	}
 	for _, spec := range specs {
-		n, fixed := goldenScanCircuit(t, spec)
+		n, fixed := goldenScanCircuit(t, spec, 4)
 		c := newSATChecker(t, spec.Name, n, fixed, 64)
 		set := fault.NewUniverse(n)
-		precreditCaptureDead(c.v, set)
-		// As in a run, random patterns take the easy classes first.
-		rng := rand.New(rand.NewSource(1))
-		batch := c.fs.NewBatch()
-		pat := make([]int8, len(c.v.Sources))
-		for round := 0; round < 16; round++ {
-			for bit := 0; bit < 64; bit++ {
-				for i := range pat {
-					pat[i] = int8(rng.Intn(2))
-				}
-				batch.SetPattern(bit, pat)
-			}
-			c.fs.SimGood(batch)
-			for _, r := range set.Reps() {
-				if set.Status(r) == fault.Undetected && c.fs.Detects(set.Faults[r], batch) != 0 {
-					set.SetStatus(r, fault.Detected)
-				}
-			}
-		}
+		c.randomPhase(set)
 		retry := newPodem(c.v, c.gen.ta, 256)
 		aborted, settled, targets := 0, 0, 0
 		for _, r := range set.Reps() {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,15 +14,21 @@ import (
 
 // countdownCtx is a context whose Err turns context.Canceled after its
 // first k calls (never when k < 0). It counts every call, so an
-// uncancelled run measures how many cancellation checkpoints it passes.
-// A run is one goroutine, so the counter needs no lock.
+// uncancelled run measures how many cancellation checkpoints it passes,
+// and, when sites is non-nil, records the function making each call. A
+// run is one goroutine, so the counter needs no lock.
 type countdownCtx struct {
 	context.Context
 	k, calls int
+	sites    []string
 }
 
 func (c *countdownCtx) Err() error {
 	c.calls++
+	if c.sites != nil {
+		pc, _, _, _ := runtime.Caller(1)
+		c.sites = append(c.sites, runtime.FuncForPC(pc).Name())
+	}
 	if c.k >= 0 && c.calls > c.k {
 		return context.Canceled
 	}
@@ -30,10 +38,12 @@ func (c *countdownCtx) Err() error {
 // TestCancelInsideFaultSimPass: the detect loop of the fault-simulation
 // passes checks the context every 32 positions and stops at the first
 // check that sees a cancel; and a cancel landing at any checkpoint of a
-// run — between random rounds, between PODEM targets, or inside a drop,
-// coverage or compaction pass, which it leaves partial — must fail the
-// run. A run may return a nil error only with exactly the uncancelled
-// patterns and statuses.
+// run — between random rounds, between classes of the pre-screen,
+// between PODEM targets, or inside a drop, coverage or compaction pass,
+// which it leaves partial — must fail the run. A run may return a nil
+// error only with exactly the uncancelled patterns and statuses. Cancels
+// at the first, middle and last checkpoint of the pre-screen are tried
+// on top of the sampled ones.
 func TestCancelInsideFaultSimPass(t *testing.T) {
 	n := randCircuit(t, 5, 12, 200)
 	set := fault.NewUniverse(n)
@@ -92,6 +102,26 @@ func TestCancelInsideFaultSimPass(t *testing.T) {
 		t.Errorf("%d of %d runs cancelled before their last check failed, want all", cancelled, samples)
 	}
 	t.Logf("%d checkpoints per run; %d sampled cancels all failed the run", calls, cancelled)
+
+	rec := &countdownCtx{Context: context.Background(), k: -1, sites: []string{}}
+	if _, err := RunContext(rec, n, fault.NewUniverse(n), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var screen []int
+	for i, site := range rec.sites {
+		if strings.HasSuffix(site, ".prescreen") {
+			screen = append(screen, i)
+		}
+	}
+	if len(screen) == 0 {
+		t.Fatal("no checkpoint inside the pre-screen")
+	}
+	for _, k := range []int{screen[0], screen[len(screen)/2], screen[len(screen)-1]} {
+		if _, _, _, err := run(k); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancel at checkpoint %d, inside the pre-screen: err = %v, want context.Canceled", k, err)
+		}
+	}
+	t.Logf("the pre-screen holds checkpoints %d..%d", screen[0], screen[len(screen)-1])
 }
 
 // TestRunContextCancelled: cancelling mid-ATPG must abort within one work
