@@ -97,7 +97,7 @@ type Options struct {
 // source (scan cells first-class among them).
 type Pattern []int8
 
-// Result is the outcome of a Run.
+// Result is the outcome of a RunContext.
 type Result struct {
 	View     *View
 	Faults   *fault.Set
@@ -121,16 +121,11 @@ type Result struct {
 	DeterministicKept int // surviving PODEM patterns
 }
 
-// Run generates a compact stuck-at test set for the capture-mode view of
-// n, updating the fault statuses in set.
-func Run(n *netlist.Netlist, set *fault.Set, opt Options) (*Result, error) {
-	return RunContext(context.Background(), n, set, opt)
-}
-
-// RunContext is Run under a context: cancelling it stops the run within
-// one work unit (one PODEM fault, one random round, 32 positions of a
-// fault-simulation pass) and returns the context's error. The run is one
-// goroutine.
+// RunContext generates a compact stuck-at test set for the capture-mode
+// view of n, updating the fault statuses in set. Cancelling ctx stops the
+// run within one work unit (one PODEM fault, one random round, 32
+// positions of a fault-simulation pass) and returns the context's error.
+// The run is one goroutine.
 func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Options) (*Result, error) {
 	if opt.backtracks <= 0 {
 		opt.backtracks = backtrackLimit
@@ -155,8 +150,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	})
 
 	gen := newPodem(v, ta, opt.backtracks)
-	sim := newSimulator(ctx, v, opt.Telemetry)
-	defer sim.Release()
+	sim := newFaultSim(ctx, v, opt.Telemetry)
 	// Per-call PODEM latency and backtrack-depth distributions, and the
 	// time of the compaction phases around them. With telemetry off the
 	// nil histograms also skip the time.Now pair per sample.
@@ -483,7 +477,7 @@ type satStats struct {
 // one pass at the end — the generation and simulation loops themselves
 // carry only plain per-struct ints, so instrumentation adds no work to
 // the hot paths.
-func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *simulator, randomGenerated, prescreened int, sat satStats) {
+func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *faultSim, randomGenerated, prescreened int, sat satStats) {
 	if sp == nil {
 		return
 	}
@@ -512,7 +506,7 @@ func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *simulator,
 
 // coveredBy simulates the given patterns and reports, by position in
 // reps, which of the reps they detect. Statuses are not modified.
-func (s *simulator) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) []bool {
+func (s *faultSim) coveredBy(patterns []Pattern, set *fault.Set, reps []int32) []bool {
 	det := make([]bool, len(reps))
 	batch := s.NewBatch()
 	for lo := 0; lo < len(patterns); lo += 64 {
@@ -618,7 +612,7 @@ func fillRandom(cube []int8, rng *rand.Rand) {
 // not detected by an already-kept (later) pattern. Batched 64 wide; within
 // a batch a fault is credited to its highest-index detecting pattern,
 // which matches the sequential definition exactly.
-func compactReverse(s *simulator, set *fault.Set, reps []int32, patterns []Pattern) ([]Pattern, []bool) {
+func compactReverse(s *faultSim, set *fault.Set, reps []int32, patterns []Pattern) ([]Pattern, []bool) {
 	if len(patterns) == 0 {
 		return patterns, nil
 	}

@@ -142,8 +142,8 @@ func TestPodemAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := NewFaultSim(v)
-		res, err := Run(n, set, Options{})
+		fs := newFaultSim(context.Background(), v, nil)
+		res, err := RunContext(context.Background(), n, set, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestRedundantFaultProven(t *testing.T) {
 	n.AddPO("z", z)
 
 	set := fault.NewUniverse(n)
-	if _, err := Run(n, set, Options{}); err != nil {
+	if _, err := RunContext(context.Background(), n, set, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Find the b-branch into g1, stuck-at-1.
@@ -253,7 +253,7 @@ func TestRunOnGeneratedCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := fault.NewUniverse(n)
-	res, err := Run(n, set, Options{})
+	res, err := RunContext(context.Background(), n, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +281,7 @@ func TestCompactionNeverLosesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := newSimulator(context.Background(), v, nil)
-	defer sim.Release()
+	sim := newFaultSim(context.Background(), v, nil)
 	rng := rand.New(rand.NewSource(42))
 	var all []Pattern
 	for i := 0; i < 200; i++ {
@@ -331,7 +330,7 @@ func TestDynamicCompactionPaysOff(t *testing.T) {
 	}
 	run := func(noDyn bool) (int, float64) {
 		set := fault.NewUniverse(n)
-		res, err := Run(n, set, Options{noDynamicCompaction: noDyn})
+		res, err := RunContext(context.Background(), n, set, Options{noDynamicCompaction: noDyn})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +356,7 @@ func tracedRun(t *testing.T, n *netlist.Netlist, opt Options) (*Result, *fault.S
 	sp := telemetry.New(telemetry.FuncSink(func(e telemetry.Event) { events = append(events, e) })).StartSpan("atpg", 0)
 	opt.Telemetry = sp
 	set := fault.NewUniverse(n)
-	res, err := Run(n, set, opt)
+	res, err := RunContext(context.Background(), n, set, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -26,8 +27,7 @@ func TestCollapseEquivalenceAndDominance(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := fault.NewUniverse(n)
-			fs := NewFaultSim(v)
-			defer fs.Release()
+			fs := newFaultSim(context.Background(), v, nil)
 			rng := rand.New(rand.NewSource(seed * 1031))
 			det := make([]uint64, set.Total())
 			b := fs.NewBatch()

@@ -1,12 +1,20 @@
 package atpg
 
 import (
+	"context"
+	"time"
+
 	"tpilayout/internal/fault"
 	"tpilayout/internal/logicsim"
 	"tpilayout/internal/netlist"
+	"tpilayout/internal/telemetry"
 )
 
-// FaultSim is a 64-way parallel-pattern fault simulator over a
+// detectChunk is the number of detect-loop positions between two
+// cancellation checks.
+const detectChunk = 32
+
+// faultSim is a 64-way parallel-pattern fault simulator over a
 // capture-mode view that simulates each fan-out-free region once: one
 // good-circuit simulation per 64-pattern batch, then, per region output
 // (stem) a fault needs, one event-driven propagation of the stem's
@@ -16,9 +24,12 @@ import (
 // observability — critical-path tracing inside fan-out-free regions. The
 // words are exact: each bit is an independent pattern, and nothing
 // reconverges inside a region. All traversals run over the view's flat
-// CSR adjacency; the buffers come from a shared pool (see Release).
-type FaultSim struct {
-	v *View
+// CSR adjacency. A run has one, under the run's context; it serves the
+// three detect passes: fault dropping, the top-up coverage check and
+// reverse compaction.
+type faultSim struct {
+	v   *View
+	ctx context.Context
 
 	good []uint64 // per net, 64 parallel pattern values
 	// gen counts SimGood batches, so one SimGood invalidates the obs
@@ -37,38 +48,34 @@ type FaultSim struct {
 	buckets [][]netlist.CellID
 	queued  []bool
 
-	// props counts stem propagations (telemetry).
-	props int64
+	// batches counts SimGood rounds, detects the Detects calls of
+	// detectEach, props stem propagations; flushed once at end of run.
+	batches, detects, props int64
 
-	scratch *simScratch
+	// Latency distributions on the ATPG stage span: hBatch times each
+	// SimGood round, detectNS each detectEach call. Both are nil when the
+	// run is uninstrumented, and every hot-path site then skips its
+	// time.Now pair entirely.
+	hBatch, detectNS *telemetry.Hist
 }
 
-// NewFaultSim builds a fault simulator for the view. Call Release when
-// done to return the propagation buffers to the pool.
-func NewFaultSim(v *View) *FaultSim {
-	s := getScratch(len(v.N.Nets), len(v.N.Cells), v.MaxLevel+2)
-	return &FaultSim{
-		v:       v,
-		good:    s.good,
-		obs:     s.obs,
-		obsGen:  s.obsGen,
-		faulty:  s.faulty,
-		stamp:   s.stamp,
-		buckets: s.buckets,
-		queued:  s.queued,
-		scratch: s,
+// newFaultSim builds the fault simulator for the view under ctx,
+// recording into the ATPG stage span sp (nil for none).
+func newFaultSim(ctx context.Context, v *View, sp *telemetry.Span) *faultSim {
+	nets := len(v.N.Nets)
+	return &faultSim{
+		v:        v,
+		ctx:      ctx,
+		good:     make([]uint64, nets),
+		obs:      make([]uint64, nets),
+		obsGen:   make([]int32, nets),
+		faulty:   make([]uint64, nets),
+		stamp:    make([]int32, nets),
+		buckets:  make([][]netlist.CellID, v.MaxLevel+2),
+		queued:   make([]bool, len(v.N.Cells)),
+		hBatch:   sp.Hist("atpg.sim_batch_ns"),
+		detectNS: sp.Hist("atpg.sim_detect_ns"),
 	}
-}
-
-// Release returns the simulator's buffers to the scratch pool. The
-// FaultSim must not be used afterwards.
-func (fs *FaultSim) Release() {
-	if fs.scratch == nil {
-		return
-	}
-	putScratch(fs.scratch)
-	fs.scratch = nil
-	fs.good, fs.obs, fs.obsGen, fs.faulty, fs.stamp, fs.buckets, fs.queued = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Batch is up to 64 test patterns in transposed form: Words[i] carries bit
@@ -80,7 +87,7 @@ type Batch struct {
 }
 
 // NewBatch allocates an empty batch for the view.
-func (fs *FaultSim) NewBatch() *Batch {
+func (fs *faultSim) NewBatch() *Batch {
 	return &Batch{Words: make([]uint64, len(fs.v.Sources))}
 }
 
@@ -118,8 +125,13 @@ func (b *Batch) mask() uint64 {
 
 // SimGood simulates the fault-free circuit for the batch, leaving per-net
 // values in place for subsequent Detects calls, and invalidates the obs
-// cache.
-func (fs *FaultSim) SimGood(b *Batch) {
+// cache. It counts (and, when instrumented, times) the round.
+func (fs *faultSim) SimGood(b *Batch) {
+	fs.batches++
+	var t0 time.Time
+	if fs.hBatch != nil {
+		t0 = time.Now()
+	}
 	v := fs.v
 	fs.gen++
 	for i := range fs.good {
@@ -131,31 +143,68 @@ func (fs *FaultSim) SimGood(b *Batch) {
 	for i, src := range v.Sources {
 		fs.good[src] = b.Words[i]
 	}
+	var ins [8]uint64
 	for _, ci := range v.Order {
 		out := v.CellOut[ci]
 		if v.ConstVal[out] >= 0 {
 			continue
 		}
-		fs.good[out] = logicsim.EvalNets(v.CellKind[ci], v.fanin(ci), fs.good)
+		fanin := v.fanin(ci)
+		for p, net := range fanin {
+			ins[p] = fs.good[net]
+		}
+		fs.good[out] = logicsim.EvalWords(v.CellKind[ci], ins[:len(fanin)])
+	}
+	if fs.hBatch != nil {
+		fs.hBatch.Observe(int64(time.Since(t0)))
+	}
+}
+
+// detectEach computes, against the last SimGood batch, the detection
+// word of every fault class reps[i] that want(i) accepts, and calls
+// hit(i, w) for each nonzero word as soon as it is computed. Both
+// callbacks of position i touch only position i's state, so a word
+// applied early cannot change another position's outcome. The context
+// is checked every detectChunk positions; a cancel ends the loop early,
+// and the caller must observe ctx.Err() before trusting what it applied.
+func (fs *faultSim) detectEach(reps []int32, set *fault.Set, b *Batch, want func(i int) bool, hit func(i int, w uint64)) {
+	var t0 time.Time
+	if fs.detectNS != nil {
+		t0 = time.Now()
+	}
+	for i, r := range reps {
+		if i%detectChunk == 0 && fs.ctx.Err() != nil {
+			break
+		}
+		if !want(i) {
+			continue
+		}
+		fs.detects++
+		if w := fs.Detects(set.Faults[r], b); w != 0 {
+			hit(i, w)
+		}
+	}
+	if fs.detectNS != nil {
+		fs.detectNS.Observe(int64(time.Since(t0)))
 	}
 }
 
 // fval reads the faulty value of a net under the current overlay.
-func (fs *FaultSim) fval(net netlist.NetID) uint64 {
+func (fs *faultSim) fval(net netlist.NetID) uint64 {
 	if fs.stamp[net] == fs.epoch {
 		return fs.faulty[net]
 	}
 	return fs.good[net]
 }
 
-func (fs *FaultSim) setFval(net netlist.NetID, w uint64) {
+func (fs *faultSim) setFval(net netlist.NetID, w uint64) {
 	fs.stamp[net] = fs.epoch
 	fs.faulty[net] = w
 }
 
 // Detects returns the word of patterns of the last SimGood batch that
 // detect fault f (observe a difference at a sink).
-func (fs *FaultSim) Detects(f fault.Fault, b *Batch) uint64 {
+func (fs *faultSim) Detects(f fault.Fault, b *Batch) uint64 {
 	sa := uint64(0)
 	if f.SA == 1 {
 		sa = ^uint64(0)
@@ -186,7 +235,7 @@ func (fs *FaultSim) Detects(f fault.Fault, b *Batch) uint64 {
 
 // through returns the patterns of w on which complementing input pin of
 // cell ci complements its output: 0 through a cell with a frozen output.
-func (fs *FaultSim) through(ci netlist.CellID, pin int, w uint64) uint64 {
+func (fs *faultSim) through(ci netlist.CellID, pin int, w uint64) uint64 {
 	out := fs.v.CellOut[ci]
 	if w == 0 || fs.v.ConstVal[out] >= 0 {
 		return 0
@@ -203,7 +252,7 @@ func (fs *FaultSim) through(ci netlist.CellID, pin int, w uint64) uint64 {
 // observe returns the word of patterns on which complementing net n
 // reaches a sink, caching it for the rest of the batch: a stem's word is
 // its propagation, a region net's its successor's word through the gate.
-func (fs *FaultSim) observe(n netlist.NetID) uint64 {
+func (fs *faultSim) observe(n netlist.NetID) uint64 {
 	if fs.obsGen[n] == fs.gen {
 		return fs.obs[n]
 	}
@@ -220,7 +269,7 @@ func (fs *FaultSim) observe(n netlist.NetID) uint64 {
 // propagate complements stem n on every pattern of the batch and returns
 // the word of patterns on which the difference reaches a sink: one
 // event-driven pass over n's fan-out cone.
-func (fs *FaultSim) propagate(n netlist.NetID) uint64 {
+func (fs *faultSim) propagate(n netlist.NetID) uint64 {
 	if fs.v.IsSink[n] {
 		return ^uint64(0)
 	}
@@ -259,7 +308,7 @@ func (fs *FaultSim) propagate(n netlist.NetID) uint64 {
 
 // enqueueLoads queues the combinational loads of a net (combLoads is
 // pre-filtered to live combinational cells).
-func (fs *FaultSim) enqueueLoads(net netlist.NetID) {
+func (fs *faultSim) enqueueLoads(net netlist.NetID) {
 	for _, ci := range fs.v.combLoads(net) {
 		if !fs.queued[ci] {
 			fs.queued[ci] = true

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"tpilayout/internal/fault"
+	"tpilayout/internal/logicsim"
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/stdcell"
 )
@@ -433,7 +434,7 @@ func (m *miter) cube() []int8 {
 			for _, p := range keep {
 				in3[p] = pinVal(p)
 			}
-			return eval3(kind, in3[:len(fanin)]) == want
+			return logicsim.Eval3(kind, in3[:len(fanin)]) == want
 		}
 		push := func(pin int) {
 			if !(r.faulty && ci == m.fCell && pin == m.fPin) {

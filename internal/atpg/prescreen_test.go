@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -185,7 +186,7 @@ func TestPrescreenIsInvisible(t *testing.T) {
 			n, fixed := goldenScanCircuit(t, spec, int(math.Round(tp/100*float64(design.NumFlipFlops()))))
 			on, setOn, snap := tracedRun(t, n, Options{Constraints: fixed})
 			setOff := fault.NewUniverse(n)
-			off, err := Run(n, setOff, Options{Constraints: fixed, noPrescreen: true})
+			off, err := RunContext(context.Background(), n, setOff, Options{Constraints: fixed, noPrescreen: true})
 			if err != nil {
 				t.Fatal(err)
 			}

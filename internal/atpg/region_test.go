@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // region words are compared against: the fault is injected at its site
 // and its own difference cone is propagated event by event to the sinks.
 // It returns the word of patterns of the last SimGood batch that detect f.
-func (fs *FaultSim) refDetects(f fault.Fault, b *Batch) uint64 {
+func (fs *faultSim) refDetects(f fault.Fault, b *Batch) uint64 {
 	m := b.mask()
 	sa := uint64(0)
 	if f.SA == 1 {
@@ -101,16 +102,12 @@ func (fs *FaultSim) refDetects(f fault.Fault, b *Batch) uint64 {
 type regionChecker struct {
 	set      *fault.Set
 	faults   []int32
-	sim, ref *FaultSim
+	sim, ref *faultSim
 }
 
 func newRegionChecker(v *View, set *fault.Set, faults []int32) *regionChecker {
-	return &regionChecker{set: set, faults: faults, sim: NewFaultSim(v), ref: NewFaultSim(v)}
-}
-
-func (c *regionChecker) release() {
-	c.sim.Release()
-	c.ref.Release()
+	ctx := context.Background()
+	return &regionChecker{set: set, faults: faults, sim: newFaultSim(ctx, v, nil), ref: newFaultSim(ctx, v, nil)}
 }
 
 // check compares the two simulators on batch b and returns the first
@@ -199,12 +196,11 @@ func TestRegionSimMatchesPPSFP(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := fault.NewUniverse(c.n)
-			res, err := Run(c.n, set, Options{Constraints: c.fixed})
+			res, err := RunContext(context.Background(), c.n, set, Options{Constraints: c.fixed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rc := newRegionChecker(v, set, set.Reps())
-			defer rc.release()
 			b := rc.sim.NewBatch()
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			for round := 0; round < 4; round++ {
@@ -255,7 +251,6 @@ func FuzzRegionSim(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		rc := newRegionChecker(v, set, all)
-		defer rc.release()
 		b := rc.sim.NewBatch()
 		for round := 0; round < 3; round++ {
 			randomBatch(b, rng, pats)

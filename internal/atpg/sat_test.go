@@ -1,13 +1,16 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"tpilayout/internal/circuitgen"
 	"tpilayout/internal/fault"
+	"tpilayout/internal/logicsim"
 	"tpilayout/internal/netlist"
+	"tpilayout/internal/stdcell"
 	"tpilayout/internal/testability"
 )
 
@@ -36,25 +39,75 @@ func decodeCNF(data []byte) (int, [][]lit) {
 // bruteSAT reports whether some assignment of nv variables satisfies cnf.
 func bruteSAT(nv int, cnf [][]lit) bool {
 	for a := 0; a < 1<<nv; a++ {
-		ok := true
-		for _, c := range cnf {
-			sat := false
-			for _, l := range c {
-				if (a>>l.vr()&1 == 1) == (l&1 == 0) {
-					sat = true
-					break
-				}
-			}
-			if !sat {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if satisfies(a, cnf) {
 			return true
 		}
 	}
 	return false
+}
+
+// satisfies reports whether the assignment a (bit v = variable v's value)
+// satisfies every clause of cnf.
+func satisfies(a int, cnf [][]lit) bool {
+	for _, c := range cnf {
+		sat := false
+		for _, l := range c {
+			if (a>>l.vr()&1 == 1) == (l&1 == 0) {
+				sat = true
+				break
+			}
+		}
+		if !sat {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGateClausesMatchEvalWords holds miter.gate's Tseitin clauses for
+// every gate shape of the library to the two-valued gate model: on every
+// 0/1 input, the output logicsim.EvalWords computes satisfies all of them
+// and its complement violates one.
+func TestGateClausesMatchEvalWords(t *testing.T) {
+	type shape struct {
+		kind stdcell.Kind
+		nin  int
+	}
+	seen := map[shape]bool{}
+	for _, c := range stdcell.Default().Cells() {
+		sh := shape{c.Kind, len(c.Inputs)}
+		if sh.kind.IsSequential() || sh.kind.IsPhysicalOnly() || seen[sh] {
+			continue
+		}
+		seen[sh] = true
+		// Variable 0 is the output, variable p+1 input pin p.
+		var m miter
+		m.sat.reset()
+		y := posLit(m.sat.newVar())
+		in := make([]lit, sh.nin)
+		for p := range in {
+			in[p] = posLit(m.sat.newVar())
+		}
+		m.gate(sh.kind, y, in)
+		var cnf [][]lit
+		for ci := int32(0); ci < int32(len(m.sat.start)-1); ci++ {
+			cnf = append(cnf, m.sat.clause(ci))
+		}
+		words := make([]uint64, sh.nin)
+		for a := 0; a < 1<<sh.nin; a++ {
+			for p := range words {
+				words[p] = uint64(a>>p) & 1
+			}
+			out := int(logicsim.EvalWords(sh.kind, words) & 1)
+			if !satisfies(out|a<<1, cnf) {
+				t.Errorf("%v/%d on inputs %0*b: y = %d violates the clauses", sh.kind, sh.nin, sh.nin, a, out)
+			}
+			if satisfies((1-out)|a<<1, cnf) {
+				t.Errorf("%v/%d on inputs %0*b: y = %d satisfies the clauses", sh.kind, sh.nin, sh.nin, a, 1-out)
+			}
+		}
+	}
+	t.Logf("%d gate shapes", len(seen))
 }
 
 // solveCNF loads cnf into s and solves it without a budget.
@@ -114,7 +167,7 @@ func FuzzSAT(f *testing.F) {
 
 // satChecker judges the miter's verdicts on one circuit without trusting
 // the solver: a SAT cube must detect its fault in the PODEM simulator, in
-// FaultSim and in the scalar oracle (don't-cares filled both ways), and an
+// the fault simulator and in the scalar oracle (don't-cares filled both ways), and an
 // UNSAT answer must come with a proof drupCheck accepts.
 type satChecker struct {
 	t      *testing.T
@@ -122,7 +175,7 @@ type satChecker struct {
 	v      *View
 	m      *miter
 	gen    *podem
-	fs     *FaultSim
+	fs     *faultSim
 	oracle *scalarOracle
 	counts map[satResult]int
 }
@@ -136,8 +189,7 @@ func newSATChecker(t *testing.T, label string, n *netlist.Netlist, fixed map[net
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFaultSim(v)
-	t.Cleanup(fs.Release)
+	fs := newFaultSim(context.Background(), v, nil)
 	return &satChecker{t: t, label: label, v: v, m: newMiter(v), gen: newPodem(v, ta, limit), fs: fs,
 		oracle: newScalarOracle(t, n, v.Sources, fixed), counts: map[satResult]int{}}
 }
@@ -165,7 +217,7 @@ func (c *satChecker) check(f fault.Fault, budget int) satResult {
 			batch.SetPattern(0, pat)
 			c.fs.SimGood(batch)
 			if c.fs.Detects(f, batch) == 0 {
-				t.Fatalf("%s %+v: SAT cube (fill %d) does not detect in FaultSim", c.label, f, fill)
+				t.Fatalf("%s %+v: SAT cube (fill %d) does not detect in the fault simulator", c.label, f, fill)
 			}
 			bit := func(i int) bool { return pat[i] == 1 }
 			if !c.oracle.detects(bit, c.oracle.observe(bit, nil), f) {

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"tpilayout/internal/fault"
+	"tpilayout/internal/logicsim"
 	"tpilayout/internal/netlist"
 )
 
@@ -143,7 +144,7 @@ func settleGood(v *View, b []uint8, cone []int32, ep int32) {
 		for p, net := range fanin {
 			ins[p] = b[net] & 0xf
 		}
-		g := eval3(v.CellKind[ci], ins[:len(fanin)])
+		g := logicsim.Eval3(v.CellKind[ci], ins[:len(fanin)])
 		b[out] = pk(g, g)
 	}
 }
@@ -450,10 +451,10 @@ func (s *sim5) evalFaultCell(ci netlist.CellID) (uint8, bool) {
 		}
 	}
 	kind := s.v.CellKind[ci]
-	ng := eval3(kind, insG[:len(fanin)])
+	ng := logicsim.Eval3(kind, insG[:len(fanin)])
 	nf := ng
 	if diff {
-		nf = eval3(kind, insF[:len(fanin)])
+		nf = logicsim.Eval3(kind, insF[:len(fanin)])
 	}
 	return pk(ng, nf), hasD
 }
@@ -478,10 +479,10 @@ func (s *sim5) evalGeneric(ci netlist.CellID) (uint8, bool) {
 		}
 	}
 	kind := s.v.CellKind[ci]
-	ng := eval3(kind, insG[:len(fanin)])
+	ng := logicsim.Eval3(kind, insG[:len(fanin)])
 	nf := ng
 	if diff {
-		nf = eval3(kind, insF[:len(fanin)])
+		nf = logicsim.Eval3(kind, insF[:len(fanin)])
 	}
 	return pk(ng, nf), hasD
 }

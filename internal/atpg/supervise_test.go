@@ -55,8 +55,7 @@ func TestCancelInsideFaultSimPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := newSimulator(&countdownCtx{Context: context.Background(), k: 2}, v, nil)
-	defer sim.Release()
+	sim := newFaultSim(&countdownCtx{Context: context.Background(), k: 2}, v, nil)
 	b := sim.NewBatch()
 	sim.SimGood(b)
 	sim.detectEach(reps, set, b, func(int) bool { return true }, func(int, uint64) {})
@@ -143,7 +142,7 @@ func TestRunContextCancelled(t *testing.T) {
 func TestDeadlineTruncatesRun(t *testing.T) {
 	n := randCircuit(t, 5, 16, 400)
 	set := fault.NewUniverse(n)
-	res, err := Run(n, set, Options{Deadline: time.Now().Add(-time.Second)})
+	res, err := RunContext(context.Background(), n, set, Options{Deadline: time.Now().Add(-time.Second)})
 	if err != nil {
 		t.Fatalf("expired deadline must truncate, not fail: %v", err)
 	}
@@ -168,12 +167,12 @@ func TestDeadlineTruncatesRun(t *testing.T) {
 func TestDeadlineFarFutureMatchesUnbounded(t *testing.T) {
 	n := randCircuit(t, 9, 12, 250)
 	setA := fault.NewUniverse(n)
-	resA, err := Run(n, setA, Options{})
+	resA, err := RunContext(context.Background(), n, setA, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	setB := fault.NewUniverse(n)
-	resB, err := Run(n, setB, Options{Deadline: time.Now().Add(time.Hour)})
+	resB, err := RunContext(context.Background(), n, setB, Options{Deadline: time.Now().Add(time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package atpg
 
 import (
+	"tpilayout/internal/logicsim"
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/stdcell"
 )
@@ -51,10 +52,10 @@ type View struct {
 	CombLoadLvl   []int32
 
 	// CellLUT indexes each combinational cell's three-valued truth table
-	// in evalTabs (-1 = evaluate generically via eval3). A table is the
-	// cell function enumerated over all 2-bit-packed input combinations,
-	// so the event loop evaluates a gate with one load instead of a kind
-	// switch and a pin loop.
+	// in evalTabs (-1 = evaluate generically via logicsim.Eval3). A table
+	// is the cell function enumerated over all 2-bit-packed input
+	// combinations, so the event loop evaluates a gate with one load
+	// instead of a kind switch and a pin loop.
 	CellLUT []int16
 
 	// CellKind and CellOut are flat per-CellID copies of the instance
@@ -199,112 +200,17 @@ func NewView(n *netlist.Netlist, constraints map[netlist.NetID]int8) (*View, err
 // Comb reports whether cell id is a live combinational cell.
 func (v *View) Comb(id netlist.CellID) bool { return v.Level[id] >= 0 }
 
-// Three-valued logic values used by the PODEM planes.
+// Three-valued logic values used by the PODEM planes: logicsim.Eval3's
+// 0, 1 and unknown.
 const (
 	l0 uint8 = 0
 	l1 uint8 = 1
 	lX uint8 = 2
 )
 
-// eval3 evaluates a cell kind over three-valued inputs.
-func eval3(kind stdcell.Kind, in []uint8) uint8 {
-	switch kind {
-	case stdcell.KindInv:
-		return not3(in[0])
-	case stdcell.KindBuf:
-		return in[0]
-	case stdcell.KindAnd, stdcell.KindNand:
-		r := and3n(in)
-		if kind == stdcell.KindNand {
-			return not3(r)
-		}
-		return r
-	case stdcell.KindOr, stdcell.KindNor:
-		r := or3n(in)
-		if kind == stdcell.KindNor {
-			return not3(r)
-		}
-		return r
-	case stdcell.KindXor:
-		return xor3(in[0], in[1])
-	case stdcell.KindXnor:
-		return not3(xor3(in[0], in[1]))
-	case stdcell.KindAoi21:
-		return not3(or3(and3(in[0], in[1]), in[2]))
-	case stdcell.KindOai21:
-		return not3(and3(or3(in[0], in[1]), in[2]))
-	case stdcell.KindMux2:
-		a, b, s := in[0], in[1], in[2]
-		switch s {
-		case l0:
-			return a
-		case l1:
-			return b
-		default:
-			if a == b && a != lX {
-				return a
-			}
-			return lX
-		}
-	}
-	panic("atpg: eval3 on non-logic cell")
-}
-
-// Branch-free truth tables for the three-valued operators (indexed by
-// l0/l1/lX); measurably faster than the equivalent comparisons inside
-// the PODEM event loop.
-var (
-	not3T = [3]uint8{l1, l0, lX}
-	and3T = [3][3]uint8{
-		{l0, l0, l0},
-		{l0, l1, lX},
-		{l0, lX, lX},
-	}
-	or3T = [3][3]uint8{
-		{l0, l1, lX},
-		{l1, l1, l1},
-		{lX, l1, lX},
-	}
-	xor3T = [3][3]uint8{
-		{l0, l1, lX},
-		{l1, l0, lX},
-		{lX, lX, lX},
-	}
-)
-
-func not3(a uint8) uint8 { return not3T[a] }
-
-func and3(a, b uint8) uint8 { return and3T[a][b] }
-
-func xor3(a, b uint8) uint8 { return xor3T[a][b] }
-
-func or3(a, b uint8) uint8 { return or3T[a][b] }
-
-func and3n(in []uint8) uint8 {
-	r := l1
-	for _, x := range in {
-		r = and3(r, x)
-		if r == l0 {
-			return l0
-		}
-	}
-	return r
-}
-
-func or3n(in []uint8) uint8 {
-	r := l0
-	for _, x := range in {
-		r = or3(r, x)
-		if r == l1 {
-			return l1
-		}
-	}
-	return r
-}
-
 // evalTabs holds one 256-entry truth table per (kind, fanin-count) pair
-// used by the library: entry i is eval3 of the cell over the inputs
-// packed two bits per pin into i (first pin in the highest-order
+// used by the library: entry i is logicsim.Eval3 of the cell over the
+// inputs packed two bits per pin into i (first pin in the highest-order
 // position). With at most four inputs the packed index never exceeds
 // 0xAA, so a fixed 256-byte table covers every arity uniformly and the
 // whole registry stays a few kilobytes — permanently L1-resident.
@@ -351,7 +257,7 @@ func init() {
 				if !ok {
 					continue
 				}
-				tab[idx] = eval3(c.kind, in[:nin])
+				tab[idx] = logicsim.Eval3(c.kind, in[:nin])
 			}
 			lutKey[int32(c.kind)<<8|int32(nin)] = int16(len(evalTabs))
 			evalTabs = append(evalTabs, tab)
@@ -361,7 +267,7 @@ func init() {
 
 // lutFor returns the evalTabs index for a cell shape, or -1 when the
 // shape has no precomputed table (the event loop then falls back to
-// eval3).
+// logicsim.Eval3).
 func lutFor(kind stdcell.Kind, nin int) int16 {
 	if id, ok := lutKey[int32(kind)<<8|int32(nin)]; ok {
 		return id

@@ -1,6 +1,7 @@
 package cts
 
 import (
+	"context"
 	"testing"
 
 	"tpilayout/internal/circuitgen"
@@ -16,7 +17,7 @@ func built(t testing.TB) (*netlist.Netlist, *place.Placement, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := place.Place(n, place.Options{TargetUtilization: 0.85})
+	p, err := place.PlaceContext(context.Background(), n, place.Options{TargetUtilization: 0.85})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRemoveRestoresDirectClocking(t *testing.T) {
 
 func mustPlace(t *testing.T, n *netlist.Netlist) *place.Placement {
 	t.Helper()
-	p, err := place.Place(n, place.Options{TargetUtilization: 0.85})
+	p, err := place.PlaceContext(context.Background(), n, place.Options{TargetUtilization: 0.85})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"testing"
 
 	"tpilayout/internal/circuitgen"
@@ -51,11 +52,14 @@ func TestExtractScalesWithLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := place.Place(n, place.Options{TargetUtilization: 0.90})
+	p, err := place.PlaceContext(context.Background(), n, place.Options{TargetUtilization: 0.90})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := route.Route(p, route.Options{})
+	r, err := route.RouteContext(context.Background(), p, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	par := Extract(n, r)
 	totalC := 0.0
 	for id := range n.Nets {

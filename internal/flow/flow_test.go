@@ -193,7 +193,7 @@ func TestDfTUntestableIsScanCredited(t *testing.T) {
 		constraints[k] = v
 	}
 	fresh := fault.NewUniverse(r.Netlist)
-	if _, err := atpg.Run(r.Netlist, fresh, atpg.Options{Constraints: constraints}); err != nil {
+	if _, err := atpg.RunContext(context.Background(), r.Netlist, fresh, atpg.Options{Constraints: constraints}); err != nil {
 		t.Fatal(err)
 	}
 	index := map[fault.Fault]int32{}

@@ -2,6 +2,7 @@ package layoutviz
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -18,11 +19,15 @@ func layout(t testing.TB) (*place.Placement, *route.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := place.Place(n, place.Options{TargetUtilization: 0.90})
+	p, err := place.PlaceContext(context.Background(), n, place.Options{TargetUtilization: 0.90})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, route.Route(p, route.Options{})
+	r, err := route.RouteContext(context.Background(), p, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, r
 }
 
 // TestRenderStages reproduces Figure 3: three views with strictly

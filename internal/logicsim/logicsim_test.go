@@ -222,3 +222,83 @@ func TestRandomCircuitSimulatesDeterministically(t *testing.T) {
 		}
 	}
 }
+
+// gateShape is one (kind, input count) pair of the library's logic cells.
+type gateShape struct {
+	kind stdcell.Kind
+	nin  int
+}
+
+// libraryShapes lists every gate shape of the default library's
+// combinational cells, once each.
+func libraryShapes() []gateShape {
+	var shapes []gateShape
+	seen := map[gateShape]bool{}
+	for _, c := range stdcell.Default().Cells() {
+		if c.Kind.IsSequential() || c.Kind.IsPhysicalOnly() {
+			continue
+		}
+		if sh := (gateShape{c.Kind, len(c.Inputs)}); !seen[sh] {
+			seen[sh] = true
+			shapes = append(shapes, sh)
+		}
+	}
+	return shapes
+}
+
+// TestEval3IsExact holds the three-valued gate model to the two-valued
+// one on every library shape and every input in {0, 1, X}: on 0/1 inputs
+// Eval3 is the bit EvalWords computes, and with X inputs it is 0 or 1
+// exactly when every 0/1 completion of the X inputs gives that value.
+// That exactness is what lets PODEM's tables, the SAT cube's justification
+// and STA's case analysis share the one evaluator.
+func TestEval3IsExact(t *testing.T) {
+	shapes := libraryShapes()
+	if len(shapes) == 0 {
+		t.Fatal("library has no logic cells")
+	}
+	for _, sh := range shapes {
+		in := make([]uint8, sh.nin)
+		words := make([]uint64, sh.nin)
+		total := 1
+		for i := 0; i < sh.nin; i++ {
+			total *= 3
+		}
+		for idx := 0; idx < total; idx++ {
+			var xs []int
+			for p, r := 0, idx; p < sh.nin; p, r = p+1, r/3 {
+				in[p] = uint8(r % 3)
+				if in[p] == x {
+					xs = append(xs, p)
+				}
+			}
+			// Every completion of the X inputs, one per bit of the words.
+			for p := range words {
+				words[p] = 0
+			}
+			for b := 0; b < 1<<len(xs); b++ {
+				for p := range words {
+					v := uint64(in[p])
+					for k, xp := range xs {
+						if xp == p {
+							v = uint64(b>>k) & 1
+						}
+					}
+					words[p] |= v << b
+				}
+			}
+			mask := uint64(1)<<(1<<len(xs)) - 1
+			want := x
+			switch EvalWords(sh.kind, words) & mask {
+			case 0:
+				want = v0
+			case mask:
+				want = v1
+			}
+			if got := Eval3(sh.kind, in); got != want {
+				t.Errorf("%v/%d on %v: Eval3 = %d, completions give %d", sh.kind, sh.nin, in, got, want)
+			}
+		}
+	}
+	t.Logf("%d gate shapes", len(shapes))
+}

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"testing"
 
 	"tpilayout/internal/circuitgen"
@@ -19,7 +20,7 @@ func BenchmarkPlace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Place(n, Options{TargetUtilization: 0.97}); err != nil {
+		if _, err := PlaceContext(context.Background(), n, Options{TargetUtilization: 0.97}); err != nil {
 			b.Fatal(err)
 		}
 	}

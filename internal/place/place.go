@@ -58,14 +58,9 @@ type Placement struct {
 	FillerCells []netlist.CellID
 }
 
-// Place floorplans and places all live cells of n.
-func Place(n *netlist.Netlist, opt Options) (*Placement, error) {
-	return PlaceContext(context.Background(), n, opt)
-}
-
-// PlaceContext is Place with cooperative cancellation: the recursive
-// min-cut bisection checks the context at every cut, so a cancel lands
-// within one partition refinement, not one placement.
+// PlaceContext floorplans and places all live cells of n under ctx: the
+// recursive min-cut bisection checks the context at every cut, so a
+// cancel lands within one partition refinement, not one placement.
 func PlaceContext(ctx context.Context, n *netlist.Netlist, opt Options) (*Placement, error) {
 	if opt.TargetUtilization <= 0 || opt.TargetUtilization > 1 {
 		return nil, fmt.Errorf("place: bad utilization %g", opt.TargetUtilization)

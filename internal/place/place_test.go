@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ func placeSmall(t testing.TB, util float64) (*netlist.Netlist, *Placement) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Place(n, Options{TargetUtilization: util})
+	p, err := PlaceContext(context.Background(), n, Options{TargetUtilization: util})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestMinCutBeatsRandomOrderHPWL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Place(n, Options{TargetUtilization: 0.97})
+	p, err := PlaceContext(context.Background(), n, Options{TargetUtilization: 0.97})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -498,7 +498,7 @@ func tracedPlace(t *testing.T, place func(*telemetry.Span) *Placement) (*Placeme
 func samePlacement(t *testing.T, n *netlist.Netlist, util float64) {
 	t.Helper()
 	got, gotEv := tracedPlace(t, func(sp *telemetry.Span) *Placement {
-		p, err := Place(n.Clone(), Options{TargetUtilization: util, Telemetry: sp})
+		p, err := PlaceContext(context.Background(), n.Clone(), Options{TargetUtilization: util, Telemetry: sp})
 		if err != nil {
 			t.Fatal(err)
 		}

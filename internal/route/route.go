@@ -50,14 +50,9 @@ type Result struct {
 
 type point struct{ x, y float64 }
 
-// Route globally routes every live multi-pin net of the placement.
-func Route(p *place.Placement, opt Options) *Result {
-	r, _ := RouteContext(context.Background(), p, opt) // Background never cancels
-	return r
-}
-
-// RouteContext is Route with cooperative cancellation, checked every few
-// routed nets; the only possible error is the context's.
+// RouteContext globally routes every live multi-pin net of the placement
+// under ctx, checked every few routed nets; the only possible error is
+// the context's.
 func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result, error) {
 	n := p.N
 	res := &Result{NetLen: make([]float64, len(n.Nets))}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 
 	"tpilayout/internal/circuitgen"
@@ -16,11 +17,15 @@ func routed(t testing.TB, util float64) (*place.Placement, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := place.Place(n, place.Options{TargetUtilization: util})
+	p, err := place.PlaceContext(context.Background(), n, place.Options{TargetUtilization: util})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, Route(p, Options{})
+	r, err := RouteContext(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, r
 }
 
 func TestRouteLengthAtLeastHPWL(t *testing.T) {

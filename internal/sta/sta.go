@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"tpilayout/internal/extract"
+	"tpilayout/internal/logicsim"
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/stdcell"
 	"tpilayout/internal/telemetry"
@@ -98,14 +99,9 @@ type analyzer struct {
 	slow     int
 }
 
-// Analyze runs STA over the routed, extracted design.
-func Analyze(n *netlist.Netlist, par *extract.Parasitics, opt Options) (*Result, error) {
-	return AnalyzeContext(context.Background(), n, par, opt)
-}
-
-// AnalyzeContext is Analyze with cooperative cancellation: the levelized
-// sweeps check the context every few thousand cells, so a cancel lands
-// within one propagation slice, not one full analysis.
+// AnalyzeContext runs STA over the routed, extracted design under ctx: the
+// levelized sweeps check the context every few thousand cells, so a
+// cancel lands within one propagation slice, not one full analysis.
 func AnalyzeContext(ctx context.Context, n *netlist.Netlist, par *extract.Parasitics, opt Options) (*Result, error) {
 	lv, err := n.Levelize()
 	if err != nil {
@@ -240,7 +236,7 @@ func (a *analyzer) propagateConstants() {
 		for i, in := range c.Ins {
 			ins[i] = val(in)
 		}
-		if out := eval3c(c.Cell.Kind, ins); out != 2 {
+		if out := logicsim.Eval3(c.Cell.Kind, ins); out != 2 {
 			a.cons[c.Out] = int8(out)
 		}
 	}
@@ -433,78 +429,4 @@ func (a *analyzer) fillReport(rep *PathReport, capture netlist.CellID, dNet netl
 	if rep.Tcp > 0 {
 		rep.FmaxMHz = 1e6 / rep.Tcp
 	}
-}
-
-// eval3c is three-valued constant evaluation (2 = unknown).
-func eval3c(kind stdcell.Kind, in []uint8) uint8 {
-	not := func(v uint8) uint8 {
-		if v == 2 {
-			return 2
-		}
-		return 1 - v
-	}
-	and := func(vs ...uint8) uint8 {
-		r := uint8(1)
-		for _, v := range vs {
-			if v == 0 {
-				return 0
-			}
-			if v == 2 {
-				r = 2
-			}
-		}
-		return r
-	}
-	or := func(vs ...uint8) uint8 {
-		r := uint8(0)
-		for _, v := range vs {
-			if v == 1 {
-				return 1
-			}
-			if v == 2 {
-				r = 2
-			}
-		}
-		return r
-	}
-	switch kind {
-	case stdcell.KindInv:
-		return not(in[0])
-	case stdcell.KindBuf:
-		return in[0]
-	case stdcell.KindNand:
-		return not(and(in...))
-	case stdcell.KindNor:
-		return not(or(in...))
-	case stdcell.KindAnd:
-		return and(in...)
-	case stdcell.KindOr:
-		return or(in...)
-	case stdcell.KindXor, stdcell.KindXnor:
-		if in[0] == 2 || in[1] == 2 {
-			return 2
-		}
-		v := in[0] ^ in[1]
-		if kind == stdcell.KindXnor {
-			return 1 - v
-		}
-		return v
-	case stdcell.KindAoi21:
-		return not(or(and(in[0], in[1]), in[2]))
-	case stdcell.KindOai21:
-		return not(and(or(in[0], in[1]), in[2]))
-	case stdcell.KindMux2:
-		switch in[2] {
-		case 0:
-			return in[0]
-		case 1:
-			return in[1]
-		default:
-			if in[0] == in[1] {
-				return in[0]
-			}
-			return 2
-		}
-	}
-	return 2
 }

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,7 +35,7 @@ func ffPair(t testing.TB) (*netlist.Netlist, *extract.Parasitics) {
 
 func TestHandComputedPath(t *testing.T) {
 	n, par := ffPair(t)
-	res, err := Analyze(n, par, Options{})
+	res, err := AnalyzeContext(context.Background(), n, par, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,15 @@ func layoutFixture(t testing.TB) (*netlist.Netlist, *extract.Parasitics) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := place.Place(n, place.Options{TargetUtilization: 0.90})
+	p, err := place.PlaceContext(context.Background(), n, place.Options{TargetUtilization: 0.90})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, extract.Extract(n, route.Route(p, route.Options{}))
+	r, err := route.RouteContext(context.Background(), p, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, extract.Extract(n, r)
 }
 
 func TestEq3DecompositionIdentity(t *testing.T) {
@@ -114,7 +119,7 @@ func TestEq3DecompositionIdentity(t *testing.T) {
 		"pi-launch": piLaunch,
 	} {
 		n, par := build(t)
-		res, err := Analyze(n, par, Options{})
+		res, err := AnalyzeContext(context.Background(), n, par, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,11 +165,11 @@ func TestCaseAnalysisBlocksScanPath(t *testing.T) {
 	n.AddPO("q2", q2)
 	par := extract.Extract(n, nil)
 
-	free, err := Analyze(n, par, Options{})
+	free, err := AnalyzeContext(context.Background(), n, par, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := Analyze(n, par, Options{Constraints: map[netlist.NetID]int8{sel: 0}})
+	blocked, err := AnalyzeContext(context.Background(), n, par, Options{Constraints: map[netlist.NetID]int8{sel: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestSlowNodesFlagged(t *testing.T) {
 	n.AddPO("q2", q2)
 	par := extract.Extract(n, nil)
 	par.WireC[w] = 4000 // fF, far beyond the 256 fF table edge
-	res, err := Analyze(n, par, Options{})
+	res, err := AnalyzeContext(context.Background(), n, par, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +213,16 @@ func TestTwoDomainsSeparated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := place.Place(n, place.Options{TargetUtilization: 0.90})
+	p, err := place.PlaceContext(context.Background(), n, place.Options{TargetUtilization: 0.90})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := route.Route(p, route.Options{})
+	r, err := route.RouteContext(context.Background(), p, route.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	par := extract.Extract(n, r)
-	res, err := Analyze(n, par, Options{})
+	res, err := AnalyzeContext(context.Background(), n, par, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,10 +108,14 @@ func (d *HistData) Merge(other HistData) {
 // Quantile estimates the q-quantile (q in [0,1]) by linear
 // interpolation inside the containing power-of-two bucket — the same
 // estimate a Prometheus histogram_quantile gives for this bucket
-// layout. Returns 0 for an empty histogram.
+// layout. Returns 0 for an empty histogram, and the sample itself for
+// a histogram of one: every quantile of one value is that value.
 func (d HistData) Quantile(q float64) float64 {
 	if d.Count == 0 || len(d.Buckets) == 0 {
 		return 0
+	}
+	if d.Count == 1 {
+		return float64(d.Sum)
 	}
 	if q < 0 {
 		q = 0

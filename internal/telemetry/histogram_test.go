@@ -73,6 +73,17 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	}
 }
 
+// TestQuantileOfOneSample: every quantile of a one-sample histogram is the
+// sample, not a point interpolated inside its power-of-two bucket.
+func TestQuantileOfOneSample(t *testing.T) {
+	d := Observation(11_200_000)
+	for _, q := range []float64{0, 0.5, 0.99} {
+		if got := d.Quantile(q); got != 11.2e6 {
+			t.Errorf("Quantile(%g) = %g, want 11.2e6", q, got)
+		}
+	}
+}
+
 // TestHistDataMerge: merging is index-wise bucket addition.
 func TestHistDataMerge(t *testing.T) {
 	h := &Hist{}
