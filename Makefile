@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race daemon-smoke chaos
+.PHONY: test race daemon-smoke
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -8,9 +8,9 @@ test:
 race:
 	go test -race ./...
 
-# daemon-smoke is the daemon CI gate: one real tpid — durable, JSON logs,
-# per-run profiling — walked through four phases over curl. Every failure
-# message names its phase.
+# daemon-smoke is the daemon CI gate: real tpid processes walked through
+# five phases over curl. Every failure message names its phase. The first
+# four run on one tpid — durable, JSON logs, per-run profiling:
 #   submit:    a reduced-scale s38417c sweep is submitted under a client
 #              X-Request-ID; the result must come back 200 with complete
 #              tables, an identical resubmission must be a cache hit, and
@@ -35,6 +35,15 @@ race:
 #              jitter out of the gate), and the captured CPU profile
 #              carries run_id/stage pprof labels.
 #   drain:     SIGTERM drains the daemon and it exits 0.
+#   crash:     a second tpid (-workers 1 -flow-workers 1) on a fresh data
+#              dir takes the golden sweep (s38417c x0.05, levels 0/2/5) and
+#              is SIGKILLed once a level-done record is in its seg-*.wal,
+#              before any retirement; restarted on the same dir, it must
+#              finish the job by itself with resumed_levels >= 1,
+#              levels_run + levels_resumed = 3 and replayed_jobs = 1 on
+#              /v1/stats, and tables byte-identical to
+#              internal/testdata/golden/sweep_s38417c.golden: a crash costs
+#              work, not correctness.
 daemon-smoke:
 	go build -o tpid-smoke ./cmd/tpid
 	go build -o tracestat-smoke ./cmd/tracestat
@@ -126,15 +135,47 @@ daemon-smoke:
 	\
 	phase=drain; \
 	kill -TERM $$pid; wait $$pid || fail "drain exited non-zero" tail -5 daemon-smoke.log; \
+	\
+	phase=crash; url=http://localhost:9353; \
+	rm -rf daemon-smoke-crash-data; : >daemon-smoke-crash.log; \
+	crash_start() { \
+		./tpid-smoke -addr localhost:9353 -workers 1 -flow-workers 1 -data-dir daemon-smoke-crash-data \
+			>>daemon-smoke-crash.log 2>&1 & pid=$$!; \
+		up=0; for i in $$(seq 1 100); do \
+			curl -sf $$url/readyz >/dev/null 2>&1 && { up=1; break; }; sleep 0.1; \
+		done; \
+		test $$up = 1 || fail "tpid never became ready" tail -5 daemon-smoke-crash.log; \
+	}; \
+	crash_start; \
+	body='{"tenant":"crash","circuit":{"spec":"s38417c","scale":0.05},"tp_levels":[0,2,5],"flow":{"experiment":"s38417c"}}'; \
+	id=$$(curl -sf -X POST -d "$$body" $$url/v1/jobs | field id); \
+	test -n "$$id" || fail "submission rejected"; \
+	ckpt=0; for i in $$(seq 1 6000); do \
+		! grep -qa '"job_ids"' daemon-smoke-crash-data/seg-*.wal 2>/dev/null \
+			|| fail "the sweep retired before the kill could land"; \
+		grep -qa '"metrics":' daemon-smoke-crash-data/seg-*.wal 2>/dev/null && { ckpt=1; break; }; \
+		sleep 0.05; \
+	done; \
+	test $$ckpt = 1 || fail "no level checkpoint ever reached the journal"; \
+	kill -KILL $$pid; wait $$pid 2>/dev/null || true; \
+	echo "daemon-smoke[$$phase]: job $$id SIGKILLed after its first level checkpoint"; \
+	crash_start; \
+	state=; for i in $$(seq 1 600); do \
+		state=$$(curl -sf $$url/v1/jobs/$$id | field state); \
+		case "$$state" in done|failed|canceled) break;; esac; sleep 0.5; \
+	done; \
+	curl -sf $$url/v1/jobs/$$id -o daemon-smoke-crash-status.json; \
+	test "$$state" = done || fail "replayed job ended '$$state'" cat daemon-smoke-crash-status.json; \
+	jq -e '.resumed_levels >= 1' daemon-smoke-crash-status.json >/dev/null \
+		|| fail "no level was resumed from its checkpoint" cat daemon-smoke-crash-status.json; \
+	curl -sf $$url/v1/jobs/$$id/result -o daemon-smoke-crash-result.json || fail "no result after the restart"; \
+	grep -q '"complete": true' daemon-smoke-crash-result.json || fail "resumed sweep incomplete" cat daemon-smoke-crash-result.json; \
+	curl -sf $$url/v1/stats -o daemon-smoke-crash-stats.json; \
+	jq -e '.levels_run + .levels_resumed == 3 and .replayed_jobs == 1' daemon-smoke-crash-stats.json >/dev/null \
+		|| fail "levels run/resumed do not partition the 3 levels of one replayed job" cat daemon-smoke-crash-stats.json; \
+	jq -j '.table1+"\n"+.table2+"\n"+.table3' daemon-smoke-crash-result.json \
+		| cmp - internal/testdata/golden/sweep_s38417c.golden \
+		|| fail "crash-resumed tables drifted from sweep_s38417c.golden"; \
+	kill -TERM $$pid; wait $$pid || fail "drain after the restart exited non-zero" tail -5 daemon-smoke-crash.log; \
 	trap - EXIT; \
-	echo "daemon-smoke: submit, correlate, history, drain all OK"
-
-# chaos runs the seeded fault-injection recovery suite under the race
-# detector: 200 seeds of level panics, journal append faults, abrupt
-# kills, cancels, and torn segment tails, each followed by a restart
-# that must satisfy the recovery invariants (no double retirement, no
-# lost jobs on an intact journal, clean fold).
-# Three passes: the failures this suite exists for are races, and a race
-# reintroduced must not get through on one lucky schedule.
-chaos:
-	go test -race -run 'TestChaosRecoveryInvariants' -count=3 ./internal/service/
+	echo "daemon-smoke: submit, correlate, history, drain, crash all OK"

@@ -248,10 +248,16 @@ func (s *Server) appendRecord(t journal.Type, v any) {
 		return
 	}
 	if err := s.jrnl.Append(t, data); err != nil {
-		s.journalErrors.Add(1)
-		s.emitMetric(map[string]int64{"service.journal_errors": 1}, nil, nil)
-		s.opt.Log.Error("journal append failed, degrading to in-memory", "record_type", int(t), "error", err)
+		s.journalFailed("journal append failed, degrading to in-memory", "record_type", int(t), "error", err)
 	}
+}
+
+// journalFailed counts and reports a failed journal write, an append or
+// a compaction alike: /v1/stats, /metrics and the log all see it.
+func (s *Server) journalFailed(msg string, args ...any) {
+	s.journalErrors.Add(1)
+	s.emitMetric(map[string]int64{"service.journal_errors": 1}, nil, nil)
+	s.opt.Log.Error(msg, args...)
 }
 
 // journalCompactBytes is the live-segment size past which a retirement
@@ -291,7 +297,7 @@ func (s *Server) compactJournal() {
 		s.opt.compactHook()
 	}
 	if err := s.jrnl.Compact(state); err != nil {
-		s.journalErrors.Add(1)
+		s.journalFailed("journal compaction failed", "error", err)
 	}
 }
 

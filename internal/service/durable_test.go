@@ -3,8 +3,6 @@ package service
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
-	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -85,64 +83,7 @@ func openDurable(t *testing.T, dir string, opt Options, install func(*Server)) *
 func panicStageError(pct float64) error {
 	return &flow.StageError{
 		Stage: flow.StageSweep, TPPercent: pct,
-		Err: supervise.AsPanicError("chaos boom"),
-	}
-}
-
-// TestKillResumesOnlyMissingLevels is the tentpole scenario: a SIGKILL
-// (simulated by Kill) lands mid-sweep after two of three levels were
-// checkpointed; the restarted daemon re-admits the job and re-executes
-// ONLY the missing level, stitching a result identical to an
-// uninterrupted run.
-func TestKillResumesOnlyMissingLevels(t *testing.T) {
-	dir := t.TempDir()
-
-	reached := make(chan struct{})
-	s1 := openDurable(t, dir, Options{Workers: 1}, func(s *Server) {
-		var once sync.Once
-		s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
-			if pct == 2 {
-				once.Do(func() { close(reached) })
-				<-rn.ctx.Done() // the level a crash interrupts
-				return flow.LevelResult{TPPercent: pct, Err: rn.ctx.Err()}
-			}
-			return flow.LevelResult{TPPercent: pct, Metrics: stubMetrics(pct)}
-		}
-	})
-
-	_, st := postJob(t, s1, jobBody(t, "acme", 0, 1, 2))
-	<-reached // levels 0 and 1 are checkpointed; level 2 is in flight
-	s1.Kill()
-
-	// Restart on the same directory. The stub proves which levels run.
-	rec := &levelRecorder{}
-	s2 := openDurable(t, dir, Options{Workers: 1}, func(s *Server) {
-		s.runLevel = rec.hook
-	})
-	defer shutdown(t, s2)
-
-	got := waitState(t, s2, st.ID, StateDone)
-	if ran := rec.executed(); !reflect.DeepEqual(ran, []float64{2}) {
-		t.Fatalf("restart re-executed levels %v, want only [2]", ran)
-	}
-	if got.ResumedLevels != 2 {
-		t.Fatalf("status resumed_levels = %d, want 2", got.ResumedLevels)
-	}
-	stats := s2.Stats()
-	if stats.LevelsResumed != 2 || stats.LevelsRun != 1 || stats.ReplayedJobs != 1 {
-		t.Fatalf("stats = resumed %d run %d replayed %d, want 2/1/1",
-			stats.LevelsResumed, stats.LevelsRun, stats.ReplayedJobs)
-	}
-
-	// The stitched result is exactly what an uninterrupted run produces:
-	// checkpointed rows and the fresh row are indistinguishable.
-	code, res := getResult(t, s2, st.ID)
-	if code != http.StatusOK || !res.Complete {
-		t.Fatalf("result after resume: code=%d complete=%v", code, res != nil && res.Complete)
-	}
-	want := []flow.Metrics{stubMetrics(0), stubMetrics(1), stubMetrics(2)}
-	if !reflect.DeepEqual(res.Rows, want) {
-		t.Fatalf("resumed rows differ from uninterrupted sweep:\ngot  %+v\nwant %+v", res.Rows, want)
+		Err: supervise.AsPanicError("boom"),
 	}
 }
 
@@ -383,98 +324,6 @@ func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	}
 }
 
-// TestCacheHitJournalsNothing: a submission answered from the result
-// cache costs no flow and therefore appends no journal records at all —
-// there is nothing to recover.
-func TestCacheHitJournalsNothing(t *testing.T) {
-	s := openDurable(t, t.TempDir(), Options{Workers: 1}, func(s *Server) {
-		s.runFlow = func(rn *run) (*JobResult, error) { return stubResult(rn), nil }
-	})
-	defer shutdown(t, s)
-
-	body := jobBody(t, "acme", 8)
-	_, st := postJob(t, s, body)
-	waitState(t, s, st.ID, StateDone)
-
-	before := s.jrnl.Appends()
-	code, st2 := postJob(t, s, body)
-	if code != http.StatusOK || !st2.CacheHit {
-		t.Fatalf("resubmit: code=%d cache_hit=%v", code, st2.CacheHit)
-	}
-	if after := s.jrnl.Appends(); after != before {
-		t.Fatalf("cache-hit submission appended %d journal records, want 0", after-before)
-	}
-}
-
-// TestFailedLevelRunsOnce: a failed level — a deterministic stage error
-// or a recovered panic — runs once. The flow is a function of its
-// inputs, so a retry would fail the same way; the job finishes with an
-// incomplete result carrying the level's error, nothing is cached, and
-// resubmitting the body re-runs only the failed level, its siblings
-// answered from their checkpoints.
-func TestFailedLevelRunsOnce(t *testing.T) {
-	const failing = 1
-	levels := []float64{0, failing, 2}
-	for _, tc := range []struct {
-		name string
-		err  func(pct float64) error
-	}{
-		{"stage error", func(pct float64) error {
-			return &flow.StageError{Stage: flow.StagePlace, TPPercent: pct, Err: errors.New("utilization infeasible")}
-		}},
-		{"panic", panicStageError},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			calls := map[float64]int{}
-			s := New(Options{Workers: 1})
-			defer shutdown(t, s)
-			s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
-				mu.Lock()
-				calls[pct]++
-				mu.Unlock()
-				if pct == failing {
-					return flow.LevelResult{TPPercent: pct, Err: tc.err(pct)}
-				}
-				return flow.LevelResult{TPPercent: pct, Metrics: stubMetrics(pct)}
-			}
-			ran := func() map[float64]int {
-				mu.Lock()
-				defer mu.Unlock()
-				return maps.Clone(calls)
-			}
-
-			body := jobBody(t, "acme", levels...)
-			_, st := postJob(t, s, body)
-			waitState(t, s, st.ID, StateDone) // level errors mark the result incomplete
-			if n := ran()[failing]; n != 1 {
-				t.Fatalf("failed level ran %d times, want 1", n)
-			}
-			if stats := s.Stats(); stats.LevelsRun != int64(len(levels)) || stats.CacheEntries != 0 {
-				t.Fatalf("levels_run %d, cache_entries %d; want %d and 0", stats.LevelsRun, stats.CacheEntries, len(levels))
-			}
-			want := tc.err(failing).Error()
-			_, res := getResult(t, s, st.ID)
-			if res.Complete || res.Levels[failing].Error != want {
-				t.Fatalf("result complete=%v, level %v error %q; want incomplete with %q",
-					res.Complete, levels[failing], res.Levels[failing].Error, want)
-			}
-
-			code, again := postJob(t, s, body)
-			if code != http.StatusAccepted || again.CacheHit {
-				t.Fatalf("resubmit: code=%d cache_hit=%v, want a fresh run", code, again.CacheHit)
-			}
-			got := waitState(t, s, again.ID, StateDone)
-			if got.ResumedLevels != int64(len(levels)-1) {
-				t.Fatalf("resubmit resumed_levels = %d, want %d", got.ResumedLevels, len(levels)-1)
-			}
-			if c := ran(); !maps.Equal(c, map[float64]int{0: 1, failing: 2, 2: 1}) {
-				t.Fatalf("levels run across both submissions: %v; only the failed level may re-run", c)
-			}
-		})
-	}
-}
-
 // TestReadyzGatesReplay: while the journal replays, /healthz is 200
 // (liveness), /readyz is 503, and submissions bounce with 503; all flip
 // once replay completes.
@@ -614,38 +463,6 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 		if err != nil || ra < 1 || ra > 4 {
 			t.Fatalf("Retry-After = %q, want integer in [1,4]", rec.Header().Get("Retry-After"))
 		}
-	}
-}
-
-// TestJournalFaultsDegradeGracefully: when every journal append fails,
-// the daemon keeps serving — availability over durability — and counts
-// the failures.
-func TestJournalFaultsDegradeGracefully(t *testing.T) {
-	gate := make(chan struct{})
-	s, err := Open(Options{
-		Workers: 1, DataDir: t.TempDir(), journalNoSync: true, replayGate: gate,
-		journalHook: func(op journal.Op) error {
-			if op == journal.OpAppend {
-				return errors.New("disk on fire")
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.runFlow = func(rn *run) (*JobResult, error) { return stubResult(rn), nil }
-	close(gate)
-	waitFor(t, func() bool { return s.Stats().Ready })
-	defer shutdown(t, s)
-
-	_, st := postJob(t, s, jobBody(t, "acme", 5))
-	waitState(t, s, st.ID, StateDone)
-	if code, _ := getResult(t, s, st.ID); code != http.StatusOK {
-		t.Fatalf("result with dead journal = %d, want 200", code)
-	}
-	if n := s.Stats().JournalErrors; n == 0 {
-		t.Fatal("journal append failures were not counted")
 	}
 }
 

@@ -410,8 +410,8 @@ type Server struct {
 	// runFlow executes one run and returns its result; tests replace it
 	// with a stub to exercise queueing/fairness/shutdown without paying
 	// for real layouts. runLevel executes ONE level inside the real
-	// runLevels/attemptLevel path; chaos tests replace it to inject
-	// level failures while that path itself stays under test.
+	// runLevels/attemptLevel path; the lifecycle model test replaces it
+	// to park and fail levels while that path itself stays under test.
 	runFlow  func(r *run) (*JobResult, error)
 	runLevel func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult
 

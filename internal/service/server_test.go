@@ -185,208 +185,6 @@ func TestSubmitLifecycle(t *testing.T) {
 	}
 }
 
-// TestSingleflightAndCache is the headline acceptance test: two
-// concurrent identical submissions execute exactly one flow, and a later
-// identical submission is served from the result cache without queueing.
-func TestSingleflightAndCache(t *testing.T) {
-	s := New(Options{Workers: 2})
-	defer shutdown(t, s)
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	s.runFlow = func(rn *run) (*JobResult, error) {
-		close(started)
-		select {
-		case <-release:
-		case <-rn.ctx.Done():
-			return nil, rn.ctx.Err()
-		}
-		return stubResult(rn), nil
-	}
-
-	body := jobBody(t, "acme", 0, 5)
-	code1, st1 := postJob(t, s, body)
-	if code1 != http.StatusAccepted {
-		t.Fatalf("first submit = %d, want 202", code1)
-	}
-	<-started // the flow is running; an identical submission must coalesce
-
-	code2, st2 := postJob(t, s, body)
-	if code2 != http.StatusAccepted {
-		t.Fatalf("second submit = %d, want 202", code2)
-	}
-	if !st2.Coalesced {
-		t.Fatal("second identical submission did not coalesce onto the inflight run")
-	}
-	if st2.Key != st1.Key {
-		t.Fatalf("identical submissions hashed differently: %s vs %s", st1.Key, st2.Key)
-	}
-	close(release)
-
-	waitState(t, s, st1.ID, StateDone)
-	waitState(t, s, st2.ID, StateDone)
-	if n := s.FlowRuns(); n != 1 {
-		t.Fatalf("two identical concurrent submissions ran %d flows, want 1", n)
-	}
-
-	// Both jobs see the same (non-cache-hit) result.
-	for _, id := range []string{st1.ID, st2.ID} {
-		code, res := getResult(t, s, id)
-		if code != http.StatusOK || res.Table1 != "stub-table-1" {
-			t.Fatalf("result for %s: code=%d res=%+v", id, code, res)
-		}
-	}
-
-	// Third identical submission after the run finished: answered 200
-	// straight from the cache, zero additional flows.
-	code3, st3 := postJob(t, s, body)
-	if code3 != http.StatusOK {
-		t.Fatalf("cached submit = %d, want 200", code3)
-	}
-	if !st3.CacheHit || st3.State != StateDone {
-		t.Fatalf("cached submit status: %+v", st3)
-	}
-	if n := s.FlowRuns(); n != 1 {
-		t.Fatalf("cached submission re-ran the flow: %d runs", n)
-	}
-	code, res := getResult(t, s, st3.ID)
-	if code != http.StatusOK || !res.CacheHit {
-		t.Fatalf("cached result: code=%d cache_hit=%v", code, res.CacheHit)
-	}
-	if stats := s.Stats(); stats.CacheHits < 1 {
-		t.Fatalf("cache hit counter = %d, want >= 1", stats.CacheHits)
-	}
-}
-
-func TestQueueOverflow429(t *testing.T) {
-	s := New(Options{Workers: 1, QueueDepth: 1})
-	defer shutdown(t, s)
-
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
-	s.runFlow = func(rn *run) (*JobResult, error) {
-		started <- struct{}{}
-		select {
-		case <-release:
-		case <-rn.ctx.Done():
-			return nil, rn.ctx.Err()
-		}
-		return stubResult(rn), nil
-	}
-
-	// Job A occupies the single worker...
-	codeA, stA := postJob(t, s, jobBody(t, "acme", 1))
-	if codeA != http.StatusAccepted {
-		t.Fatalf("submit A = %d", codeA)
-	}
-	<-started
-	// ...job B fills the one queue slot...
-	codeB, stB := postJob(t, s, jobBody(t, "acme", 2))
-	if codeB != http.StatusAccepted {
-		t.Fatalf("submit B = %d", codeB)
-	}
-	// ...and job C bounces with 429 + Retry-After.
-	req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(jobBody(t, "acme", 3)))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("submit C = %d, want 429", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("429 response missing Retry-After header")
-	}
-	if stats := s.Stats(); stats.Rejected != 1 {
-		t.Fatalf("rejected counter = %d, want 1", stats.Rejected)
-	}
-
-	close(release)
-	waitState(t, s, stA.ID, StateDone)
-	waitState(t, s, stB.ID, StateDone)
-}
-
-func TestCancelMidRunFreesWorker(t *testing.T) {
-	before := runtime.NumGoroutine()
-	s := New(Options{Workers: 1})
-
-	started := make(chan struct{}, 4)
-	s.runFlow = func(rn *run) (*JobResult, error) {
-		if rn.levels[0] == 1 {
-			// The long job: only cancellation lets it return.
-			started <- struct{}{}
-			<-rn.ctx.Done()
-			return nil, rn.ctx.Err()
-		}
-		return stubResult(rn), nil
-	}
-
-	_, st := postJob(t, s, jobBody(t, "acme", 1))
-	<-started
-	if got := getStatus(t, s, st.ID); got.State != StateRunning {
-		t.Fatalf("job state = %s, want running", got.State)
-	}
-
-	code, resp := do(t, s, "DELETE", "/v1/jobs/"+st.ID, nil)
-	if code != http.StatusOK {
-		t.Fatalf("DELETE = %d: %s", code, resp)
-	}
-	if got := getStatus(t, s, st.ID); got.State != StateCanceled {
-		t.Fatalf("after DELETE state = %s, want canceled", got.State)
-	}
-	// DELETE is idempotent.
-	if code, _ := do(t, s, "DELETE", "/v1/jobs/"+st.ID, nil); code != http.StatusOK {
-		t.Fatalf("second DELETE = %d, want 200", code)
-	}
-	// The result of a canceled job is 410 Gone.
-	if code, _ := getResult(t, s, st.ID); code != http.StatusGone {
-		t.Fatalf("result of canceled job = %d, want 410", code)
-	}
-
-	// The single worker must come back: a fresh job completes.
-	_, st2 := postJob(t, s, jobBody(t, "acme", 2))
-	waitState(t, s, st2.ID, StateDone)
-
-	if stats := s.Stats(); stats.JobsCanceled < 1 {
-		t.Fatalf("canceled counter = %d, want >= 1", stats.JobsCanceled)
-	}
-	shutdown(t, s)
-	waitGoroutines(t, before)
-}
-
-// TestCancelWhileQueuedSkipsFlow cancels a job that never left the
-// queue: the flow must not run at all for it.
-func TestCancelWhileQueuedSkipsFlow(t *testing.T) {
-	s := New(Options{Workers: 1, QueueDepth: 4})
-	defer shutdown(t, s)
-
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
-	s.runFlow = func(rn *run) (*JobResult, error) {
-		started <- struct{}{}
-		select {
-		case <-release:
-		case <-rn.ctx.Done():
-			return nil, rn.ctx.Err()
-		}
-		return stubResult(rn), nil
-	}
-
-	_, stA := postJob(t, s, jobBody(t, "acme", 1)) // occupies the worker
-	<-started
-	_, stB := postJob(t, s, jobBody(t, "acme", 2)) // queued
-	if code, _ := do(t, s, "DELETE", "/v1/jobs/"+stB.ID, nil); code != http.StatusOK {
-		t.Fatal("cancel of queued job failed")
-	}
-	close(release)
-	waitState(t, s, stA.ID, StateDone)
-
-	// Only A's flow may ever have run; give the worker a moment to (not)
-	// pick up B.
-	time.Sleep(20 * time.Millisecond)
-	if n := s.FlowRuns(); n != 1 {
-		t.Fatalf("flow runs = %d, want 1 (canceled queued job must not run)", n)
-	}
-}
-
 // TestConcurrentTenants is the -race fleet test: several tenants each
 // submit a batch of distinct jobs through the full HTTP surface at once;
 // everything completes, nothing leaks.
@@ -538,34 +336,6 @@ func TestEventsSSE(t *testing.T) {
 	}
 }
 
-// TestUncacheableBudgetJobs checks that ATPG-budgeted submissions are
-// neither coalesced nor cached: their results depend on wall-clock speed.
-func TestUncacheableBudgetJobs(t *testing.T) {
-	s := New(Options{Workers: 2})
-	defer shutdown(t, s)
-	s.runFlow = func(rn *run) (*JobResult, error) { return stubResult(rn), nil }
-
-	req := JobRequest{
-		Circuit:  CircuitSpec{Bench: testBench},
-		TPLevels: []float64{0},
-		Flow:     FlowConfig{SkipATPG: true, ATPGBudgetMS: 50},
-	}
-	body, _ := json.Marshal(req)
-	_, st1 := postJob(t, s, body)
-	waitState(t, s, st1.ID, StateDone)
-	code2, st2 := postJob(t, s, body)
-	if code2 != http.StatusAccepted {
-		t.Fatalf("second budgeted submit = %d, want 202 (never a cache hit)", code2)
-	}
-	if st2.CacheHit || st2.Coalesced {
-		t.Fatalf("budgeted job was cached/coalesced: %+v", st2)
-	}
-	waitState(t, s, st2.ID, StateDone)
-	if n := s.FlowRuns(); n != 2 {
-		t.Fatalf("budgeted flow runs = %d, want 2", n)
-	}
-}
-
 // TestBadRequests walks the validation surface: every malformed
 // submission is a clean 4xx.
 func TestBadRequests(t *testing.T) {
@@ -611,32 +381,6 @@ func TestBadRequests(t *testing.T) {
 	if n := s.FlowRuns(); n != 0 {
 		t.Fatalf("malformed submissions ran %d flows", n)
 	}
-}
-
-// TestFailedRunReporting: a flow error surfaces as state failed and a
-// 500 on the result endpoint, and is never cached.
-func TestFailedRunReporting(t *testing.T) {
-	s := New(Options{Workers: 1})
-	defer shutdown(t, s)
-	s.runFlow = func(rn *run) (*JobResult, error) {
-		return nil, fmt.Errorf("placement exploded")
-	}
-	body := jobBody(t, "acme", 7)
-	_, st := postJob(t, s, body)
-	got := waitState(t, s, st.ID, StateFailed)
-	if !strings.Contains(got.Error, "placement exploded") {
-		t.Fatalf("failed status error = %q", got.Error)
-	}
-	if code, _ := getResult(t, s, st.ID); code != http.StatusInternalServerError {
-		t.Fatalf("result of failed job = %d, want 500", code)
-	}
-	// Failure is not cached: resubmitting runs the flow again.
-	s.runFlow = func(rn *run) (*JobResult, error) { return stubResult(rn), nil }
-	code2, st2 := postJob(t, s, body)
-	if code2 != http.StatusAccepted || st2.CacheHit {
-		t.Fatalf("resubmit after failure: code=%d cache_hit=%v", code2, st2.CacheHit)
-	}
-	waitState(t, s, st2.ID, StateDone)
 }
 
 // TestSubmitRejectsTrailingData: a body is one JSON value and whitespace.

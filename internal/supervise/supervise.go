@@ -57,19 +57,3 @@ func AsPanicError(r any) *PanicError {
 	}
 	return pe
 }
-
-// Recovered is a deferred-position helper: call as
-//
-//	defer func() {
-//		if pe := supervise.Recovered(recover()); pe != nil {
-//			err = pe
-//		}
-//	}()
-//
-// It returns nil when there was no panic.
-func Recovered(r any) *PanicError {
-	if r == nil {
-		return nil
-	}
-	return AsPanicError(r)
-}

@@ -1,7 +1,6 @@
 package supervise
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -29,23 +28,5 @@ func TestAsPanicErrorPassthroughPreservesStack(t *testing.T) {
 	got := AsPanicError(orig)
 	if got != orig {
 		t.Fatal("re-wrapped an existing PanicError, losing the original stack")
-	}
-}
-
-func TestRecovered(t *testing.T) {
-	if Recovered(nil) != nil {
-		t.Error("Recovered(nil) != nil")
-	}
-	err := func() (err error) {
-		defer func() {
-			if pe := Recovered(recover()); pe != nil {
-				err = pe
-			}
-		}()
-		panic(errors.New("wrapped"))
-	}()
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
 	}
 }
