@@ -121,7 +121,9 @@ func ReadBench(r io.Reader, name string, lib *stdcell.Library, defaultPeriodPS f
 	var outputs []string
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// The buffer grows with the longest line, up to a 1 MiB cap: a small
+	// circuit does not pay for a megabyte per parse.
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -1,7 +1,9 @@
 package circuitgen
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -139,6 +141,26 @@ func TestReadBenchErrors(t *testing.T) {
 		if _, err := ReadBench(strings.NewReader(src), "bad", lib, 1000); err == nil {
 			t.Errorf("%s: ReadBench accepted invalid input", name)
 		}
+	}
+}
+
+// TestReadBenchLongLines: the scanner buffer grows on demand, so a line
+// far past bufio's 64 KiB default parses, and the 1 MiB line cap still
+// refuses anything longer.
+func TestReadBenchLongLines(t *testing.T) {
+	lib := stdcell.Default()
+	src := "INPUT(a)\nOUTPUT(y)\n# %s\ny = NOT(a)\n"
+	long := strings.Replace(src, "%s", strings.Repeat("x", 200<<10), 1)
+	n, err := ReadBench(strings.NewReader(long), "long", lib, 1000)
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if st := Summarize(n); st.Gates != 1 {
+		t.Errorf("200 KiB line: got %d gates, want 1", st.Gates)
+	}
+	tooLong := strings.Replace(src, "%s", strings.Repeat("x", 1<<20), 1)
+	if _, err := ReadBench(strings.NewReader(tooLong), "too-long", lib, 1000); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 1 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }
 

@@ -39,7 +39,10 @@ import (
 )
 
 // Type tags a record with its meaning. The journal itself treats
-// payloads as opaque bytes; the service layer defines the schemas.
+// payloads as opaque bytes; the service's job journal defines the
+// schemas of types 1–5. Types 10 and 11 were the run archive's index in
+// earlier builds; internal/trachive reads them only to fold such an
+// index into its meta files.
 type Type uint8
 
 const (
@@ -51,7 +54,8 @@ const (
 	TypeLevelDone Type = 3
 	// TypeRetired records one run's jobs reaching a terminal state.
 	TypeRetired Type = 4
-	// TypeCanceled records a single job canceled by its client.
+	// TypeCanceled records a single job canceled by its client or
+	// refused by the queue. Earlier builds wrote it; replay still reads it.
 	TypeCanceled Type = 5
 )
 

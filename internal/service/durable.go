@@ -9,11 +9,14 @@ package service
 //	             + its Metrics): the checkpoint granule resume is built
 //	             on. Budgeted (wall-clock-dependent) and truncated
 //	             levels are never checkpointed.
-//	retired    — a run's jobs reaching done/failed/canceled, with the
-//	             full result for done runs so a restarted daemon can
-//	             answer GET /result without recomputing.
-//	canceled   — a single job detached by DELETE, or refused by the
-//	             queue after its accepted record was written.
+//	retired    — a run's jobs reaching done/failed/canceled (a DELETE
+//	             and a queue refusal after the accepted record included),
+//	             with the full result for done runs so a restarted
+//	             daemon can answer GET /result without recomputing.
+//
+// Journals written by earlier builds also hold canceled records, one job
+// detached by DELETE or refused by the queue each; replay still reads
+// them.
 //
 // On startup the journal is replayed: retired jobs become queryable
 // terminal jobs again (complete cacheable results repopulate the LRU in
@@ -84,7 +87,9 @@ type recRetired struct {
 	Finished  time.Time  `json:"finished"`
 }
 
-// recCanceled records one job canceled by its client.
+// recCanceled is the canceled record earlier builds wrote for one job a
+// DELETE or a queue refusal retired. Nothing writes it now; replay reads
+// it as "canceled by client", without the cache key it never carried.
 type recCanceled struct {
 	JobID    string    `json:"job_id"`
 	RunID    string    `json:"run_id,omitempty"`

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -237,7 +238,8 @@ func TestReplayAnswersRetired(t *testing.T) {
 // failed-on-replay. The /incr/ checkpoint is never matched, and neither
 // is the other level's checkpoint under the base key that builds before
 // the tpid/v2 key domain derived for this request: both levels run through
-// runLevel.
+// runLevel. A second job's DELETE is in the journal as the canceled record
+// those builds wrote; it replays as canceled, not re-run.
 func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := journal.Open(dir, journal.Options{NoSync: true})
@@ -279,10 +281,15 @@ func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	accepted2 := bytes.Replace(accepted, []byte(`"old-1"`), []byte(`"old-2"`), 1)
+	canceled := []byte(`{"job_id":"old-2","finished":"2026-08-08T13:07:26Z"}`)
 	for _, r := range []struct {
 		typ     journal.Type
 		payload []byte
-	}{{journal.TypeAccepted, accepted}, {journal.TypeLevelDone, levelDone}, {journal.TypeLevelDone, levelDoneV1}} {
+	}{
+		{journal.TypeAccepted, accepted}, {journal.TypeLevelDone, levelDone}, {journal.TypeLevelDone, levelDoneV1},
+		{journal.TypeAccepted, accepted2}, {journal.TypeCanceled, canceled},
+	} {
 		if err := j.Append(r.typ, r.payload); err != nil {
 			t.Fatal(err)
 		}
@@ -303,6 +310,9 @@ func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	st := waitState(t, s, "old-1", StateDone)
 	if n := s.Stats().ReplayedJobs; n != 1 {
 		t.Fatalf("replayed_jobs = %d, want 1", n)
+	}
+	if c := getStatus(t, s, "old-2"); c.State != StateCanceled || c.Error != canceledByClient {
+		t.Fatalf("job canceled by a parent-format record: %+v", c)
 	}
 	if n := ran.Load(); n != 2 || st.ResumedLevels != 0 {
 		t.Fatalf("replayed job ran %d levels and resumed %d, want 2 and 0 (neither old checkpoint may match)",

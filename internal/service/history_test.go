@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -193,6 +195,63 @@ func TestHistoryArchiveAndQueryAPI(t *testing.T) {
 
 	shutdown(t, s)
 	waitGoroutines(t, before)
+}
+
+// TestHistoryArchiveWriteFailure: a run whose archive write fails still
+// answers its jobs. With <data-dir>/runs replaced by a regular file every
+// archive write fails with ENOTDIR; the job reads done with its result,
+// archive_errors reads 1 on /v1/stats and /metrics, /v1/runs does not
+// list the run, and once the directory is back a reopen succeeds.
+func TestHistoryArchiveWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	prom := telemetry.NewPromSink("tpid")
+	s := openDurable(t, dir, Options{Workers: 1, Sinks: []telemetry.Sink{prom}}, nil)
+	runs := filepath.Join(dir, "runs")
+	if err := os.Rename(runs, runs+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(runs, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, st := postJob(t, s, jobBody(t, "acme", 1))
+	waitState(t, s, st.ID, StateDone)
+	if code, res := getResult(t, s, st.ID); code != http.StatusOK || res == nil || !res.Complete {
+		t.Fatalf("result after a failed archive write = %d, %+v", code, res)
+	}
+	waitFor(t, func() bool { return s.Stats().ArchiveErrors > 0 })
+	code, resp := do(t, s, "GET", "/v1/stats", nil)
+	var stats Stats
+	if code != http.StatusOK || json.Unmarshal(resp, &stats) != nil || stats.ArchiveErrors != 1 || stats.RunsArchived != 0 {
+		t.Fatalf("GET /v1/stats = %d: %s", code, resp)
+	}
+	rec := httptest.NewRecorder()
+	prom.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if want := regexp.MustCompile(`(?m)^tpid_service_archive_errors_total\{[^}]*\} 1$`); !want.MatchString(rec.Body.String()) {
+		t.Fatalf("/metrics has no archive_errors of 1:\n%s", rec.Body.String())
+	}
+	if runs := listRuns(t, s, ""); len(runs) != 0 {
+		t.Fatalf("GET /v1/runs lists %+v after a failed archive write", runs)
+	}
+	if code, _ := do(t, s, "GET", "/v1/runs/"+st.RunID, nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/runs/%s = %d, want 404", st.RunID, code)
+	}
+	shutdown(t, s)
+
+	if err := os.Remove(runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(runs+".aside", runs); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openDurable(t, dir, Options{Workers: 1}, nil)
+	defer shutdown(t, s2)
+	if got := getStatus(t, s2, st.ID); got.State != StateDone {
+		t.Fatalf("job after the reopen: %+v", got)
+	}
+	_, st2 := postJob(t, s2, budgetBody(t, "acme", 1))
+	waitState(t, s2, st2.ID, StateDone)
+	waitArchived(t, s2, st2.RunID)
 }
 
 // atPlaceStart returns a sink that calls f when a place span opens. A

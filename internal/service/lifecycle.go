@@ -10,8 +10,7 @@ package service
 //	             job (an in-flight twin's run, the result cache, or a new
 //	             run on the queue).
 //	checkpoint — one level of a run completed: the level-done record.
-//	retire     — jobs reach a terminal state: the retired record, or the
-//	             compact canceled record for one job leaving alone.
+//	retire     — jobs reach a terminal state: the retired record.
 //
 // Nothing else assigns a terminal state, appends these records, or bumps
 // the jobs_done/failed/canceled counters. Compaction (durable.go) is the
@@ -83,7 +82,7 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 		}
 		// Fast-fail an obviously full queue before paying a journal fsync
 		// for a job that will bounce with 429 anyway (the race with Push
-		// below is compensated by a canceled record).
+		// below is compensated by a retired record).
 		s.mu.Lock()
 		_, coalescible := s.inflight[comp.key]
 		s.mu.Unlock()
@@ -150,14 +149,12 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 
 	switch {
 	case refused != nil:
-		// The job never ran: compensate its accepted record. Nobody can
-		// query a fresh submission's verdict, so the compact record is
-		// enough; a replayed one keeps the reason.
+		// The job never ran: compensate its accepted record.
 		msg := refused.Error()
 		if replay {
 			msg = "replay: " + msg
 		}
-		s.retire([]*Job{job}, outcome{state: StateCanceled, errMsg: msg, compact: !replay})
+		s.retire([]*Job{job}, outcome{state: StateCanceled, errMsg: msg})
 		if errors.Is(refused, ErrQueueFull) {
 			return job, admitQueueFull
 		}
@@ -468,11 +465,6 @@ type outcome struct {
 	errMsg   string
 	result   *encodedResult // StateDone only
 	cacheHit bool           // answered from the result cache: no flow ran
-	// compact journals the retirement as one canceled record per job
-	// instead of a retired record. foldRecords reads a canceled record
-	// back as "canceled by client", so it suits a DELETE and a job whose
-	// verdict nobody can query.
-	compact bool
 }
 
 const canceledByClient = "canceled by client"
@@ -534,16 +526,10 @@ func (s *Server) retire(jobs []*Job, out outcome) int {
 
 	if len(journaled) > 0 {
 		first := retired[0] // jobs retired together share a run, hence key and run id
-		if out.compact {
-			for _, id := range journaled {
-				s.appendRecord(journal.TypeCanceled, &recCanceled{JobID: id, RunID: first.runID, Finished: now})
-			}
-		} else {
-			s.appendRecord(journal.TypeRetired, &recRetired{
-				JobIDs: journaled, RunID: first.runID, State: out.state, Error: out.errMsg,
-				CacheKey: first.Key, Cacheable: first.cacheable, Result: out.result.value(), Finished: now,
-			})
-		}
+		s.appendRecord(journal.TypeRetired, &recRetired{
+			JobIDs: journaled, RunID: first.runID, State: out.state, Error: out.errMsg,
+			CacheKey: first.Key, Cacheable: first.cacheable, Result: out.result.value(), Finished: now,
+		})
 	}
 	if gated {
 		s.jgate.RUnlock()

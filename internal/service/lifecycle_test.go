@@ -79,7 +79,6 @@ func TestLifecycleTable(t *testing.T) {
 	const (
 		acc = journal.TypeAccepted
 		ret = journal.TypeRetired
-		can = journal.TypeCanceled
 	)
 	const blocks = 1 // the stub flow runs this level until released or canceled
 	type env struct {
@@ -141,7 +140,7 @@ func TestLifecycleTable(t *testing.T) {
 				return map[string]State{"a": StateDone}
 			},
 			stats:   counts{done: 1, rejected: 1, flows: 1},
-			records: []journal.Type{acc, acc, can, ret},
+			records: []journal.Type{acc, acc, ret, ret},
 		},
 	}
 

@@ -608,17 +608,10 @@ func (l *modelLife) check(tb testing.TB, m *model, dir, step string) {
 	}
 }
 
-// canonicalState is a state's JSON with its jobs in id order. A canceled
-// record does not carry the job's cache key, so a job its client canceled
-// is compared without it.
+// canonicalState is a state's JSON with its jobs in id order.
 func canonicalState(st *snapState) string {
 	sort.Slice(st.Pending, func(a, b int) bool { return st.Pending[a].JobID < st.Pending[b].JobID })
 	sort.Slice(st.Retired, func(a, b int) bool { return st.Retired[a].JobID < st.Retired[b].JobID })
-	for i := range st.Retired {
-		if r := &st.Retired[i]; r.Error == canceledByClient {
-			r.CacheKey, r.Cacheable = "", false
-		}
-	}
 	if len(st.Pending) == 0 {
 		st.Pending = nil // an empty list and none fold alike
 	}

@@ -466,7 +466,6 @@ func Open(opt Options) (*Server, error) {
 			arch, err := trachive.Open(filepath.Join(s.opt.DataDir, "runs"), trachive.Options{
 				BudgetBytes: s.opt.HistoryBudgetBytes,
 				MaxRuns:     s.opt.HistoryRuns,
-				NoSync:      s.opt.journalNoSync,
 			})
 			if err != nil {
 				j.Close()
@@ -780,7 +779,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if job == nil {
 		return
 	}
-	if s.retire([]*Job{job}, outcome{state: StateCanceled, errMsg: canceledByClient, compact: true}) > 0 {
+	if s.retire([]*Job{job}, outcome{state: StateCanceled, errMsg: canceledByClient}) > 0 {
 		s.opt.Log.Info("job canceled by client", "job_id", job.ID, "tenant", job.Tenant)
 	}
 	s.writeStatus(w, http.StatusOK, job)

@@ -1,30 +1,37 @@
 // Package trachive is tpid's run-history trace archive: when a run
 // retires, the service persists its full span trace (gzip NDJSON) and
-// its metadata into <data-dir>/runs/, indexed by a crash-safe journal
-// (internal/journal) so a SIGKILL between the trace write and the index
-// append costs at most that one run. The archive stores runs; it does
+// its metadata into <data-dir>/runs/. The archive stores runs; it does
 // not compare them. Two archived traces are compared offline with
 // `tracestat BASE CUR`.
 //
-// On-disk layout under the archive directory:
+// The directory is its own index. On-disk layout:
 //
-//	index/            journal of archived/evicted records + snapshots
 //	<run_id>.trace.ndjson.gz   the run's full event stream
 //	<run_id>.pprof             optional per-run CPU profile
+//	<run_id>.meta.json         the run's Meta: the commit point
 //
-// Artifact files are written tmp+rename before the index append, so
-// the journal never references a torn file; conversely an artifact
-// whose index append was lost is an orphan and Open deletes it.
-// Retention is budgeted by bytes and run count, evicting oldest first
-// but never the newest run.
+// Every file is written tmp+fsync+rename. The meta file is written last
+// and removed first (on eviction, and before a re-archived run replaces
+// its files), so a crash can leave artifacts without a meta, never a
+// meta without its artifacts. Open lists the directory once, loads
+// every meta file, and deletes artifacts no meta names and stray .tmp
+// files. Retention is budgeted by bytes and run count, evicting oldest
+// first but never the newest run.
+//
+// Builds before this layout indexed the runs in a journal under index/;
+// Open folds such an index into meta files once and removes it.
 package trachive
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,13 +39,6 @@ import (
 
 	"tpilayout/internal/journal"
 	"tpilayout/internal/telemetry"
-)
-
-// Journal record types private to the archive index (the journal treats
-// payloads as opaque; types 1–5 belong to the service's job journal).
-const (
-	typeArchived journal.Type = 10 // payload: JSON Meta
-	typeEvicted  journal.Type = 11 // payload: run_id bytes
 )
 
 // Meta is one archived run's metadata — everything the query API can
@@ -75,11 +75,6 @@ type Options struct {
 	// MaxRuns caps the number of retained runs; 0 means 512, negative
 	// disables the count budget.
 	MaxRuns int
-	// NoSync skips index fsyncs (tests only).
-	NoSync bool
-	// CompactBytes is the index-size threshold that triggers snapshot
-	// compaction (default 1 MiB).
-	CompactBytes int64
 }
 
 // Archive is an open run-history store. Safe for concurrent use.
@@ -88,26 +83,24 @@ type Archive struct {
 	opt Options
 
 	mu      sync.Mutex
-	jrnl    *journal.Journal
 	runs    map[string]*Meta
 	order   []string // run IDs by ascending Seq (eviction order)
 	seq     uint64
 	bytes   int64 // summed artifact bytes of retained runs
 	evicted int64 // lifetime eviction count (since Open)
-	dropped int64 // index entries dropped at Open for missing files
+	dropped int64 // meta files dropped at Open
 }
 
-// snapState is the index snapshot written at compaction.
-type snapState struct {
-	Seq  uint64  `json:"seq"`
-	Runs []*Meta `json:"runs"`
-}
+const (
+	traceSuffix   = ".trace.ndjson.gz"
+	profileSuffix = ".pprof"
+	metaSuffix    = ".meta.json"
+)
 
-// Open replays the archive index in dir (creating the directory if
-// needed), drops entries whose trace file is missing (a crash between
-// eviction's file removal and its index append), and deletes orphaned
-// artifact files the index does not reference (a crash between an
-// artifact write and its index append).
+// Open loads the archive in dir, creating the directory if needed. A
+// meta file that does not decode, names another run or has no trace
+// file is removed and counted in Stats.Dropped; artifact files no meta
+// names (a crash mid-Put or mid-eviction) and .tmp files are deleted.
 func Open(dir string, opt Options) (*Archive, error) {
 	if opt.BudgetBytes == 0 {
 		opt.BudgetBytes = 512 << 20
@@ -115,228 +108,211 @@ func Open(dir string, opt Options) (*Archive, error) {
 	if opt.MaxRuns == 0 {
 		opt.MaxRuns = 512
 	}
-	if opt.CompactBytes <= 0 {
-		opt.CompactBytes = 1 << 20
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trachive: %w", err)
 	}
-	jrnl, records, err := journal.Open(filepath.Join(dir, "index"), journal.Options{NoSync: opt.NoSync})
+	if err := foldParentIndex(dir); err != nil {
+		return nil, err
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("trachive: %w", err)
 	}
-	a := &Archive{dir: dir, opt: opt, jrnl: jrnl, runs: map[string]*Meta{}}
-	for _, rec := range records {
-		switch rec.Type {
-		case journal.TypeSnapshot:
-			var st snapState
-			if err := json.Unmarshal(rec.Data, &st); err != nil {
-				jrnl.Close()
-				return nil, fmt.Errorf("trachive: corrupt snapshot: %w", err)
-			}
-			a.runs = map[string]*Meta{}
-			a.seq = st.Seq
-			for _, m := range st.Runs {
-				a.runs[m.RunID] = m
-			}
-		case typeArchived:
-			var m Meta
-			if err := json.Unmarshal(rec.Data, &m); err != nil {
-				jrnl.Close()
-				return nil, fmt.Errorf("trachive: corrupt index record: %w", err)
-			}
-			a.runs[m.RunID] = &m
-			if m.Seq > a.seq {
-				a.seq = m.Seq
-			}
-		case typeEvicted:
-			delete(a.runs, string(rec.Data))
-		}
+	names := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		names[e.Name()] = true
 	}
-	// An index entry whose trace file is gone cannot be served: drop it.
-	for id := range a.runs {
-		if _, err := os.Stat(a.tracePath(id)); err != nil {
-			delete(a.runs, id)
+	a := &Archive{dir: dir, opt: opt, runs: map[string]*Meta{}}
+	for _, e := range entries {
+		id, ok := strings.CutSuffix(e.Name(), metaSuffix)
+		if !ok {
+			continue
+		}
+		var m Meta
+		data, err := os.ReadFile(a.path(id, metaSuffix))
+		if err != nil || json.Unmarshal(data, &m) != nil || m.RunID != id || !names[id+traceSuffix] {
+			os.Remove(a.path(id, metaSuffix))
 			a.dropped++
+			continue
 		}
+		a.runs[id] = &m
+		a.order = append(a.order, id)
+		a.bytes += m.TraceBytes + m.ProfileBytes
+		a.seq = max(a.seq, m.Seq)
 	}
-	a.rebuildOrderLocked()
-	// Artifact files the index does not reference are orphans from a
-	// crash mid-Put (or temp files): delete them.
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			var id string
-			switch {
-			case strings.HasSuffix(name, ".tmp"):
-				os.Remove(filepath.Join(dir, name))
-				continue
-			case strings.HasSuffix(name, traceSuffix):
-				id = strings.TrimSuffix(name, traceSuffix)
-			case strings.HasSuffix(name, profileSuffix):
-				id = strings.TrimSuffix(name, profileSuffix)
-			default:
-				continue
-			}
-			if _, ok := a.runs[id]; !ok {
-				os.Remove(filepath.Join(dir, name))
-			}
+	sort.SliceStable(a.order, func(i, j int) bool { return a.runs[a.order[i]].Seq < a.runs[a.order[j]].Seq })
+	for _, e := range entries {
+		name := e.Name()
+		id, ok := strings.CutSuffix(name, traceSuffix)
+		if !ok {
+			id, ok = strings.CutSuffix(name, profileSuffix)
+		}
+		if strings.HasSuffix(name, ".tmp") || ok && a.runs[id] == nil {
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
 	return a, nil
 }
 
+// Builds before the meta files indexed the archive in a journal under
+// dir/index: an optional snapshot record holding {"seq", "runs": [Meta]},
+// then records of these types.
 const (
-	traceSuffix   = ".trace.ndjson.gz"
-	profileSuffix = ".pprof"
+	parentArchived journal.Type = 10 // payload: JSON Meta
+	parentEvicted  journal.Type = 11 // payload: run_id bytes
 )
 
-func (a *Archive) tracePath(runID string) string {
-	return filepath.Join(a.dir, runID+traceSuffix)
-}
-
-func (a *Archive) profilePath(runID string) string {
-	return filepath.Join(a.dir, runID+profileSuffix)
-}
-
-// rebuildOrderLocked recomputes eviction order and the byte total from
-// the live run set.
-func (a *Archive) rebuildOrderLocked() {
-	a.order = a.order[:0]
-	a.bytes = 0
-	for id, m := range a.runs {
-		a.order = append(a.order, id)
-		a.bytes += m.TraceBytes + m.ProfileBytes
+// foldParentIndex writes a meta file for every run a parent build's
+// index still lists with its trace on disk, then removes the index. A
+// crash part-way leaves the index in place, and the next Open folds it
+// again into the same meta files.
+func foldParentIndex(dir string) error {
+	idx := filepath.Join(dir, "index")
+	recs, err := journal.Read(idx)
+	if err != nil {
+		return fmt.Errorf("trachive: reading parent index: %w", err)
 	}
-	sort.Slice(a.order, func(i, j int) bool { return a.runs[a.order[i]].Seq < a.runs[a.order[j]].Seq })
+	runs := map[string]*Meta{}
+	for _, rec := range recs {
+		switch rec.Type {
+		case journal.TypeSnapshot:
+			var snap struct {
+				Runs []*Meta `json:"runs"`
+			}
+			if json.Unmarshal(rec.Data, &snap) == nil {
+				runs = map[string]*Meta{}
+				for _, m := range snap.Runs {
+					if m != nil {
+						runs[m.RunID] = m
+					}
+				}
+			}
+		case parentArchived:
+			var m Meta
+			if json.Unmarshal(rec.Data, &m) == nil {
+				runs[m.RunID] = &m
+			}
+		case parentEvicted:
+			delete(runs, string(rec.Data))
+		}
+	}
+	for id, m := range runs {
+		if _, err := os.Stat(filepath.Join(dir, id+traceSuffix)); err != nil {
+			continue
+		}
+		data, err := json.Marshal(m)
+		if err != nil {
+			return fmt.Errorf("trachive: %w", err)
+		}
+		if err := writeFileDurable(filepath.Join(dir, id+metaSuffix), data); err != nil {
+			return err
+		}
+	}
+	if err := os.RemoveAll(idx); err != nil {
+		return fmt.Errorf("trachive: %w", err)
+	}
+	return nil
 }
 
-// Put archives one run: the trace is gzipped to disk, the optional
-// profile written beside it, and the meta appended to the index — in
-// that order, so the index never references a missing file. The
-// archive takes ownership of meta (Seq and size fields are filled in).
-// A re-archived run_id (a crash-replayed run retiring again) replaces
-// its previous entry. Retention is enforced before returning.
+func (a *Archive) path(runID, suffix string) string {
+	return filepath.Join(a.dir, runID+suffix)
+}
+
+// Put archives one run: the gzipped trace, the optional profile beside
+// it, then the meta file that commits them. The archive takes ownership
+// of meta (Seq and size fields are filled in). A re-archived run_id (a
+// crash-replayed run retiring again) first loses its previous entry.
+// Retention is enforced before returning.
 func (a *Archive) Put(meta *Meta, events []telemetry.Event, profile []byte) error {
 	if meta.RunID == "" {
 		return fmt.Errorf("trachive: empty run_id")
 	}
-	n, err := a.writeTrace(meta.RunID, events)
+	a.mu.Lock()
+	var err error
+	if _, ok := a.runs[meta.RunID]; ok {
+		err = a.removeLocked(meta.RunID)
+	}
+	a.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	meta.Events = len(events)
-	meta.TraceBytes = n
-	meta.ProfileBytes = 0
+
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	enc := json.NewEncoder(gz) // Encode appends the newline NDJSON needs
+	for i := range events {
+		if err := enc.Encode(&events[i]); err != nil {
+			return fmt.Errorf("trachive: %w", err)
+		}
+	}
+	if err := gz.Close(); err != nil {
+		return fmt.Errorf("trachive: %w", err)
+	}
+	if err := writeFileDurable(a.path(meta.RunID, traceSuffix), buf.Bytes()); err != nil {
+		return err
+	}
+	meta.Events, meta.TraceBytes, meta.ProfileBytes = len(events), int64(buf.Len()), int64(len(profile))
 	if len(profile) > 0 {
-		if err := writeFileDurable(a.profilePath(meta.RunID), profile); err != nil {
+		if err := writeFileDurable(a.path(meta.RunID, profileSuffix), profile); err != nil {
 			return err
 		}
-		meta.ProfileBytes = int64(len(profile))
 	}
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.runs[meta.RunID]; ok && meta.ProfileBytes == 0 {
-		// The replacement has no profile: drop the stale one.
-		os.Remove(a.profilePath(meta.RunID))
-	}
 	a.seq++
 	meta.Seq = a.seq
 	data, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("trachive: %w", err)
 	}
-	if err := a.jrnl.Append(typeArchived, data); err != nil {
-		// The artifact stays on disk as an orphan; the next Open cleans
-		// it up. The in-memory index stays consistent with the journal.
+	if err := writeFileDurable(a.path(meta.RunID, metaSuffix), data); err != nil {
+		// The artifacts stay on disk with no meta; the next Open deletes them.
 		return err
 	}
-	_, existed := a.runs[meta.RunID]
 	a.runs[meta.RunID] = meta
-	if existed {
-		// The fresh Seq moves the replaced entry to the tail; the byte
-		// total is recomputed over the new entry set.
-		a.rebuildOrderLocked()
-	} else {
-		a.order = append(a.order, meta.RunID)
-		a.bytes += meta.TraceBytes + meta.ProfileBytes
-	}
-	if err := a.enforceRetentionLocked(); err != nil {
-		return err
-	}
-	if a.jrnl.Size() >= a.opt.CompactBytes {
-		a.compactLocked()
-	}
-	return nil
+	a.order = append(a.order, meta.RunID)
+	a.bytes += meta.TraceBytes + meta.ProfileBytes
+	return a.enforceRetentionLocked()
 }
 
-// writeTrace streams events as gzip NDJSON via tmp+rename.
-func (a *Archive) writeTrace(runID string, events []telemetry.Event) (int64, error) {
-	tmp := a.tracePath(runID) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("trachive: %w", err)
-	}
-	gz := gzip.NewWriter(f)
-	enc := json.NewEncoder(gz) // Encode appends the newline NDJSON needs
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return 0, fmt.Errorf("trachive: %w", err)
-		}
-	}
-	if err := gz.Close(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("trachive: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("trachive: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("trachive: %w", err)
-	}
-	fi, err := os.Stat(tmp)
-	if err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("trachive: %w", err)
-	}
-	if err := os.Rename(tmp, a.tracePath(runID)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("trachive: %w", err)
-	}
-	return fi.Size(), nil
-}
-
+// writeFileDurable writes data to path via tmp+fsync+rename, so a torn
+// write is never visible under the final name.
 func writeFileDurable(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("trachive: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("trachive: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	return nil
+}
+
+// removeLocked deletes one run, its meta file first: a crash part-way
+// leaves artifacts without a meta, which the next Open sweeps.
+func (a *Archive) removeLocked(runID string) error {
+	if err := os.Remove(a.path(runID, metaSuffix)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("trachive: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trachive: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trachive: %w", err)
-	}
+	os.Remove(a.path(runID, traceSuffix))
+	os.Remove(a.path(runID, profileSuffix))
+	m := a.runs[runID]
+	delete(a.runs, runID)
+	a.order = slices.DeleteFunc(a.order, func(id string) bool { return id == runID })
+	a.bytes -= m.TraceBytes + m.ProfileBytes
 	return nil
 }
 
@@ -344,40 +320,15 @@ func writeFileDurable(path string, data []byte) error {
 // always keeping the newest run: a single oversized run is better
 // retained than an empty archive.
 func (a *Archive) enforceRetentionLocked() error {
-	for len(a.order) > 1 {
-		over := (a.opt.MaxRuns > 0 && len(a.order) > a.opt.MaxRuns) ||
-			(a.opt.BudgetBytes > 0 && a.bytes > a.opt.BudgetBytes)
-		if !over {
-			return nil
-		}
-		id := a.order[0]
-		m := a.runs[id]
-		// Files first, index second: a crash in between leaves an index
-		// entry with a missing file, which Open drops — never a live
-		// entry pointing at freed space that retention still counts.
-		os.Remove(a.tracePath(id))
-		os.Remove(a.profilePath(id))
-		if err := a.jrnl.Append(typeEvicted, []byte(id)); err != nil {
+	for len(a.order) > 1 &&
+		((a.opt.MaxRuns > 0 && len(a.order) > a.opt.MaxRuns) ||
+			(a.opt.BudgetBytes > 0 && a.bytes > a.opt.BudgetBytes)) {
+		if err := a.removeLocked(a.order[0]); err != nil {
 			return err
 		}
-		a.order = a.order[1:]
-		a.bytes -= m.TraceBytes + m.ProfileBytes
-		delete(a.runs, id)
 		a.evicted++
 	}
 	return nil
-}
-
-// compactLocked folds the index into one snapshot record; best effort
-// (a failed compaction leaves the segments in place).
-func (a *Archive) compactLocked() {
-	st := snapState{Seq: a.seq, Runs: make([]*Meta, 0, len(a.order))}
-	for _, id := range a.order {
-		st.Runs = append(st.Runs, a.runs[id])
-	}
-	if data, err := json.Marshal(&st); err == nil {
-		a.jrnl.Compact(data)
-	}
 }
 
 // Get returns the archived meta for one run.
@@ -396,7 +347,7 @@ func (a *Archive) OpenTrace(runID string) (*os.File, error) {
 	if !ok {
 		return nil, os.ErrNotExist
 	}
-	return os.Open(a.tracePath(runID))
+	return os.Open(a.path(runID, traceSuffix))
 }
 
 // OpenProfile opens the archived per-run CPU profile, os.ErrNotExist
@@ -408,7 +359,7 @@ func (a *Archive) OpenProfile(runID string) (*os.File, error) {
 	if !ok || m.ProfileBytes == 0 {
 		return nil, os.ErrNotExist
 	}
-	return os.Open(a.profilePath(runID))
+	return os.Open(a.path(runID, profileSuffix))
 }
 
 // Filter selects archived runs. Hash fields match by prefix so clients
@@ -474,9 +425,6 @@ func (a *Archive) Stats() Stats {
 	return Stats{Runs: len(a.order), Bytes: a.bytes, Evicted: a.evicted, Dropped: a.dropped}
 }
 
-// Close closes the index journal. Artifact files need no teardown.
-func (a *Archive) Close() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.jrnl.Close()
-}
+// Close is a no-op: every Put is durable when it returns, and the
+// archive holds no open file.
+func (a *Archive) Close() error { return nil }

@@ -2,12 +2,14 @@ package trachive
 
 import (
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"tpilayout/internal/journal"
 	"tpilayout/internal/telemetry"
 )
 
@@ -37,9 +39,9 @@ func metaFor(runID, state string) *Meta {
 	return m
 }
 
-func openT(t *testing.T, dir string) *Archive {
+func openT(t testing.TB, dir string) *Archive {
 	t.Helper()
-	a, err := Open(dir, Options{NoSync: true})
+	a, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -101,8 +103,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 // TestRecoverWithoutClose simulates a SIGKILL: the first archive is
-// abandoned (no Close, journal not compacted) and a fresh Open on the
-// same directory must recover every archived run.
+// abandoned without Close, and a fresh Open on the same directory must
+// recover every archived run.
 func TestRecoverWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	a := openT(t, dir)
@@ -130,9 +132,10 @@ func TestRecoverWithoutClose(t *testing.T) {
 	}
 }
 
-// TestReopenDropsTornEntries: an index entry whose trace file vanished
-// (crash between eviction's unlink and its index append) is dropped at
-// Open, and unreferenced artifact files are deleted as orphans.
+// TestReopenDropsTornEntries: a meta file whose trace vanished (an
+// operator rm, a disk loss), one that does not decode and one that names
+// another run are dropped at Open; artifact files no meta names, and
+// temp files, are deleted as orphans.
 func TestReopenDropsTornEntries(t *testing.T) {
 	dir := t.TempDir()
 	a := openT(t, dir)
@@ -142,12 +145,27 @@ func TestReopenDropsTornEntries(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
+	write := func(name string, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Tear r1: remove its trace file behind the archive's back.
 	os.Remove(filepath.Join(dir, "r1"+traceSuffix))
+	// A meta that does not decode, and one holding r2's meta under
+	// another run's name, each beside a trace.
+	r2meta, err := os.ReadFile(filepath.Join(dir, "r2"+metaSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write("junk"+metaSuffix, []byte("{"))
+	write("junk"+traceSuffix, []byte("x"))
+	write("alias"+metaSuffix, r2meta)
+	write("alias"+traceSuffix, []byte("x"))
 	// Plant an orphan trace, an orphan profile, and a stale temp file.
-	os.WriteFile(filepath.Join(dir, "ghost"+traceSuffix), []byte("x"), 0o644)
-	os.WriteFile(filepath.Join(dir, "ghost"+profileSuffix), []byte("x"), 0o644)
-	os.WriteFile(filepath.Join(dir, "r9"+traceSuffix+".tmp"), []byte("x"), 0o644)
+	write("ghost"+traceSuffix, []byte("x"))
+	write("ghost"+profileSuffix, []byte("x"))
+	write("r9"+traceSuffix+".tmp", []byte("x"))
 
 	b := openT(t, dir)
 	defer b.Close()
@@ -158,19 +176,24 @@ func TestReopenDropsTornEntries(t *testing.T) {
 		t.Fatal("intact r2 lost")
 	}
 	st := b.Stats()
-	if st.Runs != 1 || st.Dropped != 1 {
+	if st.Runs != 1 || st.Dropped != 3 {
 		t.Fatalf("stats: %+v", st)
 	}
-	for _, name := range []string{"ghost" + traceSuffix, "ghost" + profileSuffix, "r9" + traceSuffix + ".tmp"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("orphan %s not cleaned", name)
+	for _, id := range []string{"r1", "junk", "alias", "ghost"} {
+		for _, suffix := range []string{metaSuffix, traceSuffix, profileSuffix} {
+			if _, err := os.Stat(filepath.Join(dir, id+suffix)); !os.IsNotExist(err) {
+				t.Errorf("%s%s not cleaned", id, suffix)
+			}
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "r9"+traceSuffix+".tmp")); !os.IsNotExist(err) {
+		t.Error("temp file not cleaned")
 	}
 }
 
 func TestRetentionByCount(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Open(dir, Options{NoSync: true, MaxRuns: 2})
+	a, err := Open(dir, Options{MaxRuns: 2})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -201,7 +224,7 @@ func TestRetentionByBytesKeepsNewest(t *testing.T) {
 	dir := t.TempDir()
 	// A budget smaller than any single trace: every Put evicts its
 	// predecessor, but the newest run always survives.
-	a, err := Open(dir, Options{NoSync: true, BudgetBytes: 1, MaxRuns: -1})
+	a, err := Open(dir, Options{BudgetBytes: 1, MaxRuns: -1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -269,29 +292,58 @@ func TestListFilters(t *testing.T) {
 	}
 }
 
-// TestCompaction: enough Puts to cross CompactBytes fold the index into
-// a snapshot, and a reopen on the compacted index still sees every run.
-func TestCompaction(t *testing.T) {
+// TestOpenFoldsParentIndex: a directory whose runs a parent build
+// indexed in a journal (a snapshot, then archived and evicted records)
+// opens with the runs that index still listed, in the same order, and
+// without the journal; the sequence carries on from the folded runs.
+func TestOpenFoldsParentIndex(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Open(dir, Options{NoSync: true, CompactBytes: 1}) // compact after every Put
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	a := openT(t, dir)
 	events := runEvents(1, 5e8)
-	for i := 0; i < 5; i++ {
-		if err := a.Put(metaFor(fmt.Sprintf("r%d", i), "done"), events, nil); err != nil {
+	var metas []*Meta
+	for i := 0; i < 3; i++ {
+		m := metaFor(fmt.Sprintf("r%d", i), "done")
+		if err := a.Put(m, events, nil); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
+		metas = append(metas, m)
+		os.Remove(filepath.Join(dir, m.RunID+metaSuffix))
 	}
-	a.Close()
+	idx, _, err := journal.Open(filepath.Join(dir, "index"), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := json.Marshal(map[string]any{"seq": 2, "runs": metas[:2]})
+	r2, _ := json.Marshal(metas[2])
+	if err := idx.Compact(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Append(parentArchived, r2); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Append(parentEvicted, []byte("r0")); err != nil {
+		t.Fatal(err)
+	}
+	idx.Close()
 
 	b := openT(t, dir)
-	defer b.Close()
-	if st := b.Stats(); st.Runs != 5 {
-		t.Fatalf("after compacted reopen: %+v", st)
+	if runs := b.List(Filter{}); len(runs) != 2 || runs[0].RunID != "r2" || runs[1].RunID != "r1" {
+		t.Fatalf("list after the fold: %+v", runs)
 	}
-	if runs := b.List(Filter{}); len(runs) != 5 || runs[0].RunID != "r4" {
-		t.Fatalf("list after compaction: %+v", runs)
+	for _, name := range []string{"index", "r0" + traceSuffix} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived the fold", name)
+		}
+	}
+	m := metaFor("r3", "done")
+	if err := b.Put(m, events, nil); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if m.Seq <= metas[2].Seq {
+		t.Fatalf("new run seq %d, folded runs end at %d", m.Seq, metas[2].Seq)
+	}
+	if runs := openT(t, dir).List(Filter{}); len(runs) != 3 || runs[0].RunID != "r3" {
+		t.Fatalf("list after a reopen: %+v", runs)
 	}
 }
 
@@ -320,4 +372,50 @@ func TestReplacedRun(t *testing.T) {
 	if _, err := a.OpenProfile("r1"); !os.IsNotExist(err) {
 		t.Fatalf("stale profile survived replacement: %v", err)
 	}
+}
+
+// FuzzArchiveOpen: meta files are bytes read back from disk. Arbitrary
+// bytes as one run's meta file, beside one intact run, must never make
+// Open fail or panic, and never cost the intact run. The seed is a real
+// Put's meta.
+func FuzzArchiveOpen(f *testing.F) {
+	src := f.TempDir()
+	a := openT(f, src)
+	for _, id := range []string{"good", "fz"} {
+		if err := a.Put(metaFor(id, "done"), runEvents(1, 5e8), nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	files := map[string][]byte{}
+	for _, name := range []string{"good" + traceSuffix, "good" + metaSuffix, "fz" + traceSuffix, "fz" + metaSuffix} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		files[name] = data
+	}
+	f.Add(files["fz"+metaSuffix])
+	f.Add(files["good"+metaSuffix])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for name, b := range files {
+			if name == "fz"+metaSuffix {
+				b = data
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		var listed bool
+		for _, m := range b.List(Filter{}) {
+			listed = listed || m.RunID == "good"
+		}
+		if _, ok := b.Get("good"); !ok || !listed {
+			t.Fatalf("intact run lost: listed=%v, stats %+v", listed, b.Stats())
+		}
+	})
 }
