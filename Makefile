@@ -28,7 +28,11 @@ race:
 #              daemon.
 #   history:   the same budgeted job (atpg_budget_ms makes it
 #              non-cacheable, so the repeat executes a real flow) runs
-#              twice; both runs must be archived, the archived trace must
+#              twice; both runs must be archived. The first job's
+#              /events, captured live from its submission on, must `cmp`
+#              equal to its /events read once its run is archived, which
+#              the archive then serves as the one copy of its events. The
+#              archived trace must
 #              gunzip and pass tracestat via stdin, the two downloaded
 #              traces must compare clean with `tracestat BASE CUR` (the
 #              one run comparison; -max-regress 75 keeps shared-CI timing
@@ -113,6 +117,7 @@ daemon-smoke:
 	for attempt in 1 2; do \
 		id=$$(curl -sf -X POST -d "$$body" $$url/v1/jobs | field id); \
 		test -n "$$id" || fail "submission $$attempt rejected"; \
+		if test $$attempt = 1; then curl -sN $$url/v1/jobs/$$id/events >daemon-smoke-events-live.txt & evpid=$$!; fi; \
 		await_result $$id /dev/null || fail "job $$attempt never finished"; \
 		run=$$(curl -sf $$url/v1/jobs/$$id | field run_id); \
 		test -n "$$run" || fail "job $$attempt carries no run_id (cache hit?)"; \
@@ -121,6 +126,13 @@ daemon-smoke:
 		done; \
 		test $$arch = 1 || fail "run $$run never archived"; \
 		curl -sf $$url/v1/runs/$$run/trace -o daemon-smoke-run$$attempt.trace.gz || fail "run $$run has no archived trace"; \
+		if test $$attempt = 1; then \
+			wait $$evpid || fail "the live /events capture failed"; \
+			grep -q '^id: 0$$' daemon-smoke-events-live.txt || fail "the live /events carried no frames" cat daemon-smoke-events-live.txt; \
+			curl -sfN $$url/v1/jobs/$$id/events -o daemon-smoke-events-archived.txt || fail "no /events for the archived run"; \
+			cmp daemon-smoke-events-live.txt daemon-smoke-events-archived.txt \
+				|| fail "the archived run's /events differs from its live stream" diff daemon-smoke-events-live.txt daemon-smoke-events-archived.txt; \
+		fi; \
 		echo "daemon-smoke[$$phase]: run $$attempt archived as $$run"; \
 	done; \
 	gunzip -c daemon-smoke-run2.trace.gz | ./tracestat-smoke - >daemon-smoke-trace-stat.txt \

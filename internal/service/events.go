@@ -13,7 +13,10 @@ import (
 // — a subscriber that connects mid-run (or a coalesced submission that
 // attached after the flow started) still sees the trace from its first
 // event, so the NDJSON a client collects over SSE always parses as a
-// balanced span tree.
+// balanced span tree. Once the run is archived its record lets go of
+// the broadcaster (runRecord.retained) and a retired job's stream is
+// read back from the archive; a subscriber already streaming keeps the
+// broadcaster it captured until it has read every event.
 type broadcaster struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -74,14 +77,4 @@ func (b *broadcaster) next(ctx context.Context, from int) (tail []telemetry.Even
 		}
 		b.cond.Wait()
 	}
-}
-
-// snapshot returns all events retained so far. The archive calls it at
-// retirement, after Close, to persist the run's full trace. Retention
-// survives closing: the broadcaster lives in the run's record, so every
-// retained job still replays its run's stream over SSE.
-func (b *broadcaster) snapshot() []telemetry.Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]telemetry.Event(nil), b.events...)
 }

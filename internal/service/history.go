@@ -47,9 +47,13 @@ func (s *Server) runFlowProfiled(rn *run) (*JobResult, error) {
 // archiveRun persists a retired run into the history archive. Called
 // outside Server.mu, after the retirement journal append — a crash
 // before this point re-runs the jobs, a crash inside it costs at most
-// this one archive entry.
+// this one archive entry. Once the archive holds the run, it is the
+// one copy of the run's events: the record lets go of the broadcaster,
+// and a retired job's SSE reads them back from disk. A failed Put
+// leaves them in memory.
 func (s *Server) archiveRun(rn *run, jobs []*Job, state State, errMsg string, now time.Time) {
-	events := rn.events.snapshot()
+	// The broadcaster is closed, so no Emit appends to its slice any more.
+	events := rn.events.events
 	meta := &trachive.Meta{
 		RunID:       rn.id,
 		Tenant:      rn.tenant,
@@ -82,6 +86,9 @@ func (s *Server) archiveRun(rn *run, jobs []*Job, state State, errMsg string, no
 		rn.log.Warn("run archive failed", "error", err.Error())
 		return
 	}
+	s.mu.Lock()
+	rn.retained = nil
+	s.mu.Unlock()
 	s.runsArchived.Add(1)
 	st := s.archive.Stats()
 	s.emitRunMetric(rn, map[string]int64{"service.runs_archived": 1}, map[string]float64{

@@ -201,7 +201,8 @@ func TestHistoryArchiveAndQueryAPI(t *testing.T) {
 // answers its jobs. With <data-dir>/runs replaced by a regular file every
 // archive write fails with ENOTDIR; the job reads done with its result,
 // archive_errors reads 1 on /v1/stats and /metrics, /v1/runs does not
-// list the run, and once the directory is back a reopen succeeds.
+// list the run, its job streams the run's full trace from memory, and
+// once the directory is back a reopen succeeds.
 func TestHistoryArchiveWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	prom := telemetry.NewPromSink("tpid")
@@ -235,6 +236,29 @@ func TestHistoryArchiveWriteFailure(t *testing.T) {
 	}
 	if code, _ := do(t, s, "GET", "/v1/runs/"+st.RunID, nil); code != http.StatusNotFound {
 		t.Fatalf("GET /v1/runs/%s = %d, want 404", st.RunID, code)
+	}
+	// With no archived copy, the run's events stay in memory, and the
+	// job streams its full trace from there.
+	s.mu.Lock()
+	events := s.jobs[st.ID].record.retained
+	s.mu.Unlock()
+	if events == nil {
+		t.Fatal("the events of a run whose archive write failed left memory")
+	}
+	_, body := do(t, s, "GET", "/v1/jobs/"+st.ID+"/events", nil)
+	stream, _, _ := strings.Cut(string(body), "event: done\n")
+	var ndjson strings.Builder
+	for _, line := range strings.Split(stream, "\n") {
+		if data, ok := strings.CutPrefix(line, "data: "); ok {
+			ndjson.WriteString(data + "\n")
+		}
+	}
+	tr, err := telemetry.ParseTrace(strings.NewReader(ndjson.String()))
+	if err != nil {
+		t.Fatalf("the job's stream does not parse as a trace: %v\n%s", err, body)
+	}
+	if !tr.Balanced() || len(tr.Events) != events.len() || len(tr.Spans) == 0 {
+		t.Fatalf("the job streams %d of its run's %d events:\n%s", len(tr.Events), events.len(), body)
 	}
 	shutdown(t, s)
 

@@ -182,8 +182,10 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 // under the run id its accepted record carries.
 func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
 	ctx, cancel := context.WithCancel(context.Background())
+	events := newBroadcaster()
 	rn := &run{
-		runRecord: &runRecord{id: rec.RunID, events: newBroadcaster()},
+		runRecord: &runRecord{id: rec.RunID, retained: events},
+		events:    events,
 		key:       comp.key,
 		baseKey:   comp.baseKey,
 		circHash:  comp.circHash,

@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bufio"
 	"errors"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +16,7 @@ import (
 
 	"tpilayout/internal/flow"
 	"tpilayout/internal/netlist"
+	"tpilayout/internal/telemetry"
 )
 
 // designWatch tells, by a finalizer on each watched design, whether the
@@ -315,4 +320,170 @@ func TestRetiredJobAnswersAsBefore(t *testing.T) {
 	if fa, fb := frames(a.ID), frames(b.ID); fa != fb || fa == "" {
 		t.Errorf("the DELETE'd twin streams other frames than the waiter:\n%s\nvs\n%s", fb, fa)
 	}
+}
+
+// TestRetiredJobAnswersAsBeforeDurable is TestRetiredJobAnswersAsBefore
+// on a server with a run archive, which becomes the one copy of a
+// finished run's events once it holds them. A job's status, result and
+// event stream, from the start or from a Last-Event-ID, read the same
+// bytes at done, while memory still holds the events, and after they
+// have left it. A subscriber that connected while the run was live and
+// reads one frame at a time gets every event once, in order, across the
+// switch. A run the archive has evicted streams the done frame alone;
+// with HistoryRuns < 0 the events stay in memory.
+func TestRetiredJobAnswersAsBeforeDurable(t *testing.T) {
+	inMemory := func(s *Server, id string) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		rec := s.jobs[id].record
+		return rec != nil && rec.retained != nil
+	}
+	get := func(t *testing.T, s *Server, path, lastEventID string) string {
+		t.Helper()
+		req := httptest.NewRequest("GET", path, nil)
+		if lastEventID != "" {
+			req.Header.Set("Last-Event-ID", lastEventID)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	reads := func(t *testing.T, s *Server, id string) map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		for _, path := range []string{"", "/result", "/events"} {
+			out[path] = get(t, s, "/v1/jobs/"+id+path, "")
+		}
+		out["/events from 3"] = get(t, s, "/v1/jobs/"+id+"/events", "3")
+		return out
+	}
+	same := func(t *testing.T, atDone, after map[string]string) {
+		t.Helper()
+		for what, body := range after {
+			if body != atDone[what] {
+				t.Errorf("GET %q changed once the run's events left memory:\nat done:\n%s\nafter:\n%s", what, atDone[what], body)
+			}
+		}
+	}
+
+	t.Run("archived", func(t *testing.T) {
+		// The run's "run finished" log line comes after its jobs retired
+		// and before the archive Put: holding it there keeps the events
+		// in memory for the reads at done.
+		hold := make(chan struct{})
+		logger, err := telemetry.NewLogger(io.Discard, "text", slog.LevelInfo, telemetry.FuncSink(func(e telemetry.Event) {
+			if e.Type == telemetry.EventLog && e.Msg == "run finished" {
+				<-hold
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		started, release := make(chan struct{}), make(chan struct{})
+		s := openDurable(t, t.TempDir(), Options{Workers: 1, FlowWorkers: 1, Log: logger}, func(s *Server) {
+			real := s.runLevel
+			s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
+				if pct == parks {
+					close(started)
+					<-release
+				}
+				return real(rn, base, cfg, pct)
+			}
+		})
+		defer shutdown(t, s)
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		// A test that fails early must not leave the worker blocked.
+		unpark, unhold := sync.OnceFunc(func() { close(release) }), sync.OnceFunc(func() { close(hold) })
+		defer unpark()
+		defer unhold()
+
+		_, p := postJob(t, s, jobBody(t, "acme", 0, parks))
+		<-started
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + p.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sub := bufio.NewReader(resp.Body)
+		var frames []string
+		frame := func() string {
+			var f strings.Builder
+			for {
+				line, err := sub.ReadString('\n')
+				if err != nil {
+					t.Fatalf("live subscriber: %v after %d frames", err, len(frames))
+				}
+				if f.WriteString(line); line == "\n" {
+					return f.String()
+				}
+			}
+		}
+		frames = append(frames, frame()) // level 0 ran: the stream is under way
+
+		unpark()
+		waitState(t, s, p.ID, StateDone)
+		if !inMemory(s, p.ID) {
+			t.Fatal("the done job's events left memory before its run was archived")
+		}
+		atDone := reads(t, s, p.ID)
+		frames = append(frames, frame())
+		unhold()
+		waitArchived(t, s, p.RunID)
+		waitFor(t, func() bool { return !inMemory(s, p.ID) })
+		same(t, atDone, reads(t, s, p.ID))
+
+		stream, _, _ := strings.Cut(atDone["/events"], "event: done\n")
+		if !strings.HasPrefix(stream, "id: 0\ndata: ") || !strings.HasPrefix(atDone["/events from 3"], "id: 4\ndata: ") {
+			t.Fatalf("the done job's streams do not start at frames 0 and 4:\n%s\nfrom 3:\n%s", atDone["/events"], atDone["/events from 3"])
+		}
+		for !strings.HasPrefix(frames[len(frames)-1], "event: done\n") {
+			frames = append(frames, frame())
+		}
+		if got := strings.Join(frames[:len(frames)-1], ""); got != stream {
+			t.Errorf("the live subscriber read other frames than the done job's stream:\n%s\nwant:\n%s", got, stream)
+		}
+	})
+
+	t.Run("evicted", func(t *testing.T) {
+		s := openDurable(t, t.TempDir(), Options{Workers: 1, HistoryRuns: 1}, nil)
+		defer shutdown(t, s)
+		_, a := postJob(t, s, jobBody(t, "acme", 0))
+		waitState(t, s, a.ID, StateDone)
+		waitArchived(t, s, a.RunID)
+		waitFor(t, func() bool { return !inMemory(s, a.ID) })
+		before := reads(t, s, a.ID)
+		_, b := postJob(t, s, jobBody(t, "acme", 2))
+		waitState(t, s, b.ID, StateDone)
+		waitArchived(t, s, b.RunID)
+		if code, _ := do(t, s, "GET", "/v1/runs/"+a.RunID, nil); code != http.StatusNotFound {
+			t.Fatalf("GET /v1/runs/%s = %d: the run was not evicted", a.RunID, code)
+		}
+		after := reads(t, s, a.ID)
+		_, done, _ := strings.Cut(before["/events"], "event: done\n")
+		if want := "event: done\n" + done; after["/events"] != want || after["/events from 3"] != want {
+			t.Errorf("an evicted run's job streams:\n%s\nfrom 3:\n%s\nwant the done frame alone:\n%s", after["/events"], after["/events from 3"], want)
+		}
+		for _, what := range []string{"", "/result"} {
+			if after[what] != before[what] {
+				t.Errorf("GET %q changed once the run was evicted:\nbefore:\n%s\nafter:\n%s", what, before[what], after[what])
+			}
+		}
+	})
+
+	t.Run("history off", func(t *testing.T) {
+		s := openDurable(t, t.TempDir(), Options{Workers: 1, HistoryRuns: -1}, nil)
+		defer shutdown(t, s)
+		_, a := postJob(t, s, jobBody(t, "acme", 0))
+		waitState(t, s, a.ID, StateDone)
+		if !inMemory(s, a.ID) {
+			t.Fatal("a server with no archive let go of the done job's events")
+		}
+		if ev := get(t, s, "/v1/jobs/"+a.ID+"/events", ""); !strings.HasPrefix(ev, "id: 0\ndata: ") {
+			t.Fatalf("the done job's stream carries no events:\n%s", ev)
+		}
+	})
 }

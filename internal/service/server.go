@@ -1,13 +1,16 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	mrand "math/rand"
 	"net/http"
 	"path/filepath"
@@ -59,6 +62,7 @@ type run struct {
 	workers   int
 	budgetMS  int64
 	log       *telemetry.Logger // job_id/run_id/tenant pre-bound
+	events    *broadcaster      // the run's event stream: its tracer's sink (SSE)
 	ctx       context.Context
 	cancel    context.CancelFunc
 
@@ -80,8 +84,12 @@ type run struct {
 // attached to it share one, so a job a DELETE retired early keeps
 // following the run's counters.
 type runRecord struct {
-	id            string // run_id: the correlation identity of this flow run
-	events        *broadcaster
+	id string // run_id: the correlation identity of this flow run
+	// retained is the run's broadcaster while memory is its events'
+	// home: until the archive holds the run, for good on a server
+	// without one. nil means a retired job streams them from the
+	// archive. Guarded by Server.mu.
+	retained      *broadcaster
 	resumedLevels atomic.Int64 // levels answered from checkpoints
 }
 
@@ -800,6 +808,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	rec := job.record
+	var live *broadcaster
+	if rec != nil {
+		live = rec.retained
+	}
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -807,24 +819,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	if rec != nil {
+	// Every frame carries its event index as the SSE id, so a
+	// reconnecting client that sends Last-Event-ID resumes exactly where
+	// its stream tore instead of replaying from 0.
+	switch {
+	case live != nil:
 		// Stream the retained trace, then follow live until the run
-		// closes or the client goes away. Every frame carries its event
-		// index as the SSE id, so a reconnecting client that sends
-		// Last-Event-ID resumes exactly where its stream tore instead of
-		// replaying from 0.
-		i := 0
-		if last := r.Header.Get("Last-Event-ID"); last != "" {
-			if n, err := strconv.Atoi(last); err == nil && n >= 0 {
-				// Clamped to the retained stream: an id past its end,
-				// up to MaxInt where n+1 would wrap, resumes at the end.
-				i = min(n, rec.events.len()-1) + 1
-			}
-		}
-		stop := context.AfterFunc(r.Context(), rec.events.wake)
+		// closes or the client goes away.
+		i := resumeFrom(r, live.len())
+		stop := context.AfterFunc(r.Context(), live.wake)
 		defer stop()
 		for {
-			tail, ok := rec.events.next(r.Context(), i)
+			tail, ok := live.next(r.Context(), i)
 			if !ok {
 				break
 			}
@@ -840,6 +846,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			i += len(tail)
 			flusher.Flush()
 		}
+	case rec != nil:
+		// The run is archived: its events live only on disk.
+		if !s.streamArchived(w, r, rec.id) {
+			return // client disconnected
+		}
 	}
 
 	// Final frame: the job's terminal status (or current state if the
@@ -851,6 +862,56 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "event: done\ndata: %s\n\n", line)
 		flusher.Flush()
 	}
+}
+
+// resumeFrom is the index of the first frame to send a client whose
+// Last-Event-ID names a frame of a stream that holds n so far. The id is
+// clamped to the stream: an id past its end, up to MaxInt where id+1
+// would wrap, resumes at the end.
+func resumeFrom(r *http.Request, n int) int {
+	last, err := strconv.Atoi(r.Header.Get("Last-Event-ID"))
+	if err != nil || last < 0 {
+		return 0
+	}
+	return min(last, n-1) + 1
+}
+
+// streamArchived writes run id's archived trace as SSE frames, one per
+// NDJSON line, from the frame Last-Event-ID resumes at. The archive
+// encodes each event as json.Marshal does, so these are the frames the
+// live stream sent. A run the archive has evicted streams none. It
+// returns false once the client has gone away.
+func (s *Server) streamArchived(w http.ResponseWriter, r *http.Request, id string) bool {
+	m, ok := s.archive.Get(id)
+	if !ok {
+		return true
+	}
+	f, err := s.archive.OpenTrace(id)
+	if err != nil {
+		return true // evicted since Get
+	}
+	defer f.Close()
+	from := resumeFrom(r, m.Events)
+	gz, err := gzip.NewReader(f)
+	if err == nil {
+		br := bufio.NewReader(gz)
+		var line []byte
+		for i := 0; ; i++ {
+			if line, err = br.ReadBytes('\n'); err != nil {
+				break
+			}
+			if i < from {
+				continue
+			}
+			if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", i, line[:len(line)-1]); err != nil {
+				return false
+			}
+		}
+	}
+	if err != io.EOF {
+		s.opt.Log.Warn("reading archived trace", "run_id", id, "error", err.Error())
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ package tpilayout
 // Memory gate for the TPI service daemon. tpid keeps up to RetainJobs
 // finished jobs queryable; what each one holds is what the daemon's heap
 // grows by per distinct circuit it has answered. A retired job must keep
-// its answer (status, tables, event stream), not its run: not the parsed
-// netlist, not the canonical .bench text of its request, and not a
-// telemetry buffer of its own. A daemon with a flight recorder, as tpid
-// runs by default, must grow by no more per job than one without.
+// its answer (status, tables), not its run: not the parsed netlist, not
+// the canonical .bench text of its request, not a telemetry buffer of
+// its own, and not its run's events once the archive holds them. A
+// daemon with a flight recorder, as tpid runs by default, must grow by
+// no more per job than one without.
 
 import (
 	"bytes"
@@ -27,22 +28,23 @@ import (
 
 func TestServiceRetainedHeapPerJob(t *testing.T) {
 	const (
-		maxPerJobMB = 0.3
-		maxFlightMB = 0.02 // extra growth per job a flight recorder may cost
+		maxPerJobMB  = 0.04
+		maxFlightMB  = 0.02 // extra growth per job a flight recorder may cost
+		flightEvents = 4096 // tpid's -flight-events default
 	)
 	cases := []struct {
-		name  string
-		sinks []telemetry.Sink
+		name string
+		ring *telemetry.FlightRecorder
 	}{
 		{"no recorder", nil},
-		{"4096-event flight recorder", []telemetry.Sink{telemetry.NewFlightRecorder(4096)}}, // tpid's -flight-events default
+		{"4096-event flight recorder", telemetry.NewFlightRecorder(flightEvents)},
 	}
 	perJob := make([]float64, len(cases))
 	for i, tc := range cases {
-		perJob[i] = retainedHeapPerJob(t, tc.sinks)
+		perJob[i] = retainedHeapPerJob(t, tc.ring, flightEvents)
 		t.Logf("%s: live heap grew by %.3f MB per retired job", tc.name, perJob[i])
 		if perJob[i] >= maxPerJobMB {
-			t.Fatalf("%s: live heap grew by %.3f MB per retired job, want < %.1f MB", tc.name, perJob[i], maxPerJobMB)
+			t.Fatalf("%s: live heap grew by %.3f MB per retired job, want < %.2f MB", tc.name, perJob[i], maxPerJobMB)
 		}
 	}
 	if extra := perJob[1] - perJob[0]; extra > maxFlightMB {
@@ -52,11 +54,18 @@ func TestServiceRetainedHeapPerJob(t *testing.T) {
 }
 
 // retainedHeapPerJob runs 20 distinct jobs through a durable in-process
-// daemon with the given sinks and returns the live heap growth per
-// retired job, in MB.
-func retainedHeapPerJob(t *testing.T, sinks []telemetry.Sink) float64 {
+// daemon, with ring as a flight recorder of ringEvents events when it is
+// not nil, and returns the live heap growth per retired job, in MB.
+// The archive is the one copy of a retired run's events, so until the
+// ring is full it is their only growing holder in memory: the count
+// starts once it is.
+func retainedHeapPerJob(t *testing.T, ring *telemetry.FlightRecorder, ringEvents int) float64 {
 	t.Helper()
 	const jobs = 20
+	var sinks []telemetry.Sink
+	if ring != nil {
+		sinks = append(sinks, ring)
+	}
 	srv, err := service.Open(service.Options{Workers: 1, FlowWorkers: 1, DataDir: t.TempDir(), Sinks: sinks})
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +137,15 @@ func retainedHeapPerJob(t *testing.T, sinks []telemetry.Sink) float64 {
 		return float64(m.HeapAlloc) / (1 << 20)
 	}
 
-	run(0) // warm-up: the library, the archive, the first cache entries
+	// Warm-up: the library, the archive, the first cache entries and a
+	// full flight ring, whose slots each job's events then overwrite.
+	seed := int64(0)
+	for run(seed); ring != nil && ring.Len() < ringEvents; run(seed) {
+		seed++
+	}
 	before := liveHeap()
-	for seed := int64(1); seed <= jobs; seed++ {
+	for range jobs {
+		seed++
 		run(seed)
 	}
 	return (liveHeap() - before) / jobs
