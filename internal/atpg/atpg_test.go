@@ -85,7 +85,7 @@ func bruteForceDetects(t testing.TB, n *netlist.Netlist, f fault.Fault) uint64 {
 	if f.Load != fault.StemLoad {
 		ld := fan.Fanout(f.Net)[f.Load]
 		fCell = ld.Cell
-		fPin = ld.Pin
+		fPin = int(ld.Pin)
 	}
 	lv, err := n.Levelize()
 	if err != nil {

@@ -225,12 +225,12 @@ func (fs *faultSim) Detects(f fault.Fault, b *Batch) uint64 {
 		// (the d pin); si/se branches are left to the scan shift/flush
 		// tests.
 		c := &fs.v.N.Cells[ld.Cell]
-		if c.Cell.Kind.IsSequential() && c.Cell.FindInput("d") == ld.Pin {
+		if c.Cell.Kind.IsSequential() && c.Cell.FindInput("d") == int(ld.Pin) {
 			return act
 		}
 		return 0
 	}
-	return act & fs.through(ld.Cell, ld.Pin, fs.observe(fs.v.CellOut[ld.Cell]))
+	return act & fs.through(ld.Cell, int(ld.Pin), fs.observe(fs.v.CellOut[ld.Cell]))
 }
 
 // through returns the patterns of w on which complementing input pin of

@@ -117,13 +117,13 @@ func (m *miter) build(f fault.Fault, depth, fanin int) {
 	site := f.Net
 	if f.Load != fault.StemLoad {
 		ld := v.fanout(f.Net)[f.Load]
-		m.fCell, m.fPin = ld.Cell, ld.Pin
+		m.fCell, m.fPin = ld.Cell, int(ld.Pin)
 		switch {
 		case ld.Cell == netlist.NoCell:
 			m.directObs = true // branch straight into a primary output
 		case !v.Comb(ld.Cell):
 			c := &v.N.Cells[ld.Cell]
-			m.directObs = c.Cell.Kind.IsSequential() && c.Cell.FindInput("d") == ld.Pin
+			m.directObs = c.Cell.Kind.IsSequential() && c.Cell.FindInput("d") == int(ld.Pin)
 			site = netlist.NoNet // any other flip-flop pin: never observed
 		case v.ConstVal[v.CellOut[ld.Cell]] >= 0:
 			site = netlist.NoNet // the cell's output is frozen: the effect stops

@@ -153,7 +153,7 @@ func (o *scalarOracle) observe(bit func(i int) bool, f *fault.Fault) []bool {
 		c := &o.n.Cells[ci]
 		for pin, net := range c.Ins {
 			ins[pin] = val[net]
-			if branch && pinOf.Cell == ci && pinOf.Pin == pin {
+			if branch && pinOf.Cell == ci && int(pinOf.Pin) == pin {
 				ins[pin] = sa
 			}
 		}
@@ -164,7 +164,7 @@ func (o *scalarOracle) observe(bit func(i int) bool, f *fault.Fault) []bool {
 	var seen []bool
 	for k, po := range o.n.POs {
 		v := val[po.Net]
-		if branch && pinOf.Cell == netlist.NoCell && pinOf.PO == k {
+		if branch && pinOf.Cell == netlist.NoCell && int(pinOf.PO) == k {
 			v = sa
 		}
 		seen = append(seen, v)
@@ -173,7 +173,7 @@ func (o *scalarOracle) observe(bit func(i int) bool, f *fault.Fault) []bool {
 		c := &o.n.Cells[ff]
 		di := c.Cell.FindInput("d")
 		v := val[c.Ins[di]]
-		if branch && pinOf.Cell == ff && pinOf.Pin == di {
+		if branch && pinOf.Cell == ff && int(pinOf.Pin) == di {
 			v = sa
 		}
 		seen = append(seen, v)

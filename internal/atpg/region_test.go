@@ -47,13 +47,13 @@ func (fs *faultSim) refDetects(f fault.Fault, b *Batch) uint64 {
 		}
 		if !fs.v.Comb(ld.Cell) {
 			c := &fs.v.N.Cells[ld.Cell]
-			if c.Cell.Kind.IsSequential() && c.Cell.FindInput("d") == ld.Pin {
+			if c.Cell.Kind.IsSequential() && c.Cell.FindInput("d") == int(ld.Pin) {
 				return act
 			}
 			return 0
 		}
 		faultCell = ld.Cell
-		faultPin = ld.Pin
+		faultPin = int(ld.Pin)
 		fs.queued[faultCell] = true
 		fs.buckets[fs.v.Level[faultCell]] = append(fs.buckets[fs.v.Level[faultCell]], faultCell)
 	}

@@ -257,10 +257,10 @@ func (s *sim5) installFault(f fault.Fault) {
 	if f.Load != fault.StemLoad {
 		ld := s.v.fanout(f.Net)[f.Load]
 		s.fCell = ld.Cell
-		s.fPin = ld.Pin
+		s.fPin = int(ld.Pin)
 		if ld.Cell != netlist.NoCell && !s.v.Comb(ld.Cell) {
 			c := &s.v.N.Cells[ld.Cell]
-			s.directObs = c.Cell.Kind.IsSequential() && c.Cell.FindInput("d") == ld.Pin
+			s.directObs = c.Cell.Kind.IsSequential() && c.Cell.FindInput("d") == int(ld.Pin)
 		} else if ld.Cell == netlist.NoCell {
 			s.directObs = true // branch straight into a primary output
 		}

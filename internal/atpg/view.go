@@ -36,7 +36,7 @@ type View struct {
 	// Order is the levelized combinational cell order; Level the depth
 	// per cell (−1 for non-combinational).
 	Order []netlist.CellID
-	Level []int
+	Level []int32
 
 	// CSR is the flat netlist adjacency, captured at view construction.
 	CSR *netlist.CSR
@@ -128,7 +128,7 @@ func NewView(n *netlist.Netlist, constraints map[netlist.NetID]int8) (*View, err
 		for _, ld := range v.CSR.Fanout(netlist.NetID(id)) {
 			if ld.Cell != netlist.NoCell && lv.CellLevel[ld.Cell] >= 0 {
 				v.CombLoadCells[cursor[id]] = ld.Cell
-				v.CombLoadLvl[cursor[id]] = int32(lv.CellLevel[ld.Cell])
+				v.CombLoadLvl[cursor[id]] = lv.CellLevel[ld.Cell]
 				cursor[id]++
 			}
 		}

@@ -83,7 +83,8 @@ func validName(s string) bool {
 //
 // ReadBench never panics on malformed input: structural problems
 // (duplicate or missing definitions, multiply-driven nets, combinational
-// cycles, unknown operators) are reported as errors.
+// cycles, unknown operators) are reported as errors. A parsed netlist is
+// validated and returned packed (see netlist.Clone).
 func ReadBench(r io.Reader, name string, lib *stdcell.Library, defaultPeriodPS float64) (*netlist.Netlist, error) {
 	n := netlist.New(name, lib)
 	nets := make(map[string]netlist.NetID)
@@ -263,7 +264,7 @@ func ReadBench(r io.Reader, name string, lib *stdcell.Library, defaultPeriodPS f
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
-	return n, nil
+	return n.Clone(), nil
 }
 
 // Stats summarizes a generated circuit for reports and tests.

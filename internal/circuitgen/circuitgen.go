@@ -161,7 +161,8 @@ func DSPCoreClass() Spec {
 }
 
 // Generate builds the netlist for a spec against the given library.
-// The result is validated before being returned.
+// The result is validated and returned packed (see netlist.Clone), with
+// the CSR and levelization that validation built.
 func Generate(spec Spec, lib *stdcell.Library) (*netlist.Netlist, error) {
 	if len(spec.Domains) == 0 {
 		return nil, fmt.Errorf("circuitgen: spec %s has no clock domains", spec.Name)
@@ -176,7 +177,7 @@ func Generate(spec Spec, lib *stdcell.Library) (*netlist.Netlist, error) {
 	if err := g.n.Validate(); err != nil {
 		return nil, fmt.Errorf("circuitgen: generated invalid netlist: %w", err)
 	}
-	return g.n, nil
+	return g.n.Clone(), nil
 }
 
 type gen struct {

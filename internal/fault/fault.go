@@ -155,7 +155,7 @@ func NewUniverse(n *netlist.Netlist) *Set {
 		}
 		ld := csr.Fanout(net)[0]
 		if ld.Cell != netlist.NoCell {
-			if bi := branchOf(ld.Cell, ld.Pin); bi >= 0 {
+			if bi := branchOf(ld.Cell, int(ld.Pin)); bi >= 0 {
 				union(stemIdx[id], bi)
 				union(stemIdx[id]+1, bi+1)
 			}

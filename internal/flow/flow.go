@@ -75,7 +75,8 @@ type Config struct {
 	Scan  scan.Options
 	Place place.Options
 
-	// Compile stub read by nothing: bench/sweep.go assigns it; delete with ROADMAP item 1.
+	// Compile stub read by nothing: bench/sweep.go assigns it. Delete it in
+	// the follow-up to ROADMAP item 2, once bench/ stops assigning it.
 	SweepMode int
 
 	// SkipATPG runs only the physical side (steps 2–6); Table 2/3

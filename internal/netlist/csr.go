@@ -84,14 +84,14 @@ func (n *Netlist) CSR() *CSR {
 		}
 		for pin, net := range cell.Ins {
 			if net != NoNet {
-				c.FanoutLoads[cursor[net]] = Load{Cell: CellID(ci), Pin: pin, PO: -1}
+				c.FanoutLoads[cursor[net]] = Load{Cell: CellID(ci), Pin: int32(pin), PO: -1}
 				cursor[net]++
 			}
 		}
 	}
 	for pi := range n.POs {
 		if net := n.POs[pi].Net; net != NoNet {
-			c.FanoutLoads[cursor[net]] = Load{Cell: NoCell, Pin: -1, PO: pi}
+			c.FanoutLoads[cursor[net]] = Load{Cell: NoCell, Pin: -1, PO: int32(pi)}
 			cursor[net]++
 		}
 	}

@@ -26,13 +26,13 @@ func referenceAdjacency(n *netlist.Netlist) (fan [][]netlist.Load, fanin [][]net
 		}
 		for pin, net := range c.Ins {
 			if net != netlist.NoNet {
-				fan[net] = append(fan[net], netlist.Load{Cell: netlist.CellID(ci), Pin: pin, PO: -1})
+				fan[net] = append(fan[net], netlist.Load{Cell: netlist.CellID(ci), Pin: int32(pin), PO: -1})
 			}
 		}
 	}
 	for pi := range n.POs {
 		if net := n.POs[pi].Net; net != netlist.NoNet {
-			fan[net] = append(fan[net], netlist.Load{Cell: netlist.NoCell, Pin: -1, PO: pi})
+			fan[net] = append(fan[net], netlist.Load{Cell: netlist.NoCell, Pin: -1, PO: int32(pi)})
 		}
 	}
 	fanin = make([][]netlist.NetID, len(n.Cells))
@@ -60,8 +60,8 @@ func referenceLevelize(n *netlist.Netlist, fan [][]netlist.Load) *netlist.Levels
 		return !c.Dead && !c.Cell.Kind.IsSequential() && !c.Cell.Kind.IsPhysicalOnly()
 	}
 	lv := &netlist.Levels{
-		CellLevel: make([]int, len(n.Cells)),
-		NetLevel:  make([]int, len(n.Nets)),
+		CellLevel: make([]int32, len(n.Cells)),
+		NetLevel:  make([]int32, len(n.Nets)),
 	}
 	pend := make([]int, len(n.Cells))
 	var ready []netlist.CellID
@@ -82,7 +82,7 @@ func referenceLevelize(n *netlist.Netlist, fan [][]netlist.Load) *netlist.Levels
 	for len(ready) > 0 {
 		ci := ready[0]
 		ready = ready[1:]
-		level := 0
+		level := int32(0)
 		c := &n.Cells[ci]
 		for _, net := range c.Ins {
 			if net != netlist.NoNet && lv.NetLevel[net] >= level {
@@ -91,8 +91,8 @@ func referenceLevelize(n *netlist.Netlist, fan [][]netlist.Load) *netlist.Levels
 		}
 		level++
 		lv.CellLevel[ci] = level
-		if level > lv.MaxLevel {
-			lv.MaxLevel = level
+		if int(level) > lv.MaxLevel {
+			lv.MaxLevel = int(level)
 		}
 		lv.Order = append(lv.Order, ci)
 		if c.Out == netlist.NoNet {

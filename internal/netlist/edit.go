@@ -159,12 +159,17 @@ func (n *Netlist) Validate() error {
 // immutable per connectivity revision, so the clone shares the cached
 // pointers: a sweep level cloned from a prewarmed base circuit pays no
 // rebuild until its first connectivity edit.
+//
+// The copy is packed: Cells and Nets have no spare capacity, and every
+// cell's Ins is a window of one shared pin array, capped at its own
+// length so that an append reallocates rather than overwriting the next
+// cell's pins.
 func (n *Netlist) Clone() *Netlist {
 	out := &Netlist{
 		Name:    n.Name,
 		Lib:     n.Lib,
 		Cells:   make([]Instance, len(n.Cells)),
-		Nets:    append([]Net(nil), n.Nets...),
+		Nets:    make([]Net, len(n.Nets)),
 		PIs:     append([]Port(nil), n.PIs...),
 		POs:     append([]Port(nil), n.POs...),
 		Domains: append([]Domain(nil), n.Domains...),
@@ -175,10 +180,23 @@ func (n *Netlist) Clone() *Netlist {
 		levels:    n.levels,
 		levelsRev: n.levelsRev,
 	}
+	copy(out.Cells, n.Cells)
+	copy(out.Nets, n.Nets)
+	pins := 0
 	for i := range n.Cells {
-		c := n.Cells[i]
-		c.Ins = append([]NetID(nil), c.Ins...)
-		out.Cells[i] = c
+		pins += len(n.Cells[i].Ins)
+	}
+	arena := make([]NetID, pins)
+	a := 0
+	for i := range out.Cells {
+		c := &out.Cells[i]
+		if len(c.Ins) == 0 {
+			c.Ins = nil
+			continue
+		}
+		b := a + copy(arena[a:], c.Ins)
+		c.Ins = arena[a:b:b]
+		a = b
 	}
 	return out
 }

@@ -12,9 +12,9 @@ type Levels struct {
 	Order []CellID
 	// CellLevel[c] is the logic depth of cell c (sources are depth 0);
 	// -1 for sequential, physical-only, and dead cells.
-	CellLevel []int
+	CellLevel []int32
 	// NetLevel[n] is the depth at which net n becomes valid.
-	NetLevel []int
+	NetLevel []int32
 	// MaxLevel is the deepest combinational level.
 	MaxLevel int
 }
@@ -37,8 +37,8 @@ func (n *Netlist) Levelize() (*Levels, error) {
 
 func (n *Netlist) levelize() (*Levels, error) {
 	lv := &Levels{
-		CellLevel: make([]int, len(n.Cells)),
-		NetLevel:  make([]int, len(n.Nets)),
+		CellLevel: make([]int32, len(n.Cells)),
+		NetLevel:  make([]int32, len(n.Nets)),
 	}
 	// Pending combinational input counts per cell.
 	pend := make([]int32, len(n.Cells))
@@ -67,7 +67,7 @@ func (n *Netlist) levelize() (*Levels, error) {
 	for len(ready) > 0 {
 		ci := ready[0]
 		ready = ready[1:]
-		level := 0
+		level := int32(0)
 		c := &n.Cells[ci]
 		for _, net := range c.Ins {
 			if net != NoNet && lv.NetLevel[net] >= level {
@@ -76,8 +76,8 @@ func (n *Netlist) levelize() (*Levels, error) {
 		}
 		level++
 		lv.CellLevel[ci] = level
-		if level > lv.MaxLevel {
-			lv.MaxLevel = level
+		if int(level) > lv.MaxLevel {
+			lv.MaxLevel = int(level)
 		}
 		lv.Order = append(lv.Order, ci)
 		if c.Out == NoNet {

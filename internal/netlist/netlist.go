@@ -44,15 +44,18 @@ const (
 )
 
 // Instance is one placed-standard-cell instance.
+//
+// Fields are ordered widest first so the record packs into 64 bytes.
 type Instance struct {
 	Name string
 	Cell *stdcell.Cell
 	Ins  []NetID // aligned with Cell.Inputs
-	Out  NetID   // NoNet for physical-only cells
-	Tag  Tag
 
 	// Domain is the clock-domain index for sequential cells, -1 otherwise.
 	Domain int
+
+	Out NetID // NoNet for physical-only cells
+	Tag Tag
 
 	// Dead marks an instance removed by an edit. Dead instances keep
 	// their ID (so external tables stay aligned) but are skipped by all
@@ -60,15 +63,16 @@ type Instance struct {
 	Dead bool
 }
 
-// Net is a single electrical node.
+// Net is a single electrical node. Fields are ordered widest first so
+// the record packs into 32 bytes.
 type Net struct {
 	Name string
-	// Driver is the driving cell, or NoCell when the net is driven by a
-	// primary input (or is constant).
-	Driver CellID
 	// PI is the index into Netlist.PIs when Driver == NoCell and the net
 	// is a primary input, else -1.
 	PI int
+	// Driver is the driving cell, or NoCell when the net is driven by a
+	// primary input (or is constant).
+	Driver CellID
 	// Const is 0 or 1 for constant nets (tie cells abstracted away), else -1.
 	Const int8
 	Dead  bool
@@ -115,10 +119,14 @@ type Netlist struct {
 
 // Load is one sink of a net: either pin Pin of cell Cell, or primary
 // output PO (index into POs) when Cell == NoCell.
+//
+// Pin and PO are 32-bit so that a Load is 12 bytes: a cell has a handful
+// of pins and a design far fewer than 2^31 outputs, and CellID is 32-bit
+// already.
 type Load struct {
 	Cell CellID
-	Pin  int // input pin index within the cell
-	PO   int // index into POs, valid when Cell == NoCell
+	Pin  int32 // input pin index within the cell
+	PO   int32 // index into POs, valid when Cell == NoCell
 }
 
 // New returns an empty netlist bound to a library.

@@ -84,7 +84,7 @@ func (s *Session) Update(newCells []netlist.CellID, from, to netlist.NetID) []ne
 	for _, ci := range newCells {
 		for pin, in := range s.n.Cells[ci].Ins {
 			if in != netlist.NoNet {
-				s.fan.add(in, netlist.Load{Cell: ci, Pin: pin, PO: -1})
+				s.fan.add(in, netlist.Load{Cell: ci, Pin: int32(pin), PO: -1})
 			}
 		}
 	}
@@ -245,7 +245,7 @@ func (s *Session) evalObservability(net netlist.NetID) (co int32, obs float64) {
 				if constrained {
 					continue // constants cannot be observed through
 				}
-				cost, prob := sensitisation(c, a, ld.Pin)
+				cost, prob := sensitisation(c, a, int(ld.Pin))
 				v, p = addSat(addSat(a.CO[c.Out], cost), 1), a.Obs[c.Out]*prob
 			}
 		}
