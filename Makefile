@@ -41,8 +41,9 @@ race:
 #   drain:     SIGTERM drains the daemon and it exits 0.
 #   crash:     a second tpid (-workers 1 -flow-workers 1) on a fresh data
 #              dir takes the golden sweep (s38417c x0.05, levels 0/2/5) and
-#              is SIGKILLed once a level-done record is in its seg-*.wal,
-#              before any retirement; restarted on the same dir, it must
+#              is SIGKILLed once a level file is in its levels/ while the
+#              job's file in jobs/ is not retired yet; restarted on the
+#              same dir, it must
 #              finish the job by itself with resumed_levels >= 1,
 #              levels_run + levels_resumed = 3 and replayed_jobs = 1 on
 #              /v1/stats, and tables byte-identical to
@@ -163,12 +164,14 @@ daemon-smoke:
 	id=$$(curl -sf -X POST -d "$$body" $$url/v1/jobs | field id); \
 	test -n "$$id" || fail "submission rejected"; \
 	ckpt=0; for i in $$(seq 1 6000); do \
-		! grep -qa '"job_ids"' daemon-smoke-crash-data/seg-*.wal 2>/dev/null \
-			|| fail "the sweep retired before the kill could land"; \
-		grep -qa '"metrics":' daemon-smoke-crash-data/seg-*.wal 2>/dev/null && { ckpt=1; break; }; \
+		if ls daemon-smoke-crash-data/levels/*.json >/dev/null 2>&1; then \
+			! grep -q '"state":' daemon-smoke-crash-data/jobs/$$id.json \
+				|| fail "the sweep retired before the kill could land"; \
+			ckpt=1; break; \
+		fi; \
 		sleep 0.05; \
 	done; \
-	test $$ckpt = 1 || fail "no level checkpoint ever reached the journal"; \
+	test $$ckpt = 1 || fail "no level checkpoint ever reached levels/"; \
 	kill -KILL $$pid; wait $$pid 2>/dev/null || true; \
 	echo "daemon-smoke[$$phase]: job $$id SIGKILLed after its first level checkpoint"; \
 	crash_start; \

@@ -22,7 +22,7 @@
 //	GET    /v1/runs/{id}/trace  the run's full span trace (gzip NDJSON)
 //	GET    /v1/runs/{id}/profile per-run CPU profile (pprof; needs -profile-runs)
 //	GET    /healthz             liveness: 200 whenever the process serves HTTP
-//	GET    /readyz              readiness: 503 while replaying the journal or draining
+//	GET    /readyz              readiness: 503 while replaying the data dir or draining
 //	GET    /metrics             Prometheus text exposition (flow + service + per-tenant families)
 //	GET    /debug/pprof/        net/http/pprof
 //	GET    /debug/flight        flight-recorder dump: the last -flight-events telemetry
@@ -31,7 +31,7 @@
 //
 // Every submission gets a job_id (a valid client X-Request-ID is
 // honored and echoed back) and every flow run a run_id; both ride on
-// every span, SSE frame, log line, journal record, and flight-recorder
+// every span, SSE frame, log line, job file, and flight-recorder
 // entry, so one grep correlates a request end to end.
 //
 // Submissions are queued with per-tenant round-robin fairness and
@@ -45,9 +45,11 @@
 // process debugging — and a captured flow panic dumps the flight
 // recorder automatically.
 //
-// With -data-dir the daemon is crash-safe: accepted jobs, completed
-// sweep levels, and retired results are journaled (fsync'd, CRC-framed)
-// and a restart on the same directory replays them — finished jobs stay
+// With -data-dir the daemon is crash-safe: every job is a file under
+// <data-dir>/jobs (its request at acceptance, its verdict and result at
+// retirement) and every completed sweep level one under <data-dir>/levels,
+// each written tmp + fsync + rename, and a restart on the same directory
+// reads them back — finished jobs stay
 // queryable, unfinished jobs re-run only their missing levels, and a
 // kill -9 mid-sweep costs at most the levels that were in flight.
 // Retired runs are archived under <data-dir>/runs (-history-runs,
@@ -86,7 +88,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 8<<20, "maximum submission body size in bytes")
 	retainJobs := flag.Int("retain-jobs", 512, "terminal jobs kept queryable before the oldest are forgotten")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM lets running jobs finish before canceling them")
-	dataDir := flag.String("data-dir", "", "journal directory for crash-safe operation (empty = in-memory only)")
+	dataDir := flag.String("data-dir", "", "data directory for crash-safe operation: job, level checkpoint and run archive files (empty = in-memory only)")
 	flightEvents := flag.Int("flight-events", 4096, "flight-recorder ring size: most recent telemetry events retained for /debug/flight, SIGQUIT, and panic dumps (0 disables)")
 	historyRuns := flag.Int("history-runs", 512, "retired runs kept in the run-history archive under <data-dir>/runs (negative disables history; requires -data-dir)")
 	historyBudget := flag.Int64("history-budget", 512<<20, "byte budget for archived traces+profiles (oldest runs evicted first; negative = unbounded)")
@@ -143,7 +145,7 @@ func main() {
 		fatal("opening service", "error", err)
 	}
 	if *dataDir != "" {
-		logger.Info("journal open, /readyz turns 200 once replay finishes", "data_dir", *dataDir)
+		logger.Info("data dir open, /readyz turns 200 once replay finishes", "data_dir", *dataDir)
 	}
 
 	// One listener serves everything: the job API, the Prometheus

@@ -7,9 +7,10 @@
 package route
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"tpilayout/internal/netlist"
@@ -60,44 +61,57 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 	csr := n.CSR()
 
 	// Deterministic net order: longer (higher-fanout) nets first, so the
-	// big trunks claim uncongested space, then short nets fill in.
+	// big trunks claim uncongested space, then short nets fill in. Every
+	// net's pins are one span [lo, hi) of a single buffer, sized up front
+	// for a driver and every load of every live net.
 	type job struct {
-		id   netlist.NetID
-		pins []point
+		id     netlist.NetID
+		lo, hi int32
 	}
-	var jobs []job
+	live := 0
+	size := 0
+	for id := range n.Nets {
+		if nn := &n.Nets[id]; !nn.Dead && nn.Const < 0 {
+			live++
+			size += 1 + csr.FanoutLen(netlist.NetID(id))
+		}
+	}
+	buf := make([]point, 0, size)
+	jobs := make([]job, 0, live)
 	maxPins := 0
 	for id := range n.Nets {
 		nn := &n.Nets[id]
 		if nn.Dead || nn.Const >= 0 {
 			continue
 		}
-		var pins []point
+		lo := len(buf)
 		if nn.Driver != netlist.NoCell && p.Placed(nn.Driver) {
 			x, y := p.Pos(nn.Driver)
-			pins = append(pins, point{x, y})
+			buf = append(buf, point{x, y})
 		}
 		for _, ld := range csr.Fanout(netlist.NetID(id)) {
 			if ld.Cell != netlist.NoCell && p.Placed(ld.Cell) {
 				x, y := p.Pos(ld.Cell)
-				pins = append(pins, point{x, y})
+				buf = append(buf, point{x, y})
 			}
 			// Primary ports sit on the core edge nearest the pin bbox;
 			// approximated at the left core edge at the driver's y.
-			if ld.Cell == netlist.NoCell && len(pins) > 0 {
-				pins = append(pins, point{0, pins[0].y})
+			if ld.Cell == netlist.NoCell && len(buf) > lo {
+				buf = append(buf, point{0, buf[lo].y})
 			}
 		}
-		if len(pins) >= 2 {
-			jobs = append(jobs, job{id: netlist.NetID(id), pins: pins})
-			maxPins = max(maxPins, len(pins))
+		if k := len(buf) - lo; k >= 2 {
+			jobs = append(jobs, job{id: netlist.NetID(id), lo: int32(lo), hi: int32(len(buf))})
+			maxPins = max(maxPins, k)
+		} else {
+			buf = buf[:lo]
 		}
 	}
 	// Stable counting sort by pin count, descending: slot k holds the nets
 	// with maxPins-k pins, each slot in net ID order.
 	next := make([]int, maxPins+1)
 	for _, jb := range jobs {
-		next[maxPins-len(jb.pins)]++
+		next[maxPins-int(jb.hi-jb.lo)]++
 	}
 	at := 0
 	for k, c := range next {
@@ -106,7 +120,7 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 	}
 	sorted := make([]job, len(jobs))
 	for _, jb := range jobs {
-		k := maxPins - len(jb.pins)
+		k := maxPins - int(jb.hi-jb.lo)
 		sorted[next[k]] = jb
 		next[k]++
 	}
@@ -127,14 +141,15 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 		if hNetNS != nil {
 			t0 = time.Now()
 		}
-		length := g.routeNet(jb.pins)
+		pins := buf[jb.lo:jb.hi:jb.hi]
+		length := g.routeNet(pins)
 		if hNetNS != nil {
 			hNetNS.Observe(int64(time.Since(t0)))
 			hNetOvf.Observe(int64(g.overflow - ovfBefore))
 		}
 		res.NetLen[jb.id] = length
 		res.Total += length
-		pinTotal += len(jb.pins)
+		pinTotal += len(pins)
 	}
 	res.Overflow = g.overflow
 	if sp := opt.Telemetry; sp != nil {
@@ -146,11 +161,20 @@ func RouteContext(ctx context.Context, p *place.Placement, opt Options) (*Result
 	return res, nil
 }
 
-// grid tracks per-cell routing usage.
+// mstPins is the largest net routeNet spans with a minimum spanning
+// tree; a larger one is chained in snake order.
+const mstPins = 64
+
+// grid tracks per-cell routing usage, and holds the scratch routeNet
+// reuses from net to net.
 type grid struct {
 	nx, ny   int
 	use      []float64
 	overflow int
+
+	inTree [mstPins]bool
+	dist   [mstPins]float64
+	from   [mstPins]int
 }
 
 func newGrid(p *place.Placement) *grid {
@@ -180,14 +204,15 @@ func (g *grid) cellAt(x, y float64) int {
 // routeNet builds a rectilinear MST over the pins and routes each edge,
 // returning the total routed length.
 func (g *grid) routeNet(pins []point) float64 {
-	if len(pins) > 64 {
+	if len(pins) > mstPins {
 		// Trunk order for huge nets (scan-enable class): chain pins in
-		// snake order instead of O(k²) MST.
-		sort.Slice(pins, func(i, j int) bool {
-			if pins[i].y != pins[j].y {
-				return pins[i].y < pins[j].y
+		// snake order instead of O(k²) MST. Pins that compare equal are
+		// equal, so any sort gives this order.
+		slices.SortFunc(pins, func(a, b point) int {
+			if c := cmp.Compare(a.y, b.y); c != 0 {
+				return c
 			}
-			return pins[i].x < pins[j].x
+			return cmp.Compare(a.x, b.x)
 		})
 		total := 0.0
 		for i := 1; i < len(pins); i++ {
@@ -196,9 +221,8 @@ func (g *grid) routeNet(pins []point) float64 {
 		return total
 	}
 	// Prim MST on Manhattan distance.
-	inTree := make([]bool, len(pins))
-	dist := make([]float64, len(pins))
-	from := make([]int, len(pins))
+	inTree, dist, from := g.inTree[:len(pins)], g.dist[:len(pins)], g.from[:len(pins)]
+	clear(inTree)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}

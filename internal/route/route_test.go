@@ -89,3 +89,32 @@ func abs(x float64) float64 {
 	}
 	return x
 }
+
+// TestRouteAllocations: routing reuses its scratch from net to net, so
+// RouteContext makes the same few allocations however many nets it
+// routes: one pin buffer, the net order and the grid, not a slice or
+// three per net.
+func TestRouteAllocations(t *testing.T) {
+	const bound = 8
+	var got []float64
+	for _, scale := range []float64{0.03, 0.1} {
+		n, err := circuitgen.Generate(circuitgen.S38417Class().Scale(scale), stdcell.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := place.PlaceContext(context.Background(), n, place.Options{TargetUtilization: 0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := RouteContext(context.Background(), p, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("x%g: %d nets, %.0f allocations per route", scale, len(n.Nets), allocs)
+		got = append(got, allocs)
+	}
+	if got[0] != got[1] || got[1] > bound {
+		t.Errorf("RouteContext allocates %v times at x0.03 and x0.1, want one count of at most %d", got, bound)
+	}
+}

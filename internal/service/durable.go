@@ -1,349 +1,256 @@
 package service
 
-// Durability: the record formats the lifecycle's transitions (see
-// lifecycle.go) append to the journal, and what a restart makes of them.
+// Durability: the files the lifecycle's transitions (lifecycle.go)
+// write into the data dir, and what a restart makes of them (DESIGN.md
+// §13). The data dir is its own index:
 //
-//	accepted   — the job's replayable request (canonical bench text +
-//	             resolved flow config).
-//	level-done — one completed sweep level (content-addressed level key
-//	             + its Metrics): the checkpoint granule resume is built
-//	             on. Budgeted (wall-clock-dependent) and truncated
-//	             levels are never checkpointed.
-//	retired    — a run's jobs reaching done/failed/canceled (a DELETE
-//	             and a queue refusal after the accepted record included),
-//	             with the full result for done runs so a restarted
-//	             daemon can answer GET /result without recomputing.
+//	jobs/<job_id>.json  one job: its replayable request and the run it
+//	                    waits on, rewritten once at retirement with its
+//	                    verdict and result instead of the bench text.
+//	levels/<key>.json   one completed, untruncated level of a cacheable
+//	                    run: the checkpoint granule resume is built on.
+//	runs/               the run archive (internal/trachive).
 //
-// Journals written by earlier builds also hold canceled records, one job
-// detached by DELETE or refused by the queue each; replay still reads
-// them.
-//
-// On startup the journal is replayed: retired jobs become queryable
-// terminal jobs again (complete cacheable results repopulate the LRU in
-// record order), level checkpoints repopulate the resume store, and
-// unfinished jobs are recompiled from their accepted records and
-// re-admitted — running only the levels that have no checkpoint.
-//
-// Journal append failures are counted (service.journal_errors) but do
-// not fail requests: the daemon degrades to in-memory operation rather
-// than refusing work (availability over durability).
+// Every file is written by trachive.WriteFile (tmp + fsync + rename +
+// directory fsync) under its id path-escaped, so a reader sees a whole
+// image and a name stays inside its directory. A job file goes when
+// retention forgets the job, a level file when the store evicts it.
+// Open reads each directory once and replays it; a journal a parent
+// build left is folded into files first (parentwal.go). A failed write
+// is counted (service.journal_errors), never propagated: the job carries
+// on in memory (availability over durability).
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/url"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"time"
 
 	"tpilayout/internal/flow"
-	"tpilayout/internal/journal"
+	"tpilayout/internal/trachive"
 )
 
-// recAccepted is the journal image of one accepted job: everything
-// needed to recompile an identical run after a restart. Bench is the
-// CANONICAL .bench text (WriteBench of the parsed design, clock domains
-// included), so recompiling hashes to the same content address as the
-// original submission. Flow carries the resolved preset in Experiment,
-// pinning the config even when the original request left it implicit.
-type recAccepted struct {
+// jobImage is one job's file. At admission it is the replayable request:
+// the CANONICAL .bench text, which recompiles to the same content
+// address, and the flow config with its preset pinned. At retirement it
+// is the verdict instead. A parent journal's job records decode into it.
+type jobImage struct {
 	JobID string `json:"job_id"`
-	// RunID is the run identity minted at admission, correlating this
-	// record with log lines, spans, and flight dumps. A submission that
-	// coalesced onto an in-flight run after this record was written is
-	// retired under the absorbing run's id instead; replay reuses the
-	// journaled id so a resumed run keeps its pre-crash identity.
-	// Empty in journals written before run ids existed (JSON-additive).
-	RunID    string     `json:"run_id,omitempty"`
-	Tenant   string     `json:"tenant"`
-	Name     string     `json:"name"`
-	Bench    string     `json:"bench"`
-	TPLevels []float64  `json:"tp_levels"`
-	Flow     FlowConfig `json:"flow"`
-	Created  time.Time  `json:"created"`
+	// RunID is the run the job waits on (its own or its twin's), or was
+	// retired under ("" for a cache answer).
+	RunID    string      `json:"run_id,omitempty"`
+	Tenant   string      `json:"tenant"`
+	Name     string      `json:"name"`
+	Bench    string      `json:"bench,omitempty"`
+	TPLevels []float64   `json:"tp_levels"`
+	Flow     *FlowConfig `json:"flow,omitempty"`
+	Created  time.Time   `json:"created"`
+
+	// The verdict: a job whose State is terminal is retired.
+	State     State      `json:"state,omitempty"`
+	Error     string     `json:"error,omitempty"`
+	CacheKey  string     `json:"cache_key,omitempty"`
+	Cacheable bool       `json:"cacheable,omitempty"`
+	Result    *JobResult `json:"result,omitempty"`
+	Finished  time.Time  `json:"finished"`
 }
 
-// recLevelDone checkpoints one completed level under its content
-// address (base key + TP percentage).
-type recLevelDone struct {
+// levelImage checkpoints one completed level under its content address
+// (base key + TP percentage).
+type levelImage struct {
 	Key       string       `json:"key"`
 	TPPercent float64      `json:"tp_percent"`
 	Metrics   flow.Metrics `json:"metrics"`
 	// RunID/JobID name the run that produced the checkpoint (forensics
-	// only: resume matches on Key alone). Empty in old journals.
+	// only: resume matches on Key alone).
 	RunID string `json:"run_id,omitempty"`
 	JobID string `json:"job_id,omitempty"`
+	// Done orders the store's eviction across a restart.
+	Done time.Time `json:"done"`
 }
 
-// recRetired records a run's jobs reaching a terminal state.
-type recRetired struct {
-	JobIDs []string `json:"job_ids"`
-	// RunID is the run that retired these jobs ("" for cache-answered
-	// retirements, which never ran a flow, and for old journals).
-	RunID     string     `json:"run_id,omitempty"`
-	State     State      `json:"state"`
-	Error     string     `json:"error,omitempty"`
-	CacheKey  string     `json:"cache_key"`
-	Cacheable bool       `json:"cacheable"`
-	Result    *JobResult `json:"result,omitempty"`
-	Finished  time.Time  `json:"finished"`
+// dataState is what the data dir holds: pending jobs in admission order,
+// retired jobs in retirement order, and the level checkpoints.
+type dataState struct {
+	Pending []jobImage   `json:"pending"`
+	Retired []jobImage   `json:"retired"`
+	Levels  []levelImage `json:"levels"`
 }
 
-// recCanceled is the canceled record earlier builds wrote for one job a
-// DELETE or a queue refusal retired. Nothing writes it now; replay reads
-// it as "canceled by client", without the cache key it never carried.
-type recCanceled struct {
-	JobID    string    `json:"job_id"`
-	RunID    string    `json:"run_id,omitempty"`
-	Finished time.Time `json:"finished"`
-}
+// The data dir's job and level directories.
+const jobsDir, levelsDir = "jobs", "levels"
 
-// retiredJob is a terminal job inside a snapshot: the queryable state
-// a restarted daemon serves for already-finished work.
-type retiredJob struct {
-	JobID string `json:"job_id"`
-	// RunID is the run the job was retired under (its own, or the one it
-	// coalesced onto; "" for a cache answer), preserved so a restarted
-	// daemon answers status queries with the run_id the pre-crash daemon
-	// reported.
-	RunID     string     `json:"run_id,omitempty"`
-	Tenant    string     `json:"tenant"`
-	Name      string     `json:"name"`
-	TPLevels  []float64  `json:"tp_levels"`
-	State     State      `json:"state"`
-	Error     string     `json:"error,omitempty"`
-	CacheKey  string     `json:"cache_key"`
-	Cacheable bool       `json:"cacheable"`
-	Result    *JobResult `json:"result,omitempty"`
-	Created   time.Time  `json:"created"`
-	Finished  time.Time  `json:"finished"`
-}
+// fileName is the file of the image with this id: escaping keeps a
+// key's '/' out of it, the suffix an id of "." or ".." from naming a dir.
+func fileName(id string) string { return url.PathEscape(id) + ".json" }
 
-// snapState is the compacted fold of the whole journal: what a snapshot
-// record holds and what replay reconstructs.
-type snapState struct {
-	Pending []recAccepted  `json:"pending"`
-	Retired []retiredJob   `json:"retired"`
-	Levels  []recLevelDone `json:"levels"`
-}
-
-// foldRecords reduces a replayed record stream to its final state:
-// pending jobs still owed a run, retired jobs in retirement order, and
-// the surviving level checkpoints.
-func foldRecords(recs []journal.Record) *snapState {
-	st := &snapState{}
-	levelIdx := map[string]int{}
-	// retire moves a pending job to the retired list under the verdict r
-	// of its terminal record; a second terminal record for the job, or
-	// one for a job never accepted, changes nothing.
-	retire := func(id string, r retiredJob) {
-		i := slices.IndexFunc(st.Pending, func(p recAccepted) bool { return p.JobID == id })
-		if i < 0 {
-			return
-		}
-		acc := st.Pending[i]
-		st.Pending = slices.Delete(st.Pending, i, i+1)
-		r.JobID, r.Tenant, r.Name, r.TPLevels, r.Created = id, acc.Tenant, acc.Name, acc.TPLevels, acc.Created
-		st.Retired = append(st.Retired, r)
-	}
-	for _, r := range recs {
-		switch r.Type {
-		case journal.TypeSnapshot:
-			var snap snapState
-			if json.Unmarshal(r.Data, &snap) == nil {
-				st = &snap
-				levelIdx = map[string]int{}
-				for i, l := range st.Levels {
-					levelIdx[l.Key] = i
-				}
-			}
-		case journal.TypeAccepted:
-			var rec recAccepted
-			if json.Unmarshal(r.Data, &rec) == nil && rec.JobID != "" &&
-				!slices.ContainsFunc(st.Pending, func(p recAccepted) bool { return p.JobID == rec.JobID }) {
-				st.Pending = append(st.Pending, rec)
-			}
-		case journal.TypeLevelDone:
-			var rec recLevelDone
-			if json.Unmarshal(r.Data, &rec) == nil && rec.Key != "" {
-				if i, ok := levelIdx[rec.Key]; ok {
-					st.Levels[i] = rec
-				} else {
-					levelIdx[rec.Key] = len(st.Levels)
-					st.Levels = append(st.Levels, rec)
-				}
-			}
-		case journal.TypeRetired:
-			var rec recRetired
-			if json.Unmarshal(r.Data, &rec) == nil {
-				for _, id := range rec.JobIDs {
-					retire(id, retiredJob{
-						RunID: rec.RunID, State: rec.State, Error: rec.Error, CacheKey: rec.CacheKey,
-						Cacheable: rec.Cacheable, Result: rec.Result, Finished: rec.Finished,
-					})
-				}
-			}
-		case journal.TypeCanceled:
-			var rec recCanceled
-			if json.Unmarshal(r.Data, &rec) == nil {
-				retire(rec.JobID, retiredJob{
-					RunID: rec.RunID, State: StateCanceled, Error: canceledByClient, Finished: rec.Finished,
-				})
-			}
+// loadDataDir folds a parent build's journal into files, then reads the
+// job and level files back.
+func loadDataDir(dir string) (*dataState, error) {
+	for _, sub := range []string{jobsDir, levelsDir} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return nil, fmt.Errorf("service: %w", err)
 		}
 	}
-	return st
+	if err := foldParentWAL(dir); err != nil {
+		return nil, err
+	}
+	jobs, err := readImages(filepath.Join(dir, jobsDir), func(img *jobImage) string { return img.JobID })
+	if err != nil {
+		return nil, err
+	}
+	levels, err := readImages(filepath.Join(dir, levelsDir), func(img *levelImage) string { return img.Key })
+	if err != nil {
+		return nil, err
+	}
+	st := &dataState{Levels: levels}
+	for _, img := range jobs {
+		if img.State.terminal() {
+			st.Retired = append(st.Retired, img)
+		} else {
+			st.Pending = append(st.Pending, img)
+		}
+	}
+	sortBy(st.Pending, func(j *jobImage) (time.Time, string) { return j.Created, j.JobID })
+	sortBy(st.Retired, func(j *jobImage) (time.Time, string) { return j.Finished, j.JobID })
+	sortBy(st.Levels, func(l *levelImage) (time.Time, string) { return l.Done, l.Key })
+	return st, nil
+}
+
+// sortBy sorts images by time, then id.
+func sortBy[T any](imgs []T, key func(*T) (time.Time, string)) {
+	slices.SortFunc(imgs, func(a, b T) int {
+		ta, ida := key(&a)
+		tb, idb := key(&b)
+		if c := ta.Compare(tb); c != 0 {
+			return c
+		}
+		return strings.Compare(ida, idb)
+	})
+}
+
+// readImages decodes every file in dir into an image whose id, by id, is
+// its name, and removes any other file: a .tmp a crash cut short, or
+// one that does not decode.
+func readImages[T any](dir string, id func(*T) string) ([]T, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	var out []T
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		var img T
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &img)
+		}
+		if err != nil || id(&img) == "" || fileName(id(&img)) != e.Name() {
+			os.Remove(path)
+			continue
+		}
+		out = append(out, img)
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
 // Level checkpoint store
 
 // checkpointStore holds completed levels by content address so a
-// resumed or resubmitted sweep skips work already done. Insertion-order
-// bounded: the oldest checkpoints fall off past maxCheckpoints.
+// resumed or resubmitted sweep skips work already done; the oldest fall
+// off past maxCheckpoints.
 type checkpointStore struct {
-	m     map[string]recLevelDone
+	m     map[string]levelImage
 	order []string
 }
 
-const maxCheckpoints = 8192
+// maxCheckpoints bounds the store and levels/ (a variable for tests).
+var maxCheckpoints = 8192
 
 func newCheckpointStore() *checkpointStore {
-	return &checkpointStore{m: map[string]recLevelDone{}}
+	return &checkpointStore{m: map[string]levelImage{}}
 }
 
 // All methods are called with Server.mu held.
 
 func (c *checkpointStore) get(key string) (flow.Metrics, bool) {
-	rec, ok := c.m[key]
-	return rec.Metrics, ok
+	img, ok := c.m[key]
+	return img.Metrics, ok
 }
 
-func (c *checkpointStore) put(rec recLevelDone) {
-	if _, ok := c.m[rec.Key]; !ok {
-		c.order = append(c.order, rec.Key)
+// put stores one checkpoint and returns the keys it evicted.
+func (c *checkpointStore) put(img levelImage) (evicted []string) {
+	if _, ok := c.m[img.Key]; !ok {
+		c.order = append(c.order, img.Key)
 		for len(c.order) > maxCheckpoints {
+			evicted = append(evicted, c.order[0])
 			delete(c.m, c.order[0])
 			c.order = c.order[1:]
 		}
 	}
-	c.m[rec.Key] = rec
+	c.m[img.Key] = img
+	return evicted
 }
 
-func (c *checkpointStore) snapshot() []recLevelDone {
-	out := make([]recLevelDone, 0, len(c.order))
-	for _, key := range c.order {
-		if rec, ok := c.m[key]; ok {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Server-side journal plumbing
-
-// appendRecord journals one state transition. A nil journal (in-memory
-// server), a Kill()ed server, or an append failure all degrade to
-// in-memory operation; failures are counted, never propagated.
-func (s *Server) appendRecord(t journal.Type, v any) {
-	if s.jrnl == nil || s.dead.Load() {
+// writeImage commits one image under dir/sub, unless the server is
+// in-memory or Kill()ed; a failed write is counted, never propagated.
+func (s *Server) writeImage(sub, id string, img any) {
+	if s.opt.DataDir == "" || s.dead.Load() {
 		return
 	}
-	data, err := json.Marshal(v)
+	path := filepath.Join(s.opt.DataDir, sub, fileName(id))
+	data, err := json.Marshal(img)
+	if err == nil && s.opt.writeHook != nil {
+		err = s.opt.writeHook(path)
+	}
+	if err == nil {
+		err = trachive.WriteFile(path, data)
+	}
 	if err != nil {
-		return
-	}
-	if err := s.jrnl.Append(t, data); err != nil {
-		s.journalFailed("journal append failed, degrading to in-memory", "record_type", int(t), "error", err)
-	}
-}
-
-// journalFailed counts and reports a failed journal write, an append or
-// a compaction alike: /v1/stats, /metrics and the log all see it.
-func (s *Server) journalFailed(msg string, args ...any) {
-	s.journalErrors.Add(1)
-	s.emitMetric(map[string]int64{"service.journal_errors": 1}, nil, nil)
-	s.opt.Log.Error(msg, args...)
-}
-
-// journalCompactBytes is the live-segment size past which a retirement
-// triggers snapshot compaction.
-const journalCompactBytes = 4 << 20
-
-// maybeCompact snapshots the journal when its live segments outgrow the
-// compaction threshold. One compaction at a time; concurrent retiring
-// runs skip rather than queue.
-func (s *Server) maybeCompact() {
-	// Not before replay is done: until then the pending jobs of the
-	// journal are not all back in s.jobs, and a snapshot would drop them.
-	if s.jrnl == nil || s.dead.Load() || !s.ready.Load() || s.jrnl.Size() < journalCompactBytes {
-		return
-	}
-	if !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	defer s.compacting.Store(false)
-	s.compactJournal()
-}
-
-// compactJournal writes the current fold of the journal as a snapshot,
-// holding jgate so that no journaled transition falls between the state
-// capture and the segment cut.
-func (s *Server) compactJournal() {
-	if s.jrnl == nil || s.dead.Load() {
-		return
-	}
-	s.jgate.Lock()
-	defer s.jgate.Unlock()
-	state, err := json.Marshal(s.snapshotState())
-	if err != nil {
-		return
-	}
-	if s.opt.compactHook != nil {
-		s.opt.compactHook()
-	}
-	if err := s.jrnl.Compact(state); err != nil {
-		s.journalFailed("journal compaction failed", "error", err)
+		s.journalErrors.Add(1)
+		s.emitMetric(map[string]int64{"service.journal_errors": 1}, nil, nil)
+		s.opt.Log.Error("data dir write failed, carrying on in memory", "file", path, "error", err)
 	}
 }
 
-// snapshotState assembles the snapState equivalent to replaying every
-// record written so far.
-func (s *Server) snapshotState() *snapState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := &snapState{Levels: s.checkpoints.snapshot()}
-	for _, id := range s.order {
-		job := s.jobs[id]
-		if job == nil || !job.journaled {
-			continue
-		}
-		if job.state.terminal() {
-			st.Retired = append(st.Retired, retiredJob{
-				JobID: job.ID, RunID: job.runID, Tenant: job.Tenant, Name: job.Circuit,
-				TPLevels: job.Levels, State: job.state, Error: job.errMsg,
-				CacheKey: job.Key, Cacheable: job.cacheable, Result: job.result.value(),
-				Created: job.created, Finished: job.finished,
-			})
-		} else if job.accepted != nil {
-			st.Pending = append(st.Pending, *job.accepted)
-		}
+// removeImage deletes one image under dir/sub, unless the server is
+// in-memory or Kill()ed; a file a failed remove leaves is read back by
+// the next Open.
+func (s *Server) removeImage(sub, id string) {
+	if s.opt.DataDir != "" && !s.dead.Load() {
+		os.Remove(filepath.Join(s.opt.DataDir, sub, fileName(id)))
 	}
-	return st
 }
 
-// replay reconstructs the server's state from the journal fold, then
-// marks the server ready. It runs asynchronously from Open so liveness
+// retiredImage is the file of a terminal job.
+func retiredImage(job *Job) *jobImage {
+	return &jobImage{
+		JobID: job.ID, RunID: job.runID, Tenant: job.Tenant, Name: job.Circuit, TPLevels: job.Levels,
+		Created: job.created, State: job.state, Error: job.errMsg, CacheKey: job.Key,
+		Cacheable: job.cacheable, Result: job.result.value(), Finished: job.finished,
+	}
+}
+
+// replay reconstructs the server's state from the data dir, then marks
+// the server ready. It runs asynchronously from Open so liveness
 // (/healthz) is immediate while readiness (/readyz) waits; submissions
 // during replay answer 503.
-func (s *Server) replay(st *snapState) {
+func (s *Server) replay(st *dataState) {
 	defer s.replayWG.Done()
 	if s.opt.replayGate != nil {
 		<-s.opt.replayGate
 	}
 
 	s.mu.Lock()
+	var evicted []string
 	for _, l := range st.Levels {
-		s.checkpoints.put(l)
+		evicted = append(evicted, s.checkpoints.put(l)...)
 	}
 	// Retired jobs become queryable terminal jobs again; complete
 	// cacheable results re-enter the LRU in retirement order, so the
@@ -354,10 +261,7 @@ func (s *Server) replay(st *snapState) {
 			ID: r.JobID, runID: r.RunID, Tenant: r.Tenant, Key: r.CacheKey, Levels: r.TPLevels,
 			Circuit: r.Name, state: r.State, errMsg: r.Error,
 			created: r.Created, finished: r.Finished, started: r.Created,
-			journaled: true, cacheable: r.Cacheable,
-		}
-		if _, exists := s.jobs[job.ID]; exists {
-			continue
+			persisted: true, cacheable: r.Cacheable,
 		}
 		if r.Result != nil {
 			job.result = encodeResult(r.Result)
@@ -368,11 +272,13 @@ func (s *Server) replay(st *snapState) {
 		}
 	}
 	s.mu.Unlock()
+	for _, key := range evicted {
+		s.removeImage(levelsDir, key)
+	}
 
-	// Unfinished jobs are recompiled and re-enqueued through the normal
-	// admission path: identical pending jobs coalesce, and a pending job
-	// whose twin already retired with a cached result is answered from
-	// the cache (and retired in the journal so it stays answered).
+	// Unfinished jobs are re-admitted through the normal path: identical
+	// pending jobs coalesce, and one whose twin retired with a cached
+	// result is answered from the cache (and its file retired).
 	replayed := int64(0)
 	for i := range st.Pending {
 		if s.readmit(&st.Pending[i]) {
@@ -383,36 +289,29 @@ func (s *Server) replay(st *snapState) {
 	if replayed > 0 {
 		s.emitMetric(map[string]int64{"service.replayed_jobs": replayed}, nil, nil)
 	}
-	s.opt.Log.Info("journal replay complete", "requeued", replayed,
+	s.opt.Log.Info("data dir replay complete", "requeued", replayed,
 		"retired", len(st.Retired), "checkpoints", len(st.Levels))
-	// Startup compaction: the fold just performed becomes the snapshot,
-	// bounding the next restart's replay cost.
-	s.compactJournal()
 	s.ready.Store(true)
 }
 
-// readmit re-admits one pending job from its accepted record under its
-// journaled ids. Reports whether the job is owed a run again (as opposed
-// to answered terminally).
-func (s *Server) readmit(rec *recAccepted) bool {
-	s.mu.Lock()
-	_, exists := s.jobs[rec.JobID]
-	s.mu.Unlock()
-	if exists {
-		return false
+// readmit re-admits one pending job from its image under its filed ids,
+// reporting whether the job is owed a run again.
+func (s *Server) readmit(img *jobImage) bool {
+	req := &JobRequest{
+		Tenant:   img.Tenant,
+		Circuit:  CircuitSpec{Bench: img.Bench, Name: img.Name},
+		TPLevels: img.TPLevels,
 	}
-	comp, err := compileRequest(&JobRequest{
-		Tenant:   rec.Tenant,
-		Circuit:  CircuitSpec{Bench: rec.Bench, Name: rec.Name},
-		TPLevels: rec.TPLevels,
-		Flow:     rec.Flow,
-	})
+	if img.Flow != nil {
+		req.Flow = *img.Flow
+	}
+	comp, err := compileRequest(req)
 	if err != nil {
-		// The record no longer compiles (journal from a newer build?):
-		// retire it as failed so it stops replaying forever.
+		// The image no longer compiles (written by a newer build?): retire
+		// it as failed so it stops replaying forever.
 		job := &Job{
-			ID: rec.JobID, Tenant: rec.Tenant, Circuit: rec.Name, Levels: rec.TPLevels,
-			state: StateQueued, created: rec.Created, journaled: true, accepted: rec,
+			ID: img.JobID, Tenant: img.Tenant, Circuit: img.Name, Levels: img.TPLevels,
+			state: StateQueued, created: img.Created, persisted: true, accepted: img,
 		}
 		s.mu.Lock()
 		s.rememberJobLocked(job)
@@ -420,11 +319,11 @@ func (s *Server) readmit(rec *recAccepted) bool {
 		s.retire([]*Job{job}, outcome{state: StateFailed, errMsg: "replay: " + err.Error()})
 		return false
 	}
-	_, how := s.admit(comp, rec, true)
+	_, how := s.admit(comp, img, true)
 	return how == admitQueued || how == admitCoalesced
 }
 
-// Kill simulates an abrupt process death for crash tests: journal
+// Kill simulates an abrupt process death for crash tests: data dir
 // writes stop IMMEDIATELY — nothing after Kill reaches the data
 // directory, exactly as if the process had been SIGKILLed — and the
 // worker pool is torn down without drain semantics. The server is

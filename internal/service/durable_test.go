@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tpilayout/internal/flow"
 	"tpilayout/internal/journal"
@@ -23,7 +22,7 @@ import (
 )
 
 // stubMetrics is a deterministic, JSON-exact metrics row for a level:
-// the values survive the journal's JSON round trip bit-identically, so
+// the values survive a level file's JSON round trip bit-identically, so
 // a checkpointed level is indistinguishable from a freshly run one.
 func stubMetrics(pct float64) flow.Metrics {
 	return flow.Metrics{
@@ -59,13 +58,12 @@ func (lr *levelRecorder) executed() []float64 {
 	return out
 }
 
-// openDurable opens a durable server on dir with fsync off (tests) and a
-// replay gate, installs stubs while replay is parked, then releases it.
+// openDurable opens a durable server on dir with a replay gate, installs
+// stubs while replay is parked, then releases it.
 func openDurable(t *testing.T, dir string, opt Options, install func(*Server)) *Server {
 	t.Helper()
 	gate := make(chan struct{})
 	opt.DataDir = dir
-	opt.journalNoSync = true
 	opt.replayGate = gate
 	s, err := Open(opt)
 	if err != nil {
@@ -264,7 +262,7 @@ func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	}
 	// stubMetrics is not what the real flow produces, so a match on this
 	// record would show in the tables.
-	levelDone, err := json.Marshal(recLevelDone{
+	levelDone, err := json.Marshal(levelImage{
 		Key: comp.baseKey + "/incr/tp0", TPPercent: 0, Metrics: stubMetrics(0), JobID: "old-1",
 	})
 	if err != nil {
@@ -275,7 +273,7 @@ func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	if comp.baseKey == v1BaseKey {
 		t.Fatal("base key is still the tpid/v1 one")
 	}
-	levelDoneV1, err := json.Marshal(recLevelDone{
+	levelDoneV1, err := json.Marshal(levelImage{
 		Key: levelKey(v1BaseKey, 2), TPPercent: 2, Metrics: stubMetrics(2), JobID: "old-1",
 	})
 	if err != nil {
@@ -334,84 +332,12 @@ func TestReplayToleratesRemovedFlowFields(t *testing.T) {
 	}
 }
 
-// TestReadyzGatesReplay: while the journal replays, /healthz is 200
+// TestReadyzGatesReplay: while the data dir replays, /healthz is 200
 // (liveness), /readyz is 503, and submissions bounce with 503; all flip
 // once replay completes.
-// TestCompactionExcludesRetirement parks a retirement between a
-// compaction's state capture and its segment cut — the window in which a
-// retired record used to be deleted while the snapshot still listed the
-// job pending, so a restart ran it again (and, the other way round, a
-// job the snapshot already held retired got a second terminal record).
-// The run is released from inside the compaction and given every chance
-// to retire before the cut; whichever side of the compaction its record
-// lands on, the journal must fold to exactly one retirement.
-func TestCompactionExcludesRetirement(t *testing.T) {
-	dir := t.TempDir()
-	var s *Server
-	var jobID string
-	var armed bool
-	release := make(chan struct{})
-	rec := &levelRecorder{}
-	terminal := func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.jobs[jobID].state.terminal()
-	}
-	opt := Options{Workers: 1}
-	opt.compactHook = func() {
-		if !armed { // the startup compaction at the end of replay
-			return
-		}
-		close(release)
-		// The retirement must not get through while the compaction is
-		// between capture and cut; that it does not can only be seen by
-		// waiting for it in vain.
-		for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); {
-			if terminal() {
-				// It did: let its record reach the journal too, so the
-				// cut below really deletes it.
-				before := s.jrnl.Appends()
-				for i := 0; i < 100 && s.jrnl.Appends() == before; i++ {
-					time.Sleep(time.Millisecond)
-				}
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	s = openDurable(t, dir, opt, func(s *Server) {
-		s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
-			<-release
-			return rec.hook(rn, base, cfg, pct)
-		}
-	})
-	code, st := postJob(t, s, jobBody(t, "acme", 0))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d", code)
-	}
-	jobID = st.ID
-	waitFor(t, func() bool { return getStatus(t, s, jobID).State == StateRunning })
-
-	armed = true
-	s.compactJournal()
-	waitState(t, s, jobID, StateDone)
-	shutdown(t, s)
-	checkJournalInvariants(t, dir, 0, false)
-
-	// A restart must find the job done and owe it no run.
-	s2 := openDurable(t, dir, Options{Workers: 1}, func(s *Server) { s.runLevel = rec.hook })
-	if got := getStatus(t, s2, jobID); got.State != StateDone {
-		t.Errorf("after restart job is %s, want done", got.State)
-	}
-	if ran := rec.executed(); len(ran) != 1 {
-		t.Errorf("levels executed across both lives = %v, want the one run", ran)
-	}
-	shutdown(t, s2)
-}
-
 func TestReadyzGatesReplay(t *testing.T) {
 	gate := make(chan struct{})
-	s, err := Open(Options{Workers: 1, DataDir: t.TempDir(), journalNoSync: true, replayGate: gate})
+	s, err := Open(Options{Workers: 1, DataDir: t.TempDir(), replayGate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

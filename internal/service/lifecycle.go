@@ -2,19 +2,16 @@ package service
 
 // The run lifecycle. A job moves queued → running → done | failed |
 // canceled, and every move that must survive a crash is one of three
-// journaled transitions, each a single function that takes jgate.RLock
-// itself, changes the state under mu, and appends its record before it
-// lets go of the gate:
+// transitions, each a single function that changes the state under mu
+// and writes the data dir file that records it (durable.go):
 //
-//	admit      — a job enters: the accepted record, then a place for the
-//	             job (an in-flight twin's run, the result cache, or a new
-//	             run on the queue).
-//	checkpoint — one level of a run completed: the level-done record.
-//	retire     — jobs reach a terminal state: the retired record.
+//	admit      — a job enters: its file, then a place (an in-flight
+//	             twin's run, the result cache, or a new run).
+//	checkpoint — one level of a run completed: its level file.
+//	retire     — jobs reach a terminal state: their files take it.
 //
-// Nothing else assigns a terminal state, appends these records, or bumps
-// the jobs_done/failed/canceled counters. Compaction (durable.go) is the
-// one holder of jgate.Lock.
+// Nothing else assigns a terminal state, writes these files, or bumps
+// the jobs_done/failed/canceled counters.
 
 import (
 	"context"
@@ -23,7 +20,6 @@ import (
 	"time"
 
 	"tpilayout/internal/flow"
-	"tpilayout/internal/journal"
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/telemetry"
 )
@@ -39,19 +35,16 @@ const (
 	admitDraining                   // refused: the queue is closed
 )
 
-// admit is the accepted transition: it gives the job described by rec a
-// place in the server, or refuses it. replay says rec was read back from
-// the journal, so the record is not written again, the job enters under
-// its journaled ids, and a refusal must still leave the job (whose client
+// admit is the accepted transition: it gives the job described by img a
+// place in the server, or refuses it. replay says img was read back from
+// the data dir, so its file is not written again, the job enters under
+// its filed ids, and a refusal must still leave the job (whose client
 // has held its id since before the crash) with a queryable verdict.
-func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, admission) {
+func (s *Server) admit(comp *compiled, img *jobImage, replay bool) (*Job, admission) {
 	job := &Job{
-		ID: rec.JobID, Tenant: comp.tenant, Key: comp.key, Levels: comp.levels,
-		Circuit: comp.src.name, digest: comp.digest, state: StateQueued, created: rec.Created,
-		cacheable: comp.cacheable, journaled: replay,
-	}
-	if replay {
-		job.accepted = rec
+		ID: img.JobID, Tenant: comp.tenant, Key: comp.key, Levels: comp.levels,
+		Circuit: comp.src.name, digest: comp.digest, state: StateQueued, created: img.Created,
+		cacheable: comp.cacheable, persisted: replay, accepted: img,
 	}
 	answer := func(res *encodedResult) (*Job, admission) {
 		s.retire([]*Job{job}, outcome{state: StateDone, result: res, cacheHit: true})
@@ -65,9 +58,9 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 
 	if !replay {
 		// Content-addressed fast path: an identical finished sweep serves
-		// from the cache without touching the queue, the gate or the
-		// journal — it cost no flow, so there is nothing to recover. The
-		// request index may have found the result already (comp.hit).
+		// from the cache without touching the queue or the data dir — it
+		// cost no flow, so there is nothing to recover. The request index
+		// may have found the result already (comp.hit).
 		if comp.cacheable {
 			res, ok := comp.hit, comp.hit != nil
 			if !ok {
@@ -80,9 +73,9 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 				return answer(res)
 			}
 		}
-		// Fast-fail an obviously full queue before paying a journal fsync
+		// Fast-fail an obviously full queue before paying a file write
 		// for a job that will bounce with 429 anyway (the race with Push
-		// below is compensated by a retired record).
+		// below is compensated by removing the file).
 		s.mu.Lock()
 		_, coalescible := s.inflight[comp.key]
 		s.mu.Unlock()
@@ -90,38 +83,40 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 			return job, admitQueueFull
 		}
 	}
-	// Mint the run identity before journaling so the accepted record
-	// carries it; a job that coalesces is retired under the absorbing
-	// run's id instead. Replay keeps the journaled id, so a resumed run
-	// keeps its pre-crash identity.
-	if rec.RunID == "" {
-		rec.RunID = s.newRunID()
-	}
 
-	// The accepted record is written BEFORE the job becomes reachable, so
-	// it always precedes any terminal record of the same job and replay
-	// never sees the retirement of an unknown job. The gate is held until
-	// the job is reachable, or a compaction in between would drop the
-	// record of a job its snapshot does not know yet.
-	s.jgate.RLock()
-	if !replay && s.jrnl != nil {
-		s.appendRecord(journal.TypeAccepted, rec)
-		job.journaled, job.accepted = true, rec
-	}
-	s.mu.Lock()
+	// The job's file is written BEFORE the job is reachable, so it
+	// precedes its retired image, and names the run the job will wait on
+	// (a live twin's, else a new one's): if that changed while the file
+	// was written, it is written again. Replay keeps the filed run id.
 	var live, rn *run
 	var cached *encodedResult
 	var refused error
-	if comp.cacheable {
-		// Singleflight: an identical run already queued or running absorbs
-		// this submission — one flow, many results. Failing that, look in
-		// the cache again: finishRun publishes to the cache before it
-		// drops the inflight entry, so a run that ended since the first
-		// probe is visible on one of the two paths, and an identical
-		// submission never pays for a second flow.
-		if live = s.inflight[comp.key]; live == nil {
-			cached, _ = s.cache.Get(comp.key)
+	borrowed := false // img.RunID is a live run's
+	for {
+		s.mu.Lock()
+		live, cached = nil, nil
+		if comp.cacheable {
+			// Singleflight: an identical run in flight absorbs this
+			// submission. Failing that, look in the cache again: finishRun
+			// publishes to it before it drops the inflight entry, so an
+			// identical submission never pays for a second flow.
+			if live = s.inflight[comp.key]; live == nil {
+				cached, _ = s.cache.Get(comp.key)
+			}
 		}
+		want := img.RunID
+		if live != nil {
+			want = live.id
+		} else if want == "" || borrowed {
+			want = s.newRunID()
+		}
+		if replay || cached != nil || s.opt.DataDir == "" || job.persisted && want == img.RunID {
+			img.RunID = want
+			break
+		}
+		s.mu.Unlock()
+		img.RunID, borrowed, job.persisted = want, live != nil, true
+		s.writeImage(jobsDir, img.JobID, img)
 	}
 	switch {
 	case live != nil:
@@ -131,7 +126,7 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 		}
 		live.jobs = append(live.jobs, job)
 	case cached == nil:
-		rn = s.newRun(comp, rec, job)
+		rn = s.newRun(comp, img, job)
 		if refused = s.queue.Push(rn); refused == nil {
 			if comp.cacheable {
 				s.inflight[comp.key] = rn
@@ -145,11 +140,11 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 		s.rememberJobLocked(job)
 	}
 	s.mu.Unlock()
-	s.jgate.RUnlock()
 
 	switch {
 	case refused != nil:
-		// The job never ran: compensate its accepted record.
+		// The job never ran: retiring it removes a fresh job's file and
+		// gives a replayed one its verdict.
 		msg := refused.Error()
 		if replay {
 			msg = "replay: " + msg
@@ -160,8 +155,8 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 		}
 		return job, admitDraining
 	case cached != nil:
-		// Retiring the job balances its accepted record, so replay does
-		// not resurrect an already-answered job.
+		// Retiring the job retires its file, if it has one, so replay
+		// does not resurrect an already-answered job.
 		return answer(cached)
 	case live != nil:
 		s.emitMetric(map[string]int64{"service.coalesced_jobs": 1}, nil, nil)
@@ -179,12 +174,12 @@ func (s *Server) admit(comp *compiled, rec *recAccepted, replay bool) (*Job, adm
 }
 
 // newRun builds the run a freshly admitted job is the first waiter of,
-// under the run id its accepted record carries.
-func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
+// under the run id its image carries.
+func (s *Server) newRun(comp *compiled, img *jobImage, job *Job) *run {
 	ctx, cancel := context.WithCancel(context.Background())
 	events := newBroadcaster()
 	rn := &run{
-		runRecord: &runRecord{id: rec.RunID, retained: events},
+		runRecord: &runRecord{id: img.RunID, retained: events},
 		events:    events,
 		key:       comp.key,
 		baseKey:   comp.baseKey,
@@ -198,7 +193,7 @@ func (s *Server) newRun(comp *compiled, rec *recAccepted, job *Job) *run {
 		cfg:       comp.cfg,
 		levels:    comp.levels,
 		workers:   comp.workers,
-		budgetMS:  rec.Flow.ATPGBudgetMS,
+		budgetMS:  comp.budgetMS,
 		ctx:       ctx,
 		cancel:    cancel,
 		enqueued:  time.Now(),
@@ -385,7 +380,7 @@ func (s *Server) attemptLevel(rn *run, base *netlist.Netlist, cfg flow.Config, p
 	}
 	rn.log.Debug("level done", "tp_percent", pct, "truncated", lr.Metrics.Truncated)
 	if rn.cacheable && !lr.Metrics.Truncated {
-		s.checkpoint(&recLevelDone{
+		s.checkpoint(&levelImage{
 			Key: levelKey(rn.baseKey, pct), TPPercent: pct, Metrics: lr.Metrics,
 			RunID: rn.id, JobID: rn.primary,
 		})
@@ -394,14 +389,17 @@ func (s *Server) attemptLevel(rn *run, base *netlist.Netlist, cfg flow.Config, p
 }
 
 // checkpoint is the level-done transition: one freshly completed level
-// enters the resume store and the journal.
-func (s *Server) checkpoint(rec *recLevelDone) {
-	s.jgate.RLock()
-	defer s.jgate.RUnlock()
+// is filed, then enters the resume store. A failed write leaves it
+// resumable until the next restart.
+func (s *Server) checkpoint(img *levelImage) {
+	img.Done = time.Now()
+	s.writeImage(levelsDir, img.Key, img)
 	s.mu.Lock()
-	s.checkpoints.put(*rec)
+	evicted := s.checkpoints.put(*img)
 	s.mu.Unlock()
-	s.appendRecord(journal.TypeLevelDone, rec)
+	for _, key := range evicted {
+		s.removeImage(levelsDir, key)
+	}
 }
 
 // finishRun delivers a run's verdict to every job still attached to it,
@@ -442,7 +440,7 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 			s.cache.Alias(j)
 		}
 	}
-	// Crash semantics: a SIGKILL before the retired record leaves the
+	// Crash semantics: a SIGKILL before the retired images leaves the
 	// jobs pending, so the restarted daemon re-runs them (cheaply, from
 	// their level checkpoints); a clean drain that cancels queued runs
 	// lands here too and retires their jobs durably as canceled.
@@ -473,29 +471,19 @@ const canceledByClient = "canceled by client"
 
 // retire is the terminal transition and the only writer of a terminal
 // state: every job in jobs that is not terminal yet takes the outcome,
-// is detached from its run, journaled, counted and reported. It returns
-// how many jobs it retired — a job a DELETE or its run's verdict reached
+// is detached from its run, filed, counted and reported. It returns how
+// many jobs it retired — a job a DELETE or its run's verdict reached
 // first is left alone, so every job is retired exactly once. A run that
 // loses its last waiter here is dropped: off the queue if still there,
 // its flow aborted if running, its event stream closed.
 //
 // A retired job keeps what a GET can still ask for: its verdict and its
-// run's record. It lets go of the run and of its accepted record, which
+// run's record. It lets go of the run and of its accepted image, which
 // only a pending job needs, so neither the parsed design nor the bench
 // text outlives the run's last waiter.
 func (s *Server) retire(jobs []*Job, out outcome) int {
-	// A journaled transition runs under the gate; a cache answer to a job
-	// that was never journaled must not wait behind a compaction.
-	gated := false
-	for _, j := range jobs {
-		gated = gated || j.journaled
-	}
-	if gated {
-		s.jgate.RLock()
-	}
 	now := time.Now()
-	var retired, seen []*Job
-	var journaled []string
+	var retired, seen, filed []*Job
 	var orphans []*run
 	s.mu.Lock()
 	for _, j := range jobs {
@@ -515,27 +503,31 @@ func (s *Server) retire(jobs []*Job, out outcome) int {
 		}
 		j.run, j.accepted = nil, nil
 		retired = append(retired, j)
-		if j.journaled {
-			journaled = append(journaled, j.ID)
+		if j.persisted {
+			filed = append(filed, j)
 		}
-		// A job admit refused was never indexed: its record balances the
-		// journal, but it is no job any client or counter ever saw.
+		// A job admit refused was never indexed: it is no job any client
+		// or counter ever saw.
 		if s.jobs[j.ID] == j {
 			seen = append(seen, j)
 		}
 	}
 	s.mu.Unlock()
 
-	if len(journaled) > 0 {
-		first := retired[0] // jobs retired together share a run, hence key and run id
-		s.appendRecord(journal.TypeRetired, &recRetired{
-			JobIDs: journaled, RunID: first.runID, State: out.state, Error: out.errMsg,
-			CacheKey: first.Key, Cacheable: first.cacheable, Result: out.result.value(), Finished: now,
-		})
+	// Each filed job's file takes its verdict before retire returns (a
+	// terminal job's fields no longer change), and a job no longer
+	// indexed loses its file: one admit refused, or one retention forgot
+	// while its image was being written.
+	for _, j := range filed {
+		s.writeImage(jobsDir, j.ID, retiredImage(j))
 	}
-	if gated {
-		s.jgate.RUnlock()
-		s.maybeCompact()
+	if len(filed) > 0 {
+		s.mu.Lock()
+		gone := slices.DeleteFunc(filed, func(j *Job) bool { return s.jobs[j.ID] == j })
+		s.mu.Unlock()
+		for _, j := range gone {
+			s.removeImage(jobsDir, j.ID)
+		}
 	}
 
 	for _, rn := range orphans {

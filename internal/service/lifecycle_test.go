@@ -6,12 +6,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
-
-	"tpilayout/internal/journal"
 )
 
 // postAs submits body under a client-chosen job id, so a test can name
@@ -28,74 +26,55 @@ func postAs(t *testing.T, s *Server, id string, body []byte) int {
 	return rec.Code
 }
 
-// settle waits until no run is queued or executing and every journaled
-// transition that has begun has also appended its record.
-func settle(t *testing.T, s *Server) {
+// loadState is what a restart would read back from dir, as
+// canonicalState renders it.
+func loadState(t testing.TB, dir string) string {
 	t.Helper()
-	waitFor(t, func() bool {
-		st := s.Stats()
-		s.mu.Lock()
-		live := len(s.active)
-		s.mu.Unlock()
-		return st.Running == 0 && st.QueueDepth == 0 && live == 0
-	})
-	s.jgate.Lock()
-	s.jgate.Unlock()
+	st, err := loadDataDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canonicalState(st)
 }
 
-// foldView is what foldRecords and snapshotState must agree on.
-type foldView struct {
-	Pending []string
-	Retired map[string][2]string // job id → state, run id
-	Levels  []string
-}
-
-func viewOf(st *snapState, indexed func(string) bool) foldView {
-	v := foldView{Retired: map[string][2]string{}}
-	for _, p := range st.Pending {
-		v.Pending = append(v.Pending, p.JobID)
+// fileStates names each job file in dir by the state it holds ("" for
+// a pending one).
+func fileStates(t testing.TB, dir string) map[string]State {
+	t.Helper()
+	st, err := loadDataDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range st.Retired {
-		if indexed(r.JobID) {
-			v.Retired[r.JobID] = [2]string{string(r.State), r.RunID}
-		}
+	out := map[string]State{}
+	for _, img := range append(st.Pending, st.Retired...) {
+		out[img.JobID] = img.State
 	}
-	for _, l := range st.Levels {
-		v.Levels = append(v.Levels, l.Key)
-	}
-	sort.Strings(v.Pending)
-	sort.Strings(v.Levels)
-	return v
+	return out
 }
 
 // TestLifecycleTable walks the two paths of the run state machine that
-// TestChaosRecoveryInvariants's random actions cannot reach, because each needs a
-// submission to race the server between admit's journal append and its
-// look under the lock, on a durable server. Per path it checks the final
-// states, what /v1/stats counted, which records the journal gained, and
-// that folding every record written gives the state a compaction would
-// snapshot.
+// TestChaosRecoveryInvariants's random actions cannot reach, because each
+// needs a submission to race the server between admit's job file write
+// and its look under the lock, on a durable server. Per path it checks
+// the final states, what /v1/stats counted, which job files the data dir
+// holds, and that reading them back gives the state of the server.
 func TestLifecycleTable(t *testing.T) {
-	const (
-		acc = journal.TypeAccepted
-		ret = journal.TypeRetired
-	)
 	const blocks = 1 // the stub flow runs this level until released or canceled
 	type env struct {
 		t       *testing.T
 		s       *Server
 		started chan struct{}
 		release chan struct{}
-		// onAppend, when armed, runs once inside the next journal append —
-		// between admit's accepted record and its look under the lock.
-		onAppend func()
+		// onWrite, when armed, runs once inside the next job file write —
+		// between admit's file and its look under the lock.
+		onWrite func()
 	}
 	type counts struct{ done, failed, canceled, rejected, flows int64 }
 	type path struct {
-		name    string
-		drive   func(e *env) map[string]State
-		stats   counts
-		records []journal.Type
+		name  string
+		drive func(e *env) map[string]State
+		stats counts
+		files map[string]State
 	}
 	post := func(e *env, id string, want int, levels ...float64) {
 		if code := postAs(e.t, e.s, id, jobBody(e.t, "acme", levels...)); code != want {
@@ -109,15 +88,15 @@ func TestLifecycleTable(t *testing.T) {
 			drive: func(e *env) map[string]State {
 				// The result lands in the cache after admit's first probe.
 				key := keyOf(e.t, jobBody(e.t, "acme", 2))
-				e.onAppend = func() { e.s.cache.Put(key, encodeResult(&JobResult{Circuit: "tiny", Complete: true})) }
+				e.onWrite = func() { e.s.cache.Put(key, encodeResult(&JobResult{Circuit: "tiny", Complete: true})) }
 				post(e, "a", 200, 2)
 				if st := getStatus(e.t, e.s, "a"); !st.CacheHit || st.RunID != "" {
 					e.t.Fatalf("status = %+v, want a cache hit under no run", st)
 				}
 				return map[string]State{"a": StateDone}
 			},
-			stats:   counts{done: 1},
-			records: []journal.Type{acc, ret},
+			stats: counts{done: 1},
+			files: map[string]State{"a": StateDone},
 		},
 		{
 			name: "push refused, compensated",
@@ -126,7 +105,7 @@ func TestLifecycleTable(t *testing.T) {
 				<-e.started
 				// The one queue slot fills after admit's look at the queue.
 				filler := &run{tenant: "filler"}
-				e.onAppend = func() {
+				e.onWrite = func() {
 					if err := e.s.queue.Push(filler); err != nil {
 						e.t.Error(err)
 					}
@@ -139,8 +118,8 @@ func TestLifecycleTable(t *testing.T) {
 				close(e.release)
 				return map[string]State{"a": StateDone}
 			},
-			stats:   counts{done: 1, rejected: 1, flows: 1},
-			records: []journal.Type{acc, acc, ret, ret},
+			stats: counts{done: 1, rejected: 1, flows: 1},
+			files: map[string]State{"a": StateDone},
 		},
 	}
 
@@ -150,14 +129,14 @@ func TestLifecycleTable(t *testing.T) {
 			e := &env{t: t, started: make(chan struct{}, 1), release: make(chan struct{})}
 			var hookMu sync.Mutex
 			opt := Options{Workers: 1, QueueDepth: 1}
-			opt.journalHook = func(op journal.Op) error {
+			opt.writeHook = func(path string) error {
 				hookMu.Lock()
-				f := e.onAppend
-				if op == journal.OpAppend {
-					e.onAppend = nil
+				f := e.onWrite
+				if filepath.Base(filepath.Dir(path)) == jobsDir {
+					e.onWrite = nil
 				}
 				hookMu.Unlock()
-				if op == journal.OpAppend && f != nil {
+				if f != nil && filepath.Base(filepath.Dir(path)) == jobsDir {
 					f()
 				}
 				return nil
@@ -176,14 +155,16 @@ func TestLifecycleTable(t *testing.T) {
 				}
 			})
 			s := e.s
-			defer s.Shutdown(context.Background())
 			before := s.Stats()
 
 			want := p.drive(e)
 			for id, state := range want {
 				waitState(t, s, id, state)
 			}
-			settle(t, s)
+			// Every run has ended, so the drain writes nothing more.
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
 			after := s.Stats()
 			got := counts{
@@ -194,43 +175,11 @@ func TestLifecycleTable(t *testing.T) {
 			if got != p.stats {
 				t.Errorf("stats delta = %+v, want %+v", got, p.stats)
 			}
-
-			recs, err := journal.Read(dir)
-			if err != nil {
-				t.Fatal(err)
+			if files := fileStates(t, dir); !reflect.DeepEqual(files, p.files) {
+				t.Errorf("job files = %v, want %v", files, p.files)
 			}
-			// The startup compaction left one snapshot; everything after it
-			// is what this path appended.
-			if len(recs) == 0 || recs[0].Type != journal.TypeSnapshot {
-				t.Fatalf("journal does not start with the startup snapshot: %d records", len(recs))
-			}
-			var types []journal.Type
-			for _, r := range recs[1:] {
-				types = append(types, r.Type)
-			}
-			if !reflect.DeepEqual(types, p.records) {
-				t.Errorf("records appended = %v, want %v", types, p.records)
-			}
-
-			// A job admit refused is the one thing the journal knows and the
-			// server does not: it was never indexed, and the next snapshot
-			// forgets it.
-			indexed := func(id string) bool {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return s.jobs[id] != nil
-			}
-			folded, snap := viewOf(foldRecords(recs), indexed), viewOf(s.snapshotState(), indexed)
-			if !reflect.DeepEqual(folded, snap) {
-				t.Errorf("fold of the journal != snapshot of the server:\nfold %+v\nsnap %+v", folded, snap)
-			}
-			if len(snap.Pending) != 0 {
-				t.Errorf("snapshot still owes runs to %v", snap.Pending)
-			}
-			for id, state := range want {
-				if got, ok := snap.Retired[id]; !ok || got[0] != string(state) {
-					t.Errorf("snapshot retires %s as %v (present %v), want %s", id, got, ok, state)
-				}
+			if files, snap := loadState(t, dir), canonicalState(s.snapshotState()); files != snap {
+				t.Errorf("the data dir != snapshot of the server:\nfiles %s\nsnap  %s", files, snap)
 			}
 		})
 	}
@@ -250,12 +199,12 @@ func keyOf(t *testing.T, body []byte) string {
 	return comp.key
 }
 
-// TestCompactionAfterRetirements: a compaction taken after jobs retired
-// done, failed and canceled, with one job still running, snapshots what
-// the journal folds to. Retired jobs no longer hold their accepted
-// records; the pending one keeps its record, bench text included, and a
-// restart runs it from the snapshot.
-func TestCompactionAfterRetirements(t *testing.T) {
+// TestFilesAfterRetirements: after jobs retired done, failed and
+// canceled, with one job still running, the data dir reads back as the
+// state of the server. Retired jobs no longer hold their accepted
+// images, and their files no bench text; the pending one keeps its
+// image, bench text included, and a restart runs it under its run id.
+func TestFilesAfterRetirements(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
@@ -280,44 +229,28 @@ func TestCompactionAfterRetirements(t *testing.T) {
 		t.Fatalf("DELETE q = %d", code)
 	}
 
-	all := func(string) bool { return true }
-	asJSON := func(v any) string {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	if files, snap := loadState(t, dir), canonicalState(s.snapshotState()); files != snap {
+		t.Fatalf("the data dir != snapshot of the server:\nfiles %s\nsnap  %s", files, snap)
 	}
-	before, err := journal.Read(dir)
+	st, err := loadDataDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	foldBefore, snap := foldRecords(before), s.snapshotState()
-	if !reflect.DeepEqual(viewOf(foldBefore, all), viewOf(snap, all)) {
-		t.Fatalf("fold of the journal != snapshot of the server:\nfold %+v\nsnap %+v", viewOf(foldBefore, all), viewOf(snap, all))
+	if len(st.Pending) != 1 || st.Pending[0].JobID != "p" || st.Pending[0].Bench == "" || st.Pending[0].Flow == nil {
+		t.Fatalf("pending job files: %+v", st.Pending)
 	}
-	if len(snap.Pending) != 1 || snap.Pending[0].Bench == "" || asJSON(snap.Pending[0]) != asJSON(foldBefore.Pending[0]) {
-		t.Fatalf("pending job's record: snapshot %+v, journaled %+v", snap.Pending, foldBefore.Pending)
+	for _, r := range st.Retired {
+		if r.Bench != "" || r.Flow != nil || r.State != want[r.JobID] {
+			t.Errorf("retired file of %s holds state %s, bench %d bytes, flow %v", r.JobID, r.State, len(r.Bench), r.Flow)
+		}
 	}
 	s.mu.Lock()
 	for id, j := range s.jobs {
 		if (j.accepted != nil) != (id == "p") || (j.run != nil) != (id == "p") {
-			t.Errorf("job %s (%s) holds accepted record %v, run %v", id, j.state, j.accepted != nil, j.run != nil)
+			t.Errorf("job %s (%s) holds accepted image %v, run %v", id, j.state, j.accepted != nil, j.run != nil)
 		}
 	}
 	s.mu.Unlock()
-
-	s.compactJournal()
-	after, err := journal.Read(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != 1 || after[0].Type != journal.TypeSnapshot {
-		t.Fatalf("compacted journal holds %d records, want the snapshot alone", len(after))
-	}
-	if fold, snap := asJSON(foldRecords(after)), asJSON(s.snapshotState()); fold != snap {
-		t.Fatalf("fold of the compacted journal != snapshot of the server:\nfold %s\nsnap %s", fold, snap)
-	}
 
 	s.Kill()
 	close(release)

@@ -4,23 +4,24 @@ package service
 // drawn from a seed, against a real durable Server whose runLevel parks
 // each level until the test finishes or fails it: submit a fresh body, an
 // identical twin, a repeat of a finished body or a budgeted one; DELETE a
-// job; finish or fail a parked level; compact the journal; arm one
-// journal fault; Kill, maybe tear the journal's tail, and reopen; drain at
-// the end. A reference model of DESIGN.md §13's transition table predicts
-// every job's state, error, run id, resumed levels, coalesced/cache-hit
-// flags and result, and the server's queue, checkpoints, cache and
-// journal. After every step the test waits for the server to rest and
-// asserts:
+// job; finish or fail a parked level; arm one data dir write fault; Kill,
+// maybe leave a torn .tmp file, and reopen; drain at the end. A reference
+// model of DESIGN.md §13's transition table predicts every job's state,
+// error, run id, resumed levels, coalesced/cache-hit flags and result,
+// and the server's queue, checkpoints, cache and data dir. After every
+// step the test waits for the server to rest and asserts:
 //
 //  1. every GET /v1/jobs/{id} is the model's and the server knows no other
 //     job, so a terminal job never changes and a restart loses exactly the
-//     jobs whose accepted record a fault dropped (none on an intact one);
-//  2. foldRecords(journal.Read(dir)) equals snapshotState() unless an
-//     append fault lost a record since the last compaction;
+//     jobs whose file a fault left unwritten (none on an intact data dir);
+//  2. loadDataDir(dir) holds the model's files (which jobs are pending or
+//     retired in which state, which levels are checkpointed, no .tmp
+//     left), and equals snapshotState() unless a write fault left a file
+//     behind the server;
 //  3. every /v1/stats counter equals the service.* counter a sink in
 //     Options.Sinks summed;
-//  4. after the drain no job has two terminal records and none is owed a
-//     run, and at the end the goroutine count is back to its baseline.
+//  4. after the drain no job file is owed a run unless a fault left one,
+//     and at the end the goroutine count is back to its baseline.
 //
 // A failing seed replays under -run 'TestChaosRecoveryInvariants/seed=N'.
 
@@ -41,6 +42,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -83,8 +85,7 @@ type mJob struct {
 	body      *mBody
 	state     State
 	errMsg    string
-	runID     *string // the run id it reports: nil for none, "" until first seen
-	minted    *string // the run id its accepted record carries
+	runID     *string // the run id it reports and its file names: nil for none, "" until first seen
 	record    *mRun   // the run whose resumed levels it reports
 	run       *mRun   // the live run it waits on
 	coalesced bool
@@ -112,42 +113,55 @@ type model struct {
 	running  []*mRun
 	inflight map[string]*mRun
 	cached   map[string]bool
-	levels   map[float64]bool // the checkpoint store
+	levels   map[float64]int // the checkpoint store: level → the write that filed it
 	workers  int
 	depth    int
 	bigCache bool  // CacheBytes holds every result (else none)
-	rejected int64 // 429s and journal errors since this server opened
+	rejected int64 // 429s and data dir write errors since this server opened
 	faults   int64
+	faulted  bool // a write fault fired in some life
 
-	// The journal as foldRecords reads it back.
-	pending  []*mJob
-	retired  []mJob
-	dlevels  map[float64]bool
-	fault    journal.Op // armed and not fired yet
-	hold     bool       // the armed fault does not fire for now
-	diverged bool       // an append fault lost a record since the last compaction
-	seen     map[string]bool
+	// The data dir as loadDataDir reads it back.
+	pending []*mJob // job files still owed a run, in admission order
+	retired []mJob  // retired job files
+	dlevels map[float64]int
+	writes  int    // level checkpoints written, the versions levels and dlevels hold
+	fault   string // the directory whose next write fails: armed and not fired yet
+	hold    bool   // the armed fault does not fire for now
+	seen    map[string]bool
 }
 
-// fire reports whether the armed fault fires on op.
-func (m *model) fire(op journal.Op) bool {
-	if m.hold || m.fault != op {
-		return false
-	}
-	m.fault = ""
-	m.faults++
-	return true
-}
-
-// record applies one journal append, unless the armed fault eats it. An
-// fsync fault reports a failure of a record that was written.
-func (m *model) record(apply func()) {
-	if m.fire(journal.OpAppend) {
-		m.diverged = true
+// write applies one file write into dir, unless the armed fault fails it
+// and leaves the file as it was.
+func (m *model) write(dir string, apply func()) {
+	if !m.hold && m.fault == dir {
+		m.fault, m.faults, m.faulted = "", m.faults+1, true
 		return
 	}
-	m.fire(journal.OpFsync)
 	apply()
+}
+
+// inSync reports whether the data dir holds what the server does: every
+// job file in the state of its job, and every checkpoint filed.
+func (m *model) inSync() bool {
+	var pending, retired []string
+	for _, j := range m.jobs {
+		if j.journaled && j.state.terminal() {
+			retired = append(retired, j.id)
+		} else if j.journaled {
+			pending = append(pending, j.id)
+		}
+	}
+	var dpending, dretired []string
+	for _, j := range m.pending {
+		dpending = append(dpending, j.id)
+	}
+	for _, j := range m.retired {
+		dretired = append(dretired, j.id)
+	}
+	sort.Strings(retired)
+	sort.Strings(dretired)
+	return slices.Equal(pending, dpending) && slices.Equal(retired, dretired) && maps.Equal(m.levels, m.dlevels)
 }
 
 func (m *model) submit(id string, b *mBody) int {
@@ -159,9 +173,9 @@ func (m *model) submit(id string, b *mBody) int {
 		m.rejected++
 		return http.StatusTooManyRequests
 	}
-	j := &mJob{id: id, body: b, state: StateQueued, minted: new(string), journaled: true}
+	j := &mJob{id: id, body: b, state: StateQueued, runID: new(string), journaled: true}
 	m.jobs = append(m.jobs, j)
-	m.record(func() { m.pending = append(m.pending, j) })
+	m.write(jobsDir, func() { m.pending = append(m.pending, j) })
 	m.place(j)
 	return http.StatusAccepted
 }
@@ -176,7 +190,7 @@ func (m *model) place(j *mJob) {
 		live.jobs = append(live.jobs, j)
 		return
 	}
-	r := &mRun{id: j.minted, body: j.body, jobs: []*mJob{j}}
+	r := &mRun{id: j.runID, body: j.body, jobs: []*mJob{j}}
 	j.run, j.record, j.runID = r, r, r.id
 	m.queue = append(m.queue, r)
 	if j.body.cacheable() {
@@ -195,7 +209,7 @@ func (m *model) advance() {
 			j.state = StateRunning
 		}
 		for _, pct := range r.body.levels {
-			if r.body.cacheable() && m.levels[pct] {
+			if _, ok := m.levels[pct]; ok && r.body.cacheable() {
 				r.resumed++
 			} else {
 				r.missing = append(r.missing, pct)
@@ -214,8 +228,10 @@ func (m *model) verdict(r *mRun, ok bool) {
 	if !ok {
 		r.failed = append(r.failed, pct)
 	} else if r.body.cacheable() {
-		m.levels[pct] = true
-		m.record(func() { m.dlevels[pct] = true })
+		m.writes++
+		v := m.writes
+		m.write(levelsDir, func() { m.dlevels[pct] = v })
+		m.levels[pct] = v
 	}
 	if len(r.missing) == 0 {
 		m.finish(r)
@@ -246,9 +262,9 @@ func (m *model) drop(r *mRun) {
 }
 
 // retire is the terminal transition: jobs not terminal yet take the
-// verdict, and a run that loses its last waiter is dropped.
+// verdict, one file write each, and a run that loses its last waiter is
+// dropped.
 func (m *model) retire(jobs []*mJob, state State, msg string, cacheHit bool, failed []float64) {
-	var journaled []*mJob
 	for _, j := range jobs {
 		if j.state.terminal() {
 			continue
@@ -261,44 +277,22 @@ func (m *model) retire(jobs []*mJob, state State, msg string, cacheHit bool, fai
 		}
 		j.run = nil
 		if j.journaled {
-			journaled = append(journaled, j)
-		}
-	}
-	if len(journaled) > 0 {
-		m.record(func() {
-			for _, j := range journaled {
-				if i := slices.Index(m.pending, j); i >= 0 {
-					m.pending = slices.Delete(m.pending, i, i+1)
-					m.retired = append(m.retired, *j)
-				}
-			}
-		})
-	}
-}
-
-// compact replaces the journal with a snapshot of the server.
-func (m *model) compact() {
-	if m.fire(journal.OpSnapshot) {
-		return
-	}
-	m.pending, m.retired, m.dlevels, m.diverged = nil, nil, maps.Clone(m.levels), false
-	for _, j := range m.jobs {
-		if j.journaled && j.state.terminal() {
-			m.retired = append(m.retired, *j)
-		} else if j.journaled {
-			m.pending = append(m.pending, j)
+			m.write(jobsDir, func() {
+				m.pending = slices.DeleteFunc(m.pending, func(o *mJob) bool { return o == j })
+				m.retired = append(m.retired, *j)
+			})
 		}
 	}
 }
 
-// restart is a new server's replay of the journal: retired jobs come back
-// as they were (their cached results with them), pending ones are
-// re-admitted in order, and the fold becomes the startup snapshot.
+// restart is a new server's replay of the data dir: retired jobs come
+// back as they were (their cached results with them), and pending ones
+// are re-admitted in order, under the run their file names.
 func (m *model) restart(workers, depth int, bigCache bool) {
 	*m = model{
 		inflight: map[string]*mRun{}, cached: map[string]bool{}, levels: maps.Clone(m.dlevels),
 		workers: workers, depth: depth, bigCache: bigCache, pending: m.pending, retired: m.retired,
-		dlevels: m.dlevels, fault: m.fault, diverged: m.diverged, seen: m.seen,
+		dlevels: m.dlevels, writes: m.writes, fault: m.fault, faulted: m.faulted, seen: m.seen,
 	}
 	for _, r := range m.retired {
 		m.jobs = append(m.jobs, &mJob{
@@ -309,17 +303,17 @@ func (m *model) restart(workers, depth int, bigCache bool) {
 		}
 	}
 	for i, p := range m.pending {
-		m.pending[i] = &mJob{id: p.id, body: p.body, state: StateQueued, minted: p.minted, journaled: true}
+		m.pending[i] = &mJob{id: p.id, body: p.body, state: StateQueued, runID: p.runID, journaled: true}
 		m.jobs = append(m.jobs, m.pending[i])
 	}
 	for _, j := range slices.Clone(m.pending) {
 		if j.body.cacheable() && m.cached[j.body.key()] {
+			j.runID = nil // a cache answer names no run
 			m.retire([]*mJob{j}, StateDone, "", true, nil)
 		} else {
 			m.place(j)
 		}
 	}
-	m.compact()
 }
 
 // drain is Shutdown past its deadline: every run, queued or running, is
@@ -349,7 +343,7 @@ type modelLife struct {
 	sums   map[string]int64       // service.* counters the sink summed
 }
 
-func openLife(tb testing.TB, dir string, m *model, noSync bool, hook func(journal.Op) error) *modelLife {
+func openLife(tb testing.TB, dir string, m *model, hook func(path string) error) *modelLife {
 	tb.Helper()
 	l := &modelLife{ready: make(chan struct{}), parked: map[string]parkedLevel{}, flows: map[*run]bool{}, sums: map[string]int64{}}
 	sink := telemetry.FuncSink(func(e telemetry.Event) {
@@ -364,7 +358,7 @@ func openLife(tb testing.TB, dir string, m *model, noSync bool, hook func(journa
 	gate := make(chan struct{})
 	opt := Options{
 		Workers: m.workers, QueueDepth: m.depth, HistoryRuns: -1, Sinks: []telemetry.Sink{sink},
-		DataDir: dir, journalNoSync: noSync, journalHook: hook, replayGate: gate,
+		DataDir: dir, writeHook: hook, replayGate: gate,
 	}
 	if !m.bigCache {
 		opt.CacheBytes = 1
@@ -561,7 +555,7 @@ func (j *mJob) holds(res *JobResult) bool {
 }
 
 // check waits for the server to rest in the model's state, then holds it
-// to the stats and journal invariants.
+// to the stats and data dir invariants.
 func (l *modelLife) check(tb testing.TB, m *model, dir, step string) {
 	tb.Helper()
 	var diff []string
@@ -577,12 +571,9 @@ func (l *modelLife) check(tb testing.TB, m *model, dir, step string) {
 			tb.Fatalf("%s: the server never rested in the model's state:\n%s", step, strings.Join(diff, "\n"))
 		}
 	}
-	l.s.jgate.Lock()
-	l.s.jgate.Unlock()
-
 	st := l.s.Stats()
 	if st.Rejected != m.rejected || st.JournalErrors != m.faults {
-		tb.Fatalf("%s: rejected %d, journal errors %d; the model has %d and %d", step, st.Rejected, st.JournalErrors, m.rejected, m.faults)
+		tb.Fatalf("%s: rejected %d, write errors %d; the model has %d and %d", step, st.Rejected, st.JournalErrors, m.rejected, m.faults)
 	}
 	l.mu.Lock()
 	sums := maps.Clone(l.sums)
@@ -597,23 +588,72 @@ func (l *modelLife) check(tb testing.TB, m *model, dir, step string) {
 		}
 	}
 
-	if !m.diverged {
-		recs, err := journal.Read(dir)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if fold, snap := canonicalState(foldRecords(recs)), canonicalState(l.s.snapshotState()); fold != snap {
-			tb.Fatalf("%s: fold of the journal != snapshot of the server:\nfold %s\nsnap %s", step, fold, snap)
+	// At rest no write is in flight, so no .tmp file may be left.
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*", "*.tmp")); len(tmps) > 0 {
+		tb.Fatalf("%s: .tmp files at rest: %v", step, tmps)
+	}
+	loaded, err := loadDataDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if got, want := fileView(loaded), m.fileView(); got != want {
+		tb.Fatalf("%s: the data dir holds\n%s\nthe model's\n%s", step, got, want)
+	}
+	if m.inSync() {
+		if files, snap := canonicalState(loaded), canonicalState(l.s.snapshotState()); files != snap {
+			tb.Fatalf("%s: the data dir != snapshot of the server:\nfiles %s\nsnap  %s", step, files, snap)
 		}
 	}
 }
 
-// canonicalState is a state's JSON with its jobs in id order.
-func canonicalState(st *snapState) string {
+// fileView names the files of a data dir: pending jobs, retired jobs
+// with their states, checkpointed levels.
+func fileView(st *dataState) string {
+	var pending, retired []string
+	for _, p := range st.Pending {
+		pending = append(pending, p.JobID)
+	}
+	for _, r := range st.Retired {
+		retired = append(retired, r.JobID+":"+string(r.State))
+	}
+	var levels []float64
+	for _, l := range st.Levels {
+		levels = append(levels, l.TPPercent)
+	}
+	sort.Strings(pending)
+	sort.Strings(retired)
+	sort.Float64s(levels)
+	return fmt.Sprintf("pending %v\nretired %v\nlevels %v", pending, retired, levels)
+}
+
+// fileView is the model's data dir as fileView renders one.
+func (m *model) fileView() string {
+	st := &dataState{}
+	for _, j := range m.pending {
+		st.Pending = append(st.Pending, jobImage{JobID: j.id})
+	}
+	for _, j := range m.retired {
+		st.Retired = append(st.Retired, jobImage{JobID: j.id, State: j.state})
+	}
+	for pct := range m.dlevels {
+		st.Levels = append(st.Levels, levelImage{TPPercent: pct})
+	}
+	return fileView(st)
+}
+
+// canonicalState is a state's JSON with its jobs in id order and its
+// levels in key order.
+func canonicalState(st *dataState) string {
 	sort.Slice(st.Pending, func(a, b int) bool { return st.Pending[a].JobID < st.Pending[b].JobID })
 	sort.Slice(st.Retired, func(a, b int) bool { return st.Retired[a].JobID < st.Retired[b].JobID })
-	if len(st.Pending) == 0 {
-		st.Pending = nil // an empty list and none fold alike
+	sort.Slice(st.Levels, func(a, b int) bool { return st.Levels[a].Key < st.Levels[b].Key })
+	for _, list := range []*[]jobImage{&st.Pending, &st.Retired} {
+		if len(*list) == 0 {
+			*list = nil // an empty list and none read alike
+		}
+	}
+	if len(st.Levels) == 0 {
+		st.Levels = nil
 	}
 	b, _ := json.Marshal(st)
 	return string(b)
@@ -625,35 +665,33 @@ func canonicalState(st *snapState) string {
 func runModel(tb testing.TB, seed int64, dir string) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m := &model{dlevels: map[float64]bool{}, seen: map[string]bool{}}
+	m := &model{dlevels: map[float64]int{}, seen: map[string]bool{}}
 	var hookMu sync.Mutex
-	var armed journal.Op // the server's copy of m.fault
+	var armed string // the server's copy of m.fault
 	hold := false
-	hook := func(op journal.Op) error {
+	hook := func(path string) error {
 		hookMu.Lock()
 		defer hookMu.Unlock()
-		if hold || op != armed {
+		if hold || armed == "" || filepath.Base(filepath.Dir(path)) != armed {
 			return nil
 		}
 		armed = ""
-		return errors.New("injected " + string(op) + " fault")
+		return fmt.Errorf("injected %s write fault: %w", filepath.Base(path), syscall.ENOSPC)
 	}
-	arm := func(op journal.Op, held bool) {
+	arm := func(sub string, held bool) {
 		hookMu.Lock()
-		armed, hold = op, held
+		armed, hold = sub, held
 		hookMu.Unlock()
-		m.fault, m.hold = op, held
+		m.fault, m.hold = sub, held
 	}
 
 	var l *modelLife
-	var noSync bool // this life skips fsync, so an fsync fault cannot fire
 	life := func(what string) {
-		noSync = rng.Intn(4) > 0 && m.fault != journal.OpFsync
 		m.restart(1+rng.Intn(3), max(1+rng.Intn(3), len(m.pending)), rng.Intn(3) > 0)
-		l = openLife(tb, dir, m, noSync, hook)
+		l = openLife(tb, dir, m, hook)
 		// Replay is over. The runs it queued start side by side with the
-		// armed fault held, so which append it hits does not depend on
-		// the schedule.
+		// armed fault held, so which write it hits does not depend on the
+		// schedule.
 		arm(m.fault, true)
 		close(l.ready)
 		m.advance()
@@ -752,7 +790,7 @@ func runModel(tb testing.TB, seed int64, dir string) {
 			m.retire([]*mJob{j}, StateCanceled, canceledByClient, false, nil)
 			m.advance()
 			what = "DELETE " + j.id
-		case x < 80:
+		case x < 85:
 			if len(m.running) == 0 {
 				continue
 			}
@@ -761,26 +799,17 @@ func runModel(tb testing.TB, seed int64, dir string) {
 			l.verdict(tb, r, ok)
 			m.verdict(r, ok)
 			m.advance()
-		case x < 85:
-			l.s.compactJournal()
-			m.compact()
-			what = "compact"
 		case x < 92:
-			ops := []journal.Op{journal.OpAppend, journal.OpSnapshot, journal.OpFsync}
-			if noSync {
-				ops = ops[:2]
-			}
 			if m.fault != "" {
 				continue
 			}
-			arm(ops[rng.Intn(len(ops))], false)
-			what = "arm " + string(m.fault) + " fault"
+			arm([]string{jobsDir, levelsDir}[rng.Intn(2)], false)
+			what = "arm " + m.fault + " write fault"
 		default:
 			l.s.Kill()
 			what = "kill"
 			if rng.Intn(2) == 0 {
-				appendGarbageTail(tb, dir, rng.Int63())
-				what += ", torn tail"
+				what += ", torn " + tearTmp(tb, dir, rng.Int63())
 			}
 			life(fmt.Sprintf("step %d (%s)", step, what))
 			continue
@@ -789,134 +818,165 @@ func runModel(tb testing.TB, seed int64, dir string) {
 	}
 
 	// The drain cancels running runs side by side, so their retirements
-	// journal in any order: no fault may pick one of them.
+	// write in any order: no fault may pick one of them.
 	arm("", false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	l.s.Shutdown(ctx)
 	m.drain()
 	l.check(tb, m, dir, "drain")
-	checkJournalInvariants(tb, dir, seed, m.diverged)
+	if st, err := loadDataDir(dir); err != nil || len(st.Pending) > 0 && !m.faulted {
+		tb.Errorf("seed %d: the drained data dir still owes runs (%v): %s", seed, err, fileView(st))
+	}
 }
 
-// appendGarbageTail writes seed-derived junk to the end of the newest
-// segment: the torn frame a crash leaves behind.
-func appendGarbageTail(tb testing.TB, dir string, seed int64) {
+// tearTmp leaves what a crash mid-write leaves: a .tmp file beside a
+// job or level file, holding a seed-sized prefix of one. It returns the
+// file's name.
+func tearTmp(tb testing.TB, dir string, seed int64) string {
 	tb.Helper()
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
-	if len(segs) == 0 {
-		tb.Fatal("no segment to tear")
+	sub := []string{jobsDir, levelsDir}[seed&1]
+	names, _ := filepath.Glob(filepath.Join(dir, sub, "*.json"))
+	data := []byte(`{"job_id":"j0","state":"do`)
+	name := "j0.json"
+	if len(names) > 0 {
+		path := names[int(seed>>1)%len(names)]
+		full, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		name, data = filepath.Base(path), full[:int(seed>>8)%len(full)]
 	}
-	sort.Strings(segs)
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
+	tmp := filepath.Join(sub, fmt.Sprintf("%s.%d.tmp", name, seed%1000))
+	if err := os.WriteFile(filepath.Join(dir, tmp), data, 0o644); err != nil {
 		tb.Fatal(err)
 	}
-	defer f.Close()
-	junk := make([]byte, 1+int(seed%37))
-	for i := range junk {
-		junk[i] = byte(seed>>(uint(i)%8) ^ int64(i)*31)
-	}
-	if _, err := f.Write(junk); err != nil {
-		tb.Fatal(err)
-	}
+	return tmp
 }
 
-// checkJournalInvariants walks the record stream (a torn tail must not
-// stop the read): at most one terminal record per job ever, none for an
-// unknown job, and, after a final drain, no job owed a run — the last two
-// only when no append was faulted.
-func checkJournalInvariants(tb testing.TB, dir string, seed int64, journalFaults bool) {
-	tb.Helper()
-	recs, err := journal.Read(dir)
-	if err != nil {
-		tb.Fatalf("seed %d: reading journal after recovery: %v", seed, err)
-	}
-	pending, retired := map[string]bool{}, map[string]bool{}
-	terminate := func(id string) {
-		if retired[id] {
-			tb.Errorf("seed %d: job %s retired twice", seed, id)
-		}
-		if !pending[id] && !journalFaults {
-			tb.Errorf("seed %d: terminal record for unknown job %s", seed, id)
-		}
-		delete(pending, id)
-		retired[id] = true
-	}
-	for _, r := range recs {
-		var snap snapState
-		var acc recAccepted
-		var ret recRetired
-		var can recCanceled
-		switch {
-		case r.Type == journal.TypeSnapshot && json.Unmarshal(r.Data, &snap) == nil:
-			pending, retired = map[string]bool{}, map[string]bool{}
-			for _, p := range snap.Pending {
-				pending[p.JobID] = true
-			}
-			for _, rj := range snap.Retired {
-				retired[rj.JobID] = true
-			}
-		case r.Type == journal.TypeAccepted && json.Unmarshal(r.Data, &acc) == nil:
-			pending[acc.JobID] = true
-		case r.Type == journal.TypeRetired && json.Unmarshal(r.Data, &ret) == nil:
-			for _, id := range ret.JobIDs {
-				terminate(id)
-			}
-		case r.Type == journal.TypeCanceled && json.Unmarshal(r.Data, &can) == nil:
-			terminate(can.JobID)
-		}
-	}
-	if fold := foldRecords(recs); (len(pending) > 0 || len(fold.Pending) > 0) && !journalFaults {
-		tb.Errorf("seed %d: the drained journal still owes runs: %v, fold %d pending", seed, pending, len(fold.Pending))
-	}
-}
-
-// FuzzFoldRecords feeds arbitrary records — journal segments are bytes
-// read back from disk — to foldRecords, which must not panic, and checks
-// the property compaction relies on: one snapshot record holding a fold
-// folds to that same state. The seeds are journals runModel wrote.
+// FuzzFoldRecords feeds arbitrary data dirs — job files, level files and
+// a parent build's journal records, all bytes read back from disk — to
+// loadDataDir, which must not fail or panic, must leave no file outside
+// jobs/ and levels/ and no journal, and must leave files that read back
+// as the state it returned. The seeds are the data dirs runModel wrote
+// and a parent journal of every record type.
 func FuzzFoldRecords(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		dir := f.TempDir()
 		runModel(f, seed, dir)
-		recs, err := journal.Read(dir)
-		if err != nil {
-			f.Fatal(err)
+		var all []byte
+		for kind, sub := range []string{jobsDir, levelsDir} {
+			names, _ := filepath.Glob(filepath.Join(dir, sub, "*.json"))
+			for _, name := range names {
+				data, err := os.ReadFile(name)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(encodeEntry(nil, byte(kind), data))
+				all = encodeEntry(all, byte(kind), data)
+			}
 		}
-		f.Add(encodeRecords(recs...))
-		for _, r := range recs {
-			f.Add(encodeRecords(r))
-		}
+		f.Add(all)
 	}
+	var wal []byte
+	for _, r := range []struct {
+		typ  journal.Type
+		data string
+	}{
+		{journal.TypeAccepted, `{"job_id":"p1","run_id":"r1","tenant":"acme","name":"tiny","bench":"INPUT(a)\n","tp_levels":[1],"flow":{"skip_atpg":true},"created":"2026-08-08T13:07:25Z"}`},
+		{journal.TypeAccepted, `{"job_id":"..","tenant":"acme","name":"tiny","tp_levels":[2],"created":"2026-08-08T13:07:26Z"}`},
+		{journal.TypeLevelDone, `{"key":"base/tp1","tp_percent":1,"metrics":{"Circuit":"tiny","NumTP":2}}`},
+		{journal.TypeRetired, `{"job_ids":["p1"],"run_id":"r1","state":"done","cache_key":"k","cacheable":true,"result":{"complete":true},"finished":"2026-08-08T13:07:27Z"}`},
+		{journal.TypeCanceled, `{"job_id":"..","finished":"2026-08-08T13:07:28Z"}`},
+		{journal.TypeSnapshot, `{"pending":[{"job_id":".","tp_levels":[3]}],"retired":[{"job_id":"d","state":"failed","error":"boom"}],"levels":[{"key":"../x","tp_percent":3}]}`},
+	} {
+		entry := encodeEntry(nil, 2+3*byte(r.typ), []byte(r.data))
+		f.Add(entry)
+		wal = append(wal, entry...)
+	}
+	f.Add(wal)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var recs []journal.Record
-		// The framing is type byte, uvarint length, payload; a length that
-		// does not fit gives the last record the rest.
-		for len(data) > 0 {
+		root := t.TempDir()
+		dir := filepath.Join(root, "data")
+		for _, sub := range []string{jobsDir, levelsDir} {
+			if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// An entry is a kind byte, a uvarint length and a payload; a length
+		// that does not fit gives the last entry the rest. Kind%3 is a job
+		// file, a level file, or a journal record of type kind/3. A file
+		// whose payload decodes to an id is named for it, as the server
+		// names its files.
+		var wal *journal.Journal
+		for i := 0; len(data) > 0; i++ {
 			n, k := binary.Uvarint(data[1:])
 			if k <= 0 || n > uint64(len(data)-1-k) {
 				n, k = uint64(len(data)-1), 0
 			}
-			recs = append(recs, journal.Record{Type: journal.Type(data[0]), Data: data[1+k : 1+k+int(n)]})
+			kind, payload := data[0], data[1+k:1+k+int(n)]
 			data = data[1+k+int(n):]
+			var id string
+			switch kind % 3 {
+			case 0:
+				var img jobImage
+				json.Unmarshal(payload, &img)
+				id = img.JobID
+			case 1:
+				var img levelImage
+				json.Unmarshal(payload, &img)
+				id = img.Key
+			case 2:
+				if wal == nil {
+					var err error
+					if wal, _, err = journal.Open(dir, journal.Options{NoSync: true}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				wal.Append(journal.Type(kind/3), payload)
+				continue
+			}
+			name := fmt.Sprintf("f%d.json", i)
+			if id != "" && len(fileName(id)) <= 255 {
+				name = fileName(id)
+			}
+			if err := os.WriteFile(filepath.Join(dir, []string{jobsDir, levelsDir}[kind%3], name), payload, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		want, err := json.Marshal(foldRecords(recs))
+		if wal != nil {
+			wal.Close()
+		}
+
+		st, err := loadDataDir(dir)
 		if err != nil {
-			t.Fatalf("marshaling a fold: %v", err)
+			t.Fatalf("loading a data dir: %v", err)
 		}
-		got, err := json.Marshal(foldRecords([]journal.Record{{Type: journal.TypeSnapshot, Data: want}}))
-		if err != nil || string(got) != string(want) {
-			t.Fatalf("a snapshot of a fold folds to another state (%v):\nfold %s\nsnap %s", err, want, got)
+		for path, want := range map[string][]string{root: {"data"}, dir: {jobsDir, levelsDir}} {
+			entries, err := os.ReadDir(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range entries {
+				got = append(got, e.Name())
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s holds %v after the load, want %v", path, got, want)
+			}
+		}
+		again, err := loadDataDir(dir)
+		if err != nil {
+			t.Fatalf("reloading a data dir: %v", err)
+		}
+		if a, b := canonicalState(st), canonicalState(again); a != b {
+			t.Fatalf("the files do not read back as the state loaded:\nfirst  %s\nsecond %s", a, b)
 		}
 	})
 }
 
-func encodeRecords(recs ...journal.Record) []byte {
-	var b []byte
-	for _, r := range recs {
-		b = binary.AppendUvarint(append(b, byte(r.Type)), uint64(len(r.Data)))
-		b = append(b, r.Data...)
-	}
-	return b
+func encodeEntry(b []byte, kind byte, payload []byte) []byte {
+	b = binary.AppendUvarint(append(b, kind), uint64(len(payload)))
+	return append(b, payload...)
 }

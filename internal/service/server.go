@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"tpilayout/internal/flow"
-	"tpilayout/internal/journal"
 	"tpilayout/internal/netlist"
 	"tpilayout/internal/telemetry"
 	"tpilayout/internal/trachive"
@@ -124,12 +123,11 @@ type Job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
-	journaled bool // an accepted record exists for this job
+	persisted bool // the job has a file in the data dir
 	cacheable bool // result eligible for cache + checkpoints
-	// accepted is the replayable request, bench text included, of a
-	// journaled job still owed a run; compaction snapshots it. Dropped at
-	// retirement.
-	accepted *recAccepted
+	// accepted is the replayable request, bench text included, of a job
+	// still owed a run: its file's image. Dropped at retirement.
+	accepted *jobImage
 }
 
 // LevelStatus is the per-level outcome inside a JobResult.
@@ -216,7 +214,7 @@ type JobStatus struct {
 	ID     string `json:"id"`
 	Tenant string `json:"tenant"`
 	// RunID identifies the flow run executing the job: the correlation
-	// key shared by spans, SSE frames, log lines, journal records, and
+	// key shared by spans, SSE frames, log lines, job files, and
 	// flight-recorder dumps. Empty for jobs answered from the cache
 	// (no flow ran).
 	RunID    string    `json:"run_id,omitempty"`
@@ -261,6 +259,8 @@ type Stats struct {
 	LevelsRun     int64 `json:"levels_run"`
 	LevelsResumed int64 `json:"levels_resumed"`
 	ReplayedJobs  int64 `json:"replayed_jobs"`
+	// JournalErrors counts failed job and level file writes (the name is
+	// older than the files).
 	JournalErrors int64 `json:"journal_errors"`
 	// Run-history archive counters (zero when history is disabled).
 	RunsArchived  int64 `json:"runs_archived"`
@@ -301,10 +301,10 @@ type Options struct {
 	Log *telemetry.Logger
 	// ExtraSinks are attached to every job's tracer (tests).
 	ExtraSinks []telemetry.Sink
-	// DataDir, when set, makes the server durable: job-state transitions
-	// are journaled there (fsync'd, CRC-framed, segment-rotated) and a
-	// restart on the same directory replays retired results, level
-	// checkpoints, and unfinished jobs. Empty = purely in-memory.
+	// DataDir, when set, makes the server durable: every job and level
+	// checkpoint is a file there (durable.go), and a restart on the same
+	// directory replays retired results, level checkpoints, and
+	// unfinished jobs. Empty = purely in-memory.
 	DataDir string
 	// HistoryRuns bounds how many retired runs the run-history archive
 	// retains (default 512; negative disables the archive entirely).
@@ -322,10 +322,8 @@ type Options struct {
 	ProfileRuns bool
 
 	// Test hooks (same-package tests only).
-	journalNoSync bool                   // skip per-append fsync
-	journalHook   func(journal.Op) error // fault injection into the journal
-	replayGate    chan struct{}          // replay blocks until closed (readyz tests)
-	compactHook   func()                 // runs between a compaction's state capture and its segment cut
+	writeHook  func(path string) error // consulted before every job and level file write; an error fails it
+	replayGate chan struct{}           // replay blocks until closed (readyz tests)
 }
 
 func (o *Options) withDefaults() Options {
@@ -385,23 +383,12 @@ type Server struct {
 	jobsCanceled atomic.Int64
 	rejected     atomic.Int64
 
-	// Durability state. jrnl is nil for in-memory servers; dead makes
-	// every journal write a no-op (Kill — crash simulation); ready gates
-	// submissions and /readyz until journal replay finishes.
-	jrnl *journal.Journal
-	// jgate makes a compaction's snapshot agree with the segments it
-	// deletes. A journaled state transition — the in-memory change plus
-	// the append that records it — runs under jgate.RLock; compaction
-	// captures the state and cuts the segments under jgate.Lock. A
-	// snapshot therefore holds a transition exactly when its record lies
-	// in a deleted segment: no record is dropped while the snapshot still
-	// predates it, none survives beside a snapshot that already has it.
-	// Acquired before mu, never while holding it.
-	jgate         sync.RWMutex
+	// Durability state. dead makes every data dir write a no-op (Kill —
+	// crash simulation); ready gates submissions and /readyz until replay
+	// finishes.
 	checkpoints   *checkpointStore // guarded by mu
 	dead          atomic.Bool
 	ready         atomic.Bool
-	compacting    atomic.Bool
 	replayWG      sync.WaitGroup
 	levelsRun     atomic.Int64
 	levelsResumed atomic.Int64
@@ -438,8 +425,8 @@ func New(opt Options) *Server {
 	return s
 }
 
-// Open starts a Server, replaying the DataDir journal when one is
-// configured: retired jobs become queryable again, complete results
+// Open starts a Server, replaying the DataDir when one is configured:
+// retired jobs become queryable again, complete results
 // repopulate the cache, level checkpoints repopulate the resume store,
 // and unfinished jobs are re-enqueued. Replay runs asynchronously —
 // the server answers /healthz immediately but holds /readyz (and
@@ -462,27 +449,22 @@ func Open(opt Options) (*Server, error) {
 	}
 
 	if s.opt.DataDir != "" {
-		j, recs, err := journal.Open(s.opt.DataDir, journal.Options{
-			NoSync: s.opt.journalNoSync,
-			Hook:   s.opt.journalHook,
-		})
+		st, err := loadDataDir(s.opt.DataDir)
 		if err != nil {
 			return nil, err
 		}
-		s.jrnl = j
 		if s.opt.HistoryRuns >= 0 {
 			arch, err := trachive.Open(filepath.Join(s.opt.DataDir, "runs"), trachive.Options{
 				BudgetBytes: s.opt.HistoryBudgetBytes,
 				MaxRuns:     s.opt.HistoryRuns,
 			})
 			if err != nil {
-				j.Close()
 				return nil, fmt.Errorf("service: opening run archive: %w", err)
 			}
 			s.archive = arch
 		}
 		s.replayWG.Add(1)
-		go s.replay(foldRecords(recs))
+		go s.replay(st)
 	} else {
 		s.ready.Store(true)
 	}
@@ -607,26 +589,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		comp.digest, flowCfg = digest, req.Flow
 	}
 
-	// An index answer is never journaled: its record only names the job.
-	rec := &recAccepted{
+	// Pin the resolved preset: a spec-submitted circuit replays from its
+	// canonical bench text, which must not fall back to the default preset.
+	// An index answer is never filed: its image only names the job.
+	flowCfg.Experiment = comp.preset
+	img := &jobImage{
 		JobID:    s.claimJobID(r.Header.Get("X-Request-ID")),
 		Tenant:   comp.tenant,
 		Name:     comp.src.name,
 		Bench:    comp.bench,
 		TPLevels: comp.levels,
-		Flow:     flowCfg,
+		Flow:     &flowCfg,
 		Created:  time.Now(),
 	}
-	defer s.releaseJobID(rec.JobID)
-	// Pin the resolved preset: a spec-submitted circuit replays from its
-	// canonical bench text, which must not fall back to the default preset.
-	rec.Flow.Experiment = comp.preset
+	defer s.releaseJobID(img.JobID)
 	// Echo the job's identity so clients correlate responses with their
 	// own request IDs (the header matches a valid supplied X-Request-ID,
 	// otherwise carries the minted id).
-	w.Header().Set("X-Request-ID", rec.JobID)
+	w.Header().Set("X-Request-ID", img.JobID)
 
-	switch job, how := s.admit(comp, rec, false); how {
+	switch job, how := s.admit(comp, img, false); how {
 	case admitAnswered:
 		s.writeStatus(w, http.StatusOK, job)
 	case admitQueued, admitCoalesced:
@@ -722,7 +704,8 @@ func (s *Server) newRunID() string {
 	return fmt.Sprintf("r%06d-%s", s.runSeq.Add(1), hex.EncodeToString(b[:]))
 }
 
-// rememberJobLocked indexes the job and enforces terminal retention.
+// rememberJobLocked indexes the job and enforces terminal retention: a
+// job it forgets loses its file too.
 func (s *Server) rememberJobLocked(job *Job) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
@@ -736,6 +719,9 @@ func (s *Server) rememberJobLocked(job *Job) {
 		}
 		s.order = s.order[1:]
 		delete(s.jobs, victimID)
+		if victim != nil && victim.persisted {
+			s.removeImage(jobsDir, victimID)
+		}
 	}
 }
 
@@ -922,7 +908,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth is pure liveness: the process is up and serving HTTP.
-// It stays 200 through journal replay AND through a drain — restarting
+// It stays 200 through replay AND through a drain — restarting
 // a draining daemon because its health check went red would turn every
 // graceful shutdown into a crash loop. Readiness is /readyz.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -930,7 +916,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReady is readiness: whether this daemon should receive traffic.
-// Not ready while replaying the journal (startup) or draining
+// Not ready while replaying the data dir (startup) or draining
 // (shutdown) — load balancers steer new work elsewhere in both windows.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if why := s.unready(); why != "" {
@@ -946,7 +932,7 @@ func (s *Server) unready() string {
 	case s.draining.Load():
 		return "draining"
 	case !s.ready.Load():
-		return "replaying its journal"
+		return "replaying its data dir"
 	}
 	return ""
 }
@@ -970,9 +956,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.draining.Store(true)
 	s.opt.Log.Info("drain started", "queued", s.queue.Len(), "running", s.running.Load())
-	// Let a still-running journal replay finish re-admitting jobs before
-	// the queue closes underneath it (its re-admissions are then drained
-	// like any other queued job, and stay pending in the journal).
+	// Let a still-running replay finish re-admitting jobs before the queue
+	// closes underneath it (its re-admissions are then drained like any
+	// other queued job, and retire canceled).
 	s.replayWG.Wait()
 
 	// Cancel everything still queued: drain means "finish what is
@@ -1006,9 +992,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.opt.Log.Info("drain finished", "deadline_cut", err != nil)
 	if s.archive != nil {
 		s.archive.Close()
-	}
-	if s.jrnl != nil {
-		s.jrnl.Close()
 	}
 	return err
 }

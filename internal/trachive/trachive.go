@@ -10,7 +10,8 @@
 //	<run_id>.pprof             optional per-run CPU profile
 //	<run_id>.meta.json         the run's Meta: the commit point
 //
-// Every file is written tmp+fsync+rename. The meta file is written last
+// Every file is written by WriteFile (tmp + fsync + rename + directory
+// fsync). The meta file is written last
 // and removed first (on eviction, and before a re-archived run replaces
 // its files), so a crash can leave artifacts without a meta, never a
 // meta without its artifacts. Open lists the directory once, loads
@@ -204,7 +205,7 @@ func foldParentIndex(dir string) error {
 		if err != nil {
 			return fmt.Errorf("trachive: %w", err)
 		}
-		if err := writeFileDurable(filepath.Join(dir, id+metaSuffix), data); err != nil {
+		if err := WriteFile(filepath.Join(dir, id+metaSuffix), data); err != nil {
 			return err
 		}
 	}
@@ -248,12 +249,12 @@ func (a *Archive) Put(meta *Meta, events []telemetry.Event, profile []byte) erro
 	if err := gz.Close(); err != nil {
 		return fmt.Errorf("trachive: %w", err)
 	}
-	if err := writeFileDurable(a.path(meta.RunID, traceSuffix), buf.Bytes()); err != nil {
+	if err := WriteFile(a.path(meta.RunID, traceSuffix), buf.Bytes()); err != nil {
 		return err
 	}
 	meta.Events, meta.TraceBytes, meta.ProfileBytes = len(events), int64(buf.Len()), int64(len(profile))
 	if len(profile) > 0 {
-		if err := writeFileDurable(a.path(meta.RunID, profileSuffix), profile); err != nil {
+		if err := WriteFile(a.path(meta.RunID, profileSuffix), profile); err != nil {
 			return err
 		}
 	}
@@ -266,7 +267,7 @@ func (a *Archive) Put(meta *Meta, events []telemetry.Event, profile []byte) erro
 	if err != nil {
 		return fmt.Errorf("trachive: %w", err)
 	}
-	if err := writeFileDurable(a.path(meta.RunID, metaSuffix), data); err != nil {
+	if err := WriteFile(a.path(meta.RunID, metaSuffix), data); err != nil {
 		// The artifacts stay on disk with no meta; the next Open deletes them.
 		return err
 	}
@@ -276,11 +277,15 @@ func (a *Archive) Put(meta *Meta, events []telemetry.Event, profile []byte) erro
 	return a.enforceRetentionLocked()
 }
 
-// writeFileDurable writes data to path via tmp+fsync+rename, so a torn
-// write is never visible under the final name.
-func writeFileDurable(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// WriteFile writes data to path durably: into a fresh .tmp file beside
+// it, fsync'd, renamed over path, and the directory fsync'd so that the
+// rename itself survives a power loss. A torn write is never visible
+// under the final name, and concurrent writers of one path each commit
+// a whole file. The service's job and checkpoint files are written the
+// same way, so every file of a data dir is.
+func WriteFile(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("trachive: %w", err)
 	}
@@ -292,13 +297,25 @@ func writeFileDurable(path string, data []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return fmt.Errorf("trachive: %w", err)
 	}
+	SyncDir(dir)
 	return nil
+}
+
+// SyncDir fsyncs a directory, so that the creates, renames and removals
+// in it survive a power loss. It is best effort, as the journal's was:
+// some filesystems refuse a directory fsync, and there a rename is as
+// durable as the filesystem makes it.
+func SyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }
 
 // removeLocked deletes one run, its meta file first: a crash part-way
