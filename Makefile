@@ -19,13 +19,12 @@ race:
 #              last-duration gauge, PODEM and simulation-batch latency,
 #              FM cut delta and per-net routing time.
 #   correlate: the X-Request-ID was honoured, and the job's one run_id is
-#              visible in the status API, the JSON log, the /debug/flight
-#              dump (which tracestat -flight must parse, with service and
-#              log sections), and /debug/flight?run=<run_id>, whose every
-#              line carries that run_id; /metrics splits the terminal job
-#              counter by tenant; SIGQUIT dumps the flight recorder (into
-#              the data dir, as a durable daemon does) WITHOUT killing the
-#              daemon.
+#              visible in the status API, the JSON log and every data:
+#              frame of the job's /events; the README pipeline (/events
+#              up to the done frame, data: prefixes stripped, into
+#              `tracestat -`) exits 0 on the finished run; /metrics splits
+#              the terminal job counter by tenant; SIGQUIT writes a
+#              goroutine profile into the log WITHOUT killing the daemon.
 #   history:   the same budgeted job (atpg_budget_ms makes it
 #              non-cacheable, so the repeat executes a real flow) runs
 #              twice; both runs must be archived. The first job's
@@ -94,24 +93,19 @@ daemon-smoke:
 	test -n "$$run" || fail "status carries no run_id"; \
 	echo "daemon-smoke[$$phase]: job $$id ran as $$run"; \
 	grep -q "\"run_id\":\"$$run\"" daemon-smoke.log || fail "JSON log not correlated with $$run" tail -5 daemon-smoke.log; \
-	curl -sf $$url/debug/flight -o daemon-smoke-flight.ndjson; \
-	grep -q "$$run" daemon-smoke-flight.ndjson || fail "flight dump not correlated with $$run"; \
-	./tracestat-smoke -flight daemon-smoke-flight.ndjson >daemon-smoke-flight-stat.txt \
-		|| fail "tracestat rejected the flight dump" cat daemon-smoke-flight-stat.txt; \
-	grep -q 'service: .* observation' daemon-smoke-flight-stat.txt || fail "no service section" cat daemon-smoke-flight-stat.txt; \
-	grep -q 'logs: .* record' daemon-smoke-flight-stat.txt || fail "no log section" cat daemon-smoke-flight-stat.txt; \
-	curl -sf "$$url/debug/flight?run=$$run" -o daemon-smoke-flight-run.ndjson || fail "no flight events for run $$run"; \
-	grep -q "\"run_id\":\"$$run\"" daemon-smoke-flight-run.ndjson || fail "run flight dump does not hold $$run"; \
-	! grep -v "\"run_id\":\"$$run\"" daemon-smoke-flight-run.ndjson >/dev/null \
-		|| fail "run flight dump holds other runs' events" grep -v "\"run_id\":\"$$run\"" daemon-smoke-flight-run.ndjson; \
-	./tracestat-smoke -flight daemon-smoke-flight-run.ndjson >daemon-smoke-flight-run-stat.txt \
-		|| fail "tracestat rejected the run flight dump" cat daemon-smoke-flight-run-stat.txt; \
+	curl -sfN $$url/v1/jobs/$$id/events -o daemon-smoke-events.txt || fail "no /events for $$id"; \
+	grep -q '^data: {"ev":' daemon-smoke-events.txt || fail "/events carried no span frames" cat daemon-smoke-events.txt; \
+	! grep '^data: ' daemon-smoke-events.txt | grep -v "\"run_id\":\"$$run\"" >/dev/null \
+		|| fail "/events frames without run_id $$run" grep -v "\"run_id\":\"$$run\"" daemon-smoke-events.txt; \
+	curl -sN $$url/v1/jobs/$$id/events | sed -n '/^event: done/q;s/^data: //p' \
+		| ./tracestat-smoke - >daemon-smoke-events-stat.txt \
+		|| fail "tracestat rejected the finished run's /events" cat daemon-smoke-events-stat.txt; \
 	grep -q 'tpid_service_jobs_done_total{stage="service",tenant="smoke"}' daemon-smoke-metrics.txt \
 		|| fail "per-tenant job counter missing from /metrics"; \
 	kill -QUIT $$pid; sleep 1; \
 	kill -0 $$pid 2>/dev/null || fail "SIGQUIT killed the daemon"; \
-	test -s daemon-smoke-data/flight-sigquit-1.ndjson && grep -q '"reason":"sigquit"' daemon-smoke.log \
-		|| fail "SIGQUIT produced no dump" tail -5 daemon-smoke.log; \
+	grep -q '^goroutine profile: total' daemon-smoke.log || fail "SIGQUIT wrote no goroutine profile" tail -5 daemon-smoke.log; \
+	curl -sf $$url/healthz >/dev/null || fail "the daemon stopped serving after SIGQUIT"; \
 	\
 	phase=history; \
 	body='{"tenant":"smoke","circuit":{"spec":"s38417c","scale":0.05},"tp_levels":[0,2],"flow":{"experiment":"s38417c","atpg_budget_ms":600000}}'; \

@@ -40,15 +40,16 @@
 // The exit status is non-zero if the trace is unbalanced (a span
 // started but never ended, or vice versa) — the signature of a crashed
 // or mis-instrumented run — which makes tracestat a cheap CI gate over
-// any traced flow.
+// any traced flow. The message names each open span by its stage, level
+// and id: on a stuck tpid job's live /events, those are the stages
+// still running.
 //
-// Service streams (tpid SSE feeds, /debug/flight dumps) interleave two
-// extra record kinds with the spans: observation events (span_end with
-// id 0 — queue depth, cache hits, per-tenant SLO samples) and
-// structured log records. Both get their own summary sections and never
-// count against balance. Flight-recorder dumps are a rotating ring, so
-// the oldest span starts may have been overwritten; pass -flight to
-// report the resulting unbalance as a note instead of a failure.
+//	curl -sN tpid:8080/v1/jobs/$id/events | sed -n '/^event: done/q;s/^data: //p' | tracestat -
+//
+// Service streams interleave observation events with the spans
+// (span_end with id 0: queue depth, cache hits, per-tenant SLO samples
+// that tpid folds into /metrics); they are not spans and never count
+// against balance.
 package main
 
 import (
@@ -75,7 +76,6 @@ const backstopPct = 150
 const stageRun = "run"
 
 func main() {
-	flight := flag.Bool("flight", false, "treat the input as a flight-recorder dump: ring rotation drops the oldest span starts, so unbalanced spans are noted instead of failing")
 	maxRegress := flag.Float64("max-regress", 25, "with two traces: fail (exit 1) when a stage's duration grew by more than this percentage")
 	minDur := flag.Duration("min-dur", 0, "with two traces: noise floor — stages whose baseline duration is below this never gate (e.g. 100ms)")
 	normalize := flag.Bool("normalize", false, "with two traces: compare each stage's share of run total instead of absolute durations (machine-speed invariant)")
@@ -113,18 +113,29 @@ func main() {
 		os.Exit(1)
 	}
 	summarize(os.Stdout, name, trace)
-	summarizeService(os.Stdout, trace)
-	summarizeLogs(os.Stdout, trace)
 	if !trace.Balanced() {
-		if *flight {
-			fmt.Fprintf(os.Stdout, "\nnote: %d span(s) truncated by ring rotation: ids %v\n",
-				len(trace.Unbalanced), trace.Unbalanced)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "tracestat: UNBALANCED trace — %d span(s) without a matching start/end: ids %v\n",
-			len(trace.Unbalanced), trace.Unbalanced)
+		fmt.Fprintf(os.Stderr, "tracestat: UNBALANCED trace — %d span(s) without a matching start/end: %s\n",
+			len(trace.Unbalanced), strings.Join(openSpans(trace), ", "))
 		os.Exit(1)
 	}
+}
+
+// openSpans names each unbalanced span by the stage and level of the
+// first event carrying its id: its span_start, or the span_end of an
+// end that has no start.
+func openSpans(trace *tpilayout.Trace) []string {
+	open := map[int64]bool{}
+	for _, id := range trace.Unbalanced {
+		open[id] = true
+	}
+	var out []string
+	for _, e := range trace.Events {
+		if open[e.ID] {
+			delete(open, e.ID)
+			out = append(out, fmt.Sprintf("%s @ tp %.1f%% (id %d)", e.Stage, e.TPPercent, e.ID))
+		}
+	}
+	return out
 }
 
 // diff prints tracecmp's delta report of two traces and returns the
@@ -166,80 +177,6 @@ func loadSide(path string) (*tracecmp.Side, error) {
 	}
 	defer f.Close()
 	return tracecmp.LoadTrace(f)
-}
-
-// summarizeService tabulates the observation events a tpid stream
-// interleaves with its spans: counters summed, gauges last-wins, both
-// split by tenant when the event carries one.
-func summarizeService(w io.Writer, trace *tpilayout.Trace) {
-	if len(trace.Observations) == 0 {
-		return
-	}
-	counters := map[string]int64{}
-	gauges := map[string]float64{}
-	hists := map[string]tpilayout.HistData{}
-	for _, e := range trace.Observations {
-		suffix := ""
-		if t := e.Attrs["tenant"]; t != "" {
-			suffix = "{tenant=" + t + "}"
-		}
-		for c, v := range e.Counters {
-			counters[c+suffix] += v
-		}
-		for g, v := range e.Gauges {
-			gauges[g+suffix] = v
-		}
-		for h, d := range e.Hists {
-			merged := hists[h+suffix]
-			merged.Merge(d)
-			hists[h+suffix] = merged
-		}
-	}
-	fmt.Fprintf(w, "\nservice: %d observation event(s)\n", len(trace.Observations))
-	for _, c := range sortedKeys(counters) {
-		fmt.Fprintf(w, "%-42s %12d\n", c, counters[c])
-	}
-	for _, g := range sortedKeys(gauges) {
-		fmt.Fprintf(w, "%-42s %12.3g\n", g, gauges[g])
-	}
-	for _, h := range sortedKeys(hists) {
-		d := hists[h]
-		fmt.Fprintf(w, "%-42s %12s (n=%d, p50 %s, p99 %s)\n",
-			h, "", d.Count, fmtQuantile(h, d.Quantile(0.5)), fmtQuantile(h, d.Quantile(0.99)))
-	}
-}
-
-// summarizeLogs counts the structured log records in the stream by
-// level and reprints warnings and errors — the lines a postmortem
-// reader wants first.
-func summarizeLogs(w io.Writer, trace *tpilayout.Trace) {
-	if len(trace.Logs) == 0 {
-		return
-	}
-	byLevel := map[string]int{}
-	for _, e := range trace.Logs {
-		byLevel[e.Level]++
-	}
-	fmt.Fprintf(w, "\nlogs: %d record(s)", len(trace.Logs))
-	for _, lv := range []string{"DEBUG", "INFO", "WARN", "ERROR"} {
-		if n := byLevel[lv]; n > 0 {
-			fmt.Fprintf(w, " %s=%d", strings.ToLower(lv), n)
-		}
-	}
-	fmt.Fprintln(w)
-	for _, e := range trace.Logs {
-		if e.Level != "WARN" && e.Level != "ERROR" {
-			continue
-		}
-		line := fmt.Sprintf("  %s %s", e.Level, e.Msg)
-		if id := e.Attrs["job_id"]; id != "" {
-			line += " job_id=" + id
-		}
-		if id := e.Attrs["run_id"]; id != "" {
-			line += " run_id=" + id
-		}
-		fmt.Fprintln(w, line)
-	}
 }
 
 func summarize(w io.Writer, name string, trace *tpilayout.Trace) {

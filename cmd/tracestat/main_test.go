@@ -63,59 +63,51 @@ atpg.podem_ns p99             131.5ms    132.9ms
 	}
 }
 
-// serviceText is a tpid-style stream: spans interleaved with
-// observation events (span_end id 0, the service's metric flushes) and
-// structured log records, all carrying correlation attrs.
+// serviceText is a tpid-style stream: a run's spans interleaved with
+// observation events (span_end id 0, the service's metric flushes),
+// all carrying correlation attrs.
 const serviceText = `{"ev":"span_start","id":1,"stage":"run","tp":0,"t":"2026-08-06T12:00:00Z","attrs":{"run_id":"r000001-aa","job_id":"j1","tenant":"acme"}}
-{"ev":"log","id":0,"stage":"service","tp":0,"t":"2026-08-06T12:00:00Z","level":"INFO","msg":"job accepted","attrs":{"job_id":"j1","run_id":"r000001-aa","tenant":"acme"}}
 {"ev":"span_end","id":0,"stage":"service","tp":-1,"t":"2026-08-06T12:00:01Z","counters":{"service.cache_hits":2},"gauges":{"service.queue_depth":3}}
 {"ev":"span_end","id":0,"stage":"service","tp":-1,"t":"2026-08-06T12:00:01Z","counters":{"service.jobs_done":1},"attrs":{"tenant":"acme"}}
-{"ev":"span_end","id":0,"stage":"service","tp":-1,"t":"2026-08-06T12:00:02Z","counters":{"service.cache_hits":1},"gauges":{"service.queue_depth":1}}
-{"ev":"log","id":0,"stage":"service","tp":0,"t":"2026-08-06T12:00:02Z","level":"WARN","msg":"level retry","attrs":{"job_id":"j1","run_id":"r000001-aa"}}
 {"ev":"span_end","id":1,"stage":"run","tp":0,"t":"2026-08-06T12:00:03Z","dur_ns":3000000000,"attrs":{"run_id":"r000001-aa","job_id":"j1","tenant":"acme"}}
 `
 
-// TestServiceAndLogSections pins the service/log summary sections and
-// confirms observation + log records never unbalance a trace.
-func TestServiceAndLogSections(t *testing.T) {
+// TestObservationsKeepBalance: observation events in a service stream
+// are no spans and never unbalance it; the run span still tabulates.
+func TestObservationsKeepBalance(t *testing.T) {
 	trace, err := tpilayout.ParseTrace(strings.NewReader(serviceText))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !trace.Balanced() {
-		t.Fatalf("observation/log records must not count against balance: unbalanced ids %v", trace.Unbalanced)
+	if !trace.Balanced() || len(trace.Spans) != 1 || len(trace.Events) != 4 {
+		t.Fatalf("got %d spans in %d events, unbalanced ids %v; want 1 balanced span in 4 events",
+			len(trace.Spans), len(trace.Events), trace.Unbalanced)
 	}
-	if len(trace.Observations) != 3 || len(trace.Logs) != 2 {
-		t.Fatalf("got %d observations, %d logs; want 3, 2", len(trace.Observations), len(trace.Logs))
-	}
-
 	var buf bytes.Buffer
-	summarizeService(&buf, trace)
-	out := buf.String()
-	for _, want := range []string{
-		"service: 3 observation event(s)",
-		"service.cache_hits", "3", // summed across flushes
-		"service.jobs_done{tenant=acme}", // tenant-split family
-		"service.queue_depth", "1",       // gauge: last value wins
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("service section missing %q:\n%s", want, out)
-		}
+	summarize(&buf, "service", trace)
+	if !strings.Contains(buf.String(), "4 events, 1 spans (1 runs)") {
+		t.Errorf("summary does not count the run:\n%s", buf.String())
 	}
+}
 
-	buf.Reset()
-	summarizeLogs(&buf, trace)
-	out = buf.String()
-	for _, want := range []string{
-		"logs: 2 record(s) info=1 warn=1",
-		"  WARN level retry job_id=j1 run_id=r000001-aa",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log section missing %q:\n%s", want, out)
-		}
+// TestUnbalancedNamesOpenSpans: a stuck run's stream — its run and atpg
+// spans still open, plus an end whose start the stream never carried —
+// reports each unbalanced span by stage, level and id, in stream order.
+func TestUnbalancedNamesOpenSpans(t *testing.T) {
+	stuck := `{"ev":"span_end","id":7,"stage":"place","tp":1,"t":"2026-08-06T12:00:00Z","dur_ns":1000000}
+{"ev":"span_start","id":8,"stage":"run","tp":2,"t":"2026-08-06T12:00:01Z"}
+{"ev":"span_end","id":0,"stage":"service","tp":-1,"t":"2026-08-06T12:00:01Z","counters":{"service.levels_run":1}}
+{"ev":"span_start","id":9,"parent":8,"stage":"tpi","tp":2,"t":"2026-08-06T12:00:01Z"}
+{"ev":"span_end","id":9,"parent":8,"stage":"tpi","tp":2,"t":"2026-08-06T12:00:01Z","dur_ns":1000}
+{"ev":"span_start","id":10,"parent":8,"stage":"atpg","tp":2,"t":"2026-08-06T12:00:02Z"}
+`
+	trace, err := tpilayout.ParseTrace(strings.NewReader(stuck))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Contains(out, "job accepted") {
-		t.Errorf("INFO records should not be reprinted:\n%s", out)
+	want := "place @ tp 1.0% (id 7), run @ tp 2.0% (id 8), atpg @ tp 2.0% (id 10)"
+	if got := strings.Join(openSpans(trace), ", "); got != want {
+		t.Errorf("open spans = %q, want %q", got, want)
 	}
 }
 
@@ -173,26 +165,5 @@ func TestDiffExitStatus(t *testing.T) {
 		if tc.code < 2 && !strings.Contains(stdout.String(), "cells compared") {
 			t.Errorf("%s: no delta report on stdout:\n%s", tc.name, stdout.String())
 		}
-	}
-}
-
-// TestFlightDumpTolerated: a ring dump whose oldest span_start rotated
-// away parses, summarizes, and reports the orphan end as unbalanced —
-// the -flight flag in main downgrades that to a note.
-func TestFlightDumpTolerated(t *testing.T) {
-	dump := `{"ev":"span_end","id":7,"stage":"atpg","tp":1,"t":"2026-08-06T12:00:01Z","dur_ns":1000000}
-{"ev":"log","id":0,"stage":"service","tp":0,"t":"2026-08-06T12:00:02Z","level":"ERROR","msg":"panic captured","attrs":{"reason":"panic"}}
-`
-	trace, err := tpilayout.ParseTrace(strings.NewReader(dump))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace.Balanced() || len(trace.Unbalanced) != 1 || trace.Unbalanced[0] != 7 {
-		t.Fatalf("want exactly span 7 unbalanced, got %v", trace.Unbalanced)
-	}
-	var buf bytes.Buffer
-	summarizeLogs(&buf, trace)
-	if !strings.Contains(buf.String(), "ERROR panic captured") {
-		t.Errorf("panic log line not surfaced:\n%s", buf.String())
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"tpilayout/internal/flow"
 	"tpilayout/internal/telemetry"
 )
 
@@ -53,8 +54,7 @@ func logRecords(t *testing.T, b *syncBuffer) []map[string]any {
 // TestEndToEndCorrelation is the tentpole acceptance test: one
 // submission's job_id and run_id are visible — with the same values —
 // in the HTTP response, the status API, every SSE span frame, the JSON
-// service log, the journal (proven by replay), and the flight recorder
-// passed in Sinks.
+// service log, /metrics, and the data dir (proven by replay).
 func TestEndToEndCorrelation(t *testing.T) {
 	dir := t.TempDir()
 	logBuf := &syncBuffer{}
@@ -62,10 +62,9 @@ func TestEndToEndCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flight := telemetry.NewFlightRecorder(1024)
 	prom := telemetry.NewPromSink("tpid")
 	lr := &levelRecorder{}
-	opt := Options{Workers: 1, Sinks: []telemetry.Sink{prom, flight}, Log: logger}
+	opt := Options{Workers: 1, Sinks: []telemetry.Sink{prom}, Log: logger}
 	s := openDurable(t, dir, opt, func(s *Server) { s.runLevel = lr.hook })
 	ts := httptest.NewServer(s)
 
@@ -146,31 +145,6 @@ func TestEndToEndCorrelation(t *testing.T) {
 			accepted, finished, strings.Join(logBuf.Lines(), "\n"))
 	}
 
-	// Flight recorder: the ring passed in Sinks dumps as parseable
-	// NDJSON and holds this run's spans and service observations.
-	var dump bytes.Buffer
-	if err := flight.WriteNDJSON(&dump); err != nil {
-		t.Fatal(err)
-	}
-	ftrace, err := telemetry.ParseTrace(&dump)
-	if err != nil {
-		t.Fatalf("flight dump does not parse: %v", err)
-	}
-	var runSpans, runObs int
-	for _, sp := range ftrace.Spans {
-		if sp.Attrs["run_id"] == runID {
-			runSpans++
-		}
-	}
-	for _, e := range ftrace.Observations {
-		if e.Attrs["run_id"] == runID {
-			runObs++
-		}
-	}
-	if runSpans == 0 || runObs == 0 {
-		t.Fatalf("flight recorder holds %d spans and %d observations of run %s, want both", runSpans, runObs, runID)
-	}
-
 	// Per-tenant SLO families surfaced on /metrics with the tenant label.
 	mrec := httptest.NewRecorder()
 	prom.ServeHTTP(mrec, httptest.NewRequest("GET", "/metrics", nil))
@@ -197,6 +171,47 @@ func TestEndToEndCorrelation(t *testing.T) {
 	}
 	if replayed.State != StateDone {
 		t.Fatalf("replayed state = %s, want done", replayed.State)
+	}
+}
+
+// TestLevelPanicStackLogged: a level whose flow panics fails with a
+// StageError carrying the panicking goroutine's stack, and the level's
+// error log line holds that stack beside the run's correlation ids.
+func TestLevelPanicStackLogged(t *testing.T) {
+	logBuf := &syncBuffer{}
+	logger, err := telemetry.NewLogger(logBuf, "json", slog.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	induced := telemetry.FuncSink(func(e telemetry.Event) {
+		if e.Type == telemetry.EventSpanStart && e.Stage == flow.StagePlace && e.TPPercent == 2 {
+			panic("induced placement failure")
+		}
+	})
+	s := New(Options{Workers: 1, Sinks: []telemetry.Sink{induced}, Log: logger})
+	defer shutdown(t, s)
+	_, st := postJob(t, s, jobBody(t, "acme", 0, 2))
+	final := waitState(t, s, st.ID, StateDone)
+
+	var lines []map[string]any
+	for _, rec := range logRecords(t, logBuf) {
+		if rec["msg"] == "level failed" {
+			lines = append(lines, rec)
+		}
+	}
+	if len(lines) != 1 {
+		t.Fatalf("%d level failed lines, want 1:\n%s", len(lines), strings.Join(logBuf.Lines(), "\n"))
+	}
+	rec := lines[0]
+	if rec["level"] != "ERROR" || rec["run_id"] != final.RunID || rec["job_id"] != st.ID || rec["tp_percent"] != float64(2) {
+		t.Errorf("level failed line not at error level or not correlated: %v", rec)
+	}
+	if err, _ := rec["error"].(string); !strings.Contains(err, "induced placement failure") {
+		t.Errorf("error field %q does not name the panic", err)
+	}
+	// The stack is the panicking goroutine's: it runs through the sink.
+	if stack, _ := rec["stack"].(string); !strings.Contains(stack, "TestLevelPanicStackLogged") {
+		t.Errorf("stack field does not hold the panicking frame:\n%s", stack)
 	}
 }
 

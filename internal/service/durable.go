@@ -51,13 +51,19 @@ type jobImage struct {
 	Flow     *FlowConfig `json:"flow,omitempty"`
 	Created  time.Time   `json:"created"`
 
-	// The verdict: a job whose State is terminal is retired.
-	State     State      `json:"state,omitempty"`
-	Error     string     `json:"error,omitempty"`
-	CacheKey  string     `json:"cache_key,omitempty"`
-	Cacheable bool       `json:"cacheable,omitempty"`
-	Result    *JobResult `json:"result,omitempty"`
-	Finished  time.Time  `json:"finished"`
+	// The verdict: a job whose State is terminal is retired. It keeps
+	// every field GET /v1/jobs/{id} reports. Started is nil in a parent
+	// build's file, which read back as started at creation.
+	State         State      `json:"state,omitempty"`
+	Error         string     `json:"error,omitempty"`
+	CacheKey      string     `json:"cache_key,omitempty"`
+	Cacheable     bool       `json:"cacheable,omitempty"`
+	Result        *JobResult `json:"result,omitempty"`
+	Started       *time.Time `json:"started,omitempty"`
+	CacheHit      bool       `json:"cache_hit,omitempty"`
+	Coalesced     bool       `json:"coalesced,omitempty"`
+	ResumedLevels int64      `json:"resumed_levels,omitempty"`
+	Finished      time.Time  `json:"finished"`
 }
 
 // levelImage checkpoints one completed level under its content address
@@ -233,7 +239,8 @@ func retiredImage(job *Job) *jobImage {
 	return &jobImage{
 		JobID: job.ID, RunID: job.runID, Tenant: job.Tenant, Name: job.Circuit, TPLevels: job.Levels,
 		Created: job.created, State: job.state, Error: job.errMsg, CacheKey: job.Key,
-		Cacheable: job.cacheable, Result: job.result.value(), Finished: job.finished,
+		Cacheable: job.cacheable, Result: job.result.value(), Started: &job.started,
+		CacheHit: job.cacheHit, Coalesced: job.coalesce, ResumedLevels: job.resumed, Finished: job.finished,
 	}
 }
 
@@ -259,9 +266,12 @@ func (s *Server) replay(st *dataState) {
 		r := &st.Retired[i]
 		job := &Job{
 			ID: r.JobID, runID: r.RunID, Tenant: r.Tenant, Key: r.CacheKey, Levels: r.TPLevels,
-			Circuit: r.Name, state: r.State, errMsg: r.Error,
-			created: r.Created, finished: r.Finished, started: r.Created,
+			Circuit: r.Name, state: r.State, errMsg: r.Error, cacheHit: r.CacheHit, coalesce: r.Coalesced,
+			resumed: r.ResumedLevels, created: r.Created, finished: r.Finished, started: r.Created,
 			persisted: true, cacheable: r.Cacheable,
+		}
+		if r.Started != nil {
+			job.started = *r.Started
 		}
 		if r.Result != nil {
 			job.result = encodeResult(r.Result)

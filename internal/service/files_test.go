@@ -65,8 +65,11 @@ func answers(t *testing.T, s *Server, ids ...string) map[string]string {
 // answers that build gave from its fold: retired jobs keep state, error,
 // run id and result (a done one answers resubmissions from the cache),
 // pending jobs re-run under their filed run id, resuming the levels the
-// journal checkpointed, and a twin coalesces onto its owner's run. The
-// journal is gone afterwards, and a second Open reads the same state.
+// journal checkpointed, a twin coalesces onto its owner's run, and a
+// pending job whose twin retired done is answered from the cache. The
+// journal is gone afterwards, and a second Open answers every GET of
+// every job with the same bytes: the jobs retired in the first life keep
+// their start time, resumed levels, coalescing and cache hit.
 func TestParentDataDir(t *testing.T) {
 	dir := t.TempDir()
 	comp := func(levels ...float64) *compiled {
@@ -137,6 +140,7 @@ func TestParentDataDir(t *testing.T) {
 	appendJSON(journal.TypeAccepted, accepted("p2", "run-p2", 4, 1, 2, 3))
 	appendJSON(journal.TypeLevelDone, level(2))
 	appendJSON(journal.TypeAccepted, c1)
+	appendJSON(journal.TypeAccepted, accepted("h1", "run-h1", 6, 4))
 	appendJSON(journal.TypeCanceled, map[string]any{"job_id": "c1", "run_id": "run-c1", "finished": "2026-09-01T10:05:30Z"})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -154,16 +158,17 @@ func TestParentDataDir(t *testing.T) {
 		}
 	})
 	close(replayed)
-	ids := []string{"r1", "f1", "p1", "p2", "c1"}
+	ids := []string{"r1", "f1", "p1", "p2", "c1", "h1"}
 	for id, want := range map[string]JobStatus{
 		"r1": {State: StateDone, RunID: "run-r1"},
 		"f1": {State: StateFailed, RunID: "run-f1", Error: "boom"},
 		"c1": {State: StateCanceled, RunID: "run-c1", Error: canceledByClient},
 		"p1": {State: StateDone, RunID: "run-p1", ResumedLevels: 2},
 		"p2": {State: StateDone, RunID: "run-p1", ResumedLevels: 2, Coalesced: true},
+		"h1": {State: StateDone, CacheHit: true},
 	} {
 		got := waitState(t, s, id, want.State)
-		if got.RunID != want.RunID || got.Error != want.Error || got.ResumedLevels != want.ResumedLevels || got.Coalesced != want.Coalesced {
+		if got.RunID != want.RunID || got.Error != want.Error || got.ResumedLevels != want.ResumedLevels || got.Coalesced != want.Coalesced || got.CacheHit != want.CacheHit {
 			t.Errorf("job %s: %+v, want %+v", id, got, want)
 		}
 	}
@@ -183,6 +188,9 @@ func TestParentDataDir(t *testing.T) {
 			t.Errorf("GET /v1/jobs/%s/result = %d, want %d", id, code, want)
 		}
 	}
+	if st := getStatus(t, s, "r1"); st.StartedAt != st.CreatedAt {
+		t.Errorf("a parent's retired job reads started_at %s, want its created_at %s", st.StartedAt, st.CreatedAt)
+	}
 	if code, st := postJob(t, s, jobBody(t, "acme", 4)); code != http.StatusOK || !st.CacheHit {
 		t.Errorf("resubmitting r1's body: %d cache_hit=%v, want a cache hit", code, st.CacheHit)
 	}
@@ -194,16 +202,11 @@ func TestParentDataDir(t *testing.T) {
 
 	s2 := openDurable(t, dir, Options{Workers: 1}, func(s *Server) { s.runLevel = rec.hook })
 	defer shutdown(t, s2)
-	// A job that ran in the first life comes back as a retired one does:
-	// without its start time and resumed levels.
+	// Every job answers as before, the two that ran in the first life
+	// with their start time, resumed levels and coalescing.
 	for path, again := range answers(t, s2, ids...) {
-		if again != first[path] && !strings.HasPrefix(path, "/v1/jobs/p") {
+		if again != first[path] {
 			t.Errorf("a second Open answers GET %s otherwise:\nfirst %s\nagain %s", path, first[path], again)
-		}
-	}
-	for _, id := range []string{"p1", "p2"} {
-		if st := getStatus(t, s2, id); st.State != StateDone || st.RunID != "run-p1" {
-			t.Errorf("after a second Open %s is %s under run %q", id, st.State, st.RunID)
 		}
 	}
 	if n := s2.FlowRuns(); n != 0 {

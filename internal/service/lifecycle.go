@@ -273,7 +273,7 @@ func (s *Server) sweepRun(rn *run) (*JobResult, error) {
 
 	cfg := rn.cfg
 	// Every span this run emits — and therefore every SSE frame, every
-	// /metrics fold, and every flight-recorder entry — carries the run's
+	// archived event and every /metrics fold — carries the run's
 	// correlation identity.
 	cfg.Telemetry = telemetry.New(sinks...).WithAttrs(rn.attrs())
 	cfg.Workers = rn.workers
@@ -375,7 +375,14 @@ func (s *Server) attemptLevel(rn *run, base *netlist.Netlist, cfg flow.Config, p
 	s.levelsRun.Add(1)
 	s.emitRunMetric(rn, map[string]int64{"service.levels_run": 1}, nil, nil)
 	if lr.Err != nil {
-		rn.log.Warn("level failed", "tp_percent", pct, "error", lr.Err)
+		// A recovered panic's stack goes into the log: it is the one
+		// record of where the flow blew up.
+		var se *flow.StageError
+		if errors.As(lr.Err, &se) && se.Stack != nil {
+			rn.log.Error("level failed", "tp_percent", pct, "error", lr.Err, "stack", string(se.Stack))
+		} else {
+			rn.log.Warn("level failed", "tp_percent", pct, "error", lr.Err)
+		}
 		return lr
 	}
 	rn.log.Debug("level done", "tp_percent", pct, "truncated", lr.Metrics.Truncated)
@@ -491,6 +498,9 @@ func (s *Server) retire(jobs []*Job, out outcome) int {
 			continue
 		}
 		j.state, j.errMsg, j.result, j.cacheHit, j.finished = out.state, out.errMsg, out.result, out.cacheHit, now
+		if j.record != nil {
+			j.resumed = j.record.resumedLevels.Load()
+		}
 		if out.cacheHit {
 			j.started = j.created
 		}

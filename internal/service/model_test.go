@@ -88,6 +88,7 @@ type mJob struct {
 	runID     *string // the run id it reports and its file names: nil for none, "" until first seen
 	record    *mRun   // the run whose resumed levels it reports
 	run       *mRun   // the live run it waits on
+	resumed   int64   // record's resumed levels at retirement: its file's
 	coalesced bool
 	cacheHit  bool
 	failed    []float64 // levels a done job's result reports failed
@@ -270,6 +271,9 @@ func (m *model) retire(jobs []*mJob, state State, msg string, cacheHit bool, fai
 			continue
 		}
 		j.state, j.errMsg, j.cacheHit, j.failed = state, msg, cacheHit, failed
+		if j.record != nil {
+			j.resumed = j.record.resumed
+		}
 		if r := j.run; r != nil && !r.done {
 			if r.jobs = slices.DeleteFunc(r.jobs, func(o *mJob) bool { return o == j }); len(r.jobs) == 0 {
 				m.drop(r)
@@ -286,7 +290,9 @@ func (m *model) retire(jobs []*mJob, state State, msg string, cacheHit bool, fai
 }
 
 // restart is a new server's replay of the data dir: retired jobs come
-// back as they were (their cached results with them), and pending ones
+// back as they were filed (their cached results with them; resumed
+// levels as at retirement, which a job a DELETE retired early may
+// since have outgrown), and pending ones
 // are re-admitted in order, under the run their file names.
 func (m *model) restart(workers, depth int, bigCache bool) {
 	*m = model{
@@ -297,6 +303,7 @@ func (m *model) restart(workers, depth int, bigCache bool) {
 	for _, r := range m.retired {
 		m.jobs = append(m.jobs, &mJob{
 			id: r.id, body: r.body, state: r.state, errMsg: r.errMsg, runID: r.runID, failed: r.failed, journaled: true,
+			coalesced: r.coalesced, cacheHit: r.cacheHit, resumed: r.resumed,
 		})
 		if bigCache && r.state == StateDone && r.failed == nil && r.body.cacheable() {
 			m.cached[r.body.key()] = true
@@ -487,7 +494,7 @@ func (l *modelLife) diff(m *model) []string {
 			out = append(out, fmt.Sprintf("job %s: GET = %d, model has it %s", j.id, code, j.state))
 			continue
 		}
-		want := view{State: j.state, Error: j.errMsg, Coalesced: j.coalesced, CacheHit: j.cacheHit}
+		want := view{State: j.state, Error: j.errMsg, Resumed: j.resumed, Coalesced: j.coalesced, CacheHit: j.cacheHit}
 		if j.record != nil {
 			want.Resumed = j.record.resumed
 		}

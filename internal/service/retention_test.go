@@ -2,8 +2,8 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -322,6 +322,20 @@ func TestRetiredJobAnswersAsBefore(t *testing.T) {
 	}
 }
 
+// holdWriter is a log destination that blocks each write of a line
+// holding msg until release is closed.
+type holdWriter struct {
+	msg     string
+	release chan struct{}
+}
+
+func (w holdWriter) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("msg=\""+w.msg+"\"")) {
+		<-w.release
+	}
+	return len(p), nil
+}
+
 // TestRetiredJobAnswersAsBeforeDurable is TestRetiredJobAnswersAsBefore
 // on a server with a run archive, which becomes the one copy of a
 // finished run's events once it holds them. A job's status, result and
@@ -374,11 +388,7 @@ func TestRetiredJobAnswersAsBeforeDurable(t *testing.T) {
 		// and before the archive Put: holding it there keeps the events
 		// in memory for the reads at done.
 		hold := make(chan struct{})
-		logger, err := telemetry.NewLogger(io.Discard, "text", slog.LevelInfo, telemetry.FuncSink(func(e telemetry.Event) {
-			if e.Type == telemetry.EventLog && e.Msg == "run finished" {
-				<-hold
-			}
-		}))
+		logger, err := telemetry.NewLogger(holdWriter{"run finished", hold}, "text", slog.LevelInfo)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,8 +116,11 @@ type Job struct {
 	// run is the live run the job waits on, nil once the job is terminal;
 	// record is what the job keeps of it for good (nil when no run was
 	// ever attached: a cache answer, or a retirement read back by replay).
+	// resumed is its run's resumed levels at retirement, as its file
+	// keeps them.
 	run       *run
 	record    *runRecord
+	resumed   int64
 	errMsg    string
 	result    *encodedResult
 	created   time.Time
@@ -214,9 +217,9 @@ type JobStatus struct {
 	ID     string `json:"id"`
 	Tenant string `json:"tenant"`
 	// RunID identifies the flow run executing the job: the correlation
-	// key shared by spans, SSE frames, log lines, job files, and
-	// flight-recorder dumps. Empty for jobs answered from the cache
-	// (no flow ran).
+	// key shared by spans, SSE frames, log lines, job files and the
+	// run archive. Empty for jobs answered from the cache (no flow
+	// ran).
 	RunID    string    `json:"run_id,omitempty"`
 	State    State     `json:"state"`
 	Key      string    `json:"key"`
@@ -291,7 +294,7 @@ type Options struct {
 	RetainJobs int
 	// Sinks receive every run's span events and the service-level
 	// observations (queue depth, queue wait, cache hits, jobs by
-	// terminal state) — tpid passes its /metrics sink and flight recorder.
+	// terminal state) — tpid passes its /metrics sink.
 	Sinks []telemetry.Sink
 	// Log, when non-nil, is the service's structured logger: every
 	// lifecycle transition (accept, coalesce, cache hit, run start,
@@ -1012,8 +1015,8 @@ func (s *Server) emitMetric(counters map[string]int64, gauges map[string]float64
 }
 
 // emitRunMetric is emitMetric carrying a run's correlation attrs, so
-// level/checkpoint/terminal counter flushes in the flight recorder and
-// on /metrics name the run they belong to. The tenant attr is the
+// level/checkpoint/terminal counter flushes on /metrics and in every
+// other sink name the run they belong to. The tenant attr is the
 // run's, so these families split per tenant on /metrics (bounded by
 // the PromSink tenant cap).
 func (s *Server) emitRunMetric(rn *run, counters map[string]int64, gauges map[string]float64, hists map[string]telemetry.HistData) {
@@ -1043,6 +1046,7 @@ func (s *Server) statusLocked(job *Job) JobStatus {
 		Error:     job.errMsg,
 		CreatedAt: job.created.UTC().Format(time.RFC3339Nano),
 	}
+	st.ResumedLevels = job.resumed
 	if job.record != nil {
 		st.ResumedLevels = job.record.resumedLevels.Load()
 	}

@@ -10,17 +10,12 @@ import (
 )
 
 // Logger is the service's leveled structured logger: a thin wrapper
-// over log/slog that renders text or JSON lines to a writer and, in
-// the same call, forwards each record as an EventLog telemetry event
-// to its sinks — so the flight recorder retains log lines interleaved
-// with spans. Like Tracer, the disabled state is a nil *Logger: every
-// method no-ops after one nil check and the call site allocates
-// nothing (benchmark-pinned).
+// over log/slog that renders text or JSON lines to a writer. Like
+// Tracer, the disabled state is a nil *Logger: every method no-ops
+// after one nil check and the call site allocates nothing
+// (benchmark-pinned).
 type Logger struct {
-	h     slog.Handler
-	sinks []Sink
-	attrs map[string]string // bound correlation attrs, stamped on events
-	now   func() time.Time
+	h slog.Handler
 }
 
 // ParseLogLevel maps the -log-level flag values to slog levels.
@@ -39,10 +34,8 @@ func ParseLogLevel(s string) (slog.Level, error) {
 }
 
 // NewLogger returns a Logger writing format ("text" or "json") lines
-// at or above level to w, forwarding every record — regardless of
-// level, so the flight recorder keeps debug detail even when stderr is
-// quiet — to the given sinks as EventLog events.
-func NewLogger(w io.Writer, format string, level slog.Level, sinks ...Sink) (*Logger, error) {
+// at or above level to w.
+func NewLogger(w io.Writer, format string, level slog.Level) (*Logger, error) {
 	opts := &slog.HandlerOptions{Level: level}
 	var h slog.Handler
 	switch format {
@@ -53,31 +46,17 @@ func NewLogger(w io.Writer, format string, level slog.Level, sinks ...Sink) (*Lo
 	default:
 		return nil, fmt.Errorf("unknown log format %q (want text or json)", format)
 	}
-	return &Logger{h: h, sinks: sinks, now: time.Now}, nil
+	return &Logger{h: h}, nil
 }
 
 // With returns a Logger with the given alternating key/value pairs
-// bound to every subsequent record — both on the rendered line and in
-// the forwarded event's attrs. The service binds job_id/run_id/tenant
-// once per run and logs through the child.
+// bound to every subsequent record. The service binds
+// job_id/run_id/tenant once per run and logs through the child.
 func (l *Logger) With(args ...any) *Logger {
 	if l == nil || len(args) == 0 {
 		return l
 	}
-	sa := make([]slog.Attr, 0, (len(args)+1)/2)
-	attrs := make(map[string]string, len(l.attrs)+(len(args)+1)/2)
-	for k, v := range l.attrs {
-		attrs[k] = v
-	}
-	for i := 0; i+1 < len(args); i += 2 {
-		k, ok := args[i].(string)
-		if !ok {
-			k = fmt.Sprint(args[i])
-		}
-		sa = append(sa, slog.Any(k, args[i+1]))
-		attrs[k] = fmt.Sprint(args[i+1])
-	}
-	return &Logger{h: l.h.WithAttrs(sa), sinks: l.sinks, attrs: attrs, now: l.now}
+	return &Logger{h: slog.New(l.h).With(args...).Handler()}
 }
 
 // Debug logs at debug level with alternating key/value args.
@@ -113,31 +92,11 @@ func (l *Logger) Error(msg string, args ...any) {
 }
 
 func (l *Logger) log(level slog.Level, msg string, args []any) {
-	now := l.now()
-	if l.h.Enabled(context.Background(), level) {
-		r := slog.NewRecord(now, level, msg, 0)
-		r.Add(args...)
-		_ = l.h.Handle(context.Background(), r)
-	}
-	if len(l.sinks) == 0 {
+	ctx := context.Background()
+	if !l.h.Enabled(ctx, level) {
 		return
 	}
-	attrs := l.attrs
-	if len(args) > 0 {
-		attrs = make(map[string]string, len(l.attrs)+(len(args)+1)/2)
-		for k, v := range l.attrs {
-			attrs[k] = v
-		}
-		for i := 0; i+1 < len(args); i += 2 {
-			k, ok := args[i].(string)
-			if !ok {
-				k = fmt.Sprint(args[i])
-			}
-			attrs[k] = fmt.Sprint(args[i+1])
-		}
-	}
-	e := Event{Type: EventLog, Stage: attrs["stage"], Time: now, Level: level.String(), Msg: msg, Attrs: attrs}
-	for _, s := range l.sinks {
-		s.Emit(e)
-	}
+	r := slog.NewRecord(time.Now(), level, msg, 0)
+	r.Add(args...)
+	_ = l.h.Handle(ctx, r)
 }

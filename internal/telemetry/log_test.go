@@ -5,21 +5,8 @@ import (
 	"encoding/json"
 	"log/slog"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// collectSink gathers every event for assertions.
-type collectSink struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-func (c *collectSink) Emit(e Event) {
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-}
 
 func TestParseLogLevel(t *testing.T) {
 	cases := map[string]slog.Level{
@@ -78,55 +65,32 @@ func TestLoggerJSONFormat(t *testing.T) {
 	}
 }
 
-// TestLoggerSinksGetAllLevels: sinks receive every record regardless of
-// the handler level — the flight recorder keeps debug detail even when
-// stderr is quiet.
-func TestLoggerSinksGetAllLevels(t *testing.T) {
-	var buf bytes.Buffer
-	sink := &collectSink{}
-	l, err := NewLogger(&buf, "text", slog.LevelError, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Debug("hidden detail", "step", 3)
-	if buf.Len() != 0 {
-		t.Errorf("debug rendered despite level=error:\n%s", buf.String())
-	}
-	if len(sink.events) != 1 {
-		t.Fatalf("sink got %d events, want 1", len(sink.events))
-	}
-	e := sink.events[0]
-	if e.Type != EventLog || e.Level != "DEBUG" || e.Msg != "hidden detail" || e.Attrs["step"] != "3" {
-		t.Errorf("event wrong: %+v", e)
-	}
-}
-
-// TestLoggerWithBindsAttrs: With-bound pairs reach both the rendered
-// line and every forwarded event, and stage routes into Event.Stage.
+// TestLoggerWithBindsAttrs: With-bound pairs reach every rendered line
+// of the child, and the parent is untouched by them.
 func TestLoggerWithBindsAttrs(t *testing.T) {
 	var buf bytes.Buffer
-	sink := &collectSink{}
-	l, err := NewLogger(&buf, "text", slog.LevelInfo, sink)
+	l, err := NewLogger(&buf, "text", slog.LevelInfo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := l.With("run_id", "r000001-ab", "tenant", "acme", "stage", "service")
+	child := l.With("run_id", "r000001-ab", "tenant", "acme")
 	child.Info("run started", "queue_wait_ms", 12)
+	child.Info("run finished")
 
-	out := buf.String()
-	for _, want := range []string{"run_id=r000001-ab", "tenant=acme", "queue_wait_ms=12"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered line missing %q:\n%s", want, out)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
+	}
+	for _, line := range lines {
+		for _, want := range []string{"run_id=r000001-ab", "tenant=acme"} {
+			if !strings.Contains(line, want) {
+				t.Errorf("rendered line missing %q:\n%s", want, line)
+			}
 		}
 	}
-	e := sink.events[0]
-	if e.Attrs["run_id"] != "r000001-ab" || e.Attrs["tenant"] != "acme" || e.Attrs["queue_wait_ms"] != "12" {
-		t.Errorf("event attrs wrong: %v", e.Attrs)
+	if !strings.Contains(lines[0], "queue_wait_ms=12") {
+		t.Errorf("record args missing:\n%s", lines[0])
 	}
-	if e.Stage != "service" {
-		t.Errorf("stage = %q, want service", e.Stage)
-	}
-	// The parent is untouched by the child's bindings.
 	buf.Reset()
 	l.Info("plain")
 	if strings.Contains(buf.String(), "run_id") {

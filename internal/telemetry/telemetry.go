@@ -3,8 +3,7 @@
 // counters, gauges and histograms each span records for ATPG, placement,
 // routing, clock-tree synthesis and STA, and pluggable sinks — an NDJSON
 // event stream (one JSON object per line, jq/flamegraph-friendly), a
-// flight-recorder ring, a Prometheus exposition, and live progress
-// lines. A span's only record is its span_end event; ParseTrace and
+// Prometheus exposition, and live progress lines. A span's only record is its span_end event; ParseTrace and
 // TraceFromEvents pair those back into spans.
 //
 // The layer is built to disappear: every method is safe on a nil
@@ -34,10 +33,6 @@ const (
 	// flush with no matching span_start (the service emits these) — and
 	// is exempt from trace balance checking.
 	EventSpanEnd EventType = "span_end"
-	// EventLog is a structured log record forwarded into the event
-	// stream by Logger, so sinks (notably the flight recorder) retain
-	// log lines interleaved with spans.
-	EventLog EventType = "log"
 )
 
 // Event is one telemetry record. It doubles as the NDJSON wire format:
@@ -68,13 +63,9 @@ type Event struct {
 	// across runs (see HistData).
 	Hists map[string]HistData `json:"hists,omitempty"`
 	// Attrs carries the emitting component's correlation identity
-	// (run_id, job_id, tenant, ...) plus, on log records, the record's
-	// structured fields. The map is shared across events from one
-	// Tracer and must be treated as read-only by sinks.
+	// (run_id, job_id, tenant, ...). The map is shared across events
+	// from one Tracer and must be treated as read-only by sinks.
 	Attrs map[string]string `json:"attrs,omitempty"`
-	// Level and Msg are set on EventLog records only.
-	Level string `json:"level,omitempty"`
-	Msg   string `json:"msg,omitempty"`
 }
 
 // Sink consumes telemetry events. Emit must be safe for concurrent use:
@@ -98,8 +89,8 @@ type Tracer struct {
 }
 
 // spanIDs numbers spans across every Tracer of the process, so runs
-// whose tracers share a sink (tpid's flight recorder) never reuse an ID
-// that ParseTrace pairs by.
+// whose tracers share a sink (tpid's /metrics sink, a caller's NDJSON
+// file) never reuse an ID that ParseTrace pairs by.
 var spanIDs atomic.Int64
 
 // New returns a Tracer delivering events to the given sinks.

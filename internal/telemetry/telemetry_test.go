@@ -10,6 +10,18 @@ import (
 	"testing"
 )
 
+// collectSink gathers every event for assertions.
+type collectSink struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+func (c *collectSink) Emit(e Event) {
+	c.mu.Lock()
+	c.events = append(c.events, e)
+	c.mu.Unlock()
+}
+
 // TestNilFastPath: the disabled layer is a nil tracer; every derived
 // handle is nil and every operation is a no-op, never a panic.
 func TestNilFastPath(t *testing.T) {
@@ -33,7 +45,7 @@ func TestNilFastPath(t *testing.T) {
 // link, TP level, summed counters, gauges and the first close's error —
 // and a second close emits nothing.
 func TestSpanTreeEvents(t *testing.T) {
-	rec := NewFlightRecorder(16)
+	rec := &collectSink{}
 	tr := New(rec)
 	root := tr.StartSpan("run", 2)
 	a := root.Child("tpi")
@@ -47,7 +59,7 @@ func TestSpanTreeEvents(t *testing.T) {
 	b.End() // idempotent: only the first close wins
 	root.End()
 
-	trace := TraceFromEvents(rec.Snapshot())
+	trace := TraceFromEvents(rec.events)
 	if !trace.Balanced() || len(trace.Events) != 6 {
 		t.Fatalf("want 3 balanced spans in 6 events, got %d events, unbalanced %v", len(trace.Events), trace.Unbalanced)
 	}
@@ -73,6 +85,47 @@ func TestSpanTreeEvents(t *testing.T) {
 	}
 	if at.Err != "boom" {
 		t.Errorf("err = %q (second End must not overwrite)", at.Err)
+	}
+}
+
+// TestInterleavedRunsShareSink: tpid gives each run its own tracer
+// over shared sinks, so two runs in flight interleave in one stream.
+// Span IDs are unique per process, so the stream still pairs every
+// start with its own end.
+func TestInterleavedRunsShareSink(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewNDJSONSink(&buf)
+	a := New(sink).WithAttrs(map[string]string{"run_id": "rA"})
+	b := New(sink).WithAttrs(map[string]string{"run_id": "rB"})
+	runA := a.StartSpan("run", 0)
+	runB := b.StartSpan("run", 2)
+	atpgA := runA.Child("atpg")
+	atpgB := runB.Child("atpg")
+	atpgA.End()
+	runA.End()
+	atpgB.End()
+	runB.End()
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	trace, err := ParseTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trace.Balanced() || len(trace.Spans) != 4 {
+		t.Fatalf("got %d spans, unbalanced %v; want 4 balanced", len(trace.Spans), trace.Unbalanced)
+	}
+	runOf := map[int64]string{}
+	for _, sp := range trace.Spans {
+		if sp.Stage == "run" {
+			runOf[sp.ID] = sp.Attrs["run_id"]
+		}
+	}
+	for _, sp := range trace.Spans {
+		if sp.Stage == "atpg" && runOf[sp.Parent] != sp.Attrs["run_id"] {
+			t.Errorf("%s atpg span parented by run %q", sp.Attrs["run_id"], runOf[sp.Parent])
+		}
 	}
 }
 

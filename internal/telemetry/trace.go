@@ -35,15 +35,10 @@ type Trace struct {
 	// Spans holds every balanced start/end pair, in end-event order.
 	Spans []SpanRecord
 	// Unbalanced lists span IDs that started but never ended, or ended
-	// without a start — a crashed or mis-instrumented run.
+	// without a start — a crashed or mis-instrumented run. A span_end
+	// with ID 0 and no start is a metric flush (queue depth, cache hits,
+	// per-tenant SLO samples), not a span, and does not count.
 	Unbalanced []int64
-	// Observations holds span_end events with ID 0: metric flushes the
-	// service emits with no matching span_start (queue depth, cache
-	// hits, per-tenant SLO samples). They are not spans and do not count
-	// against balance.
-	Observations []Event
-	// Logs holds the EventLog records interleaved in the stream.
-	Logs []Event
 }
 
 // sniffGzip wraps r so gzip-compressed input (detected by the 0x1f 0x8b
@@ -132,15 +127,12 @@ func (b *traceBuilder) add(e Event) error {
 			// A bare id-0 end with no matching start is a service
 			// metric flush, not a span. (Tracers mint span ids from
 			// 1, but a trace that DID start span 0 still pairs.)
-			tr.Events = append(tr.Events, e)
-			tr.Observations = append(tr.Observations, e)
-			return nil
+			break
 		}
 		start, ok := b.open[e.ID]
 		if !ok {
-			tr.Events = append(tr.Events, e)
 			tr.Unbalanced = append(tr.Unbalanced, e.ID)
-			return nil
+			break
 		}
 		delete(b.open, e.ID)
 		tr.Spans = append(tr.Spans, SpanRecord{
@@ -150,8 +142,6 @@ func (b *traceBuilder) add(e Event) error {
 			Counters: e.Counters, Gauges: e.Gauges, Hists: e.Hists,
 			Attrs: e.Attrs,
 		})
-	case EventLog:
-		tr.Logs = append(tr.Logs, e)
 	default:
 		return fmt.Errorf("unknown event type %q", e.Type)
 	}

@@ -5,9 +5,7 @@ package tpilayout
 // grows by per distinct circuit it has answered. A retired job must keep
 // its answer (status, tables), not its run: not the parsed netlist, not
 // the canonical .bench text of its request, not a telemetry buffer of
-// its own, and not its run's events once the archive holds them. A
-// daemon with a flight recorder, as tpid runs by default, must grow by
-// no more per job than one without.
+// its own, and not its run's events once the archive holds them.
 
 import (
 	"bytes"
@@ -23,50 +21,16 @@ import (
 	"tpilayout/internal/circuitgen"
 	"tpilayout/internal/service"
 	"tpilayout/internal/stdcell"
-	"tpilayout/internal/telemetry"
 )
 
+// TestServiceRetainedHeapPerJob runs 20 distinct jobs through a durable
+// in-process daemon and gates the live heap growth per retired job.
 func TestServiceRetainedHeapPerJob(t *testing.T) {
 	const (
-		maxPerJobMB  = 0.04
-		maxFlightMB  = 0.02 // extra growth per job a flight recorder may cost
-		flightEvents = 4096 // tpid's -flight-events default
+		maxPerJobMB = 0.04
+		jobs        = 20
 	)
-	cases := []struct {
-		name string
-		ring *telemetry.FlightRecorder
-	}{
-		{"no recorder", nil},
-		{"4096-event flight recorder", telemetry.NewFlightRecorder(flightEvents)},
-	}
-	perJob := make([]float64, len(cases))
-	for i, tc := range cases {
-		perJob[i] = retainedHeapPerJob(t, tc.ring, flightEvents)
-		t.Logf("%s: live heap grew by %.3f MB per retired job", tc.name, perJob[i])
-		if perJob[i] >= maxPerJobMB {
-			t.Fatalf("%s: live heap grew by %.3f MB per retired job, want < %.2f MB", tc.name, perJob[i], maxPerJobMB)
-		}
-	}
-	if extra := perJob[1] - perJob[0]; extra > maxFlightMB {
-		t.Fatalf("a flight recorder costs %.3f MB more per retired job (%.3f against %.3f MB), want at most %.2f MB",
-			extra, perJob[1], perJob[0], maxFlightMB)
-	}
-}
-
-// retainedHeapPerJob runs 20 distinct jobs through a durable in-process
-// daemon, with ring as a flight recorder of ringEvents events when it is
-// not nil, and returns the live heap growth per retired job, in MB.
-// The archive is the one copy of a retired run's events, so until the
-// ring is full it is their only growing holder in memory: the count
-// starts once it is.
-func retainedHeapPerJob(t *testing.T, ring *telemetry.FlightRecorder, ringEvents int) float64 {
-	t.Helper()
-	const jobs = 20
-	var sinks []telemetry.Sink
-	if ring != nil {
-		sinks = append(sinks, ring)
-	}
-	srv, err := service.Open(service.Options{Workers: 1, FlowWorkers: 1, DataDir: t.TempDir(), Sinks: sinks})
+	srv, err := service.Open(service.Options{Workers: 1, FlowWorkers: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,16 +101,15 @@ func retainedHeapPerJob(t *testing.T, ring *telemetry.FlightRecorder, ringEvents
 		return float64(m.HeapAlloc) / (1 << 20)
 	}
 
-	// Warm-up: the library, the archive, the first cache entries and a
-	// full flight ring, whose slots each job's events then overwrite.
-	seed := int64(0)
-	for run(seed); ring != nil && ring.Len() < ringEvents; run(seed) {
-		seed++
-	}
+	// Warm-up: the library, the archive and the first cache entries.
+	run(0)
 	before := liveHeap()
-	for range jobs {
-		seed++
-		run(seed)
+	for seed := range int64(jobs) {
+		run(seed + 1)
 	}
-	return (liveHeap() - before) / jobs
+	perJob := (liveHeap() - before) / jobs
+	t.Logf("live heap grew by %.3f MB per retired job", perJob)
+	if perJob >= maxPerJobMB {
+		t.Fatalf("live heap grew by %.3f MB per retired job, want < %.2f MB", perJob, maxPerJobMB)
+	}
 }
