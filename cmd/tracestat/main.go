@@ -75,6 +75,11 @@ const backstopPct = 150
 // contract).
 const stageRun = "run"
 
+// sharedLevel is the counter on the run span of a sweep level that
+// copied the row of an earlier level with the same test-point count: a
+// level that ran no stages of its own.
+const sharedLevel = "flow.shared_level"
+
 func main() {
 	maxRegress := flag.Float64("max-regress", 25, "with two traces: fail (exit 1) when a stage's duration grew by more than this percentage")
 	minDur := flag.Duration("min-dur", 0, "with two traces: noise floor — stages whose baseline duration is below this never gate (e.g. 100ms)")
@@ -183,9 +188,12 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace) {
 	levels := trace.Levels()
 
 	// First pass: identify run spans and attribute them to their level.
+	// A shared run did no work of its own: its wait stays out of the
+	// level's run time, and a level whose every run is shared prints
+	// "shared" in the stage table.
 	runLevel := map[int64]float64{}
 	runDur := map[float64]time.Duration{}
-	runCount := map[float64]int{}
+	runCount, sharedCount := map[float64]int{}, map[float64]int{}
 	var errSpans int
 	for _, s := range trace.Spans {
 		if s.Err != "" {
@@ -193,8 +201,12 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace) {
 		}
 		if s.Stage == stageRun {
 			runLevel[s.ID] = s.TPPercent
-			runDur[s.TPPercent] += s.Duration
 			runCount[s.TPPercent]++
+			if s.Counters[sharedLevel] > 0 {
+				sharedCount[s.TPPercent]++
+			} else {
+				runDur[s.TPPercent] += s.Duration
+			}
 		}
 	}
 
@@ -251,6 +263,12 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace) {
 
 	const col = 11
 	cell := func(s string) string { return fmt.Sprintf("%*s", col, s) }
+	durCell := func(tp float64, d time.Duration) string {
+		if runCount[tp] > 0 && sharedCount[tp] == runCount[tp] {
+			return cell("shared")
+		}
+		return cell(fmtDur(d))
+	}
 	header := fmt.Sprintf("%-10s", "stage")
 	for _, tp := range levels {
 		header += cell(fmt.Sprintf("tp %.1f%%", tp))
@@ -263,14 +281,14 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace) {
 		for _, tp := range levels {
 			d := stageDur[st][tp]
 			stageTotal += d
-			row += cell(fmtDur(d))
+			row += durCell(tp, d)
 		}
 		fmt.Fprintln(w, row)
 	}
 	row := fmt.Sprintf("%-10s", "run total")
 	for _, tp := range levels {
 		runTotal += runDur[tp]
-		row += cell(fmtDur(runDur[tp]))
+		row += durCell(tp, runDur[tp])
 	}
 	fmt.Fprintln(w, row)
 	row = fmt.Sprintf("%-10s", "other")
@@ -279,7 +297,7 @@ func summarize(w io.Writer, name string, trace *tpilayout.Trace) {
 		for _, st := range stageOrder {
 			lv += stageDur[st][tp]
 		}
-		row += cell(fmtDur(runDur[tp] - lv))
+		row += durCell(tp, runDur[tp]-lv)
 	}
 	fmt.Fprintln(w, row)
 	if runTotal > 0 {

@@ -63,6 +63,41 @@ atpg.podem_ns p99             131.5ms    132.9ms
 	}
 }
 
+// sharedText is a sweep in which the 3 % level rounds to the 2 % level's
+// test-point count: its run span copied the 2 % row after a one-second
+// wait, so it carries flow.shared_level and no stages.
+const sharedText = `{"ev":"span_start","id":1,"stage":"run","tp":2,"t":"2026-08-06T12:00:00Z"}
+{"ev":"span_start","id":2,"parent":1,"stage":"atpg","tp":2,"t":"2026-08-06T12:00:00Z"}
+{"ev":"span_start","id":3,"stage":"run","tp":3,"t":"2026-08-06T12:00:00Z"}
+{"ev":"span_end","id":2,"parent":1,"stage":"atpg","tp":2,"t":"2026-08-06T12:00:00Z","dur_ns":2000000000,"counters":{"atpg.patterns":154}}
+{"ev":"span_end","id":1,"stage":"run","tp":2,"t":"2026-08-06T12:00:00Z","dur_ns":2000000000}
+{"ev":"span_end","id":3,"stage":"run","tp":3,"t":"2026-08-06T12:00:00Z","dur_ns":1000000000,"counters":{"flow.shared_level":1}}
+`
+
+// TestSummarizeSharedLevel: a level whose run is shared prints "shared"
+// in every cell of the stage table, and its wait stays out of the run
+// total the stages are measured against.
+func TestSummarizeSharedLevel(t *testing.T) {
+	trace, err := tpilayout.ParseTrace(strings.NewReader(sharedText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	summarize(&buf, "shared", trace)
+	out := buf.String()
+	want := `
+stage         tp 2.0%    tp 3.0%
+atpg            2.00s     shared
+run total       2.00s     shared
+other             0µs     shared
+
+stages account for 100.0% of the 2.00s total run wall time
+`
+	if !strings.Contains(out, want) {
+		t.Errorf("shared level not shown as shared.\nwant section:\n%s\ngot output:\n%s", want, out)
+	}
+}
+
 // serviceText is a tpid-style stream: a run's spans interleaved with
 // observation events (span_end id 0, the service's metric flushes),
 // all carrying correlation attrs.

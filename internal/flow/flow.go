@@ -71,6 +71,10 @@ type Config struct {
 	// parent, when non-nil, is the span the run's span opens under
 	// instead of a new root: SweepLevels sets it to its sweep span.
 	parent *telemetry.Span
+	// share, when non-nil, ties a sweep level to the sweep's other levels
+	// of the same test-point count: SweepLevels sets it, and RunLevel
+	// either runs the count's layout or copies it (sweep.go).
+	share *levelShare
 
 	Scan  scan.Options
 	Place place.Options
@@ -240,8 +244,8 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 	if err := enter(StageTPI); err != nil {
 		return nil, err
 	}
-	tpCount := int(math.Round(cfg.TPPercent / 100 * float64(n.NumFlipFlops())))
-	tps, err := tpi.Insert(n, tpi.Options{Count: tpCount, Exclude: cfg.ExcludeNets})
+	count := tpCount(cfg.TPPercent, n.NumFlipFlops())
+	tps, err := tpi.Insert(n, tpi.Options{Count: count, Exclude: cfg.ExcludeNets})
 	if err != nil {
 		return nil, fail(err)
 	}
@@ -374,10 +378,18 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		}
 	}
 
-	res.fillMetrics(tpCount, fillerArea)
+	res.fillMetrics(count, fillerArea)
 	endStage(nil)
 	runSpan.End()
 	return res, nil
+}
+
+// tpCount is the number of test points a level at pct% inserts into a
+// design of flops flip-flops. A run's percentage reaches its layout only
+// through this number, which is why a sweep's levels of one count share
+// one run.
+func tpCount(pct float64, flops int) int {
+	return int(math.Round(pct / 100 * float64(flops)))
 }
 
 // runSpan opens the span that wraps one whole run: a child of the sweep

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,8 +53,9 @@ type LevelResult struct {
 }
 
 // SweepContext runs the flow for each test-point percentage and returns
-// one metrics row per layout, in order. Each layout is generated from
-// scratch (separate floorplans), exactly as the paper does.
+// one metrics row per level, in order. Each distinct layout is generated
+// from scratch (separate floorplans), exactly as the paper does; levels
+// that round to the same test-point count share one layout.
 //
 // The layouts are independent, so SweepContext fans them out over up to
 // cfg.Workers goroutines (GOMAXPROCS when 0), each running the full
@@ -97,8 +99,9 @@ func PrewarmBase(design *netlist.Netlist) *netlist.Netlist {
 // LevelFunc runs one level of a sweep: the flow at pct% test points on
 // the prewarmed base, with cfg as SweepLevels prepared it for the level.
 // RunLevel is the LevelFunc of a plain sweep; a caller that wraps it
-// (the service checkpoints around it) must hand it the cfg
-// it was given, which is what ties the level's run span to the sweep.
+// (the service checkpoints around it) must hand it the cfg it was
+// given, which is what ties the level's run span to the sweep and the
+// level to the sweep's other levels of its test-point count.
 type LevelFunc func(ctx context.Context, base *netlist.Netlist, cfg Config, pct float64) LevelResult
 
 // RunLevel runs exactly one sweep level — the full Figure 2 flow at
@@ -107,8 +110,22 @@ type LevelFunc func(ctx context.Context, base *netlist.Netlist, cfg Config, pct 
 // lives here, so a crashing level (inside a stage or outside, Clone
 // included) degrades to LevelResult.Err, normally a *StageError wrapping
 // a supervise.PanicError. cfg.TPPercent is overwritten with pct.
+//
+// Inside a sweep, a level whose test-point count an earlier level of the
+// sweep already has is that level's twin: it waits for the earlier level
+// and returns a copy of its Metrics under its own TPPercent, with a run
+// span that carries flow.shared_level and no stages. A twin whose
+// earlier level failed runs its own layout, so a failure is never
+// copied. Outside a sweep RunLevel shares nothing.
 func RunLevel(ctx context.Context, base *netlist.Netlist, cfg Config, pct float64) (out LevelResult) {
 	out.TPPercent = pct
+	sh := cfg.share
+	if sh != nil && !sh.twin {
+		// Deferred ahead of the recover below, so it runs after it and
+		// hands the twins what the level returns, a recovered panic
+		// included.
+		defer sh.run.settle(&out)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			pe := supervise.AsPanicError(r)
@@ -117,6 +134,16 @@ func RunLevel(ctx context.Context, base *netlist.Netlist, cfg Config, pct float6
 	}()
 	c := cfg
 	c.TPPercent = pct
+	c.share = nil
+	if sh != nil && sh.twin {
+		if m, ok := sh.run.wait(ctx); ok {
+			span := c.runSpan()
+			span.Add(sharedLevel, 1)
+			span.End()
+			out.Metrics = m
+			return out
+		}
+	}
 	// Each level runs in place on its own clone of the prewarmed base,
 	// so the shared base stays strictly read-only inside the worker and
 	// the flow pays no second defensive clone.
@@ -130,6 +157,79 @@ func RunLevel(ctx context.Context, base *netlist.Netlist, cfg Config, pct float6
 		return out
 	}
 	out.Metrics = r.Metrics
+	return out
+}
+
+// sharedLevel is the counter on a twin's run span: the level copied
+// the metrics of an earlier level of the same test-point count.
+const sharedLevel = "flow.shared_level"
+
+// A sharedRun is the one layout a sweep builds for a test-point count
+// that several of its levels round to. The first of them in input order
+// runs it; the others, its twins, wait on done.
+type sharedRun struct {
+	done chan struct{}
+	once sync.Once
+	m    Metrics
+	ok   bool // the first level succeeded and m is its row
+}
+
+// levelShare is a level's place in its count's sharedRun.
+type levelShare struct {
+	run  *sharedRun
+	twin bool
+}
+
+// settle releases the twins once: with the first level's metrics when
+// lr succeeded, with nothing when it failed or never ran (nil), which
+// sends every twin to run its own layout.
+func (r *sharedRun) settle(lr *LevelResult) {
+	r.once.Do(func() {
+		if lr != nil && lr.Err == nil {
+			r.m, r.ok = lr.Metrics, true
+		}
+		close(r.done)
+	})
+}
+
+// wait blocks until the first level settles or ctx ends, and returns a
+// copy of the first level's metrics when there are some to copy.
+func (r *sharedRun) wait(ctx context.Context) (Metrics, bool) {
+	select {
+	case <-r.done:
+	case <-ctx.Done():
+		return Metrics{}, false
+	}
+	if !r.ok {
+		return Metrics{}, false
+	}
+	m := r.m
+	m.Timing = slices.Clone(m.Timing)
+	return m, true
+}
+
+// shareLevels pairs every level of a sweep with the first earlier level
+// of its test-point count, if any: both get a levelShare, the later one
+// as a twin. Levels with a count of their own get nil. A percentage
+// outside [0,100] is left alone, so it fails validation in its own run.
+func shareLevels(pcts []float64, flops int) []*levelShare {
+	out := make([]*levelShare, len(pcts))
+	first := map[int]int{}
+	for i, pct := range pcts {
+		if !(pct >= 0 && pct <= 100) {
+			continue
+		}
+		n := tpCount(pct, flops)
+		j, seen := first[n]
+		if !seen {
+			first[n] = i
+			continue
+		}
+		if out[j] == nil {
+			out[j] = &levelShare{run: &sharedRun{done: make(chan struct{})}}
+		}
+		out[i] = &levelShare{run: out[j].run, twin: true}
+	}
 	return out
 }
 
@@ -147,8 +247,10 @@ func SweepPartial(ctx context.Context, design *netlist.Netlist, cfg Config, tpPe
 // SweepLevels is the sweep engine: it validates cfg, opens the sweep
 // span, prewarms design once, and calls level for every TP percentage on
 // up to cfg.Workers goroutines (GOMAXPROCS when 0), returning the
-// results in input order. What happens around one level — nothing for a
-// CLI sweep (RunLevel), checkpointing for the service — is
+// results in input order. Levels that round to the same test-point count
+// share one run (RunLevel): only a twin waits, and only for an earlier
+// level, which a worker already holds. What happens around one level —
+// nothing for a CLI sweep (RunLevel), checkpointing for the service — is
 // level's business; the error is non-nil only for an invalid Config.
 func SweepLevels(ctx context.Context, design *netlist.Netlist, cfg Config, tpPercents []float64, level LevelFunc) ([]LevelResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -162,6 +264,7 @@ func SweepLevels(ctx context.Context, design *netlist.Netlist, cfg Config, tpPer
 	defer sweepSpan.End()
 	cfg.parent = sweepSpan
 	base := PrewarmBase(design)
+	shares := shareLevels(tpPercents, base.NumFlipFlops())
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -181,7 +284,14 @@ func SweepLevels(ctx context.Context, design *netlist.Netlist, cfg Config, tpPer
 				if i >= len(tpPercents) {
 					return
 				}
-				out[i] = level(ctx, base, cfg, tpPercents[i])
+				lc := cfg
+				lc.share = shares[i]
+				out[i] = level(ctx, base, lc, tpPercents[i])
+				if sh := shares[i]; sh != nil && !sh.twin {
+					// A wrapper may answer a level without RunLevel:
+					// its twins then run their own layouts.
+					sh.run.settle(nil)
+				}
 			}
 		}()
 	}

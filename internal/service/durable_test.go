@@ -227,6 +227,107 @@ func TestReplayAnswersRetired(t *testing.T) {
 	waitState(t, s2, stOld.ID, StateDone)
 }
 
+// TestReplayedJobStreamsItsRun: a retired job read back after a restart
+// streams the data frames its run archived, from the start and from a
+// Last-Event-ID, exactly as it did before the restart. A coalesced job
+// streams the run it joined; a cache answer ran nothing and streams no
+// frames after any number of restarts. The first daemon caches nothing,
+// so the job that the second answers from its cache is one it filed.
+func TestReplayedJobStreamsItsRun(t *testing.T) {
+	const blocks, parks = 7, 8 // levels that run until released or canceled
+	hold := map[float64]chan struct{}{blocks: make(chan struct{}), parks: make(chan struct{})}
+	started := make(chan float64, 1)
+	dir := t.TempDir()
+	s1 := openDurable(t, dir, Options{Workers: 1, CacheBytes: 1}, func(s *Server) {
+		real := s.runLevel
+		s.runLevel = func(rn *run, base *netlist.Netlist, cfg flow.Config, pct float64) flow.LevelResult {
+			if ch, ok := hold[pct]; ok {
+				started <- pct
+				select {
+				case <-ch:
+				case <-rn.ctx.Done():
+				}
+			}
+			return real(rn, base, cfg, pct)
+		}
+	})
+	frames := func(s *Server, ids ...string) map[string]string {
+		out := map[string]string{}
+		for _, id := range ids {
+			for _, from := range []string{"", "3"} {
+				req := httptest.NewRequest("GET", "/v1/jobs/"+id+"/events", nil)
+				if from != "" {
+					req.Header.Set("Last-Event-ID", from)
+				}
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET events of %s = %d", id, rec.Code)
+				}
+				data, _, _ := strings.Cut(rec.Body.String(), "event: done\n")
+				out[id+" from "+from] = data
+			}
+		}
+		return out
+	}
+	same := func(before, after map[string]string) {
+		t.Helper()
+		for what, got := range after {
+			if got != before[what] {
+				t.Errorf("events of %s changed across the restart:\nbefore:\n%s\nafter:\n%s", what, before[what], got)
+			}
+		}
+	}
+
+	_, p := postJob(t, s1, jobBody(t, "acme", 0, 1))
+	waitState(t, s1, p.ID, StateDone)
+	// x holds the one worker, so a's run queues and b coalesces onto it.
+	_, x := postJob(t, s1, jobBody(t, "acme", blocks))
+	<-started
+	_, a := postJob(t, s1, jobBody(t, "acme", 2, 3))
+	_, b := postJob(t, s1, jobBody(t, "acme", 2, 3))
+	if !b.Coalesced {
+		t.Fatal("b did not coalesce onto a's queued run")
+	}
+	close(hold[blocks])
+	for _, st := range []JobStatus{p, x, a, b} {
+		waitState(t, s1, st.ID, StateDone)
+		waitArchived(t, s1, st.RunID)
+	}
+	ran := []string{p.ID, x.ID, a.ID, b.ID}
+	live := frames(s1, ran...)
+	if live[p.ID+" from "] == "" || live[b.ID+" from "] != live[a.ID+" from "] {
+		t.Fatalf("before the restart: done job streams %q, coalesced %q against %q",
+			live[p.ID+" from "], live[b.ID+" from "], live[a.ID+" from "])
+	}
+	// The crash leaves y running and c, a repeat of p, filed and queued.
+	_, y := postJob(t, s1, jobBody(t, "acme", parks))
+	<-started
+	_, c := postJob(t, s1, jobBody(t, "acme", 0, 1))
+	if c.CacheHit {
+		t.Fatal("the first daemon answered c from a cache it should not keep")
+	}
+	s1.Kill()
+
+	s2 := openDurable(t, dir, Options{Workers: 1}, nil)
+	waitState(t, s2, y.ID, StateDone)
+	if st := waitState(t, s2, c.ID, StateDone); !st.CacheHit {
+		t.Fatal("the second daemon did not answer c from its cache")
+	}
+	waitArchived(t, s2, getStatus(t, s2, y.ID).RunID)
+	same(live, frames(s2, ran...))
+	all := append(ran, y.ID, c.ID)
+	replayed := frames(s2, all...)
+	if replayed[y.ID+" from "] == "" || replayed[c.ID+" from "] != "" || replayed[c.ID+" from 3"] != "" {
+		t.Fatalf("second daemon: y streams %q, the cache answer %q", replayed[y.ID+" from "], replayed[c.ID+" from "])
+	}
+	shutdown(t, s2)
+
+	s3 := openDurable(t, dir, Options{Workers: 1}, nil)
+	defer shutdown(t, s3)
+	same(replayed, frames(s3, all...))
+}
+
 // TestReplayToleratesRemovedFlowFields: admission rejects a flow field
 // this build does not know, replay must not. A data dir written while
 // flow.sweep_mode and flow.atpg_memo still existed — a pending job

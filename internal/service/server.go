@@ -801,6 +801,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if rec != nil {
 		live = rec.retained
 	}
+	runID := job.runID
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -835,9 +836,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			i += len(tail)
 			flusher.Flush()
 		}
-	case rec != nil:
-		// The run is archived: its events live only on disk.
-		if !s.streamArchived(w, r, rec.id) {
+	case runID != "":
+		// The run is archived: its events live only on disk. A job replay
+		// read back has no record, only its run's id; a cache answer has
+		// neither.
+		if !s.streamArchived(w, r, runID) {
 			return // client disconnected
 		}
 	}

@@ -152,8 +152,9 @@ func ExperimentConfig(circuit string) Config { return flow.ExperimentConfig(circ
 type LevelResult = flow.LevelResult
 
 // Sweep runs the flow for each test-point percentage and returns one
-// metrics row per layout, in order. Each layout is generated from scratch
-// (separate floorplans), exactly as the paper does.
+// metrics row per level, in order. Each distinct layout is generated from
+// scratch (separate floorplans), exactly as the paper does; levels that
+// round to the same test-point count share one layout.
 //
 // The layouts are independent, so Sweep fans them out over up to
 // cfg.Workers goroutines (GOMAXPROCS when 0), each running the full
