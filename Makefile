@@ -25,9 +25,11 @@ race:
 #              `tracestat -`) exits 0 on the finished run; /metrics splits
 #              the terminal job counter by tenant; SIGQUIT writes a
 #              goroutine profile into the log WITHOUT killing the daemon.
-#   history:   the same budgeted job (atpg_budget_ms makes it
-#              non-cacheable, so the repeat executes a real flow) runs
-#              twice; both runs must be archived. The first job's
+#   history:   the same flow runs twice, under max_chain_length 99
+#              and then 98: either way s38417c x0.05 is one chain and
+#              gives the submit phase's tables, but each key is new, so
+#              neither the cache nor a checkpoint answers it and both
+#              execute a real flow; both runs must be archived. The first job's
 #              /events, captured live from its submission on, must `cmp`
 #              equal to its /events read once its run is archived, which
 #              the archive then serves as the one copy of its events. The
@@ -108,8 +110,8 @@ daemon-smoke:
 	curl -sf $$url/healthz >/dev/null || fail "the daemon stopped serving after SIGQUIT"; \
 	\
 	phase=history; \
-	body='{"tenant":"smoke","circuit":{"spec":"s38417c","scale":0.05},"tp_levels":[0,2],"flow":{"experiment":"s38417c","atpg_budget_ms":600000}}'; \
 	for attempt in 1 2; do \
+		body='{"tenant":"smoke","circuit":{"spec":"s38417c","scale":0.05},"tp_levels":[0,2],"flow":{"experiment":"s38417c","max_chain_length":'$$((100 - $$attempt))'}}'; \
 		id=$$(curl -sf -X POST -d "$$body" $$url/v1/jobs | field id); \
 		test -n "$$id" || fail "submission $$attempt rejected"; \
 		if test $$attempt = 1; then curl -sN $$url/v1/jobs/$$id/events >daemon-smoke-events-live.txt & evpid=$$!; fi; \

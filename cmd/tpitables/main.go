@@ -18,11 +18,7 @@
 // Ctrl-C (SIGINT) cancels cleanly. Either way the sweep degrades rather
 // than vanishes — completed levels are printed as partial tables and
 // every failed or cancelled level is marked with a "!! ... FAILED" line;
-// the exit status is non-zero if any level failed. -atpg-budget instead
-// bounds only the ATPG effort of each circuit's sweep, counted from the
-// sweep's start: an expiring budget degrades its levels (remaining faults
-// are marked aborted, and a "note:" line after the tables names each
-// truncated level) rather than failing them.
+// the exit status is non-zero if any level failed.
 //
 // At -scale 1 the circuits have their full published sizes; smaller
 // scales keep the structure (and the trends) while running much faster.
@@ -57,7 +53,6 @@ func main() {
 	levels := flag.String("levels", "0,1,2,3,4,5", "test-point percentages to sweep")
 	workers := flag.Int("workers", 0, "sweep concurrency (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "cancel the remaining sweep after this long (0 = no limit); completed levels still print")
-	atpgBudget := flag.Duration("atpg-budget", 0, "ATPG effort budget per circuit sweep, from its start; expiry truncates the levels instead of failing them (0 = no limit)")
 	traceFile := flag.String("trace", "", "write an NDJSON span trace to this file (read it back with tracestat)")
 	progress := flag.Bool("progress", false, "print live per-stage progress lines to stderr")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -143,9 +138,6 @@ func main() {
 		cfg.Workers = *workers
 		cfg.Telemetry = tracer
 		start := time.Now()
-		if *atpgBudget > 0 {
-			cfg.Deadline = start.Add(*atpgBudget)
-		}
 		results, err := tpilayout.SweepPartial(ctx, design, cfg, pcts)
 		if err != nil {
 			fatal("running sweep", err)
@@ -158,11 +150,6 @@ func main() {
 				if show[i] {
 					fmt.Println(format(rows))
 				}
-			}
-		}
-		for _, lr := range results {
-			if lr.Err == nil && lr.Metrics.Truncated {
-				fmt.Printf("note: ATPG budget expired at %g%% TPs — remaining faults aborted, FC/FE reflect the achieved detections\n", lr.TPPercent)
 			}
 		}
 		if failed := tpilayout.FormatSweepFailures(results); failed != "" {

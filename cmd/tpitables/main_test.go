@@ -12,9 +12,9 @@ import (
 )
 
 // TestBadFlagRejected: a -table value that selects no table, a
-// non-positive -scale, or a -circuits list with an unknown name anywhere
-// in it, must fail before any circuit is swept, not sweep and print
-// tables first.
+// non-positive -scale, a -circuits list with an unknown name anywhere
+// in it, or a flag tpitables does not have, must fail before any circuit
+// is swept, not sweep and print tables first.
 func TestBadFlagRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary; skipped in -short")
@@ -26,20 +26,23 @@ func TestBadFlagRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string // stderr must name it
+		code int    // the exit status: 2 for the flag package's errors
 	}{
-		{[]string{"-table", "4"}, "-table"},
-		{[]string{"-table", "al"}, "-table"},
-		{[]string{"-table", ""}, "-table"},
-		{[]string{"-circuits", "s38417c,nosuch"}, "nosuch"},
-		{[]string{"-scale", "-0.5"}, "-scale"},
-		{[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-table", "4"}, "-table", 1},
+		{[]string{"-table", "al"}, "-table", 1},
+		{[]string{"-table", ""}, "-table", 1},
+		{[]string{"-circuits", "s38417c,nosuch"}, "nosuch", 1},
+		{[]string{"-scale", "-0.5"}, "-scale", 1},
+		{[]string{"-scale", "0"}, "-scale", 1},
+		// ATPG is bounded by counts only; its wall-clock budget is gone.
+		{[]string{"-atpg-budget", "1s"}, "-atpg-budget", 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, append([]string{"-circuits", "s38417c", "-scale", "0.05", "-levels", "0"}, tc.args...)...)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
-		if _, ok := err.(*exec.ExitError); !ok {
-			t.Errorf("%q: err = %v, want a non-zero exit", tc.args, err)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != tc.code {
+			t.Errorf("%q: err = %v, want exit status %d", tc.args, err, tc.code)
 		}
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%q: stderr does not name %s: %s", tc.args, tc.want, stderr.String())
@@ -84,16 +87,6 @@ func TestPresetFollowsAlias(t *testing.T) {
 	}
 	if len(bodies) != 2 || bodies[0] != bodies[1] {
 		t.Errorf("-circuits dsp and p26909c print different tables:\n%s", out)
-	}
-}
-
-// TestATPGBudgetNote: an expired -atpg-budget truncates the level rather
-// than failing it, and a note after the tables names the level.
-func TestATPGBudgetNote(t *testing.T) {
-	out := runTables(t, "-levels", "0", "-atpg-budget", "1ns")
-	note := strings.Index(out, "note: ATPG budget expired at 0% TPs")
-	if note < 0 || note < strings.Index(out, "Table 3") {
-		t.Errorf("no truncation note after the tables:\n%s", out)
 	}
 }
 

@@ -49,14 +49,6 @@ type Options struct {
 	// Constraints freezes nets to capture-mode constants (scan-enable = 0,
 	// TSFF controls TE = 0 / TR = 1).
 	Constraints map[netlist.NetID]int8
-	// Deadline bounds the wall-clock effort of the run. Past it, the run
-	// stops random and deterministic generation at the next fault-class
-	// boundary, marks every remaining undetected class Aborted, and
-	// completes normally with Result.Truncated set — the industrial
-	// abort semantics, where a budget-bound run lowers FE but never
-	// fails. The zero value means no deadline. Contrast with context
-	// cancellation, which aborts the run with an error.
-	Deadline time.Time
 
 	// Telemetry, when non-nil, receives the run's ATPG counters on the
 	// ATPG stage's span: pattern provenance (atpg.patterns,
@@ -67,8 +59,7 @@ type Options struct {
 	// atpg.extend_blocked), the SAT residue pass's calls by outcome
 	// (atpg.sat_calls, atpg.sat_resolved, atpg.sat_budget_outs,
 	// atpg.sat_cube_rejects), fault-simulation work (atpg.sim_batches,
-	// atpg.sim_detect_calls, atpg.sim_region_props), and atpg.truncated
-	// (1, only when the deadline cut the run). Histograms record where
+	// atpg.sim_detect_calls, atpg.sim_region_props). Histograms record where
 	// the time went: atpg.prescreen_ns once per run, atpg.podem_ns and
 	// atpg.podem_bt_depth per primary target, atpg.sat_ns per SAT call,
 	// atpg.dyncomp_ns per cube's dynamic compaction, atpg.compact_ns per
@@ -110,11 +101,6 @@ type Result struct {
 	// FaultClasses is the equivalence-collapsed class count of the fault
 	// universe.
 	FaultClasses int
-
-	// Truncated reports that Options.Deadline expired before generation
-	// finished; the patterns and fault statuses are valid but cover only
-	// what was achieved within the budget.
-	Truncated bool
 
 	// Pattern provenance after compaction.
 	RandomKept        int // surviving random-phase patterns
@@ -171,18 +157,6 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	rng := rand.New(rand.NewSource(fillSeed))
 	res := &Result{View: v, Faults: set, FaultClasses: set.NumClasses()}
 
-	// expired latches once the deadline passes: generation stops at the
-	// next fault-class boundary and the run completes truncated.
-	expired := func() bool {
-		if res.Truncated {
-			return true
-		}
-		if !opt.Deadline.IsZero() && !time.Now().Before(opt.Deadline) {
-			res.Truncated = true
-		}
-		return res.Truncated
-	}
-
 	simulateAndDrop := func(batch *Batch) int {
 		dropped := 0
 		sim.SimGood(batch)
@@ -203,7 +177,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// by the final static compaction.
 	lowRounds := 0
 	batch := sim.NewBatch()
-	for round := 0; round < randomRounds && lowRounds < 2 && !expired(); round++ {
+	for round := 0; round < randomRounds && lowRounds < 2; round++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
@@ -241,7 +215,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	var prescreened int
 	if !opt.noPrescreen {
 		var err error
-		timed(hPrescreenNS, func() { prescreened, err = prescreen(ctx, mit, set, reps, proven, expired) })
+		timed(hPrescreenNS, func() { prescreened, err = prescreen(ctx, mit, set, reps, proven) })
 		if err != nil {
 			return nil, err
 		}
@@ -284,8 +258,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	}
 	// pass hands target every class whose status is want when its turn
 	// comes. One class is the cancellation work unit: a cancel lands
-	// before the next target, and an expired deadline truncates the pass
-	// at a class boundary.
+	// before the next target.
 	pass := func(want fault.Status, target func(ri int, r int32) error) error {
 		for ri, r := range reps {
 			if set.Status(r) != want {
@@ -293,9 +266,6 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 			}
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
-			}
-			if expired() {
-				break
 			}
 			if err := target(ri, r); err != nil {
 				return err
@@ -374,7 +344,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 	// faults each. Re-target them deterministically (they are easy faults,
 	// and dynamic compaction packs independent easy faults densely); the
 	// random patterns then survive compaction only as a last resort.
-	if randomGenerated > 0 && !expired() {
+	if randomGenerated > 0 {
 		var det []bool
 		timed(hCompactNS, func() { det = sim.coveredBy(res.Patterns[randomGenerated:], set, reps) })
 		var fallback []int32
@@ -392,17 +362,6 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 		for _, r := range fallback {
 			if st := set.Status(r); st == fault.Aborted || st == fault.Untestable {
 				set.SetStatus(r, fault.Detected)
-			}
-		}
-	}
-
-	// An expired deadline converts every class the run never got to into
-	// an Aborted class: like an industrial abort, it lowers FE (and FC for
-	// what the random phase missed) but the Result stays fully valid.
-	if expired() {
-		for _, r := range reps {
-			if set.Status(r) == fault.Undetected {
-				set.SetStatus(r, fault.Aborted)
 			}
 		}
 	}
@@ -444,9 +403,8 @@ func RunContext(ctx context.Context, n *netlist.Netlist, set *fault.Set, opt Opt
 
 // prescreen screens every class of reps still Undetected (miter.screen)
 // and marks, by position in reps, those it proves untestable in proven;
-// it returns how many. It checks ctx before each class and stops at an
-// expired deadline, leaving the classes it did not reach unproven.
-func prescreen(ctx context.Context, mit *miter, set *fault.Set, reps []int32, proven []bool, expired func() bool) (int, error) {
+// it returns how many. It checks ctx before each class.
+func prescreen(ctx context.Context, mit *miter, set *fault.Set, reps []int32, proven []bool) (int, error) {
 	n := 0
 	for ri, r := range reps {
 		if set.Status(r) != fault.Undetected {
@@ -454,9 +412,6 @@ func prescreen(ctx context.Context, mit *miter, set *fault.Set, reps []int32, pr
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return n, cerr
-		}
-		if expired() {
-			break
 		}
 		if mit.screen(set.Faults[r], satConflictBudget) {
 			proven[ri] = true
@@ -499,9 +454,6 @@ func flushTelemetry(sp *telemetry.Span, res *Result, gen *podem, sim *faultSim, 
 	sp.Add("atpg.sim_batches", sim.batches)
 	sp.Add("atpg.sim_detect_calls", sim.detects)
 	sp.Add("atpg.sim_region_props", sim.props)
-	if res.Truncated {
-		sp.Add("atpg.truncated", 1)
-	}
 }
 
 // coveredBy simulates the given patterns and reports, by position in

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"time"
 
 	"tpilayout/internal/atpg"
 	"tpilayout/internal/cts"
@@ -53,14 +52,6 @@ type Config struct {
 	// Results are bit-identical for every value — parallelism only
 	// changes wall-clock time.
 	Workers int
-
-	// Deadline bounds the ATPG effort of the run: past it, deterministic
-	// pattern generation stops, the remaining fault classes are marked
-	// aborted, and the run completes with Result.Truncated set — FC/FE
-	// report what was actually achieved, mirroring industrial abort
-	// semantics. The zero value means no deadline. Deadline degrades the result;
-	// cancelling the context aborts the run with an error.
-	Deadline time.Time
 
 	// Telemetry, when non-nil, traces the run: one "run" span wrapping
 	// one child span per flow stage (enter/exit/duration/error), with
@@ -113,11 +104,6 @@ type Result struct {
 	Par     *extract.Parasitics
 	STA     *sta.Result
 
-	// Truncated reports that the ATPG deadline expired before pattern
-	// generation finished: the run is complete and valid, but FC/FE
-	// cover only the detections achieved within the budget.
-	Truncated bool
-
 	Metrics Metrics
 }
 
@@ -139,8 +125,9 @@ type Metrics struct {
 	TDV          int64 // bits
 	TAT          int64 // cycles
 
-	// Truncated mirrors Result.Truncated: the ATPG deadline expired and
-	// the Table 1 numbers reflect a budget-bounded run.
+	// Truncated always reads false: ATPG is bounded by backtrack and
+	// conflict counts only, so every run completes. The field stays only
+	// while the benchmark harness still reads it.
 	Truncated bool
 
 	// Table 2: silicon area.
@@ -284,7 +271,6 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		set := fault.NewUniverse(n)
 		aopt := atpg.Options{
 			Constraints: sc.CaptureConstraints(),
-			Deadline:    cfg.Deadline,
 			Telemetry:   stageSpan,
 		}
 		for k, v := range tps.CaptureConstraints() {
@@ -299,7 +285,6 @@ func runInPlace(ctx context.Context, design *netlist.Netlist, cfg Config) (res *
 		set.CreditScan(func(f fault.Fault) bool { return onDfT(n, f) })
 		res.ATPG = ar
 		res.Faults = set
-		res.Truncated = ar.Truncated
 	}
 
 	// Steps 4–6 (and re-runs of step 2) live in physical(), so that
@@ -456,7 +441,6 @@ func (r *Result) fillMetrics(tpCount int, fillerArea float64) {
 	m.NumFF = n.NumFlipFlops()
 	m.Chains = r.Scan.NumChains()
 	m.LMax = r.Scan.MaxLength()
-	m.Truncated = r.Truncated
 	if r.Faults != nil {
 		m.Faults = r.Faults.Total()
 		m.FaultClasses = r.ATPG.FaultClasses

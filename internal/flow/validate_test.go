@@ -14,7 +14,7 @@ import (
 // this list on purpose.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"TPPercent", "ExcludeNets", "Workers", "Deadline", "Telemetry",
+		"TPPercent", "ExcludeNets", "Workers", "Telemetry",
 		"Scan.MaxChainLength", "Scan.MaxChains",
 		"Place.TargetUtilization", "Place.Telemetry",
 		"SweepMode", "SkipATPG", "TimingOptRounds",

@@ -92,7 +92,7 @@ func (c *resultCache) Resolve(d requestDigest) (*compiled, bool) {
 	c.mu.Unlock()
 	return &compiled{
 		tenant: a.tenant, src: circuitSource{name: a.circuit}, levels: a.levels,
-		key: ent.key, hit: ent.res, digest: d, cacheable: true,
+		key: ent.key, hit: ent.res, digest: d,
 	}, true
 }
 

@@ -7,8 +7,8 @@ package service
 //	jobs/<job_id>.json  one job: its replayable request and the run it
 //	                    waits on, rewritten once at retirement with its
 //	                    verdict and result instead of the bench text.
-//	levels/<key>.json   one completed, untruncated level of a cacheable
-//	                    run: the checkpoint granule resume is built on.
+//	levels/<key>.json   one completed level of a run: the checkpoint
+//	                    granule resume is built on.
 //	runs/               the run archive (internal/trachive).
 //
 // Every file is written by trachive.WriteFile (tmp + fsync + rename +
@@ -57,7 +57,6 @@ type jobImage struct {
 	State         State      `json:"state,omitempty"`
 	Error         string     `json:"error,omitempty"`
 	CacheKey      string     `json:"cache_key,omitempty"`
-	Cacheable     bool       `json:"cacheable,omitempty"`
 	Result        *JobResult `json:"result,omitempty"`
 	Started       *time.Time `json:"started,omitempty"`
 	CacheHit      bool       `json:"cache_hit,omitempty"`
@@ -239,7 +238,7 @@ func retiredImage(job *Job) *jobImage {
 	return &jobImage{
 		JobID: job.ID, RunID: job.runID, Tenant: job.Tenant, Name: job.Circuit, TPLevels: job.Levels,
 		Created: job.created, State: job.state, Error: job.errMsg, CacheKey: job.Key,
-		Cacheable: job.cacheable, Result: job.result.value(), Started: &job.started,
+		Result: job.result.value(), Started: &job.started,
 		CacheHit: job.cacheHit, Coalesced: job.coalesce, ResumedLevels: job.resumed, Finished: job.finished,
 	}
 }
@@ -260,7 +259,7 @@ func (s *Server) replay(st *dataState) {
 		evicted = append(evicted, s.checkpoints.put(l)...)
 	}
 	// Retired jobs become queryable terminal jobs again; complete
-	// cacheable results re-enter the LRU in retirement order, so the
+	// results re-enter the LRU in retirement order, so the
 	// cache's eviction order matches the pre-crash daemon's.
 	for i := range st.Retired {
 		r := &st.Retired[i]
@@ -268,7 +267,7 @@ func (s *Server) replay(st *dataState) {
 			ID: r.JobID, runID: r.RunID, Tenant: r.Tenant, Key: r.CacheKey, Levels: r.TPLevels,
 			Circuit: r.Name, state: r.State, errMsg: r.Error, cacheHit: r.CacheHit, coalesce: r.Coalesced,
 			resumed: r.ResumedLevels, created: r.Created, finished: r.Finished, started: r.Created,
-			persisted: true, cacheable: r.Cacheable,
+			persisted: true,
 		}
 		if r.Started != nil {
 			job.started = *r.Started
@@ -277,7 +276,7 @@ func (s *Server) replay(st *dataState) {
 			job.result = encodeResult(r.Result)
 		}
 		s.rememberJobLocked(job)
-		if r.Cacheable && r.Result != nil && r.Result.Complete {
+		if r.Result != nil && r.Result.Complete {
 			s.cache.Put(r.CacheKey, job.result)
 		}
 	}

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -214,6 +218,93 @@ func TestParentDataDir(t *testing.T) {
 	}
 }
 
+// TestParentBudgetedJobFiles: job files a parent build wrote for jobs
+// with a wall-clock ATPG budget (flow.atpg_budget_ms) still open. A
+// pending one replays without the budget and finishes under its body's
+// unbudgeted key. A retired one, filed non-cacheable with a truncated
+// level, answers its GETs with its state, run id and result, less the
+// level's truncated flag, which LevelStatus no longer has. Its result's
+// key hashed the budget, which no request can set, so a fresh submission
+// of its body runs a flow.
+func TestParentBudgetedJobFiles(t *testing.T) {
+	dir := t.TempDir()
+	comp := func(levels ...float64) *compiled {
+		var req JobRequest
+		if err := json.Unmarshal(jobBody(t, "acme", levels...), &req); err != nil {
+			t.Fatal(err)
+		}
+		c, err := compileRequest(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	budgeted := map[string]any{"experiment": "bench", "skip_atpg": true, "atpg_budget_ms": 600000}
+	rc := comp(3)
+	// The key the parent gave rc's body with the budget: keyFromBench with
+	// the budget in the hashed config.
+	h := sha256.New()
+	h.Write([]byte("tpid/v3/circuit\n" + rc.bench + "\x00tpid/v3/config\n"))
+	h.Write(bytes.Replace(hashedConfigJSON(&rc.cfg, rc.levels), []byte(`"atpg_budget_ms":0`), []byte(`"atpg_budget_ms":600000`), 1))
+	rKey := hex.EncodeToString(h.Sum(nil))
+	if rKey == rc.key {
+		t.Fatal("the budgeted key is the unbudgeted one")
+	}
+	rResult := &JobResult{
+		Circuit: "tiny", TPLevels: []float64{3}, Levels: []LevelStatus{{TPPercent: 3, OK: true}},
+		Rows: []flow.Metrics{stubMetrics(3)}, Table1: "parent-table-1", Complete: true, ElapsedMS: 17,
+	}
+	if err := os.MkdirAll(filepath.Join(dir, jobsDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for id, img := range map[string]map[string]any{
+		"pending": {
+			"job_id": "pending", "run_id": "run-p", "tenant": "acme", "name": "tiny", "bench": rc.bench,
+			"tp_levels": []float64{1, 2}, "flow": budgeted, "created": "2026-09-01T10:01:00Z",
+		},
+		"retired": {
+			"job_id": "retired", "run_id": "run-r", "tenant": "acme", "name": "tiny", "tp_levels": []float64{3},
+			"state": StateDone, "cache_key": rKey, "cacheable": false, "created": "2026-09-01T10:00:00Z",
+			"started": "2026-09-01T10:00:01Z", "finished": "2026-09-01T10:00:30Z",
+			"result": map[string]any{
+				"circuit": "tiny", "tp_levels": []float64{3}, "rows": rResult.Rows, "table1": rResult.Table1,
+				"complete": true, "elapsed_ms": 17, "levels": []any{map[string]any{"tp_percent": 3, "ok": true, "truncated": true}},
+			},
+		},
+	} {
+		data, err := json.Marshal(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, jobsDir, fileName(id)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rec := &levelRecorder{}
+	s := openDurable(t, dir, Options{Workers: 1}, func(s *Server) { s.runLevel = rec.hook })
+	defer shutdown(t, s)
+	if st := waitState(t, s, "pending", StateDone); st.Key != comp(1, 2).key || st.RunID != "run-p" {
+		t.Errorf("the pending job finished as %+v, want key %s under run-p", st, comp(1, 2).key)
+	}
+	if st := getStatus(t, s, "retired"); st.State != StateDone || st.RunID != "run-r" || st.Key != rKey {
+		t.Errorf("the retired job reads %+v", st)
+	}
+	resCode, body := do(t, s, "GET", "/v1/jobs/retired/result", nil)
+	var res JobResult
+	if resCode != http.StatusOK || json.Unmarshal(body, &res) != nil || !reflect.DeepEqual(&res, rResult) {
+		t.Errorf("GET /v1/jobs/retired/result = %d %s", resCode, body)
+	}
+	code, st := postJob(t, s, jobBody(t, "acme", 3))
+	if code != http.StatusAccepted || st.CacheHit {
+		t.Fatalf("a fresh submission of the retired job's body: %d cache_hit=%v, want a run of its own", code, st.CacheHit)
+	}
+	waitState(t, s, st.ID, StateDone)
+	if ran := rec.executed(); !reflect.DeepEqual(ran, []float64{1, 2, 3}) {
+		t.Errorf("levels run: %v, want the pending job's 1, 2 and the fresh submission's 3", ran)
+	}
+}
+
 // TestEmptyWALBesideFiles: a journal opened and closed on a data dir of
 // job files, as the benchmark harness does between a Kill and the
 // reopen, leaves an empty segment. That dir replays as its files alone:
@@ -399,6 +490,52 @@ func TestDataDirWriteFailure(t *testing.T) {
 				t.Errorf("levels run after the reopen: %v, want %v", ran, tc.ran)
 			}
 		})
+	}
+}
+
+// TestReplayRefilesCoalescedJob: a replayed job that coalesces onto a
+// twin's run under another run id has its file rewritten to name that
+// run. a's cancel retirement fails to write, so its file stays pending
+// under a's run; b, the same body, is filed under a new run; after a
+// Kill the replay re-admits a under its run and b coalesces onto it, and
+// the data dir must then read back as the state of the server.
+func TestReplayRefilesCoalescedJob(t *testing.T) {
+	dir := t.TempDir()
+	var fail atomic.Bool // the next job file write fails
+	opt := Options{Workers: 1}
+	opt.writeHook = func(path string) error {
+		if filepath.Base(filepath.Dir(path)) == jobsDir && fail.CompareAndSwap(true, false) {
+			return &os.PathError{Op: "write", Path: path, Err: syscall.ENOSPC}
+		}
+		return nil
+	}
+	install := func(s *Server) { installStubFlow(s, make(chan struct{}, 1), nil, nil) }
+	s := openDurable(t, dir, opt, install)
+	body := jobBody(t, "acme", parks)
+	if code := postAs(t, s, "a", body); code != http.StatusAccepted {
+		t.Fatalf("submit a = %d", code)
+	}
+	fail.Store(true)
+	if code, _ := do(t, s, "DELETE", "/v1/jobs/a", nil); code != http.StatusOK {
+		t.Fatalf("DELETE a = %d", code)
+	}
+	if code := postAs(t, s, "b", body); code != http.StatusAccepted {
+		t.Fatalf("submit b = %d", code)
+	}
+	runA, runB := getStatus(t, s, "a").RunID, getStatus(t, s, "b").RunID
+	if s.Stats().JournalErrors != 1 || runA == runB {
+		t.Fatalf("before the kill: %d write errors, a under %q, b under %q; want 1 and two runs",
+			s.Stats().JournalErrors, runA, runB)
+	}
+	s.Kill()
+
+	s2 := openDurable(t, dir, Options{Workers: 1}, install)
+	defer s2.Kill()
+	if st := getStatus(t, s2, "b"); st.RunID != runA || !st.Coalesced {
+		t.Fatalf("b after the replay: %+v, want it coalesced onto a's run %s", st, runA)
+	}
+	if files, snap := loadState(t, dir), canonicalState(s2.snapshotState()); files != snap {
+		t.Errorf("the data dir != snapshot of the server:\nfiles %s\nsnap  %s", files, snap)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // the full handler: whatever the body, the server must answer (2xx for a
 // valid job, 4xx for garbage) and never panic — the same hardening bar
 // FuzzParseBench holds the .bench reader to. Every body goes in twice,
-// the second time once the first job is over, so a cacheable job's second
+// the second time once the first job is over, so an accepted job's second
 // answer is the request index's. It equals the first: a refusal the same
 // code and error text, a job the same key, tenant, circuit and levels.
 func FuzzJobRequest(f *testing.F) {

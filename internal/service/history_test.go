@@ -21,25 +21,6 @@ import (
 	"tpilayout/internal/trachive"
 )
 
-// budgetBody builds a submission that is non-cacheable (a generous ATPG
-// budget makes a job's runtime environment-dependent, so it bypasses
-// the result cache and singleflight): the knob history tests use to
-// force identical resubmissions to execute real flows instead of being
-// answered from the cache.
-func budgetBody(t *testing.T, tenant string, levels ...float64) []byte {
-	t.Helper()
-	b, err := json.Marshal(JobRequest{
-		Tenant:   tenant,
-		Circuit:  CircuitSpec{Bench: testBench, Name: "tiny"},
-		TPLevels: levels,
-		Flow:     FlowConfig{SkipATPG: true, ATPGBudgetMS: 600000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // waitArchived polls GET /v1/runs/{id} until the retirement hook has
 // archived the run (archiving happens just after jobs turn terminal).
 func waitArchived(t *testing.T, s *Server, runID string) trachive.Meta {
@@ -273,7 +254,7 @@ func TestHistoryArchiveWriteFailure(t *testing.T) {
 	if got := getStatus(t, s2, st.ID); got.State != StateDone {
 		t.Fatalf("job after the reopen: %+v", got)
 	}
-	_, st2 := postJob(t, s2, budgetBody(t, "acme", 1))
+	_, st2 := postJob(t, s2, jobBody(t, "acme", 2))
 	waitState(t, s2, st2.ID, StateDone)
 	waitArchived(t, s2, st2.RunID)
 }
@@ -295,7 +276,7 @@ func atPlaceStart(f func()) telemetry.Sink {
 func TestHistorySurvivesCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1 := openDurable(t, dir, Options{Workers: 1}, nil)
-	_, st1 := postJob(t, s1, budgetBody(t, "smoke", 1))
+	_, st1 := postJob(t, s1, jobBody(t, "smoke", 1))
 	waitState(t, s1, st1.ID, StateDone)
 	m1 := waitArchived(t, s1, st1.RunID)
 	s1.Kill() // crash: no archive Close, no journal compaction
@@ -307,8 +288,9 @@ func TestHistorySurvivesCrashRestart(t *testing.T) {
 		t.Fatalf("archived run changed across restart: %+v vs %+v", m1, m1b)
 	}
 
-	// A post-restart rerun archives beside the pre-crash run, newer.
-	_, st2 := postJob(t, s2, budgetBody(t, "smoke", 1))
+	// A post-restart rerun archives beside the pre-crash run, newer. Its
+	// level is new, so neither the cache nor a checkpoint answers it.
+	_, st2 := postJob(t, s2, jobBody(t, "smoke", 2))
 	waitState(t, s2, st2.ID, StateDone)
 	m2 := waitArchived(t, s2, st2.RunID)
 	if m2.Seq <= m1.Seq || m2.ConfigHash != m1.ConfigHash {
@@ -329,8 +311,8 @@ func TestHistoryOpensParentFormatIndex(t *testing.T) {
 	dir := t.TempDir()
 	s1 := openDurable(t, dir, Options{Workers: 1}, nil)
 	var metas []trachive.Meta
-	for range 2 {
-		_, st := postJob(t, s1, budgetBody(t, "smoke", 1))
+	for i := range 2 {
+		_, st := postJob(t, s1, jobBody(t, "smoke", float64(i+1)))
 		waitState(t, s1, st.ID, StateDone)
 		metas = append(metas, waitArchived(t, s1, st.RunID))
 	}
@@ -391,7 +373,7 @@ func TestHistoryOpensParentFormatIndex(t *testing.T) {
 	}
 
 	// A new run archives beside them.
-	_, st := postJob(t, s2, budgetBody(t, "smoke", 1))
+	_, st := postJob(t, s2, jobBody(t, "smoke", 3))
 	waitState(t, s2, st.ID, StateDone)
 	m3 := waitArchived(t, s2, st.RunID)
 	if m3.Seq <= metas[1].Seq {
@@ -418,7 +400,7 @@ func TestRunProfileCapture(t *testing.T) {
 	s := openDurable(t, t.TempDir(), opt, nil)
 	defer shutdown(t, s)
 
-	_, st := postJob(t, s, budgetBody(t, "smoke", 1))
+	_, st := postJob(t, s, jobBody(t, "smoke", 1))
 	waitState(t, s, st.ID, StateDone)
 	m := waitArchived(t, s, st.RunID)
 	if m.ProfileBytes == 0 {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"tpilayout/internal/circuitgen"
 	"tpilayout/internal/flow"
@@ -68,11 +67,6 @@ type FlowConfig struct {
 	// Results are bit-identical for every value, so Workers is excluded
 	// from the cache key.
 	Workers int `json:"workers,omitempty"`
-	// ATPGBudgetMS bounds the ATPG effort per level; an expiring budget
-	// truncates the run instead of failing it. Budgeted results depend on
-	// wall-clock speed, so a job with a budget is never cached and never
-	// coalesced with other submissions.
-	ATPGBudgetMS int64 `json:"atpg_budget_ms,omitempty"`
 }
 
 // JobRequest is the POST /v1/jobs body: one circuit, one flow config,
@@ -92,22 +86,20 @@ type JobRequest struct {
 // A job answered from the request index has what its alias stores —
 // tenant, src.name, levels, key and hit — and nothing else.
 type compiled struct {
-	tenant    string
-	src       circuitSource // the circuit, checked; src.name is the design's name
-	design    *netlist.Netlist
-	cfg       flow.Config
-	levels    []float64
-	budgetMS  int64
-	digest    requestDigest  // of the submission's body; zero for a replayed job
-	hit       *encodedResult // the cached result the request index resolved to
-	key       string
-	baseKey   string // level-independent address: checkpoint key prefix
-	circHash  string // circuit-only hash: the run archive's circuit= filter
-	cfgHash   string // config-only hash: the run archive's config= filter
-	bench     string // canonical .bench text (journal accepted records)
-	preset    string // resolved experiment preset (pinned for replay)
-	cacheable bool
-	workers   int // requested per-flow workers (0 = server default)
+	tenant   string
+	src      circuitSource // the circuit, checked; src.name is the design's name
+	design   *netlist.Netlist
+	cfg      flow.Config
+	levels   []float64
+	digest   requestDigest  // of the submission's body; zero for a replayed job
+	hit      *encodedResult // the cached result the request index resolved to
+	key      string
+	baseKey  string // level-independent address: checkpoint key prefix
+	circHash string // circuit-only hash: the run archive's circuit= filter
+	cfgHash  string // config-only hash: the run archive's config= filter
+	bench    string // canonical .bench text (journal accepted records)
+	preset   string // resolved experiment preset (pinned for replay)
+	workers  int    // requested per-flow workers (0 = server default)
 }
 
 // requestError is a client-side problem with a submission (HTTP 4xx).
@@ -180,9 +172,6 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 	if fc.Workers < 0 || fc.Workers > maxFlowWorker {
 		return nil, badRequest("flow.workers %d outside [0,%d]", fc.Workers, maxFlowWorker)
 	}
-	if fc.ATPGBudgetMS < 0 {
-		return nil, badRequest("flow.atpg_budget_ms negative")
-	}
 	c.workers = fc.Workers
 	c.cfg = cfg
 	// Validate at the level the flow itself will: TPPercent is checked
@@ -193,8 +182,6 @@ func compileRequest(req *JobRequest) (*compiled, error) {
 		return nil, badRequest("%v", err)
 	}
 	c.preset = preset
-	c.budgetMS = fc.ATPGBudgetMS
-	c.cacheable = fc.ATPGBudgetMS == 0
 	if err := c.address(); err != nil {
 		return nil, err
 	}
@@ -208,21 +195,20 @@ func (c *compiled) address() error {
 		return fmt.Errorf("service: canonicalizing circuit: %w", err)
 	}
 	c.bench = bench.String()
-	c.key = keyFromBench(c.bench, &c.cfg, c.levels, c.budgetMS)
-	// The base key drops the level list and budget: every level of every
+	c.key = keyFromBench(c.bench, &c.cfg, c.levels)
+	// The base key drops the level list: every level of every
 	// sweep over the same circuit+config shares one checkpoint namespace,
 	// so a resubmission with a different level mix still resumes the
 	// levels it has in common with earlier runs.
-	c.baseKey = keyFromBench(c.bench, &c.cfg, nil, 0)
+	c.baseKey = keyFromBench(c.bench, &c.cfg, nil)
 	// The history hashes split the content address into its two halves,
 	// so the run archive can answer "same circuit, any config" and "same
 	// config, any circuit" queries independently. Levels are excluded:
 	// `tracestat BASE CUR` aligns runs per (stage, tp) cell, so two
 	// sweeps over different level mixes still compare on the levels they
-	// share. The ATPG budget stays in the config hash — a budgeted run
-	// is not comparable to an unbudgeted one.
+	// share.
 	c.circHash = circuitHash(c.bench)
-	c.cfgHash = configHash(&c.cfg, c.budgetMS)
+	c.cfgHash = configHash(&c.cfg)
 	return nil
 }
 
@@ -253,9 +239,9 @@ func circuitHash(bench string) string {
 }
 
 // configHash is the archived run's config identity: SHA-256
-// over the resolved config (level list excluded, ATPG budget included).
-func configHash(cfg *flow.Config, budgetMS int64) string {
-	h := sha256.Sum256(append([]byte("tpid/v1/config\n"), hashedConfigJSON(cfg, nil, budgetMS)...))
+// over the resolved config (level list excluded).
+func configHash(cfg *flow.Config) string {
+	h := sha256.Sum256(append([]byte("tpid/v1/config\n"), hashedConfigJSON(cfg, nil)...))
 	return hex.EncodeToString(h[:])
 }
 
@@ -351,11 +337,11 @@ type hashedConfig struct {
 }
 
 // hashedConfigJSON is the hashedConfig of a resolved config as the keys
-// hash it. SEFanoutLimit is the literal 0: the scan-enable fanout limit is
-// a constant of package scan, not part of a request, and 0 is what every
-// key has hashed, so keys and the results and checkpoints stored under
-// them stay valid.
-func hashedConfigJSON(cfg *flow.Config, levels []float64, budgetMS int64) []byte {
+// hash it. SEFanoutLimit and ATPGBudgetMS are the literal 0: neither is
+// part of a request (the scan-enable fanout limit is a constant of package
+// scan, and ATPG has no wall-clock budget), and 0 is what the key of every
+// cached result and checkpoint has hashed, so they stay valid.
+func hashedConfigJSON(cfg *flow.Config, levels []float64) []byte {
 	cfgJSON, _ := json.Marshal(hashedConfig{ // fixed field set: cannot fail
 		MaxChains:         cfg.Scan.MaxChains,
 		MaxChainLength:    cfg.Scan.MaxChainLength,
@@ -363,7 +349,7 @@ func hashedConfigJSON(cfg *flow.Config, levels []float64, budgetMS int64) []byte
 		TargetUtilization: cfg.Place.TargetUtilization,
 		SkipATPG:          cfg.SkipATPG,
 		TimingOptRounds:   cfg.TimingOptRounds,
-		ATPGBudgetMS:      budgetMS,
+		ATPGBudgetMS:      0,
 		TPLevels:          levels,
 	})
 	return cfgJSON
@@ -380,20 +366,11 @@ func hashedConfigJSON(cfg *flow.Config, levels []float64, budgetMS int64) []byte
 // tie-break; v3: the SAT residue pass and the scan ports), so results and
 // level checkpoints an older build left in a data dir match nothing and
 // age out.
-func keyFromBench(bench string, cfg *flow.Config, levels []float64, budgetMS int64) string {
+func keyFromBench(bench string, cfg *flow.Config, levels []float64) string {
 	h := sha256.New()
 	h.Write([]byte("tpid/v3/circuit\n"))
 	h.Write([]byte(bench))
 	h.Write([]byte("\x00tpid/v3/config\n"))
-	h.Write(hashedConfigJSON(cfg, levels, budgetMS))
+	h.Write(hashedConfigJSON(cfg, levels))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// atpgDeadline converts a request's relative budget into the absolute
-// flow deadline, at the moment the flow actually starts.
-func atpgDeadline(budgetMS int64, now time.Time) time.Time {
-	if budgetMS <= 0 {
-		return time.Time{}
-	}
-	return now.Add(time.Duration(budgetMS) * time.Millisecond)
 }

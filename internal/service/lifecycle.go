@@ -37,14 +37,15 @@ const (
 
 // admit is the accepted transition: it gives the job described by img a
 // place in the server, or refuses it. replay says img was read back from
-// the data dir, so its file is not written again, the job enters under
-// its filed ids, and a refusal must still leave the job (whose client
-// has held its id since before the crash) with a queryable verdict.
+// the data dir, so its file is written again only if the job's run
+// changes, the job enters under its filed ids, and a refusal must still
+// leave the job (whose client has held its id since before the crash)
+// with a queryable verdict.
 func (s *Server) admit(comp *compiled, img *jobImage, replay bool) (*Job, admission) {
 	job := &Job{
 		ID: img.JobID, Tenant: comp.tenant, Key: comp.key, Levels: comp.levels,
 		Circuit: comp.src.name, digest: comp.digest, state: StateQueued, created: img.Created,
-		cacheable: comp.cacheable, persisted: replay, accepted: img,
+		persisted: replay, accepted: img,
 	}
 	answer := func(res *encodedResult) (*Job, admission) {
 		s.retire([]*Job{job}, outcome{state: StateDone, result: res, cacheHit: true})
@@ -61,17 +62,15 @@ func (s *Server) admit(comp *compiled, img *jobImage, replay bool) (*Job, admiss
 		// from the cache without touching the queue or the data dir — it
 		// cost no flow, so there is nothing to recover. The request index
 		// may have found the result already (comp.hit).
-		if comp.cacheable {
-			res, ok := comp.hit, comp.hit != nil
-			if !ok {
-				res, ok = s.cache.Get(comp.key)
-			}
-			if ok {
-				s.mu.Lock()
-				s.rememberJobLocked(job)
-				s.mu.Unlock()
-				return answer(res)
-			}
+		res, ok := comp.hit, comp.hit != nil
+		if !ok {
+			res, ok = s.cache.Get(comp.key)
+		}
+		if ok {
+			s.mu.Lock()
+			s.rememberJobLocked(job)
+			s.mu.Unlock()
+			return answer(res)
 		}
 		// Fast-fail an obviously full queue before paying a file write
 		// for a job that will bounce with 429 anyway (the race with Push
@@ -79,7 +78,7 @@ func (s *Server) admit(comp *compiled, img *jobImage, replay bool) (*Job, admiss
 		s.mu.Lock()
 		_, coalescible := s.inflight[comp.key]
 		s.mu.Unlock()
-		if s.queue.Len() >= s.opt.QueueDepth && !(comp.cacheable && coalescible) {
+		if s.queue.Len() >= s.opt.QueueDepth && !coalescible {
 			return job, admitQueueFull
 		}
 	}
@@ -87,22 +86,22 @@ func (s *Server) admit(comp *compiled, img *jobImage, replay bool) (*Job, admiss
 	// The job's file is written BEFORE the job is reachable, so it
 	// precedes its retired image, and names the run the job will wait on
 	// (a live twin's, else a new one's): if that changed while the file
-	// was written, it is written again. Replay keeps the filed run id.
+	// was written, it is written again. A replayed job keeps its filed run
+	// id unless it coalesces onto a live run under another id, which its
+	// file is rewritten to name.
 	var live, rn *run
 	var cached *encodedResult
 	var refused error
 	borrowed := false // img.RunID is a live run's
 	for {
 		s.mu.Lock()
-		live, cached = nil, nil
-		if comp.cacheable {
-			// Singleflight: an identical run in flight absorbs this
-			// submission. Failing that, look in the cache again: finishRun
-			// publishes to it before it drops the inflight entry, so an
-			// identical submission never pays for a second flow.
-			if live = s.inflight[comp.key]; live == nil {
-				cached, _ = s.cache.Get(comp.key)
-			}
+		// Singleflight: an identical run in flight absorbs this
+		// submission. Failing that, look in the cache again: finishRun
+		// publishes to it before it drops the inflight entry, so an
+		// identical submission never pays for a second flow.
+		live, cached = s.inflight[comp.key], nil
+		if live == nil {
+			cached, _ = s.cache.Get(comp.key)
 		}
 		want := img.RunID
 		if live != nil {
@@ -110,7 +109,7 @@ func (s *Server) admit(comp *compiled, img *jobImage, replay bool) (*Job, admiss
 		} else if want == "" || borrowed {
 			want = s.newRunID()
 		}
-		if replay || cached != nil || s.opt.DataDir == "" || job.persisted && want == img.RunID {
+		if cached != nil || s.opt.DataDir == "" || job.persisted && want == img.RunID {
 			img.RunID = want
 			break
 		}
@@ -128,9 +127,7 @@ func (s *Server) admit(comp *compiled, img *jobImage, replay bool) (*Job, admiss
 	case cached == nil:
 		rn = s.newRun(comp, img, job)
 		if refused = s.queue.Push(rn); refused == nil {
-			if comp.cacheable {
-				s.inflight[comp.key] = rn
-			}
+			s.inflight[comp.key] = rn
 			s.active[rn] = true
 		}
 	}
@@ -185,7 +182,6 @@ func (s *Server) newRun(comp *compiled, img *jobImage, job *Job) *run {
 		baseKey:   comp.baseKey,
 		circHash:  comp.circHash,
 		cfgHash:   comp.cfgHash,
-		cacheable: comp.cacheable,
 		tenant:    comp.tenant,
 		primary:   job.ID,
 		circuit:   comp.src.name,
@@ -193,7 +189,6 @@ func (s *Server) newRun(comp *compiled, img *jobImage, job *Job) *run {
 		cfg:       comp.cfg,
 		levels:    comp.levels,
 		workers:   comp.workers,
-		budgetMS:  comp.budgetMS,
 		ctx:       ctx,
 		cancel:    cancel,
 		enqueued:  time.Now(),
@@ -280,7 +275,6 @@ func (s *Server) sweepRun(rn *run) (*JobResult, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = s.opt.FlowWorkers
 	}
-	cfg.Deadline = atpgDeadline(rn.budgetMS, time.Now())
 
 	start := time.Now()
 	levels, err := s.runLevels(rn, cfg)
@@ -304,7 +298,6 @@ func (s *Server) sweepRun(rn *run) (*JobResult, error) {
 			res.Complete = false
 		} else {
 			ls.OK = true
-			ls.Truncated = lr.Metrics.Truncated
 		}
 		res.Levels = append(res.Levels, ls)
 	}
@@ -331,13 +324,9 @@ func (s *Server) runLevels(rn *run, cfg flow.Config) ([]flow.LevelResult, error)
 	s.mu.Lock()
 	for i, pct := range rn.levels {
 		out[i].TPPercent = pct
-		// Budget-truncated sweeps depend on wall-clock speed: they are
-		// neither cached nor checkpointed nor resumed.
-		if rn.cacheable {
-			if m, ok := s.checkpoints.get(levelKey(rn.baseKey, pct)); ok {
-				out[i].Metrics = m
-				continue
-			}
+		if m, ok := s.checkpoints.get(levelKey(rn.baseKey, pct)); ok {
+			out[i].Metrics = m
+			continue
 		}
 		missing = append(missing, i)
 		missingPct = append(missingPct, pct)
@@ -385,13 +374,11 @@ func (s *Server) attemptLevel(rn *run, base *netlist.Netlist, cfg flow.Config, p
 		}
 		return lr
 	}
-	rn.log.Debug("level done", "tp_percent", pct, "truncated", lr.Metrics.Truncated)
-	if rn.cacheable && !lr.Metrics.Truncated {
-		s.checkpoint(&levelImage{
-			Key: levelKey(rn.baseKey, pct), TPPercent: pct, Metrics: lr.Metrics,
-			RunID: rn.id, JobID: rn.primary,
-		})
-	}
+	rn.log.Debug("level done", "tp_percent", pct)
+	s.checkpoint(&levelImage{
+		Key: levelKey(rn.baseKey, pct), TPPercent: pct, Metrics: lr.Metrics,
+		RunID: rn.id, JobID: rn.primary,
+	})
 	return lr
 }
 
@@ -425,11 +412,11 @@ func (s *Server) finishRun(rn *run, res *JobResult, err error) {
 		// from this run or from the cache, writes these bytes.
 		out.result = encodeResult(res)
 	}
-	// Cache only complete, successful, deterministic results: a partial
+	// Cache only complete, successful results: a partial
 	// sweep must re-run its failed level on resubmission, not be
 	// replayed forever from the cache. Publishing before the inflight
 	// entry goes is what admit's re-check under the lock relies on.
-	publish := out.state == StateDone && rn.cacheable && res != nil && res.Complete
+	publish := out.state == StateDone && res != nil && res.Complete
 	if publish {
 		s.cache.Put(rn.key, out.result)
 	}

@@ -3,7 +3,7 @@ package service
 // TestChaosRecoveryInvariants is the crash-recovery test. It runs random actions,
 // drawn from a seed, against a real durable Server whose runLevel parks
 // each level until the test finishes or fails it: submit a fresh body, an
-// identical twin, a repeat of a finished body or a budgeted one; DELETE a
+// identical twin or a repeat of a finished body; DELETE a
 // job; finish or fail a parked level; arm one data dir write fault; Kill,
 // maybe leave a torn .tmp file, and reopen; drain at the end. A reference
 // model of DESIGN.md §13's transition table predicts every job's state,
@@ -73,11 +73,9 @@ const modelFailLevel = 9
 
 type mBody struct {
 	levels []float64 // sorted, distinct
-	budget bool      // atpg_budget_ms: never cached, coalesced or checkpointed
 }
 
-func (b *mBody) key() string     { return fmt.Sprint(b.levels, b.budget) }
-func (b *mBody) cacheable() bool { return !b.budget }
+func (b *mBody) key() string { return fmt.Sprint(b.levels) }
 
 // mJob is what GET /v1/jobs/{id} must report for one job.
 type mJob struct {
@@ -85,7 +83,8 @@ type mJob struct {
 	body      *mBody
 	state     State
 	errMsg    string
-	runID     *string // the run id it reports and its file names: nil for none, "" until first seen
+	runID     *string // the run id it reports: nil for none, "" until first seen
+	filed     *string // the run id its pending file names
 	record    *mRun   // the run whose resumed levels it reports
 	run       *mRun   // the live run it waits on
 	resumed   int64   // record's resumed levels at retirement: its file's
@@ -143,13 +142,17 @@ func (m *model) write(dir string, apply func()) {
 }
 
 // inSync reports whether the data dir holds what the server does: every
-// job file in the state of its job, and every checkpoint filed.
+// job file in the state of its job, naming its run while pending, and
+// every checkpoint filed.
 func (m *model) inSync() bool {
 	var pending, retired []string
 	for _, j := range m.jobs {
 		if j.journaled && j.state.terminal() {
 			retired = append(retired, j.id)
 		} else if j.journaled {
+			if j.filed != j.runID {
+				return false
+			}
 			pending = append(pending, j.id)
 		}
 	}
@@ -166,7 +169,7 @@ func (m *model) inSync() bool {
 }
 
 func (m *model) submit(id string, b *mBody) int {
-	if b.cacheable() && m.cached[b.key()] {
+	if m.cached[b.key()] {
 		m.jobs = append(m.jobs, &mJob{id: id, body: b, state: StateDone, cacheHit: true})
 		return http.StatusOK
 	}
@@ -176,8 +179,8 @@ func (m *model) submit(id string, b *mBody) int {
 	}
 	j := &mJob{id: id, body: b, state: StateQueued, runID: new(string), journaled: true}
 	m.jobs = append(m.jobs, j)
-	m.write(jobsDir, func() { m.pending = append(m.pending, j) })
 	m.place(j)
+	m.write(jobsDir, func() { m.pending, j.filed = append(m.pending, j), j.runID })
 	return http.StatusAccepted
 }
 
@@ -194,9 +197,7 @@ func (m *model) place(j *mJob) {
 	r := &mRun{id: j.runID, body: j.body, jobs: []*mJob{j}}
 	j.run, j.record, j.runID = r, r, r.id
 	m.queue = append(m.queue, r)
-	if j.body.cacheable() {
-		m.inflight[j.body.key()] = r
-	}
+	m.inflight[j.body.key()] = r
 }
 
 // advance lets idle workers take queued runs, in order.
@@ -210,7 +211,7 @@ func (m *model) advance() {
 			j.state = StateRunning
 		}
 		for _, pct := range r.body.levels {
-			if _, ok := m.levels[pct]; ok && r.body.cacheable() {
+			if _, ok := m.levels[pct]; ok {
 				r.resumed++
 			} else {
 				r.missing = append(r.missing, pct)
@@ -228,7 +229,7 @@ func (m *model) verdict(r *mRun, ok bool) {
 	r.missing = r.missing[1:]
 	if !ok {
 		r.failed = append(r.failed, pct)
-	} else if r.body.cacheable() {
+	} else {
 		m.writes++
 		v := m.writes
 		m.write(levelsDir, func() { m.dlevels[pct] = v })
@@ -244,7 +245,7 @@ func (m *model) finish(r *mRun) {
 	if r.body.levels[0] == modelFailLevel {
 		state, msg = StateFailed, "boom"
 	}
-	if state == StateDone && r.failed == nil && r.body.cacheable() && m.bigCache {
+	if state == StateDone && r.failed == nil && m.bigCache {
 		m.cached[r.body.key()] = true
 	}
 	jobs := r.jobs
@@ -292,8 +293,9 @@ func (m *model) retire(jobs []*mJob, state State, msg string, cacheHit bool, fai
 // restart is a new server's replay of the data dir: retired jobs come
 // back as they were filed (their cached results with them; resumed
 // levels as at retirement, which a job a DELETE retired early may
-// since have outgrown), and pending ones
-// are re-admitted in order, under the run their file names.
+// since have outgrown), and pending ones are re-admitted in order, under
+// the run their file names unless they coalesce onto a twin's run, which
+// their file is rewritten to name.
 func (m *model) restart(workers, depth int, bigCache bool) {
 	*m = model{
 		inflight: map[string]*mRun{}, cached: map[string]bool{}, levels: maps.Clone(m.dlevels),
@@ -305,20 +307,22 @@ func (m *model) restart(workers, depth int, bigCache bool) {
 			id: r.id, body: r.body, state: r.state, errMsg: r.errMsg, runID: r.runID, failed: r.failed, journaled: true,
 			coalesced: r.coalesced, cacheHit: r.cacheHit, resumed: r.resumed,
 		})
-		if bigCache && r.state == StateDone && r.failed == nil && r.body.cacheable() {
+		if bigCache && r.state == StateDone && r.failed == nil {
 			m.cached[r.body.key()] = true
 		}
 	}
 	for i, p := range m.pending {
-		m.pending[i] = &mJob{id: p.id, body: p.body, state: StateQueued, runID: p.runID, journaled: true}
+		m.pending[i] = &mJob{id: p.id, body: p.body, state: StateQueued, runID: p.runID, filed: p.filed, journaled: true}
 		m.jobs = append(m.jobs, m.pending[i])
 	}
 	for _, j := range slices.Clone(m.pending) {
-		if j.body.cacheable() && m.cached[j.body.key()] {
+		if m.cached[j.body.key()] {
 			j.runID = nil // a cache answer names no run
 			m.retire([]*mJob{j}, StateDone, "", true, nil)
-		} else {
-			m.place(j)
+			continue
+		}
+		if m.place(j); j.runID != j.filed {
+			m.write(jobsDir, func() { j.filed = j.runID })
 		}
 	}
 }
@@ -722,12 +726,9 @@ func runModel(tb testing.TB, seed int64, dir string) {
 	submit := func(b *mBody) string {
 		jobs++
 		id := fmt.Sprintf("j%d", jobs)
-		cfg := FlowConfig{SkipATPG: true}
-		if b.budget {
-			cfg.ATPGBudgetMS = 600000
-		}
 		body, _ := json.Marshal(JobRequest{
-			Tenant: "acme", Circuit: CircuitSpec{Bench: testBench, Name: "tiny"}, TPLevels: b.levels, Flow: cfg,
+			Tenant: "acme", Circuit: CircuitSpec{Bench: testBench, Name: "tiny"}, TPLevels: b.levels,
+			Flow: FlowConfig{SkipATPG: true},
 		})
 		req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(string(body)))
 		req.Header.Set("X-Request-ID", id)
@@ -739,13 +740,13 @@ func runModel(tb testing.TB, seed int64, dir string) {
 		m.advance()
 		return fmt.Sprintf("submit %s %s", id, b.key())
 	}
-	fresh := func(budget bool) *mBody {
-		b := &mBody{budget: budget}
+	fresh := func() *mBody {
+		b := &mBody{}
 		for _, p := range rng.Perm(6)[:1+rng.Intn(3)] {
 			b.levels = append(b.levels, float64(p+1))
 		}
 		sort.Float64s(b.levels)
-		if !budget && rng.Intn(8) == 0 {
+		if rng.Intn(8) == 0 {
 			b.levels = []float64{modelFailLevel}
 		}
 		return b
@@ -770,7 +771,7 @@ func runModel(tb testing.TB, seed int64, dir string) {
 		var what string
 		switch x := rng.Intn(100); {
 		case x < 20:
-			what = submit(fresh(false))
+			what = submit(fresh())
 		case x < 40: // an identical twin of a live job, or a repeat of a finished body (failed ones first)
 			j := pick(live)
 			if x >= 30 {
@@ -782,8 +783,8 @@ func runModel(tb testing.TB, seed int64, dir string) {
 				continue
 			}
 			what = submit(j.body)
-		case x < 46:
-			what = submit(fresh(true))
+		case x < 46: // fresh too: its own range keeps each seed's draws in place
+			what = submit(fresh())
 		case x < 54:
 			j := pick(func(*mJob) bool { return true })
 			if j == nil {

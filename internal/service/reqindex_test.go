@@ -185,8 +185,7 @@ func TestRequestVariantKeys(t *testing.T) {
 }
 
 // TestValidationAfterCache: with a body cached and aliased, its invalid
-// variants are refused exactly as the full compile refuses them, and a
-// budgeted variant is never answered from an alias or the cache.
+// variants are refused exactly as the full compile refuses them.
 func TestValidationAfterCache(t *testing.T) {
 	s := stubServer(t, Options{Workers: 1})
 	base := JobRequest{
@@ -205,7 +204,6 @@ func TestValidationAfterCache(t *testing.T) {
 	cases := map[string]func(r *JobRequest){
 		"tenant of 65 bytes":    func(r *JobRequest) { r.Tenant = strings.Repeat("t", maxTenantLen+1) },
 		"workers 65":            func(r *JobRequest) { r.Flow.Workers = maxFlowWorker + 1 },
-		"negative budget":       func(r *JobRequest) { r.Flow.ATPGBudgetMS = -1 },
 		"level 101":             func(r *JobRequest) { r.TPLevels = []float64{0, 101} },
 		"bench and spec":        func(r *JobRequest) { r.Circuit.Spec = "s38417c" },
 		"unparsable bench":      func(r *JobRequest) { r.Circuit.Bench = badBench },
@@ -224,19 +222,6 @@ func TestValidationAfterCache(t *testing.T) {
 		if code != http.StatusBadRequest || got.Error != want.Error() {
 			t.Errorf("%s: %d %q, want 400 %q", name, code, got.Error, want.Error())
 		}
-	}
-
-	budgeted := base
-	budgeted.Flow.ATPGBudgetMS = 50
-	for i := 0; i < 2; i++ {
-		runs := s.FlowRuns()
-		code, st := submitDone(t, s, mustJSON(t, budgeted))
-		if code != http.StatusAccepted || st.CacheHit || s.FlowRuns() != runs+1 {
-			t.Fatalf("budgeted submit %d = %d cache_hit=%v", i, code, st.CacheHit)
-		}
-	}
-	if aliased(t, s, mustJSON(t, budgeted)) {
-		t.Fatal("a budgeted request was aliased")
 	}
 }
 

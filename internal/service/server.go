@@ -47,23 +47,21 @@ func (s State) terminal() bool {
 // cancelled job as long as any other job still wants its result.
 type run struct {
 	*runRecord
-	key       string
-	baseKey   string // level-independent content address (checkpoint keys)
-	circHash  string // circuit-only hash (run-history circuit= filter)
-	cfgHash   string // config-only hash (run-history config= filter)
-	cacheable bool
-	tenant    string // queue bucket: the first submitter's tenant
-	primary   string // job_id of the first submitter (correlation attrs)
-	circuit   string // the design's name, fixed at admission
-	designN   *netlist.Netlist
-	cfg       flow.Config
-	levels    []float64
-	workers   int
-	budgetMS  int64
-	log       *telemetry.Logger // job_id/run_id/tenant pre-bound
-	events    *broadcaster      // the run's event stream: its tracer's sink (SSE)
-	ctx       context.Context
-	cancel    context.CancelFunc
+	key      string
+	baseKey  string // level-independent content address (checkpoint keys)
+	circHash string // circuit-only hash (run-history circuit= filter)
+	cfgHash  string // config-only hash (run-history config= filter)
+	tenant   string // queue bucket: the first submitter's tenant
+	primary  string // job_id of the first submitter (correlation attrs)
+	circuit  string // the design's name, fixed at admission
+	designN  *netlist.Netlist
+	cfg      flow.Config
+	levels   []float64
+	workers  int
+	log      *telemetry.Logger // job_id/run_id/tenant pre-bound
+	events   *broadcaster      // the run's event stream: its tracer's sink (SSE)
+	ctx      context.Context
+	cancel   context.CancelFunc
 
 	enqueued time.Time
 	started  time.Time // when the flow actually began executing
@@ -127,7 +125,6 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	persisted bool // the job has a file in the data dir
-	cacheable bool // result eligible for cache + checkpoints
 	// accepted is the replayable request, bench text included, of a job
 	// still owed a run: its file's image. Dropped at retirement.
 	accepted *jobImage
@@ -137,7 +134,6 @@ type Job struct {
 type LevelStatus struct {
 	TPPercent float64 `json:"tp_percent"`
 	OK        bool    `json:"ok"`
-	Truncated bool    `json:"truncated,omitempty"`
 	Error     string  `json:"error,omitempty"`
 }
 
@@ -370,7 +366,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string        // terminal-job retention FIFO
-	inflight map[string]*run // singleflight: key → live cacheable run
+	inflight map[string]*run // singleflight: key → live run
 	active   map[*run]bool   // every live run (queued or running)
 	claimed  map[string]bool // client-supplied X-Request-IDs mid-admission
 

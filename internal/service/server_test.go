@@ -365,6 +365,7 @@ func TestBadRequests(t *testing.T) {
 		// the 400 names it.
 		{"atpg_memo", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"atpg_memo":true}}`, testBench), http.StatusBadRequest},
 		{"sweep_mode", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"sweep_mode":"full"}}`, testBench), http.StatusBadRequest},
+		{"atpg_budget_ms", fmt.Sprintf(`{"circuit":{"bench":%q},"tp_levels":[0],"flow":{"atpg_budget_ms":600000}}`, testBench), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, resp := do(t, s, "POST", "/v1/jobs", []byte(tc.body))
@@ -372,7 +373,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: code = %d, want %d (%s)", tc.name, code, tc.want, resp)
 		}
 		switch tc.name {
-		case "atpg_memo", "sweep_mode":
+		case "atpg_memo", "sweep_mode", "atpg_budget_ms":
 			if !strings.Contains(string(resp), tc.name) {
 				t.Errorf("%s: response does not name the field: %s", tc.name, resp)
 			}
@@ -424,8 +425,8 @@ func TestSubmitBodyCapIsExact(t *testing.T) {
 
 // TestResultBodyUnchanged: GET /result writes the stored encoding of a
 // result, which is byte for byte what writeJSON writes for the result
-// with the job's cache_hit: for a run's own job, a cache answer, an index
-// answer and a budgeted job no cache holds.
+// with the job's cache_hit: for a run's own job, a cache answer and an
+// index answer.
 func TestResultBodyUnchanged(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer shutdown(t, s)
@@ -441,9 +442,6 @@ func TestResultBodyUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted := req
-	budgeted.Flow.ATPGBudgetMS = 60000
-
 	type job struct {
 		name     string
 		code     int
@@ -464,7 +462,6 @@ func TestResultBodyUnchanged(t *testing.T) {
 		t.Fatal("the run's body is not aliased")
 	}
 	submit("index answer", body, http.StatusOK, true)
-	submit("budgeted job", mustJSON(t, budgeted), http.StatusAccepted, false)
 
 	for _, j := range jobs {
 		s.mu.Lock()
@@ -483,7 +480,7 @@ func TestResultBodyUnchanged(t *testing.T) {
 			t.Fatalf("%s: GET /result body\n%s\nwant\n%s", j.name, got.Body, want.Body)
 		}
 	}
-	if s.FlowRuns() != 2 {
-		t.Fatalf("%d flows ran, want the first job's and the budgeted one's", s.FlowRuns())
+	if s.FlowRuns() != 1 {
+		t.Fatalf("%d flows ran, want the first job's", s.FlowRuns())
 	}
 }

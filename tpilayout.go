@@ -19,10 +19,8 @@
 //
 // Execution is supervised end to end: the Context variants (RunContext,
 // SweepContext, SweepPartial) honor cancellation inside every long loop,
-// failures surface as typed *StageError values, ATPG runs can be
-// deadline-bounded (returning a valid Truncated result, like an
-// industrial abort), and a panicking sweep level degrades into one
-// failed row instead of killing the process.
+// failures surface as typed *StageError values, and a panicking sweep
+// level degrades into one failed row instead of killing the process.
 //
 // Runs are observable: set Config.Telemetry to a NewTracer and every
 // stage and sweep level reaches its sinks as span events, one span_end
